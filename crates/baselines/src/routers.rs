@@ -24,7 +24,7 @@ impl ScanRouter for ShortestQueue {
         requests: &[FragmentRequest],
         queues: &mut QueueView,
     ) -> Result<Vec<Assignment>, RouteError> {
-        validate_requests(requests)?;
+        validate_requests(requests, queues)?;
         Ok(requests
             .iter()
             .map(|req| {
@@ -60,7 +60,7 @@ impl ScanRouter for GreedySetCover {
         requests: &[FragmentRequest],
         queues: &mut QueueView,
     ) -> Result<Vec<Assignment>, RouteError> {
-        validate_requests(requests)?;
+        validate_requests(requests, queues)?;
         let mut remaining: Vec<&FragmentRequest> = requests.iter().collect();
         let mut out = Vec::with_capacity(requests.len());
         while !remaining.is_empty() {

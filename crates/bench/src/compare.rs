@@ -1,146 +1,10 @@
-//! Bench-trajectory gate: diffs a fresh perf snapshot against the
-//! committed `BENCH_BASELINE.json` so optimized-path wins cannot silently
-//! erode.
-//!
-//! The committed baseline is a full perf snapshot (the same schema
-//! `nashdb-bench perf` emits); only the optimized-path timing gauges in
-//! [`TRACKED_GAUGES`] are compared — speedup *ratios* move whenever the
-//! naive references change, but the optimized absolute timings are the
-//! quantity the PRs that introduced them actually bought.
-//!
-//! ```text
-//! nashdb-bench compare BENCH_PERF.json BENCH_BASELINE.json --max-regression 0.25
-//! ```
-//!
-//! A tracked gauge more than `max_regression` (fractional, default 0.25)
-//! slower than the baseline fails the gate. Large improvements are reported
-//! (not failed) so the baseline can be ratcheted down.
-//!
-//! The sibling quality gate, [`compare_scenarios`], diffs two scenario
-//! artifacts (`nashdb-bench compare --scenarios`): the build fails if
+//! Scenario quality gate: [`compare_scenarios`] diffs two scenario
+//! artifacts (`nashdb-bench compare --scenarios`). The build fails if
 //! NashDB has *lost Pareto-frontier membership* in any matrix cell where
 //! the committed `SCENARIO_BASELINE.json` has it. Dominance-count drops are
 //! reported as warnings; frontier gains as ratchet candidates.
 
-use nashdb_obs::{ObsSnapshot, ScenarioArtifact};
-
-/// The optimized-path timing gauges under the trajectory gate, one per
-/// hot path the perf harness times.
-pub const TRACKED_GAUGES: &[&str] = &[
-    "perf.routing.incremental_ns",
-    "perf.routing.batch_ns",
-    "perf.lookup.indexed_ns",
-    "perf.fragment.dp_ns",
-    "perf.packing.bffd_ns",
-];
-
-/// Default allowed fractional slowdown before the gate fails (25%): wide
-/// enough for shared-runner noise on millisecond-scale timings, tight
-/// enough that an accidental O(n) → O(n²) on any hot path cannot hide.
-pub const DEFAULT_MAX_REGRESSION: f64 = 0.25;
-
-/// One tracked gauge's movement between baseline and current.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeDelta {
-    /// Gauge name from [`TRACKED_GAUGES`].
-    pub name: &'static str,
-    /// Baseline timing (ns).
-    pub baseline_ns: f64,
-    /// Current timing (ns).
-    pub current_ns: f64,
-    /// Fractional change: `current / baseline - 1` (positive = slower).
-    pub change: f64,
-}
-
-/// The full diff across [`TRACKED_GAUGES`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CompareReport {
-    /// One delta per tracked gauge, in [`TRACKED_GAUGES`] order.
-    pub deltas: Vec<GaugeDelta>,
-}
-
-impl CompareReport {
-    /// Deltas slower than the allowed fractional regression.
-    pub fn regressions(&self, max_regression: f64) -> Vec<&GaugeDelta> {
-        self.deltas
-            .iter()
-            .filter(|d| d.change > max_regression)
-            .collect()
-    }
-
-    /// Deltas faster than the baseline by more than the same margin —
-    /// candidates for ratcheting the baseline down.
-    pub fn improvements(&self, margin: f64) -> Vec<&GaugeDelta> {
-        self.deltas.iter().filter(|d| d.change < -margin).collect()
-    }
-}
-
-/// Why a comparison could not be made at all (as opposed to failing it).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompareError {
-    /// A tracked gauge is absent from one of the snapshots.
-    MissingGauge {
-        /// `"current"` or `"baseline"`.
-        which: &'static str,
-        /// The absent gauge.
-        name: &'static str,
-    },
-    /// The baseline records a non-positive timing; the ratio is undefined
-    /// and the baseline file is corrupt or hand-edited.
-    NonPositiveBaseline {
-        /// The offending gauge.
-        name: &'static str,
-        /// Its recorded value.
-        value: f64,
-    },
-}
-
-impl std::fmt::Display for CompareError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompareError::MissingGauge { which, name } => {
-                write!(f, "{which} snapshot has no gauge {name:?}")
-            }
-            CompareError::NonPositiveBaseline { name, value } => {
-                write!(f, "baseline gauge {name:?} is non-positive ({value})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CompareError {}
-
-/// Diffs every tracked gauge between the two snapshots.
-///
-/// # Errors
-/// [`CompareError`] when a tracked gauge is missing from either snapshot or
-/// the baseline timing is non-positive.
-pub fn compare(
-    current: &ObsSnapshot,
-    baseline: &ObsSnapshot,
-) -> Result<CompareReport, CompareError> {
-    let mut report = CompareReport::default();
-    for &name in TRACKED_GAUGES {
-        let cur = current.gauge(name).ok_or(CompareError::MissingGauge {
-            which: "current",
-            name,
-        })?;
-        let base = baseline.gauge(name).ok_or(CompareError::MissingGauge {
-            which: "baseline",
-            name,
-        })?;
-        if base <= 0.0 {
-            return Err(CompareError::NonPositiveBaseline { name, value: base });
-        }
-        report.deltas.push(GaugeDelta {
-            name,
-            baseline_ns: base,
-            current_ns: cur,
-            change: cur / base - 1.0,
-        });
-    }
-    Ok(report)
-}
+use nashdb_obs::ScenarioArtifact;
 
 /// The system the scenario gate tracks.
 pub const GATED_SYSTEM: &str = "nashdb";
@@ -265,97 +129,6 @@ pub fn compare_scenarios(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nashdb_obs::SNAPSHOT_VERSION;
-
-    fn snapshot(gauges: &[(&str, f64)]) -> ObsSnapshot {
-        ObsSnapshot {
-            version: SNAPSHOT_VERSION,
-            labels: vec![("kind".to_owned(), "perf".to_owned())],
-            counters: Vec::new(),
-            gauges: gauges.iter().map(|&(k, v)| (k.to_owned(), v)).collect(),
-            histograms: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
-    fn all_at(ns: f64) -> ObsSnapshot {
-        snapshot(&TRACKED_GAUGES.iter().map(|&g| (g, ns)).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn flat_timings_pass() {
-        let report = compare(&all_at(1_000.0), &all_at(1_000.0)).unwrap();
-        assert_eq!(report.deltas.len(), TRACKED_GAUGES.len());
-        assert!(report.regressions(DEFAULT_MAX_REGRESSION).is_empty());
-        assert!(report.improvements(DEFAULT_MAX_REGRESSION).is_empty());
-    }
-
-    #[test]
-    fn quarter_slowdown_is_the_edge() {
-        // Exactly 25% slower passes (strict inequality); 26% fails.
-        let just_inside = compare(&all_at(1_250.0), &all_at(1_000.0)).unwrap();
-        assert!(just_inside.regressions(0.25).is_empty());
-        let over = compare(&all_at(1_260.0), &all_at(1_000.0)).unwrap();
-        assert_eq!(over.regressions(0.25).len(), TRACKED_GAUGES.len());
-        assert!((over.deltas[0].change - 0.26).abs() < 1e-9);
-    }
-
-    #[test]
-    fn single_gauge_regression_is_isolated() {
-        let mut gauges: Vec<(&str, f64)> = TRACKED_GAUGES.iter().map(|&g| (g, 1_000.0)).collect();
-        gauges[2].1 = 2_000.0; // fragment DP doubled
-        let report = compare(&snapshot(&gauges), &all_at(1_000.0)).unwrap();
-        let regressions = report.regressions(DEFAULT_MAX_REGRESSION);
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].name, TRACKED_GAUGES[2]);
-        assert!((regressions[0].change - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn improvements_are_reported_not_failed() {
-        let report = compare(&all_at(500.0), &all_at(1_000.0)).unwrap();
-        assert!(report.regressions(DEFAULT_MAX_REGRESSION).is_empty());
-        assert_eq!(
-            report.improvements(DEFAULT_MAX_REGRESSION).len(),
-            TRACKED_GAUGES.len()
-        );
-    }
-
-    #[test]
-    fn missing_and_corrupt_gauges_are_errors() {
-        let empty = snapshot(&[]);
-        assert_eq!(
-            compare(&empty, &all_at(1.0)),
-            Err(CompareError::MissingGauge {
-                which: "current",
-                name: TRACKED_GAUGES[0]
-            })
-        );
-        assert_eq!(
-            compare(&all_at(1.0), &empty),
-            Err(CompareError::MissingGauge {
-                which: "baseline",
-                name: TRACKED_GAUGES[0]
-            })
-        );
-        assert_eq!(
-            compare(&all_at(1.0), &all_at(0.0)),
-            Err(CompareError::NonPositiveBaseline {
-                name: TRACKED_GAUGES[0],
-                value: 0.0
-            })
-        );
-    }
-
-    #[test]
-    fn tracked_gauges_follow_the_lint_prefix_registry() {
-        // compare() and the linter must agree on names, or a renamed gauge
-        // would sail through the lint registry yet break the gate.
-        for g in TRACKED_GAUGES {
-            assert!(g.starts_with("perf."));
-        }
-    }
-
     use nashdb_obs::{CellSnapshot, SystemPoint, SCENARIO_VERSION};
 
     fn scenario_point(system: &str, on_front: bool, dominates: u64) -> SystemPoint {

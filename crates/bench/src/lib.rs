@@ -19,7 +19,6 @@
 pub mod compare;
 pub mod env;
 pub mod experiments;
-pub mod perf;
 pub mod scenarios;
 pub mod smoke;
 

@@ -2,36 +2,12 @@
 //! ([`nashdb_bench::smoke::REQUIRED_STAGES`]) and the linter's metric-name
 //! allowlist ([`nashdb_lint::STAGE_PREFIXES`]) — must agree, or a metric
 //! can pass the linter yet be invisible to the coverage check (and vice
-//! versa). The known, documented delta is `perf.`: those gauges come from
-//! the `nashdb-bench perf` harness, which is not part of the smoke
-//! pipeline, so smoke coverage cannot require them.
+//! versa).
 
 use nashdb_bench::smoke::REQUIRED_STAGES;
 use nashdb_lint::STAGE_PREFIXES;
 
 #[test]
-fn smoke_coverage_is_a_subset_of_the_lint_registry() {
-    for stage in REQUIRED_STAGES {
-        assert!(
-            STAGE_PREFIXES.contains(stage),
-            "smoke requires stage {stage:?} the linter would reject; add it to \
-             nashdb_lint::STAGE_PREFIXES"
-        );
-    }
-}
-
-#[test]
-fn lint_registry_exceeds_smoke_coverage_only_by_perf() {
-    let extra: Vec<&str> = STAGE_PREFIXES
-        .iter()
-        .filter(|p| !REQUIRED_STAGES.contains(p))
-        .copied()
-        .collect();
-    assert_eq!(
-        extra,
-        vec!["perf."],
-        "a lint-registered prefix the smoke gate does not cover means one of \
-         the registries rotted; either require it in REQUIRED_STAGES or \
-         document it here like perf."
-    );
+fn smoke_coverage_equals_the_lint_registry() {
+    assert_eq!(REQUIRED_STAGES, STAGE_PREFIXES);
 }

@@ -1,0 +1,760 @@
+//! Routing data access requests (paper §8).
+//!
+//! When a query's range scan is decomposed into fragment read requests, the
+//! scan router picks which replica serves each request. Two pure strategies
+//! exist in prior work: minimize *query span* (use as few nodes as
+//! possible) or minimize *wait time* (always read from the shortest queue).
+//! NashDB's **Max-of-mins** balances them: a node not yet serving this query
+//! is charged a span penalty `ϕ`, and requests are scheduled
+//! bottleneck-first — the request whose best achievable wait is *largest*
+//! is placed first, on the node where its wait is smallest (Eq. 11).
+//!
+//! Waits are expressed in tuples of queued work (disk reads dominate OLAP
+//! scan latency and read time is proportional to tuples, §8); the cluster
+//! layer converts its time-based queue lengths and the paper's ϕ = 350 ms
+//! into tuple units via node throughput.
+//!
+//! [`MaxOfMins`] runs Eq. 11 *incrementally*: a placement re-evaluates only
+//! the requests it could have invalidated — those listing the placed node as
+//! a candidate. The textbook O(R²·C) double loop is retained verbatim in
+//! [`mod@reference`] as the executable specification the incremental router
+//! is property-tested against.
+//!
+//! Scans also route in **batches** ([`ScanRouter::route_batch`]): one call
+//! routes many scans in order against one evolving queue view, validating
+//! every scan before placing anything.
+
+mod max_of_mins;
+pub mod reference;
+
+pub use max_of_mins::MaxOfMins;
+
+use std::collections::HashSet;
+
+use crate::ids::{FragmentId, NodeId};
+
+/// One fragment read request of a single range scan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FragmentRequest {
+    /// The fragment to read.
+    pub fragment: FragmentId,
+    /// Tuples to read (the fragment size).
+    pub size: u64,
+    /// Nodes hosting a replica of the fragment. Must be nonempty, and every
+    /// id must index inside the [`QueueView`] the scan is routed against.
+    pub candidates: Vec<NodeId>,
+}
+
+/// A routing decision: which node serves which fragment request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Assignment {
+    /// The fragment read.
+    pub fragment: FragmentId,
+    /// The chosen replica's node.
+    pub node: NodeId,
+}
+
+/// Why a scan could not be routed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteError {
+    /// A request's candidate list is empty: the fragment is hosted nowhere
+    /// the router can see, so no assignment exists.
+    NoReplicas {
+        /// The unroutable fragment.
+        fragment: FragmentId,
+    },
+    /// A request lists a candidate node the queue view does not cover, so
+    /// its wait cannot be read.
+    UnknownNode {
+        /// The request naming the node.
+        fragment: FragmentId,
+        /// The out-of-range candidate.
+        node: NodeId,
+    },
+    /// The router failed to derive a candidate minimum even though
+    /// validation passed — an internal invariant breach (a router bug),
+    /// surfaced as a typed error instead of a sentinel assignment or a
+    /// library panic.
+    InvariantBreach {
+        /// The fragment whose minimum could not be derived.
+        fragment: FragmentId,
+    },
+}
+
+impl std::fmt::Display for RouteError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RouteError::NoReplicas { fragment } => {
+                write!(f, "fragment {fragment} has no replicas to read")
+            }
+            RouteError::UnknownNode { fragment, node } => {
+                write!(
+                    f,
+                    "fragment {fragment} lists candidate node {node}, which the queue view does not cover"
+                )
+            }
+            RouteError::InvariantBreach { fragment } => {
+                write!(
+                    f,
+                    "internal routing invariant breached deriving a minimum for fragment {fragment}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for RouteError {}
+
+/// Checks every request has at least one candidate replica and names only
+/// nodes `queues` covers — the structural preconditions all routers share,
+/// validated once per scan instead of once per inner-loop iteration.
+pub fn validate_requests(
+    requests: &[FragmentRequest],
+    queues: &QueueView,
+) -> Result<(), RouteError> {
+    for r in requests {
+        if r.candidates.is_empty() {
+            return Err(RouteError::NoReplicas {
+                fragment: r.fragment,
+            });
+        }
+        if let Some(&node) = r.candidates.iter().find(|n| n.index() >= queues.len()) {
+            return Err(RouteError::UnknownNode {
+                fragment: r.fragment,
+                node,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// A mutable view of per-node queued work, in tuples.
+///
+/// Routers read waits and push their own assignments so that consecutive
+/// requests of the same scan see each other's load.
+#[derive(Debug, Clone)]
+pub struct QueueView {
+    waits: Vec<u64>,
+}
+
+impl QueueView {
+    /// All queues empty across `nodes` nodes.
+    pub fn new(nodes: usize) -> Self {
+        QueueView {
+            waits: vec![0; nodes],
+        }
+    }
+
+    /// Adopts externally observed waits (tuples of queued work per node).
+    pub fn from_waits(waits: Vec<u64>) -> Self {
+        QueueView { waits }
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.waits.len()
+    }
+
+    /// True iff there are no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.waits.is_empty()
+    }
+
+    /// Queued tuples on `node`.
+    pub fn wait(&self, node: NodeId) -> u64 {
+        self.waits[node.index()]
+    }
+
+    /// Adds `size` tuples of work to `node`'s queue, saturating at
+    /// `u64::MAX` — every read path treats waits as saturating, so the
+    /// write path must too or an adversarial wait/size pair overflows.
+    pub fn enqueue(&mut self, node: NodeId, size: u64) {
+        let slot = &mut self.waits[node.index()];
+        *slot = slot.saturating_add(size);
+    }
+}
+
+/// A scan-routing strategy.
+pub trait ScanRouter {
+    /// Routes every request of one scan, updating `queues` with the work it
+    /// places. Implementations must assign each request to one of its
+    /// candidates, and reject a request with no candidates
+    /// ([`RouteError::NoReplicas`]) or a candidate outside `queues`
+    /// ([`RouteError::UnknownNode`]) before placing anything.
+    fn route(
+        &self,
+        requests: &[FragmentRequest],
+        queues: &mut QueueView,
+    ) -> Result<Vec<Assignment>, RouteError>;
+
+    /// Routes a batch of scans against one evolving queue view: scan `i+1`
+    /// sees the queues exactly as scan `i` left them, as if [`Self::route`]
+    /// had been called once per scan in order — that sequential semantics
+    /// *is* the batch contract implementations must preserve. Every scan is
+    /// validated before anything is placed, so a doomed batch leaves
+    /// `queues` untouched.
+    fn route_batch(
+        &self,
+        scans: Vec<Vec<FragmentRequest>>,
+        queues: &mut QueueView,
+    ) -> Result<Vec<Vec<Assignment>>, RouteError> {
+        for scan in &scans {
+            validate_requests(scan, queues)?;
+        }
+        let out: Result<Vec<_>, _> = scans.iter().map(|scan| self.route(scan, queues)).collect();
+        let out = out?;
+        record_batch_metrics(out.len());
+        Ok(out)
+    }
+
+    /// Human-readable name for experiment output.
+    fn name(&self) -> &'static str;
+}
+
+/// Number of distinct nodes used — the query's *span*.
+pub fn span(assignments: &[Assignment]) -> usize {
+    assignments
+        .iter()
+        .map(|a| a.node)
+        .collect::<HashSet<_>>()
+        .len()
+}
+
+/// Shared per-scan instrumentation for every router implementation.
+fn record_scan_metrics(assignments: &[Assignment]) {
+    crate::obs_hooks::counter_add("routing.scans_routed", 1);
+    crate::obs_hooks::counter_add("routing.requests", assignments.len() as u64);
+    // The span is a hash-set pass; skip computing it with no session live.
+    if crate::obs_hooks::is_active() {
+        crate::obs_hooks::record("routing.query_span", span(assignments) as u64);
+    }
+}
+
+/// Shared per-batch instrumentation for every router implementation.
+fn record_batch_metrics(scans: usize) {
+    crate::obs_hooks::counter_add("routing.batches_routed", 1);
+    crate::obs_hooks::record("routing.batch_scans", scans as u64);
+}
+
+/// The "Power of 2" variant the paper sketches in footnote 3 for workloads
+/// of *small* scans: instead of examining every replica of every request,
+/// consider only two randomly chosen candidates per request and take the
+/// better under the Eq. 11 objective. O(R) per scan instead of O(R²·C),
+/// trading a little routing quality for constant-time decisions.
+///
+/// Randomness is a deterministic splitmix64 stream seeded at construction,
+/// so simulations stay reproducible.
+#[derive(Debug)]
+pub struct PowerOfTwoChoices {
+    /// Span penalty ϕ in tuple units (as in [`MaxOfMins`]).
+    pub phi: u64,
+    state: std::sync::Mutex<u64>,
+}
+
+impl PowerOfTwoChoices {
+    /// Creates the router with span penalty `phi` and an RNG seed.
+    pub fn new(phi: u64, seed: u64) -> Self {
+        PowerOfTwoChoices {
+            phi,
+            state: std::sync::Mutex::new(seed ^ 0x9E37_79B9_7F4A_7C15),
+        }
+    }
+
+    fn next(&self) -> u64 {
+        let mut s = self
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+impl ScanRouter for PowerOfTwoChoices {
+    fn route(
+        &self,
+        requests: &[FragmentRequest],
+        queues: &mut QueueView,
+    ) -> Result<Vec<Assignment>, RouteError> {
+        validate_requests(requests, queues)?;
+        let mut chosen: HashSet<NodeId> = HashSet::new();
+        let out: Vec<Assignment> = requests
+            .iter()
+            .map(|req| {
+                let pair: [NodeId; 2] = if req.candidates.len() <= 2 {
+                    [req.candidates[0], req.candidates[req.candidates.len() - 1]]
+                } else {
+                    let a = crate::num::usize_from(self.next()) % req.candidates.len();
+                    let mut b = crate::num::usize_from(self.next()) % (req.candidates.len() - 1);
+                    if b >= a {
+                        b += 1;
+                    }
+                    [req.candidates[a], req.candidates[b]]
+                };
+                let key = |n: NodeId| {
+                    let penalty = if chosen.contains(&n) { 0 } else { self.phi };
+                    (queues.wait(n).saturating_add(penalty), n)
+                };
+                // A two-element pair always has a minimum, so take it
+                // without an Option round-trip (ties keep the first, as
+                // `min_by_key` would).
+                let node = if key(pair[1]) < key(pair[0]) {
+                    pair[1]
+                } else {
+                    pair[0]
+                };
+                crate::obs_hooks::record("routing.queue_wait_tuples", queues.wait(node));
+                queues.enqueue(node, req.size);
+                chosen.insert(node);
+                Assignment {
+                    fragment: req.fragment,
+                    node,
+                }
+            })
+            .collect();
+        record_scan_metrics(&out);
+        Ok(out)
+    }
+
+    fn name(&self) -> &'static str {
+        "power-of-two"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn req(frag: u64, size: u64, candidates: &[u64]) -> FragmentRequest {
+        FragmentRequest {
+            fragment: FragmentId(frag),
+            size,
+            candidates: candidates.iter().map(|&n| NodeId(n)).collect(),
+        }
+    }
+
+    fn node_of(assignments: &[Assignment], frag: u64) -> NodeId {
+        assignments
+            .iter()
+            .find(|a| a.fragment == FragmentId(frag))
+            .expect("assigned")
+            .node
+    }
+
+    #[test]
+    fn single_candidate_is_forced() {
+        let router = MaxOfMins::new(100);
+        let mut q = QueueView::new(2);
+        let out = router.route(&[req(0, 50, &[1])], &mut q).unwrap();
+        assert_eq!(
+            out,
+            vec![Assignment {
+                fragment: FragmentId(0),
+                node: NodeId(1)
+            }]
+        );
+        assert_eq!(q.wait(NodeId(1)), 50);
+        assert_eq!(q.wait(NodeId(0)), 0);
+    }
+
+    #[test]
+    fn span_penalty_consolidates_small_reads() {
+        // Two small fragments, both replicated on both idle nodes. With a
+        // large ϕ the second read should join the first node rather than
+        // fan out.
+        let router = MaxOfMins::new(1_000);
+        let mut q = QueueView::new(2);
+        let out = router
+            .route(&[req(0, 10, &[0, 1]), req(1, 10, &[0, 1])], &mut q)
+            .unwrap();
+        assert_eq!(span(&out), 1);
+    }
+
+    #[test]
+    fn zero_penalty_spreads_load() {
+        let router = MaxOfMins::new(0);
+        let mut q = QueueView::new(2);
+        let out = router
+            .route(&[req(0, 10, &[0, 1]), req(1, 10, &[0, 1])], &mut q)
+            .unwrap();
+        assert_eq!(span(&out), 2);
+    }
+
+    #[test]
+    fn widens_span_when_beneficial() {
+        // A huge read occupies node 0; a second huge read should pay ϕ and
+        // go to node 1 rather than queue behind it.
+        let router = MaxOfMins::new(50);
+        let mut q = QueueView::new(2);
+        let out = router
+            .route(&[req(0, 1_000, &[0, 1]), req(1, 1_000, &[0, 1])], &mut q)
+            .unwrap();
+        assert_eq!(span(&out), 2);
+        assert_ne!(node_of(&out, 0), node_of(&out, 1));
+    }
+
+    #[test]
+    fn bottleneck_scheduled_first_onto_short_queue() {
+        // Fragment 0 can only be read from the busy node 0; fragment 1 can
+        // be read anywhere. The bottleneck (fragment 0) must be placed
+        // first, and fragment 1 should then avoid stacking behind it.
+        let router = MaxOfMins::new(0);
+        let mut q = QueueView::from_waits(vec![500, 0]);
+        let out = router
+            .route(&[req(1, 10, &[0, 1]), req(0, 10, &[0])], &mut q)
+            .unwrap();
+        assert_eq!(node_of(&out, 0), NodeId(0));
+        assert_eq!(node_of(&out, 1), NodeId(1));
+        // Bottleneck-first: fragment 0 appears before fragment 1.
+        assert_eq!(out[0].fragment, FragmentId(0));
+    }
+
+    #[test]
+    fn accounts_for_own_placements() {
+        // Three equal reads over two idle nodes with no penalty: the third
+        // read must see the first two queued and pick the emptier node.
+        let router = MaxOfMins::new(0);
+        let mut q = QueueView::new(2);
+        let out = router
+            .route(
+                &[
+                    req(0, 100, &[0, 1]),
+                    req(1, 100, &[0, 1]),
+                    req(2, 100, &[0, 1]),
+                ],
+                &mut q,
+            )
+            .unwrap();
+        let w0 = q.wait(NodeId(0));
+        let w1 = q.wait(NodeId(1));
+        assert_eq!(w0 + w1, 300);
+        assert!(w0.abs_diff(w1) == 100, "unbalanced: {w0} vs {w1}");
+        assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn empty_candidates_is_a_typed_error() {
+        let bad = FragmentRequest {
+            fragment: FragmentId(7),
+            size: 1,
+            candidates: vec![],
+        };
+        let mut q = QueueView::new(1);
+        let err = MaxOfMins::new(0)
+            .route(std::slice::from_ref(&bad), &mut q)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RouteError::NoReplicas {
+                fragment: FragmentId(7)
+            }
+        );
+        assert!(err.to_string().contains("no replicas"));
+        // Validation is up-front: nothing was enqueued.
+        assert_eq!(q.wait(NodeId(0)), 0);
+        // Same contract for the stochastic router and the reference.
+        let err2 = PowerOfTwoChoices::new(0, 1)
+            .route(std::slice::from_ref(&bad), &mut q)
+            .unwrap_err();
+        assert_eq!(err, err2);
+        let err3 = reference::max_of_mins(0, std::slice::from_ref(&bad), &mut q).unwrap_err();
+        assert_eq!(err, err3);
+    }
+
+    #[test]
+    fn error_is_detected_before_any_placement() {
+        // A routable request ahead of an unroutable one: validate-once
+        // means the queue stays untouched rather than half-routed.
+        let router = MaxOfMins::new(0);
+        let mut q = QueueView::new(2);
+        let reqs = [
+            req(0, 100, &[0, 1]),
+            FragmentRequest {
+                fragment: FragmentId(1),
+                size: 5,
+                candidates: vec![],
+            },
+        ];
+        assert!(router.route(&reqs, &mut q).is_err());
+        assert_eq!(q.wait(NodeId(0)) + q.wait(NodeId(1)), 0);
+        // Same for a candidate the queue view does not cover.
+        let err = router
+            .route(&[req(0, 100, &[0, 1]), req(1, 5, &[1, 2])], &mut q)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RouteError::UnknownNode {
+                fragment: FragmentId(1),
+                node: NodeId(2)
+            }
+        );
+        assert!(err.to_string().contains("does not cover"));
+        assert_eq!(q.wait(NodeId(0)) + q.wait(NodeId(1)), 0);
+    }
+
+    #[test]
+    fn enqueue_saturates_at_u64_max() {
+        // Regression: enqueue used unchecked `+=` while every read path
+        // saturated; a near-MAX wait plus a large read panicked in debug
+        // builds instead of pinning at MAX.
+        let mut q = QueueView::from_waits(vec![u64::MAX - 10]);
+        q.enqueue(NodeId(0), u64::MAX);
+        assert_eq!(q.wait(NodeId(0)), u64::MAX);
+        q.enqueue(NodeId(0), 1);
+        assert_eq!(q.wait(NodeId(0)), u64::MAX);
+        // And the router survives routing onto a saturated queue.
+        let out = MaxOfMins::new(u64::MAX)
+            .route(&[req(0, u64::MAX, &[0]), req(1, u64::MAX, &[0])], &mut q)
+            .unwrap();
+        assert_eq!(out.len(), 2);
+        assert_eq!(q.wait(NodeId(0)), u64::MAX);
+    }
+
+    #[test]
+    fn deterministic_under_ties() {
+        let router = MaxOfMins::new(10);
+        for _ in 0..4 {
+            let mut q1 = QueueView::new(3);
+            let mut q2 = QueueView::new(3);
+            let reqs = vec![
+                req(0, 10, &[0, 1, 2]),
+                req(1, 10, &[0, 1, 2]),
+                req(2, 10, &[0, 1, 2]),
+            ];
+            assert_eq!(
+                router.route(&reqs, &mut q1).unwrap(),
+                router.route(&reqs, &mut q2).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_dense_scans() {
+        // A deterministic non-random sweep; the property tests cover random
+        // instances, this pins a few structured ones (all-shared, disjoint,
+        // chained candidate sets, preloaded queues).
+        let cases: Vec<(Vec<FragmentRequest>, Vec<u64>)> = vec![
+            (
+                (0..12).map(|i| req(i, 10 + i, &[0, 1, 2, 3])).collect(),
+                vec![0; 4],
+            ),
+            (
+                (0..8).map(|i| req(i, 100, &[i % 4])).collect(),
+                vec![50, 0, 900, 3],
+            ),
+            (
+                (0..10)
+                    .map(|i| req(i, 7 * i + 1, &[i % 5, (i + 1) % 5]))
+                    .collect(),
+                vec![10, 20, 30, 40, 0],
+            ),
+        ];
+        for phi in [0, 35, 100_000] {
+            for (reqs, waits) in &cases {
+                let mut q1 = QueueView::from_waits(waits.clone());
+                let mut q2 = QueueView::from_waits(waits.clone());
+                let fast = MaxOfMins::new(phi).route(reqs, &mut q1).unwrap();
+                let naive = reference::max_of_mins(phi, reqs, &mut q2).unwrap();
+                assert_eq!(fast, naive, "phi {phi}");
+                for n in 0..waits.len() {
+                    assert_eq!(q1.wait(NodeId(n as u64)), q2.wait(NodeId(n as u64)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn power_of_two_routes_every_request_to_a_candidate() {
+        let router = PowerOfTwoChoices::new(100, 7);
+        let mut q = QueueView::new(8);
+        let reqs: Vec<FragmentRequest> = (0..32)
+            .map(|i| req(i, 50, &[i % 8, (i + 3) % 8, (i + 5) % 8]))
+            .collect();
+        let out = router.route(&reqs, &mut q).unwrap();
+        assert_eq!(out.len(), 32);
+        for (a, r) in out.iter().zip(&reqs) {
+            assert!(r.candidates.contains(&a.node));
+        }
+        // All placed work is accounted.
+        let total: u64 = (0..8).map(|n| q.wait(NodeId(n))).sum();
+        assert_eq!(total, 32 * 50);
+    }
+
+    #[test]
+    fn power_of_two_is_deterministic_per_seed() {
+        let reqs: Vec<FragmentRequest> = (0..16).map(|i| req(i, 10, &[0, 1, 2, 3, 4])).collect();
+        let route_with = |seed: u64| {
+            let router = PowerOfTwoChoices::new(0, seed);
+            let mut q = QueueView::new(5);
+            router.route(&reqs, &mut q).unwrap()
+        };
+        assert_eq!(route_with(1), route_with(1));
+        assert_ne!(route_with(1), route_with(2));
+    }
+
+    #[test]
+    fn power_of_two_prefers_the_shorter_of_its_pair() {
+        let router = PowerOfTwoChoices::new(0, 3);
+        let mut q = QueueView::from_waits(vec![1_000_000, 0]);
+        // Only two candidates: the pair is forced, so it must pick node 1.
+        let out = router.route(&[req(0, 10, &[0, 1])], &mut q).unwrap();
+        assert_eq!(out[0].node, NodeId(1));
+    }
+
+    /// Zoned batch: scan `i` belongs to zone `i % zones` and only lists
+    /// candidates inside its zone's node range, so the batch is `zones`
+    /// node-disjoint groups with interleaved scan order.
+    fn zoned_batch(
+        zones: usize,
+        scans_per_zone: usize,
+        nodes_per_zone: usize,
+    ) -> Vec<Vec<FragmentRequest>> {
+        let mut scans = Vec::new();
+        for i in 0..zones * scans_per_zone {
+            let zone = i % zones;
+            let base = (zone * nodes_per_zone) as u64;
+            let reqs: Vec<FragmentRequest> = (0..3)
+                .map(|k| {
+                    let f = (i * 3 + k) as u64;
+                    let cands: Vec<u64> = (0..nodes_per_zone as u64)
+                        .map(|n| base + (n + f) % nodes_per_zone as u64)
+                        .take(3)
+                        .collect();
+                    req(f, 10 + (f * 7) % 90, &cands)
+                })
+                .collect();
+            scans.push(reqs);
+        }
+        scans
+    }
+
+    #[test]
+    fn batch_matches_sequential_and_reference() {
+        // All scans share four nodes: cross-scan queue threading.
+        let shared: Vec<Vec<FragmentRequest>> = (0..10)
+            .map(|i| {
+                (0..4)
+                    .map(|k| req(i * 4 + k, 10 + i, &[0, 1, 2, (i + k) % 4]))
+                    .collect()
+            })
+            .collect();
+        // 120 scans over three node-disjoint zones, two empty scans mixed in.
+        let mut zoned = zoned_batch(3, 40, 4);
+        zoned.insert(0, Vec::new());
+        zoned.insert(37, Vec::new());
+        // Wide candidate lists (10 of 12 nodes), every request sharing hot
+        // node 0 so its ϕ flip undercuts many announcements at once, and a
+        // deterministic LCG mix of sizes and preloaded waits.
+        let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lcg >> 33
+        };
+        let wide: Vec<Vec<FragmentRequest>> = (0..24)
+            .map(|i| {
+                (0..6)
+                    .map(|k| {
+                        let mut cands = vec![0u64];
+                        for c in 0..9u64 {
+                            cands.push(1 + (c + i + k) % 11);
+                        }
+                        req(i * 6 + k, 1 + next() % 1000, &cands)
+                    })
+                    .collect()
+            })
+            .collect();
+        let wide_waits: Vec<u64> = (0..12).map(|_| next() % 500).collect();
+
+        let cases = [
+            ("shared", shared, vec![5, 0, 40, 7]),
+            ("zoned", zoned, vec![0; 12]),
+            ("wide", wide, wide_waits),
+        ];
+        for phi in [0, 7, 35, 100_000] {
+            let router = MaxOfMins::new(phi);
+            for (name, scans, waits) in &cases {
+                let mut q_batch = QueueView::from_waits(waits.clone());
+                let mut q_seq = q_batch.clone();
+                let mut q_ref = q_batch.clone();
+                let batch = router.route_batch(scans.clone(), &mut q_batch).unwrap();
+                let seq: Vec<Vec<Assignment>> = scans
+                    .iter()
+                    .map(|s| router.route(s, &mut q_seq).unwrap())
+                    .collect();
+                let reference = reference::max_of_mins_batch(phi, scans, &mut q_ref).unwrap();
+                assert_eq!(batch, seq, "{name}, phi {phi}");
+                assert_eq!(batch, reference, "{name}, phi {phi}");
+                for (scan, assignments) in scans.iter().zip(&batch) {
+                    assert_eq!(scan.len(), assignments.len(), "{name}, phi {phi}");
+                }
+                for n in 0..waits.len() as u64 {
+                    assert_eq!(q_batch.wait(NodeId(n)), q_seq.wait(NodeId(n)), "{name}");
+                    assert_eq!(q_batch.wait(NodeId(n)), q_ref.wait(NodeId(n)), "{name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_validates_every_scan_before_placing() {
+        // A routable scan ahead of an unroutable one: validate-all-first
+        // means the queues stay untouched rather than half-routed.
+        let router = MaxOfMins::new(0);
+        let mut q = QueueView::new(2);
+        let scans = vec![
+            vec![req(0, 100, &[0, 1])],
+            vec![FragmentRequest {
+                fragment: FragmentId(9),
+                size: 5,
+                candidates: vec![],
+            }],
+        ];
+        let err = router.route_batch(scans, &mut q).unwrap_err();
+        assert_eq!(
+            err,
+            RouteError::NoReplicas {
+                fragment: FragmentId(9)
+            }
+        );
+        assert_eq!(q.wait(NodeId(0)) + q.wait(NodeId(1)), 0);
+    }
+
+    #[test]
+    fn default_route_batch_threads_queues_for_any_router() {
+        // The trait's default batch path (used by PowerOfTwoChoices) is
+        // per-scan routing in order; check queue threading end-to-end.
+        let router = PowerOfTwoChoices::new(10, 99);
+        let scans: Vec<Vec<FragmentRequest>> =
+            (0..6).map(|i| vec![req(i, 50, &[0, 1, 2])]).collect();
+        let mut q = QueueView::new(3);
+        let out = router.route_batch(scans, &mut q).unwrap();
+        assert_eq!(out.len(), 6);
+        let total: u64 = (0..3).map(|n| q.wait(NodeId(n))).sum();
+        assert_eq!(total, 6 * 50);
+    }
+
+    #[test]
+    fn span_helper_counts_distinct_nodes() {
+        let a = [
+            Assignment {
+                fragment: FragmentId(0),
+                node: NodeId(0),
+            },
+            Assignment {
+                fragment: FragmentId(1),
+                node: NodeId(0),
+            },
+            Assignment {
+                fragment: FragmentId(2),
+                node: NodeId(2),
+            },
+        ];
+        assert_eq!(span(&a), 2);
+        assert_eq!(span(&[]), 0);
+    }
+}

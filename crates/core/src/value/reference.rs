@@ -1,6 +1,5 @@
 //! A `BTreeMap`-backed reference implementation of the value estimation
-//! tree, used for differential testing of the AVL implementation and as the
-//! baseline in the `value_tree` criterion bench.
+//! tree, used for differential testing of the AVL implementation.
 //!
 //! Semantically identical to [`AvlValueTree`](super::tree::AvlValueTree):
 //! same keys, same deltas, same deletion rule (a key is dropped only when no

@@ -63,7 +63,6 @@ pub const STAGE_PREFIXES: &[&str] = &[
     "routing.",
     "cluster.",
     "distributor.",
-    "perf.",
 ];
 
 /// The registered span path segments (`nashdb_obs::span` nests these into

@@ -5,7 +5,7 @@ pub fn emit(v: u64) {
     crate::obs_hooks::record("routing.fast_path", v);
     nashdb_obs::counter_add("fragment.splits", 1);
     nashdb_obs::gauge_set("packing.bins", v);
-    nashdb_obs::record_duration("perf.routing.incremental_ns", v);
+    nashdb_obs::record_duration("transition.plan_ns", v);
     let _g = nashdb_obs::span("pipeline");
     let _h = nashdb_obs::span("replication");
     // Slash-joined paths are snapshot lookups, not creation sites.

@@ -90,8 +90,8 @@ fn live_requests(
 /// Routes a batch of coincident queries with one router call against one
 /// queue snapshot. [`ScanRouter::route_batch`] threads the queue view
 /// through the batch sequentially, so each query's assignment is identical
-/// to routing it alone at its arrival instant — but queue-view setup, heap
-/// construction, and candidate caches are amortized across the batch.
+/// to routing it alone at its arrival instant — but the queue-view snapshot
+/// and the router's scratch tables are set up once for the batch.
 ///
 /// Scheme construction guarantees every fragment has a replica (and
 /// `alive_only` already marked crash-broken queries [`RouteOutcome::Dead`]),

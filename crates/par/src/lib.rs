@@ -43,8 +43,7 @@
 //! result-identical by the merge contract anyway.
 //!
 //! [`pool_stats`] exposes thread/chunk counters so benchmarks can assert
-//! the pool is actually reused (`perf.par.pool_reuse`) rather than
-//! respawned.
+//! the pool is actually reused rather than respawned.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -62,9 +61,9 @@ pub fn max_threads() -> usize {
 }
 
 /// Worker threads in the persistent pool. Floored at 2 even on single-core
-/// hosts: the merge machinery (and the `perf.par.pool_reuse` gauge that
-/// watches it) must stay exercised everywhere, and correctness never
-/// depends on physical parallelism — only the merge order matters.
+/// hosts: the merge machinery must stay exercised everywhere, and
+/// correctness never depends on physical parallelism — only the merge order
+/// matters.
 fn pool_size() -> usize {
     max_threads().max(2)
 }
@@ -105,7 +104,7 @@ static POOL: OnceLock<Pool> = OnceLock::new();
 
 /// Lifetime count of worker threads actually spawned (≤ [`max_threads`],
 /// and constant after the first parallel call — that constancy *is* the
-/// reuse property `perf.par.pool_reuse` tracks).
+/// reuse property).
 static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 /// Lifetime count of chunks shipped to pool workers.
 static CHUNKS_EXECUTED: AtomicU64 = AtomicU64::new(0);

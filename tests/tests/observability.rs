@@ -102,9 +102,9 @@ fn driver_spans_nest_and_account() {
     assert_eq!(query.child_ns, route.total_ns);
 }
 
-/// Two same-seed driver runs — batched arrivals, routed through
-/// `route_batch` over the persistent pool — must leave byte-identical
-/// scrubbed snapshots: every counter, histogram, and span count is a pure
+/// Two same-seed driver runs — batched arrivals routed through
+/// `route_batch`, tables fragmented over the persistent pool — must leave
+/// byte-identical scrubbed snapshots: every counter, histogram, and span count is a pure
 /// function of the seed, whatever the host's core count.
 #[test]
 fn same_seed_runs_leave_byte_identical_scrubbed_snapshots() {

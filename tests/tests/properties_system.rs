@@ -162,8 +162,7 @@ proptest! {
     /// any batch (varied ϕ, scan count, empty scans, candidate lists,
     /// pre-loaded queues) `route_batch` produces the same per-scan
     /// assignments, in the same order, with the same final queue state as
-    /// sequential `route` calls, the naive Eq. 11 reference loop, and the
-    /// pre-batching per-scan incremental reference.
+    /// sequential `route` calls and the naive Eq. 11 reference loop.
     #[test]
     fn route_batch_matches_sequential_and_reference(
         (scans, waits) in arb_batch(),
@@ -179,40 +178,53 @@ proptest! {
             .collect();
         let mut q_ref = QueueView::from_waits(waits.clone());
         let naive = reference::max_of_mins_batch(phi, &scans, &mut q_ref).unwrap();
-        let mut q_old = QueueView::from_waits(waits.clone());
-        let per_scan: Vec<Vec<Assignment>> = scans
-            .iter()
-            .map(|s| reference::incremental_per_scan(phi, s, &mut q_old).unwrap())
-            .collect();
         prop_assert_eq!(&batch, &seq, "phi {}", phi);
         prop_assert_eq!(&batch, &naive, "phi {}", phi);
-        prop_assert_eq!(&batch, &per_scan, "phi {}", phi);
         for n in 0..waits.len() {
             let n = NodeId(n as u64);
             prop_assert_eq!(q_batch.wait(n), q_seq.wait(n));
             prop_assert_eq!(q_batch.wait(n), q_ref.wait(n));
-            prop_assert_eq!(q_batch.wait(n), q_old.wait(n));
         }
     }
 
-    /// Any request with an empty candidate list is rejected up front as a
-    /// typed error by every router, before any queue mutation.
+    /// Any request with an empty candidate list, or a candidate outside the
+    /// queue view, is rejected up front as a typed error by every router
+    /// and the reference, before any queue mutation.
     #[test]
-    fn routers_reject_unroutable_requests(p in arb_problem(), hole in 0usize..1024) {
-        let mut reqs = p.requests.clone();
-        let victim = hole % reqs.len();
-        reqs[victim].candidates.clear();
-        let expected = RouteError::NoReplicas { fragment: reqs[victim].fragment };
-        for router in [
-            &MaxOfMins::new(50_000) as &dyn ScanRouter,
-            &ShortestQueue,
-            &GreedySetCover,
-            &PowerOfTwoChoices::new(50_000, 9),
+    fn routers_reject_unroutable_requests(
+        p in arb_problem(),
+        hole in 0usize..1024,
+        beyond in 0u64..4,
+    ) {
+        let victim = hole % p.requests.len();
+        let fragment = p.requests[victim].fragment;
+        let mut no_replicas = p.requests.clone();
+        no_replicas[victim].candidates.clear();
+        let stray = NodeId(p.waits.len() as u64 + beyond);
+        let mut unknown_node = p.requests.clone();
+        unknown_node[victim].candidates.push(stray);
+        for (reqs, expected) in [
+            (no_replicas, RouteError::NoReplicas { fragment }),
+            (unknown_node, RouteError::UnknownNode { fragment, node: stray }),
         ] {
-            let mut queues = QueueView::from_waits(p.waits.clone());
-            prop_assert_eq!(router.route(&reqs, &mut queues), Err(expected));
-            for n in 0..p.waits.len() {
-                prop_assert_eq!(queues.wait(NodeId(n as u64)), p.waits[n]);
+            let fresh = || QueueView::from_waits(p.waits.clone());
+            let mut outcomes = Vec::new();
+            for router in [
+                &MaxOfMins::new(50_000) as &dyn ScanRouter,
+                &ShortestQueue,
+                &GreedySetCover,
+                &PowerOfTwoChoices::new(50_000, 9),
+            ] {
+                let mut queues = fresh();
+                outcomes.push((router.route(&reqs, &mut queues), queues));
+            }
+            let mut queues = fresh();
+            outcomes.push((reference::max_of_mins(50_000, &reqs, &mut queues), queues));
+            for (result, queues) in outcomes {
+                prop_assert_eq!(result, Err(expected));
+                for n in 0..p.waits.len() {
+                    prop_assert_eq!(queues.wait(NodeId(n as u64)), p.waits[n]);
+                }
             }
         }
     }
