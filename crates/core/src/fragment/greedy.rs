@@ -24,15 +24,15 @@ use crate::value::Chunk;
 
 /// Minimum *absolute* error reduction for a split to be applied (paper
 /// footnote 2: "one might wish only to split a fragment if the reduction …
-/// is sufficiently large"). Zero by default; float-residue churn is guarded
+/// is sufficiently large"). Zero: float-residue churn is guarded
 /// separately by a relative epsilon, which scales with the fragment's own
 /// error so the threshold works at any value magnitude (per-tuple values
 /// can be ~1e-8 when prices are split across hundred-million-tuple scans).
-pub const DEFAULT_MIN_SPLIT_GAIN: f64 = 0.0;
+pub(super) const MIN_SPLIT_GAIN: f64 = 0.0;
 
 /// Relative gain floor: a split must reduce its fragment's error by more
 /// than this fraction to be considered genuine rather than float residue.
-const REL_EPSILON: f64 = 1e-9;
+pub(super) const REL_EPSILON: f64 = 1e-9;
 
 /// How the fragmenter reclaims fragments once at the cap.
 ///
@@ -50,12 +50,21 @@ pub enum MergePolicy {
     PairToOne,
 }
 
+impl MergePolicy {
+    /// Adjacent fragments one merge consumes; it leaves one fewer.
+    pub(super) fn window(self) -> usize {
+        match self {
+            MergePolicy::TripleToPair => 3,
+            MergePolicy::PairToOne => 2,
+        }
+    }
+}
+
 /// The incremental greedy fragmenter.
 #[derive(Debug, Clone)]
 pub struct GreedyFragmenter {
     boundaries: Vec<u64>,
     max_frags: usize,
-    min_split_gain: f64,
     /// Minimum *relative* improvement for a change to be applied: a split
     /// must cut its fragment's error, and a merge+split round the total
     /// error, by more than this fraction. The paper's footnote 2 suggests
@@ -69,9 +78,10 @@ pub struct GreedyFragmenter {
 /// What a [`GreedyFragmenter::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
-    /// A fragment was split (and possibly a triple merged first).
+    /// A fragment was split (and possibly a window merged first), or an
+    /// over-cap fragmentation shed a fragment.
     Changed,
-    /// No profitable split existed; the fragmentation is stable for this
+    /// No profitable change existed; the fragmentation is stable for this
     /// value function.
     Stable,
 }
@@ -86,7 +96,8 @@ impl GreedyFragmenter {
     }
 
     /// Adopts an existing fragmentation (e.g. carried over from the previous
-    /// reconfiguration period).
+    /// reconfiguration period). One with more than `max_frags` fragments is
+    /// merged down, one fragment per round, before any split is tried.
     ///
     /// # Panics
     /// Panics if `max_frags` is zero.
@@ -95,16 +106,9 @@ impl GreedyFragmenter {
         GreedyFragmenter {
             boundaries: frag.boundaries,
             max_frags,
-            min_split_gain: DEFAULT_MIN_SPLIT_GAIN,
             min_relative_gain: 0.0,
             merge_policy: MergePolicy::default(),
         }
-    }
-
-    /// Overrides the minimum split gain.
-    pub fn with_min_split_gain(mut self, gain: f64) -> Self {
-        self.min_split_gain = gain.max(0.0);
-        self
     }
 
     /// Requires every applied change to improve its target error by at
@@ -137,12 +141,6 @@ impl GreedyFragmenter {
         self.max_frags
     }
 
-    /// Adjusts the cap (e.g. if the block size or table size changes).
-    pub fn set_max_frags(&mut self, max_frags: usize) {
-        assert!(max_frags > 0, "need at least one fragment");
-        self.max_frags = max_frags;
-    }
-
     /// A snapshot of the current fragmentation.
     pub fn fragmentation(&self) -> Fragmentation {
         Fragmentation::from_boundaries(self.boundaries.clone())
@@ -152,71 +150,16 @@ impl GreedyFragmenter {
     /// below the cap, apply the best available split; at the cap, merge the
     /// best adjacent triple into two and re-split — atomically, reverting
     /// if the merge+split pair does not reduce total error (so the greedy
-    /// trajectory is monotone and cannot oscillate at the cap).
+    /// trajectory is monotone and cannot oscillate at the cap); above the
+    /// cap (an adopted fragmentation), merge without re-splitting.
     ///
     /// Malformed chunks, or chunks covering a different table than this
     /// fragmenter, leave the fragmentation untouched and report
     /// [`StepOutcome::Stable`]; debug builds assert so tests catch the
     /// contract violation.
     pub fn step(&mut self, chunks: &[Chunk]) -> StepOutcome {
-        let Ok(prefix) = ChunkPrefix::new(chunks) else {
-            debug_assert!(
-                ChunkPrefix::new(chunks).is_ok(),
-                "malformed value chunks: {:?}",
-                ChunkPrefix::new(chunks).err()
-            );
-            return StepOutcome::Stable;
-        };
-        let table_len = self.boundaries.last().map_or(0, |&b| b);
-        debug_assert_eq!(
-            prefix.table_len(),
-            table_len,
-            "value function covers a different table"
-        );
-        if prefix.table_len() != table_len {
-            return StepOutcome::Stable;
-        }
-
-        if self.len() < self.max_frags {
-            if let Some((frag_idx, point, _gain)) = self.best_split(&prefix) {
-                self.boundaries.insert(frag_idx + 1, point);
-                return StepOutcome::Changed;
-            }
-            return StepOutcome::Stable;
-        }
-
-        // At the cap: merging needs enough adjacent fragments.
-        let need = match self.merge_policy {
-            MergePolicy::TripleToPair => 3,
-            MergePolicy::PairToOne => 2,
-        };
-        if self.len() < need {
-            return StepOutcome::Stable;
-        }
-        let before_boundaries = self.boundaries.clone();
-        let before_err = self.total_error_against(&prefix);
-        match self.merge_policy {
-            MergePolicy::TripleToPair => self.apply_best_merge(&prefix),
-            MergePolicy::PairToOne => self.apply_best_pair_merge(&prefix),
-        }
-        if let Some((frag_idx, point, _gain)) = self.best_split(&prefix) {
-            self.boundaries.insert(frag_idx + 1, point);
-        }
-        let after_err = self.total_error_against(&prefix);
-        let floor = self.min_split_gain + (REL_EPSILON + self.min_relative_gain) * before_err;
-        if after_err < before_err - floor {
-            StepOutcome::Changed
-        } else {
-            self.boundaries = before_boundaries;
-            StepOutcome::Stable
-        }
-    }
-
-    fn total_error_against(&self, prefix: &ChunkPrefix) -> f64 {
-        self.boundaries
-            .windows(2)
-            .map(|w| prefix.error(w[0], w[1]))
-            .sum()
+        self.start(chunks)
+            .map_or(StepOutcome::Stable, |mut run| run.round())
     }
 
     /// Runs up to `rounds` steps, stopping early once stable. Returns the
@@ -224,10 +167,11 @@ impl GreedyFragmenter {
     pub fn run(&mut self, chunks: &[Chunk], rounds: usize) -> usize {
         let watch = crate::obs_hooks::stopwatch();
         let mut changed = 0;
-        for _ in 0..rounds {
-            match self.step(chunks) {
-                StepOutcome::Changed => changed += 1,
-                StepOutcome::Stable => break,
+        if rounds > 0 {
+            if let Some(mut run) = self.start(chunks) {
+                while changed < rounds && run.round() == StepOutcome::Changed {
+                    changed += 1;
+                }
             }
         }
         watch.record("fragment.greedy_ns");
@@ -236,86 +180,253 @@ impl GreedyFragmenter {
         changed
     }
 
-    /// Finds the globally best split: `(fragment_index, cut_point, gain)`
-    /// maximizing `Err(f) − (Err(left) + Err(right))`, or `None` if no split
-    /// clears the minimum gain.
-    fn best_split(&self, prefix: &ChunkPrefix) -> Option<(usize, u64, f64)> {
-        let mut best: Option<(usize, u64, f64)> = None;
-        for (idx, w) in self.boundaries.windows(2).enumerate() {
-            let (a, b) = (w[0], w[1]);
-            let whole = prefix.error(a, b);
-            if whole <= self.min_split_gain {
-                continue; // already uniform; no split can gain enough
+    /// Validates `chunks` against this fragmenter's table and scores every
+    /// current fragment once; the rounds of one `run` (or the single round
+    /// of a `step`) then share the prefix sums and the scores.
+    fn start(&mut self, chunks: &[Chunk]) -> Option<Run<'_>> {
+        let prefix = match ChunkPrefix::new(chunks) {
+            Ok(prefix) => prefix,
+            Err(e) => {
+                debug_assert!(false, "malformed value chunks: {e:?}");
+                return None;
             }
-            if let Some((point, split_err)) = best_cut(prefix, a, b, &[]) {
-                let gain = whole - split_err;
-                // Both an absolute and a magnitude-relative floor: the gain
-                // must be a real reduction, not float residue.
-                if gain > self.min_split_gain
-                    && gain > (REL_EPSILON + self.min_relative_gain) * whole
-                    && best.is_none_or(|(_, _, g)| gain > g)
-                {
-                    best = Some((idx, point, gain));
-                }
-            }
+        };
+        let table_len = self.boundaries.last().map_or(0, |&b| b);
+        debug_assert_eq!(
+            prefix.table_len(),
+            table_len,
+            "value function covers a different table"
+        );
+        if prefix.table_len() != table_len {
+            return None;
         }
-        best
+        let rel_floor = REL_EPSILON + self.min_relative_gain;
+        let frags = self
+            .boundaries
+            .windows(2)
+            .map(|w| score_fragment(&prefix, rel_floor, w[0], w[1]))
+            .collect();
+        Some(Run {
+            g: self,
+            prefix,
+            rel_floor,
+            frags,
+            merges: None,
+        })
     }
+}
 
-    /// Merges the adjacent triple whose optimal re-cut into two fragments
-    /// increases total error the least (paper §5.3.2).
-    fn apply_best_merge(&mut self, prefix: &ChunkPrefix) {
-        debug_assert!(self.len() >= 3);
-        let mut best: Option<(usize, u64, f64)> = None; // (first boundary idx, cut, delta)
-        for i in 0..self.len() - 2 {
-            let a = self.boundaries[i];
-            let b = self.boundaries[i + 1];
-            let c = self.boundaries[i + 2];
-            let d = self.boundaries[i + 3];
-            let old = prefix.error(a, b) + prefix.error(b, c) + prefix.error(c, d);
-            // The optimal two-way cut of [a, d): chunk boundaries plus the
-            // existing cuts b and c (which are always legal and guarantee a
-            // candidate even when no value change falls strictly inside).
-            // Cut b is always a valid candidate, so best_cut cannot come
-            // back empty; skip the triple rather than panic if it ever does.
-            let Some((point, new)) = best_cut(prefix, a, d, &[b, c]) else {
-                continue;
+/// A cached choice: `(cut point, gain or error delta)`.
+type Candidate = Option<(u64, f64)>;
+
+/// One fragment's cached score.
+#[derive(Debug, Clone, Copy)]
+struct Scored {
+    /// `Err(f)` (Eq. 4).
+    err: f64,
+    /// The fragment's best split `(point, gain)`, present only if the gain
+    /// clears both floors.
+    split: Candidate,
+}
+
+/// The state the rounds of one run share: every score is a pure function
+/// of the prefix sums and the endpoints it spans, so a round selects from
+/// the cache with the full rescan's scan order and strict comparisons, and
+/// [`Run::recut`] re-derives only the entries whose endpoints moved. Total
+/// errors are re-folded from `frags` in fragment order rather than kept as
+/// a running total, so every decision is bit-identical to
+/// [`reference::greedy_round`](super::reference::greedy_round).
+struct Run<'a> {
+    g: &'a mut GreedyFragmenter,
+    prefix: ChunkPrefix,
+    /// `REL_EPSILON + min_relative_gain`.
+    rel_floor: f64,
+    /// Per fragment.
+    frags: Vec<Scored>,
+    /// Per merge window (`window()` adjacent fragments, by first fragment):
+    /// its best re-cut into one fragment fewer and the error that costs.
+    /// Built the first time a round needs to merge; a run that only splits
+    /// never pays for it.
+    merges: Option<Vec<Candidate>>,
+}
+
+impl Run<'_> {
+    fn round(&mut self) -> StepOutcome {
+        let (len, width) = (self.g.len(), self.g.merge_policy.window());
+        if len > self.g.max_frags {
+            match self.pick_merge() {
+                Some((s, point)) => self.merge(s, point),
+                // Two fragments under a cap of one: only the whole table fits.
+                None => self.recut(0, len, &[]),
+            }
+            return StepOutcome::Changed;
+        }
+        if len < self.g.max_frags {
+            let Some((idx, point)) = self.pick_split() else {
+                return StepOutcome::Stable;
             };
-            let delta = new - old;
-            if best.is_none_or(|(_, _, d0)| delta < d0) {
-                best = Some((i, point, delta));
-            }
+            self.recut(idx, 1, &[point]);
+            return StepOutcome::Changed;
         }
-        // len >= 3 yields at least one triple; leave boundaries untouched
-        // in the impossible empty case instead of panicking.
-        let Some((i, point, _)) = best else {
-            return;
+
+        // At the cap: merge the cheapest window, spend the freed fragment
+        // on the best split, and keep the pair only if total error fell.
+        let Some((s, point)) = self.pick_merge() else {
+            return StepOutcome::Stable; // fewer fragments than one window
         };
-        // Replace boundaries b, c with the single cut `point`.
-        self.boundaries.splice(i + 1..i + 3, [point]);
-        debug_assert!(self.boundaries.windows(2).all(|w| w[0] < w[1]));
+        let before_err = self.total_error();
+        let mut merged_away = [0; 2];
+        let merged_away = &mut merged_away[..width - 1];
+        merged_away.copy_from_slice(&self.g.boundaries[s + 1..s + width]);
+        self.merge(s, point);
+        let split = self.pick_split();
+        if let Some((idx, cut)) = split {
+            self.recut(idx, 1, &[cut]);
+        }
+        let after_err = self.total_error();
+        let floor = MIN_SPLIT_GAIN + self.rel_floor * before_err;
+        if after_err < before_err - floor {
+            return StepOutcome::Changed;
+        }
+        if let Some((idx, _)) = split {
+            self.recut(idx, 2, &[]);
+        }
+        self.recut(s, width - 1, merged_away);
+        StepOutcome::Stable
     }
 
-    /// The pairwise strawman: delete the interior boundary whose removal
-    /// increases total error the least.
-    fn apply_best_pair_merge(&mut self, prefix: &ChunkPrefix) {
-        debug_assert!(self.len() >= 2);
-        let mut best: Option<(usize, f64)> = None; // (boundary idx, delta)
-        for i in 1..self.boundaries.len() - 1 {
-            let a = self.boundaries[i - 1];
-            let b = self.boundaries[i];
-            let c = self.boundaries[i + 1];
-            let delta = prefix.error(a, c) - (prefix.error(a, b) + prefix.error(b, c));
-            if best.is_none_or(|(_, d0)| delta < d0) {
-                best = Some((i, delta));
+    fn total_error(&self) -> f64 {
+        self.frags.iter().map(|f| f.err).sum()
+    }
+
+    /// The globally best split `(fragment index, cut point)`: the largest
+    /// gain, the first fragment on ties.
+    fn pick_split(&self) -> Option<(usize, u64)> {
+        first_best(self.frags.iter().map(|f| f.split), |gain, best| gain > best)
+    }
+
+    /// The cheapest merge `(first fragment of the window, replacement cut)`:
+    /// the smallest error delta, the first window on ties. `None` with
+    /// fewer fragments than one window.
+    fn pick_merge(&mut self) -> Option<(usize, u64)> {
+        let merges = self.merges.get_or_insert_with(|| {
+            let windows = (self.frags.len() + 1).saturating_sub(self.g.merge_policy.window());
+            (0..windows)
+                .map(|s| {
+                    score_merge(
+                        &self.prefix,
+                        self.g.merge_policy,
+                        &self.g.boundaries,
+                        &self.frags,
+                        s,
+                    )
+                })
+                .collect()
+        });
+        first_best(merges.iter().copied(), |delta, best| delta < best)
+    }
+
+    /// Applies the merge [`Run::pick_merge`] chose: a triple keeps the one
+    /// cut `point`, a pair none.
+    fn merge(&mut self, s: usize, point: u64) {
+        let width = self.g.merge_policy.window();
+        self.recut(s, width, &[point][..width - 2]);
+    }
+
+    /// Replaces fragments `lo..lo + removed` by the `cuts.len() + 1`
+    /// fragments that `cuts` divides their union into, and re-scores exactly
+    /// what that invalidates: the new fragments and, once built, the merge
+    /// windows containing one. A split is `(idx, 1, [point])`, and every
+    /// call is undone by the inverse call.
+    fn recut(&mut self, lo: usize, removed: usize, cuts: &[u64]) {
+        let added = cuts.len() + 1;
+        let bounds = &mut self.g.boundaries;
+        let old_len = bounds.len() - 1;
+        bounds.splice(lo + 1..lo + removed, cuts.iter().copied());
+        debug_assert!(bounds[lo..=lo + added].windows(2).all(|w| w[0] < w[1]));
+        self.frags.splice(
+            lo..lo + removed,
+            bounds[lo..=lo + added]
+                .windows(2)
+                .map(|w| score_fragment(&self.prefix, self.rel_floor, w[0], w[1])),
+        );
+        if let Some(merges) = &mut self.merges {
+            // Window `s` spans fragments `s..s + width`, so the ones that
+            // saw a replaced fragment start in `lo - (width - 1)..lo +
+            // removed`, clipped to the windows that exist; likewise after.
+            let policy = self.g.merge_policy;
+            let width = policy.window();
+            let first = lo.saturating_sub(width - 1);
+            let old_end = (lo + removed).min((old_len + 1).saturating_sub(width));
+            let new_end = (lo + added).min((self.frags.len() + 1).saturating_sub(width));
+            merges.splice(
+                first..old_end,
+                (first..new_end).map(|s| score_merge(&self.prefix, policy, bounds, &self.frags, s)),
+            );
+        }
+    }
+}
+
+/// `(index, cut point)` of the first candidate whose score no later one
+/// strictly `beats` — the full rescan's scan order and tie-break.
+fn first_best(
+    candidates: impl Iterator<Item = Candidate>,
+    beats: impl Fn(f64, f64) -> bool,
+) -> Option<(usize, u64)> {
+    let mut best: Option<(usize, u64, f64)> = None;
+    for (idx, candidate) in candidates.enumerate() {
+        if let Some((point, score)) = candidate {
+            if best.is_none_or(|(_, _, b)| beats(score, b)) {
+                best = Some((idx, point, score));
             }
         }
-        // len >= 2 yields an interior boundary; a no-op beats a panic in
-        // the impossible empty case.
-        let Some((i, _)) = best else {
-            return;
-        };
-        self.boundaries.remove(i);
+    }
+    best.map(|(idx, point, _)| (idx, point))
+}
+
+/// Scores fragment `[a, b)`: its error and its best split, kept only if the
+/// gain clears both an absolute and a magnitude-relative floor — a real
+/// reduction, not float residue.
+fn score_fragment(prefix: &ChunkPrefix, rel_floor: f64, a: u64, b: u64) -> Scored {
+    let err = prefix.error(a, b);
+    let split = if err <= MIN_SPLIT_GAIN {
+        None // already uniform; no split can gain enough
+    } else {
+        best_cut(prefix, a, b, &[]).and_then(|(point, split_err)| {
+            let gain = err - split_err;
+            (gain > MIN_SPLIT_GAIN && gain > rel_floor * err).then_some((point, gain))
+        })
+    };
+    Scored { err, split }
+}
+
+/// Scores the merge window whose first fragment is `s`.
+///
+/// Three-into-two (paper §5.3.2): the optimal two-way cut of the triple's
+/// span over the chunk boundaries plus the existing cuts `b` and `c` (always
+/// legal, so a candidate exists even when no value change falls strictly
+/// inside), against the three cached errors. Two-into-one: the error of
+/// the union against the two cached errors; the cut reported is the one
+/// that goes away.
+fn score_merge(
+    prefix: &ChunkPrefix,
+    policy: MergePolicy,
+    bounds: &[u64],
+    frags: &[Scored],
+    s: usize,
+) -> Candidate {
+    match policy {
+        MergePolicy::TripleToPair => {
+            let (a, b, c, d) = (bounds[s], bounds[s + 1], bounds[s + 2], bounds[s + 3]);
+            let old = frags[s].err + frags[s + 1].err + frags[s + 2].err;
+            let (point, new) = best_cut(prefix, a, d, &[b, c])?;
+            Some((point, new - old))
+        }
+        MergePolicy::PairToOne => {
+            let (a, b, c) = (bounds[s], bounds[s + 1], bounds[s + 2]);
+            let delta = prefix.error(a, c) - (frags[s].err + frags[s + 1].err);
+            Some((b, delta))
+        }
     }
 }
 
@@ -325,7 +436,7 @@ impl GreedyFragmenter {
 ///
 /// This is the paper's `FindSplit` (Algorithm 2) restricted to value-change
 /// points (Appendix C): linear in the number of candidates.
-fn best_cut(prefix: &ChunkPrefix, a: u64, b: u64, extra: &[u64]) -> Option<(u64, f64)> {
+pub(super) fn best_cut(prefix: &ChunkPrefix, a: u64, b: u64, extra: &[u64]) -> Option<(u64, f64)> {
     let bounds = prefix.bounds();
     let lo = bounds.partition_point(|&x| x <= a);
     let hi = bounds.partition_point(|&x| x < b);
@@ -346,7 +457,7 @@ fn best_cut(prefix: &ChunkPrefix, a: u64, b: u64, extra: &[u64]) -> Option<(u64,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::optimal_fragmentation;
+    use crate::fragment::{optimal_fragmentation, reference};
 
     fn chunk(start: u64, end: u64, value: f64) -> Chunk {
         Chunk { start, end, value }
@@ -508,5 +619,108 @@ mod tests {
         let f = Fragmentation::from_boundaries(vec![0, 10, 100]);
         let g = GreedyFragmenter::from_fragmentation(f.clone(), 4);
         assert_eq!(g.fragmentation(), f);
+    }
+
+    /// Runs `g` over `sets` in order, `rounds` rounds each, three ways — one
+    /// `run`, `rounds` calls of `step`, and the full-rescan oracle — and
+    /// demands identical boundaries and change counts after every set.
+    fn assert_matches_reference(mut g: GreedyFragmenter, sets: &[Vec<Chunk>], rounds: usize) {
+        let mut stepped = g.clone();
+        let mut oracle = g.boundaries.clone();
+        for (n, chunks) in sets.iter().enumerate() {
+            let prefix = ChunkPrefix::new(chunks).unwrap();
+            let expect = (0..rounds)
+                .take_while(|_| {
+                    reference::greedy_round(
+                        &mut oracle,
+                        &prefix,
+                        g.max_frags,
+                        g.min_relative_gain,
+                        g.merge_policy,
+                    ) == StepOutcome::Changed
+                })
+                .count();
+            assert_eq!(g.run(chunks, rounds), expect, "set {n}: run changes");
+            assert_eq!(g.boundaries, oracle, "set {n}: run boundaries");
+            let steps = (0..rounds)
+                .filter(|_| stepped.step(chunks) == StepOutcome::Changed)
+                .count();
+            assert_eq!(steps, expect, "set {n}: step changes");
+            assert_eq!(stepped.boundaries, oracle, "set {n}: step boundaries");
+        }
+    }
+
+    /// A hot spot of width 20 at `at` over a lukewarm ramp on a 120-tuple
+    /// table: value changes at both table edges and throughout.
+    fn hot_spot(at: u64) -> Vec<Chunk> {
+        let mut cuts: Vec<u64> = (0..=12).map(|i| i * 10).chain([at, at + 20]).collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        cuts.windows(2)
+            .map(|w| {
+                let hot = if w[0] >= at && w[1] <= at + 20 {
+                    9.0
+                } else {
+                    0.0
+                };
+                chunk(w[0], w[1], hot + (w[0] / 10 % 4) as f64 * 0.37)
+            })
+            .collect()
+    }
+
+    /// The cache-splice index arithmetic against the oracle on the shapes
+    /// where it clips: the hot spot sits on the first fragment, sweeps to
+    /// the last and back, under caps where the table is one merge window
+    /// (`len() == 3`), one more, and several, for both window widths.
+    #[test]
+    fn cached_rounds_match_full_rescan() {
+        // The comb's equal teeth tie every candidate, pinning the scan order.
+        let comb = (0..12).map(|i| chunk(i * 10, (i + 1) * 10, (i % 2) as f64));
+        let mut sets: Vec<Vec<Chunk>> = [0, 5, 45, 100, 95, 0].map(hot_spot).into();
+        sets.insert(3, comb.collect());
+        for policy in [MergePolicy::TripleToPair, MergePolicy::PairToOne] {
+            for cap in [1, 2, 3, 4, 7] {
+                for (gain, rounds) in [(0.0, 1), (0.0, 5), (0.05, 40)] {
+                    let g = GreedyFragmenter::new(120, cap)
+                        .with_merge_policy(policy)
+                        .with_min_relative_gain(gain);
+                    assert_matches_reference(g, &sets, rounds);
+                }
+            }
+        }
+    }
+
+    /// An adopted fragmentation with more fragments than the cap merges
+    /// down one fragment per round — no re-split — until it fits, and is an
+    /// ordinary at-cap fragmenter from then on.
+    #[test]
+    fn adopted_fragmentation_over_cap_shrinks_to_cap() {
+        let chunks = hot_spot(45);
+        let prefix = ChunkPrefix::new(&chunks).unwrap();
+        let adopted = Fragmentation::from_boundaries((0..=10).map(|i| i * 12).collect());
+        for policy in [MergePolicy::TripleToPair, MergePolicy::PairToOne] {
+            for cap in [1, 2, 4] {
+                let mut g = GreedyFragmenter::from_fragmentation(adopted.clone(), cap)
+                    .with_merge_policy(policy);
+                assert_matches_reference(g.clone(), &[chunks.clone(), hot_spot(5)], 40);
+                for len in (cap..10).rev() {
+                    assert_eq!(g.step(&chunks), StepOutcome::Changed);
+                    assert_eq!(g.len(), len, "{policy:?}, cap {cap}");
+                    let f = g.fragmentation();
+                    assert_eq!(f.table_len(), 120);
+                    assert!(f.boundaries().windows(2).all(|w| w[0] < w[1]));
+                }
+                // Back under the cap: rounds re-cut but never grow past it,
+                // and never raise the error.
+                let mut prev = g.fragmentation().total_error(&prefix);
+                while g.step(&chunks) == StepOutcome::Changed {
+                    assert_eq!(g.len(), cap);
+                    let cur = g.fragmentation().total_error(&prefix);
+                    assert!(cur < prev, "{policy:?}, cap {cap}: {prev} -> {cur}");
+                    prev = cur;
+                }
+                assert_eq!(g.len(), cap);
+            }
+        }
     }
 }

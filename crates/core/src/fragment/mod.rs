@@ -13,15 +13,17 @@
 //! * [`optimal::optimal_fragmentation`] — exact `O(maxFrags · m²)` dynamic
 //!   programming over the `m` value chunks,
 //! * [`greedy::GreedyFragmenter`] — the incremental split/merge heuristic
-//!   that adapts a live fragmentation to workload drift.
+//!   that adapts a live fragmentation to workload drift, with
+//!   [`mod@reference`] as the executable specification of one of its rounds.
 
 mod findsplit;
 mod greedy;
 mod optimal;
 mod prefix;
+pub mod reference;
 
 pub use findsplit::{find_split, SplitPoint};
-pub use greedy::{GreedyFragmenter, MergePolicy, StepOutcome, DEFAULT_MIN_SPLIT_GAIN};
+pub use greedy::{GreedyFragmenter, MergePolicy, StepOutcome};
 pub use optimal::optimal_fragmentation;
 pub use prefix::ChunkPrefix;
 

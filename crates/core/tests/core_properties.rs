@@ -1,13 +1,18 @@
 //! Property tests over `nashdb-core` invariants not covered by the
 //! workspace-level suite: AVL structural health under churn, error-function
 //! agreement with direct computation, FindSplit ≡ the chunk-restricted
-//! search, heterogeneous ≡ homogeneous replication on uniform classes, and
-//! market dynamics ≡ the closed form.
+//! search, cached greedy rounds ≡ the full-rescan oracle, heterogeneous ≡
+//! homogeneous replication on uniform classes, and market dynamics ≡ the
+//! closed form.
 
 use proptest::prelude::*;
 
 use nashdb_core::economics::NodeSpec;
-use nashdb_core::fragment::{find_split, ChunkPrefix, FragmentRange, FragmentStats};
+use nashdb_core::fragment::reference::greedy_round;
+use nashdb_core::fragment::{
+    find_split, ChunkPrefix, FragmentRange, FragmentStats, Fragmentation, GreedyFragmenter,
+    MergePolicy, StepOutcome,
+};
 use nashdb_core::ids::FragmentId;
 use nashdb_core::replication::hetero::{ideal_replicas_hetero, NodeClass};
 use nashdb_core::replication::market::{simulate_market, MarketConfig};
@@ -40,7 +45,73 @@ fn arb_chunks() -> impl Strategy<Value = Vec<Chunk>> {
     })
 }
 
+/// Tuples in the table the drifting value functions of [`arb_drift`] cover.
+const DRIFT_TABLE: u64 = 240;
+
+/// A sequence of value functions over one table, each a fresh set of cuts.
+/// Values come from a six-step ladder so equal gains and zero-error
+/// fragments — the cases scan order and strict comparisons decide — are
+/// common rather than measure-zero.
+fn arb_drift() -> impl Strategy<Value = Vec<Vec<Chunk>>> {
+    let set = proptest::collection::vec((1..DRIFT_TABLE, 0u32..6), 0..14).prop_map(|mut cuts| {
+        cuts.push((DRIFT_TABLE, 0));
+        cuts.sort_unstable();
+        cuts.dedup_by_key(|c| c.0);
+        let mut start = 0;
+        cuts.into_iter()
+            .map(|(end, step)| {
+                let c = Chunk {
+                    start,
+                    end,
+                    value: f64::from(step) * 0.37,
+                };
+                start = end;
+                c
+            })
+            .collect()
+    });
+    proptest::collection::vec(set, 3..=8)
+}
+
 proptest! {
+    /// The production fragmenter, which scores each fragment and merge
+    /// window once per run and re-scores only what a round touched, makes
+    /// the decisions of the textbook round that rescans the table: same
+    /// boundaries and same change count after every run of a drifting
+    /// sequence, below the cap, at it, and across the transition; and a
+    /// run of `n` rounds is `n` steps.
+    #[test]
+    fn greedy_rounds_match_reference(
+        sets in arb_drift(),
+        cap in 1usize..=12,
+        pairwise in 0u8..2,
+        damped in 0u8..2,
+        rounds in 1usize..=40,
+    ) {
+        let policy = [MergePolicy::TripleToPair, MergePolicy::PairToOne][usize::from(pairwise)];
+        let gain = [0.0, 0.05][usize::from(damped)];
+        let mut ran = GreedyFragmenter::new(DRIFT_TABLE, cap)
+            .with_merge_policy(policy)
+            .with_min_relative_gain(gain);
+        let mut stepped = ran.clone();
+        let mut oracle = vec![0, DRIFT_TABLE];
+        for chunks in &sets {
+            let prefix = ChunkPrefix::new(chunks).unwrap();
+            let expect = (0..rounds)
+                .take_while(|_| {
+                    greedy_round(&mut oracle, &prefix, cap, gain, policy) == StepOutcome::Changed
+                })
+                .count();
+            prop_assert_eq!(ran.run(chunks, rounds), expect);
+            prop_assert_eq!(ran.fragmentation(), Fragmentation::from_boundaries(oracle.clone()));
+            let steps = (0..rounds)
+                .filter(|_| stepped.step(chunks) == StepOutcome::Changed)
+                .count();
+            prop_assert_eq!(steps, expect);
+            prop_assert_eq!(stepped.fragmentation(), Fragmentation::from_boundaries(oracle.clone()));
+        }
+    }
+
     /// The estimator's value function always integrates to the window's
     /// mean query price, and per-tuple values stay within the maximum
     /// possible scan weight.
