@@ -37,6 +37,8 @@ fn main() {
         }
     }
     for id in ids {
+        // Progress line for the operator; not part of any figure.
+        #[allow(clippy::disallowed_methods)]
         let t0 = Instant::now();
         if let Err(e) = run_experiment(id) {
             eprintln!("figures: {e}");

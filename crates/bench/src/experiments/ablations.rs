@@ -54,10 +54,14 @@ pub fn run_market() {
         let policy =
             ReplicationPolicy::new(WINDOW, NodeSpec::new(0.25, 1_000_000)).with_max_replicas(4_096);
 
+        // Reported timing column only; never feeds a decision.
+        #[allow(clippy::disallowed_methods)]
         let t0 = Instant::now();
         let decisions = decide_replicas(&stats, &policy);
         let closed_us = t0.elapsed().as_secs_f64() * 1e6;
 
+        // Reported timing column only; never feeds a decision.
+        #[allow(clippy::disallowed_methods)]
         let t0 = Instant::now();
         let outcome = simulate_market(&stats, &policy, MarketConfig::default());
         let market_us = t0.elapsed().as_secs_f64() * 1e6;

@@ -233,6 +233,8 @@ fn cell_faults(level: FaultLevel, w: &Workload, env: &ExpEnv, seed: u64) -> Faul
 /// Runs one cell: builds the workload, applies the mix and budget to the
 /// shared environment, runs all three systems, and marks the frontier.
 fn run_cell(cell: &ScenarioCell, cfg: &ScenarioConfig) -> Result<CellSnapshot, ScenarioError> {
+    // Feeds only `wall_ns`, scrubbed to 0 unless `keep_timings` is set.
+    #[allow(clippy::disallowed_methods)]
     let started = std::time::Instant::now();
     let spec = MatrixWorkloadSpec {
         generator: cell.generator,

@@ -173,10 +173,7 @@ impl Baseline {
                         .to_owned(),
                 });
             };
-            // Deprecated rule ids keep working: canonicalize on load (and
-            // merge, should both spellings appear).
-            let rule = crate::rules::canonical_rule(rule).to_owned();
-            *entries.entry((rule, file.clone())).or_insert(0) += *count;
+            entries.insert((rule.clone(), file.clone()), *count);
         }
         Ok(Baseline { entries })
     }
@@ -411,21 +408,6 @@ mod tests {
         assert!(b.is_empty());
         let out = b.check(&[finding("map-iter-order", "x.rs", 1)]);
         assert_eq!(out.over.len(), 1);
-    }
-
-    #[test]
-    fn deprecated_rule_ids_canonicalize_on_load() {
-        let json = "{\"version\": 1, \"entries\": [\
-            { \"rule\": \"unchecked-arith\", \"file\": \"a.rs\", \"count\": 2 },\
-            { \"rule\": \"unchecked-arith-expr\", \"file\": \"a.rs\", \"count\": 1 }\
-        ]}";
-        let b = Baseline::from_json_str(json).unwrap();
-        // Alias and canonical spellings merge into one allowance of 3.
-        let hits: Vec<Finding> = (1..=3)
-            .map(|l| finding("unchecked-arith-expr", "a.rs", l))
-            .collect();
-        let out = b.check(&hits);
-        assert!(out.over.is_empty() && out.stale.is_empty());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! The scanner handles the lexical constructs that would otherwise corrupt
 //! a naive text scan: nested block comments, raw strings with arbitrary
 //! hash fences, byte strings, char literals vs. lifetimes, and numeric
-//! suffixes (`0u64`), which rule `unchecked-arith` reads as type evidence.
+//! suffixes (`0u64`), which rule `unchecked-arith-expr` reads as type
+//! evidence.
 
 /// What a token is. The scanner keeps only the classes rules consume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,19 +1,13 @@
 //! # nashdb-lint
 //!
 //! A workspace-aware determinism & safety linter for the NashDB
-//! reproduction. Two layers share one escape/baseline contract:
-//!
-//! * **Token rules** ([`rules`]): a lightweight Rust token scanner for
-//!   per-file pattern rules — hash-iteration order, missing obs no-op
-//!   twins, off-registry metric names, panics in library code.
-//! * **Semantic rules** ([`parser`] → [`ast`] → [`callgraph`]): a
-//!   dependency-free recursive-descent parser builds a minimal AST per
-//!   file; a workspace function table with conservative call resolution
-//!   then powers cross-function `determinism-taint` ([`taint`]),
-//!   expression-level `unchecked-arith-expr`, and `error-drop`
-//!   ([`semantic`]). Call resolution is precision-over-recall: an
-//!   ambiguous site grows no edge, so the failure mode is a lost finding,
-//!   never an invented one.
+//! reproduction: a lightweight Rust token scanner ([`lexer`]) and per-file
+//! pattern rules over it ([`rules`]) — hash-iteration order, unchecked
+//! integer accumulation in loops, missing obs no-op twins, off-registry
+//! metric names, panics in library code. It is one half of the gate; what
+//! needs type resolution (wall-clock reads, raw threads, hash iteration
+//! through a getter, dropped `Result`s) is held by the clippy entries in
+//! the root `clippy.toml` and `[workspace.lints.clippy]`.
 //!
 //! Run it as CI does:
 //!
@@ -26,77 +20,25 @@
 //! mandatory justification:
 //!
 //! ```text
-//! // nashdb-lint: allow(determinism-taint) -- validation-only pass; asserts are order-independent
+//! // nashdb-lint: allow(map-iter-order) -- validation-only pass; asserts are order-independent
 //! ```
 
-pub mod ast;
 pub mod baseline;
-pub mod callgraph;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
-pub mod semantic;
 pub mod source;
-pub mod taint;
 
 pub use baseline::{Baseline, BaselineError, BaselineOutcome};
-pub use callgraph::Workspace;
-pub use rules::{
-    canonical_rule, check_file, Finding, DETERMINISTIC_CRATES, RULE_IDS, SPAN_SEGMENTS,
-    STAGE_PREFIXES,
-};
+pub use rules::{check_file, Finding, RULE_IDS, SPAN_SEGMENTS, STAGE_PREFIXES};
 pub use source::SourceFile;
 
 use std::path::{Path, PathBuf};
 
-use ast::Ast;
-
-/// Lints a set of in-memory source files as one workspace: token rules
-/// per file, then the semantic rules over the shared call graph. Paths
-/// decide rule applicability (crate, binary target) and are echoed in
-/// findings; use workspace-relative paths like
-/// `crates/core/src/routing.rs`.
-pub fn lint_sources(sources: &[(String, String)]) -> Vec<Finding> {
-    let files: Vec<(SourceFile, Ast)> = sources
-        .iter()
-        .map(|(path, src)| {
-            let sf = SourceFile::new(path, src);
-            let ast = parser::parse(&sf.lexed);
-            (sf, ast)
-        })
-        .collect();
-
-    let mut findings = Vec::new();
-    for (sf, _) in &files {
-        findings.extend(check_file(sf));
-    }
-
-    let ws = Workspace::build(&files);
-    findings.extend(semantic::unchecked_arith_expr(&ws));
-    findings.extend(semantic::error_drop(&ws));
-
-    // The taint rule sees the same hash-iteration sources map-iter-order
-    // does (plus cross-function flow); where both fire on one line, keep
-    // the established token finding and the taint duplicate yields.
-    let token_hits: std::collections::BTreeSet<(String, usize)> = findings
-        .iter()
-        .filter(|f| f.rule == "map-iter-order")
-        .map(|f| (f.file.clone(), f.line))
-        .collect();
-    findings.extend(
-        taint::determinism_taint(&ws)
-            .into_iter()
-            .filter(|f| !token_hits.contains(&(f.file.clone(), f.line))),
-    );
-
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    findings
-}
-
-/// Lints one in-memory source file (single-file workspace: cross-function
-/// analysis still runs within the file).
+/// Lints one in-memory source file. The path decides rule applicability
+/// (crate, binary target, `num` module) and is echoed in findings; use
+/// workspace-relative paths like `crates/core/src/routing.rs`.
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
-    lint_sources(&[(path.to_owned(), src.to_owned())])
+    check_file(&SourceFile::new(path, src))
 }
 
 /// Walks `root/crates/*/src/**/*.rs` and lints every file. Findings are
@@ -116,16 +58,16 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         }
     }
     files.sort();
-    let mut sources = Vec::with_capacity(files.len());
+    let mut findings = Vec::new();
     for file in &files {
         let rel = file
             .strip_prefix(root)
             .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
-        sources.push((rel, std::fs::read_to_string(file)?));
+        findings.extend(lint_source(&rel, &std::fs::read_to_string(file)?));
     }
-    Ok(lint_sources(&sources))
+    Ok(findings)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -153,50 +95,8 @@ fn f(m: &HashMap<u32, u32>) -> Vec<u32> {
 }
 ";
         let findings = lint_source("crates/core/src/demo.rs", src);
-        // map-iter-order wins the line; the taint duplicate is suppressed.
         assert_eq!(findings.len(), 1, "got: {findings:?}");
         assert_eq!(findings[0].rule, "map-iter-order");
         assert_eq!(findings[0].line, 3);
-    }
-
-    #[test]
-    fn non_deterministic_crates_skip_map_iter() {
-        let src = "\
-use std::collections::HashMap;
-fn f(m: &HashMap<u32, u32>) -> Vec<u32> {
-    m.values().copied().collect()
-}
-";
-        assert!(lint_source("crates/baselines/src/demo.rs", src).is_empty());
-    }
-
-    #[test]
-    fn taint_crosses_files_in_one_workspace() {
-        // The helper lives in a *non-deterministic* crate, so neither
-        // map-iter-order nor an own-source taint finding fires there; the
-        // deterministic caller gets the frontier finding.
-        let helper = "\
-use std::collections::HashMap;
-pub fn chunk_ids(m: &HashMap<u64, u64>) -> Vec<u64> {
-    m.keys().copied().collect()
-}
-";
-        let caller = "\
-pub fn plan(m: &std::collections::HashMap<u64, u64>) -> Vec<u64> {
-    nashdb_baselines::helpers::chunk_ids(m)
-}
-";
-        let findings = lint_sources(&[
-            (
-                "crates/baselines/src/helpers.rs".to_owned(),
-                helper.to_owned(),
-            ),
-            ("crates/core/src/plan.rs".to_owned(), caller.to_owned()),
-        ]);
-        assert_eq!(findings.len(), 1, "got: {findings:?}");
-        assert_eq!(findings[0].rule, "determinism-taint");
-        assert_eq!(findings[0].file, "crates/core/src/plan.rs");
-        assert_eq!(findings[0].line, 2);
-        assert!(findings[0].message.contains("chunk_ids"));
     }
 }

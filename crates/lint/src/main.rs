@@ -16,13 +16,12 @@ use nashdb_lint::{lint_workspace, Baseline, RULE_IDS};
 const HELP: &str = "\
 nashdb-lint — workspace determinism & safety linter
 
-Token rules (per file) plus semantic rules over a workspace-wide AST and
-call graph: `determinism-taint` follows hash-iteration/time/randomness
-through helper calls into the deterministic crates, `unchecked-arith-expr`
-flags data-dependent integer accumulation in loops, and `error-drop`
-catches `let _ =` discarding a workspace `Result`. `unchecked-arith` is a
-deprecated alias for `unchecked-arith-expr`; old escapes and baseline
-entries keep working.
+Per-file token rules: `map-iter-order` (hash-order iteration reaching an
+output), `unchecked-arith-expr` (data-dependent integer accumulation in
+loops), `obs-fallback-parity`, `obs-name-prefix` and `panic-in-lib`.
+Wall-clock reads, raw threads, hash iteration through a getter and dropped
+`Result`s are clippy's half of the gate (`disallowed-methods` in the root
+clippy.toml, `let_underscore_must_use`): run `cargo clippy` beside this.
 
 USAGE:
   nashdb-lint --workspace [OPTIONS]

@@ -1,22 +1,22 @@
-//! The token-level rule engine: project-specific determinism & safety
-//! rules that clippy cannot express, each born from a concrete bug class
-//! (see DESIGN.md §11 for the postmortems).
+//! The rule engine: project-specific determinism & safety rules that
+//! clippy cannot express, each born from a concrete bug class (see
+//! DESIGN.md §11 for the postmortems and the per-rule ledger).
 //!
 //! | rule id                | catches                                          |
 //! |------------------------|--------------------------------------------------|
 //! | `map-iter-order`       | hash-order nondeterminism leaking into outputs   |
+//! | `unchecked-arith-expr` | data-dependent integer accumulation in loops     |
 //! | `obs-fallback-parity`  | `#[cfg(feature = "obs")]` items with no no-op twin |
 //! | `obs-name-prefix`      | metric/span names outside the stage registry     |
 //! | `panic-in-lib`         | `panic!`/`assert!` in non-test library paths     |
 //!
-//! The semantic rules (`determinism-taint`, `unchecked-arith-expr`,
-//! `error-drop`) live in [`crate::taint`] and [`crate::semantic`] on top of
-//! the AST/call-graph layer (DESIGN.md §14); this module keeps the
-//! token-stream rules and the shared vocabulary constants they draw on.
-//!
-//! Token rules work on the stream from [`crate::lexer`] — heuristic by
-//! design. False positives are handled by the escape contract
+//! Every rule works on the token stream from [`crate::lexer`] — heuristic
+//! by design. False positives are handled by the escape contract
 //! (`// nashdb-lint: allow(rule-id) -- why`), never by weakening a rule.
+//! What needs type resolution (wall-clock reads, raw threads, hash
+//! iteration through a getter, dropped `Result`s) is clippy's half of the
+//! gate: `disallowed-methods`/`disallowed-types` in the root `clippy.toml`
+//! and `let_underscore_must_use` in `[workspace.lints.clippy]`.
 
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
@@ -25,30 +25,12 @@ use crate::source::SourceFile;
 /// lacking a justification.
 pub const RULE_IDS: &[&str] = &[
     "map-iter-order",
-    "determinism-taint",
     "unchecked-arith-expr",
-    "error-drop",
     "obs-fallback-parity",
     "obs-name-prefix",
     "panic-in-lib",
     "escape-needs-justification",
 ];
-
-/// Maps deprecated rule ids to their current spelling. `unchecked-arith`
-/// (token-stream, name-heuristic) was superseded by the expression-level
-/// `unchecked-arith-expr`; old escapes and baseline entries keep working
-/// through this alias.
-#[must_use]
-pub fn canonical_rule(id: &str) -> &str {
-    match id {
-        "unchecked-arith" => "unchecked-arith-expr",
-        other => other,
-    }
-}
-
-/// Crates whose outputs must be a deterministic function of the scan
-/// window; `map-iter-order` applies only to these (crate directory names).
-pub const DETERMINISTIC_CRATES: &[&str] = &["core", "nashdb", "sim", "cluster"];
 
 /// The registered pipeline stage-name prefixes every obs metric literal
 /// must carry. `nashdb-bench smoke`'s coverage gate checks the same list
@@ -113,9 +95,8 @@ impl std::fmt::Display for Finding {
 /// and returns the surviving findings in line order.
 pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if DETERMINISTIC_CRATES.contains(&file.crate_name.as_str()) {
-        map_iter_order(file, &mut findings);
-    }
+    map_iter_order(file, &mut findings);
+    unchecked_arith_expr(file, &mut findings);
     obs_fallback_parity(file, &mut findings);
     if !OBS_NAME_EXEMPT_CRATES.contains(&file.crate_name.as_str()) {
         obs_name_prefix(file, &mut findings);
@@ -128,7 +109,7 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     findings.retain(|f| {
         !file.escapes.iter().any(|e| {
             e.justified
-                && canonical_rule(&e.rule) == f.rule
+                && e.rule == f.rule
                 && (e.file_wide || e.line == f.line || e.line + 1 == f.line)
         })
     });
@@ -245,7 +226,7 @@ fn statement_mentions(toks: &[Token], start: usize, sinks: &[&str]) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Iteration methods whose order is the hash map's internal order.
-pub const ITER_METHODS: &[&str] = &[
+const ITER_METHODS: &[&str] = &[
     "iter",
     "iter_mut",
     "keys",
@@ -262,7 +243,7 @@ pub const ITER_METHODS: &[&str] = &[
 /// reduction. (Floating-point `sum` is order-sensitive in the last bits;
 /// value-critical float folds should iterate sorted inputs regardless —
 /// the escape contract is the pressure valve, not a weaker rule.)
-pub const SANCTIONED_SINKS: &[&str] = &[
+const SANCTIONED_SINKS: &[&str] = &[
     "sort",
     "sort_by",
     "sort_by_key",
@@ -373,11 +354,16 @@ fn map_iter_order(file: &SourceFile, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared arithmetic vocabulary (used by `unchecked-arith-expr`)
+// Rule: unchecked-arith-expr
 // ---------------------------------------------------------------------------
 
+/// Primitive integer types: annotation evidence and literal suffixes.
+const INTEGER_TYPES: &[&str] = &[
+    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
+];
+
 /// Evidence in the same statement that the arithmetic is overflow-aware.
-pub const CHECKED_MARKERS: &[&str] = &[
+const CHECKED_MARKERS: &[&str] = &[
     "saturating_add",
     "saturating_mul",
     "saturating_sub",
@@ -391,6 +377,175 @@ pub const CHECKED_MARKERS: &[&str] = &[
     "usize_from",
     "saturating_u64",
 ];
+
+/// One loop body: the token indices of its braces, and the names that
+/// cannot accumulate across its iterations — the `for` pattern, cursors a
+/// `while x <` header bounds, and every `let` inside the body.
+struct LoopBody {
+    open: usize,
+    close: usize,
+    exempt: Vec<String>,
+}
+
+/// Finds every `for`/`while`/`loop` body by brace tracking. `for` without
+/// an `in` before its brace is an `impl … for` header or an HRTB, not a loop.
+fn loop_bodies(toks: &[Token]) -> Vec<LoopBody> {
+    let mut out = Vec::new();
+    for (i, kw) in toks.iter().enumerate() {
+        if !(kw.is_ident("for") || kw.is_ident("while") || kw.is_ident("loop")) {
+            continue;
+        }
+        // The header runs to the first `{` outside parens and brackets.
+        let mut depth = 0i32;
+        let header_end = (i + 1..toks.len()).find(|&j| {
+            match toks[j].text.as_str() {
+                _ if toks[j].kind != TokenKind::Punct => {}
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth -= 1,
+                _ => {}
+            }
+            depth <= 0 && ["{", ";", "}"].iter().any(|p| toks[j].is_punct(p))
+        });
+        let Some(open) = header_end.filter(|&j| toks[j].is_punct("{")) else {
+            continue;
+        };
+        let header = &toks[i + 1..open];
+        let mut exempt: Vec<&Token> = match kw.text.as_str() {
+            "for" => match header.iter().position(|t| t.is_ident("in")) {
+                Some(in_at) => header[..in_at].iter().collect(),
+                None => continue,
+            },
+            "while" => {
+                let bounded = header
+                    .windows(2)
+                    .filter(|w| w[1].is_punct("<") || w[1].is_punct("<="));
+                bounded.map(|w| &w[0]).collect()
+            }
+            _ => Vec::new(),
+        };
+        let mut braces = 0usize;
+        let close = (open..toks.len()).find(|&j| {
+            braces += usize::from(toks[j].is_punct("{"));
+            braces -= usize::from(toks[j].is_punct("}"));
+            braces == 0
+        });
+        let close = close.unwrap_or(toks.len());
+        for (k, t) in toks[..close].iter().enumerate().skip(open) {
+            if t.is_ident("let") {
+                exempt.extend(toks[k + 1..].iter().find(|n| !n.is_ident("mut")));
+            }
+        }
+        let idents = exempt.iter().filter(|t| t.kind == TokenKind::Ident);
+        out.push(LoopBody {
+            open,
+            close,
+            exempt: idents.map(|t| t.text.clone()).collect(),
+        });
+    }
+    out
+}
+
+/// The root binding of the place expression that ends just before token
+/// `end`, with the index of the place's first token: `x`, `x[i]` and `x.f`
+/// root at `x`; `self.x` and `self.x[i]` root at the field `x`.
+fn place_root(toks: &[Token], end: usize) -> Option<(usize, &str)> {
+    let (mut k, mut index_depth, mut want_ident, mut root) = (end, 0usize, true, None);
+    while let Some(t) = k.checked_sub(1).map(|p| &toks[p]) {
+        if t.is_punct("]") {
+            index_depth += 1;
+        } else if index_depth > 0 {
+            index_depth -= usize::from(t.is_punct("["));
+        } else if want_ident && t.kind == TokenKind::Ident {
+            if t.text != "self" {
+                root = Some(t.text.as_str());
+            }
+            want_ident = false;
+        } else if !want_ident && t.is_punct(".") {
+            want_ident = true;
+        } else {
+            break;
+        }
+        k -= 1;
+    }
+    root.filter(|_| !want_ident).map(|name| (k, name))
+}
+
+/// For `target = value` with `=` at `eq`: the index of the operator, when
+/// `value` is a place rooted at `root`, then `+` or `*` (`x = x + …`).
+fn self_assign_op(toks: &[Token], eq: usize, root: &str) -> Option<usize> {
+    let place = (eq + 1..toks.len()).find(|&k| !toks[k].is_punct("*"))?;
+    let op = (place..toks.len()).find(|&k| [";", "+", "*"].iter().any(|p| toks[k].is_punct(p)))?;
+    (!toks[op].is_punct(";") && place_root(toks, op) == Some((place, root))).then_some(op)
+}
+
+/// The packing-tally overflow class: `+=`/`*=` (and `x = x + …`) on an
+/// integer binding inside a loop body, where a wrap compounds. Integer
+/// evidence is an annotation, a suffixed literal initializer or a struct
+/// field of this file ([`typed_names`]). Constant steps, loop-local
+/// bindings, bounded `while` cursors, statements with a `saturating_*`/
+/// `checked_*`/`wrapping_*` marker and the `num` modules are exempt.
+fn unchecked_arith_expr(file: &SourceFile, findings: &mut Vec<Finding>) {
+    if file.path.ends_with("/num.rs") || file.path.contains("/num/") {
+        return;
+    }
+    // Test code is invisible to the rule, as evidence and as a site.
+    let lib_tokens = file.lexed.tokens.iter().filter(|t| !in_test(file, t.line));
+    let toks = &lib_tokens.cloned().collect::<Vec<Token>>();
+    let int_named = typed_names(toks, INTEGER_TYPES, INTEGER_TYPES);
+    let loops = loop_bodies(toks);
+
+    for (i, t) in toks.iter().enumerate() {
+        let compound = t.is_punct("+=") || t.is_punct("*=");
+        if !(compound || t.is_punct("=")) {
+            continue;
+        }
+        let Some((start, root)) = place_root(toks, i) else {
+            continue;
+        };
+        let op_at = if compound {
+            i
+        } else {
+            let declares = toks[..start]
+                .last()
+                .is_some_and(|p| p.is_ident("let") || p.is_ident("mut"));
+            match self_assign_op(toks, i, root) {
+                Some(k) if !declares => k,
+                _ => continue,
+            }
+        };
+        let op = &toks[op_at].text;
+        // A constant step (`pos += 1`) is a cursor, not data-dependent
+        // accumulation: it cannot plausibly wrap a 64-bit type.
+        let literal_step = op.starts_with('+')
+            && toks
+                .get(op_at + 1)
+                .is_some_and(|n| n.kind == TokenKind::Number)
+            && toks
+                .get(op_at + 2)
+                .is_some_and(|n| [";", ",", "}"].iter().any(|end| n.is_punct(end)));
+        let mut enclosing = loops
+            .iter()
+            .filter(|l| l.open < i && i < l.close)
+            .peekable();
+        if literal_step
+            || enclosing.peek().is_none()
+            || enclosing.any(|l| l.exempt.iter().any(|n| n == root))
+            || !int_named.iter().any(|n| n == root)
+            || statement_mentions(toks, i + 1, CHECKED_MARKERS)
+        {
+            continue;
+        }
+        findings.push(Finding {
+            rule: "unchecked-arith-expr",
+            file: file.path.clone(),
+            line: t.line,
+            message: format!(
+                "unchecked `{op}` on integer `{root}` inside a loop; use `saturating_*`/`checked_*` \
+                 (or the `num` helpers) so a hot counter cannot wrap"
+            ),
+        });
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Rule: obs-fallback-parity

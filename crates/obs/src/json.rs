@@ -113,6 +113,8 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::UInt(v) => {
+                // `fmt::Write` for `String` never fails.
+                #[allow(clippy::let_underscore_must_use)]
                 let _ = write!(out, "{v}");
             }
             JsonValue::Float(v) => write_f64(out, *v),
@@ -172,7 +174,9 @@ fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         // `{:?}` on f64 is the shortest string that parses back exactly and
         // always carries a '.' or exponent, so it cannot collide with the
-        // integer formatting used for UInt.
+        // integer formatting used for UInt. Writing to a `String` never
+        // fails.
+        #[allow(clippy::let_underscore_must_use)]
         let _ = write!(out, "{v:?}");
     } else {
         out.push_str("null");
@@ -189,6 +193,8 @@ fn write_json_string(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
+                // `fmt::Write` for `String` never fails.
+                #[allow(clippy::let_underscore_must_use)]
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
@@ -417,6 +423,7 @@ impl Parser<'_> {
                 b'A'..=b'F' => u32::from(b - b'A') + 10,
                 _ => return Err(self.err("invalid hex digit in \\u escape")),
             };
+            // nashdb-lint: allow(unchecked-arith-expr) -- exactly four hex digits: at most 0xFFFF
             code = code * 16 + digit;
             self.pos += 1;
         }

@@ -166,6 +166,8 @@ pub fn is_active() -> bool {
 /// drops, accumulating its elapsed time under a slash-joined path of every
 /// open span (`pipeline/reconfigure/scheme`). Returns an inert guard when
 /// no session is active.
+// Timing is this crate's job; durations are scrubbed from `--stable` output.
+#[allow(clippy::disallowed_methods)]
 pub fn span(name: &str) -> SpanGuard {
     let armed = with_active(false, |a| {
         let path = match a.stack.last() {
@@ -286,6 +288,8 @@ pub fn absorb(registry: &MetricsRegistry) {
 /// [`span`], a stopwatch does not participate in the span hierarchy — it
 /// records into a plain `*_ns` histogram via
 /// [`record`](Stopwatch::record).
+// Timing is this crate's job; durations are scrubbed from `--stable` output.
+#[allow(clippy::disallowed_methods)]
 pub fn stopwatch() -> Stopwatch {
     Stopwatch {
         started: is_active().then(Instant::now),

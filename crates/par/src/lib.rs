@@ -181,6 +181,7 @@ where
             let result = catch_unwind(AssertUnwindSafe(chunk));
             // The receiver outlives every job (we block on it below); a
             // failed send means the caller already unwound, so drop it.
+            #[allow(clippy::let_underscore_must_use)]
             let _ = txc.send((idx, result));
         });
         CHUNKS_EXECUTED.fetch_add(1, Ordering::Relaxed);

@@ -54,6 +54,8 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, TraceError> {
 }
 
 /// Serializes a workload to the trace format.
+// `fmt::Write` for `String` never fails, so every `write!` result is dropped.
+#[allow(clippy::let_underscore_must_use)]
 pub fn to_trace(w: &Workload) -> String {
     let mut out = String::new();
     out.push_str("nashdb-trace v1\n");
