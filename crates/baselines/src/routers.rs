@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 use nashdb_core::ids::NodeId;
 use nashdb_core::routing::{
-    validate_requests, Assignment, FragmentRequest, QueueView, RouteError, ScanRouter,
+    validate_requests, Assignment, FragmentRequest, QueueView, RouteError, ScanRouter, Scratch,
 };
 
 /// Always pick the least-loaded replica.
@@ -19,28 +19,28 @@ use nashdb_core::routing::{
 pub struct ShortestQueue;
 
 impl ScanRouter for ShortestQueue {
-    fn route(
+    fn route_into(
         &self,
         requests: &[FragmentRequest],
         queues: &mut QueueView,
-    ) -> Result<Vec<Assignment>, RouteError> {
+        _scratch: &mut Scratch,
+        out: &mut Vec<Assignment>,
+    ) -> Result<(), RouteError> {
         validate_requests(requests, queues)?;
-        Ok(requests
-            .iter()
-            .map(|req| {
-                let mut node = req.candidates[0];
-                for &n in &req.candidates[1..] {
-                    if (queues.wait(n), n) < (queues.wait(node), node) {
-                        node = n;
-                    }
+        out.extend(requests.iter().map(|req| {
+            let mut node = req.candidates[0];
+            for &n in &req.candidates[1..] {
+                if (queues.wait(n), n) < (queues.wait(node), node) {
+                    node = n;
                 }
-                queues.enqueue(node, req.size);
-                Assignment {
-                    fragment: req.fragment,
-                    node,
-                }
-            })
-            .collect())
+            }
+            queues.enqueue(node, req.size);
+            Assignment {
+                fragment: req.fragment,
+                node,
+            }
+        }));
+        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -55,14 +55,15 @@ impl ScanRouter for ShortestQueue {
 pub struct GreedySetCover;
 
 impl ScanRouter for GreedySetCover {
-    fn route(
+    fn route_into(
         &self,
         requests: &[FragmentRequest],
         queues: &mut QueueView,
-    ) -> Result<Vec<Assignment>, RouteError> {
+        _scratch: &mut Scratch,
+        out: &mut Vec<Assignment>,
+    ) -> Result<(), RouteError> {
         validate_requests(requests, queues)?;
         let mut remaining: Vec<&FragmentRequest> = requests.iter().collect();
-        let mut out = Vec::with_capacity(requests.len());
         while !remaining.is_empty() {
             // Count coverage per candidate node.
             let mut nodes: HashSet<NodeId> = HashSet::new();
@@ -101,7 +102,7 @@ impl ScanRouter for GreedySetCover {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn name(&self) -> &'static str {

@@ -1,6 +1,6 @@
 //! The event-driven cluster simulator.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use nashdb_core::ids::{NodeId, QueryId, TableId};
 use nashdb_core::transition::{NodeMove, TransitionPlan};
@@ -312,23 +312,46 @@ struct PhysNode {
     /// Total disk time spent serving jobs.
     busy: SimDuration,
     retired: bool,
+    /// The last dispatch that read from this node (`ClusterSim::dispatches`
+    /// at the time): how a dispatch counts its distinct nodes without a set.
+    last_dispatch: u64,
 }
 
+/// Where a query is in its life. Ids are issued densely by
+/// [`ClusterSim::schedule_query`], so one `Vec` of these indexed by id is
+/// all the bookkeeping a query needs:
+///
+/// ```text
+/// Scheduled ──arrival──► Awaiting ──dispatch──► Running ──last read──► Done
+///                         │  ▲                     │
+///                         │  └────── crash ────────┘   (attempt + 1)
+///                         └──abandon_query / empty dispatch──────────► Done
+/// ```
 #[derive(Debug)]
-struct QueryState {
-    arrival: SimTime,
-    /// Which dispatch attempt these reads belong to.
-    attempt: u32,
-    pending: usize,
-    nodes: HashSet<usize>,
-}
-
-/// A query waiting for the driver to dispatch (or re-dispatch) it.
-#[derive(Debug, Clone, Copy)]
-struct AwaitingState {
-    arrival: SimTime,
-    /// Attempts already made (0 for a fresh arrival).
-    attempt: u32,
+enum QueryState {
+    /// Scheduled and not yet arrived; holds the request until the arrival
+    /// event hands it to the driver.
+    Scheduled(QueryRequest),
+    /// Arrived (or crash-failed) and waiting for the driver to dispatch or
+    /// abandon it.
+    Awaiting {
+        arrival: SimTime,
+        /// Attempts already made (0 for a fresh arrival).
+        attempt: u32,
+    },
+    /// Reads in flight.
+    Running {
+        arrival: SimTime,
+        /// Which dispatch attempt these reads belong to.
+        attempt: u32,
+        /// Reads not yet delivered.
+        pending: usize,
+        /// Distinct nodes the reads were dispatched to.
+        span: u32,
+    },
+    /// Completed or abandoned — re-dispatching it is a duplicate, not an
+    /// unknown.
+    Done,
 }
 
 #[derive(Debug)]
@@ -347,13 +370,10 @@ pub struct ClusterSim {
     phys: Vec<PhysNode>,
     /// Logical scheme node -> physical node.
     logical: Vec<usize>,
-    pending: HashMap<QueryId, QueryRequest>,
-    /// Arrived (or crash-failed) queries the driver has not dispatched yet.
-    awaiting: HashMap<QueryId, AwaitingState>,
-    running: HashMap<QueryId, QueryState>,
-    /// Queries that finished (completed or abandoned) — re-dispatching one
-    /// is a duplicate, not an unknown.
-    done: HashSet<QueryId>,
+    /// Every query ever scheduled, indexed by its id.
+    queries: Vec<QueryState>,
+    /// Accepted dispatches so far (see `PhysNode::last_dispatch`).
+    dispatches: u64,
     /// Driver events synthesized by fault handling, drained before the
     /// event queue (FIFO, so NodeFailed precedes its QueryFailed fallout).
     driver_queue: VecDeque<DriverEvent>,
@@ -361,7 +381,6 @@ pub struct ClusterSim {
     /// Start of the current window in which some mapped node is down.
     degraded_since: Option<SimTime>,
     metrics: Metrics,
-    next_query: u64,
 }
 
 impl ClusterSim {
@@ -386,15 +405,12 @@ impl ClusterSim {
             events: EventQueue::new(),
             phys: Vec::new(),
             logical: Vec::new(),
-            pending: HashMap::new(),
-            awaiting: HashMap::new(),
-            running: HashMap::new(),
-            done: HashSet::new(),
+            queries: Vec::new(),
+            dispatches: 0,
             driver_queue: VecDeque::new(),
             net,
             degraded_since: None,
             metrics,
-            next_query: 0,
         }
     }
 
@@ -416,7 +432,13 @@ impl ClusterSim {
     /// Queued work per logical node, in tuples — the router's wait
     /// observations.
     pub fn queue_waits(&self) -> Vec<u64> {
-        self.logical.iter().map(|&p| self.phys[p].backlog).collect()
+        self.node_waits().collect()
+    }
+
+    /// [`queue_waits`](Self::queue_waits) without the `Vec`, for a caller
+    /// that refreshes a view it keeps.
+    pub fn node_waits(&self) -> impl Iterator<Item = u64> + '_ {
+        self.logical.iter().map(|&p| self.phys[p].backlog)
     }
 
     /// Whether the logical node is mapped and not crashed. Routing to a node
@@ -430,11 +452,16 @@ impl ClusterSim {
 
     /// Schedules a query to arrive at `at`. Returns its id.
     pub fn schedule_query(&mut self, at: SimTime, query: QueryRequest) -> QueryId {
-        let id = QueryId(self.next_query);
-        self.next_query += 1;
-        self.pending.insert(id, query);
+        let id = QueryId(self.queries.len() as u64);
+        self.queries.push(QueryState::Scheduled(query));
         self.events.schedule(at, Event::Arrival(id));
         id
+    }
+
+    /// The state of query `id`, if it was ever scheduled. Ids reach the
+    /// simulator from outside, so this is the only way in.
+    fn query_mut(&mut self, id: QueryId) -> Option<&mut QueryState> {
+        self.queries.get_mut(usize::try_from(id.get()).ok()?)
     }
 
     /// Schedules a driver timer.
@@ -464,10 +491,10 @@ impl ClusterSim {
     /// is recorded as abandoned and produces no [`QueryRecord`]. Returns
     /// `false` if the query was not awaiting dispatch.
     pub fn abandon_query(&mut self, id: QueryId) -> bool {
-        if self.awaiting.remove(&id).is_none() {
+        let Some(state @ QueryState::Awaiting { .. }) = self.query_mut(id) else {
             return false;
-        }
-        self.done.insert(id);
+        };
+        *state = QueryState::Done;
         self.metrics.availability.queries_abandoned = self
             .metrics
             .availability
@@ -488,15 +515,17 @@ impl ClusterSim {
     /// completed, or abandoned), a node id is out of range, a target node is
     /// draining toward retirement, or a target node is crashed.
     pub fn dispatch(&mut self, id: QueryId, reads: &[(NodeId, u64)]) -> Result<(), DispatchError> {
-        if self.running.contains_key(&id) || self.done.contains(&id) {
-            return Err(DispatchError::DuplicateQuery { id });
-        }
-        let Some(&waiting) = self.awaiting.get(&id) else {
-            return Err(DispatchError::UnknownQuery { id });
+        let (arrival, attempt) = match self.query_mut(id) {
+            Some(&mut QueryState::Awaiting { arrival, attempt }) => (arrival, attempt),
+            Some(QueryState::Running { .. } | QueryState::Done) => {
+                return Err(DispatchError::DuplicateQuery { id });
+            }
+            Some(QueryState::Scheduled(_)) | None => {
+                return Err(DispatchError::UnknownQuery { id });
+            }
         };
         // Validate every read before enqueueing any, so a rejected dispatch
         // leaves no partial work behind.
-        let mut targets = Vec::with_capacity(reads.len());
         for &(node, _) in reads {
             let phys = *self
                 .logical
@@ -508,44 +537,41 @@ impl ClusterSim {
             if !self.phys[phys].active {
                 return Err(DispatchError::InactiveNode { node });
             }
-            targets.push(phys);
         }
-        self.awaiting.remove(&id);
-        if waiting.attempt > 0 {
+        if attempt > 0 {
             self.metrics.availability.queries_retried =
                 self.metrics.availability.queries_retried.saturating_add(1);
             nashdb_obs::counter_add("cluster.queries_retried", 1);
         }
         if reads.is_empty() {
             // Nothing to read: completes instantly.
-            self.complete_query(
-                id,
-                &QueryState {
-                    arrival: waiting.arrival,
-                    attempt: waiting.attempt,
-                    pending: 0,
-                    nodes: HashSet::new(),
-                },
-            );
+            self.complete_query(id, arrival, 0);
             return Ok(());
         }
-        let mut state = QueryState {
-            arrival: waiting.arrival,
-            attempt: waiting.attempt,
-            pending: reads.len(),
-            nodes: HashSet::new(),
-        };
-        for (&(_, tuples), &phys) in reads.iter().zip(&targets) {
-            state.nodes.insert(phys);
+        self.dispatches = self.dispatches.saturating_add(1);
+        let mut span = 0u32;
+        for &(node, tuples) in reads {
+            let phys = self.logical[node.index()]; // validated above
+            if self.phys[phys].last_dispatch != self.dispatches {
+                self.phys[phys].last_dispatch = self.dispatches;
+                span = span.saturating_add(1);
+            }
             self.enqueue_job(
                 phys,
                 Job {
                     tuples,
-                    query: Some((id, waiting.attempt)),
+                    query: Some((id, attempt)),
                 },
             );
         }
-        self.running.insert(id, state);
+        if let Some(state) = self.query_mut(id) {
+            *state = QueryState::Running {
+                arrival,
+                attempt,
+                pending: reads.len(),
+                span,
+            };
+        }
         nashdb_obs::counter_add("cluster.reads_dispatched", reads.len() as u64);
         Ok(())
     }
@@ -634,6 +660,7 @@ impl ClusterSim {
                         retired_at: None,
                         busy: SimDuration::ZERO,
                         retired: false,
+                        last_dispatch: 0,
                     });
                     if let Some(net) = &mut self.net {
                         net.nics.push(SharedLink::new(net.nic_tps));
@@ -673,19 +700,7 @@ impl ClusterSim {
             };
             match event {
                 Event::Arrival(id) => {
-                    // Arrivals are scheduled exactly once per id, so the
-                    // lookup only misses if internal state was corrupted;
-                    // skipping is the panic-free fallback. Kept in sync
-                    // with `take_coincident_arrivals`, which replays this
-                    // arm for batch collection.
-                    if let Some(query) = self.pending.remove(&id) {
-                        self.awaiting.insert(
-                            id,
-                            AwaitingState {
-                                arrival: now,
-                                attempt: 0,
-                            },
-                        );
+                    if let Some(query) = self.arrive(id, now) {
                         return DriverEvent::QueryArrived { id, query };
                     }
                 }
@@ -750,28 +765,44 @@ impl ClusterSim {
     /// [`ScanRouter::route_batch`]: nashdb_core::routing::ScanRouter::route_batch
     pub fn take_coincident_arrivals(&mut self) -> Vec<(QueryId, QueryRequest)> {
         let mut batch = Vec::new();
+        self.take_coincident_arrivals_into(&mut batch);
+        batch
+    }
+
+    /// [`take_coincident_arrivals`](Self::take_coincident_arrivals),
+    /// appending to a batch the caller keeps.
+    pub fn take_coincident_arrivals_into(&mut self, batch: &mut Vec<(QueryId, QueryRequest)>) {
         let now = self.events.now();
         while self.driver_queue.is_empty() {
             match self.events.peek() {
                 Some((at, &Event::Arrival(id))) if at == now => {
                     self.events.pop();
-                    // Mirror of `next_event`'s arrival arm: a pending miss
-                    // means corrupted internal state; skip, don't panic.
-                    if let Some(query) = self.pending.remove(&id) {
-                        self.awaiting.insert(
-                            id,
-                            AwaitingState {
-                                arrival: now,
-                                attempt: 0,
-                            },
-                        );
+                    if let Some(query) = self.arrive(id, now) {
                         batch.push((id, query));
                     }
                 }
                 _ => break,
             }
         }
-        batch
+    }
+
+    /// The arrival event of query `id`: it now awaits dispatch, and its
+    /// request goes to the driver. Arrivals are scheduled exactly once per
+    /// id, so this only misses if internal state was corrupted; `None` is
+    /// the panic-free fallback and the callers skip the event.
+    fn arrive(&mut self, id: QueryId, now: SimTime) -> Option<QueryRequest> {
+        let state = self.query_mut(id)?;
+        let awaiting = QueryState::Awaiting {
+            arrival: now,
+            attempt: 0,
+        };
+        match std::mem::replace(state, awaiting) {
+            QueryState::Scheduled(query) => Some(query),
+            other => {
+                *state = other;
+                None
+            }
+        }
     }
 
     /// Ends the run: closes the degraded-time window, accrues cost for every
@@ -915,24 +946,34 @@ impl ClusterSim {
         tuples: u64,
         now: SimTime,
     ) -> Option<DriverEvent> {
-        if !self.read_is_fresh(id, attempt) {
+        let delivered = match self.query_mut(id) {
+            Some(QueryState::Running {
+                arrival,
+                attempt: current,
+                pending,
+                span,
+            }) if *current == attempt => {
+                *pending = pending.saturating_sub(1);
+                Some((*pending, *arrival, *span))
+            }
+            _ => None,
+        };
+        let Some((pending, arrival, span)) = delivered else {
+            // A read of a superseded attempt, or of a query already over.
             self.waste_read();
             return None;
-        }
+        };
         self.metrics.read_throughput.add(now, tuples as f64);
-        let state = self.running.get_mut(&id)?;
-        state.pending = state.pending.saturating_sub(1);
-        if state.pending > 0 {
-            return None;
-        }
-        let state = self.running.remove(&id)?;
-        Some(self.complete_query(id, &state))
+        (pending == 0).then(|| self.complete_query(id, arrival, span))
     }
 
     /// Whether a read tagged `(id, attempt)` still belongs to a live query
     /// attempt (the query is running and has not been failed-and-retried).
     fn read_is_fresh(&self, id: QueryId, attempt: u32) -> bool {
-        self.running.get(&id).is_some_and(|s| s.attempt == attempt)
+        let state = usize::try_from(id.get())
+            .ok()
+            .and_then(|i| self.queries.get(i));
+        matches!(state, Some(QueryState::Running { attempt: a, .. }) if *a == attempt)
     }
 
     fn waste_read(&mut self) {
@@ -941,14 +982,18 @@ impl ClusterSim {
         nashdb_obs::counter_add("cluster.reads_wasted", 1);
     }
 
-    fn complete_query(&mut self, id: QueryId, state: &QueryState) -> DriverEvent {
+    /// Ends query `id` — which arrived at `arrival` and read from `span`
+    /// nodes — at the current time.
+    fn complete_query(&mut self, id: QueryId, arrival: SimTime, span: u32) -> DriverEvent {
         let now = self.now();
-        self.done.insert(id);
+        if let Some(state) = self.query_mut(id) {
+            *state = QueryState::Done;
+        }
         let record = QueryRecord {
             id,
-            arrival: state.arrival,
+            arrival,
             completion: now,
-            span: u32::try_from(state.nodes.len()).unwrap_or(u32::MAX),
+            span,
         };
         self.metrics.queries.push(record);
         // Latency is simulated time, so this histogram is deterministic per
@@ -1037,17 +1082,20 @@ impl ClusterSim {
         self.driver_queue
             .push_back(DriverEvent::NodeFailed { node: NodeId(slot) });
         for id in victims {
-            let Some(state) = self.running.remove(&id) else {
+            let Some(state) = self.query_mut(id) else {
                 continue;
             };
-            let attempts = state.attempt.saturating_add(1);
-            self.awaiting.insert(
-                id,
-                AwaitingState {
-                    arrival: state.arrival,
-                    attempt: attempts,
-                },
-            );
+            let QueryState::Running {
+                arrival, attempt, ..
+            } = *state
+            else {
+                continue;
+            };
+            let attempts = attempt.saturating_add(1);
+            *state = QueryState::Awaiting {
+                arrival,
+                attempt: attempts,
+            };
             self.metrics.availability.queries_failed =
                 self.metrics.availability.queries_failed.saturating_add(1);
             nashdb_obs::counter_add("cluster.queries_failed", 1);
@@ -1383,6 +1431,60 @@ mod tests {
         );
         // Nothing was enqueued by the rejected dispatches.
         assert_eq!(sim.queue_waits(), vec![0]);
+    }
+
+    #[test]
+    fn never_issued_ids_are_unknown_and_grow_nothing() {
+        // Query state is a slab indexed by id, and ids come from outside:
+        // one the sim never issued — the next one, or one no slab could
+        // hold — is looked up, not indexed and not allocated for.
+        let mut sim = ClusterSim::new(cfg());
+        sim.reconfigure(&provision(1)).unwrap();
+        let issued = sim.schedule_query(SimTime::from_secs(5), query(&[(0, 10)]));
+        for ghost in [QueryId(issued.get() + 1), QueryId(u64::MAX)] {
+            assert_eq!(
+                sim.dispatch(ghost, &[(NodeId(0), 10)]),
+                Err(DispatchError::UnknownQuery { id: ghost })
+            );
+            assert!(!sim.abandon_query(ghost));
+        }
+        // Before its arrival an issued id is just as unknown, and stays
+        // schedulable: neither call consumed it.
+        assert_eq!(
+            sim.dispatch(issued, &[(NodeId(0), 10)]),
+            Err(DispatchError::UnknownQuery { id: issued })
+        );
+        assert!(!sim.abandon_query(issued));
+        assert_eq!(sim.queue_waits(), vec![0]);
+        drive(&mut sim, |_, _| vec![(NodeId(0), 10)]);
+        let m = sim.finish();
+        assert_eq!(m.queries.len(), 1);
+        assert_eq!(m.queries[0].id, issued);
+        assert_eq!(m.availability.queries_abandoned, 0);
+    }
+
+    #[test]
+    fn span_counts_distinct_nodes_per_dispatch() {
+        // Reads that share a node count it once; a later query on the same
+        // nodes counts them again.
+        let mut sim = ClusterSim::new(cfg());
+        sim.reconfigure(&provision(3)).unwrap();
+        sim.schedule_query(SimTime::from_secs(0), query(&[(0, 10)]));
+        sim.schedule_query(SimTime::from_secs(0), query(&[(0, 10)]));
+        let mut plans = vec![
+            vec![
+                (NodeId(2), 5),
+                (NodeId(0), 5),
+                (NodeId(2), 5),
+                (NodeId(0), 5),
+            ],
+            vec![(NodeId(2), 5), (NodeId(1), 5), (NodeId(0), 5)],
+        ]
+        .into_iter();
+        drive(&mut sim, |_, _| plans.next().unwrap());
+        let mut spans: Vec<u32> = sim.finish().queries.iter().map(|q| q.span).collect();
+        spans.sort_unstable();
+        assert_eq!(spans, vec![2, 3]);
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! different minimum. Those are patched in O(1) when the placed node merely
 //! undercuts their announcement and re-derived by a plain scan of their
 //! candidates when their announcement ran through it; every other
-//! announcement is still exact. Superseded heap entries are skipped by
-//! version on pop.
+//! announcement is still exact. A changed announcement moves its heap entry
+//! in place (the heap is indexed by request), so the heap never holds more
+//! than one entry per pending request and every pop is a placement.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use super::{
-    record_batch_metrics, record_scan_metrics, validate_requests, Assignment, FragmentRequest,
-    QueueView, RouteError, ScanRouter,
+    record_scan_metrics, validate_requests, Assignment, FragmentRequest, QueueView, RouteError,
+    ScanRouter,
 };
 use crate::ids::{FragmentId, NodeId};
 
@@ -47,26 +47,25 @@ impl MaxOfMins {
 /// A pending request's place in the bottleneck-first max-heap. Ordered by
 /// the Eq. 11 selection key — largest best-achievable wait first, ties
 /// toward larger reads, then smaller fragment id, then smaller request
-/// index — so `BinaryHeap::pop` yields exactly the request the naive scan
-/// would pick.
+/// index — so the heap's maximum is exactly the request the naive scan
+/// would pick. Keys are distinct (the index is), so the pop order does not
+/// depend on how the heap happens to be laid out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct HeapEntry {
     eff: u64,
     size: u64,
     fragment: Reverse<FragmentId>,
     index: Reverse<usize>,
-    version: u64,
 }
 
 impl HeapEntry {
-    /// The heap entry announcing request `index`'s current minimum.
-    fn announcing(index: usize, req: &FragmentRequest, pending: &Pending) -> Self {
+    /// The heap entry announcing that request `index`'s minimum is `eff`.
+    fn announcing(index: usize, req: &FragmentRequest, eff: u64) -> Self {
         HeapEntry {
-            eff: pending.announced.0,
+            eff,
             size: req.size,
             fragment: Reverse(req.fragment),
             index: Reverse(index),
-            version: pending.version,
         }
     }
 }
@@ -76,41 +75,126 @@ impl HeapEntry {
 struct Pending {
     /// The announced Eq. 11 minimum `(effective wait, node)`.
     announced: (u64, NodeId),
-    /// Bumped whenever `announced` changes, superseding older heap entries.
-    version: u64,
     placed: bool,
 }
 
-/// Router state reused across every scan of one `route`/`route_batch` call,
-/// so the node-indexed tables, the per-request table and the heap are
-/// allocated once per call instead of once per scan.
-#[derive(Debug)]
-struct Scratch {
+/// A binary max-heap of the scan's pending requests that knows where each
+/// request's entry sits, so an announcement that changed is re-keyed where
+/// it is instead of being superseded by a second entry.
+#[derive(Debug, Default)]
+struct IndexedHeap {
+    entries: Vec<HeapEntry>,
+    /// Per request of the scan, the slot of its entry in `entries`
+    /// (meaningless once the request was popped).
+    slot_of: Vec<usize>,
+}
+
+impl IndexedHeap {
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.slot_of.clear();
+    }
+
+    /// Adds the entry of the scan's next request, in request order, without
+    /// restoring heap order: [`heapify`](Self::heapify) follows the last.
+    fn push_unordered(&mut self, entry: HeapEntry) {
+        self.slot_of.push(self.entries.len());
+        self.entries.push(entry);
+    }
+
+    fn heapify(&mut self) {
+        for slot in (0..self.entries.len() / 2).rev() {
+            self.sift_down(slot);
+        }
+    }
+
+    fn pop(&mut self) -> Option<HeapEntry> {
+        let last = self.entries.pop()?;
+        let Some(root) = self.entries.first_mut() else {
+            return Some(last);
+        };
+        let top = std::mem::replace(root, last);
+        self.sift_down(0);
+        Some(top)
+    }
+
+    /// Replaces the entry of request `entry.index` and moves it to where
+    /// its new key belongs.
+    fn update(&mut self, entry: HeapEntry) {
+        let slot = self.slot_of[entry.index.0];
+        let old = std::mem::replace(&mut self.entries[slot], entry);
+        if entry > old {
+            self.sift_up(slot);
+        } else {
+            self.sift_down(slot);
+        }
+    }
+
+    fn sift_up(&mut self, mut slot: usize) {
+        let entry = self.entries[slot];
+        while slot > 0 {
+            let parent = (slot - 1) / 2;
+            if self.entries[parent] >= entry {
+                break;
+            }
+            self.put(slot, self.entries[parent]);
+            slot = parent;
+        }
+        self.put(slot, entry);
+    }
+
+    fn sift_down(&mut self, mut slot: usize) {
+        let entry = self.entries[slot];
+        loop {
+            let mut child = 2 * slot + 1;
+            let Some(left) = self.entries.get(child) else {
+                break;
+            };
+            let mut larger = *left;
+            if let Some(right) = self.entries.get(child + 1).filter(|r| **r > larger) {
+                larger = *right;
+                child += 1;
+            }
+            if entry >= larger {
+                break;
+            }
+            self.put(slot, larger);
+            slot = child;
+        }
+        self.put(slot, entry);
+    }
+
+    fn put(&mut self, slot: usize, entry: HeapEntry) {
+        self.entries[slot] = entry;
+        self.slot_of[entry.index.0] = slot;
+    }
+}
+
+/// Working memory a router keeps between scans — [`MaxOfMins`]'s
+/// node-indexed tables, per-request table and heap — owned by whoever calls
+/// [`ScanRouter::route_into`], so that a caller routing scan after scan
+/// allocates them once. Opaque: create one with `Scratch::default()` and
+/// hand the same one to every call. It re-sizes itself when the queue
+/// view's node count changes and clears itself at the start of each scan,
+/// so nothing a scan (or a failed scan) leaves behind reaches the next.
+#[derive(Debug, Default)]
+pub struct Scratch {
     /// Nodes already serving the current scan's query (ϕ-free).
     chosen: Vec<bool>,
     /// Which requests of the current scan list each node as a candidate.
+    /// The inner lists keep their capacity from scan to scan.
     by_node: Vec<Vec<usize>>,
     /// Nodes touched by the current scan, for sparse O(touched) reset.
     touched: Vec<usize>,
     pending: Vec<Pending>,
-    heap: BinaryHeap<HeapEntry>,
+    heap: IndexedHeap,
 }
 
 impl Scratch {
-    /// Scratch for a queue view of `nodes` nodes; validation guarantees
-    /// every candidate id indexes inside it.
-    fn new(nodes: usize) -> Self {
-        Scratch {
-            chosen: vec![false; nodes],
-            by_node: vec![Vec::new(); nodes],
-            touched: Vec::new(),
-            pending: Vec::new(),
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Clears what the previous scan left behind.
-    fn reset_for_scan(&mut self) {
+    /// Clears what the previous scan left behind, then fits the node tables
+    /// to a queue view of `nodes` nodes (`touched` indexes the old size, so
+    /// the order matters).
+    fn reset_for_scan(&mut self, nodes: usize) {
         for &n in &self.touched {
             self.chosen[n] = false;
             self.by_node[n].clear();
@@ -118,6 +202,10 @@ impl Scratch {
         self.touched.clear();
         self.pending.clear();
         self.heap.clear();
+        if self.chosen.len() != nodes {
+            self.chosen.resize(nodes, false);
+            self.by_node.resize_with(nodes, Vec::new);
+        }
     }
 }
 
@@ -144,16 +232,19 @@ impl MaxOfMins {
                 fragment: req.fragment,
             })
     }
+}
 
-    /// Routes one pre-validated scan — the one production Eq. 11 loop, which
-    /// both [`ScanRouter::route`] and [`ScanRouter::route_batch`] reach.
-    fn route_scan_into(
+impl ScanRouter for MaxOfMins {
+    /// The one production Eq. 11 loop.
+    fn route_into(
         &self,
         requests: &[FragmentRequest],
         queues: &mut QueueView,
         scratch: &mut Scratch,
-    ) -> Result<Vec<Assignment>, RouteError> {
-        scratch.reset_for_scan();
+        out: &mut Vec<Assignment>,
+    ) -> Result<(), RouteError> {
+        validate_requests(requests, queues)?;
+        scratch.reset_for_scan(queues.len());
         for (i, req) in requests.iter().enumerate() {
             for &n in &req.candidates {
                 let slot = &mut scratch.by_node[n.index()];
@@ -164,25 +255,23 @@ impl MaxOfMins {
             }
         }
         for (i, req) in requests.iter().enumerate() {
-            let pending = Pending {
-                announced: self.best_of(req, queues, &scratch.chosen)?,
-                version: 0,
+            let announced = self.best_of(req, queues, &scratch.chosen)?;
+            let entry = HeapEntry::announcing(i, req, announced.0);
+            scratch.heap.push_unordered(entry);
+            scratch.pending.push(Pending {
+                announced,
                 placed: false,
-            };
-            scratch.heap.push(HeapEntry::announcing(i, req, &pending));
-            scratch.pending.push(pending);
+            });
         }
+        scratch.heap.heapify();
 
         // One session check per scan instead of a thread-local round-trip
         // per placement.
         let observed = crate::obs_hooks::is_active();
-        let mut out = Vec::with_capacity(requests.len());
+        let first = out.len();
         while let Some(entry) = scratch.heap.pop() {
             let idx = entry.index.0;
             let pending = &mut scratch.pending[idx];
-            if pending.placed || entry.version != pending.version {
-                continue; // superseded by a re-evaluation
-            }
             pending.placed = true;
             let (_, node) = pending.announced;
             let req = &requests[idx];
@@ -223,43 +312,15 @@ impl MaxOfMins {
                 };
                 if best != announced {
                     pending.announced = best;
-                    pending.version += 1;
-                    scratch
-                        .heap
-                        .push(HeapEntry::announcing(j, &requests[j], pending));
+                    if best.0 != announced.0 {
+                        let entry = HeapEntry::announcing(j, &requests[j], best.0);
+                        scratch.heap.update(entry);
+                    }
                 }
             }
         }
-        record_scan_metrics(&out);
-        Ok(out)
-    }
-}
-
-impl ScanRouter for MaxOfMins {
-    fn route(
-        &self,
-        requests: &[FragmentRequest],
-        queues: &mut QueueView,
-    ) -> Result<Vec<Assignment>, RouteError> {
-        validate_requests(requests, queues)?;
-        self.route_scan_into(requests, queues, &mut Scratch::new(queues.len()))
-    }
-
-    fn route_batch(
-        &self,
-        scans: Vec<Vec<FragmentRequest>>,
-        queues: &mut QueueView,
-    ) -> Result<Vec<Vec<Assignment>>, RouteError> {
-        for scan in &scans {
-            validate_requests(scan, queues)?;
-        }
-        let mut scratch = Scratch::new(queues.len());
-        let out = scans
-            .iter()
-            .map(|scan| self.route_scan_into(scan, queues, &mut scratch))
-            .collect::<Result<Vec<_>, _>>()?;
-        record_batch_metrics(out.len());
-        Ok(out)
+        record_scan_metrics(&out[first..]);
+        Ok(())
     }
 
     fn name(&self) -> &'static str {

@@ -20,14 +20,19 @@
 //! [`mod@reference`] as the executable specification the incremental router
 //! is property-tested against.
 //!
-//! Scans also route in **batches** ([`ScanRouter::route_batch`]): one call
-//! routes many scans in order against one evolving queue view, validating
-//! every scan before placing anything.
+//! A router implements one method, [`ScanRouter::route_into`]: one scan,
+//! routed into the caller's output buffer with the caller's [`Scratch`] as
+//! working memory. Everything else is provided over it. Scans also route in
+//! **batches** ([`ScanRouter::route_scans`], and [`ScanRouter::route_batch`]
+//! for callers that own their scans): one call routes many scans in order
+//! against one evolving queue view, validating every scan before placing
+//! anything. A caller that keeps its `Scratch`, its output buffers and its
+//! [`QueueView`] between calls routes without allocating.
 
 mod max_of_mins;
 pub mod reference;
 
-pub use max_of_mins::MaxOfMins;
+pub use max_of_mins::{MaxOfMins, Scratch};
 
 use std::collections::HashSet;
 
@@ -132,7 +137,7 @@ pub fn validate_requests(
 ///
 /// Routers read waits and push their own assignments so that consecutive
 /// requests of the same scan see each other's load.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueueView {
     waits: Vec<u64>,
 }
@@ -148,6 +153,14 @@ impl QueueView {
     /// Adopts externally observed waits (tuples of queued work per node).
     pub fn from_waits(waits: Vec<u64>) -> Self {
         QueueView { waits }
+    }
+
+    /// Replaces every wait with a fresh observation, keeping the view's
+    /// allocation: what [`from_waits`](Self::from_waits) does for a caller
+    /// that routes again and again.
+    pub fn refill(&mut self, waits: impl IntoIterator<Item = u64>) {
+        self.waits.clear();
+        self.waits.extend(waits);
     }
 
     /// Number of nodes.
@@ -176,23 +189,42 @@ impl QueueView {
 
 /// A scan-routing strategy.
 pub trait ScanRouter {
-    /// Routes every request of one scan, updating `queues` with the work it
-    /// places. Implementations must assign each request to one of its
-    /// candidates, and reject a request with no candidates
-    /// ([`RouteError::NoReplicas`]) or a candidate outside `queues`
-    /// ([`RouteError::UnknownNode`]) before placing anything.
+    /// Routes every request of one scan, appending one [`Assignment`] per
+    /// request to `out` and updating `queues` with the work it places — the
+    /// one method a router implements. Implementations must assign each
+    /// request to one of its candidates, and reject a request with no
+    /// candidates ([`RouteError::NoReplicas`]) or a candidate outside
+    /// `queues` ([`RouteError::UnknownNode`]) before placing anything.
+    ///
+    /// `scratch` is working memory the caller keeps between calls so that a
+    /// router needing per-scan tables does not allocate them per scan. Any
+    /// `Scratch` works with any queue view and after any earlier call,
+    /// failed ones included; a router without such tables ignores it.
+    fn route_into(
+        &self,
+        requests: &[FragmentRequest],
+        queues: &mut QueueView,
+        scratch: &mut Scratch,
+        out: &mut Vec<Assignment>,
+    ) -> Result<(), RouteError>;
+
+    /// [`route_into`](Self::route_into) for a caller with nothing to reuse:
+    /// routes one scan and returns its assignments.
     fn route(
         &self,
         requests: &[FragmentRequest],
         queues: &mut QueueView,
-    ) -> Result<Vec<Assignment>, RouteError>;
+    ) -> Result<Vec<Assignment>, RouteError> {
+        let mut out = Vec::with_capacity(requests.len());
+        self.route_into(requests, queues, &mut Scratch::default(), &mut out)?;
+        Ok(out)
+    }
 
     /// Routes a batch of scans against one evolving queue view: scan `i+1`
     /// sees the queues exactly as scan `i` left them, as if [`Self::route`]
     /// had been called once per scan in order — that sequential semantics
-    /// *is* the batch contract implementations must preserve. Every scan is
-    /// validated before anything is placed, so a doomed batch leaves
-    /// `queues` untouched.
+    /// *is* the batch contract. Every scan is validated before anything is
+    /// placed, so a doomed batch leaves `queues` untouched.
     fn route_batch(
         &self,
         scans: Vec<Vec<FragmentRequest>>,
@@ -201,14 +233,68 @@ pub trait ScanRouter {
         for scan in &scans {
             validate_requests(scan, queues)?;
         }
-        let out: Result<Vec<_>, _> = scans.iter().map(|scan| self.route(scan, queues)).collect();
-        let out = out?;
+        let mut scratch = Scratch::default();
+        let routed = scans.iter().map(|scan| {
+            let mut out = Vec::with_capacity(scan.len());
+            self.route_into(scan, queues, &mut scratch, &mut out)?;
+            Ok(out)
+        });
+        let out = routed.collect::<Result<Vec<_>, _>>()?;
         record_batch_metrics(out.len());
         Ok(out)
     }
 
+    /// [`route_batch`](Self::route_batch) over buffers the caller keeps:
+    /// the scans lie back to back in `requests`, scan `i` ending at
+    /// `scan_ends[i]` (see [`run_of`]), and their assignments are written
+    /// back to back into `out` the same way, scan `i`'s ending at
+    /// `out_ends[i]`. Both output buffers are cleared first. Same contract
+    /// as `route_batch` — sequential semantics, every scan validated before
+    /// anything is placed — and, with buffers that have grown to the
+    /// batch's size, no allocation here.
+    fn route_scans(
+        &self,
+        requests: &[FragmentRequest],
+        scan_ends: &[usize],
+        queues: &mut QueueView,
+        scratch: &mut Scratch,
+        out: &mut Vec<Assignment>,
+        out_ends: &mut Vec<usize>,
+    ) -> Result<(), RouteError> {
+        out.clear();
+        out_ends.clear();
+        // A lone scan needs no pass of its own: `route_into` rejects it
+        // before placing anything, and nothing was placed before it.
+        let scans = (0..scan_ends.len()).map(|i| run_of(requests, scan_ends, i));
+        if scan_ends.len() > 1 {
+            for scan in scans.clone() {
+                validate_requests(scan, queues)?;
+            }
+        }
+        for scan in scans {
+            self.route_into(scan, queues, scratch, out)?;
+            out_ends.push(out.len());
+        }
+        record_batch_metrics(scan_ends.len());
+        Ok(())
+    }
+
     /// Human-readable name for experiment output.
     fn name(&self) -> &'static str;
+}
+
+/// Run `i` of `items` laid out back to back, run `i` ending at `ends[i]` —
+/// how [`ScanRouter::route_scans`] takes a batch's requests and returns its
+/// assignments. Empty if `ends` does not describe such a run (`i` past the
+/// last, ends that run backwards or past `items`), so no layout indexes out
+/// of bounds.
+pub fn run_of<'a, T>(items: &'a [T], ends: &[usize], i: usize) -> &'a [T] {
+    let start = match i.checked_sub(1) {
+        None => Some(0),
+        Some(prev) => ends.get(prev).copied(),
+    };
+    let run = start.zip(ends.get(i)).and_then(|(s, &e)| items.get(s..e));
+    run.unwrap_or(&[])
 }
 
 /// Number of distinct nodes used — the query's *span*.
@@ -274,49 +360,49 @@ impl PowerOfTwoChoices {
 }
 
 impl ScanRouter for PowerOfTwoChoices {
-    fn route(
+    fn route_into(
         &self,
         requests: &[FragmentRequest],
         queues: &mut QueueView,
-    ) -> Result<Vec<Assignment>, RouteError> {
+        _scratch: &mut Scratch,
+        out: &mut Vec<Assignment>,
+    ) -> Result<(), RouteError> {
         validate_requests(requests, queues)?;
+        let first = out.len();
         let mut chosen: HashSet<NodeId> = HashSet::new();
-        let out: Vec<Assignment> = requests
-            .iter()
-            .map(|req| {
-                let pair: [NodeId; 2] = if req.candidates.len() <= 2 {
-                    [req.candidates[0], req.candidates[req.candidates.len() - 1]]
-                } else {
-                    let a = crate::num::usize_from(self.next()) % req.candidates.len();
-                    let mut b = crate::num::usize_from(self.next()) % (req.candidates.len() - 1);
-                    if b >= a {
-                        b += 1;
-                    }
-                    [req.candidates[a], req.candidates[b]]
-                };
-                let key = |n: NodeId| {
-                    let penalty = if chosen.contains(&n) { 0 } else { self.phi };
-                    (queues.wait(n).saturating_add(penalty), n)
-                };
-                // A two-element pair always has a minimum, so take it
-                // without an Option round-trip (ties keep the first, as
-                // `min_by_key` would).
-                let node = if key(pair[1]) < key(pair[0]) {
-                    pair[1]
-                } else {
-                    pair[0]
-                };
-                crate::obs_hooks::record("routing.queue_wait_tuples", queues.wait(node));
-                queues.enqueue(node, req.size);
-                chosen.insert(node);
-                Assignment {
-                    fragment: req.fragment,
-                    node,
+        for req in requests {
+            let pair: [NodeId; 2] = if req.candidates.len() <= 2 {
+                [req.candidates[0], req.candidates[req.candidates.len() - 1]]
+            } else {
+                let a = crate::num::usize_from(self.next()) % req.candidates.len();
+                let mut b = crate::num::usize_from(self.next()) % (req.candidates.len() - 1);
+                if b >= a {
+                    b += 1;
                 }
-            })
-            .collect();
-        record_scan_metrics(&out);
-        Ok(out)
+                [req.candidates[a], req.candidates[b]]
+            };
+            let key = |n: NodeId| {
+                let penalty = if chosen.contains(&n) { 0 } else { self.phi };
+                (queues.wait(n).saturating_add(penalty), n)
+            };
+            // A two-element pair always has a minimum, so take it
+            // without an Option round-trip (ties keep the first, as
+            // `min_by_key` would).
+            let node = if key(pair[1]) < key(pair[0]) {
+                pair[1]
+            } else {
+                pair[0]
+            };
+            crate::obs_hooks::record("routing.queue_wait_tuples", queues.wait(node));
+            queues.enqueue(node, req.size);
+            chosen.insert(node);
+            out.push(Assignment {
+                fragment: req.fragment,
+                node,
+            });
+        }
+        record_scan_metrics(&out[first..]);
+        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -698,6 +784,130 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_scratch_serves_views_of_any_length_and_survives_errors() {
+        // One `Scratch` and one output buffer through scans over node
+        // universes that grow (4 → 12 nodes), shrink below nodes the
+        // previous scan touched (→ 3), hit a rejected scan, and grow again:
+        // each must route exactly as with fresh state and as the reference.
+        let wide: Vec<FragmentRequest> = (0..9)
+            .map(|i| req(i, 20 + 3 * i, &[i % 12, (i + 5) % 12, 11]))
+            .collect();
+        let narrow: Vec<FragmentRequest> = (0..5)
+            .map(|i| req(i, 10 + i, &[i % 3, (i + 1) % 3]))
+            .collect();
+        let steps: Vec<(Vec<FragmentRequest>, Vec<u64>)> = vec![
+            (
+                (0..6).map(|i| req(i, 50, &[i % 4, 3])).collect(),
+                vec![9, 0, 4, 0],
+            ),
+            (wide.clone(), (0..12).map(|n| n * 7 % 5).collect()),
+            (narrow.clone(), vec![0, 30, 2]),
+            (vec![req(0, 5, &[1]), req(1, 5, &[0, 3])], vec![0, 0, 0]), // node 3 unknown
+            (Vec::new(), vec![1, 1]),
+            (wide, vec![0; 12]),
+            (narrow, vec![5, 5, 5, 5, 5]),
+        ];
+        for phi in [0, 25, 10_000] {
+            let router = MaxOfMins::new(phi);
+            let mut scratch = Scratch::default();
+            let mut out = Vec::new();
+            for (requests, waits) in &steps {
+                let mut q_reused = QueueView::from_waits(waits.clone());
+                let mut q_fresh = q_reused.clone();
+                let mut q_ref = q_reused.clone();
+                let first = out.len();
+                let reused = router.route_into(requests, &mut q_reused, &mut scratch, &mut out);
+                let fresh = router.route(requests, &mut q_fresh);
+                let naive = reference::max_of_mins(phi, requests, &mut q_ref);
+                assert_eq!(fresh, naive, "phi {phi}");
+                match fresh {
+                    Ok(fresh) => {
+                        assert_eq!(reused, Ok(()));
+                        assert_eq!(&out[first..], &fresh[..], "phi {phi}");
+                    }
+                    Err(e) => {
+                        assert_eq!(reused, Err(e));
+                        assert_eq!(out.len(), first, "nothing placed before the rejection");
+                    }
+                }
+                for n in 0..waits.len() as u64 {
+                    assert_eq!(q_reused.wait(NodeId(n)), q_fresh.wait(NodeId(n)));
+                    assert_eq!(q_reused.wait(NodeId(n)), q_ref.wait(NodeId(n)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_scans_is_route_batch_over_kept_buffers() {
+        // The flat layout against the owning one, with the buffers reused
+        // across batches; then a layout whose ends run backwards and past
+        // the requests, whose impossible scans are read as empty instead of
+        // indexing out of bounds.
+        let mut batch = zoned_batch(2, 5, 4);
+        batch.insert(3, Vec::new());
+        let flat: Vec<FragmentRequest> = batch.iter().flatten().cloned().collect();
+        let ends_of = |scans: &[Vec<_>]| -> Vec<usize> {
+            let ends = scans.iter().scan(0, |end, scan: &Vec<_>| {
+                *end += scan.len();
+                Some(*end)
+            });
+            ends.collect()
+        };
+        let ends = ends_of(&batch);
+        let router = MaxOfMins::new(35);
+        let (mut scratch, mut out, mut out_ends) = (Scratch::default(), Vec::new(), Vec::new());
+        for waits in [vec![0; 8], vec![3, 0, 0, 40, 0, 7, 0, 0, 0]] {
+            let mut q_flat = QueueView::from_waits(waits);
+            let mut q_owned = q_flat.clone();
+            router
+                .route_scans(
+                    &flat,
+                    &ends,
+                    &mut q_flat,
+                    &mut scratch,
+                    &mut out,
+                    &mut out_ends,
+                )
+                .unwrap();
+            let owned = router.route_batch(batch.clone(), &mut q_owned).unwrap();
+            assert_eq!(out, owned.concat());
+            assert_eq!(out_ends, ends);
+            for n in 0..8 {
+                assert_eq!(q_flat.wait(NodeId(n)), q_owned.wait(NodeId(n)));
+            }
+        }
+        let mut q = QueueView::new(8);
+        MaxOfMins::new(0)
+            .route_scans(
+                &flat,
+                &[4, 2, 1_000],
+                &mut q,
+                &mut scratch,
+                &mut out,
+                &mut out_ends,
+            )
+            .unwrap();
+        assert_eq!(out_ends, vec![4, 4, 4]);
+        // A doomed batch is rejected before anything is placed.
+        let mut doomed = flat.clone();
+        doomed[flat.len() - 1].candidates.clear();
+        let mut q = QueueView::new(8);
+        let err = MaxOfMins::new(0)
+            .route_scans(
+                &doomed,
+                &ends,
+                &mut q,
+                &mut scratch,
+                &mut out,
+                &mut out_ends,
+            )
+            .unwrap_err();
+        assert!(matches!(err, RouteError::NoReplicas { .. }));
+        assert_eq!((0..8).map(|n| q.wait(NodeId(n))).sum::<u64>(), 0);
     }
 
     #[test]

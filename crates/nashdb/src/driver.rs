@@ -5,13 +5,13 @@ use std::collections::HashMap;
 
 use nashdb_cluster::{ClusterConfig, ClusterSim, DriverEvent, Metrics, QueryRequest};
 use nashdb_core::ids::{NodeId, QueryId};
-use nashdb_core::routing::{FragmentRequest, QueueView, ScanRouter};
+use nashdb_core::routing::{run_of, Assignment, QueueView, ScanRouter, Scratch};
 use nashdb_core::transition::plan_transition;
 use nashdb_sim::fault::FaultSchedule;
 use nashdb_sim::{SimDuration, SimTime};
 use nashdb_workload::Workload;
 
-use crate::scheme::{DistScheme, Distributor};
+use crate::scheme::{DistScheme, Distributor, RequestBuf};
 
 /// Driver configuration.
 #[derive(Debug, Clone, Copy)]
@@ -55,123 +55,124 @@ impl RunConfig {
 /// runs retry at most once or twice).
 const MAX_ATTEMPTS: u32 = 5;
 
-/// How the driver routed (or declined to route) one query.
-enum RouteOutcome {
-    /// One `(node, tuples)` read per fragment request.
-    Reads(Vec<(NodeId, u64)>),
-    /// Some fragment the query needs has no live replica: undispatachable
-    /// until a node restarts or the scheme changes.
-    Dead,
+/// What the serving loop (arrival → requests → route → reads → dispatch)
+/// reuses from one arrival to the next, so that in steady state an arrival
+/// allocates nothing of its own. Everything here lives for the run; only
+/// the two fragment-indexed tables (`sizes`, and the dedup table inside
+/// `requests`) are re-sized, when an applied plan changes the fragment
+/// count, and the node-indexed ones (`queues`, `scratch`) when it changes
+/// the node count. Liveness is *not* kept here: it is read through
+/// [`ClusterSim::node_alive`] (two indexed loads) as each candidate is
+/// copied, so there is no crash epoch to invalidate a cache against.
+#[derive(Default)]
+struct Serving {
+    /// The batch's fragment requests, one scan per query.
+    requests: RequestBuf,
+    /// Per query of the batch, whether it has a plan at all: every fragment
+    /// it reads is covered and has a live replica, and the router did not
+    /// reject the batch.
+    routable: Vec<bool>,
+    /// Tuples to read per fragment, as the batch's requests sized them.
+    sizes: Vec<u64>,
+    /// The router's view of the queues, refreshed from the sim per batch.
+    queues: QueueView,
+    scratch: Scratch,
+    /// The batch's assignments, query `i`'s ending at `assignment_ends[i]`.
+    assignments: Vec<Assignment>,
+    assignment_ends: Vec<usize>,
+    /// The reads of the query being dispatched.
+    reads: Vec<(NodeId, u64)>,
 }
 
-/// Builds the fragment requests for one query under the current scheme,
-/// dropping replica candidates on crashed nodes when `alive_only` is set —
-/// the routing-around-failures path. `None` means some fragment has no live
-/// replica left, so the query is undispatchable until a node restarts or the
-/// scheme changes.
-fn live_requests(
-    scheme: &DistScheme,
-    query: &QueryRequest,
-    sim: &ClusterSim,
-    alive_only: bool,
-) -> Option<Vec<FragmentRequest>> {
-    let mut requests = scheme.requests_for_query(query);
-    if alive_only {
-        for r in &mut requests {
-            r.candidates.retain(|&n| sim.node_alive(n));
-            if r.candidates.is_empty() {
-                return None;
-            }
+impl Serving {
+    /// Routes a batch of coincident queries with one router call against
+    /// one observation of the queues. The router threads its queue view
+    /// through the batch sequentially, so each query's assignment is
+    /// identical to routing it alone at its arrival instant. `alive_only`
+    /// drops replica candidates on crashed nodes — the
+    /// routing-around-failures path; a query left with a fragment nobody
+    /// live hosts is undispatchable until a node restarts or the scheme
+    /// changes. [`reads`](Self::reads) then yields each query's plan.
+    ///
+    /// Scheme construction guarantees every fragment has a replica, so a
+    /// router error here is driver/scheme drift, and a scan outside the
+    /// scheme's fragments is a workload the generators' validation would
+    /// have refused. Neither takes the run down: the affected queries are
+    /// abandoned and counted under `routing.unroutable_scans`, so a long
+    /// scenario sweep still finishes.
+    fn plan<'q>(
+        &mut self,
+        scheme: &DistScheme,
+        queries: impl Iterator<Item = &'q QueryRequest>,
+        router: &dyn ScanRouter,
+        sim: &ClusterSim,
+        alive_only: bool,
+    ) {
+        // Fragment ids are dense scheme indices: a flat table, and no
+        // refill — a fragment's size is read only for an assignment of this
+        // batch, whose request wrote it below.
+        if self.sizes.len() != scheme.fragments().len() {
+            self.sizes.resize(scheme.fragments().len(), 0);
         }
-    }
-    Some(requests)
-}
-
-/// Routes a batch of coincident queries with one router call against one
-/// queue snapshot. [`ScanRouter::route_batch`] threads the queue view
-/// through the batch sequentially, so each query's assignment is identical
-/// to routing it alone at its arrival instant — but the queue-view snapshot
-/// and the router's scratch tables are set up once for the batch.
-///
-/// Scheme construction guarantees every fragment has a replica (and
-/// `alive_only` already marked crash-broken queries [`RouteOutcome::Dead`]),
-/// so a router error here is driver/scheme drift. It used to be a panic;
-/// it now degrades to abandoning the affected queries, counted under
-/// `routing.unroutable_scans`, so a long scenario sweep still finishes.
-fn plan_reads_batch(
-    scheme: &DistScheme,
-    queries: &[&QueryRequest],
-    router: &dyn ScanRouter,
-    sim: &ClusterSim,
-    alive_only: bool,
-) -> Vec<RouteOutcome> {
-    // Fragment ids are dense scheme indices; a flat size table replaces the
-    // old per-query HashMap on this hot path.
-    let mut sizes: Vec<u64> = vec![0; scheme.fragments().len()];
-    let mut scans: Vec<Vec<FragmentRequest>> = Vec::with_capacity(queries.len());
-    let mut dead = vec![false; queries.len()];
-    for (qi, query) in queries.iter().enumerate() {
-        match live_requests(scheme, query, sim, alive_only) {
-            Some(requests) => {
-                for r in &requests {
-                    sizes[r.fragment.index()] = r.size;
+        self.requests.start_batch();
+        self.routable.clear();
+        for (qi, query) in queries.enumerate() {
+            let alive = |n| !alive_only || sim.node_alive(n);
+            let live = match scheme.append_query(query, alive, &mut self.requests) {
+                Ok(live) => live,
+                Err(_uncovered) => {
+                    nashdb_obs::counter_add("routing.unroutable_scans", 1);
+                    false
                 }
-                scans.push(requests);
-            }
-            None => {
-                // A dead query contributes an empty scan (routes to an empty
-                // assignment list, touching no queues) and stays Dead below.
-                dead[qi] = true;
-                scans.push(Vec::new());
+            };
+            // A query without a plan contributes an empty scan (routes to
+            // an empty assignment list, touching no queues).
+            self.routable.push(live);
+            // One table per batch, not per query — a known defect kept bit
+            // for bit until the frozen mirror can change with it (ROADMAP).
+            for r in self.requests.query(qi) {
+                self.sizes[r.fragment.index()] = r.size;
             }
         }
-    }
-    let lens: Vec<usize> = scans.iter().map(Vec::len).collect();
-    let mut queues = QueueView::from_waits(sim.queue_waits());
-    let routed = {
-        let _route = nashdb_obs::span("route");
-        router.route_batch(scans, &mut queues)
-    };
-    let Ok(batch) = routed else {
-        nashdb_obs::counter_add("routing.unroutable_scans", queries.len() as u64);
-        return queries.iter().map(|_| RouteOutcome::Dead).collect();
-    };
-    batch
-        .into_iter()
-        .zip(lens)
-        .zip(&dead)
-        .map(|((assignments, expected), &is_dead)| {
-            if is_dead {
-                return RouteOutcome::Dead;
-            }
-            if assignments.len() != expected {
-                // A router that drops or invents requests produced an
-                // unusable plan; abandon the query rather than the run.
-                nashdb_obs::counter_add("routing.unroutable_scans", 1);
-                return RouteOutcome::Dead;
-            }
-            RouteOutcome::Reads(
-                assignments
-                    .iter()
-                    .map(|a| (a.node, sizes[a.fragment.index()]))
-                    .collect(),
+        self.queues.refill(sim.node_waits());
+        let routed = {
+            let _route = nashdb_obs::span("route");
+            router.route_scans(
+                self.requests.requests(),
+                self.requests.ends(),
+                &mut self.queues,
+                &mut self.scratch,
+                &mut self.assignments,
+                &mut self.assignment_ends,
             )
-        })
-        .collect()
-}
+        };
+        if routed.is_err() {
+            nashdb_obs::counter_add("routing.unroutable_scans", self.routable.len() as u64);
+            self.routable.fill(false);
+        }
+    }
 
-/// [`plan_reads_batch`] for a single query — the retry path, where failed
-/// queries are re-routed one at a time as their failure events arrive.
-fn plan_reads(
-    scheme: &DistScheme,
-    query: &QueryRequest,
-    router: &dyn ScanRouter,
-    sim: &ClusterSim,
-    alive_only: bool,
-) -> RouteOutcome {
-    plan_reads_batch(scheme, &[query], router, sim, alive_only)
-        .pop()
-        .unwrap_or(RouteOutcome::Dead)
+    /// One `(node, tuples)` read per fragment request of query `qi` of the
+    /// batch just planned, or `None` if the query has no plan.
+    fn reads(&mut self, qi: usize) -> Option<&[(NodeId, u64)]> {
+        if !self.routable.get(qi).copied().unwrap_or(false) {
+            return None;
+        }
+        let assignments = run_of(&self.assignments, &self.assignment_ends, qi);
+        if assignments.len() != self.requests.query(qi).len() {
+            // A router that drops or invents requests produced an
+            // unusable plan; abandon the query rather than the run.
+            nashdb_obs::counter_add("routing.unroutable_scans", 1);
+            return None;
+        }
+        self.reads.clear();
+        self.reads.extend(
+            assignments
+                .iter()
+                .map(|a| (a.node, self.sizes[a.fragment.index()])),
+        );
+        Some(&self.reads)
+    }
 }
 
 /// Runs `workload` end to end: the distributor computes an initial scheme at
@@ -245,60 +246,55 @@ pub fn run_workload_with_faults(
     // Queries still in flight, kept only under faults so a failed query can
     // be re-routed from its original request.
     let mut inflight: HashMap<QueryId, QueryRequest> = HashMap::new();
+    let mut serving = Serving::default();
+    let mut batch: Vec<(QueryId, QueryRequest)> = Vec::new();
     let phi = cfg.phi_tuples();
     loop {
         match sim.next_event() {
             DriverEvent::QueryArrived { id, query } => {
                 // Arrivals sharing this event's timestamp (with no other
                 // driver event interleaved) are drained and routed as one
-                // batch: one queue snapshot, one router call. `route_batch`
-                // threads queue waits through the batch sequentially, so
-                // every query is assigned exactly as if routed alone the
-                // moment it arrived.
-                let mut batch = vec![(id, query)];
-                batch.extend(sim.take_coincident_arrivals());
+                // batch: one queue observation, one router call, every
+                // query assigned exactly as if routed alone the moment it
+                // arrived.
+                batch.push((id, query));
+                sim.take_coincident_arrivals_into(&mut batch);
                 let _query = nashdb_obs::span("query");
                 for (_, q) in &batch {
                     distributor.observe(q);
                 }
-                let queries: Vec<&QueryRequest> = batch.iter().map(|(_, q)| q).collect();
-                let outcomes = plan_reads_batch(&scheme, &queries, router, &sim, faults_active);
-                for ((qid, q), outcome) in batch.into_iter().zip(outcomes) {
-                    match outcome {
-                        RouteOutcome::Reads(reads) => {
-                            if faults_active {
-                                inflight.insert(qid, q);
-                            }
-                            if sim.dispatch(qid, &reads).is_err() {
-                                // Dispatch rejects only plans referencing
-                                // nodes the sim does not know — driver/sim
-                                // drift. Count it and abandon the query
-                                // instead of crashing the run.
-                                nashdb_obs::counter_add("cluster.dispatch_rejected", 1);
-                                inflight.remove(&qid);
-                                sim.abandon_query(qid);
-                            }
-                        }
-                        RouteOutcome::Dead => {
-                            sim.abandon_query(qid);
-                        }
+                let queries = batch.iter().map(|(_, q)| q);
+                serving.plan(&scheme, queries, router, &sim, faults_active);
+                for (qi, (qid, q)) in batch.drain(..).enumerate() {
+                    let Some(reads) = serving.reads(qi) else {
+                        sim.abandon_query(qid);
+                        continue;
+                    };
+                    if sim.dispatch(qid, reads).is_err() {
+                        // Dispatch rejects only plans referencing nodes the
+                        // sim does not know — driver/sim drift. Count it
+                        // and abandon the query instead of crashing the run.
+                        nashdb_obs::counter_add("cluster.dispatch_rejected", 1);
+                        sim.abandon_query(qid);
+                    } else if faults_active {
+                        inflight.insert(qid, q);
                     }
                 }
             }
             DriverEvent::QueryFailed { id, attempts } => {
                 let _retry = nashdb_obs::span("retry");
-                let outcome = if attempts >= MAX_ATTEMPTS {
-                    RouteOutcome::Dead
-                } else {
-                    match inflight.get(&id) {
-                        Some(q) => plan_reads(&scheme, q, router, &sim, true),
-                        None => RouteOutcome::Dead,
+                // Failed queries are re-routed one at a time, as their
+                // failure events arrive. No asserts here: between routing
+                // and dispatch nothing can invalidate the plan, but if state
+                // ever drifts the run degrades to an abandoned query instead
+                // of a panic.
+                let dispatched = match inflight.get(&id) {
+                    Some(q) if attempts < MAX_ATTEMPTS => {
+                        serving.plan(&scheme, std::iter::once(q), router, &sim, true);
+                        matches!(serving.reads(0), Some(reads) if sim.dispatch(id, reads).is_ok())
                     }
+                    _ => false,
                 };
-                // No asserts here: between routing and dispatch nothing can
-                // invalidate the plan, but if state ever drifts the run
-                // degrades to an abandoned query instead of a panic.
-                let dispatched = matches!(&outcome, RouteOutcome::Reads(reads) if sim.dispatch(id, reads).is_ok());
                 if !dispatched {
                     sim.abandon_query(id);
                     inflight.remove(&id);
@@ -466,6 +462,35 @@ mod tests {
             pricey.peak_nodes,
             cheap.peak_nodes
         );
+    }
+
+    #[test]
+    fn scan_past_its_table_abandons_one_query_not_the_run() {
+        // `Workload`'s fields are public and `validated()` is opt-in: a
+        // hand-built stream can hold a scan that runs past its table. The
+        // distributor clamps it; the scheme cannot decompose it. That used
+        // to be an assert inside the serving loop.
+        let mut w = bernoulli(&BernoulliConfig {
+            size_gb: 2,
+            queries: 40,
+            ..BernoulliConfig::default()
+        });
+        let tuples = w.db.tables[0].tuples;
+        w.queries[17].query.scans[0].end = tuples + 1_000;
+        let run = RunConfig {
+            cluster: fast_cluster(),
+            ..RunConfig::default()
+        };
+        let session = nashdb_obs::ObsSession::start();
+        let mut nash = NashDbDistributor::new(&w.db, nash_cfg());
+        let m = run_workload(&w, &mut nash, &MaxOfMins::new(run.phi_tuples()), &run);
+        let snap = session.finish();
+        assert_eq!(m.availability.queries_abandoned, 1);
+        assert_eq!(m.queries.len(), 39);
+        assert!(m.queries.iter().all(|q| q.id != QueryId(17)));
+        // Degraded exactly like a router error.
+        assert_eq!(snap.counter("routing.unroutable_scans"), Some(1));
+        assert_eq!(snap.counter("cluster.queries_abandoned"), Some(1));
     }
 
     #[test]

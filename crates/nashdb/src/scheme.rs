@@ -1,12 +1,10 @@
 //! Distribution schemes and the system-under-evaluation interface.
 
-use std::collections::HashMap;
-
 use nashdb_cluster::{QueryRequest, ScanRange};
 use nashdb_core::fragment::FragmentRange;
 use nashdb_core::ids::{FragmentId, NodeId, TableId};
 use nashdb_core::num::usize_from;
-use nashdb_core::routing::FragmentRequest;
+use nashdb_core::routing::{run_of, FragmentRequest};
 use nashdb_core::transition::IntervalSet;
 use nashdb_workload::Database;
 
@@ -21,6 +19,150 @@ pub struct GlobalFragment {
     pub range: FragmentRange,
 }
 
+/// Part of a scanned range lies in no fragment of the scheme, so the scan
+/// has no decomposition into fragment reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum UncoveredScan {
+    /// The scan crosses a hole before or between fragments.
+    Gap {
+        /// The offending scan.
+        scan: ScanRange,
+        /// The first tuple no fragment holds.
+        at: u64,
+    },
+    /// The scan runs past its table's last fragment (or names a table the
+    /// scheme has no fragment of).
+    PastEnd {
+        /// The offending scan.
+        scan: ScanRange,
+        /// Where coverage stops.
+        covered: u64,
+    },
+}
+
+impl std::fmt::Display for UncoveredScan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (UncoveredScan::Gap { scan, .. } | UncoveredScan::PastEnd { scan, .. }) = self;
+        write!(
+            f,
+            "scan {}..{} of table {} ",
+            scan.start, scan.end, scan.table
+        )?;
+        match self {
+            UncoveredScan::Gap { at, .. } => write!(f, "hits a fragmentation gap at {at}"),
+            UncoveredScan::PastEnd { covered, .. } => {
+                write!(f, "extends past the fragmented region ({covered})")
+            }
+        }
+    }
+}
+
+/// The fragment requests of a batch of queries, built in place by
+/// [`DistScheme::append_query`] and reused from batch to batch: the pooled
+/// requests keep their candidate lists' capacity and the dedup table is
+/// stamped, not refilled, so a warm buffer takes a query without allocating.
+/// Query `i` of the batch owns `requests()[ends()[i - 1]..ends()[i]]`.
+#[derive(Debug, Default)]
+pub(crate) struct RequestBuf {
+    /// The batch's requests are the first `used`; the rest are spares kept
+    /// for their candidate lists.
+    pool: Vec<FragmentRequest>,
+    used: usize,
+    /// Per query of the batch, where its requests end.
+    ends: Vec<usize>,
+    /// Per fragment of the scheme, the query that last requested it and the
+    /// request's slot in `pool`: one request per fragment per query.
+    seen: Vec<(u64, usize)>,
+    /// Stamp of the query being appended. Stamps only grow, so an entry a
+    /// previous query — or a previous scheme — left in `seen` never matches.
+    query: u64,
+}
+
+impl RequestBuf {
+    /// Forgets the previous batch.
+    pub(crate) fn start_batch(&mut self) {
+        self.used = 0;
+        self.ends.clear();
+    }
+
+    /// Every request of the batch, query after query.
+    pub(crate) fn requests(&self) -> &[FragmentRequest] {
+        &self.pool[..self.used]
+    }
+
+    /// Where each query's requests end in [`requests`](Self::requests).
+    pub(crate) fn ends(&self) -> &[usize] {
+        &self.ends
+    }
+
+    /// The requests of query `i` of the batch (empty for a query that has
+    /// none, or for an `i` past the batch).
+    pub(crate) fn query(&self, i: usize) -> &[FragmentRequest] {
+        run_of(&self.pool, &self.ends, i)
+    }
+
+    /// The batch's requests as an owned list, for the allocating adapters.
+    fn into_requests(mut self) -> Vec<FragmentRequest> {
+        self.pool.truncate(self.used);
+        self.pool
+    }
+
+    /// Opens the next query of the batch under a scheme of `fragments`
+    /// fragments; [`end_query`](Self::end_query) closes it.
+    fn begin_query(&mut self, fragments: usize) {
+        if self.seen.len() != fragments {
+            self.seen.resize(fragments, (0, 0));
+        }
+        self.query = self.query.wrapping_add(1);
+    }
+
+    /// Closes the open query. Unless it is `live`, it keeps none of its
+    /// requests and is an empty scan of the batch.
+    fn end_query(&mut self, live: bool) {
+        if !live {
+            self.used = self.ends.last().copied().unwrap_or(0);
+        }
+        self.ends.push(self.used);
+    }
+
+    /// Adds a read of `size` tuples of fragment `f` (`cap` tuples long,
+    /// hosted on `hosts`) to the open query: a new request listing the hosts
+    /// `alive` accepts, or more tuples on the request the query already has
+    /// for `f` (capped at the fragment — overlapping scans do not re-read).
+    /// `false` if the fragment has no live host.
+    fn read(
+        &mut self,
+        f: usize,
+        size: u64,
+        cap: u64,
+        hosts: &[NodeId],
+        alive: impl Fn(NodeId) -> bool,
+    ) -> bool {
+        let (query, slot) = self.seen[f];
+        if query == self.query {
+            let request = &mut self.pool[slot];
+            request.size = request.size.saturating_add(size).min(cap);
+            return true;
+        }
+        self.seen[f] = (self.query, self.used);
+        if self.used == self.pool.len() {
+            self.pool.push(FragmentRequest {
+                fragment: FragmentId(0),
+                size: 0,
+                candidates: Vec::with_capacity(hosts.len()),
+            });
+        }
+        let request = &mut self.pool[self.used];
+        self.used += 1;
+        request.fragment = FragmentId(f as u64);
+        request.size = size;
+        request.candidates.clear();
+        request.candidates.extend_from_slice(hosts);
+        request.candidates.retain(|&n| alive(n));
+        !request.candidates.is_empty()
+    }
+}
+
 /// A complete data distribution: every fragment of every table, and which
 /// node hosts which replicas. This is what each *system* (NashDB or a
 /// baseline) hands the driver at every reconfiguration.
@@ -31,8 +173,9 @@ pub struct DistScheme {
     nodes: Vec<Vec<usize>>,
     /// Per fragment, its hosting nodes.
     hosts: Vec<Vec<NodeId>>,
-    /// Per table, fragment indices sorted by range start (for scan lookup).
-    by_table: HashMap<TableId, Vec<usize>>,
+    /// Fragment indices sorted by `(table, range start)`: a table's
+    /// fragments are one run of it, in tuple order (for scan lookup).
+    by_start: Vec<usize>,
 }
 
 impl DistScheme {
@@ -54,25 +197,21 @@ impl DistScheme {
         for (f, h) in hosts.iter().enumerate() {
             assert!(!h.is_empty(), "fragment {f} has no replicas");
         }
-        let mut by_table: HashMap<TableId, Vec<usize>> = HashMap::new();
-        for (i, gf) in fragments.iter().enumerate() {
-            by_table.entry(gf.table).or_default().push(i);
-        }
-        // nashdb-lint: allow(map-iter-order) -- validation-only pass; tables are checked independently and the asserts are order-agnostic
-        for (table, idxs) in &mut by_table {
-            idxs.sort_by_key(|&i| fragments[i].range.start);
-            for w in idxs.windows(2) {
-                assert!(
-                    fragments[w[0]].range.end <= fragments[w[1]].range.start,
-                    "fragments of table {table} overlap"
-                );
-            }
+        let mut by_start: Vec<usize> = (0..fragments.len()).collect();
+        by_start.sort_by_key(|&i| (fragments[i].table, fragments[i].range.start));
+        for w in by_start.windows(2) {
+            let (a, b) = (&fragments[w[0]], &fragments[w[1]]);
+            assert!(
+                a.table != b.table || a.range.end <= b.range.start,
+                "fragments of table {} overlap",
+                a.table
+            );
         }
         DistScheme {
             fragments,
             nodes,
             hosts,
-            by_table,
+            by_start,
         }
     }
 
@@ -108,70 +247,91 @@ impl DistScheme {
     /// Panics if part of the scanned range is not covered by any fragment —
     /// a scheme must cover every tuple a query can touch.
     pub fn requests_for_scan(&self, scan: &ScanRange) -> Vec<FragmentRequest> {
-        // A table with no fragments at all falls through to the coverage
-        // assert below, which reports the uncovered range.
-        let idxs = self
-            .by_table
-            .get(&scan.table)
-            .map_or(&[][..], Vec::as_slice);
-        let mut out = Vec::new();
-        let mut covered = scan.start;
-        let first = idxs.partition_point(|&i| self.fragments[i].range.end <= scan.start);
-        for &i in &idxs[first..] {
-            let r = self.fragments[i].range;
-            if r.start >= scan.end {
-                break;
-            }
-            assert!(
-                r.start <= covered,
-                "scan {}..{} of table {} hits a fragmentation gap at {covered}",
-                scan.start,
-                scan.end,
-                scan.table
-            );
-            covered = r.end;
-            out.push(FragmentRequest {
-                fragment: FragmentId(i as u64),
-                size: r.overlap(scan.start, scan.end),
-                candidates: self.hosts[i].clone(),
-            });
-        }
-        assert!(
-            covered >= scan.end,
-            "scan {}..{} of table {} extends past the fragmented region ({covered})",
-            scan.start,
-            scan.end,
-            scan.table
-        );
-        out
+        let mut buf = RequestBuf::default();
+        buf.begin_query(self.fragments.len());
+        assert_covered(self.append_scan(scan, |_| true, &mut buf).err());
+        buf.end_query(true);
+        buf.into_requests()
     }
 
     /// All fragment requests for a query, deduplicated: two scans touching
     /// the same fragment issue one request whose size is the summed overlap
     /// (capped at the fragment size — overlapping scans do not re-read).
     ///
-    /// Fragment ids are dense indices into this scheme, so deduplication is
-    /// a flat scratch table (one slot per fragment) rather than a hash map:
-    /// the fill is a memset and every lookup in the per-query hot path is a
-    /// bounds-checked index.
+    /// # Panics
+    /// Panics if part of a scanned range is not covered by any fragment, as
+    /// [`requests_for_scan`](Self::requests_for_scan) does.
     pub fn requests_for_query(&self, query: &QueryRequest) -> Vec<FragmentRequest> {
-        const UNSEEN: usize = usize::MAX;
-        let mut slot_of: Vec<usize> = vec![UNSEEN; self.fragments.len()];
-        let mut out: Vec<FragmentRequest> = Vec::new();
+        let mut buf = RequestBuf::default();
+        assert_covered(self.append_query(query, |_| true, &mut buf).err());
+        buf.into_requests()
+    }
+
+    /// [`requests_for_query`](Self::requests_for_query) in place, for a
+    /// caller that serves query after query: appends `query` to the batch in
+    /// `buf` as its next scan, listing per request only the hosts `alive`
+    /// accepts. `Ok(false)` means some fragment the query reads has no live
+    /// host; such a query, like one that is not covered, joins the batch as
+    /// an empty scan.
+    pub(crate) fn append_query(
+        &self,
+        query: &QueryRequest,
+        alive: impl Fn(NodeId) -> bool,
+        buf: &mut RequestBuf,
+    ) -> Result<bool, UncoveredScan> {
+        buf.begin_query(self.fragments.len());
+        let mut live = Ok(true);
         for scan in &query.scans {
-            for req in self.requests_for_scan(scan) {
-                let f = usize_from(req.fragment.get());
-                if slot_of[f] == UNSEEN {
-                    slot_of[f] = out.len();
-                    out.push(req);
-                } else {
-                    let i = slot_of[f];
-                    let cap = self.fragments[f].range.size();
-                    out[i].size = (out[i].size + req.size).min(cap);
-                }
+            live = self.append_scan(scan, &alive, buf);
+            if live != Ok(true) {
+                break;
             }
         }
-        out
+        buf.end_query(live == Ok(true));
+        live
+    }
+
+    /// The one scan → fragments decomposition: walks the fragments `scan`
+    /// overlaps, in tuple order, adding a read of each overlap to the query
+    /// open in `buf`. Stops at the first fragment without a live host
+    /// (`Ok(false)`) or the first uncovered tuple.
+    fn append_scan(
+        &self,
+        scan: &ScanRange,
+        alive: impl Fn(NodeId) -> bool,
+        buf: &mut RequestBuf,
+    ) -> Result<bool, UncoveredScan> {
+        let mut covered = scan.start;
+        // A table with no fragments at all finds an empty run and reports
+        // its whole range uncovered below.
+        let first = self.by_start.partition_point(|&i| {
+            let f = &self.fragments[i];
+            (f.table, f.range.end) <= (scan.table, scan.start)
+        });
+        for &i in &self.by_start[first..] {
+            let GlobalFragment { table, range } = self.fragments[i];
+            if table != scan.table || range.start >= scan.end {
+                break;
+            }
+            if range.start > covered {
+                return Err(UncoveredScan::Gap {
+                    scan: *scan,
+                    at: covered,
+                });
+            }
+            covered = range.end;
+            let size = range.overlap(scan.start, scan.end);
+            if !buf.read(i, size, range.size(), &self.hosts[i], &alive) {
+                return Ok(false);
+            }
+        }
+        if covered < scan.end {
+            return Err(UncoveredScan::PastEnd {
+                scan: *scan,
+                covered,
+            });
+        }
+        Ok(true)
     }
 
     /// Per-node tuple interval sets in *global* coordinates (tables laid out
@@ -196,20 +356,33 @@ impl DistScheme {
     /// Checks that every tuple of every table is covered by some fragment.
     pub fn covers(&self, db: &Database) -> bool {
         db.tables.iter().all(|t| {
-            let Some(idxs) = self.by_table.get(&t.id) else {
-                return false;
-            };
+            let first = self
+                .by_start
+                .partition_point(|&i| self.fragments[i].table < t.id);
             let mut covered = 0;
-            for &i in idxs {
-                let r = self.fragments[i].range;
-                if r.start > covered {
+            for &i in &self.by_start[first..] {
+                let GlobalFragment { table, range } = self.fragments[i];
+                if table != t.id {
+                    break;
+                }
+                if range.start > covered {
                     return false;
                 }
-                covered = covered.max(r.end);
+                covered = covered.max(range.end);
             }
             covered >= t.tuples
         })
     }
+}
+
+/// The public adapters' documented panic on an uncovered scan — the one
+/// site both reach; the serving path takes the error instead.
+fn assert_covered(uncovered: Option<UncoveredScan>) {
+    assert!(
+        uncovered.is_none(),
+        "{}",
+        uncovered.map_or_else(String::new, |e| e.to_string())
+    );
 }
 
 /// Global tuple offset of each table (tables laid out end to end).

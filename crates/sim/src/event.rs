@@ -3,9 +3,19 @@
 //! Events are popped in nondecreasing time order; ties are broken by
 //! insertion order (FIFO), which keeps simulations deterministic even when
 //! many events share a timestamp (common with integer clocks).
+//!
+//! Events scheduled in time order — a whole workload's arrivals, loaded
+//! before the run — are kept in a FIFO *run* beside the heap rather than in
+//! it, so the heap holds only what was scheduled out of order (in a cluster
+//! simulation: about one completion per node) and a pop costs the logarithm
+//! of that, not of the workload's length. The run is sorted by `(at, seq)`
+//! because an event joins it only when its time is no earlier than the
+//! run's tail and `seq` only grows; the heap yields its own minimum; so the
+//! smaller of the two heads is the global minimum and the pop order is the
+//! one a single heap would produce.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -57,6 +67,9 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Events that arrived in `(at, seq)` order, oldest first.
+    run: VecDeque<Scheduled<E>>,
+    /// Every other event.
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
@@ -72,6 +85,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
@@ -86,12 +100,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// True iff no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 
     /// Schedules `payload` to fire at time `at`.
@@ -107,30 +121,56 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, payload });
+        let event = Scheduled { at, seq, payload };
+        match self.run.back() {
+            Some(tail) if at < tail.at => self.heap.push(event),
+            _ => self.run.push_back(event),
+        }
+    }
+
+    /// Whether the next event is the run's head (else the heap's). `Ord` on
+    /// [`Scheduled`] is inverted for the max-heap, so "greater" is earlier.
+    fn run_is_next(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(run), Some(heap)) => run > heap,
+            (run, _) => run.is_some(),
+        }
+    }
+
+    fn head(&self) -> Option<&Scheduled<E>> {
+        if self.run_is_next() {
+            self.run.front()
+        } else {
+            self.heap.peek()
+        }
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        self.head().map(|s| s.at)
     }
 
     /// The next event — timestamp and a borrow of its payload — without
     /// popping it or advancing the clock. Lets callers batch coincident
     /// events: inspect the head, and only pop when it belongs to the batch.
     pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.peek().map(|s| (s.at, &s.payload))
+        self.head().map(|s| (s.at, &s.payload))
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
+        let s = if self.run_is_next() {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        }?;
         self.now = s.at;
         Some((s.at, s.payload))
     }
 
     /// Drops all pending events without advancing the clock.
     pub fn clear(&mut self) {
+        self.run.clear();
         self.heap.clear();
     }
 }
@@ -219,5 +259,61 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), "first")));
         assert_eq!(q.peek(), Some((SimTime::from_secs(1), &"second")));
+    }
+
+    #[test]
+    fn sorted_run_and_heap_pop_as_one_stable_queue() {
+        // The shape a cluster run has: a time-ordered bulk (it fills the
+        // run), then stragglers below its tail (the heap), equal timestamps
+        // on both sides, scheduling at `now` once the run has drained, and a
+        // `clear` in the middle. The reference is a list popped by minimum
+        // `(at, insertion index)`.
+        let mut q = EventQueue::new();
+        let mut reference: Vec<(u64, u32)> = Vec::new();
+        let mut next = 0u32;
+        let mut schedule = |q: &mut EventQueue<u32>, reference: &mut Vec<(u64, u32)>, at: u64| {
+            q.schedule(SimTime::from_nanos(at), next);
+            reference.push((at, next));
+            next += 1;
+        };
+        let pop_and_check = |q: &mut EventQueue<u32>, reference: &mut Vec<(u64, u32)>| {
+            let expected = reference.iter().copied().min();
+            reference.retain(|&e| Some(e) != expected);
+            let expected = expected.map(|(at, id)| (SimTime::from_nanos(at), id));
+            assert_eq!(q.peek().map(|(at, &id)| (at, id)), expected);
+            assert_eq!(q.peek_time(), expected.map(|(at, _)| at));
+            assert_eq!(q.pop(), expected);
+            assert_eq!(q.len(), reference.len());
+        };
+        for at in [2, 2, 5, 5, 9, 9, 9, 14] {
+            schedule(&mut q, &mut reference, at);
+        }
+        for at in [7, 2, 9, 3, 14, 1] {
+            schedule(&mut q, &mut reference, at);
+        }
+        for _ in 0..6 {
+            pop_and_check(&mut q, &mut reference);
+        }
+        // Mid-drain: at `now`, below the run's tail, and past it.
+        let now = q.now().as_nanos();
+        for at in [now, now, 14, 20, now + 1] {
+            schedule(&mut q, &mut reference, at);
+        }
+        for _ in 0..4 {
+            pop_and_check(&mut q, &mut reference);
+        }
+        q.clear();
+        reference.clear();
+        assert!(q.is_empty());
+        pop_and_check(&mut q, &mut reference);
+        // The run is empty again: the next events restart it at `now`.
+        let now = q.now().as_nanos();
+        for at in [now, now + 3, now, now + 3, now + 1] {
+            schedule(&mut q, &mut reference, at);
+        }
+        while !reference.is_empty() {
+            pop_and_check(&mut q, &mut reference);
+        }
+        pop_and_check(&mut q, &mut reference);
     }
 }

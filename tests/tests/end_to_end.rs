@@ -1,18 +1,25 @@
 //! Cross-crate integration tests: the full NashDB pipeline against the
 //! simulated cluster, on every workload family.
 
-use nashdb::{run_workload, MaxOfMins, NashDbConfig, NashDbDistributor, RunConfig};
+use std::collections::HashMap;
+
+use nashdb::{
+    run_workload, run_workload_with_faults, DistScheme, Distributor, MaxOfMins, NashDbConfig,
+    NashDbDistributor, RunConfig,
+};
 use nashdb_baselines::{
     GreedySetCover, HypergraphDistributor, ShortestQueue, ThresholdDistributor,
 };
-use nashdb_cluster::ClusterConfig;
+use nashdb_cluster::{ClusterConfig, ClusterSim, DriverEvent, Metrics, QueryRequest};
 use nashdb_core::economics::NodeSpec;
-use nashdb_core::routing::ScanRouter;
-use nashdb_sim::SimDuration;
+use nashdb_core::ids::{NodeId, QueryId, TableId};
+use nashdb_core::routing::{Assignment, FragmentRequest, QueueView, ScanRouter};
+use nashdb_core::transition::plan_transition;
+use nashdb_sim::{FaultEvent, FaultKind, FaultSchedule, SimDuration, SimTime};
 use nashdb_workload::bernoulli::{workload as bernoulli, BernoulliConfig};
 use nashdb_workload::random::{workload as random, RandomConfig};
 use nashdb_workload::tpch::{workload as tpch, TpchConfig};
-use nashdb_workload::{realistic, Workload};
+use nashdb_workload::{realistic, Database, Workload};
 
 fn cluster() -> ClusterConfig {
     ClusterConfig {
@@ -205,4 +212,217 @@ fn prices_buy_performance_end_to_end() {
         pricey.mean_latency_secs(),
         cheap.mean_latency_secs()
     );
+}
+
+// ---------------------------------------------------------------------------
+// The driver against a naive loop over the public adapters
+// ---------------------------------------------------------------------------
+
+/// The reads of each query of a batch, `None` for one that cannot be routed:
+/// everything allocated afresh through `requests_for_query`,
+/// `retain(node_alive)`, `queue_waits` and `route_batch`.
+fn naive_plans(
+    scheme: &DistScheme,
+    queries: &[&QueryRequest],
+    router: &dyn ScanRouter,
+    sim: &ClusterSim,
+    alive_only: bool,
+) -> Vec<Option<Vec<(NodeId, u64)>>> {
+    let mut scans = Vec::new();
+    for query in queries {
+        let mut requests = scheme.requests_for_query(query);
+        for r in &mut requests {
+            r.candidates.retain(|&n| !alive_only || sim.node_alive(n));
+        }
+        // A query that lost a fragment's last live replica joins the batch
+        // as an empty scan.
+        let dead = requests.iter().any(|r| r.candidates.is_empty());
+        scans.push(if dead { None } else { Some(requests) });
+    }
+    let mut queues = QueueView::from_waits(sim.queue_waits());
+    let batch = scans
+        .iter()
+        .map(|s| s.clone().unwrap_or_default())
+        .collect();
+    let Ok(routed) = router.route_batch(batch, &mut queues) else {
+        return vec![None; queries.len()];
+    };
+    // Each read at its own request's size, `None` if the router answered
+    // for a fragment the query did not ask for.
+    let plan = |(requests, assignments): (Option<Vec<FragmentRequest>>, Vec<Assignment>)| {
+        let requests = requests?;
+        let read = |a: &Assignment| {
+            let own = requests.iter().find(|r| r.fragment == a.fragment)?;
+            Some((a.node, own.size))
+        };
+        assignments.iter().map(read).collect()
+    };
+    scans.into_iter().zip(routed).map(plan).collect()
+}
+
+/// What `run_workload_with_faults` does, written the slow way; also counts
+/// the applied plans that changed the node count.
+fn naive_run(
+    workload: &Workload,
+    distributor: &mut dyn Distributor,
+    router: &dyn ScanRouter,
+    cfg: &RunConfig,
+    faults: &FaultSchedule,
+) -> (Metrics, usize) {
+    let mut sim = ClusterSim::new(cfg.cluster);
+    for tq in &workload.queries {
+        sim.schedule_query(tq.at, tq.query.clone());
+    }
+    sim.schedule_faults(faults);
+    let last = workload.queries.last().map_or(SimTime::ZERO, |q| q.at);
+    let mut t = SimTime::ZERO + cfg.reconfig_interval;
+    while t <= last {
+        sim.schedule_wakeup(t, 0);
+        t += cfg.reconfig_interval;
+    }
+    for tq in workload.queries.iter().take(cfg.warmup_queries) {
+        distributor.observe(&tq.query);
+    }
+    let mut scheme = distributor.scheme();
+    let mut intervals = scheme.node_intervals(&workload.db);
+    let provisioned = sim.reconfigure(&plan_transition(&[], &intervals));
+    assert!(
+        provisioned.is_ok(),
+        "initial plan rejected: {provisioned:?}"
+    );
+    let mut inflight: HashMap<QueryId, QueryRequest> = HashMap::new();
+    let mut resized = 0;
+    loop {
+        match sim.next_event() {
+            DriverEvent::QueryArrived { id, query } => {
+                let mut batch = vec![(id, query)];
+                batch.extend(sim.take_coincident_arrivals());
+                for (_, q) in &batch {
+                    distributor.observe(q);
+                }
+                let queries: Vec<&QueryRequest> = batch.iter().map(|(_, q)| q).collect();
+                let plans = naive_plans(&scheme, &queries, router, &sim, !faults.is_empty());
+                for ((qid, q), plan) in batch.into_iter().zip(plans) {
+                    match plan {
+                        Some(reads) if sim.dispatch(qid, &reads).is_ok() => {
+                            inflight.insert(qid, q);
+                        }
+                        _ => assert!(sim.abandon_query(qid)),
+                    }
+                }
+            }
+            DriverEvent::QueryFailed { id, attempts } => {
+                // The driver gives up after five failed attempts.
+                let plan = match inflight.get(&id) {
+                    Some(q) if attempts < 5 => naive_plans(&scheme, &[q], router, &sim, true)
+                        .pop()
+                        .flatten(),
+                    _ => None,
+                };
+                if !matches!(plan, Some(reads) if sim.dispatch(id, &reads).is_ok()) {
+                    assert!(sim.abandon_query(id));
+                }
+            }
+            DriverEvent::Wakeup { .. } => {
+                let new_scheme = distributor.scheme();
+                let new_intervals = new_scheme.node_intervals(&workload.db);
+                if sim
+                    .reconfigure(&plan_transition(&intervals, &new_intervals))
+                    .is_ok()
+                {
+                    resized += usize::from(new_intervals.len() != intervals.len());
+                    scheme = new_scheme;
+                    intervals = new_intervals;
+                }
+            }
+            DriverEvent::Finished => break,
+            _ => {}
+        }
+    }
+    (sim.finish(), resized)
+}
+
+/// Two tables queried in lockstep — arrival `k` of each at the same instant,
+/// so every arrival event is a batch of two — at a price that rises and then
+/// falls, so the cluster grows and then shrinks.
+fn lockstep_workload(queries: usize) -> Workload {
+    let mut tables = Vec::new();
+    let mut merged = Vec::new();
+    for (k, name) in ["left", "right"].into_iter().enumerate() {
+        let part = bernoulli(&BernoulliConfig {
+            size_gb: 3,
+            queries,
+            spacing: SimDuration::from_secs(20),
+            seed: 11 + k as u64,
+            ..BernoulliConfig::default()
+        });
+        tables.push((name, part.db.tables[0].tuples));
+        for (i, mut tq) in part.queries.into_iter().enumerate() {
+            tq.query.price = if (queries / 3..2 * queries / 3).contains(&i) {
+                32.0
+            } else {
+                4.0
+            };
+            for scan in &mut tq.query.scans {
+                scan.table = TableId(k as u64);
+            }
+            merged.push(tq);
+        }
+    }
+    merged.sort_by_key(|tq| tq.at);
+    Workload {
+        name: "lockstep".to_owned(),
+        db: Database::new(tables),
+        queries: merged,
+    }
+    .validated()
+}
+
+#[test]
+fn driver_matches_allocating_reference_loop() {
+    let w = lockstep_workload(150);
+    let run = RunConfig {
+        cluster: cluster(),
+        reconfig_interval: SimDuration::from_secs(400),
+        warmup_queries: 20,
+        ..RunConfig::default()
+    };
+    let nash = NashDbConfig {
+        window: 20,
+        ..nash_cfg(1_000_000)
+    };
+    // Arrivals come every 20 s and a query's reads take about a second:
+    // crashing 300 ms after an arrival catches reads in flight.
+    let restart = |arrival: u64, node: u64| FaultEvent {
+        at: SimTime::from_secs(20 * arrival) + SimDuration::from_millis(300),
+        node,
+        kind: FaultKind::CrashRestart {
+            down_for: SimDuration::from_secs(45),
+        },
+    };
+    let crashes = FaultSchedule::from_events(
+        (0..24)
+            .map(|i| restart(4 + 6 * i, (5 * i + 1) % 7))
+            .collect(),
+    );
+    for faults in [FaultSchedule::none(), crashes] {
+        let router = MaxOfMins::new(run.phi_tuples());
+        let mut dist = NashDbDistributor::new(&w.db, nash);
+        let driven = run_workload_with_faults(&w, &mut dist, &router, &run, &faults);
+        let mut dist = NashDbDistributor::new(&w.db, nash);
+        let (naive, resized) = naive_run(&w, &mut dist, &router, &run, &faults);
+        // `Metrics` is not `PartialEq`; its `Debug` form holds every field,
+        // floats in shortest round-trip form.
+        assert_eq!(format!("{driven:?}"), format!("{naive:?}"));
+        // The comparison covered what it claims to.
+        assert!(resized >= 2, "only {resized} plans changed the node count");
+        let served = driven.queries.len() as u64 + driven.availability.queries_abandoned;
+        assert_eq!(served, w.queries.len() as u64);
+        if !faults.is_empty() {
+            assert!(
+                driven.availability.queries_retried > 0,
+                "no query was retried"
+            );
+        }
+    }
 }

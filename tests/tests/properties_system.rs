@@ -7,7 +7,7 @@ use nashdb_cluster::{ClusterConfig, ClusterSim, DriverEvent, QueryRequest, ScanR
 use nashdb_core::ids::{FragmentId, NodeId, TableId};
 use nashdb_core::routing::{
     reference, Assignment, FragmentRequest, MaxOfMins, PowerOfTwoChoices, QueueView, RouteError,
-    ScanRouter,
+    ScanRouter, Scratch,
 };
 use nashdb_core::transition::{plan_transition, IntervalSet};
 use nashdb_sim::{SimDuration, SimTime};
@@ -184,6 +184,41 @@ proptest! {
             let n = NodeId(n as u64);
             prop_assert_eq!(q_batch.wait(n), q_seq.wait(n));
             prop_assert_eq!(q_batch.wait(n), q_ref.wait(n));
+        }
+
+        // The same scans through ONE scratch and ONE output buffer, each
+        // against a queue view just long enough for its candidates plus a
+        // pad that grows and then shrinks: state a scan leaves in the
+        // scratch, or a view of another length, must not reach the next.
+        let mut scratch = Scratch::default();
+        let mut flat: Vec<Assignment> = Vec::new();
+        let mut current = waits.clone();
+        for (i, scan) in scans.iter().enumerate() {
+            let needed = scan
+                .iter()
+                .flat_map(|r| &r.candidates)
+                .map(|n| n.index() + 1)
+                .max()
+                .unwrap_or(0);
+            let len = needed + [0, 3, 7, 2, 0][i % 5];
+            let view: Vec<u64> = (0..len).map(|n| current.get(n).copied().unwrap_or(0)).collect();
+            let mut q_reused = QueueView::from_waits(view.clone());
+            let mut q_fresh = QueueView::from_waits(view.clone());
+            let mut q_ref = QueueView::from_waits(view);
+            let first = flat.len();
+            router.route_into(scan, &mut q_reused, &mut scratch, &mut flat).unwrap();
+            let fresh = router.route(scan, &mut q_fresh).unwrap();
+            let naive = reference::max_of_mins(phi, scan, &mut q_ref).unwrap();
+            prop_assert_eq!(&flat[first..], &fresh[..], "scan {}, phi {}", i, phi);
+            prop_assert_eq!(&flat[first..], &naive[..], "scan {}, phi {}", i, phi);
+            for n in 0..len {
+                let node = NodeId(n as u64);
+                prop_assert_eq!(q_reused.wait(node), q_fresh.wait(node));
+                prop_assert_eq!(q_reused.wait(node), q_ref.wait(node));
+                if let Some(slot) = current.get_mut(n) {
+                    *slot = q_reused.wait(node);
+                }
+            }
         }
     }
 
