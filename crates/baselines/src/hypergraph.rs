@@ -178,11 +178,12 @@ impl HypergraphDistributor {
     }
 
     fn to_global(&self, q: &QueryRequest) -> Vec<(u64, u64)> {
+        // A scan of a table outside the database has no global position.
         q.scans
             .iter()
-            .map(|s| {
-                let off = self.offsets[usize_from(s.table.get())];
-                (off + s.start, off + s.end)
+            .filter_map(|s| {
+                let off = self.offsets.get(usize_from(s.table.get()))?;
+                Some((off + s.start, off + s.end))
             })
             .collect()
     }
@@ -374,6 +375,15 @@ mod tests {
             s.total_replicas() > s.fragments().len(),
             "no repair replicas were added"
         );
+    }
+
+    #[test]
+    fn scan_of_unknown_table_is_not_windowed() {
+        let database = db();
+        let mut h = HypergraphDistributor::new(&database, 4, 60_000, 50);
+        h.observe(&query(&[(9, 0, 30_000), (1, 0, 10_000)]));
+        // Only the scan of table b (laid out after a's 60 000 tuples).
+        assert_eq!(h.window, [(60_000, 70_000)]);
     }
 
     #[test]

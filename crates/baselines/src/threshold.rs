@@ -125,10 +125,15 @@ impl ThresholdDistributor {
 impl Distributor for ThresholdDistributor {
     fn observe(&mut self, query: &QueryRequest) {
         for s in &query.scans {
+            let table = usize_from(s.table.get());
+            // A scan of a table outside the database has no blocks to count.
+            let Some(tuples) = self.db.tables.get(table).map(|t| t.tuples) else {
+                continue;
+            };
             let w = WindowedScan {
-                table: usize_from(s.table.get()),
+                table,
                 start: s.start,
-                end: s.end.min(self.db.tables[usize_from(s.table.get())].tuples),
+                end: s.end.min(tuples),
             };
             if w.start >= w.end {
                 continue;
@@ -288,6 +293,17 @@ mod tests {
             .next()
             .unwrap();
         assert!(hot_replicas >= 2, "hot block has {hot_replicas} replicas");
+    }
+
+    #[test]
+    fn scan_of_unknown_table_is_not_counted() {
+        let database = db();
+        let mut t = ThresholdDistributor::new(&database, 4, 64_000, 50);
+        let mut q = query(0, 1_000);
+        q.scans[0].table = TableId(9);
+        t.observe(&q);
+        assert!(t.window.is_empty());
+        assert!(t.scheme().covers(&database));
     }
 
     #[test]

@@ -57,15 +57,18 @@ pub fn hungarian(cost: &[Vec<u64>]) -> Result<(Vec<usize>, u64), HungarianError>
             });
         }
     }
-    Ok(solve_square(cost, n))
+    let flat: Vec<u64> = cost.iter().flatten().copied().collect();
+    Ok(solve_square(&flat, n))
 }
 
-/// The solver proper. `cost` must be a square `n × n` matrix with `n ≥ 1`
-/// — [`hungarian`] validates public inputs; [`plan_transition`]
-/// (`super::plan_transition`) constructs its matrix square by design and
-/// calls in directly.
-pub(super) fn solve_square(cost: &[Vec<u64>], n: usize) -> (Vec<usize>, u64) {
+/// The solver proper. `cost` is a square matrix with `n ≥ 1`, flat and
+/// row-major: the cost of giving row `r` column `c` is `cost[r * n + c]`.
+/// [`hungarian`] validates and flattens public inputs; `plan_transition`
+/// and its `reference` twin build their matrices flat and square by design
+/// and call in directly.
+pub(super) fn solve_square(cost: &[u64], n: usize) -> (Vec<usize>, u64) {
     let watch = crate::obs_hooks::stopwatch();
+    debug_assert_eq!(cost.len(), n * n, "flat cost matrix is not n × n");
 
     const INF: i64 = i64::MAX / 4;
 
@@ -75,22 +78,26 @@ pub(super) fn solve_square(cost: &[Vec<u64>], n: usize) -> (Vec<usize>, u64) {
     let mut v = vec![0i64; n + 1];
     let mut p = vec![0usize; n + 1];
     let mut way = vec![0usize; n + 1];
+    // Per-insertion state, reset at the top of each row.
+    let mut minv = vec![INF; n + 1];
+    let mut used = vec![false; n + 1];
 
     for i in 1..=n {
         p[0] = i;
         let mut j0 = 0usize;
-        let mut minv = vec![INF; n + 1];
-        let mut used = vec![false; n + 1];
+        minv.fill(INF);
+        used.fill(false);
         loop {
             used[j0] = true;
             let i0 = p[j0];
+            let row = &cost[(i0 - 1) * n..i0 * n];
             let mut delta = INF;
             let mut j1 = 0usize;
             for j in 1..=n {
                 if used[j] {
                     continue;
                 }
-                let cur = cost[i0 - 1][j - 1] as i64 - u[i0] - v[j];
+                let cur = row[j - 1] as i64 - u[i0] - v[j];
                 if cur < minv[j] {
                     minv[j] = cur;
                     way[j] = j0;
@@ -132,7 +139,7 @@ pub(super) fn solve_square(cost: &[Vec<u64>], n: usize) -> (Vec<usize>, u64) {
     let total = assignment
         .iter()
         .enumerate()
-        .map(|(r, &c)| cost[r][c])
+        .map(|(r, &c)| cost[r * n + c])
         .sum();
     watch.record("transition.hungarian_ns");
     (assignment, total)
@@ -271,6 +278,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn scales_to_hundreds_of_nodes() {
         // The paper reports standard implementations handle thousands of
         // nodes; verify ours completes a few-hundred-node instance quickly

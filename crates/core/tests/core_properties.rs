@@ -2,8 +2,8 @@
 //! workspace-level suite: AVL structural health under churn, error-function
 //! agreement with direct computation, FindSplit ≡ the chunk-restricted
 //! search, cached greedy rounds ≡ the full-rescan oracle, heterogeneous ≡
-//! homogeneous replication on uniform classes, and market dynamics ≡ the
-//! closed form.
+//! homogeneous replication on uniform classes, market dynamics ≡ the closed
+//! form, and the shared-stretch transition plan ≡ the per-pair one.
 
 use proptest::prelude::*;
 
@@ -17,6 +17,7 @@ use nashdb_core::ids::FragmentId;
 use nashdb_core::replication::hetero::{ideal_replicas_hetero, NodeClass};
 use nashdb_core::replication::market::{simulate_market, MarketConfig};
 use nashdb_core::replication::{ideal_replicas, ReplicationPolicy};
+use nashdb_core::transition::{self, plan_transition, IntervalSet};
 use nashdb_core::value::{Chunk, PricedScan, TupleValueEstimator};
 
 const TABLE: u64 = 5_000;
@@ -71,6 +72,49 @@ fn arb_drift() -> impl Strategy<Value = Vec<Vec<Chunk>>> {
             .collect()
     });
     proptest::collection::vec(set, 3..=8)
+}
+
+/// Fragments in the pool [`arb_interval_nodes`] draws replicas from, and
+/// their size in tuples.
+const POOL_FRAGMENTS: u64 = 12;
+const POOL_FRAGMENT_TUPLES: u64 = 100;
+
+/// One side of a transition as `plan_transition` sees it: per node, the
+/// tuples it holds. Most runs are whole fragments of a small shared pool, so
+/// a fragment sits on several nodes, neighbours touch across nodes (and merge
+/// within one) and both sides share boundaries; the rest are re-cut
+/// fragments, single tuples and free-form runs. A node may hold nothing, a
+/// side may have no node (0 × n, n × 0), the first node sometimes has an
+/// identical twin, and a third of the sides sit at the top of `u64`, the
+/// last fragment ending on `u64::MAX`. At most seven nodes, so the audit's
+/// brute-force certificate always runs.
+fn arb_interval_nodes() -> impl Strategy<Value = Vec<IntervalSet>> {
+    let run = (0..POOL_FRAGMENTS, 0u8..8, 0u64..1_000, 1u64..200);
+    let nodes = proptest::collection::vec(proptest::collection::vec(run, 0..5), 0..7);
+    (nodes, 0u8..4, 0usize..3).prop_map(|(nodes, twin, base)| {
+        let base = [0, 0, u64::MAX - POOL_FRAGMENTS * POOL_FRAGMENT_TUPLES][base];
+        let mut sets: Vec<IntervalSet> = nodes
+            .into_iter()
+            .map(|runs| {
+                runs.into_iter()
+                    .map(|(f, kind, free_start, free_len)| {
+                        let start = base + f * POOL_FRAGMENT_TUPLES;
+                        match kind {
+                            0 => (start + 37, start + 38),
+                            1 => (start + 10, start + POOL_FRAGMENT_TUPLES),
+                            2 => (start, start + 60),
+                            3 => (base + free_start, base + free_start + free_len),
+                            _ => (start, start + POOL_FRAGMENT_TUPLES),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        if twin == 0 {
+            sets.extend(sets.first().cloned());
+        }
+        sets
+    })
 }
 
 proptest! {
@@ -232,6 +276,17 @@ proptest! {
             prop_assert_eq!(r, ideal, "fragment {}", s.id);
         }
     }
+
+    /// §7: the plan built from one pass over shared stretches is the plan
+    /// built from a set difference per node pair — the same moves in the
+    /// same order, so the two cost matrices lead the solver down one path.
+    #[test]
+    fn plan_transition_matches_reference(
+        old in arb_interval_nodes(),
+        new in arb_interval_nodes(),
+    ) {
+        prop_assert_eq!(plan_transition(&old, &new), transition::reference::plan(&old, &new));
+    }
 }
 
 /// The invariant audits themselves, property-tested: every artifact the real
@@ -246,20 +301,6 @@ mod audit_props {
     };
     use nashdb_core::fragment::{fragment_stats, optimal_fragmentation, Fragmentation};
     use nashdb_core::replication::ClusterScheme;
-    use nashdb_core::transition::{plan_transition, IntervalSet};
-
-    fn arb_interval_nodes() -> impl Strategy<Value = Vec<IntervalSet>> {
-        proptest::collection::vec(
-            proptest::collection::vec((0u64..1_000, 1u64..300), 1..4),
-            0..5,
-        )
-        .prop_map(|nodes| {
-            nodes
-                .into_iter()
-                .map(|runs| IntervalSet::from_intervals(runs.into_iter().map(|(s, l)| (s, s + l))))
-                .collect()
-        })
-    }
 
     // Test-helper panics are the failure mode here, but this free fn sits
     // outside any #[cfg(test)] scope so `allow-unwrap-in-tests` misses it.

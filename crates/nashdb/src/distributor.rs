@@ -1,8 +1,6 @@
 //! NashDB proper: the value-estimation → fragmentation → replication
 //! pipeline behind the [`Distributor`] interface.
 
-use std::collections::HashMap;
-
 use nashdb_cluster::QueryRequest;
 use nashdb_core::economics::NodeSpec;
 use nashdb_core::fragment::{
@@ -11,7 +9,7 @@ use nashdb_core::fragment::{
 };
 use nashdb_core::ids::{FragmentId, TableId};
 use nashdb_core::num::{saturating_u64, usize_from};
-use nashdb_core::replication::{decide_replicas, ReplicationPolicy};
+use nashdb_core::replication::{decide_replicas, ReplicationDecision, ReplicationPolicy};
 use nashdb_core::value::{PricedScan, TupleValueEstimator};
 use nashdb_workload::Database;
 
@@ -136,12 +134,12 @@ pub struct NashDbDistributor {
     /// the packing order every period and churns the whole placement (the
     /// paper's <200 MB/transition measurements imply its schemes were
     /// similarly stable hour over hour).
-    prev_counts: HashMap<(TableId, FragmentRange), u64>,
+    prev_counts: Vec<(PlacementKey, u64)>,
     /// The persistent replica placement: per node, the fragments (by table
     /// and range) it hosts. Re-running BFFD from scratch each period would
     /// re-deal most of the cluster whenever a count or boundary changes;
     /// instead existing assignments are kept, BFFD places only the deltas,
-    /// and under-filled nodes are evacuated (see DESIGN.md §5).
+    /// and under-filled nodes are evacuated (see DESIGN.md §6, item 7).
     placement: Vec<Vec<PlacementKey>>,
 }
 
@@ -178,245 +176,15 @@ impl NashDbDistributor {
             cfg,
             tables,
             converged: false,
-            prev_counts: HashMap::new(),
+            prev_counts: Vec::new(),
             placement: Vec::new(),
         }
     }
 
-    /// Placement-preserving replica allocation: keeps every still-valid
-    /// assignment, removes stale/surplus replicas, first-fit-places the
-    /// deficit (highest replica counts first, hash-scattered within a
-    /// count, as in [`pack_bffd`](nashdb_core::replication::pack_bffd)),
-    /// evacuates under-filled nodes, and drops empty ones.
-    fn place(
-        &mut self,
-        globals: &[GlobalFragment],
-        decisions: &[nashdb_core::replication::ReplicationDecision],
-    ) -> Vec<Vec<usize>> {
-        let disk = self.cfg.spec.disk;
-        let key_of = |i: usize| (globals[i].table, globals[i].range);
-        let mut desired: HashMap<PlacementKey, u64> = HashMap::new();
-        let mut index: HashMap<PlacementKey, usize> = HashMap::new();
-        for (i, d) in decisions.iter().enumerate() {
-            desired.insert(key_of(i), d.replicas);
-            index.insert(key_of(i), i);
-        }
-        let size_of = |k: &PlacementKey| k.1.size();
-
-        // 1. Drop replicas of fragments that no longer exist, remembering
-        //    what each node lost: a boundary shift renames a fragment, and
-        //    the replacement should land where the old data already sits so
-        //    the transition only ships the boundary delta.
-        let mut removed: Vec<Vec<PlacementKey>> = Vec::with_capacity(self.placement.len());
-        for node in &mut self.placement {
-            let mut lost = Vec::new();
-            node.retain(|k| {
-                if desired.contains_key(k) {
-                    true
-                } else {
-                    lost.push(*k);
-                    false
-                }
-            });
-            removed.push(lost);
-        }
-
-        // 2. Current counts.
-        let mut current: HashMap<PlacementKey, u64> = HashMap::new();
-        for node in &self.placement {
-            for k in node {
-                *current.entry(*k).or_default() += 1;
-            }
-        }
-
-        // 3. Remove surplus replicas, from the last nodes backwards (they
-        //    are the most recently opened and emptiest on average).
-        for node in self.placement.iter_mut().rev() {
-            node.retain(|k| {
-                // Every retained key was counted in step 2, so the lookup
-                // always succeeds; an absent key is simply kept.
-                let Some(cur) = current.get_mut(k) else {
-                    return true;
-                };
-                if *cur > desired[k] {
-                    *cur -= 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        // 4. Place the deficit: highest counts first, hash-scattered within
-        //    a count class so physically adjacent fragments spread.
-        let scatter = |k: &PlacementKey| {
-            (k.1.start ^ k.1.end.rotate_left(17) ^ k.0.get().rotate_left(41))
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        };
-        let mut used: Vec<u64> = self
-            .placement
-            .iter()
-            .map(|node| node.iter().map(size_of).sum())
-            .collect();
-        let mut deficit: Vec<(PlacementKey, u64)> = decisions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| {
-                let k = key_of(i);
-                let have = current.get(&k).copied().unwrap_or(0);
-                (d.replicas > have).then_some((k, d.replicas - have))
-            })
-            .collect();
-        deficit.sort_by_key(|(k, _)| (std::cmp::Reverse(desired[k]), scatter(k)));
-        let overlap = |a: &PlacementKey, b: &PlacementKey| -> u64 {
-            if a.0 == b.0 {
-                a.1.overlap(b.1.start, b.1.end)
-            } else {
-                0
-            }
-        };
-        for (k, missing) in deficit {
-            let size = size_of(&k);
-            for _ in 0..missing {
-                // Prefer the node that just lost the most overlapping data
-                // (it already stores most of these tuples); fall back to
-                // first fit.
-                let fits = |n: usize| used[n] + size <= disk && !self.placement[n].contains(&k);
-                let slot = (0..self.placement.len())
-                    .filter(|&n| fits(n))
-                    .map(|n| (removed[n].iter().map(|r| overlap(r, &k)).sum::<u64>(), n))
-                    .filter(|&(ov, _)| ov > 0)
-                    .max_by_key(|&(ov, n)| (ov, std::cmp::Reverse(n)))
-                    .map(|(_, n)| n)
-                    .or_else(|| (0..self.placement.len()).find(|&n| fits(n)));
-                match slot {
-                    Some(n) => {
-                        self.placement[n].push(k);
-                        used[n] = used[n].saturating_add(size);
-                        // The reclaimed overlap is no longer "lost" there.
-                        if let Some(pos) = removed[n].iter().position(|r| overlap(r, &k) > 0) {
-                            removed[n].swap_remove(pos);
-                        }
-                    }
-                    None => {
-                        self.placement.push(vec![k]);
-                        used.push(size);
-                        removed.push(Vec::new());
-                    }
-                }
-            }
-        }
-
-        // 5. Evacuate under-filled nodes (< 25% of disk) whose contents fit
-        //    elsewhere, so drift cannot slowly strand half-empty rentals.
-        for n in (0..self.placement.len()).rev() {
-            if used[n] == 0 || used[n] >= disk / 4 {
-                continue;
-            }
-            let mut moves: Vec<(usize, PlacementKey)> = Vec::new();
-            let mut tentative = used.clone();
-            let mut ok = true;
-            for k in &self.placement[n] {
-                let size = size_of(k);
-                let target = (0..self.placement.len()).find(|&m| {
-                    m != n
-                        && tentative[m] + size <= disk
-                        && !self.placement[m].contains(k)
-                        && !moves.iter().any(|(t, mk)| *t == m && mk == k)
-                });
-                match target {
-                    Some(m) => {
-                        tentative[m] += size;
-                        moves.push((m, *k));
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                for (m, k) in moves {
-                    self.placement[m].push(k);
-                    used[m] = used[m].saturating_add(size_of(&k));
-                }
-                self.placement[n].clear();
-                used[n] = 0;
-            }
-        }
-
-        // 6. Drop empty nodes and emit global indices.
-        self.placement.retain(|node| !node.is_empty());
-        // The incremental packer stands in for `pack_bffd` here, so it
-        // reports the same packing metrics the from-scratch packer would.
-        nashdb_obs::gauge_set("packing.nodes", self.placement.len() as f64);
-        nashdb_obs::counter_add(
-            "packing.placements",
-            self.placement.iter().map(|node| node.len() as u64).sum(),
-        );
-        for node in &self.placement {
-            nashdb_obs::record("packing.node_fill_tuples", node.iter().map(size_of).sum());
-        }
-        self.placement
-            .iter()
-            .map(|node| node.iter().map(|k| index[k]).collect())
-            .collect()
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &NashDbConfig {
-        &self.cfg
-    }
-
-    /// Total summed fragment error across all tables for the *current*
-    /// fragmentation against the *current* value estimates — the quantity
-    /// the paper's Fig. 6 compares across fragmenters.
-    pub fn current_total_error(&self) -> f64 {
-        self.tables
-            .iter()
-            .map(|t| {
-                let chunks = t.estimator.chunks(t.tuples);
-                nashdb_core::fragment::ChunkPrefix::new(&chunks).map_or(0.0, |prefix| {
-                    t.fragmenter.fragmentation().total_error(&prefix)
-                })
-            })
-            .sum()
-    }
-}
-
-impl Distributor for NashDbDistributor {
-    fn observe(&mut self, query: &QueryRequest) {
-        // Eq. 1: split the query's price across its scans proportionally to
-        // scan size, then feed each scan to its table's estimator.
-        //
-        // The per-tuple income a scan pays is Price(s)/Size(s); a scan much
-        // smaller than a read block would pay an astronomically high rate
-        // per tuple even though serving it still costs a block read (§2:
-        // scans fetch whole blocks). Flooring the denominator at the block
-        // size keeps one tiny scan in the window from spiking V(x) by
-        // orders of magnitude and yo-yoing the cluster size.
-        let block = self.cfg.max_fragment_tuples.min(self.cfg.spec.disk).max(1);
-        let total: u64 = query.scans.iter().map(|s| s.size()).sum();
-        if total == 0 {
-            return;
-        }
-        for s in &query.scans {
-            let mut price = query.price * s.size() as f64 / total as f64;
-            let table = &mut self.tables[usize_from(s.table.get())];
-            let end = s.end.min(table.tuples);
-            if s.start < end {
-                let size = end - s.start;
-                let effective = size.max(block.min(table.tuples));
-                price *= size as f64 / effective as f64;
-                table
-                    .estimator
-                    .observe(PricedScan::new(s.start, end, price));
-            }
-        }
-    }
-
-    fn scheme(&mut self) -> DistScheme {
-        let _scheme = nashdb_obs::span("scheme");
+    /// What the next scheme hosts: every table's fragments, in
+    /// `(table, range.start)` order, and the replica count Eq. 9 and the
+    /// hysteresis band give each. [`place`](Self::place) decides where.
+    fn decide(&mut self) -> (Vec<GlobalFragment>, Vec<ReplicationDecision>) {
         let policy = ReplicationPolicy::new(self.cfg.window, self.cfg.spec)
             .with_max_replicas(self.cfg.max_replicas);
 
@@ -461,9 +229,16 @@ impl Distributor for NashDbDistributor {
         // scheme.
         let replication_span = nashdb_obs::span("replication");
         let mut decisions = decide_replicas(&stats, &policy);
-        for d in &mut decisions {
-            let key = (globals[usize_from(d.id.get())].table, d.range);
-            if let Some(&old) = self.prev_counts.get(&key) {
+        // Both schemes list their fragments in `(table, start)` order, so
+        // one forward cursor finds each fragment's previous count.
+        let mut prev = self.prev_counts.iter().peekable();
+        for (d, g) in decisions.iter_mut().zip(&globals) {
+            let key = (g.table, g.range);
+            while prev
+                .next_if(|(k, _)| (k.0, k.1.start) < (key.0, key.1.start))
+                .is_some()
+            {}
+            if let Some(&(_, old)) = prev.next_if(|(k, _)| *k == key) {
                 // Counting noise in a |W|-scan window moves V(f) (hence
                 // Ideal) by ~±25% between periods; inside that band the
                 // marginal replica is profit-neutral either way, so keep
@@ -476,10 +251,261 @@ impl Distributor for NashDbDistributor {
         }
         self.prev_counts = decisions
             .iter()
-            .map(|d| ((globals[usize_from(d.id.get())].table, d.range), d.replicas))
+            .zip(&globals)
+            .map(|(d, g)| ((g.table, g.range), d.replicas))
             .collect();
         drop(replication_span);
 
+        (globals, decisions)
+    }
+
+    /// Placement-preserving replica allocation: keeps every still-valid
+    /// assignment, removes stale/surplus replicas, first-fit-places the
+    /// deficit (highest replica counts first, hash-scattered within a
+    /// count), evacuates under-filled nodes, and drops empty ones.
+    ///
+    /// `globals` must be in `(table, range.start)` order, which is how
+    /// [`decide`](Self::decide) builds it. Each persisted
+    /// [`PlacementKey`] is resolved against it once, in step 1; every later
+    /// step works on dense fragment indices, and the placement goes back to
+    /// keys at the end. The order of every node's list, of the node list
+    /// itself and of every tie-break below is pinned, call after call,
+    /// against the map-keyed formulation in this module's tests
+    /// (`place_matches_map_keyed_twin`).
+    fn place(
+        &mut self,
+        globals: &[GlobalFragment],
+        decisions: &[ReplicationDecision],
+    ) -> Vec<Vec<usize>> {
+        debug_assert_eq!(globals.len(), decisions.len(), "one decision per fragment");
+        debug_assert!(
+            globals
+                .windows(2)
+                .all(|w| (w[0].table, w[0].range.start) < (w[1].table, w[1].range.start)),
+            "fragments out of (table, start) order"
+        );
+        let disk = self.cfg.spec.disk;
+        let key_of = |i: usize| (globals[i].table, globals[i].range);
+        let size_of = |i: usize| globals[i].range.size();
+        let desired: Vec<u64> = decisions.iter().map(|d| d.replicas).collect();
+
+        // 1. Drop replicas of fragments that no longer exist, remembering
+        //    what each node lost: a boundary shift renames a fragment, and
+        //    the replacement should land where the old data already sits so
+        //    the transition only ships the boundary delta. What was lost
+        //    names fragments the new scheme does not have, so it stays
+        //    key-typed.
+        let mut nodes: Vec<Vec<usize>> = Vec::with_capacity(self.placement.len());
+        let mut removed: Vec<Vec<PlacementKey>> = Vec::with_capacity(self.placement.len());
+        for node in &self.placement {
+            let mut kept = Vec::with_capacity(node.len());
+            let mut lost = Vec::new();
+            for k in node {
+                let at = globals.partition_point(|g| (g.table, g.range.start) < (k.0, k.1.start));
+                if at < globals.len() && key_of(at) == *k {
+                    kept.push(at);
+                } else {
+                    lost.push(*k);
+                }
+            }
+            nodes.push(kept);
+            removed.push(lost);
+        }
+
+        // 2. Current counts.
+        let mut current = vec![0u64; desired.len()];
+        for &f in nodes.iter().flatten() {
+            current[f] += 1;
+        }
+
+        // 3. Remove surplus replicas, from the last nodes backwards (they
+        //    are the most recently opened and emptiest on average).
+        for node in nodes.iter_mut().rev() {
+            node.retain(|&f| {
+                if current[f] > desired[f] {
+                    current[f] -= 1;
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+
+        // 4. Place the deficit: highest counts first, hash-scattered within
+        //    a count class so physically adjacent fragments spread.
+        let scatter = |f: usize| {
+            let (table, range) = key_of(f);
+            (range.start ^ range.end.rotate_left(17) ^ table.get().rotate_left(41))
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        };
+        let mut used: Vec<u64> = nodes
+            .iter()
+            .map(|node| node.iter().map(|&f| size_of(f)).sum())
+            .collect();
+        let mut deficit: Vec<(usize, u64)> = (0..desired.len())
+            .filter(|&f| desired[f] > current[f])
+            .map(|f| (f, desired[f] - current[f]))
+            .collect();
+        deficit.sort_by_key(|&(f, _)| (std::cmp::Reverse(desired[f]), scatter(f)));
+        let overlap = |a: &PlacementKey, b: &PlacementKey| -> u64 {
+            if a.0 == b.0 {
+                a.1.overlap(b.1.start, b.1.end)
+            } else {
+                0
+            }
+        };
+        for (f, missing) in deficit {
+            let k = key_of(f);
+            let size = size_of(f);
+            for _ in 0..missing {
+                // Prefer the node that just lost the most overlapping data
+                // (it already stores most of these tuples); fall back to
+                // first fit. A node that lost nothing has no overlap to sum.
+                let fits = |n: usize| used[n] + size <= disk && !nodes[n].contains(&f);
+                let slot = (0..nodes.len())
+                    .filter(|&n| !removed[n].is_empty() && fits(n))
+                    .map(|n| (removed[n].iter().map(|r| overlap(r, &k)).sum::<u64>(), n))
+                    .filter(|&(ov, _)| ov > 0)
+                    .max_by_key(|&(ov, n)| (ov, std::cmp::Reverse(n)))
+                    .map(|(_, n)| n)
+                    .or_else(|| (0..nodes.len()).find(|&n| fits(n)));
+                match slot {
+                    Some(n) => {
+                        nodes[n].push(f);
+                        used[n] = used[n].saturating_add(size);
+                        // The reclaimed overlap is no longer "lost" there.
+                        if let Some(pos) = removed[n].iter().position(|r| overlap(r, &k) > 0) {
+                            removed[n].swap_remove(pos);
+                        }
+                    }
+                    None => {
+                        nodes.push(vec![f]);
+                        used.push(size);
+                        removed.push(Vec::new());
+                    }
+                }
+            }
+        }
+
+        // 5. Evacuate under-filled nodes (< 25% of disk) whose contents fit
+        //    elsewhere, so drift cannot slowly strand half-empty rentals.
+        for n in (0..nodes.len()).rev() {
+            if used[n] == 0 || used[n] >= disk / 4 {
+                continue;
+            }
+            let mut moves: Vec<(usize, usize)> = Vec::new();
+            let mut tentative = used.clone();
+            let mut ok = true;
+            for &f in &nodes[n] {
+                let size = size_of(f);
+                let target = (0..nodes.len()).find(|&m| {
+                    m != n
+                        && tentative[m] + size <= disk
+                        && !nodes[m].contains(&f)
+                        && !moves.contains(&(m, f))
+                });
+                match target {
+                    Some(m) => {
+                        tentative[m] += size;
+                        moves.push((m, f));
+                    }
+                    None => {
+                        ok = false;
+                        break;
+                    }
+                }
+            }
+            if ok {
+                for (m, f) in moves {
+                    nodes[m].push(f);
+                    used[m] = used[m].saturating_add(size_of(f));
+                }
+                nodes[n].clear();
+                used[n] = 0;
+            }
+        }
+
+        // 6. Drop empty nodes and persist the placement under stable keys.
+        nodes.retain(|node| !node.is_empty());
+        self.placement = nodes
+            .iter()
+            .map(|node| node.iter().map(|&f| key_of(f)).collect())
+            .collect();
+        // The incremental packer stands in for `pack_bffd` here, so it
+        // reports the same packing metrics the from-scratch packer would.
+        nashdb_obs::gauge_set("packing.nodes", nodes.len() as f64);
+        nashdb_obs::counter_add(
+            "packing.placements",
+            nodes.iter().map(|node| node.len() as u64).sum(),
+        );
+        for node in &nodes {
+            nashdb_obs::record(
+                "packing.node_fill_tuples",
+                node.iter().map(|&f| size_of(f)).sum(),
+            );
+        }
+        nodes
+    }
+
+    /// The configuration in force.
+    pub fn config(&self) -> &NashDbConfig {
+        &self.cfg
+    }
+
+    /// Total summed fragment error across all tables for the *current*
+    /// fragmentation against the *current* value estimates — the quantity
+    /// the paper's Fig. 6 compares across fragmenters.
+    pub fn current_total_error(&self) -> f64 {
+        self.tables
+            .iter()
+            .map(|t| {
+                let chunks = t.estimator.chunks(t.tuples);
+                nashdb_core::fragment::ChunkPrefix::new(&chunks).map_or(0.0, |prefix| {
+                    t.fragmenter.fragmentation().total_error(&prefix)
+                })
+            })
+            .sum()
+    }
+}
+
+impl Distributor for NashDbDistributor {
+    fn observe(&mut self, query: &QueryRequest) {
+        // Eq. 1: split the query's price across its scans proportionally to
+        // scan size, then feed each scan to its table's estimator.
+        //
+        // The per-tuple income a scan pays is Price(s)/Size(s); a scan much
+        // smaller than a read block would pay an astronomically high rate
+        // per tuple even though serving it still costs a block read (§2:
+        // scans fetch whole blocks). Flooring the denominator at the block
+        // size keeps one tiny scan in the window from spiking V(x) by
+        // orders of magnitude and yo-yoing the cluster size.
+        let block = self.cfg.max_fragment_tuples.min(self.cfg.spec.disk).max(1);
+        let total: u64 = query.scans.iter().map(|s| s.size()).sum();
+        if total == 0 {
+            return;
+        }
+        for s in &query.scans {
+            let mut price = query.price * s.size() as f64 / total as f64;
+            // A scan of a table outside the database has no estimator to
+            // feed; the scheme reports it uncovered when the query is served.
+            let Some(table) = self.tables.get_mut(usize_from(s.table.get())) else {
+                continue;
+            };
+            let end = s.end.min(table.tuples);
+            if s.start < end {
+                let size = end - s.start;
+                let effective = size.max(block.min(table.tuples));
+                price *= size as f64 / effective as f64;
+                table
+                    .estimator
+                    .observe(PricedScan::new(s.start, end, price));
+            }
+        }
+    }
+
+    fn scheme(&mut self) -> DistScheme {
+        let _scheme = nashdb_obs::span("scheme");
+        let (globals, decisions) = self.decide();
         let nodes = {
             let _place = nashdb_obs::span("place");
             self.place(&globals, &decisions)
@@ -509,6 +535,7 @@ mod tests {
     use super::*;
     use nashdb_cluster::ScanRange;
     use nashdb_core::ids::TableId;
+    use std::collections::HashMap;
 
     fn db() -> Database {
         Database::new([("fact", 1_000_000), ("dim", 10_000)])
@@ -530,6 +557,205 @@ mod tests {
             spec: NodeSpec::new(100.0, 600_000),
             max_frags_per_table: 16,
             ..NashDbConfig::default()
+        }
+    }
+
+    /// How often each branch of the placement fired, so the twin test can
+    /// insist its stream reached all of them.
+    #[derive(Debug, Default)]
+    struct Fired {
+        /// Step 1: replicas of fragments the new scheme no longer has.
+        lost: usize,
+        /// Step 3: surplus replicas removed.
+        surplus: usize,
+        /// Step 4: deficit replicas put where overlapping data was lost.
+        reclaimed: usize,
+        /// Step 4: nodes opened because nothing fit.
+        opened: usize,
+        /// Step 5: under-filled nodes evacuated.
+        evacuated: usize,
+    }
+
+    /// `place` as it was before it moved to dense fragment indices: every
+    /// step keyed by [`PlacementKey`] through `HashMap`s. Kept verbatim (but
+    /// for the `fired` tallies and the obs metrics, which it does not emit)
+    /// as the oracle `place_matches_map_keyed_twin` drives beside the real
+    /// one.
+    struct MapKeyedPlacer {
+        disk: u64,
+        placement: Vec<Vec<PlacementKey>>,
+        fired: Fired,
+    }
+
+    impl MapKeyedPlacer {
+        fn place(
+            &mut self,
+            globals: &[GlobalFragment],
+            decisions: &[ReplicationDecision],
+        ) -> Vec<Vec<usize>> {
+            let disk = self.disk;
+            let key_of = |i: usize| (globals[i].table, globals[i].range);
+            let mut desired: HashMap<PlacementKey, u64> = HashMap::new();
+            let mut index: HashMap<PlacementKey, usize> = HashMap::new();
+            for (i, d) in decisions.iter().enumerate() {
+                desired.insert(key_of(i), d.replicas);
+                index.insert(key_of(i), i);
+            }
+            let size_of = |k: &PlacementKey| k.1.size();
+
+            // 1. Drop replicas of fragments that no longer exist, remembering
+            //    what each node lost: a boundary shift renames a fragment, and
+            //    the replacement should land where the old data already sits so
+            //    the transition only ships the boundary delta.
+            let mut removed: Vec<Vec<PlacementKey>> = Vec::with_capacity(self.placement.len());
+            for node in &mut self.placement {
+                let mut lost = Vec::new();
+                node.retain(|k| {
+                    if desired.contains_key(k) {
+                        true
+                    } else {
+                        self.fired.lost += 1;
+                        lost.push(*k);
+                        false
+                    }
+                });
+                removed.push(lost);
+            }
+
+            // 2. Current counts.
+            let mut current: HashMap<PlacementKey, u64> = HashMap::new();
+            for node in &self.placement {
+                for k in node {
+                    *current.entry(*k).or_default() += 1;
+                }
+            }
+
+            // 3. Remove surplus replicas, from the last nodes backwards (they
+            //    are the most recently opened and emptiest on average).
+            for node in self.placement.iter_mut().rev() {
+                node.retain(|k| {
+                    // Every retained key was counted in step 2, so the lookup
+                    // always succeeds; an absent key is simply kept.
+                    let Some(cur) = current.get_mut(k) else {
+                        return true;
+                    };
+                    if *cur > desired[k] {
+                        self.fired.surplus += 1;
+                        *cur -= 1;
+                        false
+                    } else {
+                        true
+                    }
+                });
+            }
+
+            // 4. Place the deficit: highest counts first, hash-scattered within
+            //    a count class so physically adjacent fragments spread.
+            let scatter = |k: &PlacementKey| {
+                (k.1.start ^ k.1.end.rotate_left(17) ^ k.0.get().rotate_left(41))
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            };
+            let mut used: Vec<u64> = self
+                .placement
+                .iter()
+                .map(|node| node.iter().map(size_of).sum())
+                .collect();
+            let mut deficit: Vec<(PlacementKey, u64)> = decisions
+                .iter()
+                .enumerate()
+                .filter_map(|(i, d)| {
+                    let k = key_of(i);
+                    let have = current.get(&k).copied().unwrap_or(0);
+                    (d.replicas > have).then_some((k, d.replicas - have))
+                })
+                .collect();
+            deficit.sort_by_key(|(k, _)| (std::cmp::Reverse(desired[k]), scatter(k)));
+            let overlap = |a: &PlacementKey, b: &PlacementKey| -> u64 {
+                if a.0 == b.0 {
+                    a.1.overlap(b.1.start, b.1.end)
+                } else {
+                    0
+                }
+            };
+            for (k, missing) in deficit {
+                let size = size_of(&k);
+                for _ in 0..missing {
+                    // Prefer the node that just lost the most overlapping data
+                    // (it already stores most of these tuples); fall back to
+                    // first fit.
+                    let fits = |n: usize| used[n] + size <= disk && !self.placement[n].contains(&k);
+                    let slot = (0..self.placement.len())
+                        .filter(|&n| fits(n))
+                        .map(|n| (removed[n].iter().map(|r| overlap(r, &k)).sum::<u64>(), n))
+                        .filter(|&(ov, _)| ov > 0)
+                        .max_by_key(|&(ov, n)| (ov, std::cmp::Reverse(n)))
+                        .map(|(_, n)| n);
+                    self.fired.reclaimed += usize::from(slot.is_some());
+                    let slot = slot.or_else(|| (0..self.placement.len()).find(|&n| fits(n)));
+                    match slot {
+                        Some(n) => {
+                            self.placement[n].push(k);
+                            used[n] = used[n].saturating_add(size);
+                            // The reclaimed overlap is no longer "lost" there.
+                            if let Some(pos) = removed[n].iter().position(|r| overlap(r, &k) > 0) {
+                                removed[n].swap_remove(pos);
+                            }
+                        }
+                        None => {
+                            self.fired.opened += 1;
+                            self.placement.push(vec![k]);
+                            used.push(size);
+                            removed.push(Vec::new());
+                        }
+                    }
+                }
+            }
+
+            // 5. Evacuate under-filled nodes (< 25% of disk) whose contents fit
+            //    elsewhere, so drift cannot slowly strand half-empty rentals.
+            for n in (0..self.placement.len()).rev() {
+                if used[n] == 0 || used[n] >= disk / 4 {
+                    continue;
+                }
+                let mut moves: Vec<(usize, PlacementKey)> = Vec::new();
+                let mut tentative = used.clone();
+                let mut ok = true;
+                for k in &self.placement[n] {
+                    let size = size_of(k);
+                    let target = (0..self.placement.len()).find(|&m| {
+                        m != n
+                            && tentative[m] + size <= disk
+                            && !self.placement[m].contains(k)
+                            && !moves.iter().any(|(t, mk)| *t == m && mk == k)
+                    });
+                    match target {
+                        Some(m) => {
+                            tentative[m] += size;
+                            moves.push((m, *k));
+                        }
+                        None => {
+                            ok = false;
+                            break;
+                        }
+                    }
+                }
+                if ok {
+                    self.fired.evacuated += 1;
+                    for (m, k) in moves {
+                        self.placement[m].push(k);
+                        used[m] = used[m].saturating_add(size_of(&k));
+                    }
+                    self.placement[n].clear();
+                    used[n] = 0;
+                }
+            }
+
+            // 6. Drop empty nodes and emit global indices.
+            self.placement.retain(|node| !node.is_empty());
+            self.placement
+                .iter()
+                .map(|node| node.iter().map(|k| index[k]).collect())
+                .collect()
         }
     }
 
@@ -645,5 +871,66 @@ mod tests {
             tag: 0,
         });
         assert_eq!(nash.tables[0].estimator.window_len(), 0);
+    }
+
+    /// Dense-index `place` makes the decisions of the map-keyed one: fed
+    /// the same fragments and replica counts call after call, both return
+    /// the same node lists in the same order and persist the same placement.
+    /// The stream moves a hot spot across two tables (boundaries shift, so
+    /// replicas are lost and reclaimed), steps the price up and down around
+    /// the ±25 % hysteresis band (replica counts flutter: surplus and
+    /// deficit), and collapses demand (under-filled nodes are evacuated).
+    #[test]
+    fn place_matches_map_keyed_twin() {
+        use rand::{Rng, SeedableRng};
+
+        let database = db();
+        let cfg = NashDbConfig {
+            spec: NodeSpec::new(100.0, 200_000),
+            max_frags_per_table: 24,
+            greedy_rounds: 8,
+            ..NashDbConfig::default()
+        };
+        let mut nash = NashDbDistributor::new(&database, cfg);
+        let mut twin = MapKeyedPlacer {
+            disk: cfg.spec.disk,
+            placement: Vec::new(),
+            fired: Fired::default(),
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        for call in 0..260u64 {
+            // Three sweeps of the hot spot; demand collapses for a stretch
+            // of each, and the price steps every few calls in between.
+            let collapsed = (60..80).contains(&(call % 87));
+            let price = if collapsed {
+                0.02
+            } else {
+                [40.0, 52.0, 40.0, 31.0][usize_from((call / 3) % 4)]
+            };
+            let centre = (call % 87) * 10_000;
+            for _ in 0..rng.gen_range(4..20) {
+                let start = centre + rng.gen_range(0..40_000u64);
+                let dim = (call * 113 + rng.gen_range(0..2_000u64)) % 8_000;
+                let scans = [(0, start, start + 60_000), (1, dim, dim + 1_500)];
+                nash.observe(&query(price, &scans));
+            }
+            let (globals, decisions) = nash.decide();
+            let nodes = nash.place(&globals, &decisions);
+            let expect = twin.place(&globals, &decisions);
+            assert_eq!(nodes, expect, "call {call}: returned node lists");
+            assert_eq!(
+                nash.placement, twin.placement,
+                "call {call}: persisted placement"
+            );
+        }
+        let fired = &twin.fired;
+        assert!(
+            fired.lost > 0
+                && fired.surplus > 0
+                && fired.reclaimed > 0
+                && fired.opened > 0
+                && fired.evacuated > 0,
+            "the stream missed a branch of the placement: {fired:?}"
+        );
     }
 }

@@ -464,19 +464,16 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scan_past_its_table_abandons_one_query_not_the_run() {
-        // `Workload`'s fields are public and `validated()` is opt-in: a
-        // hand-built stream can hold a scan that runs past its table. The
-        // distributor clamps it; the scheme cannot decompose it. That used
-        // to be an assert inside the serving loop.
+    /// Runs a 40-query stream whose query 17 `corrupt` made unservable:
+    /// exactly that query is abandoned — degraded like a router error — and
+    /// the other 39 complete.
+    fn assert_only_query_17_is_abandoned(corrupt: impl FnOnce(&mut Workload)) {
         let mut w = bernoulli(&BernoulliConfig {
             size_gb: 2,
             queries: 40,
             ..BernoulliConfig::default()
         });
-        let tuples = w.db.tables[0].tuples;
-        w.queries[17].query.scans[0].end = tuples + 1_000;
+        corrupt(&mut w);
         let run = RunConfig {
             cluster: fast_cluster(),
             ..RunConfig::default()
@@ -488,9 +485,31 @@ mod tests {
         assert_eq!(m.availability.queries_abandoned, 1);
         assert_eq!(m.queries.len(), 39);
         assert!(m.queries.iter().all(|q| q.id != QueryId(17)));
-        // Degraded exactly like a router error.
         assert_eq!(snap.counter("routing.unroutable_scans"), Some(1));
         assert_eq!(snap.counter("cluster.queries_abandoned"), Some(1));
+    }
+
+    #[test]
+    fn scan_past_its_table_abandons_one_query_not_the_run() {
+        // `Workload`'s fields are public and `validated()` is opt-in: a
+        // hand-built stream can hold a scan that runs past its table. The
+        // distributor clamps it; the scheme cannot decompose it. That used
+        // to be an assert inside the serving loop.
+        assert_only_query_17_is_abandoned(|w| {
+            let tuples = w.db.tables[0].tuples;
+            w.queries[17].query.scans[0].end = tuples + 1_000;
+        });
+    }
+
+    #[test]
+    fn scan_of_unknown_table_abandons_one_query_not_the_run() {
+        // The same stream can name a table the database does not have. The
+        // distributor used to index its per-table state with it while
+        // observing the arrival, before the scheme could report the scan
+        // uncovered.
+        assert_only_query_17_is_abandoned(|w| {
+            w.queries[17].query.scans[0].table = nashdb_core::ids::TableId(9);
+        });
     }
 
     #[test]

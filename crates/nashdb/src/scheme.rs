@@ -187,11 +187,16 @@ impl DistScheme {
     pub fn new(fragments: Vec<GlobalFragment>, nodes: Vec<Vec<usize>>) -> Self {
         let mut hosts: Vec<Vec<NodeId>> = vec![Vec::new(); fragments.len()];
         for (n, frags) in nodes.iter().enumerate() {
-            let mut seen = std::collections::HashSet::new();
+            let node = NodeId(n as u64);
             for &f in frags {
                 assert!(f < fragments.len(), "node {n} hosts unknown fragment {f}");
-                assert!(seen.insert(f), "node {n} hosts fragment {f} twice");
-                hosts[f].push(NodeId(n as u64));
+                // Nodes are visited in order, so if this node already hosts
+                // `f` it is the last host listed.
+                assert!(
+                    hosts[f].last() != Some(&node),
+                    "node {n} hosts fragment {f} twice"
+                );
+                hosts[f].push(node);
             }
         }
         for (f, h) in hosts.iter().enumerate() {
