@@ -837,19 +837,21 @@ impl ClusterSim {
     }
 
     fn enqueue_job(&mut self, phys: usize, job: Job) {
+        let node = &mut self.phys[phys];
+        node.backlog = node.backlog.saturating_add(job.tuples);
+        if node.in_service.is_some() {
+            // The service time is judged when the job starts (`job_done`).
+            node.queue.push_back(job);
+            return;
+        }
         let now = self.events.now();
         let service = self.service_time(phys, job.tuples);
         let node = &mut self.phys[phys];
-        node.backlog = node.backlog.saturating_add(job.tuples);
-        if node.in_service.is_none() {
-            node.in_service = Some(job);
-            node.service_started = now;
-            let epoch = node.epoch;
-            self.events
-                .schedule(now + service, Event::JobDone { phys, epoch });
-        } else {
-            node.queue.push_back(job);
-        }
+        node.in_service = Some(job);
+        node.service_started = now;
+        let epoch = node.epoch;
+        self.events
+            .schedule(now + service, Event::JobDone { phys, epoch });
     }
 
     /// Routes a transition transfer toward `phys`'s disk: directly when the

@@ -14,11 +14,13 @@
 //! layer converts its time-based queue lengths and the paper's ϕ = 350 ms
 //! into tuple units via node throughput.
 //!
-//! [`MaxOfMins`] runs Eq. 11 *incrementally*: a placement re-evaluates only
-//! the requests it could have invalidated — those listing the placed node as
-//! a candidate. The textbook O(R²·C) double loop is retained verbatim in
-//! [`mod@reference`] as the executable specification the incremental router
-//! is property-tested against.
+//! [`MaxOfMins`] runs Eq. 11 *incrementally*, and spends work only where a
+//! request has a choice: a placement re-evaluates the requests it could have
+//! invalidated — those with several candidates that list the placed node —
+//! while the requests a node alone can serve wait in that node's chain
+//! behind one pending head. The textbook O(R²·C) double loop is retained
+//! verbatim in [`mod@reference`] as the executable specification the
+//! incremental router is property-tested against.
 //!
 //! A router implements one method, [`ScanRouter::route_into`]: one scan,
 //! routed into the caller's output buffer with the caller's [`Scratch`] as
@@ -422,6 +424,16 @@ mod tests {
         }
     }
 
+    /// A deterministic stream of 31-bit draws for the seeded tests.
+    fn lcg(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        }
+    }
+
     fn node_of(assignments: &[Assignment], frag: u64) -> NodeId {
         assignments
             .iter()
@@ -734,13 +746,7 @@ mod tests {
         // Wide candidate lists (10 of 12 nodes), every request sharing hot
         // node 0 so its ϕ flip undercuts many announcements at once, and a
         // deterministic LCG mix of sizes and preloaded waits.
-        let mut lcg = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            lcg = lcg
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            lcg >> 33
-        };
+        let mut next = lcg(0x2545_F491_4F6C_DD1D);
         let wide: Vec<Vec<FragmentRequest>> = (0..24)
             .map(|i| {
                 (0..6)
@@ -839,6 +845,185 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Routes `reqs` over `waits` through the caller's `scratch` and demands
+    /// the reference's assignments, in its order, and its final waits.
+    fn assert_routes_like_reference(
+        phi: u64,
+        reqs: &[FragmentRequest],
+        waits: &[u64],
+        scratch: &mut Scratch,
+        out: &mut Vec<Assignment>,
+    ) {
+        let mut q_fast = QueueView::from_waits(waits.to_vec());
+        let mut q_ref = q_fast.clone();
+        let first = out.len();
+        let fast = MaxOfMins::new(phi).route_into(reqs, &mut q_fast, scratch, out);
+        let naive = reference::max_of_mins(phi, reqs, &mut q_ref);
+        let ctx = format!("phi {phi}, waits {waits:?}, requests {reqs:?}");
+        assert_eq!(fast.map(|()| out[first..].to_vec()), naive, "{ctx}");
+        for n in 0..waits.len() as u64 {
+            assert_eq!(q_fast.wait(NodeId(n)), q_ref.wait(NodeId(n)), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn forced_chains_match_reference() {
+        // Seeded stress through one `Scratch` and one output buffer. The
+        // candidate cap is drawn from 1..=6, so a sixth of the cases are
+        // all-forced; sizes and waits are drawn modulo small numbers for
+        // ties and zero-size reads, ϕ from nothing to saturating.
+        let mut next = lcg(0x9E37_79B9_7F4A_7C15);
+        let cases = if cfg!(miri) { 200 } else { 20_000 };
+        let (mut scratch, mut out) = (Scratch::default(), Vec::new());
+        for _ in 0..cases {
+            let nodes = 1 + next() % 12;
+            let cap = (1 + next() % 6).min(nodes);
+            let size_mod = [1, 2, 5, 1000][(next() % 4) as usize];
+            let wait_mod = [1, 3, 50, 5000][(next() % 4) as usize];
+            let phi = [0, 1, 5, 50, 500, 100_000, u64::MAX][(next() % 7) as usize];
+            // Distinct fragment ids whose order is not the request order.
+            let mask = next() % 64;
+            let reqs: Vec<FragmentRequest> = (0..1 + next() % 40)
+                .map(|i| {
+                    let mut cands: Vec<u64> = Vec::new();
+                    let want = 1 + next() % cap;
+                    while (cands.len() as u64) < want {
+                        let n = next() % nodes;
+                        if !cands.contains(&n) {
+                            cands.push(n);
+                        }
+                    }
+                    req(i ^ mask, next() % size_mod, &cands)
+                })
+                .collect();
+            let waits: Vec<u64> = (0..nodes).map(|_| next() % wait_mod).collect();
+            out.clear();
+            assert_routes_like_reference(phi, &reqs, &waits, &mut scratch, &mut out);
+        }
+    }
+
+    #[test]
+    fn structured_chains_match_reference() {
+        let all_on_one: Vec<FragmentRequest> = [7, 3, 7, 0, 12, 3]
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| req(5 - i as u64, size, &[1]))
+            .collect();
+        // A free request that ties with both chains' heads and is larger
+        // than either lands on node 0 while chain 0's head is pending: the
+        // head has to be re-keyed (up by the read, down by ϕ), or chain 1's
+        // larger head overtakes it.
+        let mut two_chains_and_a_free_request = vec![req(0, 500, &[0, 1])];
+        two_chains_and_a_free_request.extend((1..4).map(|i| req(i, 10 * i, &[0])));
+        two_chains_and_a_free_request.extend((4..7).map(|i| req(i, 10 * i, &[1])));
+        two_chains_and_a_free_request.push(req(7, 3, &[2]));
+        // First touch by a read smaller than ϕ = 35: the successor's key
+        // falls below node 1's head and below the two free requests.
+        let mut first_touch_smaller = vec![req(0, 9, &[1, 2]), req(1, 4, &[0, 2])];
+        first_touch_smaller.extend((2..6).map(|i| req(i, 2 + i, &[0])));
+        first_touch_smaller.extend((6..9).map(|i| req(i, 20 - i, &[1])));
+        // … and by a read larger than ϕ = 35: it rises.
+        let first_touch_larger: Vec<FragmentRequest> = first_touch_smaller
+            .iter()
+            .map(|r| FragmentRequest {
+                size: r.size * 40,
+                ..r.clone()
+            })
+            .collect();
+        // Keys that cannot move: a chain of zero-size reads, and a chain on
+        // a node whose wait saturates on the first read.
+        let mut unmoving = vec![req(0, 1, &[0, 1, 2])];
+        unmoving.extend((1..5).map(|i| req(i, 0, &[0])));
+        unmoving.extend((5..9).map(|i| req(i, 3 * i, &[1])));
+        unmoving.push(req(9, 2, &[1, 2]));
+
+        let cases: [(&[FragmentRequest], &[u64]); 6] = [
+            (&all_on_one, &[50, 4]),
+            (&two_chains_and_a_free_request, &[40, 40, 0]),
+            (&two_chains_and_a_free_request, &[100, 40, 37]),
+            (&first_touch_smaller, &[30, 25, 28]),
+            (&first_touch_larger, &[30, 25, 28]),
+            (&unmoving, &[6, u64::MAX - 1, 0]),
+        ];
+        let (mut scratch, mut out) = (Scratch::default(), Vec::new());
+        for phi in [0, 35, 100_000] {
+            for (reqs, waits) in cases {
+                out.clear();
+                assert_routes_like_reference(phi, reqs, waits, &mut scratch, &mut out);
+            }
+            // All forced onto one node: the output is the static order —
+            // larger reads first, then smaller fragment id — whatever ϕ is.
+            let mut q = QueueView::from_waits(vec![50, 4]);
+            let routed = MaxOfMins::new(phi).route(&all_on_one, &mut q).unwrap();
+            let order: Vec<u64> = routed.iter().map(|a| a.fragment.0).collect();
+            assert_eq!(order, [1, 3, 5, 0, 4, 2], "phi {phi}");
+            assert!(routed.iter().all(|a| a.node == NodeId(1)));
+            assert_eq!((q.wait(NodeId(0)), q.wait(NodeId(1))), (50, 4 + 32));
+        }
+    }
+
+    #[test]
+    fn nothing_of_a_chain_leaks_through_scratch() {
+        // A forced-only scan reaches nodes 4 and 5 through chains alone;
+        // then a scan that fails validation, a scan that weighs those two
+        // nodes against others on a view of the same length (a shorter one
+        // would truncate the evidence), and scans on a shorter view and on
+        // the old one again, all with the same `Scratch`: a chain, a head
+        // or a ϕ-free bit left behind would show in one of them.
+        let forced_only: Vec<FragmentRequest> =
+            (0..6).map(|i| req(i, 10 + i, &[4 + i % 2])).collect();
+        let doomed = [req(0, 5, &[4]), req(1, 5, &[6])]; // node 6 unknown
+        let short: Vec<FragmentRequest> = (0..5).map(|i| req(i, 7, &[i % 2, 2])).collect();
+        let mixed: Vec<FragmentRequest> = (0..6)
+            .map(|i| match i % 3 {
+                0 => req(i, 9, &[4]),
+                _ => req(i, 9, &[4, 5, i % 4]),
+            })
+            .collect();
+        let steps: [(&[FragmentRequest], &[u64]); 6] = [
+            (&forced_only, &[0, 0, 0, 0, 3, 1]),
+            (&doomed, &[0, 0, 0, 0, 0, 0]),
+            (&mixed, &[0, 0, 0, 0, 0, 0]),
+            (&short, &[2, 0, 1]),
+            (&forced_only, &[0, 0, 0, 0, 0, 0]),
+            (&short, &[0, 0, 0, 0, 0, 0]),
+        ];
+        for phi in [0, 35, 100_000] {
+            let (mut scratch, mut out) = (Scratch::default(), Vec::new());
+            for (reqs, waits) in steps {
+                assert_routes_like_reference(phi, reqs, waits, &mut scratch, &mut out);
+            }
+        }
+    }
+
+    #[test]
+    fn forced_requests_cost_one_heap_slot_per_node() {
+        // The work bound as counts: R forced requests over K nodes enter
+        // the heap as K heads, no entry is ever re-keyed, and each
+        // placement hands its slot over once.
+        let waits = [9, 0, 4, 2];
+        let all_forced: Vec<FragmentRequest> =
+            (0..60).map(|i| req(i, 1 + i % 7, &[i % 4])).collect();
+        let mut scratch = Scratch::default();
+        let mut out = Vec::new();
+        assert_routes_like_reference(35, &all_forced, &waits, &mut scratch, &mut out);
+        let tally = scratch.heap_tally();
+        assert_eq!(tally.updates, 0);
+        assert_eq!(tally.hand_overs, all_forced.len());
+        assert_eq!(tally.peak_len, waits.len());
+
+        // With M requests that have a choice the heap holds M + K entries.
+        let free: Vec<FragmentRequest> = (0..5)
+            .map(|i| req(60 + i, 3, &[i % 4, (i + 1) % 4]))
+            .collect();
+        let mixed = [all_forced, free.clone()].concat();
+        out.clear();
+        assert_routes_like_reference(35, &mixed, &waits, &mut scratch, &mut out);
+        let tally = scratch.heap_tally();
+        assert_eq!(tally.hand_overs, mixed.len());
+        assert_eq!(tally.peak_len, free.len() + waits.len());
     }
 
     #[test]

@@ -248,7 +248,6 @@ pub fn run_workload_with_faults(
     let mut inflight: HashMap<QueryId, QueryRequest> = HashMap::new();
     let mut serving = Serving::default();
     let mut batch: Vec<(QueryId, QueryRequest)> = Vec::new();
-    let phi = cfg.phi_tuples();
     loop {
         match sim.next_event() {
             DriverEvent::QueryArrived { id, query } => {
@@ -331,9 +330,6 @@ pub fn run_workload_with_faults(
             DriverEvent::Finished => break,
         }
     }
-    // ϕ is only used through phi_tuples — quiet the unused warning path
-    // when a router ignores it.
-    let _ = phi;
     sim.finish()
 }
 

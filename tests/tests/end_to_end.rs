@@ -13,7 +13,9 @@ use nashdb_baselines::{
 use nashdb_cluster::{ClusterConfig, ClusterSim, DriverEvent, Metrics, QueryRequest};
 use nashdb_core::economics::NodeSpec;
 use nashdb_core::ids::{NodeId, QueryId, TableId};
-use nashdb_core::routing::{Assignment, FragmentRequest, QueueView, ScanRouter};
+use nashdb_core::routing::{
+    reference, Assignment, FragmentRequest, QueueView, RouteError, ScanRouter, Scratch,
+};
 use nashdb_core::transition::plan_transition;
 use nashdb_sim::{FaultEvent, FaultKind, FaultSchedule, SimDuration, SimTime};
 use nashdb_workload::bernoulli::{workload as bernoulli, BernoulliConfig};
@@ -378,9 +380,27 @@ fn lockstep_workload(queries: usize) -> Workload {
     .validated()
 }
 
-#[test]
-fn driver_matches_allocating_reference_loop() {
-    let w = lockstep_workload(150);
+/// Crash-restarts 300 ms after every sixth arrival of a stream with one
+/// arrival every 20 s, whose reads take about a second: each catches reads in
+/// flight, and the node stays down for the next two arrivals.
+fn crash_restarts() -> FaultSchedule {
+    let restart = |arrival: u64, node: u64| FaultEvent {
+        at: SimTime::from_secs(20 * arrival) + SimDuration::from_millis(300),
+        node,
+        kind: FaultKind::CrashRestart {
+            down_for: SimDuration::from_secs(45),
+        },
+    };
+    FaultSchedule::from_events(
+        (0..24)
+            .map(|i| restart(4 + 6 * i, (5 * i + 1) % 7))
+            .collect(),
+    )
+}
+
+/// 150 lockstep arrivals, reconfigured every 400 s over a 20-scan window:
+/// the cluster is replicated, and it grows and shrinks during the run.
+fn lockstep_case() -> (Workload, RunConfig, NashDbConfig) {
     let run = RunConfig {
         cluster: cluster(),
         reconfig_interval: SimDuration::from_secs(400),
@@ -391,21 +411,13 @@ fn driver_matches_allocating_reference_loop() {
         window: 20,
         ..nash_cfg(1_000_000)
     };
-    // Arrivals come every 20 s and a query's reads take about a second:
-    // crashing 300 ms after an arrival catches reads in flight.
-    let restart = |arrival: u64, node: u64| FaultEvent {
-        at: SimTime::from_secs(20 * arrival) + SimDuration::from_millis(300),
-        node,
-        kind: FaultKind::CrashRestart {
-            down_for: SimDuration::from_secs(45),
-        },
-    };
-    let crashes = FaultSchedule::from_events(
-        (0..24)
-            .map(|i| restart(4 + 6 * i, (5 * i + 1) % 7))
-            .collect(),
-    );
-    for faults in [FaultSchedule::none(), crashes] {
+    (lockstep_workload(150), run, nash)
+}
+
+#[test]
+fn driver_matches_allocating_reference_loop() {
+    let (w, run, nash) = lockstep_case();
+    for faults in [FaultSchedule::none(), crash_restarts()] {
         let router = MaxOfMins::new(run.phi_tuples());
         let mut dist = NashDbDistributor::new(&w.db, nash);
         let driven = run_workload_with_faults(&w, &mut dist, &router, &run, &faults);
@@ -421,6 +433,107 @@ fn driver_matches_allocating_reference_loop() {
         if !faults.is_empty() {
             assert!(
                 driven.availability.queries_retried > 0,
+                "no query was retried"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The production router against the specification, through the driver
+// ---------------------------------------------------------------------------
+
+/// `routing::reference::max_of_mins` as a router: the textbook Eq. 11 loop,
+/// a fresh allocation per scan, no `Scratch`.
+struct SpecRouter {
+    phi: u64,
+}
+
+impl ScanRouter for SpecRouter {
+    fn route_into(
+        &self,
+        requests: &[FragmentRequest],
+        queues: &mut QueueView,
+        _scratch: &mut Scratch,
+        out: &mut Vec<Assignment>,
+    ) -> Result<(), RouteError> {
+        out.extend(reference::max_of_mins(self.phi, requests, queues)?);
+        Ok(())
+    }
+
+    fn name(&self) -> &'static str {
+        "max-of-mins-spec"
+    }
+}
+
+/// `(single-candidate, all)` fragment requests of `w`'s queries under the
+/// scheme a run with `warmup` warm-up queries starts from.
+fn single_candidate_share(w: &Workload, nash: NashDbConfig, warmup: usize) -> (usize, usize) {
+    let mut dist = NashDbDistributor::new(&w.db, nash);
+    for tq in w.queries.iter().take(warmup) {
+        dist.observe(&tq.query);
+    }
+    let scheme = dist.scheme();
+    let requests = w
+        .queries
+        .iter()
+        .flat_map(|tq| scheme.requests_for_query(&tq.query));
+    requests.fold((0, 0), |(single, all), r| {
+        (single + usize::from(r.candidates.len() == 1), all + 1)
+    })
+}
+
+#[test]
+fn production_router_matches_the_specification_end_to_end() {
+    // (a) TPC-H re-timed into coincident bursts of one round each, at a
+    // price and node size at which Eq. 9 buys most fragments one replica:
+    // batches of scans whose requests mostly wait in per-node chains.
+    let mut bursts = tpch(&TpchConfig {
+        size_gb: 10,
+        rounds: 4,
+        price: 16.0,
+        ..TpchConfig::default()
+    });
+    for (i, tq) in bursts.queries.iter_mut().enumerate() {
+        tq.at = SimTime::ZERO + SimDuration::from_secs(240) * (i / 22) as u64;
+    }
+    let burst_run = RunConfig {
+        cluster: cluster(),
+        reconfig_interval: SimDuration::from_secs(480),
+        warmup_queries: 22,
+        ..RunConfig::default()
+    };
+    let burst_nash = NashDbConfig {
+        spec: NodeSpec::new(100.0, 500_000),
+        max_frags_per_table: 32,
+        ..NashDbConfig::default()
+    };
+    let (single, all) = single_candidate_share(&bursts, burst_nash, burst_run.warmup_queries);
+    assert!(
+        2 * single > all && single < all,
+        "{single} of {all} requests name one node"
+    );
+
+    // (b) A replicated stream under crash-restarts: the liveness filter
+    // leaves single-candidate requests behind in the middle of a run, and
+    // retries route against whatever survived.
+    let (lockstep, lockstep_run, lockstep_nash) = lockstep_case();
+
+    for (w, run, nash, faults) in [
+        (&bursts, burst_run, burst_nash, FaultSchedule::none()),
+        (&lockstep, lockstep_run, lockstep_nash, crash_restarts()),
+    ] {
+        let phi = run.phi_tuples();
+        let mut dist = NashDbDistributor::new(&w.db, nash);
+        let fast = run_workload_with_faults(w, &mut dist, &MaxOfMins::new(phi), &run, &faults);
+        let mut dist = NashDbDistributor::new(&w.db, nash);
+        let spec = run_workload_with_faults(w, &mut dist, &SpecRouter { phi }, &run, &faults);
+        assert_eq!(format!("{fast:?}"), format!("{spec:?}"), "{}", w.name);
+        let served = fast.queries.len() as u64 + fast.availability.queries_abandoned;
+        assert_eq!(served, w.queries.len() as u64);
+        if !faults.is_empty() {
+            assert!(
+                fast.availability.queries_retried > 0,
                 "no query was retried"
             );
         }

@@ -1,5 +1,7 @@
 //! Property tests over the routing and cluster layers.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 
 use nashdb_baselines::{GreedySetCover, ShortestQueue};
@@ -22,17 +24,29 @@ struct Problem {
     waits: Vec<u64>,
 }
 
+/// One request's size and candidate set over `nodes` nodes. Three in four
+/// name a single node and sizes come from a pool of four (zero included), so
+/// chains of tied single-candidate requests — what `MaxOfMins` keeps out of
+/// its heap and its inverted index — are the common case, not a rarity the
+/// default 64 cases never draw.
+fn arb_request(nodes: usize) -> impl Strategy<Value = (u64, HashSet<u64>)> {
+    (0usize..4, 0usize..4, 1..=nodes).prop_flat_map(move |(size, narrow, wide)| {
+        let len = if narrow < 3 { 1 } else { wide };
+        let candidates = proptest::collection::hash_set(0..nodes as u64, len..=len);
+        (Just([0, 1, 500, 100_000][size]), candidates)
+    })
+}
+
+/// Preloaded waits from a pool of three, so effective waits tie across nodes.
+fn arb_waits(nodes: usize) -> impl Strategy<Value = Vec<u64>> {
+    let wait = (0usize..3).prop_map(|i| [0, 1_000, 1_000_000][i]);
+    proptest::collection::vec(wait, nodes..=nodes)
+}
+
 fn arb_problem() -> impl Strategy<Value = Problem> {
     (2usize..8).prop_flat_map(|nodes| {
-        let reqs = proptest::collection::vec(
-            (
-                1u64..100_000,
-                proptest::collection::hash_set(0..nodes as u64, 1..=nodes),
-            ),
-            1..20,
-        );
-        let waits = proptest::collection::vec(0u64..1_000_000, nodes..=nodes);
-        (reqs, waits).prop_map(|(reqs, waits)| Problem {
+        let reqs = proptest::collection::vec(arb_request(nodes), 1..20);
+        (reqs, arb_waits(nodes)).prop_map(|(reqs, waits)| Problem {
             requests: reqs
                 .into_iter()
                 .enumerate()
@@ -52,18 +66,9 @@ fn arb_problem() -> impl Strategy<Value = Problem> {
 /// precondition under which the incremental router is exact.
 fn arb_batch() -> impl Strategy<Value = (Vec<Vec<FragmentRequest>>, Vec<u64>)> {
     (2usize..10).prop_flat_map(|nodes| {
-        let scans = proptest::collection::vec(
-            proptest::collection::vec(
-                (
-                    1u64..100_000,
-                    proptest::collection::hash_set(0..nodes as u64, 1..=nodes),
-                ),
-                0..8,
-            ),
-            1..25,
-        );
-        let waits = proptest::collection::vec(0u64..1_000_000, nodes..=nodes);
-        (scans, waits).prop_map(|(scans, waits)| {
+        let scans =
+            proptest::collection::vec(proptest::collection::vec(arb_request(nodes), 0..8), 1..25);
+        (scans, arb_waits(nodes)).prop_map(|(scans, waits)| {
             let mut next = 0u64;
             let scans = scans
                 .into_iter()
