@@ -220,6 +220,8 @@ fn clippy_half_of_the_gate_is_configured() {
         "std::time::Instant::now",
         "std::time::SystemTime::now",
         "std::thread::spawn",
+        "std::thread::scope",
+        "std::thread::Builder::spawn",
         "std::collections::HashSet::iter",
         "std::collections::HashSet::drain",
     ]

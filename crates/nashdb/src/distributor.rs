@@ -65,9 +65,7 @@ struct TableState {
 
 /// One table's slice of the fragmentation stage: value chunks -> greedy (or
 /// exact DP) fragmentation -> disk-fit split -> per-fragment statistics.
-/// Stats come back with table-local ids; the caller re-identifies them
-/// globally. Runs on a fan-out worker thread, so it takes everything it
-/// needs by argument and touches no distributor state beyond its table.
+/// Stats come back with table-local ids; the caller re-identifies them globally.
 fn table_fragments(
     cfg: &NashDbConfig,
     converged: bool,
@@ -189,30 +187,12 @@ impl NashDbDistributor {
             .with_max_replicas(self.cfg.max_replicas);
 
         // Per table: value chunks -> fragmentation -> disk-fit split ->
-        // fragment statistics, re-identified globally. Tables are
-        // independent (separate estimators and fragmenters), so the stage
-        // fans out across cores; worker metrics are captured per table via
-        // `nashdb_obs::fork` and absorbed in table order below, which is
-        // exactly the order the serial loop recorded them in — same-seed
-        // runs stay byte-identical under `scrub_timings` at any core count.
+        // fragment statistics, re-identified globally.
         let fragment_span = nashdb_obs::span("fragment");
-        let cfg = self.cfg;
-        let converged = self.converged;
-        let fork = nashdb_obs::fork();
-        // The persistent pool takes owned jobs, so the tables travel by
-        // value and come back (in table order) alongside the results.
-        let tables = std::mem::take(&mut self.tables);
-        let (tables, per_table) = nashdb_par::map_mut_vec(tables, 1, move |t_idx, t| {
-            fork.run(|| table_fragments(&cfg, converged, t_idx, t))
-        });
-        self.tables = tables;
         let mut globals: Vec<GlobalFragment> = Vec::new();
         let mut stats: Vec<FragmentStats> = Vec::new();
-        for (t_idx, (table_stats, metrics)) in per_table.into_iter().enumerate() {
-            if let Some(m) = metrics {
-                nashdb_obs::absorb(&m);
-            }
-            for s in table_stats {
+        for (t_idx, t) in self.tables.iter_mut().enumerate() {
+            for s in table_fragments(&self.cfg, self.converged, t_idx, t) {
                 let global_id = FragmentId(globals.len() as u64);
                 globals.push(GlobalFragment {
                     table: nashdb_core::ids::TableId(t_idx as u64),

@@ -3,10 +3,10 @@
 //! Buckets are powers of two: bucket 0 holds the value 0 and bucket `b ≥ 1`
 //! holds `2^(b-1) ..= 2^b - 1` (the values whose bit length is `b`), so a
 //! `u64` sample always lands in one of 65 buckets. Recording is O(1) with no
-//! allocation, merging is element-wise addition, and quantiles are estimated
-//! from the cumulative bucket counts (exact for the maximum, within one
-//! power of two otherwise) — the same scheme HdrHistogram-style recorders
-//! use for latency tracking, reduced to what the pipeline needs.
+//! allocation, and quantiles are estimated from the cumulative bucket counts
+//! (exact for the maximum, within one power of two otherwise) — the same
+//! scheme HdrHistogram-style recorders use for latency tracking, reduced to
+//! what the pipeline needs.
 
 /// Number of buckets: one for zero plus one per possible bit length.
 pub const NUM_BUCKETS: usize = 65;
@@ -52,18 +52,13 @@ pub fn bucket_index(value: u64) -> usize {
     }
 }
 
-/// The inclusive `(low, high)` value range of bucket `index`.
-///
-/// # Panics
-/// Panics if `index >= NUM_BUCKETS`.
-pub fn bucket_bounds(index: usize) -> (u64, u64) {
-    assert!(index < NUM_BUCKETS, "bucket {index} out of range");
-    if index == 0 {
-        (0, 0)
-    } else if index == 64 {
-        (1 << 63, u64::MAX)
-    } else {
-        (1 << (index - 1), (1 << index) - 1)
+/// The inclusive `(low, high)` value range of bucket `index`; an index past
+/// the last bucket reads as the last bucket.
+fn bucket_bounds(index: usize) -> (u64, u64) {
+    match index {
+        0 => (0, 0),
+        1..=63 => (1 << (index - 1), (1 << index) - 1),
+        _ => (1 << 63, u64::MAX),
     }
 }
 
@@ -108,17 +103,6 @@ impl Histogram {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Folds another histogram into this one. Equivalent to having recorded
-    /// both sample streams into a single histogram.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, &o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 
     /// The `(bucket_index, sample_count)` pairs of every populated bucket,
@@ -193,40 +177,6 @@ mod tests {
         let buckets: Vec<_> = h.nonzero_buckets().collect();
         // 0 -> bucket 0; 1 -> bucket 1; 5,5 -> bucket 3; 1000 -> bucket 10.
         assert_eq!(buckets, vec![(0, 1), (1, 1), (3, 2), (10, 1)]);
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let samples_a = [3u64, 17, 17, 900, 0];
-        let samples_b = [1u64, 64, 1 << 40];
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for &v in &samples_a {
-            a.record(v);
-            all.record(v);
-        }
-        for &v in &samples_b {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-        assert_eq!(a.count(), 8);
-        assert_eq!(a.max(), 1 << 40);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut h = Histogram::new();
-        h.record(42);
-        let before = h.clone();
-        h.merge(&Histogram::new());
-        assert_eq!(h, before);
-
-        let mut e = Histogram::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

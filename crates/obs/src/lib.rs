@@ -32,7 +32,7 @@ mod registry;
 mod scenario;
 mod snapshot;
 
-pub use histogram::{bucket_bounds, bucket_index, Histogram, NUM_BUCKETS};
+pub use histogram::{bucket_index, Histogram, NUM_BUCKETS};
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use registry::{MetricsRegistry, SpanStat};
 pub use scenario::{CellSnapshot, ScenarioArtifact, SystemPoint, SCENARIO_VERSION};
@@ -210,80 +210,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Captures what a worker thread needs to record metrics on behalf of the
-/// current thread's session: whether one is active and the slash-joined
-/// path of the innermost open span. Obtain one with [`fork`] before fanning
-/// work out, share it across workers (`Fork` is `Sync`), run each worker's
-/// body through [`Fork::run`], and [`absorb`] the returned registries on
-/// the parent thread **in a deterministic order** (item order, not
-/// completion order) so same-seed runs stay byte-identical at any
-/// parallelism level.
-#[derive(Debug, Clone)]
-pub struct Fork {
-    /// `Some(path)` when a session is live (`path` empty at span-stack
-    /// root); `None` when recording is disarmed and workers should skip
-    /// collection entirely.
-    parent_path: Option<String>,
-}
-
-/// Snapshots the current thread's session state for worker threads. See
-/// [`Fork`].
-pub fn fork() -> Fork {
-    Fork {
-        parent_path: with_active(None, |a| {
-            Some(a.stack.last().map_or(String::new(), |f| f.path.clone()))
-        }),
-    }
-}
-
-impl Fork {
-    /// Runs `f` with recording armed on the calling thread (intended: a
-    /// worker), collecting into a fresh registry rooted at the fork's span
-    /// path — a span opened inside `f` lands under the same path it would
-    /// have had on the parent thread. Returns `f`'s result plus the
-    /// registry to [`absorb`], or `None` when the fork was taken with no
-    /// session active (recording stays a no-op, as on the parent).
-    ///
-    /// Worker time is not attributed to the parent span's `child_ns` —
-    /// wall-clock nesting has no meaning across threads; snapshot
-    /// consumers that need stable output scrub timings anyway
-    /// ([`ObsSnapshot::scrub_timings`]).
-    pub fn run<R>(&self, f: impl FnOnce() -> R) -> (R, Option<MetricsRegistry>) {
-        let Some(parent_path) = &self.parent_path else {
-            return (f(), None);
-        };
-        let stack = if parent_path.is_empty() {
-            Vec::new()
-        } else {
-            vec![Frame {
-                path: parent_path.clone(),
-                child_ns: 0,
-            }]
-        };
-        let previous = ACTIVE.with(|cell| {
-            cell.borrow_mut().replace(ActiveSession {
-                registry: MetricsRegistry::new(),
-                stack,
-            })
-        });
-        let result = f();
-        let collected = ACTIVE.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            let collected = slot.take();
-            *slot = previous;
-            collected
-        });
-        (result, collected.map(|a| a.registry))
-    }
-}
-
-/// Merges a worker registry (from [`Fork::run`]) into the current thread's
-/// active session. No-op without one — matching `Fork::run`'s no-session
-/// behavior, so fan-out call sites never need to branch.
-pub fn absorb(registry: &MetricsRegistry) {
-    with_active((), |a| a.registry.merge_from(registry));
-}
-
 /// Starts a wall-clock stopwatch for one-shot duration histograms. Unlike
 /// [`span`], a stopwatch does not participate in the span hierarchy — it
 /// records into a plain `*_ns` histogram via
@@ -431,71 +357,6 @@ mod tests {
         let h = snap.histogram("fragment.greedy_ns").unwrap();
         assert_eq!(h.count, 1);
         assert!(h.max >= 1_000_000, "slept ≥1ms, got {}ns", h.max);
-    }
-
-    #[test]
-    fn fork_collects_worker_metrics_under_parent_span_path() {
-        let session = ObsSession::start();
-        let registries = {
-            let _outer = span("pipeline");
-            let _inner = span("scheme");
-            counter_add("fragment.runs", 1);
-            let fork = fork();
-            let workers: Vec<Option<MetricsRegistry>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..4)
-                    .map(|i| {
-                        let fork = &fork;
-                        s.spawn(move || {
-                            fork.run(|| {
-                                counter_add("fragment.runs", 1);
-                                record("fragment.chunks", i);
-                                let _w = span("value_chunks");
-                            })
-                            .1
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            workers
-        };
-        for r in registries {
-            absorb(&r.unwrap());
-        }
-        let snap = session.finish();
-        assert_eq!(snap.counter("fragment.runs"), Some(5));
-        assert_eq!(snap.histogram("fragment.chunks").map(|h| h.count), Some(4));
-        // Worker spans nest under the forked path.
-        assert_eq!(
-            snap.span("pipeline/scheme/value_chunks").map(|s| s.count),
-            Some(4)
-        );
-    }
-
-    #[test]
-    fn fork_without_session_is_inert() {
-        assert!(!is_active());
-        let fork = fork();
-        let (value, registry) = fork.run(|| {
-            counter_add("lost", 1);
-            7
-        });
-        assert_eq!(value, 7);
-        assert!(registry.is_none());
-        // absorb without a session is a quiet no-op.
-        absorb(&MetricsRegistry::new());
-    }
-
-    #[test]
-    fn fork_at_stack_root_records_root_level_spans() {
-        let session = ObsSession::start();
-        let fork = fork();
-        let ((), registry) = fork.run(|| {
-            let _s = span("solo");
-        });
-        absorb(&registry.unwrap());
-        let snap = session.finish();
-        assert_eq!(snap.span("solo").map(|s| s.count), Some(1));
     }
 
     #[test]

@@ -110,34 +110,6 @@ impl MetricsRegistry {
         self.spans.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Folds another registry into this one: counters and span statistics
-    /// add, histograms merge element-wise, gauges take `other`'s value
-    /// (last-write-wins, as if `other`'s sets happened after this
-    /// registry's). Equivalent to having recorded both streams into one
-    /// registry — the primitive behind deterministic fan-out collection,
-    /// where worker-thread registries are absorbed in worker order.
-    pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for (name, &v) in &other.counters {
-            self.counter_add(name, v);
-        }
-        for (name, &v) in &other.gauges {
-            self.gauge_set(name, v);
-        }
-        for (name, h) in &other.histograms {
-            if let Some(mine) = self.histograms.get_mut(name) {
-                mine.merge(h);
-            } else {
-                self.histograms.insert(name.clone(), h.clone());
-            }
-        }
-        for (path, s) in &other.spans {
-            let stat = self.spans.entry(path.clone()).or_default();
-            stat.count = stat.count.saturating_add(s.count);
-            stat.total_ns = stat.total_ns.saturating_add(s.total_ns);
-            stat.child_ns = stat.child_ns.saturating_add(s.child_ns);
-        }
-    }
-
     /// True iff nothing at all has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
@@ -205,49 +177,6 @@ mod tests {
         r.counter_add("m", 1);
         let names: Vec<_> = r.counters().map(|(n, _)| n.to_owned()).collect();
         assert_eq!(names, vec!["a", "m", "z"]);
-    }
-
-    #[test]
-    fn merge_from_equals_combined_recording() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("c", 2);
-        a.gauge_set("g", 1.0);
-        a.record("h", 8);
-        a.span_add("s/t", 100, 30);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("c", 3);
-        b.counter_add("only_b", 1);
-        b.gauge_set("g", 2.5);
-        b.record("h", 16);
-        b.record("h2", 1);
-        b.span_add("s/t", 50, 10);
-
-        let mut combined = MetricsRegistry::new();
-        combined.counter_add("c", 2);
-        combined.counter_add("c", 3);
-        combined.counter_add("only_b", 1);
-        combined.gauge_set("g", 1.0);
-        combined.gauge_set("g", 2.5);
-        combined.record("h", 8);
-        combined.record("h", 16);
-        combined.record("h2", 1);
-        combined.span_add("s/t", 100, 30);
-        combined.span_add("s/t", 50, 10);
-
-        a.merge_from(&b);
-        assert_eq!(a, combined);
-    }
-
-    #[test]
-    fn merge_from_empty_is_identity() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("c", 1);
-        let before = a.clone();
-        a.merge_from(&MetricsRegistry::new());
-        assert_eq!(a, before);
-        let mut empty = MetricsRegistry::new();
-        empty.merge_from(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

@@ -9,6 +9,8 @@ use nashdb_core::routing::MaxOfMins;
 use nashdb_obs::{ObsSession, ObsSnapshot};
 use nashdb_sim::SimDuration;
 use nashdb_workload::bernoulli::{workload as bernoulli, BernoulliConfig};
+use nashdb_workload::tpch::{workload as tpch, TpchConfig};
+use nashdb_workload::Workload;
 
 /// One metric-name prefix per pipeline stage.
 const STAGES: &[&str] = &[
@@ -22,12 +24,15 @@ const STAGES: &[&str] = &[
 ];
 
 fn run_under_session() -> ObsSnapshot {
-    let w = bernoulli(&BernoulliConfig {
+    session_over(&bernoulli(&BernoulliConfig {
         size_gb: 2,
         queries: 80,
         spacing: SimDuration::from_secs(10),
         ..BernoulliConfig::default()
-    });
+    }))
+}
+
+fn session_over(w: &Workload) -> ObsSnapshot {
     let run = RunConfig {
         cluster: ClusterConfig {
             throughput_tps: 1_000_000.0,
@@ -45,9 +50,29 @@ fn run_under_session() -> ObsSnapshot {
     };
     let session = ObsSession::start();
     let mut nash = NashDbDistributor::new(&w.db, cfg);
-    let m = run_workload(&w, &mut nash, &MaxOfMins::new(run.phi_tuples()), &run);
-    assert_eq!(m.queries.len(), 80, "workload must complete");
+    let m = run_workload(w, &mut nash, &MaxOfMins::new(run.phi_tuples()), &run);
+    assert_eq!(m.queries.len(), w.queries.len(), "workload must complete");
     session.finish()
+}
+
+/// DESIGN.md §9.1 reads a span's self time as `total − child`, which holds
+/// only if `child_ns` is exactly what its direct children took — on every
+/// path, leaves included (no children, no child time).
+fn assert_child_time_is_the_direct_childrens_total(snap: &ObsSnapshot) {
+    for parent in &snap.spans {
+        let below = format!("{}/", parent.path);
+        let children: u64 = snap
+            .spans
+            .iter()
+            .filter(|s| {
+                s.path
+                    .strip_prefix(&below)
+                    .is_some_and(|rest| !rest.contains('/'))
+            })
+            .map(|s| s.total_ns)
+            .sum();
+        assert_eq!(parent.child_ns, children, "span {}", parent.path);
+    }
 }
 
 #[test]
@@ -93,19 +118,34 @@ fn driver_spans_nest_and_account() {
         "children ({child_total} ns) exceed root ({} ns)",
         pipeline.total_ns
     );
-    assert_eq!(pipeline.child_ns, child_total);
     // The per-query span fired once per query, and its route child too.
     let query = snap.span("pipeline/query").expect("query span");
     assert_eq!(query.count, 80);
     let route = snap.span("pipeline/query/route").expect("route span");
     assert_eq!(route.count, 80);
-    assert_eq!(query.child_ns, route.total_ns);
+    assert_child_time_is_the_direct_childrens_total(&snap);
 }
 
-/// Two same-seed driver runs — batched arrivals routed through
-/// `route_batch`, tables fragmented over the persistent pool — must leave
-/// byte-identical scrubbed snapshots: every counter, histogram, and span count is a pure
-/// function of the seed, whatever the host's core count.
+/// The same partition over eight tables: `fragment` opens one
+/// `value_chunks` child per table and must be charged for all of them.
+#[test]
+fn multi_table_spans_account_for_every_child() {
+    let snap = session_over(&tpch(&TpchConfig {
+        size_gb: 5,
+        rounds: 2,
+        ..TpchConfig::default()
+    }));
+    let fragment = "pipeline/provision/scheme/fragment";
+    let chunks = snap
+        .span(&format!("{fragment}/value_chunks"))
+        .expect("value_chunks span");
+    let tables = 8 * snap.span(fragment).expect("fragment span").count;
+    assert_eq!(chunks.count, tables);
+    assert_child_time_is_the_direct_childrens_total(&snap);
+}
+
+/// Two same-seed driver runs must leave byte-identical scrubbed snapshots:
+/// every counter, histogram, and span count is a pure function of the seed.
 #[test]
 fn same_seed_runs_leave_byte_identical_scrubbed_snapshots() {
     let snapshot = || {
