@@ -129,7 +129,6 @@ impl ExpEnv {
                 spec: NodeSpec::new(cost, disk),
                 max_frags_per_table: 48,
                 greedy_rounds: 2,
-                use_optimal_fragmentation: false,
                 max_replicas: 256,
                 max_fragment_tuples: block,
                 refrag_sensitivity: 0.05,

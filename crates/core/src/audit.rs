@@ -1,27 +1,31 @@
-//! Runtime invariant audits (compiled only with the `invariant-audit`
-//! feature).
+//! Invariant audits: each pipeline stage's correctness condition,
+//! re-derived independently of the code that maintains it.
 //!
 //! Each pipeline stage of NashDB maintains a structural or economic
 //! invariant that the paper's correctness argument leans on: the value
 //! tree stays AVL-balanced and consistent with the scan window (§4), a
 //! fragmentation tiles its table and never beats the DP optimum (§5), a
-//! replica configuration is a Nash equilibrium (§6, Definition 6.1), a
-//! packing respects the one-replica-per-fragment class constraint and node
+//! replica configuration is a Nash equilibrium (§6, Definition 6.1 —
+//! [`check_equilibrium`](crate::economics::check_equilibrium) is that
+//! stage's oracle and lives with the economics it checks), a packing
+//! respects the one-replica-per-fragment class constraint and node
 //! capacity (§6.3), and a transition plan is a minimum-weight perfect
 //! matching (§7, Eq. 10).
 //!
 //! The functions here re-derive each invariant from first principles —
 //! independent reference implementations, brute force where the instance
 //! is small enough — and return a typed [`AuditError`] instead of
-//! panicking, so they can drive both `debug_assert!`-style hooks inside
-//! the driver and property-test suites. They are deliberately slow
-//! (quadratic scans, permutation enumeration); nothing here belongs on a
-//! hot path, which is why the whole module sits behind a default-off
-//! feature.
+//! panicking. They are pure functions over shared references: they observe
+//! and never steer, so the module is ordinary code in the one build there
+//! is. They are deliberately slow (quadratic scans, permutation
+//! enumeration) and nothing here belongs on a hot path: the `nashdb`
+//! driver and distributor call them only inside `debug_assert_eq!` (or
+//! `if cfg!(debug_assertions)`), so every `cargo test` and every debug run
+//! is audit-armed and a release build evaluates none of them. Tests and
+//! fuzzers call them directly.
 
 use std::collections::{HashMap, HashSet};
 
-use crate::economics::{check_equilibrium, EconomicConfig, EquilibriumViolation};
 use crate::fragment::{optimal_fragmentation, ChunkPrefix, Fragmentation};
 use crate::ids::{FragmentId, NodeId};
 use crate::replication::ReplicationDecision;
@@ -90,8 +94,6 @@ pub enum AuditError {
     /// The audited value chunks are malformed (empty, offset, or
     /// discontiguous), so no fragmentation property can be re-derived.
     InvalidChunks(crate::fragment::FragmentError),
-    /// The replica configuration is not a Nash equilibrium.
-    Equilibrium(EquilibriumViolation),
     /// A packed node references a fragment with no replication decision.
     UnknownFragment {
         /// The unknown fragment.
@@ -170,7 +172,6 @@ impl std::fmt::Display for AuditError {
                 write!(f, "error {actual} beats the DP optimum {optimal}")
             }
             AuditError::InvalidChunks(e) => write!(f, "malformed value chunks: {e}"),
-            AuditError::Equilibrium(v) => write!(f, "not a Nash equilibrium: {v}"),
             AuditError::UnknownFragment { fragment, node } => {
                 write!(f, "node {node} hosts unknown fragment {fragment}")
             }
@@ -204,12 +205,6 @@ impl std::fmt::Display for AuditError {
 }
 
 impl std::error::Error for AuditError {}
-
-impl From<EquilibriumViolation> for AuditError {
-    fn from(v: EquilibriumViolation) -> Self {
-        AuditError::Equilibrium(v)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // §4 — value tree
@@ -329,27 +324,6 @@ pub fn audit_fragmentation(
         }
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// §6 — equilibrium
-// ---------------------------------------------------------------------------
-
-/// Audits a replica configuration against Definition 6.1: every held
-/// replica is (weakly) profitable, and no node can profit by adding,
-/// swapping in, or newly entering with any fragment bundle (the
-/// no-profitable-entry condition derived from `Ideal(f)`, Eq. 9).
-///
-/// This is a thin, audit-typed wrapper over
-/// [`check_equilibrium`]; forced availability replicas
-/// (`Ideal(f) = 0`) must already be excluded from `config`, as
-/// [`ClusterScheme::economic_config`](crate::replication::ClusterScheme::economic_config)
-/// does.
-///
-/// # Errors
-/// [`AuditError::Equilibrium`] carrying the specific violated condition.
-pub fn audit_equilibrium(config: &EconomicConfig) -> Result<(), AuditError> {
-    check_equilibrium(config).map_err(AuditError::from)
 }
 
 // ---------------------------------------------------------------------------
@@ -539,7 +513,7 @@ fn brute_force_transfer(old: &[IntervalSet], new: &[IntervalSet], n: usize) -> u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::economics::NodeSpec;
+    use crate::economics::{check_equilibrium, EconomicConfig, EquilibriumViolation, NodeSpec};
     use crate::fragment::fragment_stats;
     use crate::replication::{ClusterScheme, ReplicationPolicy};
     use crate::transition::plan_transition;
@@ -633,7 +607,7 @@ mod tests {
     fn built_scheme_passes_packing_and_equilibrium() {
         let s = scheme();
         audit_packing(&s.nodes, &s.decisions, s.policy.spec.disk).unwrap();
-        audit_equilibrium(&s.economic_config()).unwrap();
+        check_equilibrium(&s.economic_config()).unwrap();
     }
 
     #[test]
@@ -688,8 +662,11 @@ mod tests {
                 (NodeId(1), vec![FragmentId(0)]),
             ],
         };
-        let err = audit_equilibrium(&config).unwrap_err();
-        assert!(matches!(err, AuditError::Equilibrium(_)), "{err}");
+        let err = check_equilibrium(&config).unwrap_err();
+        assert!(
+            matches!(err, EquilibriumViolation::DropProfitable { .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl GreedyFragmenter {
     /// Runs up to `rounds` steps, stopping early once stable. Returns the
     /// number of rounds that changed the fragmentation.
     pub fn run(&mut self, chunks: &[Chunk], rounds: usize) -> usize {
-        let watch = crate::obs_hooks::stopwatch();
+        let watch = nashdb_obs::stopwatch();
         let mut changed = 0;
         if rounds > 0 {
             if let Some(mut run) = self.start(chunks) {
@@ -175,8 +175,8 @@ impl GreedyFragmenter {
             }
         }
         watch.record("fragment.greedy_ns");
-        crate::obs_hooks::counter_add("fragment.greedy_runs", 1);
-        crate::obs_hooks::counter_add("fragment.greedy_changes", changed as u64);
+        nashdb_obs::counter_add("fragment.greedy_runs", 1);
+        nashdb_obs::counter_add("fragment.greedy_changes", changed as u64);
         changed
     }
 

@@ -31,9 +31,9 @@ pub fn optimal_fragmentation(
     if max_frags == 0 {
         return Err(FragmentError::ZeroMaxFrags);
     }
-    let watch = crate::obs_hooks::stopwatch();
-    crate::obs_hooks::counter_add("fragment.optimal_runs", 1);
-    crate::obs_hooks::record("fragment.optimal_chunks", chunks.len() as u64);
+    let watch = nashdb_obs::stopwatch();
+    nashdb_obs::counter_add("fragment.optimal_runs", 1);
+    nashdb_obs::record("fragment.optimal_chunks", chunks.len() as u64);
     let prefix = ChunkPrefix::new(chunks)?;
     let bounds = prefix.bounds();
     let m = prefix.num_chunks();

@@ -34,13 +34,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-#[cfg(feature = "invariant-audit")]
 pub mod audit;
 pub mod economics;
 pub mod fragment;
 pub mod ids;
 pub mod num;
-pub(crate) mod obs_hooks;
 pub mod replication;
 pub mod routing;
 pub mod transition;

@@ -111,7 +111,7 @@ pub fn decide_replicas(
     let mut total_replicas = 0u64;
     let mut forced = 0u64;
     for d in &decisions {
-        crate::obs_hooks::record("replication.replicas_per_fragment", d.replicas);
+        nashdb_obs::record("replication.replicas_per_fragment", d.replicas);
         total_replicas = total_replicas.saturating_add(d.replicas);
         if d.forced {
             forced += 1;
@@ -126,10 +126,10 @@ pub fn decide_replicas(
                 );
         }
     }
-    crate::obs_hooks::counter_add("replication.decisions", decisions.len() as u64);
-    crate::obs_hooks::counter_add("replication.replicas_total", total_replicas);
-    crate::obs_hooks::counter_add("replication.forced_singles", forced);
-    crate::obs_hooks::gauge_set("replication.nash_surplus", surplus);
+    nashdb_obs::counter_add("replication.decisions", decisions.len() as u64);
+    nashdb_obs::counter_add("replication.replicas_total", total_replicas);
+    nashdb_obs::counter_add("replication.forced_singles", forced);
+    nashdb_obs::gauge_set("replication.nash_surplus", surplus);
     decisions
 }
 
@@ -265,9 +265,10 @@ impl ClusterScheme {
         self.decisions.get(fragment.index())
     }
 
-    /// Tuples stored on node `n`. O(1): totals are precomputed at build.
+    /// Tuples stored on node `n` (0 if unknown). O(1): totals are
+    /// precomputed at build.
     pub fn node_used(&self, n: NodeId) -> u64 {
-        self.used[n.index()]
+        self.used.get(n.index()).copied().unwrap_or(0)
     }
 
     /// The economically meaningful part of the scheme as an
@@ -324,7 +325,7 @@ pub fn pack_bffd(
     decisions: &[ReplicationDecision],
     disk: u64,
 ) -> Result<Vec<Vec<FragmentId>>, PackError> {
-    let watch = crate::obs_hooks::stopwatch();
+    let watch = nashdb_obs::stopwatch();
     let mut order: Vec<&ReplicationDecision> = decisions.iter().collect();
     // Decreasing replica count, then a deterministic hash of the fragment's
     // *position*. The hash order matters twice over: (1) physically
@@ -376,13 +377,13 @@ pub fn pack_bffd(
         }
     }
     watch.record("packing.bffd_ns");
-    crate::obs_hooks::counter_add(
+    nashdb_obs::counter_add(
         "packing.placements",
         nodes.iter().map(|f| f.len() as u64).sum(),
     );
-    crate::obs_hooks::gauge_set("packing.nodes", nodes.len() as f64);
+    nashdb_obs::gauge_set("packing.nodes", nodes.len() as f64);
     for used in free.iter().map(|f| disk - f) {
-        crate::obs_hooks::record("packing.node_fill_tuples", used);
+        nashdb_obs::record("packing.node_fill_tuples", used);
     }
     Ok(nodes)
 }
@@ -558,6 +559,16 @@ mod tests {
                 .sum();
             assert_eq!(scheme.node_used(node), linear, "node {node}");
         }
+    }
+
+    #[test]
+    fn unknown_ids_read_as_absent() {
+        let policy = ReplicationPolicy::new(50, spec());
+        let scheme = ClusterScheme::build(&[stats(0, 0, 250, 1.0)], policy).unwrap();
+        assert!(scheme.hosts(FragmentId(7)).is_empty());
+        let past_the_end = NodeId(scheme.num_nodes() as u64);
+        assert_eq!(scheme.node_used(past_the_end), 0);
+        assert_eq!(scheme.node_used(NodeId(u64::MAX)), 0);
     }
 
     #[test]

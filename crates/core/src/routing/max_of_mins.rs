@@ -387,7 +387,7 @@ impl ScanRouter for MaxOfMins {
 
         // One session check per scan instead of a thread-local round-trip
         // per placement.
-        let observed = crate::obs_hooks::is_active();
+        let observed = nashdb_obs::is_active();
         let first = out.len();
         // The placed request's entry stays in the heap, under its now stale
         // key, until its step ends: the heap property is about stored keys,
@@ -400,7 +400,7 @@ impl ScanRouter for MaxOfMins {
             let (_, node) = pending.announced;
             let req = &requests[idx];
             if observed {
-                crate::obs_hooks::record("routing.queue_wait_tuples", queues.wait(node));
+                nashdb_obs::record("routing.queue_wait_tuples", queues.wait(node));
             }
             queues.enqueue(node, req.size);
             scratch.chosen[node.index()] = true;

@@ -310,18 +310,18 @@ pub fn span(assignments: &[Assignment]) -> usize {
 
 /// Shared per-scan instrumentation for every router implementation.
 fn record_scan_metrics(assignments: &[Assignment]) {
-    crate::obs_hooks::counter_add("routing.scans_routed", 1);
-    crate::obs_hooks::counter_add("routing.requests", assignments.len() as u64);
+    nashdb_obs::counter_add("routing.scans_routed", 1);
+    nashdb_obs::counter_add("routing.requests", assignments.len() as u64);
     // The span is a hash-set pass; skip computing it with no session live.
-    if crate::obs_hooks::is_active() {
-        crate::obs_hooks::record("routing.query_span", span(assignments) as u64);
+    if nashdb_obs::is_active() {
+        nashdb_obs::record("routing.query_span", span(assignments) as u64);
     }
 }
 
 /// Shared per-batch instrumentation for every router implementation.
 fn record_batch_metrics(scans: usize) {
-    crate::obs_hooks::counter_add("routing.batches_routed", 1);
-    crate::obs_hooks::record("routing.batch_scans", scans as u64);
+    nashdb_obs::counter_add("routing.batches_routed", 1);
+    nashdb_obs::record("routing.batch_scans", scans as u64);
 }
 
 /// The "Power of 2" variant the paper sketches in footnote 3 for workloads
@@ -395,7 +395,7 @@ impl ScanRouter for PowerOfTwoChoices {
             } else {
                 pair[0]
             };
-            crate::obs_hooks::record("routing.queue_wait_tuples", queues.wait(node));
+            nashdb_obs::record("routing.queue_wait_tuples", queues.wait(node));
             queues.enqueue(node, req.size);
             chosen.insert(node);
             out.push(Assignment {

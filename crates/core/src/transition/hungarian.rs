@@ -67,7 +67,7 @@ pub fn hungarian(cost: &[Vec<u64>]) -> Result<(Vec<usize>, u64), HungarianError>
 /// and its `reference` twin build their matrices flat and square by design
 /// and call in directly.
 pub(super) fn solve_square(cost: &[u64], n: usize) -> (Vec<usize>, u64) {
-    let watch = crate::obs_hooks::stopwatch();
+    let watch = nashdb_obs::stopwatch();
     debug_assert_eq!(cost.len(), n * n, "flat cost matrix is not n × n");
 
     const INF: i64 = i64::MAX / 4;

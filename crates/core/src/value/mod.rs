@@ -304,11 +304,11 @@ impl<B: ValueTreeBackend> TupleValueEstimator<B> {
             if let Err(e) = self.tree.remove_scan(old) {
                 unreachable!("windowed scan missing from value tree: {e}");
             }
-            crate::obs_hooks::counter_add("value_tree.evictions", 1);
+            nashdb_obs::counter_add("value_tree.evictions", 1);
         }
         self.tree.add_scan(&scan);
         self.window.push_back(scan);
-        crate::obs_hooks::counter_add("value_tree.inserts", 1);
+        nashdb_obs::counter_add("value_tree.inserts", 1);
         evicted
     }
 

@@ -292,13 +292,13 @@ proptest! {
 /// The invariant audits themselves, property-tested: every artifact the real
 /// pipeline produces must pass its audit, and deliberately corrupted
 /// artifacts must fail it.
-#[cfg(feature = "invariant-audit")]
 mod audit_props {
     use super::*;
     use nashdb_core::audit::{
-        audit_equilibrium, audit_fragmentation, audit_packing, audit_transition,
-        audit_tree_consistency, audit_value_tree, AuditError,
+        audit_fragmentation, audit_packing, audit_transition, audit_tree_consistency,
+        audit_value_tree, AuditError,
     };
+    use nashdb_core::economics::check_equilibrium;
     use nashdb_core::fragment::{fragment_stats, optimal_fragmentation, Fragmentation};
     use nashdb_core::replication::ClusterScheme;
 
@@ -372,7 +372,7 @@ mod audit_props {
             prop_assert!(
                 audit_packing(&scheme.nodes, &scheme.decisions, scheme.policy.spec.disk).is_ok()
             );
-            prop_assert!(audit_equilibrium(&scheme.economic_config()).is_ok());
+            prop_assert!(check_equilibrium(&scheme.economic_config()).is_ok());
         }
 
         /// §6 negative: duplicating any replica on any node breaks either
@@ -394,7 +394,7 @@ mod audit_props {
             let mut scheme = build_scheme(&chunks, 4).unwrap();
             scheme.decisions[0].replicas += 5;
             scheme.decisions[0].forced = false;
-            prop_assert!(audit_equilibrium(&scheme.economic_config()).is_err());
+            prop_assert!(check_equilibrium(&scheme.economic_config()).is_err());
         }
 
         /// §7: the Hungarian plan always passes the structural audit and

@@ -3,8 +3,8 @@
 //! A workspace-aware determinism & safety linter for the NashDB
 //! reproduction: a lightweight Rust token scanner ([`lexer`]) and per-file
 //! pattern rules over it ([`rules`]) — hash-iteration order, unchecked
-//! integer accumulation in loops, missing obs no-op twins, off-registry
-//! metric names, panics in library code. It is one half of the gate; what
+//! integer accumulation in loops, off-registry metric names, panics in
+//! library code. It is one half of the gate; what
 //! needs type resolution (wall-clock reads, raw threads, hash iteration
 //! through a getter, dropped `Result`s) is held by the clippy entries in
 //! the root `clippy.toml` and `[workspace.lints.clippy]`.
@@ -12,7 +12,7 @@
 //! Run it as CI does:
 //!
 //! ```text
-//! cargo run -p nashdb-lint -- --workspace --baseline lint-baseline.json --strict-baseline
+//! cargo run -p nashdb-lint -- --workspace --baseline lint-baseline.json
 //! ```
 //!
 //! Pre-existing accepted sites live in the committed ratchet baseline

@@ -1,12 +1,12 @@
 //! `nashdb-lint` — the CI entry point.
 //!
 //! ```text
-//! nashdb-lint --workspace [--root DIR] [--baseline lint-baseline.json] [--strict-baseline]
+//! nashdb-lint --workspace [--root DIR] [--baseline lint-baseline.json]
 //! nashdb-lint --workspace --write-baseline lint-baseline.json
 //! ```
 //!
-//! Exit codes: 0 clean (modulo baseline), 1 findings (or stale baseline
-//! under `--strict-baseline`), 2 usage/IO error.
+//! Exit codes: 0 clean (modulo baseline), 1 findings or a stale baseline,
+//! 2 usage/IO error.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -18,7 +18,7 @@ nashdb-lint — workspace determinism & safety linter
 
 Per-file token rules: `map-iter-order` (hash-order iteration reaching an
 output), `unchecked-arith-expr` (data-dependent integer accumulation in
-loops), `obs-fallback-parity`, `obs-name-prefix` and `panic-in-lib`.
+loops), `obs-name-prefix` and `panic-in-lib`.
 Wall-clock reads, raw threads, hash iteration through a getter and dropped
 `Result`s are clippy's half of the gate (`disallowed-methods` in the root
 clippy.toml, `let_underscore_must_use`): run `cargo clippy` beside this.
@@ -29,10 +29,9 @@ USAGE:
 OPTIONS:
   --root DIR             workspace root (default: current directory)
   --baseline FILE        ratchet file of accepted legacy findings; the run
-                         fails only on findings beyond the recorded counts
-  --strict-baseline      also fail (exit 1) when the baseline is stale:
-                         an entry allows more findings than remain, or
-                         names a file that no longer exists
+                         fails on findings beyond the recorded counts, and
+                         on a stale entry: one that allows more findings
+                         than remain, or names a file that no longer exists
   --write-baseline FILE  write the current findings as the new baseline
                          and exit 0
   --list-rules           print the rule ids and exit
@@ -80,7 +79,6 @@ fn main() {
         return;
     }
     let workspace = take_flag(&mut args, "--workspace");
-    let strict_baseline = take_flag(&mut args, "--strict-baseline");
     let root = take_value(&mut args, "--root").map_or_else(|| PathBuf::from("."), PathBuf::from);
     let baseline_path = take_value(&mut args, "--baseline");
     let write_baseline = take_value(&mut args, "--write-baseline");
@@ -127,24 +125,23 @@ fn main() {
     };
 
     let outcome = baseline.check(&findings);
-    let level = if strict_baseline { "error" } else { "note" };
     for (rule, file, allowed, actual) in &outcome.stale {
         if !root.join(file).is_file() {
             eprintln!(
-                "{level}: stale baseline entry: {file} [{rule}] allows {allowed} finding(s) \
+                "error: stale baseline entry: {file} [{rule}] allows {allowed} finding(s) \
                  but the file no longer exists — regenerate with --write-baseline"
             );
         } else {
             eprintln!(
-                "{level}: stale baseline entry: {file} [{rule}] allows {allowed} but only \
+                "error: stale baseline entry: {file} [{rule}] allows {allowed} but only \
                  {actual} remain — regenerate with --write-baseline to ratchet down"
             );
         }
     }
-    if strict_baseline && !outcome.stale.is_empty() && outcome.over.is_empty() {
+    if !outcome.stale.is_empty() && outcome.over.is_empty() {
         eprintln!(
-            "\nlint FAILED: --strict-baseline and {} stale baseline entr(y/ies); the ratchet \
-             must be regenerated so fixed debt cannot silently return.",
+            "\nlint FAILED: {} stale baseline entr(y/ies); the ratchet must be regenerated \
+             so fixed debt cannot silently return.",
             outcome.stale.len()
         );
         exit(1)

@@ -10,7 +10,7 @@ use crate::lexer::{lex, Lexed};
 /// the directive's line and the line below it (so it works both trailing
 /// and as a line of its own above the site);
 /// `// nashdb-lint: allow-file(rule-id) -- justification` silences the rule
-/// for the whole file (for e.g. invariant-audit modules whose entire job is
+/// for the whole file (for e.g. a contract-checking module whose entire job is
 /// to panic).
 ///
 /// The justification after `--` is mandatory: an escape without one is

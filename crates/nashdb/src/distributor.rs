@@ -4,8 +4,7 @@
 use nashdb_cluster::QueryRequest;
 use nashdb_core::economics::NodeSpec;
 use nashdb_core::fragment::{
-    fragment_stats, optimal_fragmentation, split_oversized, FragmentRange, FragmentStats,
-    Fragmentation, GreedyFragmenter,
+    fragment_stats, split_oversized, FragmentRange, FragmentStats, GreedyFragmenter,
 };
 use nashdb_core::ids::{FragmentId, TableId};
 use nashdb_core::num::{saturating_u64, usize_from};
@@ -28,8 +27,6 @@ pub struct NashDbConfig {
     pub max_frags_per_table: usize,
     /// Greedy split/merge rounds per reconfiguration.
     pub greedy_rounds: usize,
-    /// Use the exact DP fragmenter instead of greedy (small tables only).
-    pub use_optimal_fragmentation: bool,
     /// Safety cap on replicas per fragment.
     pub max_replicas: u64,
     /// Maximum fragment size in tuples (the paper's "average fragment fits
@@ -49,7 +46,6 @@ impl Default for NashDbConfig {
             spec: NodeSpec::new(100.0, 50_000_000), // 50 GB-equivalent nodes
             max_frags_per_table: 64,
             greedy_rounds: 96,
-            use_optimal_fragmentation: false,
             max_replicas: 512,
             max_fragment_tuples: u64::MAX,
             refrag_sensitivity: 0.05,
@@ -63,8 +59,8 @@ struct TableState {
     fragmenter: GreedyFragmenter,
 }
 
-/// One table's slice of the fragmentation stage: value chunks -> greedy (or
-/// exact DP) fragmentation -> disk-fit split -> per-fragment statistics.
+/// One table's slice of the fragmentation stage: value chunks -> greedy
+/// fragmentation -> disk-fit split -> per-fragment statistics.
 /// Stats come back with table-local ids; the caller re-identifies them globally.
 fn table_fragments(
     cfg: &NashDbConfig,
@@ -81,33 +77,18 @@ fn table_fragments(
     } else {
         cfg.greedy_rounds.max(24 * cfg.max_frags_per_table)
     };
-    let frag = if cfg.use_optimal_fragmentation {
-        // The estimator always emits contiguous chunks over a nonempty
-        // table, so the fallback only guards a broken estimator; debug
-        // builds surface it.
-        let frag = optimal_fragmentation(&chunks, cfg.max_frags_per_table);
-        debug_assert!(frag.is_ok(), "table {t_idx}: {:?}", frag.as_ref().err());
-        frag.unwrap_or_else(|_| Fragmentation::single(t.tuples.max(1)))
-    } else {
-        t.fragmenter.run(&chunks, rounds);
-        t.fragmenter.fragmentation()
-    };
-    #[cfg(feature = "invariant-audit")]
-    {
-        let audit = nashdb_core::audit::audit_value_tree(&t.estimator);
-        assert!(
-            audit.is_ok(),
-            "table {t_idx} value-tree audit failed: {audit:?}"
-        );
-        let audit =
-            nashdb_core::audit::audit_fragmentation(&frag, &chunks, cfg.max_frags_per_table);
-        assert!(
-            audit.is_ok(),
-            "table {t_idx} fragmentation audit failed: {audit:?}"
-        );
-    }
-    #[cfg(not(feature = "invariant-audit"))]
-    let _ = t_idx;
+    t.fragmenter.run(&chunks, rounds);
+    let frag = t.fragmenter.fragmentation();
+    debug_assert_eq!(
+        nashdb_core::audit::audit_value_tree(&t.estimator),
+        Ok(()),
+        "table {t_idx} value-tree audit"
+    );
+    debug_assert_eq!(
+        nashdb_core::audit::audit_fragmentation(&frag, &chunks, cfg.max_frags_per_table),
+        Ok(()),
+        "table {t_idx} fragmentation audit"
+    );
     let frag = split_oversized(&frag, cfg.spec.disk.min(cfg.max_fragment_tuples.max(1)));
     let stats = fragment_stats(&frag, &chunks);
     debug_assert!(stats.is_ok(), "table {t_idx}: {:?}", stats.as_ref().err());
@@ -492,15 +473,16 @@ impl Distributor for NashDbDistributor {
         };
         nashdb_obs::gauge_set("distributor.fragments", globals.len() as f64);
         nashdb_obs::gauge_set("distributor.nodes", nodes.len() as f64);
-        #[cfg(feature = "invariant-audit")]
-        {
+        if cfg!(debug_assertions) {
             let as_frags: Vec<Vec<FragmentId>> = nodes
                 .iter()
                 .map(|node| node.iter().map(|&i| FragmentId(i as u64)).collect())
                 .collect();
-            let audit =
-                nashdb_core::audit::audit_packing(&as_frags, &decisions, self.cfg.spec.disk);
-            assert!(audit.is_ok(), "packing audit failed: {audit:?}");
+            debug_assert_eq!(
+                nashdb_core::audit::audit_packing(&as_frags, &decisions, self.cfg.spec.disk),
+                Ok(()),
+                "packing audit"
+            );
         }
         DistScheme::new(globals, nodes)
     }
@@ -817,26 +799,6 @@ mod tests {
         for gf in s.fragments() {
             assert!(gf.range.size() <= 600_000);
         }
-    }
-
-    #[test]
-    fn optimal_mode_runs() {
-        let database = Database::new([("t", 10_000)]);
-        let cfg = NashDbConfig {
-            use_optimal_fragmentation: true,
-            spec: NodeSpec::new(100.0, 20_000),
-            max_frags_per_table: 8,
-            ..NashDbConfig::default()
-        };
-        let mut nash = NashDbDistributor::new(&database, cfg);
-        for i in 0..50 {
-            nash.observe(&query(
-                1.0,
-                &[(0, (i * 97) % 5_000, (i * 97) % 5_000 + 2_000)],
-            ));
-        }
-        let s = nash.scheme();
-        assert!(s.covers(&database));
     }
 
     #[test]

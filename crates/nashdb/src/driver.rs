@@ -232,11 +232,11 @@ pub fn run_workload_with_faults(
         let scheme = distributor.scheme();
         let intervals = scheme.node_intervals(&workload.db);
         let initial_plan = plan_transition(&[], &intervals);
-        #[cfg(feature = "invariant-audit")]
-        {
-            let audit = nashdb_core::audit::audit_transition(&[], &intervals, &initial_plan);
-            assert!(audit.is_ok(), "initial provision failed audit: {audit:?}");
-        }
+        debug_assert_eq!(
+            nashdb_core::audit::audit_transition(&[], &intervals, &initial_plan),
+            Ok(()),
+            "initial provision audit"
+        );
         if sim.reconfigure(&initial_plan).is_err() {
             nashdb_obs::counter_add("cluster.plans_rejected", 1);
         }
@@ -308,12 +308,11 @@ pub fn run_workload_with_faults(
                 let new_scheme = distributor.scheme();
                 let new_intervals = new_scheme.node_intervals(&workload.db);
                 let plan = plan_transition(&intervals, &new_intervals);
-                #[cfg(feature = "invariant-audit")]
-                {
-                    let audit =
-                        nashdb_core::audit::audit_transition(&intervals, &new_intervals, &plan);
-                    assert!(audit.is_ok(), "transition failed audit: {audit:?}");
-                }
+                debug_assert_eq!(
+                    nashdb_core::audit::audit_transition(&intervals, &new_intervals, &plan),
+                    Ok(()),
+                    "transition audit"
+                );
                 if sim.reconfigure(&plan).is_err() {
                     // A Hungarian plan against the current interval sets is
                     // always well-formed; count (rather than crash on) any

@@ -5,6 +5,7 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
+use nashdb_core::audit::audit_packing;
 use nashdb_core::fragment::{
     fragment_stats, optimal_fragmentation, split_oversized, ChunkPrefix, Fragmentation,
     GreedyFragmenter,
@@ -155,7 +156,7 @@ proptest! {
 
 proptest! {
     /// BFFD output: every replica placed, no duplicates per node, capacity
-    /// respected.
+    /// respected — the §6.3 oracle is `audit_packing`.
     #[test]
     fn bffd_invariants(chunks in arb_chunks(), disk in 500u64..5_000) {
         let frag = split_oversized(
@@ -167,21 +168,7 @@ proptest! {
             .with_max_replicas(12);
         let decisions = decide_replicas(&stats, &policy);
         let nodes = pack_bffd(&decisions, disk).unwrap();
-        let mut placed = vec![0u64; decisions.len()];
-        for frags in &nodes {
-            let mut seen = HashSet::new();
-            let mut used = 0;
-            for f in frags {
-                prop_assert!(seen.insert(*f), "duplicate replica on node");
-                let d = decisions.iter().find(|d| d.id == *f).unwrap();
-                used += d.range.size();
-                placed[usize::try_from(f.get()).unwrap()] += 1;
-            }
-            prop_assert!(used <= disk);
-        }
-        for (d, &p) in decisions.iter().zip(&placed) {
-            prop_assert_eq!(d.replicas, p, "fragment {} placement", d.id);
-        }
+        prop_assert_eq!(audit_packing(&nodes, &decisions, disk), Ok(()));
     }
 
     /// Replica decisions never drop below one and respect the cap; higher
