@@ -3,7 +3,7 @@
 //!
 //! Each pipeline stage of NashDB maintains a structural or economic
 //! invariant that the paper's correctness argument leans on: the value
-//! tree stays AVL-balanced and consistent with the scan window (§4), a
+//! tree stays consistent with the scan window (§4), a
 //! fragmentation tiles its table and never beats the DP optimum (§5), a
 //! replica configuration is a Nash equilibrium (§6, Definition 6.1 —
 //! [`check_equilibrium`](crate::economics::check_equilibrium) is that
@@ -29,10 +29,8 @@ use std::collections::{HashMap, HashSet};
 use crate::fragment::{optimal_fragmentation, ChunkPrefix, Fragmentation};
 use crate::ids::{FragmentId, NodeId};
 use crate::replication::ReplicationDecision;
-use crate::transition::{IntervalSet, NodeMove, TransitionPlan};
-use crate::value::{
-    AvlValueTree, BTreeValueTree, Chunk, PricedScan, TupleValueEstimator, ValueTreeBackend,
-};
+use crate::transition::{self, IntervalSet, NodeMove, TransitionPlan};
+use crate::value::{self, Chunk, PricedScan, TupleValueEstimator};
 
 /// Absolute floating-point tolerance used by the delta-sum and
 /// fragmentation-error comparisons.
@@ -50,14 +48,8 @@ pub const OPTIMALITY_CHUNK_LIMIT: usize = 64;
 /// A violated invariant, reported by one of the `audit_*` functions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AuditError {
-    /// The AVL tree has a node whose subtrees differ in height by more
-    /// than one, or whose cached height is stale.
-    UnbalancedTree {
-        /// Key of the first offending tree node.
-        key: u64,
-    },
-    /// The tree's in-order deltas disagree with a reference tree rebuilt
-    /// from the scan window.
+    /// The tree's in-order deltas disagree with the fold of the scan
+    /// window.
     TreeDivergence {
         /// Human-readable description of the first disagreement.
         detail: String,
@@ -153,9 +145,6 @@ pub enum AuditError {
 impl std::fmt::Display for AuditError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AuditError::UnbalancedTree { key } => {
-                write!(f, "AVL invariant violated at key {key}")
-            }
             AuditError::TreeDivergence { detail } => {
                 write!(f, "value tree diverges from scan window: {detail}")
             }
@@ -210,44 +199,29 @@ impl std::error::Error for AuditError {}
 // §4 — value tree
 // ---------------------------------------------------------------------------
 
-/// Audits an AVL-backed estimator: the tree must satisfy the AVL balance
-/// invariant and must agree with a `BTreeMap` reference rebuilt from the
-/// estimator's own scan window.
-///
-/// # Errors
-/// [`AuditError::UnbalancedTree`], [`AuditError::TreeDivergence`], or
-/// [`AuditError::DeltaSumNonzero`].
-pub fn audit_value_tree(est: &TupleValueEstimator<AvlValueTree>) -> Result<(), AuditError> {
-    if let Some(key) = est.tree().balance_violation() {
-        return Err(AuditError::UnbalancedTree { key });
-    }
-    let scans: Vec<PricedScan> = est.scans().copied().collect();
-    audit_tree_consistency(est.tree(), &scans)
-}
-
-/// Audits any tree backend against an explicit scan list: an independent
-/// [`BTreeValueTree`] is rebuilt from `scans` and the two delta sequences
-/// must match key-for-key within [`AUDIT_EPSILON`]; the deltas of a
-/// well-formed tree also sum to zero, since every scan contributes `+w` at
-/// its start and `-w` at its end.
+/// Audits an estimator against its own scan window.
 ///
 /// # Errors
 /// [`AuditError::TreeDivergence`] or [`AuditError::DeltaSumNonzero`].
-pub fn audit_tree_consistency<B: ValueTreeBackend>(
-    tree: &B,
+pub fn audit_value_tree(est: &TupleValueEstimator) -> Result<(), AuditError> {
+    let scans: Vec<PricedScan> = est.scans().copied().collect();
+    audit_tree_consistency(est, &scans)
+}
+
+/// Audits an estimator's tree against an explicit scan list: the tree's
+/// in-order deltas must match [`value::reference::window_fold`] of `scans`
+/// key-for-key within [`AUDIT_EPSILON`]; the deltas of a well-formed tree
+/// also sum to zero, since every scan contributes `+w` at its start and
+/// `-w` at its end.
+///
+/// # Errors
+/// [`AuditError::TreeDivergence`] or [`AuditError::DeltaSumNonzero`].
+pub fn audit_tree_consistency(
+    est: &TupleValueEstimator,
     scans: &[PricedScan],
 ) -> Result<(), AuditError> {
-    let mut reference = BTreeValueTree::default();
-    for s in scans {
-        reference.add_scan(s);
-    }
-    fn collect<B: ValueTreeBackend>(tree: &B) -> Vec<(u64, f64)> {
-        let mut out = Vec::new();
-        tree.visit_deltas(&mut |k, d| out.push((k, d)));
-        out
-    }
-    let actual = collect(tree);
-    let expected = collect(&reference);
+    let actual: Vec<(u64, f64)> = est.deltas().collect();
+    let expected = value::reference::window_fold(scans);
     if actual.len() != expected.len() {
         return Err(AuditError::TreeDivergence {
             detail: format!(
@@ -480,16 +454,10 @@ pub fn audit_transition(
 /// Minimum total transfer over all perfect matchings of the dummy-padded
 /// `n × n` instance, by permutation enumeration (Heap's algorithm).
 fn brute_force_transfer(old: &[IntervalSet], new: &[IntervalSet], n: usize) -> u64 {
-    let cost = |i: usize, j: usize| -> u64 {
-        match (old.get(i), new.get(j)) {
-            (Some(o), Some(nw)) => nw.difference_len(o),
-            (None, Some(nw)) => nw.len(),
-            _ => 0,
-        }
-    };
+    let cost = transition::reference::cost_matrix(old, new);
     let mut perm: Vec<usize> = (0..n).collect();
     let mut counters = vec![0usize; n];
-    let total = |p: &[usize]| -> u64 { p.iter().enumerate().map(|(i, &j)| cost(i, j)).sum() };
+    let total = |p: &[usize]| -> u64 { p.iter().enumerate().map(|(i, &j)| cost[i * n + j]).sum() };
     let mut best = total(&perm);
     let mut i = 0;
     while i < n {
@@ -540,19 +508,19 @@ mod tests {
         let mut est = TupleValueEstimator::new(8);
         est.observe(scan(0, 10, 1.0));
         est.observe(scan(5, 20, 2.0));
-        // Claim the window held only the first scan: the rebuilt reference
-        // then disagrees with the real tree.
-        let err = audit_tree_consistency(est.tree(), &[scan(0, 10, 1.0)]).unwrap_err();
+        // Claim the window held only the first scan: its fold then
+        // disagrees with the real tree.
+        let err = audit_tree_consistency(&est, &[scan(0, 10, 1.0)]).unwrap_err();
         assert!(matches!(err, AuditError::TreeDivergence { .. }), "{err}");
     }
 
     #[test]
     fn phantom_scan_is_divergence() {
         // A tree holding a scan the window claims was never observed: the
-        // rebuilt reference is empty, the tree is not.
-        let mut tree = AvlValueTree::default();
-        tree.add_scan(&scan(0, 10, 1.0));
-        let err = audit_tree_consistency(&tree, &[]).unwrap_err();
+        // fold is empty, the tree is not.
+        let mut est = TupleValueEstimator::new(8);
+        est.observe(scan(0, 10, 1.0));
+        let err = audit_tree_consistency(&est, &[]).unwrap_err();
         assert!(matches!(err, AuditError::TreeDivergence { .. }), "{err}");
     }
 

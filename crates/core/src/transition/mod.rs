@@ -470,22 +470,9 @@ mod tests {
             let new: Vec<_> = (0..n_new).map(|_| mk(&mut rng)).collect();
             let plan = plan_transition(&old, &new);
 
-            // Brute force over all injections of new nodes into old ∪ fresh.
-            let n = n_old.max(n_new);
-            let cost = |i: usize, j: usize| -> u64 {
-                match (old.get(i), new.get(j)) {
-                    (Some(o), Some(nw)) => nw.difference_len(o),
-                    (None, Some(nw)) => nw.len(),
-                    _ => 0,
-                }
-            };
-            let mut best = u64::MAX;
-            let mut perm: Vec<usize> = (0..n).collect();
-            permute(&mut perm, 0, &mut |p: &[usize]| {
-                let total: u64 = p.iter().enumerate().map(|(i, &j)| cost(i, j)).sum();
-                best = best.min(total);
-            });
-            assert_eq!(plan.total_transfer, best);
+            // Under CERTIFICATE_LIMIT nodes, so the audit's brute-force
+            // minimum over all matchings always runs.
+            assert_eq!(crate::audit::audit_transition(&old, &new, &plan), Ok(()));
         }
     }
 
@@ -522,18 +509,6 @@ mod tests {
                 reference::cost_matrix(&old, &new),
                 "trial {trial}: {old:?} -> {new:?}"
             );
-        }
-    }
-
-    fn permute(items: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
-        if k == items.len() {
-            visit(items);
-            return;
-        }
-        for i in k..items.len() {
-            items.swap(k, i);
-            permute(items, k + 1, visit);
-            items.swap(k, i);
         }
     }
 }

@@ -5,18 +5,17 @@
 //! every tuple it reads. Averaged over a sliding window of the most recent
 //! `|W|` scans this yields the tuple value function `V(x)` (Eq. 2), which is
 //! piecewise constant with breakpoints only at scan start/end indices — so
-//! NashDB stores just those breakpoints in a balanced tree and recovers all
-//! values with one in-order traversal (Algorithm 1).
+//! NashDB stores just those breakpoints in an ordered map (`tree.rs`) and
+//! recovers all values with one in-order traversal (Algorithm 1).
+//! [`mod@reference`] is the stage's oracle: the same breakpoints folded straight
+//! from a scan list, with no tree.
 
-mod reference;
+pub mod reference;
 mod tree;
-
-pub use reference::BTreeValueTree;
-pub use tree::AvlValueTree;
 
 use std::collections::VecDeque;
 
-use tree::Endpoint;
+use tree::ValueTree;
 
 /// Errors from value-tree scan removal: both variants indicate the caller is
 /// trying to un-track a scan endpoint that is not currently tracked.
@@ -91,32 +90,6 @@ impl PricedScan {
     }
 }
 
-/// Splits a query's price across its scans proportionally to scan size
-/// (paper Eq. 1), returning one [`PricedScan`] per input range.
-///
-/// # Panics
-/// Panics if any range is empty or the price is negative/non-finite.
-pub fn split_query_price(query_price: f64, scans: &[(u64, u64)]) -> Vec<PricedScan> {
-    assert!(
-        query_price.is_finite() && query_price >= 0.0,
-        "query price must be finite and nonnegative, got {query_price}"
-    );
-    let total: u64 = scans
-        .iter()
-        .map(|&(s, e)| {
-            assert!(s < e, "empty scan range {s}..{e}");
-            e - s
-        })
-        .sum();
-    scans
-        .iter()
-        .map(|&(s, e)| {
-            let share = (e - s) as f64 / total as f64;
-            PricedScan::new(s, e, share * query_price)
-        })
-        .collect()
-}
-
 /// A maximal run of tuples sharing the same estimated value `V(x)` — the
 /// output of Algorithm 1 and the unit the fragmentation algorithms operate
 /// on (splitting inside a constant-value run can never reduce fragment
@@ -153,70 +126,6 @@ impl Chunk {
     }
 }
 
-/// Storage backend for the value estimation tree; implemented by the AVL
-/// tree from the paper and by a `BTreeMap` reference used for differential
-/// testing and benchmarking.
-pub trait ValueTreeBackend: Default {
-    /// Records a scan's endpoints with weight `Price(s)/Size(s)`.
-    fn add_scan(&mut self, scan: &PricedScan);
-    /// Reverses [`add_scan`](Self::add_scan) when the scan leaves the window.
-    ///
-    /// # Errors
-    /// Fails (leaving the tree unchanged) when the scan was never added —
-    /// see [`ValueTreeError`].
-    fn remove_scan(&mut self, scan: &PricedScan) -> Result<(), ValueTreeError>;
-    /// Visits in-order `(key, ∆)` pairs.
-    fn visit_deltas(&self, visit: &mut dyn FnMut(u64, f64));
-    /// Number of tracked breakpoints.
-    fn tracked_keys(&self) -> usize;
-}
-
-impl ValueTreeBackend for AvlValueTree {
-    fn add_scan(&mut self, scan: &PricedScan) {
-        self.add(scan.start, scan.weight(), Endpoint::Start);
-        self.add(scan.end, scan.weight(), Endpoint::End);
-    }
-    fn remove_scan(&mut self, scan: &PricedScan) -> Result<(), ValueTreeError> {
-        // A scan spans two distinct keys; validate both before touching
-        // either so a failed removal leaves the tree fully intact.
-        self.check_removable(scan.start, Endpoint::Start)?;
-        self.check_removable(scan.end, Endpoint::End)?;
-        self.remove(scan.start, scan.weight(), Endpoint::Start)?;
-        self.remove(scan.end, scan.weight(), Endpoint::End)?;
-        Ok(())
-    }
-    fn visit_deltas(&self, visit: &mut dyn FnMut(u64, f64)) {
-        for (k, d) in self.deltas() {
-            visit(k, d);
-        }
-    }
-    fn tracked_keys(&self) -> usize {
-        self.len()
-    }
-}
-
-impl ValueTreeBackend for BTreeValueTree {
-    fn add_scan(&mut self, scan: &PricedScan) {
-        self.add(scan.start, scan.weight(), Endpoint::Start);
-        self.add(scan.end, scan.weight(), Endpoint::End);
-    }
-    fn remove_scan(&mut self, scan: &PricedScan) -> Result<(), ValueTreeError> {
-        self.check_removable(scan.start, Endpoint::Start)?;
-        self.check_removable(scan.end, Endpoint::End)?;
-        self.remove(scan.start, scan.weight(), Endpoint::Start)?;
-        self.remove(scan.end, scan.weight(), Endpoint::End)?;
-        Ok(())
-    }
-    fn visit_deltas(&self, visit: &mut dyn FnMut(u64, f64)) {
-        for (k, d) in self.deltas() {
-            visit(k, d);
-        }
-    }
-    fn tracked_keys(&self) -> usize {
-        self.len()
-    }
-}
-
 /// The tuple value estimator: a scan window (ring buffer) plus a value
 /// estimation tree, per table.
 ///
@@ -232,37 +141,29 @@ impl ValueTreeBackend for BTreeValueTree {
 /// assert!((v - 2.5 / 3.0).abs() < 1e-12);
 /// ```
 #[derive(Debug)]
-pub struct TupleValueEstimator<B: ValueTreeBackend = AvlValueTree> {
-    tree: B,
+pub struct TupleValueEstimator {
+    tree: ValueTree,
     window: VecDeque<PricedScan>,
     capacity: usize,
 }
 
-impl TupleValueEstimator<AvlValueTree> {
-    /// Creates an estimator over a window of `capacity` scans, backed by the
-    /// paper's AVL tree.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_backend(capacity)
-    }
-}
+impl TupleValueEstimator {
+    /// Bytes the tree stores per tracked key — a lower bound on its heap
+    /// footprint per key, B-tree node slack not counted (for overhead
+    /// reporting).
+    pub const BYTES_PER_TRACKED_KEY: usize = ValueTree::BYTES_PER_KEY;
 
-impl<B: ValueTreeBackend> TupleValueEstimator<B> {
-    /// Creates an estimator with an explicit tree backend.
+    /// Creates an estimator over a window of `capacity` scans.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
-    pub fn with_backend(capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "scan window must hold at least one scan");
         TupleValueEstimator {
-            tree: B::default(),
+            tree: ValueTree::default(),
             window: VecDeque::with_capacity(capacity),
             capacity,
         }
-    }
-
-    /// Scan window capacity `|W|`.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of scans currently in the window.
@@ -270,19 +171,14 @@ impl<B: ValueTreeBackend> TupleValueEstimator<B> {
         self.window.len()
     }
 
-    /// True once the window has filled to capacity.
-    pub fn is_warm(&self) -> bool {
-        self.window.len() == self.capacity
-    }
-
     /// Number of breakpoints tracked by the tree (for overhead reporting).
     pub fn tracked_keys(&self) -> usize {
-        self.tree.tracked_keys()
+        self.tree.len()
     }
 
-    /// Read-only access to the backing tree (for overhead reporting).
-    pub fn tree(&self) -> &B {
-        &self.tree
+    /// The tree's in-order `(key, ∆)` pairs, for the audit.
+    pub(crate) fn deltas(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.tree.deltas()
     }
 
     /// The scans currently in the window, oldest first.
@@ -312,14 +208,6 @@ impl<B: ValueTreeBackend> TupleValueEstimator<B> {
         evicted
     }
 
-    /// Folds a whole query in: splits `price` across `scans` by Eq. 1 and
-    /// observes each.
-    pub fn observe_query(&mut self, price: f64, scans: &[(u64, u64)]) {
-        for s in split_query_price(price, scans) {
-            self.observe(s);
-        }
-    }
-
     /// Algorithm 1: recovers the piecewise-constant `V(x)` over
     /// `[0, table_len)` as a list of [`Chunk`]s, including zero-valued gaps,
     /// in one in-order traversal.
@@ -342,7 +230,7 @@ impl<B: ValueTreeBackend> TupleValueEstimator<B> {
         let norm = |alpha: f64| (alpha / w as f64).max(0.0);
         let mut alpha = 0.0f64;
         let mut prev = 0u64;
-        self.tree.visit_deltas(&mut |key, delta| {
+        for (key, delta) in self.tree.deltas() {
             let key = key.min(table_len);
             if key > prev {
                 chunks.push(Chunk {
@@ -353,7 +241,7 @@ impl<B: ValueTreeBackend> TupleValueEstimator<B> {
                 prev = key;
             }
             alpha += delta;
-        });
+        }
         if table_len > prev {
             chunks.push(Chunk {
                 start: prev,
@@ -406,20 +294,11 @@ mod tests {
     }
 
     #[test]
-    fn split_query_price_is_proportional() {
-        let scans = split_query_price(9.0, &[(0, 10), (100, 120)]);
-        assert_close(scans[0].price, 3.0);
-        assert_close(scans[1].price, 6.0);
-        // Per-tuple weight is equal across the query's scans (both 0.3).
-        assert_close(scans[0].weight(), scans[1].weight());
-    }
-
-    #[test]
     fn eviction_forgets_old_scans() {
         let mut est = TupleValueEstimator::new(2);
         est.observe(PricedScan::new(0, 10, 10.0));
         est.observe(PricedScan::new(0, 10, 10.0));
-        assert!(est.is_warm());
+        assert_eq!(est.window_len(), 2);
         // Third scan evicts the first.
         let evicted = est.observe(PricedScan::new(50, 60, 20.0));
         assert_eq!(evicted, Some(PricedScan::new(0, 10, 10.0)));
@@ -447,7 +326,8 @@ mod tests {
     #[test]
     fn chunks_cover_table_exactly() {
         let mut est = TupleValueEstimator::new(10);
-        est.observe_query(4.0, &[(3, 9), (20, 40)]);
+        est.observe(PricedScan::new(3, 9, 1.0));
+        est.observe(PricedScan::new(20, 40, 3.0));
         let chunks = est.chunks(64);
         assert_eq!(chunks.first().unwrap().start, 0);
         assert_eq!(chunks.last().unwrap().end, 64);
@@ -496,10 +376,11 @@ mod tests {
         let _ = PricedScan::new(0, 5, -1.0);
     }
 
+    /// Through fills and evictions the tree holds exactly what a fold over
+    /// the window says it should.
     #[test]
-    fn backends_agree_on_a_workload() {
-        let mut avl: TupleValueEstimator<AvlValueTree> = TupleValueEstimator::with_backend(8);
-        let mut bt: TupleValueEstimator<BTreeValueTree> = TupleValueEstimator::with_backend(8);
+    fn estimator_matches_window_fold() {
+        let mut est = TupleValueEstimator::new(8);
         let scans = [
             (0u64, 50u64, 5.0f64),
             (10, 30, 2.0),
@@ -515,15 +396,9 @@ mod tests {
             (1, 99, 2.5),
         ];
         for &(s, e, p) in &scans {
-            avl.observe(PricedScan::new(s, e, p));
-            bt.observe(PricedScan::new(s, e, p));
-            let ca = avl.chunks(100);
-            let cb = bt.chunks(100);
-            assert_eq!(ca.len(), cb.len());
-            for (a, b) in ca.iter().zip(&cb) {
-                assert_eq!((a.start, a.end), (b.start, b.end));
-                assert!((a.value - b.value).abs() < 1e-12);
-            }
+            est.observe(PricedScan::new(s, e, p));
+            let window: Vec<PricedScan> = est.scans().copied().collect();
+            reference::assert_matches_fold(est.deltas(), &window, 1e-12);
         }
     }
 }

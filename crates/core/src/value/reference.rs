@@ -1,116 +1,46 @@
-//! A `BTreeMap`-backed reference implementation of the value estimation
-//! tree, used for differential testing of the AVL implementation.
+//! The value stage's oracle: the in-order `(key, ∆)` pairs a scan window
+//! implies, re-derived with no tree — sort every endpoint, sum per key.
 //!
-//! Semantically identical to [`AvlValueTree`](super::tree::AvlValueTree):
-//! same keys, same deltas, same deletion rule (a key is dropped only when no
-//! windowed scan starts or ends there).
+//! Shares no code with the production tree. The fold adds each weight
+//! exactly once, so it carries none of the add/remove rounding residue a
+//! long-lived tree accumulates; compare within a tolerance, not bit for bit.
 
-use std::collections::BTreeMap;
+use super::PricedScan;
 
-use super::tree::Endpoint;
-use super::ValueTreeError;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    delta: f64,
-    start_count: u32,
-    end_count: u32,
+/// Folds `scans` into sorted `(key, Σ ±w)` pairs, `w = price / size`: `+w`
+/// where a scan starts, `−w` where it ends. A key where the two cancel stays
+/// in the output with a net ∆ of zero, as it stays in the tree.
+pub fn window_fold(scans: &[PricedScan]) -> Vec<(u64, f64)> {
+    let mut endpoints: Vec<(u64, f64)> = Vec::with_capacity(2 * scans.len());
+    for s in scans {
+        let w = s.price / (s.end - s.start) as f64;
+        endpoints.push((s.start, w));
+        endpoints.push((s.end, -w));
+    }
+    endpoints.sort_by_key(|&(key, _)| key);
+    let mut folded: Vec<(u64, f64)> = Vec::new();
+    for (key, w) in endpoints {
+        match folded.last_mut() {
+            Some((last, delta)) if *last == key => *delta += w,
+            _ => folded.push((key, w)),
+        }
+    }
+    folded
 }
 
-/// Reference value tree on `std::collections::BTreeMap`.
-#[derive(Debug, Default)]
-pub struct BTreeValueTree {
-    map: BTreeMap<u64, Entry>,
-}
-
-impl BTreeValueTree {
-    /// Creates an empty tree.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of tracked keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True iff no scans are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    pub(crate) fn add(&mut self, key: u64, weight: f64, endpoint: Endpoint) {
-        let e = self.map.entry(key).or_default();
-        match endpoint {
-            Endpoint::Start => {
-                e.delta += weight;
-                e.start_count += 1;
-            }
-            Endpoint::End => {
-                e.delta -= weight;
-                e.end_count += 1;
-            }
-        }
-    }
-
-    pub(crate) fn remove(
-        &mut self,
-        key: u64,
-        weight: f64,
-        endpoint: Endpoint,
-    ) -> Result<(), ValueTreeError> {
-        let e = self
-            .map
-            .get_mut(&key)
-            .ok_or(ValueTreeError::UntrackedKey { key })?;
-        match endpoint {
-            Endpoint::Start => {
-                let next = e
-                    .start_count
-                    .checked_sub(1)
-                    .ok_or(ValueTreeError::EndpointUnderflow { key })?;
-                e.delta -= weight;
-                e.start_count = next;
-            }
-            Endpoint::End => {
-                let next = e
-                    .end_count
-                    .checked_sub(1)
-                    .ok_or(ValueTreeError::EndpointUnderflow { key })?;
-                e.delta += weight;
-                e.end_count = next;
-            }
-        }
-        if e.start_count == 0 && e.end_count == 0 {
-            self.map.remove(&key);
-        }
-        Ok(())
-    }
-
-    /// Verifies that a scan endpoint of the given kind is tracked at `key`.
-    pub(crate) fn check_removable(
-        &self,
-        key: u64,
-        endpoint: Endpoint,
-    ) -> Result<(), ValueTreeError> {
-        let e = self
-            .map
-            .get(&key)
-            .ok_or(ValueTreeError::UntrackedKey { key })?;
-        let count = match endpoint {
-            Endpoint::Start => e.start_count,
-            Endpoint::End => e.end_count,
-        };
-        if count > 0 {
-            Ok(())
-        } else {
-            Err(ValueTreeError::EndpointUnderflow { key })
-        }
-    }
-
-    /// In-order `(key, ∆)` pairs.
-    pub fn deltas(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.map.iter().map(|(&k, e)| (k, e.delta))
+/// Test helper: `got` must be [`window_fold`] of `scans` key for key, each
+/// ∆ within `tol`.
+#[cfg(test)]
+pub(super) fn assert_matches_fold(
+    got: impl Iterator<Item = (u64, f64)>,
+    scans: &[PricedScan],
+    tol: f64,
+) {
+    let (got, expect): (Vec<_>, _) = (got.collect(), window_fold(scans));
+    assert_eq!(got.len(), expect.len(), "{got:?} vs {expect:?}");
+    for (&(k, d), &(ek, ed)) in got.iter().zip(&expect) {
+        assert_eq!(k, ek, "{got:?} vs {expect:?}");
+        assert!((d - ed).abs() < tol, "key {k}: {d} vs {ed}");
     }
 }
 
@@ -119,35 +49,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mirrors_basic_semantics() {
-        let mut t = BTreeValueTree::new();
-        t.add(0, 1.0, Endpoint::Start);
-        t.add(10, 1.0, Endpoint::End);
-        t.add(0, 0.5, Endpoint::Start);
-        t.add(5, 0.5, Endpoint::End);
-        assert_eq!(t.len(), 3);
-        let d: Vec<_> = t.deltas().collect();
-        assert_eq!(d[0].0, 0);
-        assert!((d[0].1 - 1.5).abs() < 1e-12);
-        t.remove(0, 1.0, Endpoint::Start).unwrap();
-        t.remove(10, 1.0, Endpoint::End).unwrap();
-        assert_eq!(t.len(), 2);
-        t.remove(0, 0.5, Endpoint::Start).unwrap();
-        t.remove(5, 0.5, Endpoint::End).unwrap();
-        assert!(t.is_empty());
+    fn empty_window_folds_to_nothing() {
+        assert!(window_fold(&[]).is_empty());
     }
 
     #[test]
-    fn remove_unknown_is_an_error() {
-        let mut t = BTreeValueTree::new();
-        assert_eq!(
-            t.remove(1, 1.0, Endpoint::Start),
-            Err(ValueTreeError::UntrackedKey { key: 1 })
-        );
-        t.add(1, 1.0, Endpoint::End);
-        assert_eq!(
-            t.remove(1, 1.0, Endpoint::Start),
-            Err(ValueTreeError::EndpointUnderflow { key: 1 })
-        );
+    fn shared_keys_accumulate() {
+        let fold = window_fold(&[
+            PricedScan::new(0, 10, 10.0),
+            PricedScan::new(0, 10, 20.0),
+            PricedScan::new(4, 10, 3.0),
+        ]);
+        assert_eq!(fold, vec![(0, 3.0), (4, 0.5), (10, -3.5)]);
+    }
+
+    #[test]
+    fn start_and_end_at_one_key_net_out() {
+        // 0..5 ends where 5..9 starts, both of weight 1: key 5 stays, at ∆ 0.
+        let fold = window_fold(&[PricedScan::new(5, 9, 4.0), PricedScan::new(0, 5, 5.0)]);
+        assert_eq!(fold, vec![(0, 1.0), (5, 0.0), (9, -1.0)]);
     }
 }

@@ -1,418 +1,162 @@
 //! The value estimation tree (paper §4.2, with the Appendix A optimization).
 //!
-//! An AVL tree keyed on the tuple indices where some windowed scan starts or
-//! ends. Following Appendix A we store the net delta `∆(n) = S(n) − E(n)`
-//! (the change in per-scan income at that index) rather than `S` and `E`
-//! separately; to make scan *removal* exact we additionally keep integer
-//! counts of the scans starting/ending at each key and delete a node only
-//! when both counts reach zero, so float residue can never strand ghost
-//! nodes or drop live ones.
+//! The paper's "augmented BST over scan start/end points" is an ordered map
+//! from tuple index to ∆ with an in-order walk, which is what
+//! `std::collections::BTreeMap` provides. Following Appendix A we store the
+//! net delta `∆(n) = S(n) − E(n)` (the change in per-scan income at that
+//! index) rather than `S` and `E` separately; to make scan *removal* exact
+//! we additionally keep integer counts of the scans starting/ending at each
+//! key and drop a key only when both counts reach zero, so float residue can
+//! never strand ghost keys or drop live ones.
 //!
 //! An in-order traversal yields `(key, ∆)` pairs from which Algorithm 1
 //! recovers the piecewise-constant tuple value function in `O(|W|)`.
 
-use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
-use super::ValueTreeError;
+use super::{PricedScan, ValueTreeError};
 
-/// One tree node: a unique scan start/end index and its aggregated deltas.
-#[derive(Debug)]
-struct Node {
-    key: u64,
-    /// Net per-scan income change at `key`: Σ weights of scans starting here
-    /// minus Σ weights of scans ending here.
+/// What the tree knows about one scan start/end index.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    /// Net per-scan income change at the key: Σ weights of scans starting
+    /// here minus Σ weights of scans ending here.
     delta: f64,
-    /// Number of windowed scans starting at `key`.
+    /// Number of windowed scans starting at the key.
     start_count: u32,
-    /// Number of windowed scans ending at `key`.
+    /// Number of windowed scans ending at the key.
     end_count: u32,
-    height: i32,
-    left: Option<Box<Node>>,
-    right: Option<Box<Node>>,
-}
-
-impl Node {
-    fn new(key: u64) -> Box<Node> {
-        Box::new(Node {
-            key,
-            delta: 0.0,
-            start_count: 0,
-            end_count: 0,
-            height: 1,
-            left: None,
-            right: None,
-        })
-    }
-}
-
-fn height(node: &Option<Box<Node>>) -> i32 {
-    node.as_ref().map_or(0, |n| n.height)
-}
-
-fn update(node: &mut Box<Node>) {
-    node.height = 1 + height(&node.left).max(height(&node.right));
-}
-
-fn balance_factor(node: &Node) -> i32 {
-    height(&node.left) - height(&node.right)
-}
-
-fn rotate_right(mut root: Box<Node>) -> Box<Node> {
-    let Some(mut new_root) = root.left.take() else {
-        unreachable!("rotate_right is only called on a left-heavy node");
-    };
-    root.left = new_root.right.take();
-    update(&mut root);
-    new_root.right = Some(root);
-    update(&mut new_root);
-    new_root
-}
-
-fn rotate_left(mut root: Box<Node>) -> Box<Node> {
-    let Some(mut new_root) = root.right.take() else {
-        unreachable!("rotate_left is only called on a right-heavy node");
-    };
-    root.right = new_root.left.take();
-    update(&mut root);
-    new_root.left = Some(root);
-    update(&mut new_root);
-    new_root
-}
-
-fn rebalance(mut node: Box<Node>) -> Box<Node> {
-    update(&mut node);
-    let bf = balance_factor(&node);
-    if bf > 1 {
-        nashdb_obs::counter_add("value_tree.rebalances", 1);
-        // bf > 1 implies a left child of height >= 2.
-        if node.left.as_ref().is_some_and(|l| balance_factor(l) < 0) {
-            node.left = node.left.take().map(rotate_left);
-        }
-        rotate_right(node)
-    } else if bf < -1 {
-        nashdb_obs::counter_add("value_tree.rebalances", 1);
-        // bf < -1 implies a right child of height >= 2.
-        if node.right.as_ref().is_some_and(|r| balance_factor(r) > 0) {
-            node.right = node.right.take().map(rotate_right);
-        }
-        rotate_left(node)
-    } else {
-        node
-    }
 }
 
 /// Which endpoint of a scan a tree update refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Endpoint {
+enum Endpoint {
     /// The (inclusive) starting tuple of a scan.
     Start,
     /// The (exclusive) ending tuple of a scan.
     End,
 }
 
-/// The AVL value estimation tree.
+/// The value estimation tree: one [`Entry`] per distinct tuple index where
+/// some windowed scan starts or ends.
 #[derive(Debug, Default)]
-pub struct AvlValueTree {
-    root: Option<Box<Node>>,
-    len: usize,
+pub(crate) struct ValueTree {
+    map: BTreeMap<u64, Entry>,
 }
 
-impl AvlValueTree {
-    /// Creates an empty tree.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl ValueTree {
+    /// Payload bytes per tracked key (the key and its [`Entry`]); the map's
+    /// own node slack comes on top.
+    pub(crate) const BYTES_PER_KEY: usize =
+        std::mem::size_of::<u64>() + std::mem::size_of::<Entry>();
 
     /// Number of distinct scan start/end indices currently tracked.
-    pub fn len(&self) -> usize {
-        self.len
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
     }
 
-    /// True iff no scans are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Records a newly windowed scan: its weight `Price(s)/Size(s)` is added
+    /// at its start key and subtracted at its end key.
+    pub(crate) fn add_scan(&mut self, scan: &PricedScan) {
+        self.add(scan.start, scan.weight(), Endpoint::Start);
+        self.add(scan.end, scan.weight(), Endpoint::End);
     }
 
-    /// Approximate heap footprint in bytes (for the paper's §10.1 overhead
-    /// measurement): one allocation per node.
-    pub fn approx_bytes(&self) -> usize {
-        self.len * std::mem::size_of::<Node>()
+    /// Reverses [`add_scan`](Self::add_scan) when the scan leaves the window.
+    ///
+    /// # Errors
+    /// Fails (leaving the tree unchanged) when the scan was never added —
+    /// see [`ValueTreeError`].
+    pub(crate) fn remove_scan(&mut self, scan: &PricedScan) -> Result<(), ValueTreeError> {
+        // A scan spans two distinct keys; validate both before touching
+        // either so a failed removal leaves the tree fully intact.
+        self.check_removable(scan.start, Endpoint::Start)?;
+        self.check_removable(scan.end, Endpoint::End)?;
+        self.remove(scan.start, scan.weight(), Endpoint::Start)?;
+        self.remove(scan.end, scan.weight(), Endpoint::End)
     }
 
-    /// Records one endpoint of a newly windowed scan: the scan's normalized
-    /// weight `Price(s)/Size(s)` is added at its start key and subtracted at
-    /// its end key.
-    pub(crate) fn add(&mut self, key: u64, weight: f64, endpoint: Endpoint) {
-        let signed = match endpoint {
-            Endpoint::Start => weight,
-            Endpoint::End => -weight,
-        };
-        let root = self.root.take();
-        let (root, created) = Self::insert_into(root, key, signed, endpoint);
-        self.root = Some(root);
-        if created {
-            self.len += 1;
+    /// In-order `(key, ∆)` pairs — the input to Algorithm 1.
+    pub(crate) fn deltas(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.map.iter().map(|(&k, e)| (k, e.delta))
+    }
+
+    fn add(&mut self, key: u64, weight: f64, endpoint: Endpoint) {
+        let e = self.map.entry(key).or_default();
+        match endpoint {
+            Endpoint::Start => {
+                e.delta += weight;
+                e.start_count += 1;
+            }
+            Endpoint::End => {
+                e.delta -= weight;
+                e.end_count += 1;
+            }
         }
     }
 
-    /// Reverses a prior [`add`](Self::add) when a scan leaves the window.
-    /// Deletes the node once no windowed scan starts or ends at its key.
-    ///
-    /// # Errors
-    /// Returns [`ValueTreeError::UntrackedKey`] if no scan endpoint is
-    /// tracked at `key`, and [`ValueTreeError::EndpointUnderflow`] if no
-    /// scan with this endpoint kind was inserted there. On error the tree is
-    /// left unchanged.
-    pub(crate) fn remove(
-        &mut self,
-        key: u64,
-        weight: f64,
-        endpoint: Endpoint,
-    ) -> Result<(), ValueTreeError> {
-        // Validate up front so a failed removal cannot mutate half the path.
-        self.check_removable(key, endpoint)?;
-        let signed = match endpoint {
-            Endpoint::Start => -weight,
-            Endpoint::End => weight,
+    /// Reverses a prior [`add`](Self::add), dropping the key once no
+    /// windowed scan starts or ends there. On error the tree is unchanged.
+    fn remove(&mut self, key: u64, weight: f64, endpoint: Endpoint) -> Result<(), ValueTreeError> {
+        let e = self
+            .map
+            .get_mut(&key)
+            .ok_or(ValueTreeError::UntrackedKey { key })?;
+        let (count, signed) = match endpoint {
+            Endpoint::Start => (&mut e.start_count, -weight),
+            Endpoint::End => (&mut e.end_count, weight),
         };
-        let root = self.root.take();
-        let (root, deleted) = Self::remove_from(root, key, signed, endpoint);
-        self.root = root;
-        if deleted {
-            self.len -= 1;
+        *count = count
+            .checked_sub(1)
+            .ok_or(ValueTreeError::EndpointUnderflow { key })?;
+        e.delta += signed;
+        if e.start_count == 0 && e.end_count == 0 {
+            self.map.remove(&key);
         }
         Ok(())
     }
 
     /// Verifies that a scan endpoint of the given kind is tracked at `key`.
-    pub(crate) fn check_removable(
-        &self,
-        key: u64,
-        endpoint: Endpoint,
-    ) -> Result<(), ValueTreeError> {
-        let mut node = self.root.as_deref();
-        while let Some(n) = node {
-            match key.cmp(&n.key) {
-                Ordering::Equal => {
-                    let count = match endpoint {
-                        Endpoint::Start => n.start_count,
-                        Endpoint::End => n.end_count,
-                    };
-                    return if count > 0 {
-                        Ok(())
-                    } else {
-                        Err(ValueTreeError::EndpointUnderflow { key })
-                    };
-                }
-                Ordering::Less => node = n.left.as_deref(),
-                Ordering::Greater => node = n.right.as_deref(),
-            }
-        }
-        Err(ValueTreeError::UntrackedKey { key })
-    }
-
-    fn insert_into(
-        node: Option<Box<Node>>,
-        key: u64,
-        signed_weight: f64,
-        endpoint: Endpoint,
-    ) -> (Box<Node>, bool) {
-        let Some(mut node) = node else {
-            let mut n = Node::new(key);
-            Self::apply(&mut n, signed_weight, endpoint, 1);
-            return (n, true);
+    fn check_removable(&self, key: u64, endpoint: Endpoint) -> Result<(), ValueTreeError> {
+        let e = self
+            .map
+            .get(&key)
+            .ok_or(ValueTreeError::UntrackedKey { key })?;
+        let count = match endpoint {
+            Endpoint::Start => e.start_count,
+            Endpoint::End => e.end_count,
         };
-        let created = match key.cmp(&node.key) {
-            Ordering::Equal => {
-                Self::apply(&mut node, signed_weight, endpoint, 1);
-                return (node, false);
-            }
-            Ordering::Less => {
-                let (child, created) =
-                    Self::insert_into(node.left.take(), key, signed_weight, endpoint);
-                node.left = Some(child);
-                created
-            }
-            Ordering::Greater => {
-                let (child, created) =
-                    Self::insert_into(node.right.take(), key, signed_weight, endpoint);
-                node.right = Some(child);
-                created
-            }
-        };
-        (rebalance(node), created)
-    }
-
-    fn apply(node: &mut Node, signed_weight: f64, endpoint: Endpoint, dir: i64) {
-        node.delta += signed_weight;
-        let key = node.key;
-        let bump = |count: &mut u32| {
-            if dir > 0 {
-                *count += 1;
-            } else {
-                // Removals are validated by `check_removable` before any
-                // mutation, so the count cannot underflow here.
-                let Some(next) = count.checked_sub(1) else {
-                    unreachable!("unvalidated removal at key {key}");
-                };
-                *count = next;
-            }
-        };
-        match endpoint {
-            Endpoint::Start => bump(&mut node.start_count),
-            Endpoint::End => bump(&mut node.end_count),
+        if count > 0 {
+            Ok(())
+        } else {
+            Err(ValueTreeError::EndpointUnderflow { key })
         }
-    }
-
-    fn remove_from(
-        node: Option<Box<Node>>,
-        key: u64,
-        signed_weight: f64,
-        endpoint: Endpoint,
-    ) -> (Option<Box<Node>>, bool) {
-        let Some(mut node) = node else {
-            // `check_removable` proved the key exists before we started.
-            unreachable!("unvalidated removal at untracked key {key}");
-        };
-        let deleted = match key.cmp(&node.key) {
-            Ordering::Equal => {
-                Self::apply(&mut node, signed_weight, endpoint, -1);
-                if node.start_count == 0 && node.end_count == 0 {
-                    return (Self::delete_node(node), true);
-                }
-                false
-            }
-            Ordering::Less => {
-                let (child, deleted) =
-                    Self::remove_from(node.left.take(), key, signed_weight, endpoint);
-                node.left = child;
-                deleted
-            }
-            Ordering::Greater => {
-                let (child, deleted) =
-                    Self::remove_from(node.right.take(), key, signed_weight, endpoint);
-                node.right = child;
-                deleted
-            }
-        };
-        (Some(rebalance(node)), deleted)
-    }
-
-    /// Removes `node` from the tree, returning the replacement subtree.
-    #[allow(clippy::boxed_local)] // nodes live in Boxes; unboxing here would re-allocate
-    fn delete_node(mut node: Box<Node>) -> Option<Box<Node>> {
-        match (node.left.take(), node.right.take()) {
-            (None, None) => None,
-            (Some(l), None) => Some(l),
-            (None, Some(r)) => Some(r),
-            (Some(l), Some(r)) => {
-                // Replace with the in-order successor (min of right subtree).
-                let (r, mut successor) = Self::pop_min(r);
-                successor.left = Some(l);
-                successor.right = r;
-                Some(rebalance(successor))
-            }
-        }
-    }
-
-    fn pop_min(mut node: Box<Node>) -> (Option<Box<Node>>, Box<Node>) {
-        match node.left.take() {
-            None => {
-                let right = node.right.take();
-                (right, node)
-            }
-            Some(l) => {
-                let (rest, min) = Self::pop_min(l);
-                node.left = rest;
-                (Some(rebalance(node)), min)
-            }
-        }
-    }
-
-    /// In-order `(key, ∆)` pairs — the input to Algorithm 1.
-    pub fn deltas(&self) -> Deltas<'_> {
-        let mut iter = Deltas { stack: Vec::new() };
-        iter.push_left(self.root.as_deref());
-        iter
-    }
-
-    /// Maximum depth (for balance verification in tests).
-    #[cfg(test)]
-    pub(crate) fn height(&self) -> i32 {
-        height(&self.root)
-    }
-
-    /// Walks the whole tree checking the AVL balance factor and the cached
-    /// height of every node, returning the key of the first offender.
-    pub(crate) fn balance_violation(&self) -> Option<u64> {
-        fn walk(node: &Option<Box<Node>>) -> Result<i32, u64> {
-            match node {
-                None => Ok(0),
-                Some(n) => {
-                    let l = walk(&n.left)?;
-                    let r = walk(&n.right)?;
-                    if (l - r).abs() > 1 || n.height != 1 + l.max(r) {
-                        return Err(n.key);
-                    }
-                    Ok(n.height)
-                }
-            }
-        }
-        walk(&self.root).err()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn assert_balanced(&self) {
-        if let Some(key) = self.balance_violation() {
-            panic!("unbalanced or stale height at key {key}");
-        }
-    }
-}
-
-/// In-order iterator over `(key, ∆)`.
-#[derive(Debug)]
-pub struct Deltas<'a> {
-    stack: Vec<&'a Node>,
-}
-
-impl<'a> Deltas<'a> {
-    fn push_left(&mut self, mut node: Option<&'a Node>) {
-        while let Some(n) = node {
-            self.stack.push(n);
-            node = n.left.as_deref();
-        }
-    }
-}
-
-impl Iterator for Deltas<'_> {
-    type Item = (u64, f64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let node = self.stack.pop()?;
-        self.push_left(node.right.as_deref());
-        Some((node.key, node.delta))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::reference::assert_matches_fold;
     use super::*;
 
-    fn add_scan(tree: &mut AvlValueTree, start: u64, end: u64, weight: f64) {
+    fn add_scan(tree: &mut ValueTree, start: u64, end: u64, weight: f64) {
         tree.add(start, weight, Endpoint::Start);
         tree.add(end, weight, Endpoint::End);
     }
 
-    fn remove_scan(tree: &mut AvlValueTree, start: u64, end: u64, weight: f64) {
+    fn remove_scan(tree: &mut ValueTree, start: u64, end: u64, weight: f64) {
         tree.remove(start, weight, Endpoint::Start).unwrap();
         tree.remove(end, weight, Endpoint::End).unwrap();
     }
 
-    /// The paper's Figure 2: scans (7,10,price 6), (4,10,price 3),
-    /// (0,5,price 3/... price 3 over 5 tuples? Fig 2: s1=(7..10, price 6),
-    /// s2=(4..10, price 3), s3=(0..5, price 5).
-    fn figure2_tree() -> AvlValueTree {
-        let mut t = AvlValueTree::new();
+    fn keys(tree: &ValueTree) -> Vec<u64> {
+        tree.deltas().map(|(k, _)| k).collect()
+    }
+
+    /// The paper's Figure 2: s1 = (7..10, price 6), s2 = (4..10, price 3),
+    /// s3 = (0..5, price 5).
+    fn figure2_tree() -> ValueTree {
+        let mut t = ValueTree::default();
         add_scan(&mut t, 7, 10, 6.0 / 3.0); // s1: 3 tuples, price 6
         add_scan(&mut t, 4, 10, 3.0 / 6.0); // s2: 6 tuples, price 3
         add_scan(&mut t, 0, 5, 1.0); // s3: 5 tuples, price 5 -> weight 1
@@ -440,7 +184,7 @@ mod tests {
 
     #[test]
     fn shared_keys_accumulate() {
-        let mut t = AvlValueTree::new();
+        let mut t = ValueTree::default();
         add_scan(&mut t, 0, 10, 1.0);
         add_scan(&mut t, 0, 10, 2.0);
         assert_eq!(t.len(), 2);
@@ -454,31 +198,28 @@ mod tests {
         let mut t = figure2_tree();
         remove_scan(&mut t, 7, 10, 6.0 / 3.0);
         // Key 7 disappears; key 10 stays (s2 still ends there).
-        let keys: Vec<u64> = t.deltas().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![0, 4, 5, 10]);
+        assert_eq!(keys(&t), vec![0, 4, 5, 10]);
         remove_scan(&mut t, 4, 10, 3.0 / 6.0);
-        let keys: Vec<u64> = t.deltas().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![0, 5]);
+        assert_eq!(keys(&t), vec![0, 5]);
         remove_scan(&mut t, 0, 5, 1.0);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.deltas().count(), 0);
     }
 
     #[test]
     fn start_and_end_at_same_key_keeps_node_until_both_gone() {
-        let mut t = AvlValueTree::new();
+        let mut t = ValueTree::default();
         add_scan(&mut t, 0, 5, 1.0); // ends at 5
         add_scan(&mut t, 5, 9, 2.0); // starts at 5
         assert_eq!(t.len(), 3); // keys 0, 5 (shared), 9
         remove_scan(&mut t, 0, 5, 1.0);
         // Key 5 must survive: a scan still starts there.
-        let keys: Vec<u64> = t.deltas().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![5, 9]);
+        assert_eq!(keys(&t), vec![5, 9]);
     }
 
     #[test]
     fn removing_unknown_key_is_an_error() {
-        let mut t = AvlValueTree::new();
+        let mut t = ValueTree::default();
         assert_eq!(
             t.remove(3, 1.0, Endpoint::Start),
             Err(ValueTreeError::UntrackedKey { key: 3 })
@@ -487,7 +228,7 @@ mod tests {
 
     #[test]
     fn removing_wrong_endpoint_is_an_error() {
-        let mut t = AvlValueTree::new();
+        let mut t = ValueTree::default();
         t.add(3, 1.0, Endpoint::Start);
         assert_eq!(
             t.remove(3, 1.0, Endpoint::End),
@@ -499,39 +240,51 @@ mod tests {
         assert!((d[0].1 - 1.0).abs() < 1e-12);
     }
 
+    /// A scan whose start is tracked but whose end is not must fail without
+    /// touching the start key.
     #[test]
-    fn stays_balanced_under_sequential_inserts() {
-        let mut t = AvlValueTree::new();
-        for i in 0..1024u64 {
-            t.add(i, 1.0, Endpoint::Start);
-        }
-        t.assert_balanced();
-        // A balanced tree over 1024 keys has height ~10..14; a degenerate
-        // list would be 1024.
-        assert!(t.height() <= 15, "height {}", t.height());
+    fn failed_scan_removal_leaves_both_keys_intact() {
+        let mut t = ValueTree::default();
+        t.add_scan(&PricedScan::new(0, 10, 10.0));
+        assert_eq!(
+            t.remove_scan(&PricedScan::new(0, 7, 7.0)),
+            Err(ValueTreeError::UntrackedKey { key: 7 })
+        );
+        let d: Vec<_> = t.deltas().collect();
+        assert_eq!(d, vec![(0, 1.0), (10, -1.0)]);
     }
 
+    /// Deterministic churn over a 10-key space, small enough for Miri: every
+    /// key is shared, started at, ended at and emptied many times, and after
+    /// every step the tree must equal the fold over the live scans.
     #[test]
-    fn stays_balanced_under_mixed_churn() {
-        let mut t = AvlValueTree::new();
-        for i in 0..512u64 {
-            add_scan(&mut t, i * 7 % 997, i * 7 % 997 + 10, 1.0);
-        }
-        t.assert_balanced();
-        for i in 0..512u64 {
-            remove_scan(&mut t, i * 7 % 997, i * 7 % 997 + 10, 1.0);
-            if i % 64 == 0 {
-                t.assert_balanced();
+    fn churn_matches_window_fold() {
+        let mut t = ValueTree::default();
+        let mut live: Vec<PricedScan> = Vec::new();
+        // A fixed LCG; the low bits of `state >> 33` pick the operation.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for _ in 0..400 {
+            if live.len() < 12 && (live.is_empty() || next(3) > 0) {
+                let start = next(9);
+                let end = start + 1 + next(9 - start);
+                let scan = PricedScan::new(start, end, 1.0 + next(4) as f64);
+                t.add_scan(&scan);
+                live.push(scan);
+            } else {
+                let victim = live.remove(usize::try_from(next(live.len() as u64)).unwrap());
+                t.remove_scan(&victim).unwrap();
             }
+            assert_matches_fold(t.deltas(), &live, 1e-9);
         }
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn approx_bytes_tracks_len() {
-        let mut t = AvlValueTree::new();
-        assert_eq!(t.approx_bytes(), 0);
-        add_scan(&mut t, 0, 10, 1.0);
-        assert_eq!(t.approx_bytes(), 2 * std::mem::size_of::<Node>());
+        for scan in live.drain(..) {
+            t.remove_scan(&scan).unwrap();
+        }
+        assert_eq!(t.len(), 0);
     }
 }

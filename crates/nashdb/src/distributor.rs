@@ -442,7 +442,9 @@ impl Distributor for NashDbDistributor {
         // orders of magnitude and yo-yoing the cluster size.
         let block = self.cfg.max_fragment_tuples.min(self.cfg.spec.disk).max(1);
         let total: u64 = query.scans.iter().map(|s| s.size()).sum();
-        if total == 0 {
+        // A query with nothing to split, or no usable price to split (NaN,
+        // negative, infinite), carries no value signal; it is still served.
+        if total == 0 || !(query.price.is_finite() && query.price >= 0.0) {
             return;
         }
         for s in &query.scans {
@@ -813,6 +815,20 @@ mod tests {
             tag: 0,
         });
         assert_eq!(nash.tables[0].estimator.window_len(), 0);
+    }
+
+    #[test]
+    fn unusable_price_is_ignored() {
+        // Prices come from outside; one that `PricedScan::new` would reject
+        // must not take the run down with it.
+        let database = db();
+        let mut nash = NashDbDistributor::new(&database, small_cfg());
+        for price in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+            nash.observe(&query(price, &[(0, 0, 1_000)]));
+        }
+        assert_eq!(nash.tables[0].estimator.window_len(), 0);
+        nash.observe(&query(1.0, &[(0, 0, 1_000)]));
+        assert_eq!(nash.tables[0].estimator.window_len(), 1);
     }
 
     /// Dense-index `place` makes the decisions of the map-keyed one: fed

@@ -508,6 +508,29 @@ mod tests {
     }
 
     #[test]
+    fn unusable_prices_do_not_end_the_run() {
+        // A price is outside input too. NaN, negative and infinite ones
+        // used to reach `PricedScan::new`'s assert while the arrival was
+        // observed; now the query adds nothing to V(x) and is served.
+        let mut w = bernoulli(&BernoulliConfig {
+            size_gb: 2,
+            queries: 40,
+            ..BernoulliConfig::default()
+        });
+        for (i, price) in [(5, f64::NAN), (17, -1.0), (29, f64::INFINITY)] {
+            w.queries[i].query.price = price;
+        }
+        let run = RunConfig {
+            cluster: fast_cluster(),
+            ..RunConfig::default()
+        };
+        let mut nash = NashDbDistributor::new(&w.db, nash_cfg());
+        let m = run_workload(&w, &mut nash, &MaxOfMins::new(run.phi_tuples()), &run);
+        assert_eq!(m.availability.queries_abandoned, 0);
+        assert_eq!(m.queries.len(), 40);
+    }
+
+    #[test]
     fn fault_free_schedule_matches_plain_run() {
         let w = bernoulli(&BernoulliConfig {
             size_gb: 2,

@@ -1,18 +1,17 @@
 //! Property-based tests (proptest) over the core invariants promised in
 //! DESIGN.md §6.
 
-use std::collections::HashSet;
-
 use proptest::prelude::*;
 
-use nashdb_core::audit::audit_packing;
+use nashdb_core::audit::{audit_packing, audit_transition};
 use nashdb_core::fragment::{
     fragment_stats, optimal_fragmentation, split_oversized, ChunkPrefix, Fragmentation,
     GreedyFragmenter,
 };
 use nashdb_core::replication::{decide_replicas, pack_bffd, ReplicationPolicy};
-use nashdb_core::transition::{hungarian, plan_transition, IntervalSet, NodeMove};
-use nashdb_core::value::{AvlValueTree, BTreeValueTree, Chunk, PricedScan, TupleValueEstimator};
+use nashdb_core::transition::{hungarian, plan_transition, IntervalSet};
+use nashdb_core::value::reference::window_fold;
+use nashdb_core::value::{Chunk, PricedScan, TupleValueEstimator};
 use nashdb_core::NodeSpec;
 
 // ---------------------------------------------------------------------------
@@ -27,23 +26,29 @@ fn arb_scan() -> impl Strategy<Value = PricedScan> {
 }
 
 proptest! {
-    /// The AVL tree and the BTreeMap reference are observationally
-    /// equivalent under any insert/evict sequence.
+    /// Under any insert/evict sequence the estimator's chunks are the ones
+    /// Algorithm 1 draws from a fold over the scans still in the window.
     #[test]
-    fn avl_matches_btree_reference(scans in proptest::collection::vec(arb_scan(), 1..120),
-                                   window in 1usize..40) {
-        let mut avl: TupleValueEstimator<AvlValueTree> =
-            TupleValueEstimator::with_backend(window);
-        let mut bt: TupleValueEstimator<BTreeValueTree> =
-            TupleValueEstimator::with_backend(window);
-        for s in &scans {
-            avl.observe(*s);
-            bt.observe(*s);
-            let (ca, cb) = (avl.chunks(TABLE), bt.chunks(TABLE));
-            prop_assert_eq!(ca.len(), cb.len());
-            for (a, b) in ca.iter().zip(&cb) {
-                prop_assert_eq!((a.start, a.end), (b.start, b.end));
-                prop_assert!((a.value - b.value).abs() < 1e-9);
+    fn chunks_match_window_fold(scans in proptest::collection::vec(arb_scan(), 1..120),
+                                window in 1usize..40) {
+        let mut est = TupleValueEstimator::new(window);
+        for (i, s) in scans.iter().enumerate() {
+            est.observe(*s);
+            let windowed = &scans[(i + 1).saturating_sub(window)..=i];
+            let mut expect = Vec::new();
+            let (mut alpha, mut prev) = (0.0f64, 0u64);
+            for (key, delta) in window_fold(windowed).into_iter().chain([(TABLE, 0.0)]) {
+                if key > prev {
+                    expect.push((prev, key, (alpha / windowed.len() as f64).max(0.0)));
+                    prev = key;
+                }
+                alpha += delta;
+            }
+            let chunks = est.chunks(TABLE);
+            prop_assert_eq!(chunks.len(), expect.len());
+            for (c, &(start, end, value)) in chunks.iter().zip(&expect) {
+                prop_assert_eq!((c.start, c.end), (start, end));
+                prop_assert!((c.value - value).abs() < 1e-9);
             }
         }
     }
@@ -239,35 +244,16 @@ proptest! {
         }
     }
 
-    /// Transition plans conserve nodes: every old node is reused or
-    /// decommissioned, every new node is reused-into or provisioned, and
-    /// reuse transfer never exceeds the target node's size.
+    /// Transition plans conserve nodes and move the minimum: the audit
+    /// checks the perfect matching, every move's transfer and — at these
+    /// sizes always — the brute-force optimum.
     #[test]
     fn transition_plans_conserve_nodes(
         old in proptest::collection::vec(arb_interval_set(), 0..6),
         new in proptest::collection::vec(arb_interval_set(), 0..6),
     ) {
         let plan = plan_transition(&old, &new);
-        let mut old_seen = HashSet::new();
-        let mut new_seen = HashSet::new();
-        for m in &plan.moves {
-            match *m {
-                NodeMove::Reuse { old: o, new: n, transfer } => {
-                    prop_assert!(old_seen.insert(o));
-                    prop_assert!(new_seen.insert(n));
-                    prop_assert!(transfer <= new[usize::try_from(n.get()).unwrap()].len());
-                }
-                NodeMove::Provision { new: n, transfer } => {
-                    prop_assert!(new_seen.insert(n));
-                    prop_assert_eq!(transfer, new[usize::try_from(n.get()).unwrap()].len());
-                }
-                NodeMove::Decommission { old: o } => {
-                    prop_assert!(old_seen.insert(o));
-                }
-            }
-        }
-        prop_assert_eq!(old_seen.len(), old.len());
-        prop_assert_eq!(new_seen.len(), new.len());
+        prop_assert_eq!(audit_transition(&old, &new, &plan), Ok(()));
         // Identity transitions are free.
         if old == new {
             prop_assert_eq!(plan.total_transfer, 0);
