@@ -6,9 +6,7 @@
 //! of [`TARGET_REPLICAS`] replicas — mirroring how the paper's operators
 //! would have sized `Cost/Disk` against their query prices.
 
-use nashdb::{
-    run_workload_with_faults, Distributor, NashDbConfig, NashDbDistributor, RunConfig, ScanRouter,
-};
+use nashdb::{run_workload_with_faults, NashDbConfig, NashDbDistributor, RunConfig, ScanRouter};
 use nashdb_baselines::{
     GreedySetCover, HypergraphDistributor, ShortestQueue, ThresholdDistributor,
 };
@@ -265,15 +263,6 @@ pub fn run_system_with_faults(
                 .with_block(env.block());
             run_workload_with_faults(workload, &mut dist, routed.as_ref(), &env.run, faults)
         }
-    }
-}
-
-/// Warms a distributor with `n` leading queries of the workload — used when
-/// a system is evaluated on a static batch (driver-side warmup only applies
-/// within [`nashdb::run_workload`], which handles it via `RunConfig`).
-pub fn observe_all(dist: &mut dyn Distributor, w: &Workload) {
-    for tq in &w.queries {
-        dist.observe(&tq.query);
     }
 }
 

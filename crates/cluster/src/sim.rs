@@ -223,6 +223,16 @@ pub enum ReconfigureError {
         /// The uncovered slot.
         node: NodeId,
     },
+    /// Two moves reuse or decommission the same old node.
+    DuplicateOldNode {
+        /// The doubly-used old node.
+        node: NodeId,
+    },
+    /// A node of the current cluster is neither reused nor decommissioned.
+    UncoveredOldNode {
+        /// The node the plan leaves out.
+        node: NodeId,
+    },
 }
 
 impl std::fmt::Display for ReconfigureError {
@@ -236,6 +246,12 @@ impl std::fmt::Display for ReconfigureError {
             }
             ReconfigureError::UncoveredNewNode { node } => {
                 write!(f, "transition plan does not cover new node {node}")
+            }
+            ReconfigureError::DuplicateOldNode { node } => {
+                write!(f, "transition plan uses old node {node} twice")
+            }
+            ReconfigureError::UncoveredOldNode { node } => {
+                write!(f, "transition plan does not cover old node {node}")
             }
         }
     }
@@ -582,9 +598,10 @@ impl ClusterSim {
     /// decommissioned nodes drain and retire.
     ///
     /// # Errors
-    /// Rejects the plan — leaving the simulator untouched — if it references
-    /// an old node outside the current cluster, assigns a new slot twice, or
-    /// leaves a new slot unassigned.
+    /// Rejects the plan — leaving the simulator untouched — unless every
+    /// current node appears in exactly one `Reuse` or `Decommission` and
+    /// every new slot below the plan's maximum in exactly one `Reuse` or
+    /// `Provision`.
     pub fn reconfigure(&mut self, plan: &TransitionPlan) -> Result<(), ReconfigureError> {
         let new_count = plan
             .moves
@@ -601,32 +618,41 @@ impl ClusterSim {
         // Validate the whole plan before touching anything, so a rejected
         // plan leaves no partial transition behind.
         let mut covered = vec![false; new_count];
+        let mut used_old = vec![false; self.logical.len()];
+        let mut use_old = |old: NodeId| {
+            let Some(used) = used_old.get_mut(old.index()) else {
+                return Err(ReconfigureError::UnknownOldNode { node: old });
+            };
+            if std::mem::replace(used, true) {
+                return Err(ReconfigureError::DuplicateOldNode { node: old });
+            }
+            Ok(())
+        };
         for m in &plan.moves {
-            match *m {
+            let new = match *m {
                 NodeMove::Reuse { old, new, .. } => {
-                    if old.index() >= self.logical.len() {
-                        return Err(ReconfigureError::UnknownOldNode { node: old });
-                    }
-                    if std::mem::replace(&mut covered[new.index()], true) {
-                        return Err(ReconfigureError::DuplicateNewNode { node: new });
-                    }
+                    use_old(old)?;
+                    new
                 }
-                NodeMove::Provision { new, .. } => {
-                    if std::mem::replace(&mut covered[new.index()], true) {
-                        return Err(ReconfigureError::DuplicateNewNode { node: new });
-                    }
-                }
+                NodeMove::Provision { new, .. } => new,
                 NodeMove::Decommission { old } => {
-                    if old.index() >= self.logical.len() {
-                        return Err(ReconfigureError::UnknownOldNode { node: old });
-                    }
+                    use_old(old)?;
+                    continue;
                 }
+            };
+            if std::mem::replace(&mut covered[new.index()], true) {
+                return Err(ReconfigureError::DuplicateNewNode { node: new });
             }
         }
-        if let Some(slot) = covered.iter().position(|&c| !c) {
-            return Err(ReconfigureError::UncoveredNewNode {
-                node: NodeId(u64::try_from(slot).unwrap_or(u64::MAX)),
-            });
+        let first_gap = |flags: &[bool]| {
+            let slot = flags.iter().position(|&c| !c)?;
+            Some(NodeId(u64::try_from(slot).unwrap_or(u64::MAX)))
+        };
+        if let Some(node) = first_gap(&covered) {
+            return Err(ReconfigureError::UncoveredNewNode { node });
+        }
+        if let Some(node) = first_gap(&used_old) {
+            return Err(ReconfigureError::UncoveredOldNode { node });
         }
 
         let now = self.now();
@@ -1571,6 +1597,38 @@ mod tests {
             sim.reconfigure(&duplicate),
             Err(ReconfigureError::DuplicateNewNode { node: NodeId(0) })
         );
+        // The old side: one node reused into two slots (two logical slots
+        // would share it), reused and decommissioned (its slot would refuse
+        // work), or left out (it would never retire and bill forever).
+        let reuse = |old, new| NodeMove::Reuse {
+            old: NodeId(old),
+            new: NodeId(new),
+            transfer: 0,
+        };
+        let old_side = [
+            (
+                vec![reuse(0, 0), reuse(0, 1)],
+                ReconfigureError::DuplicateOldNode { node: NodeId(0) },
+            ),
+            (
+                vec![reuse(0, 0), NodeMove::Decommission { old: NodeId(0) }],
+                ReconfigureError::DuplicateOldNode { node: NodeId(0) },
+            ),
+            (
+                vec![NodeMove::Provision {
+                    new: NodeId(0),
+                    transfer: 0,
+                }],
+                ReconfigureError::UncoveredOldNode { node: NodeId(0) },
+            ),
+        ];
+        for (moves, err) in old_side {
+            let plan = TransitionPlan {
+                moves,
+                total_transfer: 0,
+            };
+            assert_eq!(sim.reconfigure(&plan), Err(err), "{plan:?}");
+        }
         // Every rejection left the cluster untouched.
         assert_eq!(sim.num_nodes(), 1);
         assert_eq!(sim.metrics().reconfigurations, 1);

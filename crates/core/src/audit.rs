@@ -483,7 +483,7 @@ mod tests {
     use super::*;
     use crate::economics::{check_equilibrium, EconomicConfig, EquilibriumViolation, NodeSpec};
     use crate::fragment::fragment_stats;
-    use crate::replication::{ClusterScheme, ReplicationPolicy};
+    use crate::replication::{decide_replicas, economic_config, pack_bffd, ReplicationPolicy};
     use crate::transition::plan_transition;
 
     fn scan(start: u64, end: u64, price: f64) -> PricedScan {
@@ -564,34 +564,41 @@ mod tests {
         assert!(matches!(err, AuditError::TooManyFragments { .. }), "{err}");
     }
 
-    fn scheme() -> ClusterScheme {
+    /// Eq. 9 counts for three fragments and their BFFD packing.
+    fn scheme() -> (
+        ReplicationPolicy,
+        Vec<ReplicationDecision>,
+        Vec<Vec<FragmentId>>,
+    ) {
         let frag = Fragmentation::from_boundaries(vec![0, 10, 60, 100]);
         let stats = fragment_stats(&frag, &chunks()).unwrap();
         let policy = ReplicationPolicy::new(10, NodeSpec::new(1.0, 120));
-        ClusterScheme::build(&stats, policy).unwrap()
+        let decisions = decide_replicas(&stats, &policy);
+        let nodes = pack_bffd(&decisions, policy.spec.disk).unwrap();
+        (policy, decisions, nodes)
     }
 
     #[test]
     fn built_scheme_passes_packing_and_equilibrium() {
-        let s = scheme();
-        audit_packing(&s.nodes, &s.decisions, s.policy.spec.disk).unwrap();
-        check_equilibrium(&s.economic_config()).unwrap();
+        let (policy, decisions, nodes) = scheme();
+        audit_packing(&nodes, &decisions, policy.spec.disk).unwrap();
+        check_equilibrium(&economic_config(&policy, &decisions, &nodes)).unwrap();
     }
 
     #[test]
     fn duplicate_replica_detected() {
-        let mut s = scheme();
-        let first = s.nodes[0][0];
-        s.nodes[0].push(first);
-        let err = audit_packing(&s.nodes, &s.decisions, s.policy.spec.disk).unwrap_err();
+        let (policy, decisions, mut nodes) = scheme();
+        let first = nodes[0][0];
+        nodes[0].push(first);
+        let err = audit_packing(&nodes, &decisions, policy.spec.disk).unwrap_err();
         assert!(matches!(err, AuditError::DuplicateReplica { .. }), "{err}");
     }
 
     #[test]
     fn lost_replica_detected() {
-        let mut s = scheme();
-        s.nodes[0].remove(0);
-        let err = audit_packing(&s.nodes, &s.decisions, s.policy.spec.disk).unwrap_err();
+        let (policy, decisions, mut nodes) = scheme();
+        nodes[0].remove(0);
+        let err = audit_packing(&nodes, &decisions, policy.spec.disk).unwrap_err();
         assert!(
             matches!(err, AuditError::ReplicaCountMismatch { .. }),
             "{err}"
@@ -600,16 +607,16 @@ mod tests {
 
     #[test]
     fn capacity_violation_detected() {
-        let s = scheme();
-        let err = audit_packing(&s.nodes, &s.decisions, 1).unwrap_err();
+        let (_, decisions, nodes) = scheme();
+        let err = audit_packing(&nodes, &decisions, 1).unwrap_err();
         assert!(matches!(err, AuditError::NodeOverCapacity { .. }), "{err}");
     }
 
     #[test]
     fn unknown_fragment_detected() {
-        let mut s = scheme();
-        s.nodes[0].push(FragmentId(999));
-        let err = audit_packing(&s.nodes, &s.decisions, s.policy.spec.disk).unwrap_err();
+        let (policy, decisions, mut nodes) = scheme();
+        nodes[0].push(FragmentId(999));
+        let err = audit_packing(&nodes, &decisions, policy.spec.disk).unwrap_err();
         assert!(matches!(err, AuditError::UnknownFragment { .. }), "{err}");
     }
 

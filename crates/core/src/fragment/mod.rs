@@ -281,36 +281,6 @@ impl Fragmentation {
             .map(|(i, r)| (FragmentId(i as u64), r))
     }
 
-    /// The fragment containing tuple `x`.
-    ///
-    /// # Panics
-    /// Panics if `x` is beyond the table.
-    pub fn fragment_of(&self, x: u64) -> (FragmentId, FragmentRange) {
-        assert!(x < self.table_len(), "tuple {x} out of range");
-        let idx = self.boundaries.partition_point(|&b| b <= x) - 1;
-        (
-            FragmentId(idx as u64),
-            FragmentRange::new(self.boundaries[idx], self.boundaries[idx + 1]),
-        )
-    }
-
-    /// The fragments overlapping the scan `[start, end)`, in order.
-    pub fn fragments_for_scan(
-        &self,
-        start: u64,
-        end: u64,
-    ) -> impl Iterator<Item = (FragmentId, FragmentRange)> + '_ {
-        let end = end.min(self.table_len());
-        let first = if start >= self.table_len() {
-            self.len()
-        } else {
-            self.boundaries.partition_point(|&b| b <= start) - 1
-        };
-        self.fragments()
-            .skip(first)
-            .take_while(move |(_, r)| r.start < end)
-    }
-
     /// Summed fragment error (the paper's Eq. 5 objective) against a value
     /// function.
     pub fn total_error(&self, prefix: &ChunkPrefix) -> f64 {
@@ -405,35 +375,6 @@ mod tests {
         let frags: Vec<_> = f.fragments().collect();
         assert_eq!(frags[0], (FragmentId(0), FragmentRange::new(0, 10)));
         assert_eq!(frags[2], (FragmentId(2), FragmentRange::new(25, 40)));
-    }
-
-    #[test]
-    fn fragment_of_picks_correctly() {
-        let f = Fragmentation::from_boundaries(vec![0, 10, 25, 40]);
-        assert_eq!(f.fragment_of(0).0, FragmentId(0));
-        assert_eq!(f.fragment_of(9).0, FragmentId(0));
-        assert_eq!(f.fragment_of(10).0, FragmentId(1));
-        assert_eq!(f.fragment_of(39).0, FragmentId(2));
-    }
-
-    #[test]
-    fn fragments_for_scan_covers_overlaps_only() {
-        let f = Fragmentation::from_boundaries(vec![0, 10, 25, 40]);
-        let ids: Vec<u64> = f
-            .fragments_for_scan(5, 26)
-            .map(|(id, _)| id.get())
-            .collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-        let ids: Vec<u64> = f
-            .fragments_for_scan(10, 25)
-            .map(|(id, _)| id.get())
-            .collect();
-        assert_eq!(ids, vec![1]);
-        let ids: Vec<u64> = f
-            .fragments_for_scan(30, 100)
-            .map(|(id, _)| id.get())
-            .collect();
-        assert_eq!(ids, vec![2]);
     }
 
     #[test]

@@ -133,6 +133,47 @@ pub fn decide_replicas(
     decisions
 }
 
+/// The economically meaningful part of a cluster configuration as an
+/// [`EconomicConfig`], for equilibrium verification: `nodes[n]` lists the
+/// fragments node `NodeId(n)` hosts, as [`pack_bffd`] returns them. Forced
+/// single replicas (Ideal = 0) are excluded: they exist for availability,
+/// not profit, and the paper's theorem does not cover them.
+///
+/// `fragments` follows `decisions` order and each node keeps its own order,
+/// so equal inputs always give equal outputs.
+pub fn economic_config(
+    policy: &ReplicationPolicy,
+    decisions: &[ReplicationDecision],
+    nodes: &[Vec<FragmentId>],
+) -> EconomicConfig {
+    let fragments: Vec<FragmentEconomics> = decisions
+        .iter()
+        .filter(|d| !d.forced)
+        .map(|d| FragmentEconomics {
+            id: d.id,
+            size: d.range.size(),
+            value: d.value,
+            replicas: d.replicas,
+        })
+        .collect();
+    let mut kept: Vec<FragmentId> = fragments.iter().map(|f| f.id).collect();
+    kept.sort_unstable();
+    let assignment = nodes
+        .iter()
+        .enumerate()
+        .map(|(n, frags)| {
+            let economic = frags.iter().filter(|f| kept.binary_search(f).is_ok());
+            (NodeId(n as u64), economic.copied().collect())
+        })
+        .collect();
+    EconomicConfig {
+        window: policy.window,
+        spec: policy.spec,
+        fragments,
+        assignment,
+    }
+}
+
 /// Why packing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PackError {
@@ -145,16 +186,6 @@ pub enum PackError {
         size: u64,
         /// The node disk capacity in tuples.
         disk: u64,
-    },
-    /// The fragment statistics are not densely id-ordered (`stats[i].id`
-    /// must equal `i`, as [`crate::fragment::fragment_stats`] produces).
-    /// Dense ids are what let every scheme lookup be a flat `Vec` index
-    /// instead of a hash probe.
-    NonDenseFragmentIds {
-        /// Position in the stats slice where density first breaks.
-        index: usize,
-        /// The id found at that position.
-        found: FragmentId,
     },
 }
 
@@ -169,151 +200,11 @@ impl std::fmt::Display for PackError {
                 f,
                 "fragment {fragment} ({size} tuples) exceeds node disk ({disk} tuples)"
             ),
-            PackError::NonDenseFragmentIds { index, found } => write!(
-                f,
-                "fragment stats are not densely id-ordered: expected f{index} at position {index}, found {found}"
-            ),
         }
     }
 }
 
 impl std::error::Error for PackError {}
-
-/// A complete cluster configuration: replica counts plus their assignment
-/// onto the provisioned nodes. Node ids are indices into `nodes`.
-///
-/// Fragment ids are **dense**: construction rejects stats whose ids are not
-/// exactly `0..n` in order (the shape [`crate::fragment::fragment_stats`]
-/// produces), so a fragment id doubles as the index into `decisions` and
-/// `hosts`. Every per-query lookup ([`hosts`](ClusterScheme::hosts),
-/// [`range_of`](ClusterScheme::range_of),
-/// [`node_used`](ClusterScheme::node_used)) is therefore a flat
-/// bounds-checked `Vec` index — no hash probe, no iteration-order hazard.
-#[derive(Debug, Clone)]
-pub struct ClusterScheme {
-    /// Policy the scheme was built under.
-    pub policy: ReplicationPolicy,
-    /// Per-fragment decisions; `decisions[i].id == FragmentId(i)`.
-    pub decisions: Vec<ReplicationDecision>,
-    /// For each provisioned node, the fragments it hosts.
-    pub nodes: Vec<Vec<FragmentId>>,
-    /// Per fragment (dense id index), its hosting nodes in node order.
-    hosts: Vec<Vec<NodeId>>,
-    /// Per node, total tuples stored (same order as `nodes`).
-    used: Vec<u64>,
-}
-
-impl ClusterScheme {
-    /// Builds the full scheme: Eq. 9 replica counts packed by BFFD.
-    ///
-    /// # Errors
-    /// [`PackError::NonDenseFragmentIds`] if `stats[i].id != i` for any
-    /// position, [`PackError::FragmentExceedsDisk`] if a fragment cannot
-    /// fit on any node.
-    pub fn build(
-        stats: &[FragmentStats],
-        policy: ReplicationPolicy,
-    ) -> Result<ClusterScheme, PackError> {
-        for (i, s) in stats.iter().enumerate() {
-            if s.id.index() != i {
-                return Err(PackError::NonDenseFragmentIds {
-                    index: i,
-                    found: s.id,
-                });
-            }
-        }
-        let decisions = decide_replicas(stats, &policy);
-        let nodes = pack_bffd(&decisions, policy.spec.disk)?;
-        let mut hosts: Vec<Vec<NodeId>> = vec![Vec::new(); decisions.len()];
-        let mut used = vec![0u64; nodes.len()];
-        for (n, frags) in nodes.iter().enumerate() {
-            for &f in frags {
-                // Packing only places fragments it was handed, and density
-                // was checked above, so `f` always indexes in range.
-                hosts[f.index()].push(NodeId(n as u64));
-                used[n] = used[n].saturating_add(decisions[f.index()].range.size());
-            }
-        }
-        Ok(ClusterScheme {
-            policy,
-            decisions,
-            nodes,
-            hosts,
-            used,
-        })
-    }
-
-    /// Number of provisioned nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The nodes hosting a replica of `fragment` (empty if unknown). O(1):
-    /// dense ids index straight into the per-fragment host lists.
-    pub fn hosts(&self, fragment: FragmentId) -> &[NodeId] {
-        self.hosts.get(fragment.index()).map_or(&[], Vec::as_slice)
-    }
-
-    /// The tuple range of `fragment`, if it exists in the scheme. O(1):
-    /// dense ids index straight into `decisions`.
-    pub fn range_of(&self, fragment: FragmentId) -> Option<FragmentRange> {
-        self.decisions.get(fragment.index()).map(|d| d.range)
-    }
-
-    /// The full decision for `fragment`, if it exists in the scheme.
-    pub fn decision_of(&self, fragment: FragmentId) -> Option<&ReplicationDecision> {
-        self.decisions.get(fragment.index())
-    }
-
-    /// Tuples stored on node `n` (0 if unknown). O(1): totals are
-    /// precomputed at build.
-    pub fn node_used(&self, n: NodeId) -> u64 {
-        self.used.get(n.index()).copied().unwrap_or(0)
-    }
-
-    /// The economically meaningful part of the scheme as an
-    /// [`EconomicConfig`], for equilibrium verification. Forced single
-    /// replicas (Ideal = 0) are excluded: they exist for availability, not
-    /// profit, and the paper's theorem does not cover them.
-    ///
-    /// Output order is deterministic: `fragments` follows `decisions` (id
-    /// order) rather than any hash-map iteration order, so two identical
-    /// schemes serialize byte-identically.
-    pub fn economic_config(&self) -> EconomicConfig {
-        let keep: std::collections::HashSet<FragmentId> = self
-            .decisions
-            .iter()
-            .filter(|d| !d.forced)
-            .map(|d| d.id)
-            .collect();
-        EconomicConfig {
-            window: self.policy.window,
-            spec: self.policy.spec,
-            fragments: self
-                .decisions
-                .iter()
-                .filter(|d| !d.forced)
-                .map(|d| FragmentEconomics {
-                    id: d.id,
-                    size: d.range.size(),
-                    value: d.value,
-                    replicas: d.replicas,
-                })
-                .collect(),
-            assignment: self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(n, frags)| {
-                    (
-                        NodeId(n as u64),
-                        frags.iter().copied().filter(|f| keep.contains(f)).collect(),
-                    )
-                })
-                .collect(),
-        }
-    }
-}
 
 /// Best First Fit Decreasing class-constrained bin packing (paper §6,
 /// following Xavier & Miyazawa): fragments in decreasing replica count;
@@ -509,146 +400,27 @@ mod tests {
     #[test]
     fn scheme_is_nash_equilibrium() {
         let policy = ReplicationPolicy::new(50, spec());
-        let scheme = ClusterScheme::build(
+        let decisions = decide_replicas(
             &[
                 stats(0, 0, 250, 1.0),    // ideal 2
                 stats(1, 250, 500, 2.5),  // ideal 5
                 stats(2, 500, 1000, 0.2), // ideal 0 -> forced
+                stats(3, 1000, 1250, 1.0),
             ],
-            policy,
-        )
-        .unwrap();
-        assert_eq!(check_equilibrium(&scheme.economic_config()), Ok(()));
-        // Forced fragment still hosted exactly once.
-        assert_eq!(scheme.hosts(FragmentId(2)).len(), 1);
-    }
-
-    #[test]
-    fn indexed_lookups_match_linear_scan_reference() {
-        // The O(1) index must agree with the definitional linear scans it
-        // replaced, across a scheme big enough to exercise many nodes.
-        let policy = ReplicationPolicy::new(50, spec());
-        let st: Vec<FragmentStats> = (0..40)
-            .map(|i| {
-                stats(
-                    i,
-                    i * 25,
-                    (i + 1) * 25,
-                    f64::from(u32::try_from(i % 7).unwrap()) * 0.6,
-                )
-            })
-            .collect();
-        let scheme = ClusterScheme::build(&st, policy).unwrap();
-        for probe in 0..45 {
-            let f = FragmentId(probe);
-            let linear = scheme.decisions.iter().find(|d| d.id == f);
-            assert_eq!(scheme.range_of(f), linear.map(|d| d.range));
-            assert_eq!(scheme.decision_of(f).map(|d| d.id), linear.map(|d| d.id));
-        }
-        for n in 0..scheme.num_nodes() {
-            let node = NodeId(n as u64);
-            let linear: u64 = scheme.nodes[n]
-                .iter()
-                .map(|f| {
-                    scheme
-                        .decisions
-                        .iter()
-                        .find(|d| d.id == *f)
-                        .map_or(0, |d| d.range.size())
-                })
-                .sum();
-            assert_eq!(scheme.node_used(node), linear, "node {node}");
-        }
-    }
-
-    #[test]
-    fn unknown_ids_read_as_absent() {
-        let policy = ReplicationPolicy::new(50, spec());
-        let scheme = ClusterScheme::build(&[stats(0, 0, 250, 1.0)], policy).unwrap();
-        assert!(scheme.hosts(FragmentId(7)).is_empty());
-        let past_the_end = NodeId(scheme.num_nodes() as u64);
-        assert_eq!(scheme.node_used(past_the_end), 0);
-        assert_eq!(scheme.node_used(NodeId(u64::MAX)), 0);
-    }
-
-    #[test]
-    fn economic_config_is_deterministic_and_id_ordered() {
-        // Regression: `economic_config` used to collect the non-forced
-        // decisions into a HashMap and emit `fragments` in hash-iteration
-        // order, so two identical schemes could serialize differently.
-        let policy = ReplicationPolicy::new(50, spec());
-        let st: Vec<FragmentStats> = (0..24)
-            .map(|i| {
-                stats(
-                    i,
-                    i * 40,
-                    (i + 1) * 40,
-                    if i % 5 == 0 {
-                        0.0 // forced singles interleaved with economic ones
-                    } else {
-                        1.0 + f64::from(u32::try_from(i % 3).unwrap())
-                    },
-                )
-            })
-            .collect();
-        // Rebuild from scratch each round: every build used to mint a fresh
-        // (randomly seeded) HashMap, which is where the order instability
-        // came from — repeated calls on one scheme would not catch it.
-        let serialize = || {
-            let scheme = ClusterScheme::build(&st, policy).unwrap();
-            format!("{:?}", scheme.economic_config())
-        };
-        let first = serialize();
-        for _ in 0..10 {
-            assert_eq!(serialize(), first);
-        }
-        let cfg = ClusterScheme::build(&st, policy).unwrap().economic_config();
-        for w in cfg.fragments.windows(2) {
-            assert!(w[0].id < w[1].id, "fragments out of id order");
-        }
-        assert!(cfg.fragments.iter().all(|f| f.value > 0.0));
-    }
-
-    #[test]
-    fn non_dense_fragment_ids_rejected() {
-        let policy = ReplicationPolicy::new(50, spec());
-        // Gap: first id is 1, not 0.
-        let err = ClusterScheme::build(&[stats(1, 0, 250, 1.0)], policy).unwrap_err();
-        assert!(matches!(
-            err,
-            PackError::NonDenseFragmentIds { index: 0, .. }
-        ));
-        assert!(err.to_string().contains("densely id-ordered"));
-        // Dense set but out of positional order is rejected too: the id must
-        // *be* the index, not merely appear somewhere.
-        let err = ClusterScheme::build(&[stats(1, 250, 500, 1.0), stats(0, 0, 250, 1.0)], policy)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            PackError::NonDenseFragmentIds { index: 0, .. }
-        ));
-    }
-
-    #[test]
-    fn scheme_lookup_helpers() {
-        let policy = ReplicationPolicy::new(50, spec());
-        let scheme =
-            ClusterScheme::build(&[stats(0, 0, 250, 1.0), stats(1, 250, 500, 1.0)], policy)
-                .unwrap();
-        assert_eq!(
-            scheme.range_of(FragmentId(0)),
-            Some(FragmentRange::new(0, 250))
+            &policy,
         );
-        assert_eq!(scheme.range_of(FragmentId(9)), None);
-        let total_hosted: usize = (0..scheme.num_nodes()).map(|n| scheme.nodes[n].len()).sum();
-        let from_hosts: usize = scheme
-            .decisions
+        let nodes = pack_bffd(&decisions, policy.spec.disk).unwrap();
+        let cfg = economic_config(&policy, &decisions, &nodes);
+        assert_eq!(check_equilibrium(&cfg), Ok(()));
+        // Forced fragment still hosted exactly once, and left out of the
+        // economics; the rest follow decision (id) order.
+        let hosting = |f| nodes.iter().filter(|frags| frags.contains(&f)).count();
+        assert_eq!(hosting(FragmentId(2)), 1);
+        let ids: Vec<FragmentId> = cfg.fragments.iter().map(|f| f.id).collect();
+        assert_eq!(ids, [FragmentId(0), FragmentId(1), FragmentId(3)]);
+        assert!(cfg
+            .assignment
             .iter()
-            .map(|d| scheme.hosts(d.id).len())
-            .sum();
-        assert_eq!(total_hosted, from_hosts);
-        for n in 0..scheme.num_nodes() {
-            assert!(scheme.node_used(NodeId(n as u64)) <= 1_000);
-        }
+            .all(|(_, f)| !f.contains(&FragmentId(2))));
     }
 }

@@ -336,7 +336,7 @@ fn record_batch_metrics(scans: usize) {
 pub struct PowerOfTwoChoices {
     /// Span penalty ϕ in tuple units (as in [`MaxOfMins`]).
     pub phi: u64,
-    state: std::sync::Mutex<u64>,
+    state: std::cell::Cell<u64>,
 }
 
 impl PowerOfTwoChoices {
@@ -344,17 +344,14 @@ impl PowerOfTwoChoices {
     pub fn new(phi: u64, seed: u64) -> Self {
         PowerOfTwoChoices {
             phi,
-            state: std::sync::Mutex::new(seed ^ 0x9E37_79B9_7F4A_7C15),
+            state: std::cell::Cell::new(seed ^ 0x9E37_79B9_7F4A_7C15),
         }
     }
 
     fn next(&self) -> u64 {
-        let mut s = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *s;
+        let s = self.state.get().wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state.set(s);
+        let mut z = s;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)

@@ -27,7 +27,6 @@ pub use hungarian::{hungarian, HungarianError};
 pub use interval_set::IntervalSet;
 
 use crate::ids::NodeId;
-use crate::replication::ClusterScheme;
 
 /// One node's fate in a transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,22 +266,6 @@ fn plan_from_costs(cost: &[u64], old: usize, new: usize) -> TransitionPlan {
         moves,
         total_transfer,
     }
-}
-
-/// The per-node tuple interval sets of a [`ClusterScheme`], in node order —
-/// the representation [`plan_transition`] consumes.
-pub fn scheme_intervals(scheme: &ClusterScheme) -> Vec<IntervalSet> {
-    scheme
-        .nodes
-        .iter()
-        .map(|frags| {
-            frags
-                .iter()
-                .filter_map(|f| scheme.range_of(*f))
-                .map(|r| (r.start, r.end))
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]

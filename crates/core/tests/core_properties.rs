@@ -300,19 +300,27 @@ mod audit_props {
     };
     use nashdb_core::economics::check_equilibrium;
     use nashdb_core::fragment::{fragment_stats, optimal_fragmentation, Fragmentation};
-    use nashdb_core::replication::ClusterScheme;
+    use nashdb_core::replication::{
+        decide_replicas, economic_config, pack_bffd, ReplicationDecision,
+    };
 
+    type Scheme = (
+        ReplicationPolicy,
+        Vec<ReplicationDecision>,
+        Vec<Vec<FragmentId>>,
+    );
+
+    /// Eq. 9 counts over the optimal `k`-fragmentation, packed by BFFD.
     // Test-helper panics are the failure mode here, but this free fn sits
     // outside any #[cfg(test)] scope so `allow-unwrap-in-tests` misses it.
     #[allow(clippy::unwrap_used)]
-    fn build_scheme(
-        chunks: &[Chunk],
-        k: usize,
-    ) -> Result<ClusterScheme, nashdb_core::replication::PackError> {
+    fn build_scheme(chunks: &[Chunk], k: usize) -> Scheme {
         let frag = optimal_fragmentation(chunks, k).unwrap();
         let stats = fragment_stats(&frag, chunks).unwrap();
         let policy = ReplicationPolicy::new(50, NodeSpec::new(1_000.0, frag.table_len()));
-        ClusterScheme::build(&stats, policy)
+        let decisions = decide_replicas(&stats, &policy);
+        let nodes = pack_bffd(&decisions, policy.spec.disk).unwrap();
+        (policy, decisions, nodes)
     }
 
     proptest! {
@@ -368,33 +376,29 @@ mod audit_props {
         /// constraints and is a Nash equilibrium.
         #[test]
         fn built_scheme_audits_clean(chunks in arb_chunks(), k in 1usize..6) {
-            let scheme = build_scheme(&chunks, k).unwrap();
-            prop_assert!(
-                audit_packing(&scheme.nodes, &scheme.decisions, scheme.policy.spec.disk).is_ok()
-            );
-            prop_assert!(check_equilibrium(&scheme.economic_config()).is_ok());
+            let (policy, decisions, nodes) = build_scheme(&chunks, k);
+            prop_assert!(audit_packing(&nodes, &decisions, policy.spec.disk).is_ok());
+            prop_assert!(check_equilibrium(&economic_config(&policy, &decisions, &nodes)).is_ok());
         }
 
         /// §6 negative: duplicating any replica on any node breaks either
         /// the class constraint or the replica-count bookkeeping.
         #[test]
         fn packing_audit_rejects_duplicate(chunks in arb_chunks()) {
-            let mut scheme = build_scheme(&chunks, 4).unwrap();
-            let f = scheme.nodes[0][0];
-            scheme.nodes[0].push(f);
-            prop_assert!(
-                audit_packing(&scheme.nodes, &scheme.decisions, scheme.policy.spec.disk).is_err()
-            );
+            let (policy, decisions, mut nodes) = build_scheme(&chunks, 4);
+            let f = nodes[0][0];
+            nodes[0].push(f);
+            prop_assert!(audit_packing(&nodes, &decisions, policy.spec.disk).is_err());
         }
 
         /// §6 negative: inflating a replica count without repacking is
         /// structurally malformed.
         #[test]
         fn equilibrium_audit_rejects_phantom_replicas(chunks in arb_chunks()) {
-            let mut scheme = build_scheme(&chunks, 4).unwrap();
-            scheme.decisions[0].replicas += 5;
-            scheme.decisions[0].forced = false;
-            prop_assert!(check_equilibrium(&scheme.economic_config()).is_err());
+            let (policy, mut decisions, nodes) = build_scheme(&chunks, 4);
+            decisions[0].replicas += 5;
+            decisions[0].forced = false;
+            prop_assert!(check_equilibrium(&economic_config(&policy, &decisions, &nodes)).is_err());
         }
 
         /// §7: the Hungarian plan always passes the structural audit and

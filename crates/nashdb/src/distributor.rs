@@ -107,12 +107,14 @@ pub struct NashDbDistributor {
     converged: bool,
     /// Replica counts of the previous scheme, for hysteresis: a fragment
     /// whose `Ideal(f)` stayed within ±25 % (min ±1) of its old count keeps
-    /// the old count. Inside window-sampling noise the marginal replica is
-    /// profit-neutral either way, so the damped counts remain
-    /// equilibrium-compatible — and without damping, count flutter re-sorts
-    /// the packing order every period and churns the whole placement (the
-    /// paper's <200 MB/transition measurements imply its schemes were
-    /// similarly stable hour over hour).
+    /// the old count. Without damping, count flutter re-sorts the packing
+    /// order every period and churns the whole placement (the paper's
+    /// <200 MB/transition measurements imply its schemes were similarly
+    /// stable hour over hour). The damped counts are not Eq. 9's, and the
+    /// scheme they give is usually *not* a Definition 6.1 equilibrium: on a
+    /// 40-round drifting stream (20 scans a round on `small_cfg()`) it
+    /// passes `check_equilibrium` in 4 rounds; of the other 36, 26 have a
+    /// profitable drop and 10 a profitable add (ROADMAP item C).
     prev_counts: Vec<(PlacementKey, u64)>,
     /// The persistent replica placement: per node, the fragments (by table
     /// and range) it hosts. Re-running BFFD from scratch each period would
@@ -201,9 +203,9 @@ impl NashDbDistributor {
             {}
             if let Some(&(_, old)) = prev.next_if(|(k, _)| *k == key) {
                 // Counting noise in a |W|-scan window moves V(f) (hence
-                // Ideal) by ~±25% between periods; inside that band the
-                // marginal replica is profit-neutral either way, so keep
-                // the old count and a quiet cluster.
+                // Ideal) by ~±25% between periods; inside that band keep
+                // the old count and a quiet cluster, at the cost of Eq. 9
+                // exactness (see `prev_counts`).
                 let band = saturating_u64(((old as f64) * 0.25).ceil().max(1.0));
                 if d.replicas.abs_diff(old) <= band {
                     d.replicas = old;
@@ -412,21 +414,6 @@ impl NashDbDistributor {
     pub fn config(&self) -> &NashDbConfig {
         &self.cfg
     }
-
-    /// Total summed fragment error across all tables for the *current*
-    /// fragmentation against the *current* value estimates — the quantity
-    /// the paper's Fig. 6 compares across fragmenters.
-    pub fn current_total_error(&self) -> f64 {
-        self.tables
-            .iter()
-            .map(|t| {
-                let chunks = t.estimator.chunks(t.tuples);
-                nashdb_core::fragment::ChunkPrefix::new(&chunks).map_or(0.0, |prefix| {
-                    t.fragmenter.fragmentation().total_error(&prefix)
-                })
-            })
-            .sum()
-    }
 }
 
 impl Distributor for NashDbDistributor {
@@ -498,7 +485,9 @@ impl Distributor for NashDbDistributor {
 mod tests {
     use super::*;
     use nashdb_cluster::ScanRange;
+    use nashdb_core::economics::check_equilibrium;
     use nashdb_core::ids::TableId;
+    use nashdb_core::replication::economic_config;
     use std::collections::HashMap;
 
     fn db() -> Database {
@@ -730,6 +719,30 @@ mod tests {
         let s = nash.scheme();
         assert!(s.covers(&database));
         assert!(s.num_nodes() >= 1);
+    }
+
+    /// The scheme the pipeline emits, not the §6 construction alone: with
+    /// no hysteresis history yet the counts are exact Eq. 9, and the
+    /// incremental placer's packing of them is a Definition 6.1 equilibrium.
+    #[test]
+    fn cold_start_scheme_is_an_equilibrium() {
+        let cfg = small_cfg();
+        let mut nash = NashDbDistributor::new(&db(), cfg);
+        for i in 0..20u64 {
+            let lo = 11_000 * i % 900_000;
+            let hi = lo + 80_000 + (i % 5) * 20_000;
+            nash.observe(&query(2.0 + 3.0 * (i % 9) as f64, &[(0, lo, hi)]));
+        }
+        let (globals, decisions) = nash.decide();
+        let nodes: Vec<Vec<FragmentId>> = nash
+            .place(&globals, &decisions)
+            .iter()
+            .map(|node| node.iter().map(|&f| FragmentId(f as u64)).collect())
+            .collect();
+        let policy =
+            ReplicationPolicy::new(cfg.window, cfg.spec).with_max_replicas(cfg.max_replicas);
+        let config = economic_config(&policy, &decisions, &nodes);
+        assert_eq!(check_equilibrium(&config), Ok(()));
     }
 
     #[test]

@@ -240,35 +240,27 @@ impl DistScheme {
         &self.hosts[f]
     }
 
-    /// The fragment read requests a scan decomposes into: one request per
-    /// overlapped fragment, each reading the scan's overlap with the
-    /// fragment (rounded up to a whole fragment only when the fragment is
-    /// smaller — the paper's fragments are disk-block sized, so its
-    /// whole-block fetches equal the overlap at block granularity; our
-    /// fragments can be much larger than a block and charging the full
-    /// fragment would bill a sliver scan for megabytes it never reads).
+    /// All fragment requests for a query: one request per overlapped
+    /// fragment, reading the scans' overlap with it. Two scans touching the
+    /// same fragment issue one request whose size is the summed overlap,
+    /// capped at the fragment size (overlapping scans do not re-read). A read
+    /// is the overlap, not the whole fragment: the paper's fragments are
+    /// disk-block sized, ours can be far larger than a block, and charging
+    /// the full fragment would bill a sliver scan for megabytes it never
+    /// reads.
     ///
     /// # Panics
-    /// Panics if part of the scanned range is not covered by any fragment —
-    /// a scheme must cover every tuple a query can touch.
-    pub fn requests_for_scan(&self, scan: &ScanRange) -> Vec<FragmentRequest> {
-        let mut buf = RequestBuf::default();
-        buf.begin_query(self.fragments.len());
-        assert_covered(self.append_scan(scan, |_| true, &mut buf).err());
-        buf.end_query(true);
-        buf.into_requests()
-    }
-
-    /// All fragment requests for a query, deduplicated: two scans touching
-    /// the same fragment issue one request whose size is the summed overlap
-    /// (capped at the fragment size — overlapping scans do not re-read).
-    ///
-    /// # Panics
-    /// Panics if part of a scanned range is not covered by any fragment, as
-    /// [`requests_for_scan`](Self::requests_for_scan) does.
+    /// Panics if part of a scanned range is not covered by any fragment — a
+    /// scheme must cover every tuple a query can touch. The serving path
+    /// takes the error instead.
     pub fn requests_for_query(&self, query: &QueryRequest) -> Vec<FragmentRequest> {
         let mut buf = RequestBuf::default();
-        assert_covered(self.append_query(query, |_| true, &mut buf).err());
+        let uncovered = self.append_query(query, |_| true, &mut buf).err();
+        assert!(
+            uncovered.is_none(),
+            "{}",
+            uncovered.map_or_else(String::new, |e| e.to_string())
+        );
         buf.into_requests()
     }
 
@@ -380,16 +372,6 @@ impl DistScheme {
     }
 }
 
-/// The public adapters' documented panic on an uncovered scan — the one
-/// site both reach; the serving path takes the error instead.
-fn assert_covered(uncovered: Option<UncoveredScan>) {
-    assert!(
-        uncovered.is_none(),
-        "{}",
-        uncovered.map_or_else(String::new, |e| e.to_string())
-    );
-}
-
 /// Global tuple offset of each table (tables laid out end to end).
 pub(crate) fn table_offsets(db: &Database) -> Vec<u64> {
     let mut offsets = Vec::with_capacity(db.tables.len());
@@ -429,6 +411,14 @@ mod tests {
         }
     }
 
+    fn one_scan(table: u64, start: u64, end: u64) -> QueryRequest {
+        QueryRequest {
+            price: 1.0,
+            scans: vec![ScanRange::new(TableId(table), start, end)],
+            tag: 0,
+        }
+    }
+
     fn scheme() -> DistScheme {
         // Table a: [0,60) f0, [60,100) f1. Table b: [0,50) f2.
         DistScheme::new(
@@ -449,7 +439,7 @@ mod tests {
     #[test]
     fn scan_decomposes_into_overlaps() {
         let s = scheme();
-        let reqs = s.requests_for_scan(&ScanRange::new(TableId(0), 50, 70));
+        let reqs = s.requests_for_query(&one_scan(0, 50, 70));
         assert_eq!(reqs.len(), 2);
         assert_eq!(reqs[0].fragment, FragmentId(0));
         assert_eq!(reqs[0].size, 10); // overlap with [0, 60)
@@ -532,6 +522,6 @@ mod tests {
     #[should_panic(expected = "gap")]
     fn scan_over_gap_panics() {
         let s = DistScheme::new(vec![gf(0, 0, 10), gf(0, 20, 30)], vec![vec![0, 1]]);
-        let _ = s.requests_for_scan(&ScanRange::new(TableId(0), 5, 25));
+        let _ = s.requests_for_query(&one_scan(0, 5, 25));
     }
 }

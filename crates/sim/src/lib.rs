@@ -16,10 +16,10 @@
 //!   node crashes, crash-with-restart, and straggler windows,
 //! * [`net`] — a contended shared-bandwidth link ([`SharedLink`]) from which
 //!   the cluster's "one big switch" network model is assembled,
-//! * [`rng`] — seeded random samplers (zipf, geometric, binomial, …) built
+//! * [`rng`] — seeded random samplers (zipf, geometric, uniform, …) built
 //!   on [`rand`] so that workload generation needs no extra dependencies,
-//! * [`stats`] — streaming statistics (Welford mean/variance, exact
-//!   percentiles, time-bucketed series) used by the experiment harness.
+//! * [`stats`] — streaming statistics (exact percentiles, time-bucketed
+//!   series) used by the experiment harness.
 //!
 //! Everything here is deterministic under a fixed seed, which the test suite
 //! and the experiment harness rely on.

@@ -1,7 +1,7 @@
 //! Seeded random sampling utilities.
 //!
 //! The workload generators need a handful of distributions (zipf, geometric,
-//! binomial, bounded uniform). To stay within the approved dependency set we
+//! bounded uniform). To stay within the approved dependency set we
 //! implement them here directly on top of [`rand`], with exact inverse-CDF
 //! methods — no approximations that would complicate testing.
 
@@ -24,14 +24,6 @@ impl SimRng {
         SimRng {
             inner: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Derives an independent child RNG; useful for giving each workload
-    /// component its own stream so adding draws to one does not perturb the
-    /// others.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        let seed = self.inner.gen::<u64>() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SimRng::seed_from_u64(seed)
     }
 
     /// Uniform draw in `[low, high)`.
@@ -68,46 +60,6 @@ impl SimRng {
         }
         let u = self.open_unit();
         crate::num::saturating_u64((u.ln() / (1.0 - p).ln()).floor())
-    }
-
-    /// Binomial(`n`, `p`) draw.
-    ///
-    /// Exact via summed Bernoulli trials for small `n`; for large `n` uses
-    /// geometric skips between successes, costing O(n·min(p, 1−p)) expected
-    /// draws with no underflow issues at any scale.
-    pub fn binomial(&mut self, n: u64, p: f64) -> u64 {
-        let p = p.clamp(0.0, 1.0);
-        if p <= 0.0 || n == 0 {
-            return 0;
-        }
-        if p >= 1.0 {
-            return n;
-        }
-        if p > 0.5 {
-            return n - self.binomial(n, 1.0 - p);
-        }
-        if n <= 64 {
-            return (0..n).filter(|_| self.bernoulli(p)).count() as u64;
-        }
-        // Skip over failures: each success lands geometric(p)+1 trials after
-        // the previous one.
-        let mut count = 0u64;
-        let mut pos = 0u64;
-        loop {
-            let gap = self.geometric(p) + 1;
-            pos = pos.saturating_add(gap);
-            if pos > n {
-                return count;
-            }
-            count = count.saturating_add(1);
-        }
-    }
-
-    /// Zipf(`n`, `s`) draw over ranks `0..n` (rank 0 most popular), via
-    /// inverse CDF on the precomputed table in [`ZipfTable`]. For repeated
-    /// draws build a [`ZipfTable`] once and call [`ZipfTable::sample`].
-    pub fn zipf_once(&mut self, n: u64, s: f64) -> u64 {
-        ZipfTable::new(n, s).sample(self)
     }
 
     /// Uniform draw in `(0, 1)` — never exactly zero, safe for `ln`.
@@ -196,16 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn forked_streams_differ() {
-        let mut parent = SimRng::seed_from_u64(7);
-        let mut a = parent.fork(1);
-        let mut b = parent.fork(2);
-        let va: Vec<u64> = (0..16).map(|_| a.uniform_u64(0, u64::MAX - 1)).collect();
-        let vb: Vec<u64> = (0..16).map(|_| b.uniform_u64(0, u64::MAX - 1)).collect();
-        assert_ne!(va, vb);
-    }
-
-    #[test]
     fn geometric_mean_matches_theory() {
         let mut rng = SimRng::seed_from_u64(42);
         let p = 0.05; // mean failures = (1-p)/p = 19
@@ -223,37 +165,6 @@ mod tests {
     fn geometric_p_one_is_zero() {
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(rng.geometric(1.0), 0);
-    }
-
-    #[test]
-    fn binomial_edges() {
-        let mut rng = SimRng::seed_from_u64(1);
-        assert_eq!(rng.binomial(0, 0.5), 0);
-        assert_eq!(rng.binomial(10, 0.0), 0);
-        assert_eq!(rng.binomial(10, 1.0), 10);
-    }
-
-    #[test]
-    fn binomial_mean_small_and_large_n() {
-        let mut rng = SimRng::seed_from_u64(3);
-        for &(n, p) in &[(40u64, 0.3f64), (5_000, 0.3)] {
-            let trials = 3_000;
-            let total: u64 = (0..trials).map(|_| rng.binomial(n, p)).sum();
-            let mean = total as f64 / trials as f64;
-            let expected = n as f64 * p;
-            assert!(
-                (mean - expected).abs() < expected * 0.05,
-                "n={n}: mean {mean} vs expected {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn binomial_never_exceeds_n() {
-        let mut rng = SimRng::seed_from_u64(9);
-        for _ in 0..1_000 {
-            assert!(rng.binomial(100, 0.99) <= 100);
-        }
     }
 
     #[test]

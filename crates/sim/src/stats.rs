@@ -1,77 +1,11 @@
 //! Streaming statistics used by the experiment harness.
 //!
-//! * [`Welford`] — numerically stable online mean/variance (the same
-//!   recurrence the paper adapts for its split-point search, Appendix C).
 //! * [`Percentiles`] — exact percentile extraction from a retained sample
 //!   (our experiments retain every query latency, as the paper's do).
 //! * [`TimeSeries`] — fixed-width time-bucket accumulator for the
 //!   throughput-over-time plots (paper Fig. 11).
 
 use crate::time::{SimDuration, SimTime};
-
-/// Online mean and (population) variance via Welford's recurrence.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one observation in.
-    pub fn push(&mut self, x: f64) {
-        self.count = self.count.saturating_add(1);
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 if empty).
-    pub fn variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sum of squared deviations from the mean — the paper's *unnormalized
-    /// variance* (Eq. 4).
-    pub fn sum_sq_dev(&self) -> f64 {
-        self.m2.max(0.0)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-    }
-}
 
 /// Exact percentiles over a retained sample.
 #[derive(Debug, Clone, Default)]
@@ -188,65 +122,6 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-    }
-
-    #[test]
-    fn welford_matches_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert_close(w.mean(), 5.0);
-        assert_close(w.variance(), 4.0);
-        assert_close(w.sum_sq_dev(), 32.0);
-    }
-
-    #[test]
-    fn welford_empty_is_zero() {
-        let w = Welford::new();
-        assert_eq!(w.count(), 0);
-        assert_close(w.mean(), 0.0);
-        assert_close(w.variance(), 0.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * i % 37) as f64).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &xs[..33] {
-            left.push(x);
-        }
-        for &x in &xs[33..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert_close(left.mean(), all.mean());
-        assert_close(left.variance(), all.variance());
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = (a.count(), a.mean(), a.m2);
-        a.merge(&Welford::new());
-        assert_eq!((a.count(), a.mean(), a.m2), before);
-
-        let mut e = Welford::new();
-        let mut b = Welford::new();
-        b.push(5.0);
-        e.merge(&b);
-        assert_eq!(e.count(), 1);
-        assert_close(e.mean(), 5.0);
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl SimDuration {
         SimDuration(nanos)
     }
 
-    /// Creates a duration from whole microseconds.
-    pub const fn from_micros(micros: u64) -> Self {
-        SimDuration(micros * 1_000)
-    }
-
     /// Creates a duration from whole milliseconds.
     pub const fn from_millis(millis: u64) -> Self {
         SimDuration(millis * 1_000_000)
@@ -203,7 +198,6 @@ mod tests {
     fn construction_round_trips() {
         assert_eq!(SimTime::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
         assert_eq!(SimDuration::from_secs(1).as_millis(), 1_000);
     }
 

@@ -386,9 +386,21 @@ mod audit_system {
     use nashdb_core::audit::{audit_packing, audit_transition};
     use nashdb_core::economics::{check_equilibrium, NodeSpec};
     use nashdb_core::fragment::{fragment_stats, optimal_fragmentation};
-    use nashdb_core::replication::{ClusterScheme, ReplicationPolicy};
+    use nashdb_core::replication::{
+        decide_replicas, economic_config, pack_bffd, ReplicationDecision, ReplicationPolicy,
+    };
     use nashdb_core::value::{Chunk, TupleValueEstimator};
     use nashdb_workload::bernoulli::{workload as bernoulli, BernoulliConfig};
+
+    /// Each packed node as the tuple intervals it stores. `fragment_stats`
+    /// ids are dense, so an id indexes its decision.
+    fn intervals(decisions: &[ReplicationDecision], nodes: &[Vec<FragmentId>]) -> Vec<IntervalSet> {
+        let range = |f: &FragmentId| decisions[f.index()].range;
+        nodes
+            .iter()
+            .map(|frags| frags.iter().map(range).map(|r| (r.start, r.end)).collect())
+            .collect()
+    }
 
     proptest! {
         /// Whole runs complete with every driver/distributor audit hook
@@ -430,6 +442,7 @@ mod audit_system {
             shift in 0u64..500,
         ) {
             let table = 1_000u64;
+            let policy = ReplicationPolicy::new(16, NodeSpec::new(500.0, table));
             let build = |offset: u64| {
                 let mut est = TupleValueEstimator::new(16);
                 for &(s, l, p) in &scans {
@@ -440,19 +453,18 @@ mod audit_system {
                 let chunks: Vec<Chunk> = est.chunks(table);
                 let frag = optimal_fragmentation(&chunks, 5).unwrap();
                 let stats = fragment_stats(&frag, &chunks).unwrap();
-                let policy = ReplicationPolicy::new(16, NodeSpec::new(500.0, table));
-                ClusterScheme::build(&stats, policy).expect("fragments fit one node")
+                let decisions = decide_replicas(&stats, &policy);
+                let nodes = pack_bffd(&decisions, table).expect("fragments fit one node");
+                (decisions, nodes)
             };
             let a = build(0);
             let b = build(shift);
-            for s in [&a, &b] {
-                prop_assert!(
-                    audit_packing(&s.nodes, &s.decisions, s.policy.spec.disk).is_ok()
-                );
-                prop_assert!(check_equilibrium(&s.economic_config()).is_ok());
+            for (decisions, nodes) in [&a, &b] {
+                prop_assert!(audit_packing(nodes, decisions, table).is_ok());
+                prop_assert!(check_equilibrium(&economic_config(&policy, decisions, nodes)).is_ok());
             }
-            let old = nashdb_core::transition::scheme_intervals(&a);
-            let new = nashdb_core::transition::scheme_intervals(&b);
+            let old = intervals(&a.0, &a.1);
+            let new = intervals(&b.0, &b.1);
             let plan = nashdb_core::transition::plan_transition(&old, &new);
             prop_assert!(audit_transition(&old, &new, &plan).is_ok());
         }
