@@ -6,7 +6,7 @@ use nashdb_core::ids::{NodeId, QueryId, TableId};
 use nashdb_core::transition::{NodeMove, TransitionPlan};
 use nashdb_sim::fault::{FaultKind, FaultSchedule};
 use nashdb_sim::net::SharedLink;
-use nashdb_sim::{EventQueue, SimDuration, SimTime};
+use nashdb_sim::{EventQueue, Lane, SimDuration, SimTime};
 
 use crate::metrics::{Metrics, QueryRecord};
 
@@ -382,7 +382,17 @@ struct NetState {
 #[derive(Debug)]
 pub struct ClusterSim {
     cfg: ClusterConfig,
+    /// Arrivals, restarts and transfer arrivals go to the default lane, and
+    /// each node's disk completion to the slot numbered by its physical
+    /// index.
     events: EventQueue<Event>,
+    /// The fault schedule's lane: loaded in time order before the run.
+    fault_lane: Lane,
+    /// The driver's timers, scheduled in time order.
+    wakeup_lane: Lane,
+    /// Reads delivered off the core link, whose completion times never
+    /// decrease.
+    delivery_lane: Lane,
     phys: Vec<PhysNode>,
     /// Logical scheme node -> physical node.
     logical: Vec<usize>,
@@ -416,9 +426,15 @@ impl ClusterSim {
             core: SharedLink::new(n.core_tps),
             nics: Vec::new(),
         });
+        let mut events = EventQueue::new();
+        let (fault_lane, wakeup_lane, delivery_lane) =
+            (events.add_lane(), events.add_lane(), events.add_lane());
         ClusterSim {
             cfg,
-            events: EventQueue::new(),
+            events,
+            fault_lane,
+            wakeup_lane,
+            delivery_lane,
             phys: Vec::new(),
             logical: Vec::new(),
             queries: Vec::new(),
@@ -482,7 +498,8 @@ impl ClusterSim {
 
     /// Schedules a driver timer.
     pub fn schedule_wakeup(&mut self, at: SimTime, tag: u64) {
-        self.events.schedule(at, Event::Wakeup(tag));
+        self.events
+            .schedule_in(self.wakeup_lane, at, Event::Wakeup(tag));
     }
 
     /// Schedules every event of a fault schedule. Faults target logical
@@ -492,7 +509,8 @@ impl ClusterSim {
     /// [`schedule_query`](Self::schedule_query).
     pub fn schedule_faults(&mut self, schedule: &FaultSchedule) {
         for ev in schedule.events() {
-            self.events.schedule(
+            self.events.schedule_in(
+                self.fault_lane,
                 ev.at,
                 Event::Fault {
                     node: ev.node,
@@ -877,7 +895,7 @@ impl ClusterSim {
         node.service_started = now;
         let epoch = node.epoch;
         self.events
-            .schedule(now + service, Event::JobDone { phys, epoch });
+            .schedule_slot(phys, now + service, Event::JobDone { phys, epoch });
     }
 
     /// Routes a transition transfer toward `phys`'s disk: directly when the
@@ -934,7 +952,7 @@ impl ClusterSim {
             node.service_started = now;
             let epoch = node.epoch;
             self.events
-                .schedule(now + service, Event::JobDone { phys, epoch });
+                .schedule_slot(phys, now + service, Event::JobDone { phys, epoch });
         } else {
             self.maybe_retire(phys, now);
         }
@@ -951,7 +969,8 @@ impl ClusterSim {
             // link before the client has it.
             let off_nic = net.nics[phys].transmit(now, job.tuples);
             let delivered = net.core.transmit(off_nic, job.tuples);
-            self.events.schedule(
+            self.events.schedule_in(
+                self.delivery_lane,
                 delivered,
                 Event::NetDelivery {
                     id,
@@ -1076,6 +1095,11 @@ impl ClusterSim {
         phys: usize,
         restart_after: Option<SimDuration>,
     ) {
+        // The in-service job's completion leaves the node's slot but is not
+        // cancelled: it still pops at its time — the epoch check skips it —
+        // so the clock, and with it `finish()`'s billing, runs as far as it
+        // always did.
+        self.events.release_slot(phys);
         let node = &mut self.phys[phys];
         node.failed = true;
         node.epoch = node.epoch.saturating_add(1);
@@ -1983,5 +2007,134 @@ mod tests {
         assert_eq!(a.queries, b.queries);
         assert_eq!(a.availability, b.availability);
         assert!((a.total_cost - b.total_cost).abs() < 1e-12);
+    }
+
+    #[test]
+    fn crashed_read_completion_still_ends_the_run() {
+        // Node 1 crashes at t = 1 s with a 10 s read in service, and the
+        // retry on node 0 completes at t = 2 s. The crashed read's
+        // completion is released from node 1's slot, not cancelled: it is
+        // the run's last event, so the run ends — and both nodes bill —
+        // at t = 10 s.
+        let mut sim = ClusterSim::new(cfg());
+        sim.reconfigure(&provision(2)).unwrap();
+        sim.schedule_query(SimTime::ZERO, query(&[(0, 10_000)]));
+        sim.schedule_faults(&FaultSchedule::from_events(vec![crash(1, 1)]));
+        loop {
+            match sim.next_event() {
+                DriverEvent::QueryArrived { id, .. } => {
+                    sim.dispatch(id, &[(NodeId(1), 10_000)]).unwrap();
+                }
+                DriverEvent::QueryFailed { id, .. } => {
+                    sim.dispatch(id, &[(NodeId(0), 1_000)]).unwrap();
+                }
+                DriverEvent::Finished => break,
+                _ => {}
+            }
+        }
+        assert_eq!(sim.now(), SimTime::from_secs(10));
+        let m = sim.finish();
+        assert_eq!(m.queries.len(), 1);
+        assert_eq!(m.queries[0].completion, SimTime::from_secs(2));
+        // 2 nodes × 10 s × 1 unit per second.
+        assert!((m.total_cost - 20.0).abs() < 1e-6, "cost {}", m.total_cost);
+    }
+
+    /// The event queue's work bound as counts, which only builds with debug
+    /// assertions keep.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn only_restarts_and_transfers_reach_the_fallback_heap() {
+        // Every event kind on three overloaded nodes: arrivals, reads
+        // crossing the network, two crash-restarts of busy nodes, a
+        // straggler, timers, and reconfigurations that ship transfers.
+        let mut sim = ClusterSim::new(net_cfg(2_000, 4_000));
+        sim.reconfigure(&provision(3)).unwrap();
+        for i in 0..60u64 {
+            let at = SimTime::ZERO + SimDuration::from_millis(250 * i);
+            sim.schedule_query(at, query(&[(0, 800)]));
+        }
+        let fault = |secs, node, kind| FaultEvent {
+            at: SimTime::from_secs(secs),
+            node,
+            kind,
+        };
+        let restart = FaultKind::CrashRestart {
+            down_for: SimDuration::from_secs(2),
+        };
+        sim.schedule_faults(&FaultSchedule::from_events(vec![
+            fault(4, 1, restart),
+            fault(
+                6,
+                2,
+                FaultKind::Straggler {
+                    slowdown: 2.0,
+                    duration: SimDuration::from_secs(3),
+                },
+            ),
+            fault(9, 0, restart),
+        ]));
+        for secs in [5, 10] {
+            sim.schedule_wakeup(SimTime::from_secs(secs), 0);
+        }
+        let mut next = 0usize;
+        let mut transfers = 0u64;
+        loop {
+            match sim.next_event() {
+                DriverEvent::QueryArrived { id, .. } | DriverEvent::QueryFailed { id, .. } => {
+                    let alive: Vec<NodeId> =
+                        (0..3).map(NodeId).filter(|&n| sim.node_alive(n)).collect();
+                    let reads: Vec<(NodeId, u64)> = (0..2)
+                        .map(|_| {
+                            next += 1;
+                            (alive[next % alive.len()], 400)
+                        })
+                        .collect();
+                    sim.dispatch(id, &reads).unwrap();
+                }
+                DriverEvent::Wakeup { .. } => {
+                    let moves = (0..3)
+                        .map(|n| NodeMove::Reuse {
+                            old: NodeId(n),
+                            new: NodeId(n),
+                            transfer: 500,
+                        })
+                        .collect();
+                    // A transfer to a crashed node is lost before it starts.
+                    transfers += (0..3).filter(|&n| sim.node_alive(NodeId(n))).count() as u64;
+                    let plan = TransitionPlan {
+                        moves,
+                        total_transfer: 1_500,
+                    };
+                    sim.reconfigure(&plan).unwrap();
+                }
+                DriverEvent::Finished => break,
+                _ => {}
+            }
+        }
+        let tally = sim.events.tally().clone();
+        let lanes = [sim.fault_lane, sim.wakeup_lane, sim.delivery_lane];
+        let m = sim.finish();
+        assert_eq!(m.queries.len(), 60);
+        assert_eq!(m.availability.node_restarts, 2);
+        // Faults, wake-ups and deliveries never leave their lanes.
+        for lane in lanes {
+            assert_eq!(tally.spilled(lane), 0, "{lane:?}");
+        }
+        // Restarts and transfer arrivals land below the arrivals' tail.
+        assert_eq!(
+            tally.spilled(Lane::default()),
+            m.availability.node_restarts + transfers
+        );
+        // Completions reach the fallback heap only when a crash releases
+        // one (both crashes hit a read in service), and most of them re-key
+        // their node's entry in place.
+        assert_eq!(tally.released, m.availability.node_crashes);
+        assert!(
+            tally.rekeyed > tally.pushed,
+            "{} re-keyed, {} pushed",
+            tally.rekeyed,
+            tally.pushed
+        );
     }
 }

@@ -11,7 +11,9 @@
 //! * [`time`] — an integer-nanosecond simulated clock ([`SimTime`],
 //!   [`SimDuration`]) immune to floating-point drift,
 //! * [`event`] — a stable-ordered event queue ([`EventQueue`]) driving the
-//!   simulation loop,
+//!   simulation loop: FIFO [`Lane`]s for streams scheduled in time order,
+//!   per-server slots re-keyed in place, and a heap for everything else,
+//!   popped in one `(time, insertion)` order,
 //! * [`fault`] — deterministic seeded fault schedules ([`FaultSchedule`]):
 //!   node crashes, crash-with-restart, and straggler windows,
 //! * [`net`] — a contended shared-bandwidth link ([`SharedLink`]) from which
@@ -35,7 +37,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::EventQueue;
+pub use event::{EventQueue, Lane};
 pub use fault::{FaultEvent, FaultKind, FaultSchedule, FaultScheduleConfig};
 pub use net::SharedLink;
 pub use rng::SimRng;
