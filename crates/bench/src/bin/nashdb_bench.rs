@@ -17,7 +17,7 @@ use std::process::exit;
 
 use nashdb_bench::compare::compare_scenarios;
 use nashdb_bench::scenarios::{run_scenarios, ScenarioConfig};
-use nashdb_bench::smoke::{run_smoke, SmokeConfig, REQUIRED_STAGES};
+use nashdb_bench::smoke::{run_smoke, SmokeConfig};
 use nashdb_obs::{ObsSnapshot, ScenarioArtifact};
 
 const HELP: &str = "\
@@ -32,7 +32,9 @@ USAGE:
                                    baselines per cell, and emit the
                                    Pareto-marked artifact
   nashdb-bench validate FILE       parse a smoke snapshot file and check
-                                   its schema and stage coverage
+                                   its schema (unique, sorted names) and
+                                   that every pipeline stage emitted a
+                                   metric
   nashdb-bench validate --scenarios FILE
                                    parse and schema-check a scenario
                                    artifact
@@ -102,6 +104,24 @@ fn die(msg: &str) -> ! {
 fn fail(msg: &str) -> ! {
     eprintln!("FAIL: {msg}");
     exit(1)
+}
+
+/// Fails unless every pipeline stage emitted a metric; otherwise returns
+/// the snapshot's `N counters, N gauges, …` summary.
+fn check_coverage(snap: &ObsSnapshot, context: &str) -> String {
+    let missing = snap.missing_stages();
+    if !missing.is_empty() {
+        fail(&format!(
+            "{context}pipeline stages emitted no metrics: {missing:?}"
+        ));
+    }
+    format!(
+        "{} counters, {} gauges, {} histograms, {} spans",
+        snap.counters.len(),
+        snap.gauges.len(),
+        snap.histograms.len(),
+        snap.spans.len()
+    )
 }
 
 fn main() {
@@ -185,12 +205,7 @@ fn smoke(mut args: Args) {
     }
 
     let snap = run_smoke(&cfg);
-
-    // Stage coverage: every pipeline stage must have emitted something.
-    let missing = snap.missing_stages(REQUIRED_STAGES);
-    if !missing.is_empty() {
-        fail(&format!("pipeline stages emitted no metrics: {missing:?}"));
-    }
+    let summary = check_coverage(&snap, "");
 
     // The serialized form must round-trip through the schema validator and
     // re-serialize byte-identically (no float formatting drift).
@@ -201,14 +216,7 @@ fn smoke(mut args: Args) {
         Err(e) => fail(&format!("snapshot failed its own schema: {e}")),
     }
 
-    eprintln!(
-        "smoke ok: seed {} — {} counters, {} gauges, {} histograms, {} spans",
-        cfg.seed,
-        snap.counters.len(),
-        snap.gauges.len(),
-        snap.histograms.len(),
-        snap.spans.len()
-    );
+    eprintln!("smoke ok: seed {} — {summary}", cfg.seed);
     match out {
         Some(path) => {
             if let Err(e) = std::fs::write(&path, &json) {
@@ -301,18 +309,9 @@ fn validate(mut args: Args) {
         Ok(snap) => snap,
         Err(e) => fail(&format!("{path}: {e}")),
     };
-    let missing = snap.missing_stages(REQUIRED_STAGES);
-    if !missing.is_empty() {
-        fail(&format!(
-            "{path}: pipeline stages emitted no metrics: {missing:?}"
-        ));
-    }
+    let summary = check_coverage(&snap, &format!("{path}: "));
     println!(
-        "{path}: valid snapshot (version {}) — {} counters, {} gauges, {} histograms, {} spans",
-        snap.version,
-        snap.counters.len(),
-        snap.gauges.len(),
-        snap.histograms.len(),
-        snap.spans.len()
+        "{path}: valid snapshot (version {}) — {summary}",
+        snap.version
     );
 }

@@ -4,7 +4,8 @@
 //! pipeline under an [`ObsSession`] and returns the captured
 //! [`ObsSnapshot`]. CI serializes the snapshot to `BENCH_PR.json`,
 //! validates it round-trips through the schema, and fails the build if any
-//! pipeline stage stopped emitting metrics (see [`REQUIRED_STAGES`]).
+//! pipeline stage stopped emitting metrics
+//! ([`ObsSnapshot::missing_stages`]).
 
 use nashdb::{run_workload, NashDbConfig, NashDbDistributor, RunConfig};
 use nashdb_cluster::ClusterConfig;
@@ -13,19 +14,6 @@ use nashdb_core::routing::MaxOfMins;
 use nashdb_obs::{ObsSession, ObsSnapshot};
 use nashdb_sim::SimDuration;
 use nashdb_workload::bernoulli::{workload as bernoulli, BernoulliConfig};
-
-/// Metric-name prefixes that every healthy smoke run must populate — one
-/// per pipeline stage. [`ObsSnapshot::missing_stages`] reports the gaps.
-pub const REQUIRED_STAGES: &[&str] = &[
-    "value_tree.",
-    "fragment.",
-    "replication.",
-    "packing.",
-    "transition.",
-    "routing.",
-    "cluster.",
-    "distributor.",
-];
 
 /// Smoke-run parameters. The defaults are what CI runs.
 #[derive(Debug, Clone, Copy)]
@@ -107,6 +95,7 @@ pub fn run_smoke(cfg: &SmokeConfig) -> ObsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nashdb_obs::Span::{self, Pipeline, Provision, Query, Reconfigure, Scheme};
 
     fn quick() -> SmokeConfig {
         SmokeConfig {
@@ -119,14 +108,16 @@ mod tests {
     #[test]
     fn smoke_covers_every_stage() {
         let snap = run_smoke(&quick());
-        let missing = snap.missing_stages(REQUIRED_STAGES);
+        let missing = snap.missing_stages();
         assert!(missing.is_empty(), "stages without metrics: {missing:?}");
         // The driver's span hierarchy is present and nested.
-        assert!(snap.span("pipeline").is_some());
-        assert!(snap.span("pipeline/query").is_some());
-        assert!(snap.span("pipeline/provision/scheme/fragment").is_some());
+        assert!(snap.span(&[Pipeline]).is_some());
+        assert!(snap.span(&[Pipeline, Query]).is_some());
+        assert!(snap
+            .span(&[Pipeline, Provision, Scheme, Span::Fragment])
+            .is_some());
         // The run is long enough to exercise periodic reconfiguration.
-        assert!(snap.span("pipeline/reconfigure/scheme").is_some());
+        assert!(snap.span(&[Pipeline, Reconfigure, Scheme]).is_some());
     }
 
     #[test]

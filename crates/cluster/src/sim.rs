@@ -4,6 +4,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use nashdb_core::ids::{NodeId, QueryId, TableId};
 use nashdb_core::transition::{NodeMove, TransitionPlan};
+use nashdb_obs::Metric;
 use nashdb_sim::fault::{FaultKind, FaultSchedule};
 use nashdb_sim::net::SharedLink;
 use nashdb_sim::{EventQueue, Lane, SimDuration, SimTime};
@@ -534,7 +535,7 @@ impl ClusterSim {
             .availability
             .queries_abandoned
             .saturating_add(1);
-        nashdb_obs::counter_add("cluster.queries_abandoned", 1);
+        nashdb_obs::counter_add(Metric::ClusterQueriesAbandoned, 1);
         true
     }
 
@@ -575,7 +576,7 @@ impl ClusterSim {
         if attempt > 0 {
             self.metrics.availability.queries_retried =
                 self.metrics.availability.queries_retried.saturating_add(1);
-            nashdb_obs::counter_add("cluster.queries_retried", 1);
+            nashdb_obs::counter_add(Metric::ClusterQueriesRetried, 1);
         }
         if reads.is_empty() {
             // Nothing to read: completes instantly.
@@ -606,7 +607,7 @@ impl ClusterSim {
                 span,
             };
         }
-        nashdb_obs::counter_add("cluster.reads_dispatched", reads.len() as u64);
+        nashdb_obs::counter_add(Metric::ClusterReadsDispatched, reads.len() as u64);
         Ok(())
     }
 
@@ -726,9 +727,9 @@ impl ClusterSim {
         self.metrics.peak_nodes = self.metrics.peak_nodes.max(self.logical.len());
         self.metrics.reconfigurations += 1;
         self.metrics.transfers.push((now, total_transfer));
-        nashdb_obs::counter_add("cluster.reconfigurations", 1);
-        nashdb_obs::counter_add("cluster.transfer_tuples", total_transfer);
-        nashdb_obs::gauge_set("cluster.nodes", self.logical.len() as f64);
+        nashdb_obs::counter_add(Metric::ClusterReconfigurations, 1);
+        nashdb_obs::counter_add(Metric::ClusterTransferTuples, total_transfer);
+        nashdb_obs::gauge_set(Metric::ClusterNodes, self.logical.len() as f64);
         self.update_degraded(now);
         Ok(())
     }
@@ -773,7 +774,7 @@ impl ClusterSim {
                         // flight: the copy is lost mid-transition.
                         self.metrics.availability.tuples_lost =
                             self.metrics.availability.tuples_lost.saturating_add(tuples);
-                        nashdb_obs::counter_add("cluster.tuples_lost", tuples);
+                        nashdb_obs::counter_add(Metric::ClusterTuplesLost, tuples);
                     }
                 }
                 Event::NetDelivery {
@@ -862,7 +863,7 @@ impl ClusterSim {
             }
         }
         nashdb_obs::gauge_set(
-            "cluster.degraded_ms",
+            Metric::ClusterDegradedMs,
             self.metrics.availability.degraded.as_millis() as f64,
         );
         self.metrics
@@ -905,7 +906,7 @@ impl ClusterSim {
         if self.phys[phys].failed {
             self.metrics.availability.tuples_lost =
                 self.metrics.availability.tuples_lost.saturating_add(tuples);
-            nashdb_obs::counter_add("cluster.tuples_lost", tuples);
+            nashdb_obs::counter_add(Metric::ClusterTuplesLost, tuples);
             return;
         }
         let now = self.events.now();
@@ -1026,7 +1027,7 @@ impl ClusterSim {
     fn waste_read(&mut self) {
         self.metrics.availability.reads_wasted =
             self.metrics.availability.reads_wasted.saturating_add(1);
-        nashdb_obs::counter_add("cluster.reads_wasted", 1);
+        nashdb_obs::counter_add(Metric::ClusterReadsWasted, 1);
     }
 
     /// Ends query `id` — which arrived at `arrival` and read from `span`
@@ -1045,9 +1046,9 @@ impl ClusterSim {
         self.metrics.queries.push(record);
         // Latency is simulated time, so this histogram is deterministic per
         // seed (unlike the wall-clock `*_ns` stage timings).
-        nashdb_obs::counter_add("cluster.queries_completed", 1);
-        nashdb_obs::record("cluster.query_latency_ns", record.latency().as_nanos());
-        nashdb_obs::record("cluster.query_span", u64::from(record.span));
+        nashdb_obs::counter_add(Metric::ClusterQueriesCompleted, 1);
+        nashdb_obs::record(Metric::ClusterQueryLatencyNs, record.latency().as_nanos());
+        nashdb_obs::record(Metric::ClusterQuerySpan, u64::from(record.span));
         DriverEvent::QueryCompleted {
             id,
             latency: record.latency(),
@@ -1085,7 +1086,7 @@ impl ClusterSim {
     fn skip_fault(&mut self) {
         self.metrics.availability.faults_skipped =
             self.metrics.availability.faults_skipped.saturating_add(1);
-        nashdb_obs::counter_add("cluster.faults_skipped", 1);
+        nashdb_obs::counter_add(Metric::ClusterFaultsSkipped, 1);
     }
 
     fn crash_node(
@@ -1117,9 +1118,9 @@ impl ClusterSim {
         avail.node_crashes = avail.node_crashes.saturating_add(1);
         avail.jobs_lost = avail.jobs_lost.saturating_add(dropped.len() as u64);
         avail.tuples_lost = avail.tuples_lost.saturating_add(lost_tuples);
-        nashdb_obs::counter_add("cluster.node_crashes", 1);
-        nashdb_obs::counter_add("cluster.jobs_lost", dropped.len() as u64);
-        nashdb_obs::counter_add("cluster.tuples_lost", lost_tuples);
+        nashdb_obs::counter_add(Metric::ClusterNodeCrashes, 1);
+        nashdb_obs::counter_add(Metric::ClusterJobsLost, dropped.len() as u64);
+        nashdb_obs::counter_add(Metric::ClusterTuplesLost, lost_tuples);
         // Queries whose current attempt lost a read here can no longer
         // complete: hand them back to the driver. BTreeSet gives a stable
         // id order for the QueryFailed events.
@@ -1150,7 +1151,7 @@ impl ClusterSim {
             };
             self.metrics.availability.queries_failed =
                 self.metrics.availability.queries_failed.saturating_add(1);
-            nashdb_obs::counter_add("cluster.queries_failed", 1);
+            nashdb_obs::counter_add(Metric::ClusterQueriesFailed, 1);
             self.driver_queue
                 .push_back(DriverEvent::QueryFailed { id, attempts });
         }
@@ -1172,7 +1173,7 @@ impl ClusterSim {
         node.failed = false;
         self.metrics.availability.node_restarts =
             self.metrics.availability.node_restarts.saturating_add(1);
-        nashdb_obs::counter_add("cluster.node_restarts", 1);
+        nashdb_obs::counter_add(Metric::ClusterNodeRestarts, 1);
         if let Some(slot) = self.logical.iter().position(|&p| p == phys) {
             self.driver_queue.push_back(DriverEvent::NodeRestored {
                 node: NodeId(u64::try_from(slot).unwrap_or(u64::MAX)),
@@ -1216,10 +1217,10 @@ impl ClusterSim {
         self.metrics.node_utilization.push(utilization);
         // Parts-per-million so the busy fraction fits an integer histogram.
         nashdb_obs::record(
-            "cluster.node_utilization_ppm",
+            Metric::ClusterNodeUtilizationPpm,
             nashdb_core::num::saturating_u64(utilization * 1e6),
         );
-        nashdb_obs::gauge_set("cluster.total_cost", self.metrics.total_cost);
+        nashdb_obs::gauge_set(Metric::ClusterTotalCost, self.metrics.total_cost);
     }
 }
 

@@ -18,6 +18,8 @@
 //! function: the optimal split of a piecewise-constant function always falls
 //! on a value change (the paper's Appendix C optimization).
 
+use nashdb_obs::Metric;
+
 use super::prefix::ChunkPrefix;
 use super::Fragmentation;
 use crate::value::Chunk;
@@ -174,9 +176,9 @@ impl GreedyFragmenter {
                 }
             }
         }
-        watch.record("fragment.greedy_ns");
-        nashdb_obs::counter_add("fragment.greedy_runs", 1);
-        nashdb_obs::counter_add("fragment.greedy_changes", changed as u64);
+        watch.record(Metric::FragmentGreedyNs);
+        nashdb_obs::counter_add(Metric::FragmentGreedyRuns, 1);
+        nashdb_obs::counter_add(Metric::FragmentGreedyChanges, changed as u64);
         changed
     }
 

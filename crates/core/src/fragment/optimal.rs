@@ -8,6 +8,8 @@
 //! value chunks rather than the `n` tuples — `O(maxFrags · m²)` time and
 //! `O(maxFrags · m)` space, with `m ≤ 2|W| + 1`.
 
+use nashdb_obs::Metric;
+
 use super::prefix::ChunkPrefix;
 use super::{FragmentError, Fragmentation};
 use crate::value::Chunk;
@@ -32,8 +34,8 @@ pub fn optimal_fragmentation(
         return Err(FragmentError::ZeroMaxFrags);
     }
     let watch = nashdb_obs::stopwatch();
-    nashdb_obs::counter_add("fragment.optimal_runs", 1);
-    nashdb_obs::record("fragment.optimal_chunks", chunks.len() as u64);
+    nashdb_obs::counter_add(Metric::FragmentOptimalRuns, 1);
+    nashdb_obs::record(Metric::FragmentOptimalChunks, chunks.len() as u64);
     let prefix = ChunkPrefix::new(chunks)?;
     let bounds = prefix.bounds();
     let m = prefix.num_chunks();
@@ -41,7 +43,7 @@ pub fn optimal_fragmentation(
 
     if k == m {
         // One fragment per chunk: zero error, no DP needed.
-        watch.record("fragment.optimal_ns");
+        watch.record(Metric::FragmentOptimalNs);
         return Ok(Fragmentation::from_boundaries(bounds.to_vec()));
     }
 
@@ -89,7 +91,7 @@ pub fn optimal_fragmentation(
     cuts.push(0);
     cuts.reverse();
     let boundaries: Vec<u64> = cuts.into_iter().map(|c| bounds[c]).collect();
-    watch.record("fragment.optimal_ns");
+    watch.record(Metric::FragmentOptimalNs);
     Ok(Fragmentation::from_boundaries(boundaries))
 }
 

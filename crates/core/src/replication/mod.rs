@@ -21,6 +21,8 @@
 pub mod hetero;
 pub mod market;
 
+use nashdb_obs::Metric;
+
 use crate::economics::{replica_profit, EconomicConfig, FragmentEconomics, NodeSpec};
 use crate::fragment::{FragmentRange, FragmentStats};
 use crate::ids::{FragmentId, NodeId};
@@ -111,7 +113,7 @@ pub fn decide_replicas(
     let mut total_replicas = 0u64;
     let mut forced = 0u64;
     for d in &decisions {
-        nashdb_obs::record("replication.replicas_per_fragment", d.replicas);
+        nashdb_obs::record(Metric::ReplicationReplicasPerFragment, d.replicas);
         total_replicas = total_replicas.saturating_add(d.replicas);
         if d.forced {
             forced += 1;
@@ -126,10 +128,10 @@ pub fn decide_replicas(
                 );
         }
     }
-    nashdb_obs::counter_add("replication.decisions", decisions.len() as u64);
-    nashdb_obs::counter_add("replication.replicas_total", total_replicas);
-    nashdb_obs::counter_add("replication.forced_singles", forced);
-    nashdb_obs::gauge_set("replication.nash_surplus", surplus);
+    nashdb_obs::counter_add(Metric::ReplicationDecisions, decisions.len() as u64);
+    nashdb_obs::counter_add(Metric::ReplicationReplicasTotal, total_replicas);
+    nashdb_obs::counter_add(Metric::ReplicationForcedSingles, forced);
+    nashdb_obs::gauge_set(Metric::ReplicationNashSurplus, surplus);
     decisions
 }
 
@@ -267,14 +269,14 @@ pub fn pack_bffd(
             }
         }
     }
-    watch.record("packing.bffd_ns");
+    watch.record(Metric::PackingBffdNs);
     nashdb_obs::counter_add(
-        "packing.placements",
+        Metric::PackingPlacements,
         nodes.iter().map(|f| f.len() as u64).sum(),
     );
-    nashdb_obs::gauge_set("packing.nodes", nodes.len() as f64);
+    nashdb_obs::gauge_set(Metric::PackingNodes, nodes.len() as f64);
     for used in free.iter().map(|f| disk - f) {
-        nashdb_obs::record("packing.node_fill_tuples", used);
+        nashdb_obs::record(Metric::PackingNodeFillTuples, used);
     }
     Ok(nodes)
 }

@@ -400,7 +400,10 @@ impl ScanRouter for MaxOfMins {
             let (_, node) = pending.announced;
             let req = &requests[idx];
             if observed {
-                nashdb_obs::record("routing.queue_wait_tuples", queues.wait(node));
+                nashdb_obs::record(
+                    nashdb_obs::Metric::RoutingQueueWaitTuples,
+                    queues.wait(node),
+                );
             }
             queues.enqueue(node, req.size);
             scratch.chosen[node.index()] = true;

@@ -38,6 +38,8 @@ pub use max_of_mins::{MaxOfMins, Scratch};
 
 use std::collections::HashSet;
 
+use nashdb_obs::Metric;
+
 use crate::ids::{FragmentId, NodeId};
 
 /// One fragment read request of a single range scan.
@@ -310,18 +312,18 @@ pub fn span(assignments: &[Assignment]) -> usize {
 
 /// Shared per-scan instrumentation for every router implementation.
 fn record_scan_metrics(assignments: &[Assignment]) {
-    nashdb_obs::counter_add("routing.scans_routed", 1);
-    nashdb_obs::counter_add("routing.requests", assignments.len() as u64);
+    nashdb_obs::counter_add(Metric::RoutingScansRouted, 1);
+    nashdb_obs::counter_add(Metric::RoutingRequests, assignments.len() as u64);
     // The span is a hash-set pass; skip computing it with no session live.
     if nashdb_obs::is_active() {
-        nashdb_obs::record("routing.query_span", span(assignments) as u64);
+        nashdb_obs::record(Metric::RoutingQuerySpan, span(assignments) as u64);
     }
 }
 
 /// Shared per-batch instrumentation for every router implementation.
 fn record_batch_metrics(scans: usize) {
-    nashdb_obs::counter_add("routing.batches_routed", 1);
-    nashdb_obs::record("routing.batch_scans", scans as u64);
+    nashdb_obs::counter_add(Metric::RoutingBatchesRouted, 1);
+    nashdb_obs::record(Metric::RoutingBatchScans, scans as u64);
 }
 
 /// The "Power of 2" variant the paper sketches in footnote 3 for workloads
@@ -392,7 +394,7 @@ impl ScanRouter for PowerOfTwoChoices {
             } else {
                 pair[0]
             };
-            nashdb_obs::record("routing.queue_wait_tuples", queues.wait(node));
+            nashdb_obs::record(Metric::RoutingQueueWaitTuples, queues.wait(node));
             queues.enqueue(node, req.size);
             chosen.insert(node);
             out.push(Assignment {

@@ -141,7 +141,7 @@ pub(super) fn solve_square(cost: &[u64], n: usize) -> (Vec<usize>, u64) {
         .enumerate()
         .map(|(r, &c)| cost[r * n + c])
         .sum();
-    watch.record("transition.hungarian_ns");
+    watch.record(nashdb_obs::Metric::TransitionHungarianNs);
     (assignment, total)
 }
 

@@ -26,6 +26,8 @@ pub mod reference;
 pub use hungarian::{hungarian, HungarianError};
 pub use interval_set::IntervalSet;
 
+use nashdb_obs::Metric;
+
 use crate::ids::NodeId;
 
 /// One node's fate in a transition.
@@ -107,8 +109,8 @@ pub fn plan_transition(old: &[IntervalSet], new: &[IntervalSet]) -> TransitionPl
     let watch = nashdb_obs::stopwatch();
     let n = old.len().max(new.len());
     if n == 0 {
-        nashdb_obs::counter_add("transition.plans", 1);
-        watch.record("transition.plan_ns");
+        nashdb_obs::counter_add(Metric::TransitionPlans, 1);
+        watch.record(Metric::TransitionPlanNs);
         return TransitionPlan {
             moves: Vec::new(),
             total_transfer: 0,
@@ -116,12 +118,15 @@ pub fn plan_transition(old: &[IntervalSet], new: &[IntervalSet]) -> TransitionPl
     }
 
     let plan = plan_from_costs(&cost_matrix(old, new), old.len(), new.len());
-    nashdb_obs::counter_add("transition.plans", 1);
-    nashdb_obs::counter_add("transition.tuples_moved", plan.total_transfer);
-    nashdb_obs::counter_add("transition.provisioned", plan.provisioned() as u64);
-    nashdb_obs::counter_add("transition.decommissioned", plan.decommissioned() as u64);
-    nashdb_obs::record("transition.matrix_dim", n as u64);
-    watch.record("transition.plan_ns");
+    nashdb_obs::counter_add(Metric::TransitionPlans, 1);
+    nashdb_obs::counter_add(Metric::TransitionTuplesMoved, plan.total_transfer);
+    nashdb_obs::counter_add(Metric::TransitionProvisioned, plan.provisioned() as u64);
+    nashdb_obs::counter_add(
+        Metric::TransitionDecommissioned,
+        plan.decommissioned() as u64,
+    );
+    nashdb_obs::record(Metric::TransitionMatrixDim, n as u64);
+    watch.record(Metric::TransitionPlanNs);
     plan
 }
 

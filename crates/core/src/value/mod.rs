@@ -15,6 +15,8 @@ mod tree;
 
 use std::collections::VecDeque;
 
+use nashdb_obs::Metric;
+
 use tree::ValueTree;
 
 /// Errors from value-tree scan removal: both variants indicate the caller is
@@ -200,11 +202,11 @@ impl TupleValueEstimator {
             if let Err(e) = self.tree.remove_scan(old) {
                 unreachable!("windowed scan missing from value tree: {e}");
             }
-            nashdb_obs::counter_add("value_tree.evictions", 1);
+            nashdb_obs::counter_add(Metric::ValueTreeEvictions, 1);
         }
         self.tree.add_scan(&scan);
         self.window.push_back(scan);
-        nashdb_obs::counter_add("value_tree.inserts", 1);
+        nashdb_obs::counter_add(Metric::ValueTreeInserts, 1);
         evicted
     }
 

@@ -3,8 +3,9 @@
 //! A workspace-aware determinism & safety linter for the NashDB
 //! reproduction: a lightweight Rust token scanner ([`lexer`]) and per-file
 //! pattern rules over it ([`rules`]) — hash-iteration order, unchecked
-//! integer accumulation in loops, off-registry metric names, panics in
-//! library code. It is one half of the gate; what
+//! integer accumulation in loops, panics in library code. Metric and span
+//! names need no rule: `nashdb-obs` takes them as closed enums. It is one
+//! half of the gate; what
 //! needs type resolution (wall-clock reads, raw threads, hash iteration
 //! through a getter, dropped `Result`s) is held by the clippy entries in
 //! the root `clippy.toml` and `[workspace.lints.clippy]`.
@@ -29,7 +30,7 @@ pub mod rules;
 pub mod source;
 
 pub use baseline::{Baseline, BaselineError, BaselineOutcome};
-pub use rules::{check_file, Finding, RULE_IDS, SPAN_SEGMENTS, STAGE_PREFIXES};
+pub use rules::{check_file, Finding, RULE_IDS};
 pub use source::SourceFile;
 
 use std::path::{Path, PathBuf};

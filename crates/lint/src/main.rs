@@ -18,7 +18,7 @@ nashdb-lint — workspace determinism & safety linter
 
 Per-file token rules: `map-iter-order` (hash-order iteration reaching an
 output), `unchecked-arith-expr` (data-dependent integer accumulation in
-loops), `obs-name-prefix` and `panic-in-lib`.
+loops) and `panic-in-lib`.
 Wall-clock reads, raw threads, hash iteration through a getter and dropped
 `Result`s are clippy's half of the gate (`disallowed-methods` in the root
 clippy.toml, `let_underscore_must_use`): run `cargo clippy` beside this.

@@ -6,7 +6,6 @@
 //! |------------------------|--------------------------------------------------|
 //! | `map-iter-order`       | hash-order nondeterminism leaking into outputs   |
 //! | `unchecked-arith-expr` | data-dependent integer accumulation in loops     |
-//! | `obs-name-prefix`      | metric/span names outside the stage registry     |
 //! | `panic-in-lib`         | `panic!`/`assert!` in non-test library paths     |
 //!
 //! Every rule works on the token stream from [`crate::lexer`] — heuristic
@@ -25,46 +24,9 @@ use crate::source::SourceFile;
 pub const RULE_IDS: &[&str] = &[
     "map-iter-order",
     "unchecked-arith-expr",
-    "obs-name-prefix",
     "panic-in-lib",
     "escape-needs-justification",
 ];
-
-/// The registered pipeline stage-name prefixes every obs metric literal
-/// must carry. `nashdb-bench smoke`'s coverage gate checks the same list
-/// (a `nashdb-bench` test asserts the two registries agree), so a metric
-/// that passes the linter is also a metric the coverage check can see.
-pub const STAGE_PREFIXES: &[&str] = &[
-    "value_tree.",
-    "fragment.",
-    "replication.",
-    "packing.",
-    "transition.",
-    "routing.",
-    "cluster.",
-    "distributor.",
-];
-
-/// The registered span path segments (`nashdb_obs::span` nests these into
-/// slash-joined paths like `pipeline/reconfigure/scheme`).
-pub const SPAN_SEGMENTS: &[&str] = &[
-    "pipeline",
-    "provision",
-    "reconfigure",
-    "query",
-    "scheme",
-    "fragment",
-    "replication",
-    "value_chunks",
-    "route",
-    "place",
-    "transition",
-    "retry",
-];
-
-/// Crates exempt from `obs-name-prefix`: the obs crate itself (its docs and
-/// internals use toy names by design) and the linter.
-const OBS_NAME_EXEMPT_CRATES: &[&str] = &["obs", "lint"];
 
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,9 +57,6 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     map_iter_order(file, &mut findings);
     unchecked_arith_expr(file, &mut findings);
-    if !OBS_NAME_EXEMPT_CRATES.contains(&file.crate_name.as_str()) {
-        obs_name_prefix(file, &mut findings);
-    }
     panic_in_lib(file, &mut findings);
 
     // Escape contract: drop findings covered by a *justified* escape; an
@@ -541,66 +500,6 @@ fn unchecked_arith_expr(file: &SourceFile, findings: &mut Vec<Finding>) {
                  (or the `num` helpers) so a hot counter cannot wrap"
             ),
         });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: obs-name-prefix
-// ---------------------------------------------------------------------------
-
-/// Obs recording functions whose first argument is a metric name.
-const METRIC_FNS: &[&str] = &["counter_add", "gauge_set", "record", "record_duration"];
-
-/// Metric/span name literals must come from the stage registry, so the
-/// bench-smoke coverage gate can actually see every stage: a metric named
-/// outside the registry is invisible to `missing_stages` and would rot
-/// silently.
-fn obs_name_prefix(file: &SourceFile, findings: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokenKind::Ident || in_test(file, t.line) {
-            continue;
-        }
-        let Some(lit) = toks
-            .get(i + 1)
-            .filter(|n| n.is_punct("("))
-            .and_then(|_| toks.get(i + 2))
-            .filter(|l| l.kind == TokenKind::Str)
-        else {
-            continue;
-        };
-        if METRIC_FNS.contains(&t.text.as_str()) {
-            if !STAGE_PREFIXES.iter().any(|p| lit.text.starts_with(p)) {
-                findings.push(Finding {
-                    rule: "obs-name-prefix",
-                    file: file.path.clone(),
-                    line: lit.line,
-                    message: format!(
-                        "metric name {:?} does not start with a registered stage prefix \
-                         ({}); the bench-smoke coverage gate cannot account for it",
-                        lit.text,
-                        STAGE_PREFIXES.join(" ")
-                    ),
-                });
-            }
-        } else if t.is_ident("span")
-            && !SPAN_SEGMENTS.contains(&lit.text.as_str())
-            // Snapshot lookups take full slash-joined paths; only creation
-            // sites (bare segments) are registry-checked.
-            && !lit.text.contains('/')
-        {
-            findings.push(Finding {
-                rule: "obs-name-prefix",
-                file: file.path.clone(),
-                line: lit.line,
-                message: format!(
-                    "span segment {:?} is not in the registered span registry ({})",
-                    lit.text,
-                    SPAN_SEGMENTS.join(" ")
-                ),
-            });
-        }
     }
 }
 

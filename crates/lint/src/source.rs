@@ -49,8 +49,6 @@ pub struct SourceFile {
     /// Workspace-relative path with `/` separators
     /// (`crates/core/src/routing.rs`).
     pub path: String,
-    /// The crate directory name under `crates/` (`core`, `nashdb`, …).
-    pub crate_name: String,
     /// True for binary targets (`src/main.rs`, `src/bin/**`) — CLI entry
     /// points may panic and are exempt from `panic-in-lib`.
     pub is_bin: bool,
@@ -66,18 +64,12 @@ impl SourceFile {
     /// Builds the context for one file.
     pub fn new(path: &str, src: &str) -> SourceFile {
         let path = path.replace('\\', "/");
-        let crate_name = path
-            .strip_prefix("crates/")
-            .and_then(|rest| rest.split('/').next())
-            .unwrap_or("")
-            .to_owned();
         let is_bin = path.contains("/src/bin/") || path.ends_with("/src/main.rs");
         let lexed = lex(src);
         let test_lines = find_test_regions(&lexed);
         let escapes = parse_escapes(&lexed);
         SourceFile {
             path,
-            crate_name,
             is_bin,
             lexed,
             test_lines,
@@ -259,10 +251,8 @@ let a = 1; // nashdb-lint: allow(map-iter-order) -- validation-only pass
     #[test]
     fn crate_and_bin_classification() {
         let f = SourceFile::new("crates/bench/src/bin/cli.rs", "fn main() {}");
-        assert_eq!(f.crate_name, "bench");
         assert!(f.is_bin);
         let f = SourceFile::new("crates/core/src/routing.rs", "");
-        assert_eq!(f.crate_name, "core");
         assert!(!f.is_bin);
     }
 }

@@ -67,8 +67,6 @@ fixture_test!(map_iter_positive);
 fixture_test!(map_iter_negative);
 fixture_test!(unchecked_arith_positive);
 fixture_test!(unchecked_arith_negative);
-fixture_test!(obs_name_positive);
-fixture_test!(obs_name_negative);
 fixture_test!(panic_positive);
 fixture_test!(panic_negative);
 fixture_test!(panic_allow_file);

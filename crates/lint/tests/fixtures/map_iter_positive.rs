@@ -21,3 +21,7 @@ pub fn leak_loop(seen: &HashSet<u64>) -> Vec<u64> {
 pub fn leak_drain(mut pending: HashMap<u64, u64>) -> Vec<u64> {
     pending.drain().map(|(_, v)| v).collect() //~ map-iter-order
 }
+
+pub fn leak_owned(m: HashMap<u32, u32>) -> Vec<(u32, u32)> {
+    m.into_iter().collect() //~ map-iter-order
+}

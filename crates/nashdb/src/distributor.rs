@@ -10,6 +10,7 @@ use nashdb_core::ids::{FragmentId, TableId};
 use nashdb_core::num::{saturating_u64, usize_from};
 use nashdb_core::replication::{decide_replicas, ReplicationDecision, ReplicationPolicy};
 use nashdb_core::value::{PricedScan, TupleValueEstimator};
+use nashdb_obs::{Metric, Span};
 use nashdb_workload::Database;
 
 use crate::scheme::{DistScheme, Distributor, GlobalFragment};
@@ -69,7 +70,7 @@ fn table_fragments(
     t: &mut TableState,
 ) -> Vec<FragmentStats> {
     let chunks = {
-        let _chunks = nashdb_obs::span("value_chunks");
+        let _chunks = nashdb_obs::span(Span::ValueChunks);
         t.estimator.chunks(t.tuples)
     };
     let rounds = if converged {
@@ -171,7 +172,7 @@ impl NashDbDistributor {
 
         // Per table: value chunks -> fragmentation -> disk-fit split ->
         // fragment statistics, re-identified globally.
-        let fragment_span = nashdb_obs::span("fragment");
+        let fragment_span = nashdb_obs::span(Span::Fragment);
         let mut globals: Vec<GlobalFragment> = Vec::new();
         let mut stats: Vec<FragmentStats> = Vec::new();
         for (t_idx, t) in self.tables.iter_mut().enumerate() {
@@ -190,7 +191,7 @@ impl NashDbDistributor {
 
         // Eq. 9 replica counts, damped by hysteresis against the previous
         // scheme.
-        let replication_span = nashdb_obs::span("replication");
+        let replication_span = nashdb_obs::span(Span::Replication);
         let mut decisions = decide_replicas(&stats, &policy);
         // Both schemes list their fragments in `(table, start)` order, so
         // one forward cursor finds each fragment's previous count.
@@ -396,14 +397,14 @@ impl NashDbDistributor {
             .collect();
         // The incremental packer stands in for `pack_bffd` here, so it
         // reports the same packing metrics the from-scratch packer would.
-        nashdb_obs::gauge_set("packing.nodes", nodes.len() as f64);
+        nashdb_obs::gauge_set(Metric::PackingNodes, nodes.len() as f64);
         nashdb_obs::counter_add(
-            "packing.placements",
+            Metric::PackingPlacements,
             nodes.iter().map(|node| node.len() as u64).sum(),
         );
         for node in &nodes {
             nashdb_obs::record(
-                "packing.node_fill_tuples",
+                Metric::PackingNodeFillTuples,
                 node.iter().map(|&f| size_of(f)).sum(),
             );
         }
@@ -454,14 +455,14 @@ impl Distributor for NashDbDistributor {
     }
 
     fn scheme(&mut self) -> DistScheme {
-        let _scheme = nashdb_obs::span("scheme");
+        let _scheme = nashdb_obs::span(Span::Scheme);
         let (globals, decisions) = self.decide();
         let nodes = {
-            let _place = nashdb_obs::span("place");
+            let _place = nashdb_obs::span(Span::Place);
             self.place(&globals, &decisions)
         };
-        nashdb_obs::gauge_set("distributor.fragments", globals.len() as f64);
-        nashdb_obs::gauge_set("distributor.nodes", nodes.len() as f64);
+        nashdb_obs::gauge_set(Metric::DistributorFragments, globals.len() as f64);
+        nashdb_obs::gauge_set(Metric::DistributorNodes, nodes.len() as f64);
         if cfg!(debug_assertions) {
             let as_frags: Vec<Vec<FragmentId>> = nodes
                 .iter()

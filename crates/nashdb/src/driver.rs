@@ -7,6 +7,7 @@ use nashdb_cluster::{ClusterConfig, ClusterSim, DriverEvent, Metrics, QueryReque
 use nashdb_core::ids::{NodeId, QueryId};
 use nashdb_core::routing::{run_of, Assignment, QueueView, ScanRouter, Scratch};
 use nashdb_core::transition::plan_transition;
+use nashdb_obs::{Metric, Span};
 use nashdb_sim::fault::FaultSchedule;
 use nashdb_sim::{SimDuration, SimTime};
 use nashdb_workload::Workload;
@@ -121,7 +122,7 @@ impl Serving {
             let live = match scheme.append_query(query, alive, &mut self.requests) {
                 Ok(live) => live,
                 Err(_uncovered) => {
-                    nashdb_obs::counter_add("routing.unroutable_scans", 1);
+                    nashdb_obs::counter_add(Metric::RoutingUnroutableScans, 1);
                     false
                 }
             };
@@ -136,7 +137,7 @@ impl Serving {
         }
         self.queues.refill(sim.node_waits());
         let routed = {
-            let _route = nashdb_obs::span("route");
+            let _route = nashdb_obs::span(Span::Route);
             router.route_scans(
                 self.requests.requests(),
                 self.requests.ends(),
@@ -147,7 +148,7 @@ impl Serving {
             )
         };
         if routed.is_err() {
-            nashdb_obs::counter_add("routing.unroutable_scans", self.routable.len() as u64);
+            nashdb_obs::counter_add(Metric::RoutingUnroutableScans, self.routable.len() as u64);
             self.routable.fill(false);
         }
     }
@@ -162,7 +163,7 @@ impl Serving {
         if assignments.len() != self.requests.query(qi).len() {
             // A router that drops or invents requests produced an
             // unusable plan; abandon the query rather than the run.
-            nashdb_obs::counter_add("routing.unroutable_scans", 1);
+            nashdb_obs::counter_add(Metric::RoutingUnroutableScans, 1);
             return None;
         }
         self.reads.clear();
@@ -207,7 +208,7 @@ pub fn run_workload_with_faults(
     // Everything below runs under one root span; provisioning, per-query
     // routing, periodic reconfiguration, and crash retries each get a nested
     // child so an active `ObsSession` sees where driver wall-clock goes.
-    let _pipeline = nashdb_obs::span("pipeline");
+    let _pipeline = nashdb_obs::span(Span::Pipeline);
     let faults_active = !faults.is_empty();
     let mut sim = ClusterSim::new(cfg.cluster);
     for tq in &workload.queries {
@@ -225,7 +226,7 @@ pub fn run_workload_with_faults(
 
     // Optional warmup, then provision the initial scheme.
     let (mut scheme, mut intervals) = {
-        let _provision = nashdb_obs::span("provision");
+        let _provision = nashdb_obs::span(Span::Provision);
         for tq in workload.queries.iter().take(cfg.warmup_queries) {
             distributor.observe(&tq.query);
         }
@@ -238,7 +239,7 @@ pub fn run_workload_with_faults(
             "initial provision audit"
         );
         if sim.reconfigure(&initial_plan).is_err() {
-            nashdb_obs::counter_add("cluster.plans_rejected", 1);
+            nashdb_obs::counter_add(Metric::ClusterPlansRejected, 1);
         }
         (scheme, intervals)
     };
@@ -258,7 +259,7 @@ pub fn run_workload_with_faults(
                 // arrived.
                 batch.push((id, query));
                 sim.take_coincident_arrivals_into(&mut batch);
-                let _query = nashdb_obs::span("query");
+                let _query = nashdb_obs::span(Span::Query);
                 for (_, q) in &batch {
                     distributor.observe(q);
                 }
@@ -273,7 +274,7 @@ pub fn run_workload_with_faults(
                         // Dispatch rejects only plans referencing nodes the
                         // sim does not know — driver/sim drift. Count it
                         // and abandon the query instead of crashing the run.
-                        nashdb_obs::counter_add("cluster.dispatch_rejected", 1);
+                        nashdb_obs::counter_add(Metric::ClusterDispatchRejected, 1);
                         sim.abandon_query(qid);
                     } else if faults_active {
                         inflight.insert(qid, q);
@@ -281,7 +282,7 @@ pub fn run_workload_with_faults(
                 }
             }
             DriverEvent::QueryFailed { id, attempts } => {
-                let _retry = nashdb_obs::span("retry");
+                let _retry = nashdb_obs::span(Span::Retry);
                 // Failed queries are re-routed one at a time, as their
                 // failure events arrive. No asserts here: between routing
                 // and dispatch nothing can invalidate the plan, but if state
@@ -304,7 +305,7 @@ pub fn run_workload_with_faults(
                 // so these are informational.
             }
             DriverEvent::Wakeup { .. } => {
-                let _reconfigure = nashdb_obs::span("reconfigure");
+                let _reconfigure = nashdb_obs::span(Span::Reconfigure);
                 let new_scheme = distributor.scheme();
                 let new_intervals = new_scheme.node_intervals(&workload.db);
                 let plan = plan_transition(&intervals, &new_intervals);
@@ -317,7 +318,7 @@ pub fn run_workload_with_faults(
                     // A Hungarian plan against the current interval sets is
                     // always well-formed; count (rather than crash on) any
                     // drift so a long scenario sweep still finishes.
-                    nashdb_obs::counter_add("cluster.plans_rejected", 1);
+                    nashdb_obs::counter_add(Metric::ClusterPlansRejected, 1);
                 } else {
                     scheme = new_scheme;
                     intervals = new_intervals;
@@ -480,8 +481,8 @@ mod tests {
         assert_eq!(m.availability.queries_abandoned, 1);
         assert_eq!(m.queries.len(), 39);
         assert!(m.queries.iter().all(|q| q.id != QueryId(17)));
-        assert_eq!(snap.counter("routing.unroutable_scans"), Some(1));
-        assert_eq!(snap.counter("cluster.queries_abandoned"), Some(1));
+        assert_eq!(snap.counter(Metric::RoutingUnroutableScans), Some(1));
+        assert_eq!(snap.counter(Metric::ClusterQueriesAbandoned), Some(1));
     }
 
     #[test]

@@ -91,20 +91,6 @@ impl Histogram {
         self.max
     }
 
-    /// True iff nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Mean sample (0 if empty). Exact unless `sum` saturated.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The `(bucket_index, sample_count)` pairs of every populated bucket,
     /// in ascending bucket order.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
@@ -166,14 +152,12 @@ mod tests {
     #[test]
     fn record_tracks_count_sum_max() {
         let mut h = Histogram::new();
-        assert!(h.is_empty());
         for v in [0u64, 1, 5, 5, 1000] {
             h.record(v);
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 1011);
         assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 202.2).abs() < 1e-9);
         let buckets: Vec<_> = h.nonzero_buckets().collect();
         // 0 -> bucket 0; 1 -> bucket 1; 5,5 -> bucket 3; 1000 -> bucket 10.
         assert_eq!(buckets, vec![(0, 1), (1, 1), (3, 2), (10, 1)]);

@@ -119,46 +119,41 @@ impl JsonValue {
             }
             JsonValue::Float(v) => write_f64(out, *v),
             JsonValue::Str(s) => write_json_string(out, s),
-            JsonValue::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
+            JsonValue::Array(items) => write_seq(out, indent, "[]", items, |out, item| {
+                item.write_pretty(out, indent + 1);
+            }),
             JsonValue::Object(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
+                write_seq(out, indent, "{}", fields, |out, (key, value)| {
                     write_json_string(out, key);
                     out.push_str(": ");
                     value.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
+                });
             }
         }
     }
+}
+
+/// Writes `items` between the two `brackets`, one per line at `indent + 1`
+/// (or the bare brackets when empty).
+fn write_seq<T>(
+    out: &mut String,
+    indent: usize,
+    brackets: &str,
+    items: &[T],
+    write_item: impl Fn(&mut String, &T),
+) {
+    let (open, close) = brackets.split_at(1);
+    out.push_str(open);
+    for (i, item) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        push_indent(out, indent + 1);
+        write_item(out, item);
+    }
+    if !items.is_empty() {
+        out.push('\n');
+        push_indent(out, indent);
+    }
+    out.push_str(close);
 }
 
 fn push_indent(out: &mut String, levels: usize) {

@@ -6,37 +6,41 @@
 //! nestable stage [`span`]s measuring wall-clock per phase. When no session
 //! is active every recording call is a cheap no-op — a thread-local read
 //! and a branch — so library code can instrument unconditionally without
-//! imposing overhead on callers that never asked for metrics.
+//! imposing overhead on callers that never asked for metrics. Every name
+//! is a variant of the closed [`Metric`] / [`Span`] / [`Stage`] tables.
 //!
 //! A finished session exports an [`ObsSnapshot`]: a versioned, schema-
 //! validated, byte-deterministic JSON document that `nashdb-bench smoke`
 //! writes and CI uploads as the per-PR benchmarking artifact.
 //!
 //! ```
-//! use nashdb_obs as obs;
+//! use nashdb_obs::{self as obs, Metric, Span};
 //!
 //! let session = obs::ObsSession::start();
 //! {
-//!     let _pipeline = obs::span("pipeline");
-//!     obs::counter_add("value_tree.inserts", 3);
-//!     obs::record("routing.queue_wait_tuples", 17);
+//!     let _pipeline = obs::span(Span::Pipeline);
+//!     obs::counter_add(Metric::ValueTreeInserts, 3);
+//!     obs::record(Metric::RoutingQueueWaitTuples, 17);
 //! }
 //! let snapshot = session.finish();
-//! assert_eq!(snapshot.counter("value_tree.inserts"), Some(3));
-//! assert_eq!(snapshot.span("pipeline").map(|s| s.count), Some(1));
+//! assert_eq!(snapshot.counter(Metric::ValueTreeInserts), Some(3));
+//! assert_eq!(snapshot.span(&[Span::Pipeline]).map(|s| s.count), Some(1));
 //! ```
 
 mod histogram;
 mod json;
+mod names;
 mod registry;
 mod scenario;
 mod snapshot;
 
 pub use histogram::{bucket_index, Histogram, NUM_BUCKETS};
 pub use json::{parse as parse_json, JsonError, JsonValue};
-pub use registry::{MetricsRegistry, SpanStat};
+pub use names::{Metric, Span, Stage};
 pub use scenario::{CellSnapshot, ScenarioArtifact, SystemPoint, SCENARIO_VERSION};
 pub use snapshot::{HistogramSnapshot, ObsSnapshot, SnapshotError, SpanSnapshot, SNAPSHOT_VERSION};
+
+use registry::MetricsRegistry;
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -89,7 +93,7 @@ impl ObsSession {
     pub fn start() -> Self {
         let previous = ACTIVE.with(|cell| {
             cell.borrow_mut().replace(ActiveSession {
-                registry: MetricsRegistry::new(),
+                registry: MetricsRegistry::default(),
                 stack: Vec::new(),
             })
         });
@@ -118,7 +122,7 @@ impl ObsSession {
             collected
         });
         let registry = collected.map(|a| a.registry).unwrap_or_default();
-        ObsSnapshot::capture(&registry, std::mem::take(&mut self.labels))
+        ObsSnapshot::capture(registry, std::mem::take(&mut self.labels))
     }
 }
 
@@ -135,25 +139,28 @@ impl Drop for ObsSession {
 }
 
 /// Adds `delta` to a counter. No-op without an active session.
-pub fn counter_add(name: &str, delta: u64) {
-    with_active((), |a| a.registry.counter_add(name, delta));
+pub fn counter_add(metric: Metric, delta: u64) {
+    with_active((), |a| a.registry.counter_add(metric, delta));
 }
 
 /// Sets a gauge to its latest value (non-finite values are ignored).
 /// No-op without an active session.
-pub fn gauge_set(name: &str, value: f64) {
-    with_active((), |a| a.registry.gauge_set(name, value));
+pub fn gauge_set(metric: Metric, value: f64) {
+    with_active((), |a| a.registry.gauge_set(metric, value));
 }
 
 /// Records one sample into a histogram. No-op without an active session.
-pub fn record(name: &str, value: u64) {
-    with_active((), |a| a.registry.record(name, value));
+pub fn record(metric: Metric, value: u64) {
+    with_active((), |a| a.registry.record(metric, value));
 }
 
 /// Records a [`std::time::Duration`] in nanoseconds (saturating at
 /// `u64::MAX`). No-op without an active session.
-pub fn record_duration(name: &str, elapsed: std::time::Duration) {
-    record(name, u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+pub fn record_duration(metric: Metric, elapsed: std::time::Duration) {
+    record(
+        metric,
+        u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+    );
 }
 
 /// True iff an observability session is live on this thread. Lets callers
@@ -168,8 +175,9 @@ pub fn is_active() -> bool {
 /// no session is active.
 // Timing is this crate's job; durations are scrubbed from `--stable` output.
 #[allow(clippy::disallowed_methods)]
-pub fn span(name: &str) -> SpanGuard {
+pub fn span(segment: Span) -> SpanGuard {
     let armed = with_active(false, |a| {
+        let name = segment.name();
         let path = match a.stack.last() {
             Some(parent) => format!("{}/{name}", parent.path),
             None => name.to_owned(),
@@ -212,7 +220,7 @@ impl Drop for SpanGuard {
 
 /// Starts a wall-clock stopwatch for one-shot duration histograms. Unlike
 /// [`span`], a stopwatch does not participate in the span hierarchy — it
-/// records into a plain `*_ns` histogram via
+/// records into a wall-clock histogram via
 /// [`record`](Stopwatch::record).
 // Timing is this crate's job; durations are scrubbed from `--stable` output.
 #[allow(clippy::disallowed_methods)]
@@ -230,11 +238,11 @@ pub struct Stopwatch {
 }
 
 impl Stopwatch {
-    /// Records the elapsed nanoseconds into the named histogram. No-op if
-    /// no session was active when the stopwatch started.
-    pub fn record(self, name: &str) {
+    /// Records the elapsed nanoseconds into the histogram. No-op if no
+    /// session was active when the stopwatch started.
+    pub fn record(self, metric: Metric) {
         if let Some(started) = self.started {
-            record_duration(name, started.elapsed());
+            record_duration(metric, started.elapsed());
         }
     }
 }
@@ -246,11 +254,11 @@ mod tests {
 
     #[test]
     fn inactive_calls_are_noops() {
-        counter_add("c", 1);
-        gauge_set("g", 1.0);
-        record("h", 1);
-        let _span = span("s");
-        stopwatch().record("sw");
+        counter_add(Metric::RoutingRequests, 1);
+        gauge_set(Metric::ClusterNodes, 1.0);
+        record(Metric::RoutingQuerySpan, 1);
+        let _span = span(Span::Query);
+        stopwatch().record(Metric::FragmentGreedyNs);
         assert!(!is_active());
         // A session started afterwards sees none of it.
         let snap = ObsSession::start().finish();
@@ -264,10 +272,10 @@ mod tests {
         let mut session = ObsSession::start();
         assert!(is_active());
         session.label("workload", "test");
-        counter_add("value_tree.inserts", 2);
-        counter_add("value_tree.inserts", 3);
-        gauge_set("replication.nash_surplus", 1.25);
-        record("routing.queue_wait_tuples", 64);
+        counter_add(Metric::ValueTreeInserts, 2);
+        counter_add(Metric::ValueTreeInserts, 3);
+        gauge_set(Metric::ReplicationNashSurplus, 1.25);
+        record(Metric::RoutingQueueWaitTuples, 64);
         let snap = session.finish();
         assert!(!is_active());
         assert_eq!(snap.version, SNAPSHOT_VERSION);
@@ -275,10 +283,11 @@ mod tests {
             snap.labels,
             vec![("workload".to_owned(), "test".to_owned())]
         );
-        assert_eq!(snap.counter("value_tree.inserts"), Some(5));
-        assert_eq!(snap.gauge("replication.nash_surplus"), Some(1.25));
+        assert_eq!(snap.counter(Metric::ValueTreeInserts), Some(5));
+        assert_eq!(snap.gauge(Metric::ReplicationNashSurplus), Some(1.25));
         assert_eq!(
-            snap.histogram("routing.queue_wait_tuples").map(|h| h.max),
+            snap.histogram(Metric::RoutingQueueWaitTuples)
+                .map(|h| h.max),
             Some(64)
         );
     }
@@ -287,20 +296,20 @@ mod tests {
     fn nested_spans_attribute_child_time() {
         let session = ObsSession::start();
         {
-            let _outer = span("pipeline");
+            let _outer = span(Span::Pipeline);
             std::thread::sleep(Duration::from_millis(2));
             {
-                let _inner = span("scheme");
+                let _inner = span(Span::Scheme);
                 std::thread::sleep(Duration::from_millis(2));
             }
             {
-                let _inner = span("scheme");
+                let _inner = span(Span::Scheme);
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
         let snap = session.finish();
-        let outer = snap.span("pipeline").unwrap();
-        let inner = snap.span("pipeline/scheme").unwrap();
+        let outer = snap.span(&[Span::Pipeline]).unwrap();
+        let inner = snap.span(&[Span::Pipeline, Span::Scheme]).unwrap();
         assert_eq!(outer.count, 1);
         assert_eq!(inner.count, 2);
         // Child wall-clock is contained in the parent's.
@@ -317,33 +326,33 @@ mod tests {
     #[test]
     fn sessions_shelve_and_restore() {
         let outer = ObsSession::start();
-        counter_add("outer", 1);
+        counter_add(Metric::TransitionPlans, 1);
         {
             let inner = ObsSession::start();
-            counter_add("inner", 1);
+            counter_add(Metric::TransitionProvisioned, 1);
             let snap = inner.finish();
-            assert_eq!(snap.counter("inner"), Some(1));
-            assert_eq!(snap.counter("outer"), None);
+            assert_eq!(snap.counter(Metric::TransitionProvisioned), Some(1));
+            assert_eq!(snap.counter(Metric::TransitionPlans), None);
         }
         // The outer session is live again and kept its data.
-        counter_add("outer", 1);
+        counter_add(Metric::TransitionPlans, 1);
         let snap = outer.finish();
-        assert_eq!(snap.counter("outer"), Some(2));
-        assert_eq!(snap.counter("inner"), None);
+        assert_eq!(snap.counter(Metric::TransitionPlans), Some(2));
+        assert_eq!(snap.counter(Metric::TransitionProvisioned), None);
     }
 
     #[test]
     fn dropping_unfinished_session_restores_previous() {
         let outer = ObsSession::start();
-        counter_add("outer", 1);
+        counter_add(Metric::TransitionPlans, 1);
         {
             let _abandoned = ObsSession::start();
-            counter_add("lost", 1);
+            counter_add(Metric::TransitionDecommissioned, 1);
             // dropped without finish()
         }
         let snap = outer.finish();
-        assert_eq!(snap.counter("outer"), Some(1));
-        assert_eq!(snap.counter("lost"), None);
+        assert_eq!(snap.counter(Metric::TransitionPlans), Some(1));
+        assert_eq!(snap.counter(Metric::TransitionDecommissioned), None);
         assert!(!is_active());
     }
 
@@ -352,9 +361,9 @@ mod tests {
         let session = ObsSession::start();
         let sw = stopwatch();
         std::thread::sleep(Duration::from_millis(1));
-        sw.record("fragment.greedy_ns");
+        sw.record(Metric::FragmentGreedyNs);
         let snap = session.finish();
-        let h = snap.histogram("fragment.greedy_ns").unwrap();
+        let h = snap.histogram(Metric::FragmentGreedyNs).unwrap();
         assert_eq!(h.count, 1);
         assert!(h.max >= 1_000_000, "slept ≥1ms, got {}ns", h.max);
     }
@@ -362,8 +371,11 @@ mod tests {
     #[test]
     fn record_duration_saturates() {
         let session = ObsSession::start();
-        record_duration("d", Duration::from_secs(u64::MAX));
+        record_duration(Metric::TransitionPlanNs, Duration::from_secs(u64::MAX));
         let snap = session.finish();
-        assert_eq!(snap.histogram("d").map(|h| h.max), Some(u64::MAX));
+        assert_eq!(
+            snap.histogram(Metric::TransitionPlanNs).map(|h| h.max),
+            Some(u64::MAX)
+        );
     }
 }

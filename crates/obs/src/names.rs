@@ -1,0 +1,230 @@
+//! The closed set of names a session can record under: pipeline stages,
+//! metrics and span segments.
+//!
+//! Each name is written once, in a table below; call sites pass the enum,
+//! so a misspelled or unregistered name does not compile. The tables are
+//! append-only in spirit: a variant's string is what snapshots on disk
+//! carry, so renaming one is a schema change. `Metric` rows stay in name
+//! (byte) order, which makes [`Metric::ALL`] the snapshot emission order
+//! and lets the registry index a fixed array by variant.
+
+/// Declares a fieldless enum whose variants each stand for one string,
+/// with `ALL` in declaration order and `$accessor` returning the string.
+macro_rules! named_enum {
+    ($(#[$meta:meta])* $ty:ident::$accessor:ident { $($variant:ident => $name:literal,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[allow(missing_docs)]
+        pub enum $ty {
+            $($variant,)*
+        }
+
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$variant,)*];
+
+            /// The string this variant stands for.
+            pub const fn $accessor(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+/// A `Metric` row's optional marker, as a flag: only `wall_clock` parses.
+macro_rules! wall_clock {
+    () => {
+        false
+    };
+    (wall_clock) => {
+        true
+    };
+}
+
+/// Declares [`Metric`] from rows of `Variant => "name", Stage`, each
+/// optionally marked `wall_clock`.
+macro_rules! metrics {
+    ($($variant:ident => $name:literal, $stage:ident $($wall:ident)?;)*) => {
+        named_enum! {
+            /// Every counter, gauge and histogram the pipeline records,
+            /// declared in name order.
+            Metric::name { $($variant => $name,)* }
+        }
+
+        impl Metric {
+            /// The pipeline stage this metric reports on.
+            pub const fn stage(self) -> Stage {
+                match self {
+                    $(Metric::$variant => Stage::$stage,)*
+                }
+            }
+
+            /// True iff the samples are host wall-clock nanoseconds, which
+            /// [`crate::ObsSnapshot::scrub_timings`] erases. Simulated time
+            /// (`cluster.query_latency_ns`) is deterministic per seed.
+            pub const fn is_wall_clock(self) -> bool {
+                match self {
+                    $(Metric::$variant => wall_clock!($($wall)?),)*
+                }
+            }
+        }
+    };
+}
+
+named_enum! {
+    /// The pipeline stages, in pipeline order. Every metric name starts
+    /// with its stage's prefix.
+    Stage::prefix {
+        ValueTree => "value_tree.",
+        Fragment => "fragment.",
+        Replication => "replication.",
+        Packing => "packing.",
+        Transition => "transition.",
+        Routing => "routing.",
+        Cluster => "cluster.",
+        Distributor => "distributor.",
+    }
+}
+
+named_enum! {
+    /// The span segments [`crate::span`] nests into slash-joined paths
+    /// such as `pipeline/reconfigure/scheme`.
+    Span::name {
+        Pipeline => "pipeline",
+        Provision => "provision",
+        Reconfigure => "reconfigure",
+        Query => "query",
+        Scheme => "scheme",
+        Fragment => "fragment",
+        Replication => "replication",
+        ValueChunks => "value_chunks",
+        Route => "route",
+        Place => "place",
+        Transition => "transition",
+        Retry => "retry",
+    }
+}
+
+metrics! {
+    ClusterDegradedMs => "cluster.degraded_ms", Cluster;
+    ClusterDispatchRejected => "cluster.dispatch_rejected", Cluster;
+    ClusterFaultsSkipped => "cluster.faults_skipped", Cluster;
+    ClusterJobsLost => "cluster.jobs_lost", Cluster;
+    ClusterNodeCrashes => "cluster.node_crashes", Cluster;
+    ClusterNodeRestarts => "cluster.node_restarts", Cluster;
+    ClusterNodeUtilizationPpm => "cluster.node_utilization_ppm", Cluster;
+    ClusterNodes => "cluster.nodes", Cluster;
+    ClusterPlansRejected => "cluster.plans_rejected", Cluster;
+    ClusterQueriesAbandoned => "cluster.queries_abandoned", Cluster;
+    ClusterQueriesCompleted => "cluster.queries_completed", Cluster;
+    ClusterQueriesFailed => "cluster.queries_failed", Cluster;
+    ClusterQueriesRetried => "cluster.queries_retried", Cluster;
+    ClusterQueryLatencyNs => "cluster.query_latency_ns", Cluster;
+    ClusterQuerySpan => "cluster.query_span", Cluster;
+    ClusterReadsDispatched => "cluster.reads_dispatched", Cluster;
+    ClusterReadsWasted => "cluster.reads_wasted", Cluster;
+    ClusterReconfigurations => "cluster.reconfigurations", Cluster;
+    ClusterTotalCost => "cluster.total_cost", Cluster;
+    ClusterTransferTuples => "cluster.transfer_tuples", Cluster;
+    ClusterTuplesLost => "cluster.tuples_lost", Cluster;
+    DistributorFragments => "distributor.fragments", Distributor;
+    DistributorNodes => "distributor.nodes", Distributor;
+    FragmentGreedyChanges => "fragment.greedy_changes", Fragment;
+    FragmentGreedyNs => "fragment.greedy_ns", Fragment wall_clock;
+    FragmentGreedyRuns => "fragment.greedy_runs", Fragment;
+    FragmentOptimalChunks => "fragment.optimal_chunks", Fragment;
+    FragmentOptimalNs => "fragment.optimal_ns", Fragment wall_clock;
+    FragmentOptimalRuns => "fragment.optimal_runs", Fragment;
+    PackingBffdNs => "packing.bffd_ns", Packing wall_clock;
+    PackingNodeFillTuples => "packing.node_fill_tuples", Packing;
+    PackingNodes => "packing.nodes", Packing;
+    PackingPlacements => "packing.placements", Packing;
+    ReplicationDecisions => "replication.decisions", Replication;
+    ReplicationForcedSingles => "replication.forced_singles", Replication;
+    ReplicationNashSurplus => "replication.nash_surplus", Replication;
+    ReplicationReplicasPerFragment => "replication.replicas_per_fragment", Replication;
+    ReplicationReplicasTotal => "replication.replicas_total", Replication;
+    RoutingBatchScans => "routing.batch_scans", Routing;
+    RoutingBatchesRouted => "routing.batches_routed", Routing;
+    RoutingQuerySpan => "routing.query_span", Routing;
+    RoutingQueueWaitTuples => "routing.queue_wait_tuples", Routing;
+    RoutingRequests => "routing.requests", Routing;
+    RoutingScansRouted => "routing.scans_routed", Routing;
+    RoutingUnroutableScans => "routing.unroutable_scans", Routing;
+    TransitionDecommissioned => "transition.decommissioned", Transition;
+    TransitionHungarianNs => "transition.hungarian_ns", Transition wall_clock;
+    TransitionMatrixDim => "transition.matrix_dim", Transition;
+    TransitionPlanNs => "transition.plan_ns", Transition wall_clock;
+    TransitionPlans => "transition.plans", Transition;
+    TransitionProvisioned => "transition.provisioned", Transition;
+    TransitionTuplesMoved => "transition.tuples_moved", Transition;
+    ValueTreeEvictions => "value_tree.evictions", ValueTree;
+    ValueTreeInserts => "value_tree.inserts", ValueTree;
+}
+
+impl Metric {
+    /// The metric a snapshot entry names, if it is one of today's.
+    pub fn from_name(name: &str) -> Option<Metric> {
+        Metric::ALL
+            .binary_search_by(|m| m.name().cmp(name))
+            .ok()
+            .map(|i| Metric::ALL[i])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn metrics_are_declared_in_strict_name_order() {
+        for pair in Metric::ALL.windows(2) {
+            assert!(pair[0].name() < pair[1].name(), "{pair:?}");
+        }
+        // The registry indexes its slots by discriminant.
+        for (i, &m) in Metric::ALL.iter().enumerate() {
+            assert_eq!(m as usize, i);
+        }
+    }
+
+    #[test]
+    fn names_are_unique() {
+        // Metric names are: the order above is strict.
+        let spans: BTreeSet<_> = Span::ALL.iter().map(|s| s.name()).collect();
+        let stages: BTreeSet<_> = Stage::ALL.iter().map(|s| s.prefix()).collect();
+        assert_eq!(spans.len(), Span::ALL.len());
+        assert_eq!(stages.len(), Stage::ALL.len());
+    }
+
+    #[test]
+    fn every_metric_carries_its_stage_prefix_and_every_stage_has_one() {
+        for &m in Metric::ALL {
+            assert!(m.name().starts_with(m.stage().prefix()), "{m:?}");
+        }
+        for &stage in Stage::ALL {
+            assert!(Metric::ALL.iter().any(|m| m.stage() == stage), "{stage:?}");
+        }
+    }
+
+    #[test]
+    fn span_segments_are_single_segments() {
+        for &s in Span::ALL {
+            assert!(!s.name().is_empty() && !s.name().contains('/'), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn wall_clock_flags_only_host_timings_and_names_invert() {
+        for &m in Metric::ALL {
+            // The flag reproduces the naming convention it replaced, so
+            // `scrub_timings` erases exactly what it used to.
+            let by_name = m.name().ends_with("_ns") && m.stage() != Stage::Cluster;
+            assert_eq!(m.is_wall_clock(), by_name, "{m:?}");
+            assert_eq!(Metric::from_name(m.name()), Some(m));
+        }
+        assert_eq!(Metric::from_name("cluster.querys_completed"), None);
+    }
+}

@@ -11,7 +11,10 @@
 //! where the baseline had it.
 
 use crate::json::{self, JsonValue};
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{
+    field_str, field_u64, object, parse_fields, parse_items, parse_version, schema_err,
+    SnapshotError,
+};
 
 /// Current scenario artifact schema version; bump on breaking changes.
 pub const SCENARIO_VERSION: u64 = 1;
@@ -91,13 +94,6 @@ pub struct ScenarioArtifact {
     pub cells: Vec<CellSnapshot>,
 }
 
-fn schema_err<T>(at: &str, message: impl Into<String>) -> Result<T, SnapshotError> {
-    Err(SnapshotError::Schema {
-        at: at.to_owned(),
-        message: message.into(),
-    })
-}
-
 impl ScenarioArtifact {
     /// Looks up a cell by its [`CellSnapshot::key`].
     pub fn cell(&self, key: &str) -> Option<&CellSnapshot> {
@@ -115,12 +111,7 @@ impl ScenarioArtifact {
 
     /// Serializes to deterministic pretty-printed JSON.
     pub fn to_json_string(&self) -> String {
-        let labels = JsonValue::Object(
-            self.labels
-                .iter()
-                .map(|(k, v)| (k.clone(), JsonValue::Str(v.clone())))
-                .collect(),
-        );
+        let labels = object(&self.labels, |v| JsonValue::Str(v.clone()));
         let cells = JsonValue::Array(
             self.cells
                 .iter()
@@ -179,63 +170,14 @@ impl ScenarioArtifact {
     /// systems.
     pub fn from_json_str(input: &str) -> Result<Self, SnapshotError> {
         let root = json::parse(input)?;
-
-        let Some(version) = root.get("version").and_then(JsonValue::as_u64) else {
-            return schema_err("version", "missing or not an unsigned integer");
-        };
-        if version != SCENARIO_VERSION {
-            return schema_err(
-                "version",
-                format!("unsupported version {version}, expected {SCENARIO_VERSION}"),
-            );
-        }
-
-        let labels = match root.get("labels") {
-            Some(JsonValue::Object(fields)) => {
-                let mut out = Vec::with_capacity(fields.len());
-                for (k, v) in fields {
-                    match v.as_str() {
-                        Some(s) => out.push((k.clone(), s.to_owned())),
-                        None => {
-                            return schema_err(&format!("labels.{k}"), "label must be a string")
-                        }
-                    }
-                }
-                out
-            }
-            _ => return schema_err("labels", "missing or not an object"),
-        };
-
-        let cells = match root.get("cells").and_then(JsonValue::as_array) {
-            Some(items) => {
-                let mut out: Vec<CellSnapshot> = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let cell = parse_cell(item, i)?;
-                    if out.iter().any(|c| c.key() == cell.key()) {
-                        return schema_err(
-                            &format!("cells[{i}]"),
-                            format!("duplicate cell key {}", cell.key()),
-                        );
-                    }
-                    out.push(cell);
-                }
-                out
-            }
-            None => return schema_err("cells", "missing or not an array"),
-        };
-
         Ok(ScenarioArtifact {
-            version,
-            labels,
-            cells,
+            version: parse_version(&root, SCENARIO_VERSION)?,
+            labels: parse_fields(&root, "labels", false, "label must be a string", |v| {
+                v.as_str().map(str::to_owned)
+            })?,
+            // Cells keep sweep order; only their keys must be unique.
+            cells: parse_items(&root, "cells", false, parse_cell, CellSnapshot::key)?,
         })
-    }
-}
-
-fn field_str(item: &JsonValue, at: &str, key: &str) -> Result<String, SnapshotError> {
-    match item.get(key).and_then(JsonValue::as_str) {
-        Some(s) if !s.is_empty() => Ok(s.to_owned()),
-        _ => schema_err(&format!("{at}.{key}"), "missing or empty string"),
     }
 }
 
@@ -261,12 +203,7 @@ fn parse_cell(item: &JsonValue, index: usize) -> Result<CellSnapshot, SnapshotEr
             _ => return schema_err(&format!("{at}.faults"), "not a non-empty string"),
         },
     };
-    let Some(wall_ns) = item.get("wall_ns").and_then(JsonValue::as_u64) else {
-        return schema_err(
-            &format!("{at}.wall_ns"),
-            "missing or not an unsigned integer",
-        );
-    };
+    let wall_ns = field_u64(item, &at, "wall_ns")?;
 
     let Some(raw_systems) = item.get("systems").and_then(JsonValue::as_array) else {
         return schema_err(&format!("{at}.systems"), "missing or not an array");
@@ -287,12 +224,7 @@ fn parse_cell(item: &JsonValue, index: usize) -> Result<CellSnapshot, SnapshotEr
         let Some(on_front) = s.get("on_front").and_then(JsonValue::as_bool) else {
             return schema_err(&format!("{sat}.on_front"), "missing or not a boolean");
         };
-        let Some(dominates) = s.get("dominates").and_then(JsonValue::as_u64) else {
-            return schema_err(
-                &format!("{sat}.dominates"),
-                "missing or not an unsigned integer",
-            );
-        };
+        let dominates = field_u64(s, &sat, "dominates")?;
         if dominates >= raw_systems.len() as u64 {
             return schema_err(
                 &format!("{sat}.dominates"),
@@ -487,6 +419,6 @@ mod tests {
         art.cells.push(dup);
         let err = ScenarioArtifact::from_json_str(&art.to_json_string()).unwrap_err();
         assert!(matches!(err, SnapshotError::Schema { .. }), "{err}");
-        assert!(err.to_string().contains("duplicate cell key"));
+        assert!(err.to_string().contains("duplicate name"), "{err}");
     }
 }

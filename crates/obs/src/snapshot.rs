@@ -7,7 +7,8 @@
 
 use crate::histogram::{Histogram, NUM_BUCKETS};
 use crate::json::{self, JsonError, JsonValue};
-use crate::registry::MetricsRegistry;
+use crate::names::{Metric, Span, Stage};
+use crate::registry::{filled, MetricsRegistry};
 
 /// Current snapshot schema version; bump on breaking layout changes.
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -35,9 +36,9 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    fn from_histogram(name: &str, h: &Histogram) -> Self {
+    fn from_histogram(metric: Metric, h: &Histogram) -> Self {
         HistogramSnapshot {
-            name: name.to_owned(),
+            name: metric.name().to_owned(),
             count: h.count(),
             sum: h.sum(),
             max: h.max(),
@@ -50,7 +51,7 @@ impl HistogramSnapshot {
 }
 
 /// Serialized form of one span path's accumulated wall-clock statistics.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanSnapshot {
     /// Slash-separated span path (e.g. `pipeline/reconfigure/scheme`).
     pub path: String,
@@ -69,7 +70,8 @@ pub struct ObsSnapshot {
     pub version: u64,
     /// Free-form run metadata (workload name, seed, …) in insertion order.
     pub labels: Vec<(String, String)>,
-    /// Counters in sorted name order.
+    /// Counters in sorted name order. Names stay strings so files written
+    /// under older [`Metric`] tables still load.
     pub counters: Vec<(String, u64)>,
     /// Gauges in sorted name order.
     pub gauges: Vec<(String, f64)>,
@@ -112,7 +114,7 @@ impl From<JsonError> for SnapshotError {
     }
 }
 
-fn schema_err<T>(at: &str, message: impl Into<String>) -> Result<T, SnapshotError> {
+pub(crate) fn schema_err<T>(at: &str, message: impl Into<String>) -> Result<T, SnapshotError> {
     Err(SnapshotError::Schema {
         at: at.to_owned(),
         message: message.into(),
@@ -121,75 +123,72 @@ fn schema_err<T>(at: &str, message: impl Into<String>) -> Result<T, SnapshotErro
 
 impl ObsSnapshot {
     /// Captures a registry into snapshot form with the given labels.
-    pub fn capture(registry: &MetricsRegistry, labels: Vec<(String, String)>) -> Self {
+    pub(crate) fn capture(registry: MetricsRegistry, labels: Vec<(String, String)>) -> Self {
+        fn named<T: Copy>((m, &v): (Metric, &T)) -> (String, T) {
+            (m.name().to_owned(), v)
+        }
         ObsSnapshot {
             version: SNAPSHOT_VERSION,
             labels,
-            counters: registry
-                .counters()
-                .map(|(k, v)| (k.to_owned(), v))
+            counters: filled(&registry.counters).map(named).collect(),
+            gauges: filled(&registry.gauges).map(named).collect(),
+            histograms: filled(&registry.histograms)
+                .map(|(m, h)| HistogramSnapshot::from_histogram(m, h))
                 .collect(),
-            gauges: registry.gauges().map(|(k, v)| (k.to_owned(), v)).collect(),
-            histograms: registry
-                .histograms()
-                .map(|(k, h)| HistogramSnapshot::from_histogram(k, h))
-                .collect(),
-            spans: registry
-                .spans()
-                .map(|(path, s)| SpanSnapshot {
-                    path: path.to_owned(),
-                    count: s.count,
-                    total_ns: s.total_ns,
-                    child_ns: s.child_ns,
-                })
-                .collect(),
+            spans: registry.spans.into_values().collect(),
         }
     }
 
-    /// Looks up a counter value by name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
+    /// Looks up a counter value.
+    pub fn counter(&self, metric: Metric) -> Option<u64> {
         self.counters
             .iter()
-            .find(|(k, _)| k == name)
+            .find(|(k, _)| k == metric.name())
             .map(|&(_, v)| v)
     }
 
-    /// Looks up a gauge value by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+    /// Looks up a gauge value.
+    pub fn gauge(&self, metric: Metric) -> Option<f64> {
+        self.gauges
+            .iter()
+            .find(|(k, _)| k == metric.name())
+            .map(|&(_, v)| v)
     }
 
-    /// Looks up a histogram snapshot by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
+    /// Looks up a histogram snapshot.
+    pub fn histogram(&self, metric: Metric) -> Option<&HistogramSnapshot> {
+        self.histograms.iter().find(|h| h.name == metric.name())
     }
 
-    /// Looks up a span snapshot by exact path.
-    pub fn span(&self, path: &str) -> Option<&SpanSnapshot> {
+    /// Looks up a span snapshot by its exact path of segments.
+    pub fn span(&self, path: &[Span]) -> Option<&SpanSnapshot> {
+        let path = path.iter().map(|s| s.name()).collect::<Vec<_>>().join("/");
         self.spans.iter().find(|s| s.path == path)
     }
 
-    /// Which of the given metric-name prefixes have **no** counter,
-    /// histogram, or gauge starting with them. Empty means full coverage —
-    /// the driver-level acceptance check for "every stage emitted a metric".
-    pub fn missing_stages<'p>(&self, prefixes: &[&'p str]) -> Vec<&'p str> {
-        prefixes
+    /// The stages of [`Stage::ALL`] with **no** counter, histogram or gauge
+    /// under their prefix. Empty means full coverage — the driver-level
+    /// acceptance check for "every stage emitted a metric".
+    pub fn missing_stages(&self) -> Vec<Stage> {
+        let names = self
+            .counters
             .iter()
-            .filter(|p| {
-                !self.counters.iter().any(|(k, _)| k.starts_with(**p))
-                    && !self.histograms.iter().any(|h| h.name.starts_with(**p))
-                    && !self.gauges.iter().any(|(k, _)| k.starts_with(**p))
-            })
-            .copied()
-            .collect()
+            .map(|(k, _)| k)
+            .chain(self.gauges.iter().map(|(k, _)| k))
+            .chain(self.histograms.iter().map(|h| &h.name));
+        let mut missing = Stage::ALL.to_vec();
+        for name in names {
+            missing.retain(|stage| !name.starts_with(stage.prefix()));
+        }
+        missing
     }
 
     /// Zeroes every wall-clock measurement while keeping structure and
-    /// counts: span `total_ns`/`child_ns` become 0 and histograms whose
-    /// name ends in `_ns` lose their samples (count is preserved, the
-    /// buckets collapse into bucket 0). Sim-time metrics — everything
-    /// under `cluster.`, whose nanoseconds come from the deterministic
-    /// simulation clock rather than the host — are untouched.
+    /// counts: span `total_ns`/`child_ns` become 0 and histograms of a
+    /// [`Metric::is_wall_clock`] metric lose their samples (count is
+    /// preserved, the buckets collapse into bucket 0). Sim-time histograms
+    /// such as `cluster.query_latency_ns`, whose nanoseconds come from the
+    /// deterministic simulation clock rather than the host, are untouched.
     ///
     /// Two same-seed runs scrubbed this way are byte-identical, which is
     /// what lets CI diff artifacts across machines of different speeds.
@@ -199,7 +198,7 @@ impl ObsSnapshot {
             span.child_ns = 0;
         }
         for h in &mut self.histograms {
-            if h.name.ends_with("_ns") && !h.name.starts_with("cluster.") {
+            if Metric::from_name(&h.name).is_some_and(Metric::is_wall_clock) {
                 h.sum = 0;
                 h.max = 0;
                 h.p50 = 0;
@@ -216,24 +215,9 @@ impl ObsSnapshot {
 
     /// Serializes to deterministic pretty-printed JSON.
     pub fn to_json_string(&self) -> String {
-        let labels = JsonValue::Object(
-            self.labels
-                .iter()
-                .map(|(k, v)| (k.clone(), JsonValue::Str(v.clone())))
-                .collect(),
-        );
-        let counters = JsonValue::Object(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), JsonValue::UInt(*v)))
-                .collect(),
-        );
-        let gauges = JsonValue::Object(
-            self.gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), JsonValue::Float(*v)))
-                .collect(),
-        );
+        let labels = object(&self.labels, |v| JsonValue::Str(v.clone()));
+        let counters = object(&self.counters, |&v| JsonValue::UInt(v));
+        let gauges = object(&self.gauges, |&v| JsonValue::Float(v));
         let histograms = JsonValue::Array(
             self.histograms
                 .iter()
@@ -289,108 +273,123 @@ impl ObsSnapshot {
     }
 
     /// Parses and schema-validates a snapshot produced by
-    /// [`ObsSnapshot::to_json_string`].
+    /// [`ObsSnapshot::to_json_string`]: besides each field's type, names
+    /// must be unique, and in strictly ascending order everywhere but
+    /// `labels` (which keep insertion order).
     pub fn from_json_str(input: &str) -> Result<Self, SnapshotError> {
         let root = json::parse(input)?;
-
-        let Some(version) = root.get("version").and_then(JsonValue::as_u64) else {
-            return schema_err("version", "missing or not an unsigned integer");
-        };
-        if version != SNAPSHOT_VERSION {
-            return schema_err(
-                "version",
-                format!("unsupported version {version}, expected {SNAPSHOT_VERSION}"),
-            );
-        }
-
-        let labels = match root.get("labels") {
-            Some(JsonValue::Object(fields)) => {
-                let mut out = Vec::with_capacity(fields.len());
-                for (k, v) in fields {
-                    match v.as_str() {
-                        Some(s) => out.push((k.clone(), s.to_owned())),
-                        None => {
-                            return schema_err(&format!("labels.{k}"), "label must be a string")
-                        }
-                    }
-                }
-                out
-            }
-            _ => return schema_err("labels", "missing or not an object"),
-        };
-
-        let counters = match root.get("counters") {
-            Some(JsonValue::Object(fields)) => {
-                let mut out = Vec::with_capacity(fields.len());
-                for (k, v) in fields {
-                    match v.as_u64() {
-                        Some(c) => out.push((k.clone(), c)),
-                        None => {
-                            return schema_err(
-                                &format!("counters.{k}"),
-                                "counter must be an unsigned integer",
-                            )
-                        }
-                    }
-                }
-                out
-            }
-            _ => return schema_err("counters", "missing or not an object"),
-        };
-
-        let gauges = match root.get("gauges") {
-            Some(JsonValue::Object(fields)) => {
-                let mut out = Vec::with_capacity(fields.len());
-                for (k, v) in fields {
-                    match v.as_f64() {
-                        Some(g) if g.is_finite() => out.push((k.clone(), g)),
-                        _ => {
-                            return schema_err(
-                                &format!("gauges.{k}"),
-                                "gauge must be a finite number",
-                            )
-                        }
-                    }
-                }
-                out
-            }
-            _ => return schema_err("gauges", "missing or not an object"),
-        };
-
-        let histograms = match root.get("histograms").and_then(JsonValue::as_array) {
-            Some(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    out.push(parse_histogram(item, i)?);
-                }
-                out
-            }
-            None => return schema_err("histograms", "missing or not an array"),
-        };
-
-        let spans = match root.get("spans").and_then(JsonValue::as_array) {
-            Some(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    out.push(parse_span(item, i)?);
-                }
-                out
-            }
-            None => return schema_err("spans", "missing or not an array"),
-        };
-
         Ok(ObsSnapshot {
-            version,
-            labels,
-            counters,
-            gauges,
-            histograms,
-            spans,
+            version: parse_version(&root, SNAPSHOT_VERSION)?,
+            labels: parse_fields(&root, "labels", false, "label must be a string", |v| {
+                v.as_str().map(str::to_owned)
+            })?,
+            counters: parse_fields(
+                &root,
+                "counters",
+                true,
+                "counter must be an unsigned integer",
+                JsonValue::as_u64,
+            )?,
+            gauges: parse_fields(
+                &root,
+                "gauges",
+                true,
+                "gauge must be a finite number",
+                |v| v.as_f64().filter(|g| g.is_finite()),
+            )?,
+            histograms: parse_items(&root, "histograms", true, parse_histogram, |h| {
+                h.name.clone()
+            })?,
+            spans: parse_items(&root, "spans", true, parse_span, |s| s.path.clone())?,
         })
     }
 }
 
-fn field_u64(item: &JsonValue, at: &str, key: &str) -> Result<u64, SnapshotError> {
+/// A name-keyed JSON object from `(name, value)` pairs.
+pub(crate) fn object<T>(pairs: &[(String, T)], value: impl Fn(&T) -> JsonValue) -> JsonValue {
+    JsonValue::Object(pairs.iter().map(|(k, v)| (k.clone(), value(v))).collect())
+}
+
+/// The document's `version`, which must equal `expected`.
+pub(crate) fn parse_version(root: &JsonValue, expected: u64) -> Result<u64, SnapshotError> {
+    match root.get("version").and_then(JsonValue::as_u64) {
+        Some(v) if v == expected => Ok(v),
+        Some(v) => schema_err(
+            "version",
+            format!("unsupported version {v}, expected {expected}"),
+        ),
+        None => schema_err("version", "missing or not an unsigned integer"),
+    }
+}
+
+/// Parses the name-keyed object `root.key`, converting each value with
+/// `convert` (`what` says what a value must be). Names must be unique, and
+/// strictly ascending when `sorted`.
+pub(crate) fn parse_fields<T>(
+    root: &JsonValue,
+    key: &str,
+    sorted: bool,
+    what: &str,
+    convert: impl Fn(&JsonValue) -> Option<T>,
+) -> Result<Vec<(String, T)>, SnapshotError> {
+    let Some(JsonValue::Object(fields)) = root.get(key) else {
+        return schema_err(key, "missing or not an object");
+    };
+    let mut out = Vec::with_capacity(fields.len());
+    for (k, v) in fields {
+        let Some(value) = convert(v) else {
+            return schema_err(&format!("{key}.{k}"), what);
+        };
+        out.push((k.clone(), value));
+    }
+    check_names(key, out.iter().map(|(k, _)| k.clone()).collect(), sorted)?;
+    Ok(out)
+}
+
+/// Parses the array `root.key` item by item. The names `name` picks must
+/// be unique, and strictly ascending when `sorted`.
+pub(crate) fn parse_items<T>(
+    root: &JsonValue,
+    key: &str,
+    sorted: bool,
+    parse: fn(&JsonValue, usize) -> Result<T, SnapshotError>,
+    name: fn(&T) -> String,
+) -> Result<Vec<T>, SnapshotError> {
+    let Some(items) = root.get(key).and_then(JsonValue::as_array) else {
+        return schema_err(key, "missing or not an array");
+    };
+    let out = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| parse(item, i))
+        .collect::<Result<Vec<_>, _>>()?;
+    check_names(key, out.iter().map(name).collect(), sorted)?;
+    Ok(out)
+}
+
+/// Rejects a repeated name, or (when `sorted`) one below its predecessor.
+fn check_names(at: &str, mut names: Vec<String>, sorted: bool) -> Result<(), SnapshotError> {
+    if !sorted {
+        names.sort_unstable();
+    }
+    match names.windows(2).find(|w| w[0] >= w[1]) {
+        Some(w) if w[0] == w[1] => schema_err(&format!("{at}.{}", w[1]), "duplicate name"),
+        Some(w) => schema_err(
+            &format!("{at}.{}", w[1]),
+            format!("out of order after {:?}", w[0]),
+        ),
+        None => Ok(()),
+    }
+}
+
+pub(crate) fn field_str(item: &JsonValue, at: &str, key: &str) -> Result<String, SnapshotError> {
+    match item.get(key).and_then(JsonValue::as_str) {
+        Some(s) if !s.is_empty() => Ok(s.to_owned()),
+        _ => schema_err(&format!("{at}.{key}"), "missing or empty string"),
+    }
+}
+
+pub(crate) fn field_u64(item: &JsonValue, at: &str, key: &str) -> Result<u64, SnapshotError> {
     match item.get(key).and_then(JsonValue::as_u64) {
         Some(v) => Ok(v),
         None => schema_err(&format!("{at}.{key}"), "missing or not an unsigned integer"),
@@ -399,10 +398,7 @@ fn field_u64(item: &JsonValue, at: &str, key: &str) -> Result<u64, SnapshotError
 
 fn parse_histogram(item: &JsonValue, index: usize) -> Result<HistogramSnapshot, SnapshotError> {
     let at = format!("histograms[{index}]");
-    let name = match item.get("name").and_then(JsonValue::as_str) {
-        Some(s) if !s.is_empty() => s.to_owned(),
-        _ => return schema_err(&format!("{at}.name"), "missing or empty name"),
-    };
+    let name = field_str(item, &at, "name")?;
     let count = field_u64(item, &at, "count")?;
     let sum = field_u64(item, &at, "sum")?;
     let max = field_u64(item, &at, "max")?;
@@ -464,10 +460,7 @@ fn parse_histogram(item: &JsonValue, index: usize) -> Result<HistogramSnapshot, 
 
 fn parse_span(item: &JsonValue, index: usize) -> Result<SpanSnapshot, SnapshotError> {
     let at = format!("spans[{index}]");
-    let path = match item.get("path").and_then(JsonValue::as_str) {
-        Some(s) if !s.is_empty() => s.to_owned(),
-        _ => return schema_err(&format!("{at}.path"), "missing or empty path"),
-    };
+    let path = field_str(item, &at, "path")?;
     let count = field_u64(item, &at, "count")?;
     let total_ns = field_u64(item, &at, "total_ns")?;
     let child_ns = field_u64(item, &at, "child_ns")?;
@@ -493,18 +486,18 @@ mod tests {
     use super::*;
 
     fn sample_snapshot() -> ObsSnapshot {
-        let mut r = MetricsRegistry::new();
-        r.counter_add("value_tree.inserts", 120);
-        r.counter_add("routing.scans_routed", 7);
-        r.gauge_set("replication.nash_surplus", 0.1 + 0.2);
-        r.gauge_set("cluster.total_cost", -1e-12);
-        r.record("cluster.query_latency_ns", 1_500);
-        r.record("cluster.query_latency_ns", 3_000);
-        r.record("fragment.greedy_ns", 900);
+        let mut r = MetricsRegistry::default();
+        r.counter_add(Metric::ValueTreeInserts, 120);
+        r.counter_add(Metric::RoutingScansRouted, 7);
+        r.gauge_set(Metric::ReplicationNashSurplus, 0.1 + 0.2);
+        r.gauge_set(Metric::ClusterTotalCost, -1e-12);
+        r.record(Metric::ClusterQueryLatencyNs, 1_500);
+        r.record(Metric::ClusterQueryLatencyNs, 3_000);
+        r.record(Metric::FragmentGreedyNs, 900);
         r.span_add("pipeline", 10_000, 6_000);
         r.span_add("pipeline/provision", 6_000, 0);
         ObsSnapshot::capture(
-            &r,
+            r,
             vec![
                 ("workload".to_owned(), "bernoulli".to_owned()),
                 ("seed".to_owned(), "42".to_owned()),
@@ -524,18 +517,18 @@ mod tests {
 
     #[test]
     fn awkward_floats_round_trip_exactly() {
-        let mut r = MetricsRegistry::new();
-        for (name, v) in [
-            ("a", 0.1_f64 + 0.2),
-            ("b", 1e-12),
-            ("c", -0.0),
-            ("d", f64::MAX),
-            ("e", f64::MIN_POSITIVE),
-            ("f", 1.0 / 3.0),
+        let mut r = MetricsRegistry::default();
+        for (metric, v) in [
+            (Metric::ClusterDegradedMs, 0.1_f64 + 0.2),
+            (Metric::ClusterNodes, 1e-12),
+            (Metric::ClusterTotalCost, -0.0),
+            (Metric::DistributorFragments, f64::MAX),
+            (Metric::DistributorNodes, f64::MIN_POSITIVE),
+            (Metric::PackingNodes, 1.0 / 3.0),
         ] {
-            r.gauge_set(name, v);
+            r.gauge_set(metric, v);
         }
-        let snap = ObsSnapshot::capture(&r, Vec::new());
+        let snap = ObsSnapshot::capture(r, Vec::new());
         let parsed = ObsSnapshot::from_json_str(&snap.to_json_string()).unwrap();
         for ((_, orig), (_, back)) in snap.gauges.iter().zip(&parsed.gauges) {
             assert_eq!(orig.to_bits(), back.to_bits());
@@ -545,29 +538,26 @@ mod tests {
     #[test]
     fn lookup_helpers() {
         let snap = sample_snapshot();
-        assert_eq!(snap.counter("value_tree.inserts"), Some(120));
-        assert_eq!(snap.counter("missing"), None);
-        assert!(snap.gauge("replication.nash_surplus").is_some());
+        assert_eq!(snap.counter(Metric::ValueTreeInserts), Some(120));
+        assert_eq!(snap.counter(Metric::ClusterJobsLost), None);
+        assert!(snap.gauge(Metric::ReplicationNashSurplus).is_some());
         assert_eq!(
-            snap.histogram("cluster.query_latency_ns").map(|h| h.count),
+            snap.histogram(Metric::ClusterQueryLatencyNs)
+                .map(|h| h.count),
             Some(2)
         );
-        assert_eq!(snap.span("pipeline").map(|s| s.count), Some(1));
+        assert_eq!(snap.span(&[Span::Pipeline]).map(|s| s.count), Some(1));
+        let provision = snap.span(&[Span::Pipeline, Span::Provision]);
+        assert_eq!(provision.map(|s| s.total_ns), Some(6_000));
     }
 
     #[test]
     fn missing_stages_reports_uncovered_prefixes() {
         let snap = sample_snapshot();
-        let missing = snap.missing_stages(&[
-            "value_tree.",
-            "fragment.",
-            "replication.",
-            "routing.",
-            "cluster.",
-            "transition.",
-            "packing.",
-        ]);
-        assert_eq!(missing, vec!["transition.", "packing."]);
+        assert_eq!(
+            snap.missing_stages(),
+            vec![Stage::Packing, Stage::Transition, Stage::Distributor]
+        );
     }
 
     #[test]
@@ -580,12 +570,12 @@ mod tests {
             assert!(s.count > 0);
         }
         // Wall-clock histogram collapsed, count preserved.
-        let g = snap.histogram("fragment.greedy_ns").unwrap();
+        let g = snap.histogram(Metric::FragmentGreedyNs).unwrap();
         assert_eq!(g.count, 1);
         assert_eq!(g.max, 0);
         assert_eq!(g.buckets, vec![(0, 1)]);
         // Sim-time latency histogram untouched.
-        let lat = snap.histogram("cluster.query_latency_ns").unwrap();
+        let lat = snap.histogram(Metric::ClusterQueryLatencyNs).unwrap();
         assert_eq!(lat.sum, 4_500);
         // Scrubbed snapshots still pass validation and stay deterministic.
         let text = snap.to_json_string();
@@ -596,6 +586,11 @@ mod tests {
     #[test]
     fn validation_rejects_schema_violations() {
         let good = sample_snapshot().to_json_string();
+        let mutated = |edit: fn(&mut ObsSnapshot)| {
+            let mut snap = sample_snapshot();
+            edit(&mut snap);
+            snap.to_json_string()
+        };
         let cases: Vec<(String, &str)> = vec![
             (good.replace("\"version\": 1", "\"version\": 99"), "version"),
             (
@@ -607,6 +602,23 @@ mod tests {
                 "negative counter",
             ),
             (good.replace("\"spans\"", "\"zpans\""), "missing spans"),
+            (
+                mutated(|s| s.labels.push(("seed".to_owned(), "7".to_owned()))),
+                "duplicate label",
+            ),
+            (
+                mutated(|s| s.counters.push(s.counters[0].clone())),
+                "duplicate counter",
+            ),
+            (mutated(|s| s.gauges.reverse()), "gauges out of order"),
+            (
+                mutated(|s| s.histograms.reverse()),
+                "histograms out of order",
+            ),
+            (
+                mutated(|s| s.spans.push(s.spans[0].clone())),
+                "duplicate span",
+            ),
         ];
         for (text, why) in cases {
             assert!(

@@ -6,21 +6,30 @@ use nashdb::{run_workload, NashDbConfig, NashDbDistributor, RunConfig};
 use nashdb_cluster::ClusterConfig;
 use nashdb_core::economics::NodeSpec;
 use nashdb_core::routing::MaxOfMins;
-use nashdb_obs::{ObsSession, ObsSnapshot};
+use nashdb_obs::Span::{Pipeline, Provision, Query, Reconfigure, Route, Scheme, ValueChunks};
+use nashdb_obs::{Metric, ObsSession, ObsSnapshot, Span};
 use nashdb_sim::SimDuration;
 use nashdb_workload::bernoulli::{workload as bernoulli, BernoulliConfig};
 use nashdb_workload::tpch::{workload as tpch, TpchConfig};
 use nashdb_workload::Workload;
 
-/// One metric-name prefix per pipeline stage.
-const STAGES: &[&str] = &[
-    "value_tree.",
-    "fragment.",
-    "replication.",
-    "packing.",
-    "transition.",
-    "routing.",
-    "cluster.",
+/// The metrics a fault-free, fully routable run never records: crash and
+/// retry bookkeeping, unroutable scans, and the from-scratch packer's timer
+/// (the distributor packs incrementally). Every other [`Metric`] must appear.
+const QUIET: &[Metric] = &[
+    Metric::ClusterDispatchRejected,
+    Metric::ClusterFaultsSkipped,
+    Metric::ClusterJobsLost,
+    Metric::ClusterNodeCrashes,
+    Metric::ClusterNodeRestarts,
+    Metric::ClusterPlansRejected,
+    Metric::ClusterQueriesAbandoned,
+    Metric::ClusterQueriesFailed,
+    Metric::ClusterQueriesRetried,
+    Metric::ClusterReadsWasted,
+    Metric::ClusterTuplesLost,
+    Metric::PackingBffdNs,
+    Metric::RoutingUnroutableScans,
 ];
 
 fn run_under_session() -> ObsSnapshot {
@@ -78,50 +87,38 @@ fn assert_child_time_is_the_direct_childrens_total(snap: &ObsSnapshot) {
 #[test]
 fn every_pipeline_stage_emits_at_least_one_metric() {
     let snap = run_under_session();
-    let missing = snap.missing_stages(STAGES);
+    let missing = snap.missing_stages();
     assert!(missing.is_empty(), "stages without metrics: {missing:?}");
-    // Spot-check one concrete metric per stage, so a rename that keeps the
-    // prefix but loses the signal still fails loudly.
-    for name in [
-        "value_tree.inserts",
-        "fragment.greedy_runs",
-        "replication.decisions",
-        "packing.placements",
-        "transition.plans",
-        "routing.scans_routed",
-        "cluster.queries_completed",
-    ] {
-        assert!(
-            snap.counter(name).is_some_and(|v| v > 0),
-            "expected counter {name} > 0"
-        );
+    // Stage coverage is coarse: check every metric, so one that stops
+    // firing (or starts firing where it should not) fails by name.
+    for &metric in Metric::ALL {
+        let emitted = snap.counter(metric).is_some()
+            || snap.gauge(metric).is_some()
+            || snap.histogram(metric).is_some();
+        assert_eq!(emitted, !QUIET.contains(&metric), "{}", metric.name());
     }
 }
 
 #[test]
 fn driver_spans_nest_and_account() {
     let snap = run_under_session();
-    let pipeline = snap.span("pipeline").expect("root span");
+    let pipeline = snap.span(&[Pipeline]).expect("root span");
     assert_eq!(pipeline.count, 1);
     // Direct children of the root must fit inside it.
-    let child_total: u64 = [
-        "pipeline/provision",
-        "pipeline/query",
-        "pipeline/reconfigure",
-    ]
-    .iter()
-    .filter_map(|p| snap.span(p))
-    .map(|s| s.total_ns)
-    .sum();
+    let child_total: u64 = [Provision, Query, Reconfigure]
+        .iter()
+        .filter_map(|&child| snap.span(&[Pipeline, child]))
+        .map(|s| s.total_ns)
+        .sum();
     assert!(
         child_total <= pipeline.total_ns,
         "children ({child_total} ns) exceed root ({} ns)",
         pipeline.total_ns
     );
     // The per-query span fired once per query, and its route child too.
-    let query = snap.span("pipeline/query").expect("query span");
+    let query = snap.span(&[Pipeline, Query]).expect("query span");
     assert_eq!(query.count, 80);
-    let route = snap.span("pipeline/query/route").expect("route span");
+    let route = snap.span(&[Pipeline, Query, Route]).expect("route span");
     assert_eq!(route.count, 80);
     assert_child_time_is_the_direct_childrens_total(&snap);
 }
@@ -135,11 +132,11 @@ fn multi_table_spans_account_for_every_child() {
         rounds: 2,
         ..TpchConfig::default()
     }));
-    let fragment = "pipeline/provision/scheme/fragment";
+    let fragment = [Pipeline, Provision, Scheme, Span::Fragment];
     let chunks = snap
-        .span(&format!("{fragment}/value_chunks"))
+        .span(&[&fragment[..], &[ValueChunks]].concat())
         .expect("value_chunks span");
-    let tables = 8 * snap.span(fragment).expect("fragment span").count;
+    let tables = 8 * snap.span(&fragment).expect("fragment span").count;
     assert_eq!(chunks.count, tables);
     assert_child_time_is_the_direct_childrens_total(&snap);
 }
