@@ -20,7 +20,7 @@
 
 use nashdb_obs::Metric;
 
-use super::prefix::ChunkPrefix;
+use super::prefix::{ChunkPrefix, Point};
 use super::Fragmentation;
 use crate::value::Chunk;
 
@@ -182,9 +182,10 @@ impl GreedyFragmenter {
         changed
     }
 
-    /// Validates `chunks` against this fragmenter's table and scores every
-    /// current fragment once; the rounds of one `run` (or the single round
-    /// of a `step`) then share the prefix sums and the scores.
+    /// Validates `chunks` against this fragmenter's table, resolves every
+    /// boundary against them once and scores every current fragment once;
+    /// the rounds of one `run` (or the single round of a `step`) then share
+    /// the prefix sums, the resolved ends and the scores.
     fn start(&mut self, chunks: &[Chunk]) -> Option<Run<'_>> {
         let prefix = match ChunkPrefix::new(chunks) {
             Ok(prefix) => prefix,
@@ -203,15 +204,16 @@ impl GreedyFragmenter {
             return None;
         }
         let rel_floor = REL_EPSILON + self.min_relative_gain;
-        let frags = self
-            .boundaries
+        let ends = prefix.points(&self.boundaries);
+        let frags = ends
             .windows(2)
-            .map(|w| score_fragment(&prefix, rel_floor, w[0], w[1]))
+            .map(|w| score_fragment(&prefix, rel_floor, &w[0], &w[1]))
             .collect();
         Some(Run {
             g: self,
             prefix,
             rel_floor,
+            ends,
             frags,
             merges: None,
         })
@@ -232,7 +234,7 @@ struct Scored {
 }
 
 /// The state the rounds of one run share: every score is a pure function
-/// of the prefix sums and the endpoints it spans, so a round selects from
+/// of the prefix sums and the ends it spans, so a round selects from
 /// the cache with the full rescan's scan order and strict comparisons, and
 /// [`Run::recut`] re-derives only the entries whose endpoints moved. Total
 /// errors are re-folded from `frags` in fragment order rather than kept as
@@ -243,6 +245,9 @@ struct Run<'a> {
     prefix: ChunkPrefix,
     /// `REL_EPSILON + min_relative_gain`.
     rel_floor: f64,
+    /// `g.boundaries` resolved against `prefix`, one point per boundary:
+    /// every score reads its ends' sums here instead of searching for them.
+    ends: Vec<Point>,
     /// Per fragment.
     frags: Vec<Scored>,
     /// Per merge window (`window()` adjacent fragments, by first fragment):
@@ -318,7 +323,7 @@ impl Run<'_> {
                     score_merge(
                         &self.prefix,
                         self.g.merge_policy,
-                        &self.g.boundaries,
+                        &self.ends,
                         &self.frags,
                         s,
                     )
@@ -336,21 +341,24 @@ impl Run<'_> {
     }
 
     /// Replaces fragments `lo..lo + removed` by the `cuts.len() + 1`
-    /// fragments that `cuts` divides their union into, and re-scores exactly
-    /// what that invalidates: the new fragments and, once built, the merge
-    /// windows containing one. A split is `(idx, 1, [point])`, and every
-    /// call is undone by the inverse call.
+    /// fragments that `cuts` divides their union into, resolves the new
+    /// cuts, and re-scores exactly what that invalidates: the new fragments
+    /// and, once built, the merge windows containing one. A split is
+    /// `(idx, 1, [point])`, and every call is undone by the inverse call.
     fn recut(&mut self, lo: usize, removed: usize, cuts: &[u64]) {
         let added = cuts.len() + 1;
         let bounds = &mut self.g.boundaries;
         let old_len = bounds.len() - 1;
         bounds.splice(lo + 1..lo + removed, cuts.iter().copied());
         debug_assert!(bounds[lo..=lo + added].windows(2).all(|w| w[0] < w[1]));
+        let prefix = &self.prefix;
+        let ends = &mut self.ends;
+        ends.splice(lo + 1..lo + removed, cuts.iter().map(|&c| prefix.at(c)));
         self.frags.splice(
             lo..lo + removed,
-            bounds[lo..=lo + added]
+            ends[lo..=lo + added]
                 .windows(2)
-                .map(|w| score_fragment(&self.prefix, self.rel_floor, w[0], w[1])),
+                .map(|w| score_fragment(prefix, self.rel_floor, &w[0], &w[1])),
         );
         if let Some(merges) = &mut self.merges {
             // Window `s` spans fragments `s..s + width`, so the ones that
@@ -363,7 +371,7 @@ impl Run<'_> {
             let new_end = (lo + added).min((self.frags.len() + 1).saturating_sub(width));
             merges.splice(
                 first..old_end,
-                (first..new_end).map(|s| score_merge(&self.prefix, policy, bounds, &self.frags, s)),
+                (first..new_end).map(|s| score_merge(prefix, policy, ends, &self.frags, s)),
             );
         }
     }
@@ -389,8 +397,8 @@ fn first_best(
 /// Scores fragment `[a, b)`: its error and its best split, kept only if the
 /// gain clears both an absolute and a magnitude-relative floor — a real
 /// reduction, not float residue.
-fn score_fragment(prefix: &ChunkPrefix, rel_floor: f64, a: u64, b: u64) -> Scored {
-    let err = prefix.error(a, b);
+fn score_fragment(prefix: &ChunkPrefix, rel_floor: f64, a: &Point, b: &Point) -> Scored {
+    let err = prefix.error_between(a, b);
     let split = if err <= MIN_SPLIT_GAIN {
         None // already uniform; no split can gain enough
     } else {
@@ -402,7 +410,8 @@ fn score_fragment(prefix: &ChunkPrefix, rel_floor: f64, a: u64, b: u64) -> Score
     Scored { err, split }
 }
 
-/// Scores the merge window whose first fragment is `s`.
+/// Scores the merge window whose first fragment is `s`, its ends read from
+/// `ends`.
 ///
 /// Three-into-two (paper §5.3.2): the optimal two-way cut of the triple's
 /// span over the chunk boundaries plus the existing cuts `b` and `c` (always
@@ -413,44 +422,43 @@ fn score_fragment(prefix: &ChunkPrefix, rel_floor: f64, a: u64, b: u64) -> Score
 fn score_merge(
     prefix: &ChunkPrefix,
     policy: MergePolicy,
-    bounds: &[u64],
+    ends: &[Point],
     frags: &[Scored],
     s: usize,
 ) -> Candidate {
     match policy {
         MergePolicy::TripleToPair => {
-            let (a, b, c, d) = (bounds[s], bounds[s + 1], bounds[s + 2], bounds[s + 3]);
             let old = frags[s].err + frags[s + 1].err + frags[s + 2].err;
-            let (point, new) = best_cut(prefix, a, d, &[b, c])?;
+            let (point, new) = best_cut(prefix, &ends[s], &ends[s + 3], &ends[s + 1..s + 3])?;
             Some((point, new - old))
         }
         MergePolicy::PairToOne => {
-            let (a, b, c) = (bounds[s], bounds[s + 1], bounds[s + 2]);
-            let delta = prefix.error(a, c) - (frags[s].err + frags[s + 1].err);
-            Some((b, delta))
+            let delta =
+                prefix.error_between(&ends[s], &ends[s + 2]) - (frags[s].err + frags[s + 1].err);
+            Some((ends[s + 1].x, delta))
         }
     }
 }
 
 /// The best single cut of `[a, b)`: considers every chunk boundary strictly
 /// inside plus `extra` candidates, returning `(point, err_left + err_right)`
-/// minimized. `None` if there are no candidates.
+/// minimized, the first candidate on ties. `None` if there are no
+/// candidates.
 ///
 /// This is the paper's `FindSplit` (Algorithm 2) restricted to value-change
-/// points (Appendix C): linear in the number of candidates.
-pub(super) fn best_cut(prefix: &ChunkPrefix, a: u64, b: u64, extra: &[u64]) -> Option<(u64, f64)> {
-    let bounds = prefix.bounds();
-    let lo = bounds.partition_point(|&x| x <= a);
-    let hi = bounds.partition_point(|&x| x < b);
-    let candidates = bounds[lo..hi]
-        .iter()
-        .copied()
-        .chain(extra.iter().copied().filter(|&p| p > a && p < b));
+/// points (Appendix C): linear in the number of candidates, each scored in
+/// O(1) from the resolved ends and its own sums, read by chunk index.
+/// [`reference::best_cut`](super::reference::best_cut) is the same search
+/// over raw positions.
+fn best_cut(prefix: &ChunkPrefix, a: &Point, b: &Point, extra: &[Point]) -> Option<(u64, f64)> {
+    let candidates = ChunkPrefix::bounds_inside(a, b)
+        .map(|i| prefix.at_bound(i))
+        .chain(extra.iter().copied().filter(|p| p.x > a.x && p.x < b.x));
     let mut best: Option<(u64, f64)> = None;
     for p in candidates {
-        let e = prefix.error(a, p) + prefix.error(p, b);
+        let e = prefix.error_between(a, &p) + prefix.error_between(&p, b);
         if best.is_none_or(|(_, be)| e < be) {
-            best = Some((p, e));
+            best = Some((p.x, e));
         }
     }
     best
@@ -621,6 +629,85 @@ mod tests {
         let f = Fragmentation::from_boundaries(vec![0, 10, 100]);
         let g = GreedyFragmenter::from_fragmentation(f.clone(), 4);
         assert_eq!(g.fragmentation(), f);
+    }
+
+    /// The index-read scoring against the search-per-candidate reference,
+    /// bit for bit, over every range of a table with 1-tuple chunks, equal
+    /// neighbours and zero values: `best_cut` with no extra point and with
+    /// every pair of interior ones (on and off chunk bounds), and
+    /// `score_fragment`, on every range up to `table_len`; `fragment_stats`
+    /// on every three-fragment cover and on the one-tuple fragmentation.
+    #[test]
+    fn resolved_scores_equal_reference_bits() {
+        use crate::fragment::{fragment_stats, Fragmentation};
+        let chunks = vec![
+            chunk(0, 1, 2.5),
+            chunk(1, 4, 2.5),
+            chunk(4, 5, 0.0),
+            chunk(5, 9, 0.7),
+            chunk(9, 10, 3.1),
+            chunk(10, 13, 0.0),
+            chunk(13, 14, 1.3),
+        ];
+        let prefix = ChunkPrefix::new(&chunks).unwrap();
+        let len = prefix.table_len();
+        let bits = |c: Option<(u64, f64)>| c.map(|(p, e)| (p, e.to_bits()));
+        for a in 0..len {
+            for b in a + 1..=len {
+                let (pa, pb) = (prefix.at(a), prefix.at(b));
+                assert_eq!(
+                    bits(best_cut(&prefix, &pa, &pb, &[])),
+                    bits(reference::best_cut(&prefix, a, b, &[])),
+                    "best_cut {a}..{b}"
+                );
+                for x in a + 1..b {
+                    for y in x + 1..b {
+                        let extra = [prefix.at(x), prefix.at(y)];
+                        assert_eq!(
+                            bits(best_cut(&prefix, &pa, &pb, &extra)),
+                            bits(reference::best_cut(&prefix, a, b, &[x, y])),
+                            "best_cut {a}..{b} with {x}, {y}"
+                        );
+                    }
+                }
+                for rel_floor in [REL_EPSILON, REL_EPSILON + 0.05] {
+                    let got = score_fragment(&prefix, rel_floor, &pa, &pb);
+                    let err = prefix.error(a, b);
+                    let split = (err > MIN_SPLIT_GAIN)
+                        .then(|| reference::best_cut(&prefix, a, b, &[]))
+                        .flatten()
+                        .and_then(|(point, split_err)| {
+                            let gain = err - split_err;
+                            (gain > MIN_SPLIT_GAIN && gain > rel_floor * err)
+                                .then_some((point, gain))
+                        });
+                    assert_eq!(got.err.to_bits(), err.to_bits(), "err {a}..{b}");
+                    assert_eq!(bits(got.split), bits(split), "split {a}..{b}");
+                }
+            }
+        }
+        let mut covers: Vec<Vec<u64>> = vec![(0..=len).collect()];
+        for x in 1..len {
+            for y in x + 1..len {
+                covers.push(vec![0, x, y, len]);
+            }
+        }
+        for cover in covers {
+            let frag = Fragmentation::from_boundaries(cover);
+            for s in fragment_stats(&frag, &chunks).unwrap() {
+                let (a, b) = (s.range.start, s.range.end);
+                assert_eq!(
+                    s.value.to_bits(),
+                    prefix.sum(a, b).to_bits(),
+                    "value {a}..{b}"
+                );
+                assert_eq!(
+                    s.error.to_bits(),
+                    prefix.error(a, b).to_bits(),
+                    "error {a}..{b}"
+                );
+            }
+        }
     }
 
     /// Runs `g` over `sets` in order, `rounds` rounds each, three ways — one

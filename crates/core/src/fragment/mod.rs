@@ -25,6 +25,7 @@ pub mod reference;
 pub use findsplit::{find_split, SplitPoint};
 pub use greedy::{GreedyFragmenter, MergePolicy, StepOutcome};
 pub use optimal::optimal_fragmentation;
+pub(crate) use optimal::unrecorded_optimal;
 pub use prefix::ChunkPrefix;
 
 use crate::ids::FragmentId;
@@ -343,7 +344,9 @@ pub struct FragmentStats {
     pub error: f64,
 }
 
-/// Computes [`FragmentStats`] for every fragment of a scheme.
+/// Computes [`FragmentStats`] for every fragment of a scheme: one forward
+/// sweep resolves every boundary, and each fragment's value and error come
+/// from its two ends' sums.
 ///
 /// # Errors
 /// Returns a chunk-validation [`FragmentError`] if `chunks` is malformed.
@@ -352,13 +355,15 @@ pub fn fragment_stats(
     chunks: &[Chunk],
 ) -> Result<Vec<FragmentStats>, FragmentError> {
     let prefix = ChunkPrefix::new(chunks)?;
+    let ends = prefix.points(frag.boundaries());
     Ok(frag
         .fragments()
-        .map(|(id, range)| FragmentStats {
+        .zip(ends.windows(2))
+        .map(|((id, range), w)| FragmentStats {
             id,
             range,
-            value: prefix.sum(range.start, range.end),
-            error: prefix.error(range.start, range.end),
+            value: w[1].s - w[0].s,
+            error: prefix.error_between(&w[0], &w[1]),
         })
         .collect())
 }

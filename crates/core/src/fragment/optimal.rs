@@ -25,7 +25,6 @@ use crate::value::Chunk;
 /// # Errors
 /// Returns [`FragmentError::ZeroMaxFrags`] if `max_frags` is zero and a
 /// chunk-validation error if `chunks` is empty/malformed.
-#[allow(clippy::needless_range_loop)] // index arithmetic *is* the DP
 pub fn optimal_fragmentation(
     chunks: &[Chunk],
     max_frags: usize,
@@ -36,6 +35,24 @@ pub fn optimal_fragmentation(
     let watch = nashdb_obs::stopwatch();
     nashdb_obs::counter_add(Metric::FragmentOptimalRuns, 1);
     nashdb_obs::record(Metric::FragmentOptimalChunks, chunks.len() as u64);
+    let frag = unrecorded_optimal(chunks, max_frags)?;
+    watch.record(Metric::FragmentOptimalNs);
+    Ok(frag)
+}
+
+/// [`optimal_fragmentation`] without its metrics: the DP an audit re-solves
+/// with, so an audited run's snapshot carries only what the pipeline did.
+///
+/// # Errors
+/// As [`optimal_fragmentation`].
+#[allow(clippy::needless_range_loop)] // index arithmetic *is* the DP
+pub(crate) fn unrecorded_optimal(
+    chunks: &[Chunk],
+    max_frags: usize,
+) -> Result<Fragmentation, FragmentError> {
+    if max_frags == 0 {
+        return Err(FragmentError::ZeroMaxFrags);
+    }
     let prefix = ChunkPrefix::new(chunks)?;
     let bounds = prefix.bounds();
     let m = prefix.num_chunks();
@@ -43,7 +60,6 @@ pub fn optimal_fragmentation(
 
     if k == m {
         // One fragment per chunk: zero error, no DP needed.
-        watch.record(Metric::FragmentOptimalNs);
         return Ok(Fragmentation::from_boundaries(bounds.to_vec()));
     }
 
@@ -91,7 +107,6 @@ pub fn optimal_fragmentation(
     cuts.push(0);
     cuts.reverse();
     let boundaries: Vec<u64> = cuts.into_iter().map(|c| bounds[c]).collect();
-    watch.record(Metric::FragmentOptimalNs);
     Ok(Fragmentation::from_boundaries(boundaries))
 }
 

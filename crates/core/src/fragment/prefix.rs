@@ -1,10 +1,15 @@
 //! Prefix statistics over value chunks (paper §5.2).
 //!
-//! The fragment error (unnormalized variance, Eq. 4) of any tuple range can
-//! be computed in `O(log m)` from prefix sums of `V(x)` and `V(x)²` over the
-//! `m` chunks of the piecewise-constant value function — the constant-time
-//! array lookup of the paper, plus a binary search because our "array" is
-//! compressed into runs.
+//! The fragment error (unnormalized variance, Eq. 4) of any tuple range is
+//! a constant-time expression in the cumulative sums of `V(x)` and `V(x)²`
+//! at its two ends — the paper's array lookup. Our "array" is compressed
+//! into the `m` chunks of the piecewise-constant value function, so an
+//! arbitrary tuple position is first resolved to a [`Point`] by one binary
+//! search over the chunk bounds (or by one forward sweep for an ascending
+//! list of positions); a chunk bound's sums are read by index, with no
+//! search at all. [`ChunkPrefix::error`] resolves both ends of every call;
+//! the greedy fragmenter resolves each fragment end once and reads its
+//! candidate cuts by index.
 
 use super::FragmentError;
 use crate::value::Chunk;
@@ -109,12 +114,12 @@ impl ChunkPrefix {
 
     /// Σ V(x) over tuple range `[a, b)`.
     pub fn sum(&self, a: u64, b: u64) -> f64 {
-        self.cum(&self.s, b, 1) - self.cum(&self.s, a, 1)
+        self.at(b).s - self.at(a).s
     }
 
     /// Σ V(x)² over tuple range `[a, b)`.
     pub fn sum_sq(&self, a: u64, b: u64) -> f64 {
-        self.cum(&self.s2, b, 2) - self.cum(&self.s2, a, 2)
+        self.at(b).s2 - self.at(a).s2
     }
 
     /// Fragment error (paper Eq. 4 via Eq. 6, with the `1/Size` that the
@@ -129,13 +134,18 @@ impl ChunkPrefix {
     pub fn error(&self, a: u64, b: u64) -> f64 {
         debug_assert!(a < b, "empty fragment {a}..{b}");
         debug_assert!(b <= self.table_len(), "fragment {a}..{b} beyond table");
-        let b = b.min(self.table_len());
-        if a >= b {
+        self.error_between(&self.at(a), &self.at(b))
+    }
+
+    /// [`ChunkPrefix::error`] of `[a.x, b.x)` from the two ends' resolved
+    /// sums: no search. Zero if the range is empty.
+    pub(super) fn error_between(&self, a: &Point, b: &Point) -> f64 {
+        if a.x >= b.x {
             return 0.0;
         }
-        let sum = self.sum(a, b);
-        let sum_sq = self.sum_sq(a, b);
-        (sum_sq - sum * sum / (b - a) as f64).max(0.0)
+        let sum = b.s - a.s;
+        let sum_sq = b.s2 - a.s2;
+        (sum_sq - sum * sum / (b.x - a.x) as f64).max(0.0)
     }
 
     /// Checked variant of [`ChunkPrefix::error`].
@@ -157,21 +167,94 @@ impl ChunkPrefix {
         Ok(self.error(a, b))
     }
 
-    /// Cumulative Σ V^`power` for tuples before index `x` (which may be
-    /// `table_len`), handling a partial final chunk.
-    fn cum(&self, prefix: &[f64], x: u64, power: u32) -> f64 {
-        if x == 0 {
-            return 0.0;
-        }
-        if x >= self.table_len() {
-            return prefix.last().map_or(0.0, |&total| total);
-        }
-        // In range by the guard above, so chunk_of cannot fail.
-        let idx = self.bounds.partition_point(|&b| b <= x).saturating_sub(1);
-        let v = self.values[idx];
-        let partial = (x - self.bounds[idx]) as f64 * v.powi(power as i32);
-        prefix[idx] + partial
+    /// Resolves tuple position `x` (clamped to `table_len`) by one binary
+    /// search over the chunk bounds.
+    pub(super) fn at(&self, x: u64) -> Point {
+        self.point(x, self.bounds.partition_point(|&b| b <= x))
     }
+
+    /// Resolves ascending positions `xs` in one forward sweep over the
+    /// chunk bounds; the same points [`ChunkPrefix::at`] gives one by one.
+    pub(super) fn points(&self, xs: &[u64]) -> Vec<Point> {
+        debug_assert!(
+            xs.windows(2).all(|w| w[0] <= w[1]),
+            "positions out of order"
+        );
+        let mut after = 0;
+        xs.iter()
+            .map(|&x| {
+                after += self.bounds[after..].iter().take_while(|&&b| b <= x).count();
+                self.point(x, after)
+            })
+            .collect()
+    }
+
+    /// Chunk bound `i` (`0..=num_chunks()`), read by index.
+    pub(super) fn at_bound(&self, i: usize) -> Point {
+        Point {
+            x: self.bounds[i],
+            s: self.s[i],
+            s2: self.s2[i],
+            after: i + 1,
+            on_bound: true,
+        }
+    }
+
+    /// The chunk bounds strictly inside `(a.x, b.x)`, by index; empty
+    /// unless `a.x < b.x`.
+    pub(super) fn bounds_inside(a: &Point, b: &Point) -> std::ops::Range<usize> {
+        let hi = b.after - usize::from(b.on_bound);
+        a.after..hi.max(a.after)
+    }
+
+    /// The point at `x`, given `after` = the number of chunk bounds `<= x`.
+    /// Between bounds the sums add the partial chunk, `(x − bound) · v` and
+    /// `(x − bound) · v²`; at a bound that term is `0 · v`, a zero for
+    /// finite `v`, and adding a zero to a prefix sum (never `−0.0`) leaves
+    /// its bits alone, so [`ChunkPrefix::at_bound`]'s plain read is the
+    /// same sum.
+    fn point(&self, x: u64, after: usize) -> Point {
+        let len = self.table_len();
+        let x = x.min(len);
+        let idx = after - 1;
+        let on_bound = self.bounds[idx] == x;
+        let (s, s2) = if x == 0 {
+            (0.0, 0.0)
+        } else if x >= len {
+            (
+                self.s.last().map_or(0.0, |&t| t),
+                self.s2.last().map_or(0.0, |&t| t),
+            )
+        } else {
+            let v = self.values[idx];
+            let d = (x - self.bounds[idx]) as f64;
+            (self.s[idx] + d * v, self.s2[idx] + d * v.powi(2))
+        };
+        Point {
+            x,
+            s,
+            s2,
+            after,
+            on_bound,
+        }
+    }
+}
+
+/// A tuple position resolved against a [`ChunkPrefix`]: the cumulative sums
+/// before it and where it falls among the chunk bounds. Two points give
+/// their range's error in O(1) ([`ChunkPrefix::error_between`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct Point {
+    /// The position (at most `table_len`).
+    pub(super) x: u64,
+    /// Σ V(x) for tuples before `x`.
+    pub(super) s: f64,
+    /// Σ V(x)² for tuples before `x`.
+    pub(super) s2: f64,
+    /// Number of chunk bounds `<= x`.
+    after: usize,
+    /// `x` is a chunk bound.
+    on_bound: bool,
 }
 
 #[cfg(test)]
@@ -228,6 +311,22 @@ mod tests {
                 table_len: 12
             })
         );
+    }
+
+    /// A chunk bound read by index, a binary search and a forward sweep
+    /// resolve every position to the same point.
+    #[test]
+    fn resolutions_agree() {
+        let p = ChunkPrefix::new(&chunks()).unwrap();
+        let xs: Vec<u64> = (0..=13).collect();
+        let swept = p.points(&xs);
+        for (&x, point) in xs.iter().zip(&swept) {
+            assert_eq!(*point, p.at(x), "position {x}");
+        }
+        for (i, &b) in p.bounds().iter().enumerate() {
+            assert_eq!(p.at_bound(i), p.at(b), "bound {i}");
+        }
+        assert_eq!(p.at(13), p.at(12), "clamped to the table");
     }
 
     #[test]

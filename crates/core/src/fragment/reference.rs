@@ -3,9 +3,11 @@
 //! property-tested against. Not for production paths: it re-derives the best
 //! cut of every fragment and the best re-cut of every merge window from the
 //! prefix sums each round, which is the O(table) formulation the
-//! fragmenter's run-local cache replaced.
+//! fragmenter's run-local cache replaced, and it scores every candidate cut
+//! with [`ChunkPrefix::error`] over raw positions, where the fragmenter reads
+//! resolved ends and chunk bounds by index.
 
-use super::greedy::{best_cut, MergePolicy, StepOutcome, MIN_SPLIT_GAIN, REL_EPSILON};
+use super::greedy::{MergePolicy, StepOutcome, MIN_SPLIT_GAIN, REL_EPSILON};
 use super::prefix::ChunkPrefix;
 
 /// One maintenance round over `boundaries` (`0 = b₀ < … < b_k = table_len`)
@@ -149,4 +151,28 @@ fn apply_best_pair_merge(boundaries: &mut Vec<u64>, prefix: &ChunkPrefix) {
         return;
     };
     boundaries.remove(i);
+}
+
+/// The best single cut of `[a, b)`: considers every chunk boundary strictly
+/// inside plus `extra` candidates, returning `(point, err_left + err_right)`
+/// minimized. `None` if there are no candidates.
+///
+/// This is the paper's `FindSplit` (Algorithm 2) restricted to value-change
+/// points (Appendix C): linear in the number of candidates.
+pub fn best_cut(prefix: &ChunkPrefix, a: u64, b: u64, extra: &[u64]) -> Option<(u64, f64)> {
+    let bounds = prefix.bounds();
+    let lo = bounds.partition_point(|&x| x <= a);
+    let hi = bounds.partition_point(|&x| x < b);
+    let candidates = bounds[lo..hi]
+        .iter()
+        .copied()
+        .chain(extra.iter().copied().filter(|&p| p > a && p < b));
+    let mut best: Option<(u64, f64)> = None;
+    for p in candidates {
+        let e = prefix.error(a, p) + prefix.error(p, b);
+        if best.is_none_or(|(_, be)| e < be) {
+            best = Some((p, e));
+        }
+    }
+    best
 }

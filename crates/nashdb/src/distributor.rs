@@ -3,10 +3,8 @@
 
 use nashdb_cluster::QueryRequest;
 use nashdb_core::economics::NodeSpec;
-use nashdb_core::fragment::{
-    fragment_stats, split_oversized, FragmentRange, FragmentStats, GreedyFragmenter,
-};
-use nashdb_core::ids::{FragmentId, TableId};
+use nashdb_core::fragment::{fragment_stats, split_oversized, FragmentStats, GreedyFragmenter};
+use nashdb_core::ids::FragmentId;
 use nashdb_core::num::{saturating_u64, usize_from};
 use nashdb_core::replication::{decide_replicas, ReplicationDecision, ReplicationPolicy};
 use nashdb_core::value::{PricedScan, TupleValueEstimator};
@@ -14,6 +12,15 @@ use nashdb_obs::{Metric, Span};
 use nashdb_workload::Database;
 
 use crate::scheme::{DistScheme, Distributor, GlobalFragment};
+
+/// What [`NashDbDistributor::decide`] hands [`NashDbDistributor::place`]:
+/// the next scheme's fragments, their replica decisions, and for each
+/// previous fragment its index among the new ones.
+type Decided = (
+    Vec<GlobalFragment>,
+    Vec<ReplicationDecision>,
+    Vec<Option<usize>>,
+);
 
 /// NashDB configuration.
 #[derive(Debug, Clone, Copy)]
@@ -106,27 +113,73 @@ pub struct NashDbDistributor {
     /// incremental rounds so fragment boundaries (and therefore replica
     /// placements) drift slowly and transitions stay cheap.
     converged: bool,
-    /// Replica counts of the previous scheme, for hysteresis: a fragment
-    /// whose `Ideal(f)` stayed within ±25 % (min ±1) of its old count keeps
-    /// the old count. Without damping, count flutter re-sorts the packing
-    /// order every period and churns the whole placement (the paper's
+    /// The scheme the last reconfiguration emitted, which the next one
+    /// adapts rather than replaces.
+    prev: Previous,
+}
+
+/// The previous scheme, persisted once per reconfiguration by
+/// [`NashDbDistributor::place`]. A fragment's index is not stable across a
+/// boundary move, so the next scheme reaches it through the old→new
+/// correspondence [`correspondence`] takes from one merge of the two
+/// fragment lists.
+#[derive(Debug, Default)]
+struct Previous {
+    /// Its fragments, in `(table, range.start)` order.
+    fragments: Vec<GlobalFragment>,
+    /// Replica counts per fragment, for hysteresis: a fragment whose
+    /// `Ideal(f)` stayed within ±25 % (min ±1) of its old count keeps the
+    /// old count. Without damping, count flutter re-sorts the packing order
+    /// every period and churns the whole placement (the paper's
     /// <200 MB/transition measurements imply its schemes were similarly
     /// stable hour over hour). The damped counts are not Eq. 9's, and the
     /// scheme they give is usually *not* a Definition 6.1 equilibrium: on a
     /// 40-round drifting stream (20 scans a round on `small_cfg()`) it
     /// passes `check_equilibrium` in 4 rounds; of the other 36, 26 have a
-    /// profitable drop and 10 a profitable add (ROADMAP item C).
-    prev_counts: Vec<(PlacementKey, u64)>,
-    /// The persistent replica placement: per node, the fragments (by table
-    /// and range) it hosts. Re-running BFFD from scratch each period would
-    /// re-deal most of the cluster whenever a count or boundary changes;
-    /// instead existing assignments are kept, BFFD places only the deltas,
-    /// and under-filled nodes are evacuated (see DESIGN.md §6, item 7).
-    placement: Vec<Vec<PlacementKey>>,
+    /// profitable drop and 10 a profitable add (ROADMAP item G).
+    counts: Vec<u64>,
+    /// The persistent replica placement: per node, the indices into
+    /// `fragments` of the fragments it hosts. Re-running BFFD from scratch
+    /// each period would re-deal most of the cluster whenever a count or
+    /// boundary changes; instead existing assignments are kept, BFFD places
+    /// only the deltas, and under-filled nodes are evacuated (see DESIGN.md
+    /// §6, item 7).
+    nodes: Vec<Vec<usize>>,
 }
 
-/// A fragment's stable identity across reconfigurations.
-type PlacementKey = (TableId, FragmentRange);
+/// For each fragment of `old`, the index in `new` of the same fragment
+/// (table and range), if the new scheme still has it. Both lists are in
+/// `(table, range.start)` order with distinct keys, so one merge finds
+/// every match.
+fn correspondence(old: &[GlobalFragment], new: &[GlobalFragment]) -> Vec<Option<usize>> {
+    let mut from_old = vec![None; old.len()];
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < new.len() {
+        let o = (old[i].table, old[i].range.start);
+        let n = (new[j].table, new[j].range.start);
+        if o < n {
+            i += 1;
+        } else if n < o {
+            j += 1;
+        } else {
+            if old[i].range.end == new[j].range.end {
+                from_old[i] = Some(j);
+            }
+            i += 1;
+            j += 1;
+        }
+    }
+    from_old
+}
+
+/// Tuples `a` and `b` share: zero across tables.
+fn overlap(a: &GlobalFragment, b: &GlobalFragment) -> u64 {
+    if a.table == b.table {
+        a.range.overlap(b.range.start, b.range.end)
+    } else {
+        0
+    }
+}
 
 impl std::fmt::Debug for NashDbDistributor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -134,7 +187,7 @@ impl std::fmt::Debug for NashDbDistributor {
             .field("cfg", &self.cfg)
             .field("tables", &self.tables.len())
             .field("converged", &self.converged)
-            .field("nodes", &self.placement.len())
+            .field("nodes", &self.prev.nodes.len())
             .finish_non_exhaustive()
     }
 }
@@ -158,15 +211,15 @@ impl NashDbDistributor {
             cfg,
             tables,
             converged: false,
-            prev_counts: Vec::new(),
-            placement: Vec::new(),
+            prev: Previous::default(),
         }
     }
 
     /// What the next scheme hosts: every table's fragments, in
-    /// `(table, range.start)` order, and the replica count Eq. 9 and the
-    /// hysteresis band give each. [`place`](Self::place) decides where.
-    fn decide(&mut self) -> (Vec<GlobalFragment>, Vec<ReplicationDecision>) {
+    /// `(table, range.start)` order, the replica count Eq. 9 and the
+    /// hysteresis band give each, and the old→new [`correspondence`] the
+    /// band read. [`place`](Self::place) decides where.
+    fn decide(&mut self) -> Decided {
         let policy = ReplicationPolicy::new(self.cfg.window, self.cfg.spec)
             .with_max_replicas(self.cfg.max_replicas);
 
@@ -193,46 +246,36 @@ impl NashDbDistributor {
         // scheme.
         let replication_span = nashdb_obs::span(Span::Replication);
         let mut decisions = decide_replicas(&stats, &policy);
-        // Both schemes list their fragments in `(table, start)` order, so
-        // one forward cursor finds each fragment's previous count.
-        let mut prev = self.prev_counts.iter().peekable();
-        for (d, g) in decisions.iter_mut().zip(&globals) {
-            let key = (g.table, g.range);
-            while prev
-                .next_if(|(k, _)| (k.0, k.1.start) < (key.0, key.1.start))
-                .is_some()
-            {}
-            if let Some(&(_, old)) = prev.next_if(|(k, _)| *k == key) {
-                // Counting noise in a |W|-scan window moves V(f) (hence
-                // Ideal) by ~±25% between periods; inside that band keep
-                // the old count and a quiet cluster, at the cost of Eq. 9
-                // exactness (see `prev_counts`).
-                let band = saturating_u64(((old as f64) * 0.25).ceil().max(1.0));
-                if d.replicas.abs_diff(old) <= band {
-                    d.replicas = old;
-                }
+        let from_old = correspondence(&self.prev.fragments, &globals);
+        for (&old, &new) in self.prev.counts.iter().zip(&from_old) {
+            let Some(d) = new.map(|j| &mut decisions[j]) else {
+                continue;
+            };
+            // Counting noise in a |W|-scan window moves V(f) (hence Ideal)
+            // by ~±25% between periods; inside that band keep the old count
+            // and a quiet cluster, at the cost of Eq. 9 exactness (see
+            // `Previous::counts`).
+            let band = saturating_u64(((old as f64) * 0.25).ceil().max(1.0));
+            if d.replicas.abs_diff(old) <= band {
+                d.replicas = old;
             }
         }
-        self.prev_counts = decisions
-            .iter()
-            .zip(&globals)
-            .map(|(d, g)| ((g.table, g.range), d.replicas))
-            .collect();
         drop(replication_span);
 
-        (globals, decisions)
+        (globals, decisions, from_old)
     }
 
     /// Placement-preserving replica allocation: keeps every still-valid
     /// assignment, removes stale/surplus replicas, first-fit-places the
     /// deficit (highest replica counts first, hash-scattered within a
-    /// count), evacuates under-filled nodes, and drops empty ones.
+    /// count), evacuates under-filled nodes, and drops empty ones; then
+    /// persists the result as the next call's [`Previous`].
     ///
     /// `globals` must be in `(table, range.start)` order, which is how
-    /// [`decide`](Self::decide) builds it. Each persisted
-    /// [`PlacementKey`] is resolved against it once, in step 1; every later
-    /// step works on dense fragment indices, and the placement goes back to
-    /// keys at the end. The order of every node's list, of the node list
+    /// [`decide`](Self::decide) builds it, and `from_old` its
+    /// [`correspondence`] to the previous scheme. Every step works on dense
+    /// fragment indices: new ones for what the scheme hosts, old ones for
+    /// what nodes lost. The order of every node's list, of the node list
     /// itself and of every tie-break below is pinned, call after call,
     /// against the map-keyed formulation in this module's tests
     /// (`place_matches_map_keyed_twin`).
@@ -240,6 +283,7 @@ impl NashDbDistributor {
         &mut self,
         globals: &[GlobalFragment],
         decisions: &[ReplicationDecision],
+        from_old: &[Option<usize>],
     ) -> Vec<Vec<usize>> {
         debug_assert_eq!(globals.len(), decisions.len(), "one decision per fragment");
         debug_assert!(
@@ -248,28 +292,31 @@ impl NashDbDistributor {
                 .all(|w| (w[0].table, w[0].range.start) < (w[1].table, w[1].range.start)),
             "fragments out of (table, start) order"
         );
+        debug_assert_eq!(
+            from_old.len(),
+            self.prev.fragments.len(),
+            "one entry per old fragment"
+        );
         let disk = self.cfg.spec.disk;
-        let key_of = |i: usize| (globals[i].table, globals[i].range);
         let size_of = |i: usize| globals[i].range.size();
         let desired: Vec<u64> = decisions.iter().map(|d| d.replicas).collect();
+        let old = std::mem::take(&mut self.prev);
 
         // 1. Drop replicas of fragments that no longer exist, remembering
         //    what each node lost: a boundary shift renames a fragment, and
         //    the replacement should land where the old data already sits so
         //    the transition only ships the boundary delta. What was lost
         //    names fragments the new scheme does not have, so it stays
-        //    key-typed.
-        let mut nodes: Vec<Vec<usize>> = Vec::with_capacity(self.placement.len());
-        let mut removed: Vec<Vec<PlacementKey>> = Vec::with_capacity(self.placement.len());
-        for node in &self.placement {
+        //    indexed by old fragment.
+        let mut nodes: Vec<Vec<usize>> = Vec::with_capacity(old.nodes.len());
+        let mut removed: Vec<Vec<usize>> = Vec::with_capacity(old.nodes.len());
+        for node in &old.nodes {
             let mut kept = Vec::with_capacity(node.len());
             let mut lost = Vec::new();
-            for k in node {
-                let at = globals.partition_point(|g| (g.table, g.range.start) < (k.0, k.1.start));
-                if at < globals.len() && key_of(at) == *k {
-                    kept.push(at);
-                } else {
-                    lost.push(*k);
+            for &i in node {
+                match from_old[i] {
+                    Some(j) => kept.push(j),
+                    None => lost.push(i),
                 }
             }
             nodes.push(kept);
@@ -298,7 +345,7 @@ impl NashDbDistributor {
         // 4. Place the deficit: highest counts first, hash-scattered within
         //    a count class so physically adjacent fragments spread.
         let scatter = |f: usize| {
-            let (table, range) = key_of(f);
+            let GlobalFragment { table, range } = globals[f];
             (range.start ^ range.end.rotate_left(17) ^ table.get().rotate_left(41))
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         };
@@ -311,35 +358,78 @@ impl NashDbDistributor {
             .map(|f| (f, desired[f] - current[f]))
             .collect();
         deficit.sort_by_key(|&(f, _)| (std::cmp::Reverse(desired[f]), scatter(f)));
-        let overlap = |a: &PlacementKey, b: &PlacementKey| -> u64 {
-            if a.0 == b.0 {
-                a.1.overlap(b.1.start, b.1.end)
-            } else {
-                0
+        // The lost replicas again, by old fragment: `lost_on[i]` lists the
+        // nodes that lost fragment `i`, each with a flag cleared once a
+        // reclaim consumes it there.
+        let mut lost_on: Vec<Vec<(usize, bool)>> = vec![Vec::new(); old.fragments.len()];
+        for (n, lost) in removed.iter().enumerate() {
+            for &i in lost {
+                lost_on[i].push((n, true));
             }
-        };
+        }
+        let any_lost = removed.iter().any(|lost| !lost.is_empty());
+        let mut gain = vec![0u64; nodes.len()];
+        let mut touched: Vec<usize> = Vec::new();
         for (f, missing) in deficit {
-            let k = key_of(f);
+            let g = &globals[f];
             let size = size_of(f);
+            // The old fragments overlapping `f`: a contiguous run, as both
+            // schemes tile each table in order. Searched only when some
+            // replica was lost at all.
+            let olds = if !any_lost {
+                0..0
+            } else {
+                let lo = old
+                    .fragments
+                    .partition_point(|o| (o.table, o.range.end) <= (g.table, g.range.start));
+                let n = old.fragments[lo..]
+                    .iter()
+                    .take_while(|o| o.table == g.table && o.range.start < g.range.end)
+                    .count();
+                lo..lo + n
+            };
             for _ in 0..missing {
                 // Prefer the node that just lost the most overlapping data
                 // (it already stores most of these tuples); fall back to
-                // first fit. A node that lost nothing has no overlap to sum.
+                // first fit. Only nodes that lost an overlapping replica
+                // still unclaimed score above zero.
                 let fits = |n: usize| used[n] + size <= disk && !nodes[n].contains(&f);
-                let slot = (0..nodes.len())
-                    .filter(|&n| !removed[n].is_empty() && fits(n))
-                    .map(|n| (removed[n].iter().map(|r| overlap(r, &k)).sum::<u64>(), n))
-                    .filter(|&(ov, _)| ov > 0)
+                for i in olds.clone() {
+                    let ov = overlap(&old.fragments[i], g);
+                    for &(n, live) in &lost_on[i] {
+                        if live {
+                            if gain[n] == 0 {
+                                touched.push(n);
+                            }
+                            gain[n] = gain[n].saturating_add(ov);
+                        }
+                    }
+                }
+                let slot = touched
+                    .iter()
+                    .map(|&n| (gain[n], n))
+                    .filter(|&(ov, n)| ov > 0 && fits(n))
                     .max_by_key(|&(ov, n)| (ov, std::cmp::Reverse(n)))
                     .map(|(_, n)| n)
                     .or_else(|| (0..nodes.len()).find(|&n| fits(n)));
+                for n in touched.drain(..) {
+                    gain[n] = 0;
+                }
                 match slot {
                     Some(n) => {
                         nodes[n].push(f);
                         used[n] = used[n].saturating_add(size);
                         // The reclaimed overlap is no longer "lost" there.
-                        if let Some(pos) = removed[n].iter().position(|r| overlap(r, &k) > 0) {
-                            removed[n].swap_remove(pos);
+                        if let Some(pos) = removed[n]
+                            .iter()
+                            .position(|&r| overlap(&old.fragments[r], g) > 0)
+                        {
+                            let r = removed[n].swap_remove(pos);
+                            for entry in &mut lost_on[r] {
+                                if entry.0 == n {
+                                    entry.1 = false;
+                                }
+                            }
                         }
                     }
                     None => {
@@ -389,12 +479,8 @@ impl NashDbDistributor {
             }
         }
 
-        // 6. Drop empty nodes and persist the placement under stable keys.
+        // 6. Drop empty nodes and persist the scheme for the next call.
         nodes.retain(|node| !node.is_empty());
-        self.placement = nodes
-            .iter()
-            .map(|node| node.iter().map(|&f| key_of(f)).collect())
-            .collect();
         // The incremental packer stands in for `pack_bffd` here, so it
         // reports the same packing metrics the from-scratch packer would.
         nashdb_obs::gauge_set(Metric::PackingNodes, nodes.len() as f64);
@@ -408,6 +494,11 @@ impl NashDbDistributor {
                 node.iter().map(|&f| size_of(f)).sum(),
             );
         }
+        self.prev = Previous {
+            fragments: globals.to_vec(),
+            counts: desired,
+            nodes: nodes.clone(),
+        };
         nodes
     }
 
@@ -456,10 +547,10 @@ impl Distributor for NashDbDistributor {
 
     fn scheme(&mut self) -> DistScheme {
         let _scheme = nashdb_obs::span(Span::Scheme);
-        let (globals, decisions) = self.decide();
+        let (globals, decisions, from_old) = self.decide();
         let nodes = {
             let _place = nashdb_obs::span(Span::Place);
-            self.place(&globals, &decisions)
+            self.place(&globals, &decisions, &from_old)
         };
         nashdb_obs::gauge_set(Metric::DistributorFragments, globals.len() as f64);
         nashdb_obs::gauge_set(Metric::DistributorNodes, nodes.len() as f64);
@@ -487,6 +578,7 @@ mod tests {
     use super::*;
     use nashdb_cluster::ScanRange;
     use nashdb_core::economics::check_equilibrium;
+    use nashdb_core::fragment::FragmentRange;
     use nashdb_core::ids::TableId;
     use nashdb_core::replication::economic_config;
     use std::collections::HashMap;
@@ -514,6 +606,10 @@ mod tests {
         }
     }
 
+    /// A fragment's identity across reconfigurations, as the map-keyed
+    /// placer persists it.
+    type PlacementKey = (TableId, FragmentRange);
+
     /// How often each branch of the placement fired, so the twin test can
     /// insist its stream reached all of them.
     #[derive(Debug, Default)]
@@ -524,6 +620,10 @@ mod tests {
         surplus: usize,
         /// Step 4: deficit replicas put where overlapping data was lost.
         reclaimed: usize,
+        /// Step 4: reclaims on a node that had lost two or more replicas
+        /// overlapping the one placed, so which of them the reclaim
+        /// consumes decides the node's later overlap sums.
+        reclaimed_among_several: usize,
         /// Step 4: nodes opened because nothing fit.
         opened: usize,
         /// Step 5: under-filled nodes evacuated.
@@ -645,6 +745,9 @@ mod tests {
                         .max_by_key(|&(ov, n)| (ov, std::cmp::Reverse(n)))
                         .map(|(_, n)| n);
                     self.fired.reclaimed += usize::from(slot.is_some());
+                    self.fired.reclaimed_among_several += usize::from(slot.is_some_and(|n| {
+                        removed[n].iter().filter(|r| overlap(r, &k) > 0).count() >= 2
+                    }));
                     let slot = slot.or_else(|| (0..self.placement.len()).find(|&n| fits(n)));
                     match slot {
                         Some(n) => {
@@ -734,9 +837,9 @@ mod tests {
             let hi = lo + 80_000 + (i % 5) * 20_000;
             nash.observe(&query(2.0 + 3.0 * (i % 9) as f64, &[(0, lo, hi)]));
         }
-        let (globals, decisions) = nash.decide();
+        let (globals, decisions, from_old) = nash.decide();
         let nodes: Vec<Vec<FragmentId>> = nash
-            .place(&globals, &decisions)
+            .place(&globals, &decisions, &from_old)
             .iter()
             .map(|node| node.iter().map(|&f| FragmentId(f as u64)).collect())
             .collect();
@@ -886,12 +989,25 @@ mod tests {
                 let scans = [(0, start, start + 60_000), (1, dim, dim + 1_500)];
                 nash.observe(&query(price, &scans));
             }
-            let (globals, decisions) = nash.decide();
-            let nodes = nash.place(&globals, &decisions);
+            let (globals, decisions, from_old) = nash.decide();
+            let nodes = nash.place(&globals, &decisions, &from_old);
             let expect = twin.place(&globals, &decisions);
             assert_eq!(nodes, expect, "call {call}: returned node lists");
+            let persisted: Vec<Vec<PlacementKey>> = nash
+                .prev
+                .nodes
+                .iter()
+                .map(|node| {
+                    node.iter()
+                        .map(|&i| {
+                            let g = nash.prev.fragments[i];
+                            (g.table, g.range)
+                        })
+                        .collect()
+                })
+                .collect();
             assert_eq!(
-                nash.placement, twin.placement,
+                persisted, twin.placement,
                 "call {call}: persisted placement"
             );
         }
@@ -900,6 +1016,7 @@ mod tests {
             fired.lost > 0
                 && fired.surplus > 0
                 && fired.reclaimed > 0
+                && fired.reclaimed_among_several > 0
                 && fired.opened > 0
                 && fired.evacuated > 0,
             "the stream missed a branch of the placement: {fired:?}"

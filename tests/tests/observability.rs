@@ -14,8 +14,11 @@ use nashdb_workload::tpch::{workload as tpch, TpchConfig};
 use nashdb_workload::Workload;
 
 /// The metrics a fault-free, fully routable run never records: crash and
-/// retry bookkeeping, unroutable scans, and the from-scratch packer's timer
-/// (the distributor packs incrementally). Every other [`Metric`] must appear.
+/// retry bookkeeping, unroutable scans, the exact fragmentation DP (only
+/// experiments call it; the debug-build fragmentation audit re-solves it
+/// without recording) and the from-scratch packer's timer (the distributor
+/// packs incrementally). Every other [`Metric`] must appear, in debug and
+/// release builds alike.
 const QUIET: &[Metric] = &[
     Metric::ClusterDispatchRejected,
     Metric::ClusterFaultsSkipped,
@@ -28,6 +31,9 @@ const QUIET: &[Metric] = &[
     Metric::ClusterQueriesRetried,
     Metric::ClusterReadsWasted,
     Metric::ClusterTuplesLost,
+    Metric::FragmentOptimalChunks,
+    Metric::FragmentOptimalNs,
+    Metric::FragmentOptimalRuns,
     Metric::PackingBffdNs,
     Metric::RoutingUnroutableScans,
 ];
