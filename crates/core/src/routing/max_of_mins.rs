@@ -1,35 +1,32 @@
-//! The production Max-of-mins router: Eq. 11 run incrementally.
+//! The production Max-of-mins router: Eq. 11 run incrementally, one heap
+//! entry per node.
 //!
-//! A request is in the heap only while it has a choice or heads its node's
-//! chain. A request with several candidates announces its current minimum
-//! `(effective wait, node)` to a max-heap ordered by the Eq. 11 selection
-//! key. Placing a request grows one node's queue and (on the scan's first
-//! touch of that node) drops its ϕ penalty, so only requests listing that
-//! node as a candidate — found through an inverted node → requests index —
-//! can see a different minimum. Those are patched in O(1) when the placed
-//! node merely undercuts their announcement and re-derived by a plain scan
-//! of their candidates when their announcement ran through it; every other
-//! announcement is still exact. A changed announcement moves its heap entry
-//! in place (the heap is indexed by request).
+//! Every pending request belongs to the *group* of the node it currently
+//! announces — its Eq. 11 minimum `(effective wait, node)`. Members of one
+//! group share that wait, so within a group only the selection key's static
+//! tail `(size, Reverse(fragment), Reverse(index))` orders them. One sort
+//! per scan turns the tail into a rank, a group is a bitset over ranks, its
+//! head is its highest rank, and the max-heap holds one entry per nonempty
+//! group keyed `(wait << 64) | head` — the order of the per-request key, so
+//! the root's head is the request the naive loop picks.
 //!
-//! A request with one candidate `n` has no decision to make: its minimum is
-//! `n`'s effective wait, the same value for every such request of `n`, so
-//! the key orders them among themselves by its static tail alone, the
-//! largest of them dominates the rest for as long as it is pending, and a
-//! pending request influences the loop only by being picked. Such requests
-//! wait in a per-node *chain* sorted once by that tail; only the chain's
-//! head is in the heap, none of them is in the inverted index, and a
-//! placement on `n` re-keys the one head instead of every request still
-//! waiting on `n`. The placed request keeps its heap slot until its step
-//! ends and then hands it to its chain's next head (or to the heap's last
-//! entry), so a step on a chain costs one sift that usually does not move.
+//! A placement on node `n` changes only `n`'s effective wait. If the wait
+//! fell (the scan's first read on `n`, smaller than ϕ), only `n`'s listers
+//! can gain: each pending lister `n` now undercuts moves to `n`'s group, and
+//! that walk of the inverted node → listers index happens at most once per
+//! node per scan. If it rose, only `n`'s members can lose: each member with
+//! a choice is re-derived over its candidates and moves if its minimum left
+//! `n`; a member with one candidate never moves. A read that leaves the
+//! wait where it was (a zero-size one) moves nobody. Each group the step
+//! touched is then re-keyed once. Waits only grow and ϕ only falls on a
+//! first touch, so every pending request stays in its true minimum's group.
+//! The validation every router owes its caller is fused into the pass that
+//! files the requests: the same errors, in the same request order, as
+//! `validate_requests`, and nothing placed.
 
 use std::cmp::Reverse;
 
-use super::{
-    record_scan_metrics, validate_requests, Assignment, FragmentRequest, QueueView, RouteError,
-    ScanRouter,
-};
+use super::{record_scan_metrics, Assignment, FragmentRequest, QueueView, RouteError, ScanRouter};
 use crate::ids::{FragmentId, NodeId};
 
 /// The paper's Max-of-mins router (Eq. 11), incremental formulation.
@@ -39,14 +36,11 @@ use crate::ids::{FragmentId, NodeId};
 /// [`reference::max_of_mins`](super::reference::max_of_mins) whenever
 /// fragment ids are distinct within the scan (which
 /// `DistScheme::requests_for_query` guarantees by deduplication), at
-/// O((R + I)·log(M + K) + F·log k + I·C): the heap holds the `M` requests
-/// with a choice and the heads of the `K` per-node chains, each of the `R`
-/// placements is one sift in it, the `F` single-candidate requests are
-/// sorted within chains of length ≤ `k`, and `I` is the number of
-/// announcements a placement invalidated — those of requests with a choice
-/// plus at most one chain head per placement, never the rest of a chain —
-/// each re-derived over ≤ `C` candidates, instead of the naive R²-ish full
-/// rescans.
+/// O(R·log R + R·(W + log K) + L + I·C) for `R` requests over `K` nodes: one
+/// sort, each placement a head search over `W = ⌈R/64⌉` bitset words and
+/// one sift per group it touched, `L` inverted-list entries walked (each
+/// node's list at most once), and `I` minima re-derived over ≤ `C`
+/// candidates — only for members of a node whose wait rose.
 #[derive(Debug, Clone, Copy)]
 pub struct MaxOfMins {
     /// Span penalty ϕ in tuple units: the wait-equivalent cost of touching
@@ -61,142 +55,172 @@ impl MaxOfMins {
     }
 }
 
-/// A pending request's place in the bottleneck-first max-heap. Ordered by
-/// the Eq. 11 selection key — largest best-achievable wait first, ties
-/// toward larger reads, then smaller fragment id, then smaller request
-/// index — so the heap's maximum is exactly the request the naive scan
-/// would pick. Keys are distinct (the index is), so the pop order does not
-/// depend on how the heap happens to be laid out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct HeapEntry {
+/// `Scratch::group_of` of a placed request, and `Node::slot` of a node
+/// whose group is not in the heap.
+const NONE: usize = usize::MAX;
+
+/// One node of the queue view, as the current scan sees it. Valid only while
+/// `seen`; the scan's first touch writes every field.
+#[derive(Debug, Default, Clone, Copy)]
+struct Node {
+    /// Effective wait: queued tuples, plus ϕ until the scan places here.
     eff: u64,
-    size: u64,
-    fragment: Reverse<FragmentId>,
-    index: Reverse<usize>,
+    /// Its listers — the requests with a choice that name it — are
+    /// `Scratch::listers[start..start + len]`.
+    start: usize,
+    len: usize,
+    /// Its group's highest rank, while the group is in the heap.
+    head: usize,
+    /// Its group's heap slot, or `NONE`.
+    slot: usize,
+    seen: bool,
+    /// Queued for re-keying at the end of the current step.
+    dirty: bool,
 }
 
-impl HeapEntry {
-    /// The heap entry announcing that request `index`'s minimum is `eff`.
-    fn announcing(index: usize, req: &FragmentRequest, eff: u64) -> Self {
-        HeapEntry {
-            eff,
-            size: req.size,
-            fragment: Reverse(req.fragment),
-            index: Reverse(index),
-        }
-    }
-}
-
-/// What one request of the current scan last announced to the heap. A
-/// single-candidate request announces only while it heads its node's chain;
-/// until then `announced` holds its node and a wait nothing reads.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    /// The announced Eq. 11 minimum `(effective wait, node)`.
-    announced: (u64, NodeId),
-    placed: bool,
-}
-
-/// What the heap did during the last scan: the work bound as counts.
+/// What the router did during the last scan: the work bound as counts.
 #[cfg(test)]
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub(super) struct HeapTally {
-    /// Entries re-keyed where they sat.
-    pub(super) updates: usize,
-    /// Placements (each gives up one slot).
-    pub(super) hand_overs: usize,
-    /// Entries at scan start — the most the heap ever holds.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub(super) struct Tally {
+    /// The most groups the heap ever held.
     pub(super) peak_len: usize,
+    /// The nodes whose listers were walked, in walk order (an empty list
+    /// is not walked).
+    pub(super) walked: Vec<usize>,
+    /// Minima re-derived over a request's candidates.
+    pub(super) rederived: usize,
 }
 
-/// A binary max-heap of the scan's announcing requests that knows where
-/// each request's entry sits, so an announcement that changed is re-keyed
-/// where it is instead of being superseded by a second entry.
+/// Working memory a router keeps between scans — [`MaxOfMins`]'s
+/// node-indexed tables, per-request ranks, group bitsets and heap — owned by
+/// whoever calls [`ScanRouter::route_into`], so that a caller routing scan
+/// after scan allocates them once. Opaque: create one with
+/// `Scratch::default()` and hand the same one to every call. It re-sizes
+/// itself when the queue view's node count changes and clears itself at the
+/// start of each scan, so nothing a scan (or a failed scan) leaves behind
+/// reaches the next. Its group bitsets are indexed by node id: ⌈R/64⌉ words
+/// per node of the view for a scan of `R` requests.
 #[derive(Debug, Default)]
-struct IndexedHeap {
-    entries: Vec<HeapEntry>,
-    /// Per request of the scan, the slot of its entry in `entries`
-    /// (meaningless unless the request has an entry).
-    slot_of: Vec<usize>,
+pub struct Scratch {
+    nodes: Vec<Node>,
+    /// Nodes the current scan names, for the sparse reset.
+    touched: Vec<usize>,
+    /// Inverted lists, back to back in `touched` order (see `Node::start`).
+    listers: Vec<usize>,
+    /// Per rank, the selection key's static tail; sorted, so a request's
+    /// rank is its position.
+    ranked: Vec<(u64, Reverse<FragmentId>, Reverse<usize>)>,
+    /// Per request, its rank.
+    rank_of: Vec<usize>,
+    /// Per request, the node whose group holds it, or `NONE` once placed.
+    group_of: Vec<usize>,
+    /// Node `n`'s group: bits `n * words..(n + 1) * words`, one per rank.
+    groups: Vec<u64>,
+    words: usize,
+    /// The ranks of requests with more than one candidate.
+    multi: Vec<u64>,
+    /// Max-heap of `(key, node)`, one entry per nonempty group.
+    heap: Vec<(u128, usize)>,
+    /// Nodes whose group the current step touched (see `Node::dirty`).
+    dirty: Vec<usize>,
     #[cfg(test)]
-    tally: HeapTally,
+    tally: Tally,
 }
 
-impl IndexedHeap {
-    /// Empties the heap for a scan of `requests` requests. Slots an earlier
-    /// scan left in `slot_of` stay: a slot is written before it is read.
-    fn reset(&mut self, requests: usize) {
-        self.entries.clear();
-        self.slot_of.resize(requests, 0);
+impl Scratch {
+    /// Clears what the previous scan left behind — only the `seen` marks of
+    /// the nodes it touched; a node's first touch rewrites the rest — then
+    /// fits the tables to a view of `nodes` nodes and a scan of `requests`
+    /// requests (`touched` indexes the old size, so the order matters).
+    fn reset_for_scan(&mut self, nodes: usize, requests: usize) {
+        for n in self.touched.drain(..) {
+            self.nodes[n].seen = false;
+        }
+        self.nodes.resize(nodes, Node::default());
+        self.words = requests.div_ceil(64);
+        if self.groups.len() < nodes * self.words {
+            self.groups.resize(nodes * self.words, 0);
+        }
+        self.multi.clear();
+        self.multi.resize(self.words, 0);
+        self.ranked.clear();
+        self.rank_of.resize(requests, 0);
+        self.group_of.clear();
+        self.heap.clear();
+        self.dirty.clear();
         #[cfg(test)]
         {
-            self.tally = HeapTally::default();
+            self.tally = Tally::default();
         }
     }
 
-    /// Adds an entry without restoring heap order:
-    /// [`heapify`](Self::heapify) follows the last.
-    fn push_unordered(&mut self, entry: HeapEntry) {
-        self.slot_of[entry.index.0] = self.entries.len();
-        self.entries.push(entry);
+    /// Node `n`'s group's highest rank, if it has a member.
+    fn head(&self, n: usize) -> Option<usize> {
+        let group = &self.groups[n * self.words..(n + 1) * self.words];
+        let (w, word) = group.iter().enumerate().rev().find(|(_, w)| **w != 0)?;
+        Some(w * 64 + 63 - word.leading_zeros() as usize)
     }
 
-    fn heapify(&mut self) {
-        for slot in (0..self.entries.len() / 2).rev() {
-            self.sift_down(slot);
-        }
-        #[cfg(test)]
-        {
-            self.tally.peak_len = self.entries.len();
+    fn flip(&mut self, n: usize, rank: usize) {
+        self.groups[n * self.words + rank / 64] ^= 1u64 << (rank % 64);
+    }
+
+    /// Moves request `j` of rank `rank` from group `from` to group `to`.
+    fn regroup(&mut self, j: usize, rank: usize, from: usize, to: usize) {
+        self.flip(from, rank);
+        self.flip(to, rank);
+        self.group_of[j] = to;
+        self.mark(from);
+        self.mark(to);
+    }
+
+    /// Queues node `n`'s group for re-keying at the end of the step.
+    fn mark(&mut self, n: usize) {
+        if !self.nodes[n].dirty {
+            self.nodes[n].dirty = true;
+            self.dirty.push(n);
         }
     }
 
-    fn peek(&self) -> Option<HeapEntry> {
-        self.entries.first().copied()
-    }
-
-    /// Replaces the entry of request `entry.index` and moves it to where
-    /// its new key belongs.
-    fn update(&mut self, entry: HeapEntry) {
-        #[cfg(test)]
-        {
-            self.tally.updates += 1;
-        }
-        self.replace(self.slot_of[entry.index.0], entry);
-    }
-
-    /// Ends the step that placed request `placed`: its entry, kept under
-    /// its stale key while the step re-keyed others, gives its slot to
-    /// `successor` — or, with none, to the heap's last entry. The slot is
-    /// read from `slot_of`, not assumed to be the root: an entry re-keyed
-    /// during the step may have risen above the stale key.
-    fn hand_over(&mut self, placed: usize, successor: Option<HeapEntry>) {
-        #[cfg(test)]
-        {
-            self.tally.hand_overs += 1;
-        }
-        let slot = self.slot_of[placed];
-        let entry = match successor {
-            Some(entry) => entry,
-            None => {
-                let Some(last) = self.entries.pop() else {
-                    return;
-                };
-                if slot == self.entries.len() {
-                    return; // the placed entry was the last one
+    /// Re-keys every group the step touched, once: set, insert or remove.
+    fn rekey_dirty(&mut self) {
+        while let Some(n) = self.dirty.pop() {
+            self.nodes[n].dirty = false;
+            let slot = self.nodes[n].slot;
+            match self.head(n) {
+                Some(head) => {
+                    self.nodes[n].head = head;
+                    let key = (u128::from(self.nodes[n].eff) << 64) | head as u128;
+                    if slot == NONE {
+                        self.heap.push((key, n));
+                        self.sift_up(self.heap.len() - 1);
+                    } else {
+                        self.replace(slot, (key, n));
+                    }
                 }
-                last
+                None if slot != NONE => {
+                    self.nodes[n].slot = NONE;
+                    if let Some(last) = self.heap.pop() {
+                        if slot < self.heap.len() {
+                            self.replace(slot, last);
+                        }
+                    }
+                }
+                None => {}
             }
-        };
-        self.replace(slot, entry);
+        }
+        #[cfg(test)]
+        {
+            self.tally.peak_len = self.tally.peak_len.max(self.heap.len());
+        }
     }
 
     /// Stores `entry` at `slot` and sifts it in whichever direction its key
     /// differs from the entry it replaces — one direction suffices, the
     /// replaced key having been in heap order with its parent and children.
-    fn replace(&mut self, slot: usize, entry: HeapEntry) {
-        let old = std::mem::replace(&mut self.entries[slot], entry);
-        if entry > old {
+    fn replace(&mut self, slot: usize, entry: (u128, usize)) {
+        let old = std::mem::replace(&mut self.heap[slot], entry);
+        if entry.0 > old.0 {
             self.sift_up(slot);
         } else {
             self.sift_down(slot);
@@ -204,31 +228,31 @@ impl IndexedHeap {
     }
 
     fn sift_up(&mut self, mut slot: usize) {
-        let entry = self.entries[slot];
+        let entry = self.heap[slot];
         while slot > 0 {
             let parent = (slot - 1) / 2;
-            if self.entries[parent] >= entry {
+            if self.heap[parent].0 >= entry.0 {
                 break;
             }
-            self.put(slot, self.entries[parent]);
+            self.put(slot, self.heap[parent]);
             slot = parent;
         }
         self.put(slot, entry);
     }
 
     fn sift_down(&mut self, mut slot: usize) {
-        let entry = self.entries[slot];
+        let entry = self.heap[slot];
         loop {
             let mut child = 2 * slot + 1;
-            let Some(left) = self.entries.get(child) else {
+            let Some(&left) = self.heap.get(child) else {
                 break;
             };
-            let mut larger = *left;
-            if let Some(right) = self.entries.get(child + 1).filter(|r| **r > larger) {
-                larger = *right;
+            let mut larger = left;
+            if let Some(&right) = self.heap.get(child + 1).filter(|r| r.0 > larger.0) {
+                larger = right;
                 child += 1;
             }
-            if entry >= larger {
+            if entry.0 >= larger.0 {
                 break;
             }
             self.put(slot, larger);
@@ -237,93 +261,117 @@ impl IndexedHeap {
         self.put(slot, entry);
     }
 
-    fn put(&mut self, slot: usize, entry: HeapEntry) {
-        self.entries[slot] = entry;
-        self.slot_of[entry.index.0] = slot;
-    }
-}
-
-/// Working memory a router keeps between scans — [`MaxOfMins`]'s
-/// node-indexed tables, per-request table and heap — owned by whoever calls
-/// [`ScanRouter::route_into`], so that a caller routing scan after scan
-/// allocates them once. Opaque: create one with `Scratch::default()` and
-/// hand the same one to every call. It re-sizes itself when the queue
-/// view's node count changes and clears itself at the start of each scan,
-/// so nothing a scan (or a failed scan) leaves behind reaches the next.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    /// Nodes already serving the current scan's query (ϕ-free).
-    chosen: Vec<bool>,
-    /// Which requests of the current scan with more than one candidate list
-    /// each node as one. The inner lists keep their capacity from scan to
-    /// scan.
-    by_node: Vec<Vec<usize>>,
-    /// Per node, its chain: the pending requests of the current scan whose
-    /// only candidate it is, ascending by the selection key's static tail,
-    /// so the chain's head is its last. Kept like `by_node`'s lists.
-    forced: Vec<Vec<usize>>,
-    /// Nodes some request of the current scan lists in `by_node`, for
-    /// sparse O(touched) reset.
-    touched: Vec<usize>,
-    /// Nodes with a chain in the current scan — a node may be reached
-    /// through a chain alone, so the sparse reset covers these too.
-    chained: Vec<usize>,
-    pending: Vec<Pending>,
-    heap: IndexedHeap,
-}
-
-impl Scratch {
-    /// Clears what the previous scan left behind, then fits the node tables
-    /// to a queue view of `nodes` nodes (`touched` and `chained` index the
-    /// old size, so the order matters) and the heap to a scan of `requests`
-    /// requests.
-    fn reset_for_scan(&mut self, nodes: usize, requests: usize) {
-        for n in self.touched.drain(..) {
-            self.chosen[n] = false;
-            self.by_node[n].clear();
-        }
-        for n in self.chained.drain(..) {
-            self.chosen[n] = false;
-            self.forced[n].clear();
-        }
-        self.pending.clear();
-        self.heap.reset(requests);
-        if self.chosen.len() != nodes {
-            self.chosen.resize(nodes, false);
-            self.by_node.resize_with(nodes, Vec::new);
-            self.forced.resize_with(nodes, Vec::new);
-        }
+    fn put(&mut self, slot: usize, entry: (u128, usize)) {
+        self.heap[slot] = entry;
+        self.nodes[entry.1].slot = slot;
     }
 
-    /// What the heap did during the last scan routed with this `Scratch`.
+    /// What the router did during the last scan routed with this `Scratch`.
     #[cfg(test)]
-    pub(super) fn heap_tally(&self) -> HeapTally {
-        self.heap.tally
+    pub(super) fn tally(&self) -> &Tally {
+        &self.tally
     }
+}
+
+/// Eq. 11 inner minimum: the candidate with the smallest effective wait,
+/// ties toward the smaller node id.
+fn best(req: &FragmentRequest, nodes: &[Node]) -> Result<(u64, usize), RouteError> {
+    let key = |n: &NodeId| Some((nodes.get(n.index())?.eff, n.index()));
+    // Candidates are validated nonempty and in the view before routing; a
+    // miss is a router bug, surfaced typed rather than as a panic.
+    let breach = RouteError::InvariantBreach {
+        fragment: req.fragment,
+    };
+    req.candidates.iter().filter_map(key).min().ok_or(breach)
 }
 
 impl MaxOfMins {
-    /// Eq. 11 inner minimum: the candidate with the smallest effective wait
-    /// (queue plus ϕ unless the scan already uses the node), ties toward the
-    /// smaller node id.
-    fn best_of(
+    /// Validates the scan the way `validate_requests` does — the same
+    /// errors in the same request order — while it counts each node's
+    /// listers, files every request under its first minimum and ranks it;
+    /// then builds the inverted lists, the groups and the heap.
+    fn group(
         &self,
-        req: &FragmentRequest,
+        requests: &[FragmentRequest],
         queues: &QueueView,
-        chosen: &[bool],
-    ) -> Result<(u64, NodeId), RouteError> {
-        req.candidates
-            .iter()
-            .map(|&n| {
-                let penalty = if chosen[n.index()] { 0 } else { self.phi };
-                (queues.wait(n).saturating_add(penalty), n)
-            })
-            .min()
-            // Candidates are validated nonempty before routing; a miss is a
-            // router bug, surfaced typed rather than as a panic.
-            .ok_or(RouteError::InvariantBreach {
-                fragment: req.fragment,
-            })
+        s: &mut Scratch,
+    ) -> Result<(), RouteError> {
+        for (i, req) in requests.iter().enumerate() {
+            if req.candidates.is_empty() {
+                return Err(RouteError::NoReplicas {
+                    fragment: req.fragment,
+                });
+            }
+            let choice = req.candidates.len() > 1;
+            let mut min = (u64::MAX, NONE);
+            for &c in &req.candidates {
+                let n = c.index();
+                let Some(node) = s.nodes.get_mut(n) else {
+                    return Err(RouteError::UnknownNode {
+                        fragment: req.fragment,
+                        node: c,
+                    });
+                };
+                if !node.seen {
+                    let eff = queues.wait(c).saturating_add(self.phi);
+                    *node = Node {
+                        eff,
+                        slot: NONE,
+                        seen: true,
+                        ..Node::default()
+                    };
+                    s.touched.push(n);
+                    for w in n * s.words..(n + 1) * s.words {
+                        s.groups[w] = 0;
+                    }
+                }
+                node.len += usize::from(choice);
+                min = min.min((node.eff, n));
+            }
+            s.group_of.push(min.1);
+            s.ranked.push((req.size, Reverse(req.fragment), Reverse(i)));
+        }
+        let mut end = 0;
+        for &n in &s.touched {
+            let node = &mut s.nodes[n];
+            node.start = end;
+            end += std::mem::take(&mut node.len);
+        }
+        s.listers.resize(end, 0);
+        for (i, req) in requests.iter().enumerate() {
+            if req.candidates.len() > 1 {
+                for c in &req.candidates {
+                    let node = &mut s.nodes[c.index()];
+                    s.listers[node.start + node.len] = i;
+                    node.len += 1;
+                }
+            }
+        }
+        s.ranked.sort_unstable();
+        // Highest rank first, so a group's first member is its head.
+        for rank in (0..s.ranked.len()).rev() {
+            let Reverse(i) = s.ranked[rank].2;
+            s.rank_of[i] = rank;
+            let n = s.group_of[i];
+            s.flip(n, rank);
+            if requests[i].candidates.len() > 1 {
+                s.multi[rank / 64] |= 1u64 << (rank % 64);
+            }
+            let node = &mut s.nodes[n];
+            if node.slot == NONE {
+                (node.head, node.slot) = (rank, s.heap.len());
+                s.heap
+                    .push(((u128::from(node.eff) << 64) | rank as u128, n));
+            }
+        }
+        for slot in (0..s.heap.len() / 2).rev() {
+            s.sift_down(slot);
+        }
+        #[cfg(test)]
+        {
+            s.tally.peak_len = s.heap.len();
+        }
+        Ok(())
     }
 }
 
@@ -333,72 +381,23 @@ impl ScanRouter for MaxOfMins {
         &self,
         requests: &[FragmentRequest],
         queues: &mut QueueView,
-        scratch: &mut Scratch,
+        s: &mut Scratch,
         out: &mut Vec<Assignment>,
     ) -> Result<(), RouteError> {
-        validate_requests(requests, queues)?;
-        scratch.reset_for_scan(queues.len(), requests.len());
-        for (i, req) in requests.iter().enumerate() {
-            let announced = if let [only] = req.candidates[..] {
-                // No decision to make: the request waits in its node's
-                // chain, outside the heap and the inverted index.
-                let chain = &mut scratch.forced[only.index()];
-                if chain.is_empty() {
-                    scratch.chained.push(only.index());
-                }
-                chain.push(i);
-                (0, only)
-            } else {
-                for &n in &req.candidates {
-                    let listing = &mut scratch.by_node[n.index()];
-                    if listing.is_empty() {
-                        scratch.touched.push(n.index());
-                    }
-                    listing.push(i);
-                }
-                let announced = self.best_of(req, queues, &scratch.chosen)?;
-                let entry = HeapEntry::announcing(i, req, announced.0);
-                scratch.heap.push_unordered(entry);
-                announced
-            };
-            scratch.pending.push(Pending {
-                announced,
-                placed: false,
-            });
-        }
-        // Every request of a chain has the same minimum, so the key orders
-        // them by its static tail for the whole scan: sort once, and let
-        // only the head — which dominates the rest while it is pending —
-        // announce. Nothing is in use yet, so it announces with ϕ.
-        for &n in &scratch.chained {
-            let chain = &mut scratch.forced[n];
-            chain.sort_unstable_by_key(|&i| {
-                let req = &requests[i];
-                (req.size, Reverse(req.fragment), Reverse(i))
-            });
-            if let Some(&head) = chain.last() {
-                let (_, node) = scratch.pending[head].announced;
-                let eff = queues.wait(node).saturating_add(self.phi);
-                let entry = HeapEntry::announcing(head, &requests[head], eff);
-                scratch.heap.push_unordered(entry);
-            }
-        }
-        scratch.heap.heapify();
-
+        s.reset_for_scan(queues.len(), requests.len());
+        self.group(requests, queues, s)?;
         // One session check per scan instead of a thread-local round-trip
         // per placement.
         let observed = nashdb_obs::is_active();
         let first = out.len();
-        // The placed request's entry stays in the heap, under its now stale
-        // key, until its step ends: the heap property is about stored keys,
-        // so every comparison of the step stays valid, and the step ends by
-        // handing the slot over instead of popping it and pushing another.
-        while let Some(entry) = scratch.heap.peek() {
-            let idx = entry.index.0;
-            let pending = &mut scratch.pending[idx];
-            pending.placed = true;
-            let (_, node) = pending.announced;
-            let req = &requests[idx];
+        while let Some(&(_, n)) = s.heap.first() {
+            let rank = s.nodes[n].head;
+            let Reverse(i) = s.ranked[rank].2;
+            s.flip(n, rank);
+            s.group_of[i] = NONE;
+            s.mark(n);
+            let req = &requests[i];
+            let node = NodeId(n as u64);
             if observed {
                 nashdb_obs::record(
                     nashdb_obs::Metric::RoutingQueueWaitTuples,
@@ -406,68 +405,47 @@ impl ScanRouter for MaxOfMins {
                 );
             }
             queues.enqueue(node, req.size);
-            scratch.chosen[node.index()] = true;
             out.push(Assignment {
                 fragment: req.fragment,
                 node,
             });
-
-            // Re-evaluate only what this placement could have changed: the
-            // placed node's queue grew and (on first touch) its ϕ penalty
-            // vanished, so only requests listing it as a candidate can see
-            // a different Eq. 11 minimum.
-            let via = (queues.wait(node), node); // chosen ⇒ no penalty
-            for &j in &scratch.by_node[node.index()] {
-                let pending = &mut scratch.pending[j];
-                if pending.placed {
-                    continue;
+            let was = s.nodes[n].eff;
+            let eff = queues.wait(node); // placed here ⇒ no penalty
+            s.nodes[n].eff = eff;
+            if eff < was {
+                // The first read here was smaller than ϕ: only `n`'s
+                // listers can gain, and its own members stay.
+                let Node { start, len, .. } = s.nodes[n];
+                #[cfg(test)]
+                s.tally.walked.extend((len > 0).then_some(n));
+                for l in start..start + len {
+                    let j = s.listers[l];
+                    let m = s.group_of[j];
+                    if m != NONE && m != n && (eff, n) < (s.nodes[m].eff, m) {
+                        s.regroup(j, s.rank_of[j], m, n);
+                    }
                 }
-                let announced = pending.announced;
-                let best = if announced.1 == node {
-                    // The announced minimum ran through the placed node and
-                    // its wait just grew: re-derive the true minimum.
-                    self.best_of(&requests[j], queues, &scratch.chosen)?
-                } else if via < announced {
-                    // First touch dropped the placed node's ϕ penalty below
-                    // the announced minimum (only a penalty flip can
-                    // undercut — waits never shrink): patch in O(1).
-                    via
-                } else {
-                    // Every other candidate's key is unchanged and the
-                    // placed node does not undercut: still exact.
-                    continue;
-                };
-                if best != announced {
-                    pending.announced = best;
-                    if best.0 != announced.0 {
-                        let entry = HeapEntry::announcing(j, &requests[j], best.0);
-                        scratch.heap.update(entry);
+            } else if eff > was {
+                // Only `n`'s members can lose; those with one candidate
+                // have nowhere to go.
+                for w in 0..s.words {
+                    let mut bits = s.groups[n * s.words + w] & s.multi[w];
+                    while bits != 0 {
+                        let rank = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let Reverse(j) = s.ranked[rank].2;
+                        #[cfg(test)]
+                        {
+                            s.tally.rederived += 1;
+                        }
+                        let (_, m) = best(&requests[j], &s.nodes)?;
+                        if m != n {
+                            s.regroup(j, rank, n, m);
+                        }
                     }
                 }
             }
-
-            // Of the node's chain only the head can see the placement: its
-            // minimum is now `via`. A head that was just placed passes the
-            // heap slot on to the next of its chain; a head still pending
-            // is re-keyed where it sits. The rest of the chain is not
-            // visited.
-            let chain = &mut scratch.forced[node.index()];
-            let was_head = chain.last() == Some(&idx);
-            if was_head {
-                chain.pop();
-            }
-            let head = chain
-                .last()
-                .map(|&h| HeapEntry::announcing(h, &requests[h], via.0));
-            let successor = if was_head {
-                head
-            } else {
-                if let Some(entry) = head {
-                    scratch.heap.update(entry);
-                }
-                None
-            };
-            scratch.heap.hand_over(idx, successor);
+            s.rekey_dirty();
         }
         record_scan_metrics(&out[first..]);
         Ok(())

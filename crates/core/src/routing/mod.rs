@@ -14,13 +14,14 @@
 //! layer converts its time-based queue lengths and the paper's ϕ = 350 ms
 //! into tuple units via node throughput.
 //!
-//! [`MaxOfMins`] runs Eq. 11 *incrementally*, and spends work only where a
-//! request has a choice: a placement re-evaluates the requests it could have
-//! invalidated — those with several candidates that list the placed node —
-//! while the requests a node alone can serve wait in that node's chain
-//! behind one pending head. The textbook O(R²·C) double loop is retained
-//! verbatim in [`mod@reference`] as the executable specification the
-//! incremental router is property-tested against.
+//! [`MaxOfMins`] runs Eq. 11 *incrementally*, with one heap entry per node:
+//! the group of pending requests whose current minimum that node is. A
+//! placement moves only the requests it could have changed — the placed
+//! node's listers when its wait fell, its members with a choice when it
+//! rose — and re-keys only the groups it touched, so a request a node alone
+//! can serve is never re-evaluated. The textbook O(R²·C) double loop is
+//! retained verbatim in [`mod@reference`] as the executable specification
+//! the incremental router is property-tested against.
 //!
 //! A router implements one method, [`ScanRouter::route_into`]: one scan,
 //! routed into the caller's output buffer with the caller's [`Scratch`] as
@@ -867,39 +868,60 @@ mod tests {
         }
     }
 
+    /// One seeded stress case of `lo..=hi` requests through the caller's
+    /// `scratch`, returning the requests it routed. The candidate cap is
+    /// drawn from 1..=6, so a sixth of the cases are all-forced; sizes and
+    /// waits are drawn modulo small numbers for ties and zero-size reads, ϕ
+    /// from nothing to saturating.
+    fn stress_case(
+        next: &mut impl FnMut() -> u64,
+        (lo, hi): (u64, u64),
+        scratch: &mut Scratch,
+        out: &mut Vec<Assignment>,
+    ) -> Vec<FragmentRequest> {
+        let nodes = 1 + next() % 12;
+        let cap = (1 + next() % 6).min(nodes);
+        let size_mod = [1, 2, 5, 1000][(next() % 4) as usize];
+        let wait_mod = [1, 3, 50, 5000][(next() % 4) as usize];
+        let phi = [0, 1, 5, 50, 500, 100_000, u64::MAX][(next() % 7) as usize];
+        // Distinct fragment ids whose order is not the request order.
+        let mask = next() % 64;
+        let reqs: Vec<FragmentRequest> = (0..lo + next() % (hi - lo + 1))
+            .map(|i| {
+                let mut cands: Vec<u64> = Vec::new();
+                let want = 1 + next() % cap;
+                while (cands.len() as u64) < want {
+                    let n = next() % nodes;
+                    if !cands.contains(&n) {
+                        cands.push(n);
+                    }
+                }
+                req(i ^ mask, next() % size_mod, &cands)
+            })
+            .collect();
+        let waits: Vec<u64> = (0..nodes).map(|_| next() % wait_mod).collect();
+        out.clear();
+        assert_routes_like_reference(phi, &reqs, &waits, scratch, out);
+        reqs
+    }
+
     #[test]
     fn forced_chains_match_reference() {
-        // Seeded stress through one `Scratch` and one output buffer. The
-        // candidate cap is drawn from 1..=6, so a sixth of the cases are
-        // all-forced; sizes and waits are drawn modulo small numbers for
-        // ties and zero-size reads, ϕ from nothing to saturating.
+        // Seeded stress through one `Scratch` and one output buffer: many
+        // scans of 1–40 requests (one bitset word), then scans of 1–200
+        // whose lengths cycle so that consecutive scans cross 64 and 128
+        // requests in both directions, one word boundary or two at a time,
+        // on views that grow and shrink (1–12 nodes).
         let mut next = lcg(0x9E37_79B9_7F4A_7C15);
-        let cases = if cfg!(miri) { 200 } else { 20_000 };
         let (mut scratch, mut out) = (Scratch::default(), Vec::new());
-        for _ in 0..cases {
-            let nodes = 1 + next() % 12;
-            let cap = (1 + next() % 6).min(nodes);
-            let size_mod = [1, 2, 5, 1000][(next() % 4) as usize];
-            let wait_mod = [1, 3, 50, 5000][(next() % 4) as usize];
-            let phi = [0, 1, 5, 50, 500, 100_000, u64::MAX][(next() % 7) as usize];
-            // Distinct fragment ids whose order is not the request order.
-            let mask = next() % 64;
-            let reqs: Vec<FragmentRequest> = (0..1 + next() % 40)
-                .map(|i| {
-                    let mut cands: Vec<u64> = Vec::new();
-                    let want = 1 + next() % cap;
-                    while (cands.len() as u64) < want {
-                        let n = next() % nodes;
-                        if !cands.contains(&n) {
-                            cands.push(n);
-                        }
-                    }
-                    req(i ^ mask, next() % size_mod, &cands)
-                })
-                .collect();
-            let waits: Vec<u64> = (0..nodes).map(|_| next() % wait_mod).collect();
-            out.clear();
-            assert_routes_like_reference(phi, &reqs, &waits, &mut scratch, &mut out);
+        for _ in 0..if cfg!(miri) { 200 } else { 20_000 } {
+            stress_case(&mut next, (1, 40), &mut scratch, &mut out);
+        }
+        let (one, two, three) = ((1, 64), (65, 128), (129, 200));
+        let cycle = [one, three, one, two, three, two];
+        let cycles = if cfg!(miri) { 1 } else { 40 };
+        for &words in cycle.iter().cycle().take(cycle.len() * cycles) {
+            stress_case(&mut next, words, &mut scratch, &mut out);
         }
     }
 
@@ -911,14 +933,14 @@ mod tests {
             .map(|(i, &size)| req(5 - i as u64, size, &[1]))
             .collect();
         // A free request that ties with both chains' heads and is larger
-        // than either lands on node 0 while chain 0's head is pending: the
-        // head has to be re-keyed (up by the read, down by ϕ), or chain 1's
-        // larger head overtakes it.
+        // than either lands on node 0 while chain 0's head is pending: node
+        // 0's group has to be re-keyed (up by the read, down by ϕ), or
+        // chain 1's larger head overtakes it.
         let mut two_chains_and_a_free_request = vec![req(0, 500, &[0, 1])];
         two_chains_and_a_free_request.extend((1..4).map(|i| req(i, 10 * i, &[0])));
         two_chains_and_a_free_request.extend((4..7).map(|i| req(i, 10 * i, &[1])));
         two_chains_and_a_free_request.push(req(7, 3, &[2]));
-        // First touch by a read smaller than ϕ = 35: the successor's key
+        // First touch by a read smaller than ϕ = 35: node 0's group key
         // falls below node 1's head and below the two free requests.
         let mut first_touch_smaller = vec![req(0, 9, &[1, 2]), req(1, 4, &[0, 2])];
         first_touch_smaller.extend((2..6).map(|i| req(i, 2 + i, &[0])));
@@ -969,8 +991,8 @@ mod tests {
         // then a scan that fails validation, a scan that weighs those two
         // nodes against others on a view of the same length (a shorter one
         // would truncate the evidence), and scans on a shorter view and on
-        // the old one again, all with the same `Scratch`: a chain, a head
-        // or a ϕ-free bit left behind would show in one of them.
+        // the old one again, all with the same `Scratch`: a group bit, a
+        // head or an effective wait left behind would show in one of them.
         let forced_only: Vec<FragmentRequest> =
             (0..6).map(|i| req(i, 10 + i, &[4 + i % 2])).collect();
         let doomed = [req(0, 5, &[4]), req(1, 5, &[6])]; // node 6 unknown
@@ -998,31 +1020,101 @@ mod tests {
     }
 
     #[test]
-    fn forced_requests_cost_one_heap_slot_per_node() {
-        // The work bound as counts: R forced requests over K nodes enter
-        // the heap as K heads, no entry is ever re-keyed, and each
-        // placement hands its slot over once.
+    fn duplicate_fragment_ids_keep_the_request_order() {
+        // The API accepts repeated fragment ids; ties between them fall to
+        // the request index, the key's last component. Pinned from the
+        // router as it was before node groups: per scan, the fragments and
+        // the nodes in assignment order, then the final waits. In the first
+        // scan the reference, whose `swap_remove` reorders what is left,
+        // places the last two the other way round.
+        let routed = |phi: u64, reqs: &[FragmentRequest], waits: &[u64]| {
+            let mut q = QueueView::from_waits(waits.to_vec());
+            let out = MaxOfMins::new(phi).route(reqs, &mut q).unwrap();
+            [
+                out.iter().map(|a| a.fragment.0).collect::<Vec<_>>(),
+                out.iter().map(|a| a.node.0).collect(),
+                (0..waits.len() as u64).map(|n| q.wait(NodeId(n))).collect(),
+            ]
+        };
+        let tie = [req(7, 10, &[2]), req(7, 10, &[0]), req(7, 10, &[1])];
+        let [frags, nodes, waits] = routed(35, &tie, &[0, 0, 0]);
+        assert_eq!(
+            (frags, nodes, waits),
+            (vec![7; 3], vec![2, 0, 1], vec![10; 3])
+        );
+        let mut q = QueueView::new(3);
+        let naive = reference::max_of_mins(35, &tie, &mut q).unwrap();
+        let order: Vec<u64> = naive.iter().map(|a| a.node.0).collect();
+        assert_eq!(
+            order,
+            [2, 1, 0],
+            "the reference breaks this tie by position"
+        );
+
+        let mut forced = tie.to_vec();
+        forced.extend([
+            req(2, 10, &[1]),
+            req(7, 10, &[3]),
+            req(2, 10, &[0]),
+            req(7, 3, &[2]),
+            req(7, 10, &[0]),
+        ]);
+        let [frags, nodes, waits] = routed(35, &forced, &[0, 0, 0, 0]);
+        assert_eq!(frags, [2, 2, 7, 7, 7, 7, 7, 7]);
+        assert_eq!(nodes, [1, 0, 2, 3, 0, 0, 1, 2]);
+        assert_eq!(waits, [30, 20, 13, 10]);
+
+        let multi = [
+            req(4, 8, &[0, 1]),
+            req(4, 8, &[1, 2]),
+            req(4, 8, &[2, 3]),
+            req(1, 8, &[0, 3]),
+            req(4, 8, &[0, 2]),
+            req(4, 2, &[3]),
+            req(1, 8, &[1, 3]),
+            req(4, 8, &[1, 2]),
+        ];
+        let [frags, nodes, waits] = routed(20, &multi, &[0, 0, 0, 0]);
+        assert_eq!(frags, [1, 1, 4, 4, 4, 4, 4, 4]);
+        assert_eq!(nodes, [0, 1, 2, 3, 0, 1, 2, 1]);
+        assert_eq!(waits, [16, 24, 16, 2]);
+        let [frags, nodes, waits] = routed(20, &multi, &[0, 4, 4, 9]);
+        assert_eq!(frags, [4, 4, 4, 4, 1, 4, 1, 4]);
+        assert_eq!(nodes, [3, 1, 0, 1, 3, 3, 0, 0]);
+        assert_eq!(waits, [24, 20, 4, 27]);
+    }
+
+    #[test]
+    fn heap_holds_one_group_per_node_and_walks_each_list_once() {
+        // The work bound as counts. An all-forced scan of R requests over K
+        // nodes keeps at most K groups in the heap and never walks a lister
+        // or re-derives a minimum: its groups never change.
+        let distinct = |reqs: &[FragmentRequest]| {
+            let nodes = reqs.iter().flat_map(|r| r.candidates.iter().copied());
+            nodes.collect::<HashSet<_>>().len()
+        };
         let waits = [9, 0, 4, 2];
         let all_forced: Vec<FragmentRequest> =
             (0..60).map(|i| req(i, 1 + i % 7, &[i % 4])).collect();
         let mut scratch = Scratch::default();
         let mut out = Vec::new();
         assert_routes_like_reference(35, &all_forced, &waits, &mut scratch, &mut out);
-        let tally = scratch.heap_tally();
-        assert_eq!(tally.updates, 0);
-        assert_eq!(tally.hand_overs, all_forced.len());
+        let tally = scratch.tally();
         assert_eq!(tally.peak_len, waits.len());
+        assert!(tally.walked.is_empty());
+        assert_eq!(tally.rederived, 0);
 
-        // With M requests that have a choice the heap holds M + K entries.
-        let free: Vec<FragmentRequest> = (0..5)
-            .map(|i| req(60 + i, 3, &[i % 4, (i + 1) % 4]))
-            .collect();
-        let mixed = [all_forced, free.clone()].concat();
-        out.clear();
-        assert_routes_like_reference(35, &mixed, &waits, &mut scratch, &mut out);
-        let tally = scratch.heap_tally();
-        assert_eq!(tally.hand_overs, mixed.len());
-        assert_eq!(tally.peak_len, free.len() + waits.len());
+        // With requests that have a choice the heap still holds at most one
+        // group per node the scan names, and a node's listers are walked at
+        // most once: only its first read, smaller than ϕ, lowers its wait.
+        let mut next = lcg(7);
+        for _ in 0..if cfg!(miri) { 4 } else { 200 } {
+            let reqs = stress_case(&mut next, (1, 150), &mut scratch, &mut out);
+            let tally = scratch.tally();
+            assert!(tally.peak_len <= distinct(&reqs));
+            let walked: HashSet<usize> = tally.walked.iter().copied().collect();
+            assert_eq!(walked.len(), tally.walked.len(), "a list walked twice");
+        }
     }
 
     #[test]

@@ -26,9 +26,9 @@ struct Problem {
 
 /// One request's size and candidate set over `nodes` nodes. Three in four
 /// name a single node and sizes come from a pool of four (zero included), so
-/// chains of tied single-candidate requests — what `MaxOfMins` keeps out of
-/// its heap and its inverted index — are the common case, not a rarity the
-/// default 64 cases never draw.
+/// tied single-candidate requests — permanent members of their node's group
+/// in `MaxOfMins`, ordered by rank alone — are the common case, not a rarity
+/// the default 64 cases never draw.
 fn arb_request(nodes: usize) -> impl Strategy<Value = (u64, HashSet<u64>)> {
     (0usize..4, 0usize..4, 1..=nodes).prop_flat_map(move |(size, narrow, wide)| {
         let len = if narrow < 3 { 1 } else { wide };
@@ -43,9 +43,13 @@ fn arb_waits(nodes: usize) -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(wait, nodes..=nodes)
 }
 
+/// One scan over 2–7 nodes. About one case in eight routes 60–200
+/// requests, so a group's rank bitset in `MaxOfMins` spans one to four
+/// words; the rest route 1–19.
 fn arb_problem() -> impl Strategy<Value = Problem> {
-    (2usize..8).prop_flat_map(|nodes| {
-        let reqs = proptest::collection::vec(arb_request(nodes), 1..20);
+    (2usize..8, 0usize..8).prop_flat_map(|(nodes, arm)| {
+        let len = if arm == 0 { 60..=200 } else { 1..=19 };
+        let reqs = proptest::collection::vec(arb_request(nodes), len);
         (reqs, arb_waits(nodes)).prop_map(|(reqs, waits)| Problem {
             requests: reqs
                 .into_iter()
