@@ -7,7 +7,7 @@
 //!   that covers the most remaining fragments (the greedy set-cover of
 //!   SWORD), ignoring queue lengths entirely.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use nashdb_core::ids::NodeId;
 use nashdb_core::routing::{
@@ -66,7 +66,7 @@ impl ScanRouter for GreedySetCover {
         let mut remaining: Vec<&FragmentRequest> = requests.iter().collect();
         while !remaining.is_empty() {
             // Count coverage per candidate node.
-            let mut nodes: HashSet<NodeId> = HashSet::new();
+            let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
             for r in &remaining {
                 nodes.extend(r.candidates.iter().copied());
             }

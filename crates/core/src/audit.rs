@@ -24,7 +24,7 @@
 //! is audit-armed and a release build evaluates none of them. Tests and
 //! fuzzers call them directly.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::fragment::{unrecorded_optimal, ChunkPrefix, Fragmentation};
 use crate::ids::{FragmentId, NodeId};
@@ -318,12 +318,12 @@ pub fn audit_packing(
     decisions: &[ReplicationDecision],
     disk: u64,
 ) -> Result<(), AuditError> {
-    let by_id: HashMap<FragmentId, &ReplicationDecision> =
+    let by_id: BTreeMap<FragmentId, &ReplicationDecision> =
         decisions.iter().map(|d| (d.id, d)).collect();
-    let mut placed: HashMap<FragmentId, u64> = HashMap::new();
+    let mut placed: BTreeMap<FragmentId, u64> = BTreeMap::new();
     for (i, frags) in nodes.iter().enumerate() {
         let node = NodeId(i as u64);
-        let mut seen: HashSet<FragmentId> = HashSet::new();
+        let mut seen: BTreeSet<FragmentId> = BTreeSet::new();
         let mut used: u64 = 0;
         for &fid in frags {
             let Some(d) = by_id.get(&fid) else {

@@ -12,7 +12,7 @@
 //! Monetary amounts are `f64` in the paper's reporting unit of **1/100 of a
 //! cent**; time is abstract ("per unit time" — the reconfiguration period).
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use crate::ids::{FragmentId, NodeId};
 
@@ -202,7 +202,7 @@ pub fn check_equilibrium(config: &EconomicConfig) -> Result<(), EquilibriumViola
     // declared replica counts, and no node may hold a fragment twice.
     let mut counted = vec![0u64; config.fragments.len()];
     for (node, frags) in &config.assignment {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for &fid in frags {
             if !seen.insert(fid) {
                 return Err(EquilibriumViolation::Malformed(format!(
@@ -229,7 +229,7 @@ pub fn check_equilibrium(config: &EconomicConfig) -> Result<(), EquilibriumViola
     }
 
     for (node, frags) in &config.assignment {
-        let held: HashSet<FragmentId> = frags.iter().copied().collect();
+        let held: BTreeSet<FragmentId> = frags.iter().copied().collect();
 
         // Condition 1: dropping any held replica must not increase profit,
         // i.e. every held replica's profit must be >= 0.

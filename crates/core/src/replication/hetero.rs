@@ -431,7 +431,7 @@ mod tests {
                 .map(|f| st.iter().find(|s| s.id == *f).unwrap().range.size())
                 .sum();
             assert!(used <= classes[n.class].spec.disk);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             assert!(n.fragments.iter().all(|f| seen.insert(*f)));
         }
         // Per-class node caps respected.

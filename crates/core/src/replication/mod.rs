@@ -356,7 +356,7 @@ mod tests {
         );
         let nodes = pack_bffd(&decisions, 1_000).unwrap();
         for frags in &nodes {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             let mut used = 0;
             for f in frags {
                 assert!(seen.insert(*f), "duplicate replica on a node");

@@ -37,7 +37,7 @@ pub mod reference;
 
 pub use max_of_mins::{MaxOfMins, Scratch};
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use nashdb_obs::Metric;
 
@@ -307,7 +307,7 @@ pub fn span(assignments: &[Assignment]) -> usize {
     assignments
         .iter()
         .map(|a| a.node)
-        .collect::<HashSet<_>>()
+        .collect::<BTreeSet<_>>()
         .len()
 }
 
@@ -315,7 +315,7 @@ pub fn span(assignments: &[Assignment]) -> usize {
 fn record_scan_metrics(assignments: &[Assignment]) {
     nashdb_obs::counter_add(Metric::RoutingScansRouted, 1);
     nashdb_obs::counter_add(Metric::RoutingRequests, assignments.len() as u64);
-    // The span is a hash-set pass; skip computing it with no session live.
+    // The span is a set pass; skip computing it with no session live.
     if nashdb_obs::is_active() {
         nashdb_obs::record(Metric::RoutingQuerySpan, span(assignments) as u64);
     }
@@ -371,7 +371,7 @@ impl ScanRouter for PowerOfTwoChoices {
     ) -> Result<(), RouteError> {
         validate_requests(requests, queues)?;
         let first = out.len();
-        let mut chosen: HashSet<NodeId> = HashSet::new();
+        let mut chosen: BTreeSet<NodeId> = BTreeSet::new();
         for req in requests {
             let pair: [NodeId; 2] = if req.candidates.len() <= 2 {
                 [req.candidates[0], req.candidates[req.candidates.len() - 1]]
@@ -1091,7 +1091,7 @@ mod tests {
         // or re-derives a minimum: its groups never change.
         let distinct = |reqs: &[FragmentRequest]| {
             let nodes = reqs.iter().flat_map(|r| r.candidates.iter().copied());
-            nodes.collect::<HashSet<_>>().len()
+            nodes.collect::<BTreeSet<_>>().len()
         };
         let waits = [9, 0, 4, 2];
         let all_forced: Vec<FragmentRequest> =
@@ -1112,7 +1112,7 @@ mod tests {
             let reqs = stress_case(&mut next, (1, 150), &mut scratch, &mut out);
             let tally = scratch.tally();
             assert!(tally.peak_len <= distinct(&reqs));
-            let walked: HashSet<usize> = tally.walked.iter().copied().collect();
+            let walked: BTreeSet<usize> = tally.walked.iter().copied().collect();
             assert_eq!(walked.len(), tally.walked.len(), "a list walked twice");
         }
     }

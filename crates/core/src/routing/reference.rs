@@ -4,7 +4,7 @@
 
 use super::{validate_requests, Assignment, FragmentRequest, QueueView, RouteError};
 use crate::ids::NodeId;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// The textbook Eq. 11 loop: every outer iteration re-derives every
 /// pending request's best choice from scratch and places the worst
@@ -18,7 +18,7 @@ pub fn max_of_mins(
 ) -> Result<Vec<Assignment>, RouteError> {
     validate_requests(requests, queues)?;
     let mut remaining: Vec<&FragmentRequest> = requests.iter().collect();
-    let mut chosen: HashSet<NodeId> = HashSet::new();
+    let mut chosen: BTreeSet<NodeId> = BTreeSet::new();
     let mut out = Vec::with_capacity(requests.len());
 
     while !remaining.is_empty() {

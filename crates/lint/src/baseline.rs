@@ -406,7 +406,7 @@ mod tests {
     fn empty_baseline_flags_everything() {
         let b = Baseline::default();
         assert!(b.is_empty());
-        let out = b.check(&[finding("map-iter-order", "x.rs", 1)]);
+        let out = b.check(&[finding("panic-in-lib", "x.rs", 1)]);
         assert_eq!(out.over.len(), 1);
     }
 

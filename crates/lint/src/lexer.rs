@@ -3,7 +3,7 @@
 //! The rule engine needs far less than a real parser: identifiers,
 //! punctuation, and string literals, each tagged with a line number, with
 //! comments and string *contents* reliably kept out of the token stream
-//! (so a `HashMap` mentioned in a doc comment never trips a rule).
+//! (so a `panic!` mentioned in a doc comment never trips a rule).
 //! Comments are captured separately because the escape directives the
 //! linter honors (the `allow(...)` forms) live in them.
 //!
@@ -16,7 +16,7 @@
 /// What a token is. The scanner keeps only the classes rules consume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
-    /// Identifier or keyword (`for`, `HashMap`, `assert_eq`).
+    /// Identifier or keyword (`for`, `Vec`, `assert_eq`).
     Ident,
     /// String literal; `text` holds the *contents* (no quotes, escapes raw).
     Str,

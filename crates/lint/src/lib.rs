@@ -2,13 +2,13 @@
 //!
 //! A workspace-aware determinism & safety linter for the NashDB
 //! reproduction: a lightweight Rust token scanner ([`lexer`]) and per-file
-//! pattern rules over it ([`rules`]) — hash-iteration order, unchecked
-//! integer accumulation in loops, panics in library code. Metric and span
-//! names need no rule: `nashdb-obs` takes them as closed enums. It is one
-//! half of the gate; what
-//! needs type resolution (wall-clock reads, raw threads, hash iteration
-//! through a getter, dropped `Result`s) is held by the clippy entries in
-//! the root `clippy.toml` and `[workspace.lints.clippy]`.
+//! pattern rules over it ([`rules`]) — unchecked integer accumulation in
+//! loops, panics in library code. Metric and span names need no rule:
+//! `nashdb-obs` takes them as closed enums, and hash order needs none
+//! because clippy bans the hash containers. It is one half of the gate;
+//! what needs type resolution (wall-clock reads, raw threads, hash
+//! containers, dropped `Result`s) is held by the clippy entries in the root
+//! `clippy.toml` and `[workspace.lints.clippy]`.
 //!
 //! Run it as CI does:
 //!
@@ -21,7 +21,7 @@
 //! mandatory justification:
 //!
 //! ```text
-//! // nashdb-lint: allow(map-iter-order) -- validation-only pass; asserts are order-independent
+//! // nashdb-lint: allow(unchecked-arith-expr) -- exactly four hex digits: at most 0xFFFF
 //! ```
 
 pub mod baseline;
@@ -90,14 +90,14 @@ mod tests {
     #[test]
     fn lint_source_runs_end_to_end() {
         let src = "\
-use std::collections::HashMap;
-fn f(m: &HashMap<u32, u32>) -> Vec<u32> {
-    m.values().copied().collect()
+pub fn f(x: u32) -> u32 {
+    assert!(x > 0);
+    x
 }
 ";
         let findings = lint_source("crates/core/src/demo.rs", src);
         assert_eq!(findings.len(), 1, "got: {findings:?}");
-        assert_eq!(findings[0].rule, "map-iter-order");
-        assert_eq!(findings[0].line, 3);
+        assert_eq!(findings[0].rule, "panic-in-lib");
+        assert_eq!(findings[0].line, 2);
     }
 }

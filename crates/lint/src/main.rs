@@ -16,12 +16,12 @@ use nashdb_lint::{lint_workspace, Baseline, RULE_IDS};
 const HELP: &str = "\
 nashdb-lint — workspace determinism & safety linter
 
-Per-file token rules: `map-iter-order` (hash-order iteration reaching an
-output), `unchecked-arith-expr` (data-dependent integer accumulation in
-loops) and `panic-in-lib`.
-Wall-clock reads, raw threads, hash iteration through a getter and dropped
-`Result`s are clippy's half of the gate (`disallowed-methods` in the root
-clippy.toml, `let_underscore_must_use`): run `cargo clippy` beside this.
+Per-file token rules: `unchecked-arith-expr` (data-dependent integer
+accumulation in loops) and `panic-in-lib`.
+Wall-clock reads, raw threads, hash containers and dropped `Result`s are
+clippy's half of the gate (`disallowed-methods` and `disallowed-types` in
+the root clippy.toml, `let_underscore_must_use`): run `cargo clippy` beside
+this.
 
 USAGE:
   nashdb-lint --workspace [OPTIONS]

@@ -4,7 +4,6 @@
 //!
 //! | rule id                | catches                                          |
 //! |------------------------|--------------------------------------------------|
-//! | `map-iter-order`       | hash-order nondeterminism leaking into outputs   |
 //! | `unchecked-arith-expr` | data-dependent integer accumulation in loops     |
 //! | `panic-in-lib`         | `panic!`/`assert!` in non-test library paths     |
 //!
@@ -12,9 +11,10 @@
 //! by design. False positives are handled by the escape contract
 //! (`// nashdb-lint: allow(rule-id) -- why`), never by weakening a rule.
 //! What needs type resolution (wall-clock reads, raw threads, hash
-//! iteration through a getter, dropped `Result`s) is clippy's half of the
-//! gate: `disallowed-methods`/`disallowed-types` in the root `clippy.toml`
-//! and `let_underscore_must_use` in `[workspace.lints.clippy]`.
+//! containers, dropped `Result`s) is clippy's half of the gate:
+//! `disallowed-methods`/`disallowed-types` in the root `clippy.toml` and
+//! `let_underscore_must_use` in `[workspace.lints.clippy]`. Hash order
+//! cannot reach an output because no hash container is ever built.
 
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
@@ -22,7 +22,6 @@ use crate::source::SourceFile;
 /// Every rule id the engine can emit, including the meta-rule for escapes
 /// lacking a justification.
 pub const RULE_IDS: &[&str] = &[
-    "map-iter-order",
     "unchecked-arith-expr",
     "panic-in-lib",
     "escape-needs-justification",
@@ -55,7 +54,6 @@ impl std::fmt::Display for Finding {
 /// and returns the surviving findings in line order.
 pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
-    map_iter_order(file, &mut findings);
     unchecked_arith_expr(file, &mut findings);
     panic_in_lib(file, &mut findings);
 
@@ -96,7 +94,7 @@ fn in_test(file: &SourceFile, line: usize) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Collects names whose declared type mentions one of `type_names`:
-/// `name: HashMap<…>`, `name: u64`, struct fields, fn params — anything of
+/// `name: u64`, `name: Vec<u64>`, struct fields, fn params — anything of
 /// the shape `name` `:` …type tokens… terminated by `=`, `,`, `;`, `)`,
 /// `{`, or `>` at nesting level 0 — plus `name = TypeName::…` initializers
 /// and (for numeric types) `name = 0u64`-style suffixed literals.
@@ -135,7 +133,7 @@ fn typed_names(toks: &[Token], type_names: &[&str], suffixes: &[&str]) -> Vec<St
                 out.push(name.clone());
             }
         }
-        // `let [mut] name = HashMap::new()` / `let mut acc = 0u64`.
+        // `let [mut] name = u64::MAX` / `let mut acc = 0u64`.
         if toks[i].kind == TokenKind::Ident && i + 1 < toks.len() && toks[i + 1].is_punct("=") {
             let name = &toks[i].text;
             if let Some(t) = toks.get(i + 2) {
@@ -175,138 +173,6 @@ fn statement_mentions(toks: &[Token], start: usize, sinks: &[&str]) -> bool {
         }
     }
     false
-}
-
-// ---------------------------------------------------------------------------
-// Rule: map-iter-order
-// ---------------------------------------------------------------------------
-
-/// Iteration methods whose order is the hash map's internal order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-];
-
-/// Order-insensitive (or re-ordering) sinks that sanction an iteration:
-/// sorting, collecting into an ordered container, or a commutative
-/// reduction. (Floating-point `sum` is order-sensitive in the last bits;
-/// value-critical float folds should iterate sorted inputs regardless —
-/// the escape contract is the pressure valve, not a weaker rule.)
-const SANCTIONED_SINKS: &[&str] = &[
-    "sort",
-    "sort_by",
-    "sort_by_key",
-    "sort_unstable",
-    "sort_unstable_by",
-    "sort_unstable_by_key",
-    "BTreeMap",
-    "BTreeSet",
-    "BinaryHeap",
-    "sum",
-    "count",
-    "len",
-    "min",
-    "max",
-    "min_by_key",
-    "max_by_key",
-    "all",
-    "any",
-    "is_empty",
-    "contains",
-    "contains_key",
-];
-
-/// PR 3's `economic_config()` bug class: `HashMap`/`HashSet` iteration
-/// order leaking into deterministic outputs. Flags `.iter()`-family calls
-/// and `for … in` loops over hash-typed bindings unless the statement
-/// immediately re-orders or order-insensitively reduces the result.
-fn map_iter_order(file: &SourceFile, findings: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    let hash_named = typed_names(toks, &["HashMap", "HashSet"], &[]);
-    let is_hash = |name: &str| hash_named.iter().any(|n| n == name);
-
-    let mut i = 0;
-    while i < toks.len() {
-        let line = toks[i].line;
-        if in_test(file, line) {
-            i += 1;
-            continue;
-        }
-        // `name.iter()` / `self.name.keys()` — receiver is the ident right
-        // before the dot (possibly behind `self.`).
-        if toks[i].is_punct(".")
-            && i + 1 < toks.len()
-            && toks[i + 1].kind == TokenKind::Ident
-            && ITER_METHODS.contains(&toks[i + 1].text.as_str())
-            && toks.get(i + 2).is_some_and(|t| t.is_punct("("))
-        {
-            if let Some(recv) = toks[..i].last() {
-                if recv.kind == TokenKind::Ident && recv.text != "self" && is_hash(&recv.text) {
-                    // Start at the call's `(` so the paren depth carries the
-                    // scan past it to the rest of the statement.
-                    if !statement_mentions(toks, i + 2, SANCTIONED_SINKS) {
-                        findings.push(Finding {
-                            rule: "map-iter-order",
-                            file: file.path.clone(),
-                            line,
-                            message: format!(
-                                "iteration over hash-ordered `{}` via `.{}()`; sort the result, reduce \
-                                 order-insensitively, use a BTree container, or escape with a justification",
-                                recv.text, toks[i + 1].text
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        // `for pat in [&[mut]] [self.]name {` over a hash-typed binding.
-        if toks[i].is_ident("for") {
-            if let Some(in_idx) = toks[i..]
-                .iter()
-                .take(24)
-                .position(|t| t.is_ident("in"))
-                .map(|off| i + off)
-            {
-                let mut j = in_idx + 1;
-                while toks
-                    .get(j)
-                    .is_some_and(|t| t.is_punct("&") || t.is_ident("mut"))
-                {
-                    j += 1;
-                }
-                if toks.get(j).is_some_and(|t| t.is_ident("self"))
-                    && toks.get(j + 1).is_some_and(|t| t.is_punct("."))
-                {
-                    j += 2;
-                }
-                if let (Some(name_tok), Some(open)) = (toks.get(j), toks.get(j + 1)) {
-                    if name_tok.kind == TokenKind::Ident
-                        && open.is_punct("{")
-                        && is_hash(&name_tok.text)
-                    {
-                        findings.push(Finding {
-                            rule: "map-iter-order",
-                            file: file.path.clone(),
-                            line: name_tok.line,
-                            message: format!(
-                                "`for` loop over hash-ordered `{}`; iterate a sorted copy or escape \
-                                 with a justification if the body is order-independent",
-                                name_tok.text
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -233,8 +233,8 @@ mod tests {
     #[test]
     fn escapes_parse_and_require_justification() {
         let src = "\
-let a = 1; // nashdb-lint: allow(map-iter-order) -- validation-only pass
-// nashdb-lint: allow(unchecked-arith-expr)
+let a = 1; // nashdb-lint: allow(unchecked-arith-expr) -- validation-only pass
+// nashdb-lint: allow(panic-in-lib)
 // nashdb-lint: allow-file(panic-in-lib) -- audits exist to panic
 ";
         let f = SourceFile::new("crates/core/src/x.rs", src);
@@ -242,10 +242,10 @@ let a = 1; // nashdb-lint: allow(map-iter-order) -- validation-only pass
         assert!(f.escapes[0].justified && !f.escapes[0].file_wide);
         assert!(!f.escapes[1].justified);
         assert!(f.escapes[2].file_wide && f.escapes[2].justified);
-        assert!(f.is_escaped("map-iter-order", 1));
-        assert!(f.is_escaped("unchecked-arith-expr", 3)); // line below
+        assert!(f.is_escaped("unchecked-arith-expr", 1));
+        assert!(f.is_escaped("unchecked-arith-expr", 2)); // line below
         assert!(f.is_escaped("panic-in-lib", 999)); // file-wide
-        assert!(!f.is_escaped("map-iter-order", 3));
+        assert!(!f.is_escaped("unchecked-arith-expr", 3));
     }
 
     #[test]

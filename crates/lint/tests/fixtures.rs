@@ -5,10 +5,9 @@
 //! exactly that set of `(line, rule)` pairs. Negative fixtures carry no
 //! markers and must produce no findings. On top of the corpus there are
 //! applicability tests (crate scoping, binary targets, the `num` module
-//! exemption), the escape-justification meta-rule, the PR 3 regression
-//! gate, a self-check that lints the real workspace against the committed
-//! baseline, and a check that the clippy half of the gate is still
-//! configured.
+//! exemption), the escape-justification meta-rule, a self-check that lints
+//! the real workspace against the committed baseline, and a check that the
+//! clippy half of the gate is still configured.
 
 // Test-only helper functions; `allow-expect-in-tests` covers `#[test]`
 // bodies but not the helpers they call.
@@ -63,25 +62,11 @@ macro_rules! fixture_test {
     };
 }
 
-fixture_test!(map_iter_positive);
-fixture_test!(map_iter_negative);
 fixture_test!(unchecked_arith_positive);
 fixture_test!(unchecked_arith_negative);
 fixture_test!(panic_positive);
 fixture_test!(panic_negative);
 fixture_test!(panic_allow_file);
-
-/// A hash-iterating helper is flagged where it lives, whatever the crate,
-/// so no caller in `core` can inherit its order unseen.
-#[test]
-fn map_iter_applies_to_every_crate() {
-    let src = include_str!("fixtures/map_iter_positive.rs");
-    let want = expected(src);
-    for krate in ["baselines", "workload", "obs"] {
-        let got = reported(&lint_source(&format!("crates/{krate}/src/demo.rs"), src));
-        assert_eq!(got, want, "crate {krate}");
-    }
-}
 
 #[test]
 fn binaries_may_panic() {
@@ -131,39 +116,6 @@ fn committed_baseline() -> Baseline {
     Baseline::from_json_str(&raw).expect("committed baseline parses")
 }
 
-/// PR 3 regression gate: the `economic_config()` bug — iterating a
-/// `HashMap` of per-table weights straight into an output vector — must be
-/// reported in `crates/core/src/replication/mod.rs`, and the committed
-/// baseline must hold **zero** `map-iter-order` allowance for that file, so
-/// reintroducing the bug fails CI rather than being absorbed as debt.
-#[test]
-fn reintroduced_economic_config_bug_fails_the_gate() {
-    let src = "\
-use std::collections::HashMap;
-
-pub fn economic_config(weights: &HashMap<String, f64>) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for (table, w) in weights {
-        out.push((table.clone(), *w));
-    }
-    out
-}
-";
-    let findings = lint_source("crates/core/src/replication/mod.rs", src);
-    let map_iter: Vec<&Finding> = findings
-        .iter()
-        .filter(|f| f.rule == "map-iter-order")
-        .collect();
-    assert_eq!(map_iter.len(), 1, "the hash-ordered loop must be reported");
-    assert_eq!(map_iter[0].line, 5);
-
-    let outcome = committed_baseline().check(&findings.clone());
-    assert!(
-        outcome.over.iter().any(|f| f.rule == "map-iter-order"),
-        "baseline must hold no map-iter-order allowance for replication/mod.rs"
-    );
-}
-
 /// Self-check: the real workspace lints clean modulo the committed
 /// baseline, and the baseline carries no stale (over-generous) groups.
 #[test]
@@ -201,38 +153,30 @@ fn clippy_half_of_the_gate_is_configured() {
         .split_once("disallowed-types")
         .expect("clippy.toml lists disallowed-methods, then disallowed-types");
     assert!(methods.contains("disallowed-methods"));
-    let hash_methods = [
-        "iter",
-        "iter_mut",
-        "keys",
-        "values",
-        "values_mut",
-        "into_keys",
-        "into_values",
-        "drain",
-    ]
-    .map(|m| format!("std::collections::HashMap::{m}"));
     let wanted = [
         "std::time::Instant::now",
         "std::time::SystemTime::now",
         "std::thread::spawn",
         "std::thread::scope",
         "std::thread::Builder::spawn",
-        "std::collections::HashSet::iter",
-        "std::collections::HashSet::drain",
-    ]
-    .into_iter()
-    .chain(hash_methods.iter().map(String::as_str));
+    ];
     for path in wanted {
         assert!(
             methods.contains(&format!("path = \"{path}\"")),
             "clippy.toml disallowed-methods lost `{path}`"
         );
     }
-    assert!(
-        types.contains("path = \"std::collections::hash_map::RandomState\""),
-        "clippy.toml disallowed-types lost `RandomState`"
-    );
+    let banned = [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::collections::hash_map::RandomState",
+    ];
+    for path in banned {
+        assert!(
+            types.contains(&format!("path = \"{path}\"")),
+            "clippy.toml disallowed-types lost `{path}`"
+        );
+    }
     assert!(
         read("Cargo.toml").contains("\nlet_underscore_must_use = \"warn\""),
         "[workspace.lints.clippy] lost `let_underscore_must_use`"

@@ -581,7 +581,7 @@ mod tests {
     use nashdb_core::fragment::FragmentRange;
     use nashdb_core::ids::TableId;
     use nashdb_core::replication::economic_config;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn db() -> Database {
         Database::new([("fact", 1_000_000), ("dim", 10_000)])
@@ -631,10 +631,10 @@ mod tests {
     }
 
     /// `place` as it was before it moved to dense fragment indices: every
-    /// step keyed by [`PlacementKey`] through `HashMap`s. Kept verbatim (but
-    /// for the `fired` tallies and the obs metrics, which it does not emit)
-    /// as the oracle `place_matches_map_keyed_twin` drives beside the real
-    /// one.
+    /// step keyed by [`PlacementKey`] through maps, only ever looked up.
+    /// Kept verbatim (but for the `fired` tallies and the obs metrics, which
+    /// it does not emit) as the oracle `place_matches_map_keyed_twin` drives
+    /// beside the real one.
     struct MapKeyedPlacer {
         disk: u64,
         placement: Vec<Vec<PlacementKey>>,
@@ -649,8 +649,8 @@ mod tests {
         ) -> Vec<Vec<usize>> {
             let disk = self.disk;
             let key_of = |i: usize| (globals[i].table, globals[i].range);
-            let mut desired: HashMap<PlacementKey, u64> = HashMap::new();
-            let mut index: HashMap<PlacementKey, usize> = HashMap::new();
+            let mut desired: BTreeMap<PlacementKey, u64> = BTreeMap::new();
+            let mut index: BTreeMap<PlacementKey, usize> = BTreeMap::new();
             for (i, d) in decisions.iter().enumerate() {
                 desired.insert(key_of(i), d.replicas);
                 index.insert(key_of(i), i);
@@ -677,7 +677,7 @@ mod tests {
             }
 
             // 2. Current counts.
-            let mut current: HashMap<PlacementKey, u64> = HashMap::new();
+            let mut current: BTreeMap<PlacementKey, u64> = BTreeMap::new();
             for node in &self.placement {
                 for k in node {
                     *current.entry(*k).or_default() += 1;

@@ -1,8 +1,6 @@
 //! The experiment driver: plays a workload against a simulated cluster,
 //! with any distribution system and any scan router.
 
-use std::collections::HashMap;
-
 use nashdb_cluster::{ClusterConfig, ClusterSim, DriverEvent, Metrics, QueryRequest};
 use nashdb_core::ids::{NodeId, QueryId};
 use nashdb_core::routing::{run_of, Assignment, QueueView, ScanRouter, Scratch};
@@ -211,8 +209,11 @@ pub fn run_workload_with_faults(
     let _pipeline = nashdb_obs::span(Span::Pipeline);
     let faults_active = !faults.is_empty();
     let mut sim = ClusterSim::new(cfg.cluster);
-    for tq in &workload.queries {
-        sim.schedule_query(tq.at, tq.query.clone());
+    for (i, tq) in workload.queries.iter().enumerate() {
+        let id = sim.schedule_query(tq.at, tq.query.clone());
+        // Ids are dense in scheduling order, so a failed query is re-routed
+        // from `workload.queries[id]`.
+        debug_assert_eq!(usize::try_from(id.get()), Ok(i), "query ids are dense");
     }
     sim.schedule_faults(faults);
     // Reconfiguration timers through the last arrival.
@@ -244,9 +245,6 @@ pub fn run_workload_with_faults(
         (scheme, intervals)
     };
 
-    // Queries still in flight, kept only under faults so a failed query can
-    // be re-routed from its original request.
-    let mut inflight: HashMap<QueryId, QueryRequest> = HashMap::new();
     let mut serving = Serving::default();
     let mut batch: Vec<(QueryId, QueryRequest)> = Vec::new();
     loop {
@@ -265,7 +263,7 @@ pub fn run_workload_with_faults(
                 }
                 let queries = batch.iter().map(|(_, q)| q);
                 serving.plan(&scheme, queries, router, &sim, faults_active);
-                for (qi, (qid, q)) in batch.drain(..).enumerate() {
+                for (qi, (qid, _)) in batch.drain(..).enumerate() {
                     let Some(reads) = serving.reads(qi) else {
                         sim.abandon_query(qid);
                         continue;
@@ -276,8 +274,6 @@ pub fn run_workload_with_faults(
                         // and abandon the query instead of crashing the run.
                         nashdb_obs::counter_add(Metric::ClusterDispatchRejected, 1);
                         sim.abandon_query(qid);
-                    } else if faults_active {
-                        inflight.insert(qid, q);
                     }
                 }
             }
@@ -288,21 +284,25 @@ pub fn run_workload_with_faults(
                 // and dispatch nothing can invalidate the plan, but if state
                 // ever drifts the run degrades to an abandoned query instead
                 // of a panic.
-                let dispatched = match inflight.get(&id) {
-                    Some(q) if attempts < MAX_ATTEMPTS => {
-                        serving.plan(&scheme, std::iter::once(q), router, &sim, true);
+                let request = usize::try_from(id.get())
+                    .ok()
+                    .and_then(|i| workload.queries.get(i));
+                let dispatched = match request {
+                    Some(tq) if attempts < MAX_ATTEMPTS => {
+                        serving.plan(&scheme, std::iter::once(&tq.query), router, &sim, true);
                         matches!(serving.reads(0), Some(reads) if sim.dispatch(id, reads).is_ok())
                     }
                     _ => false,
                 };
                 if !dispatched {
                     sim.abandon_query(id);
-                    inflight.remove(&id);
                 }
             }
-            DriverEvent::NodeFailed { .. } | DriverEvent::NodeRestored { .. } => {
+            DriverEvent::NodeFailed { .. }
+            | DriverEvent::NodeRestored { .. }
+            | DriverEvent::QueryCompleted { .. } => {
                 // Liveness is re-read from the sim at every routing decision,
-                // so these are informational.
+                // and the sim records completions, so these are informational.
             }
             DriverEvent::Wakeup { .. } => {
                 let _reconfigure = nashdb_obs::span(Span::Reconfigure);
@@ -323,9 +323,6 @@ pub fn run_workload_with_faults(
                     scheme = new_scheme;
                     intervals = new_intervals;
                 }
-            }
-            DriverEvent::QueryCompleted { id, .. } => {
-                inflight.remove(&id);
             }
             DriverEvent::Finished => break,
         }

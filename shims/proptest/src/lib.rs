@@ -5,7 +5,7 @@
 //! vendors a minimal property-testing harness with the same surface syntax:
 //! the [`proptest!`] macro, [`prop_assert!`] / [`prop_assert_eq!`], the
 //! [`strategy::Strategy`] trait with `prop_map` / `prop_flat_map`, range and
-//! tuple strategies, and [`collection::vec`] / [`collection::hash_set`].
+//! tuple strategies, and [`collection::vec`].
 //!
 //! Differences from real proptest, deliberately accepted:
 //! - **No shrinking.** A failing case reports the generated input; it is not
@@ -207,8 +207,6 @@ pub mod collection {
     use super::strategy::Strategy;
     use rand::rngs::StdRng;
     use rand::Rng;
-    use std::collections::HashSet;
-    use std::hash::Hash;
 
     /// A length specification: anything a `usize` can be drawn from.
     pub trait SizeRange {
@@ -253,48 +251,6 @@ pub mod collection {
         fn sample(&self, rng: &mut StdRng) -> Self::Value {
             let n = self.len.sample_len(rng);
             (0..n).map(|_| self.element.sample(rng)).collect()
-        }
-    }
-
-    /// Strategy for `HashSet<T>`; see [`hash_set`].
-    #[derive(Debug, Clone)]
-    pub struct HashSetStrategy<S, L> {
-        element: S,
-        len: L,
-    }
-
-    /// Generates a `HashSet` with a target size drawn from `len`.
-    ///
-    /// If the element domain is too small to reach the target size, the set
-    /// is returned at whatever size bounded resampling achieved (matching
-    /// real proptest's local-rejection behavior loosely, without its global
-    /// rejection accounting).
-    pub fn hash_set<S, L>(element: S, len: L) -> HashSetStrategy<S, L>
-    where
-        S: Strategy,
-        S::Value: Hash + Eq,
-        L: SizeRange,
-    {
-        HashSetStrategy { element, len }
-    }
-
-    impl<S, L> Strategy for HashSetStrategy<S, L>
-    where
-        S: Strategy,
-        S::Value: Hash + Eq,
-        L: SizeRange,
-    {
-        type Value = HashSet<S::Value>;
-
-        fn sample(&self, rng: &mut StdRng) -> Self::Value {
-            let target = self.len.sample_len(rng);
-            let mut out = HashSet::with_capacity(target);
-            let mut attempts = 0usize;
-            while out.len() < target && attempts < 100 * (target + 1) {
-                out.insert(self.element.sample(rng));
-                attempts += 1;
-            }
-            out
         }
     }
 }
@@ -520,15 +476,6 @@ mod tests {
             let v = strat.sample(&mut rng);
             assert!((3..7).contains(&v.len()));
             assert!(v.iter().all(|&x| x < 10));
-        }
-    }
-
-    #[test]
-    fn hash_set_strategy_hits_target_when_possible() {
-        let strat = crate::collection::hash_set(0u64..100, 5..=5usize);
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..50 {
-            assert_eq!(strat.sample(&mut rng).len(), 5);
         }
     }
 

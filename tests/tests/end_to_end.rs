@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full NashDB pipeline against the
 //! simulated cluster, on every workload family.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use nashdb::{
     run_workload, run_workload_with_faults, DistScheme, Distributor, MaxOfMins, NashDbConfig,
@@ -292,7 +292,7 @@ fn naive_run(
         provisioned.is_ok(),
         "initial plan rejected: {provisioned:?}"
     );
-    let mut inflight: HashMap<QueryId, QueryRequest> = HashMap::new();
+    let mut inflight: BTreeMap<QueryId, QueryRequest> = BTreeMap::new();
     let mut resized = 0;
     loop {
         match sim.next_event() {

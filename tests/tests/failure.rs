@@ -4,7 +4,7 @@
 //! deterministic under seeded fault schedules — the same snapshot contract
 //! every fault-free run honours.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -80,7 +80,7 @@ fn scan_query(start: u64, end: u64) -> QueryRequest {
 
 /// Every completed query appears exactly once, with a sane time range.
 fn assert_records_well_formed(m: &Metrics) {
-    let ids: HashSet<_> = m.queries.iter().map(|r| r.id).collect();
+    let ids: BTreeSet<_> = m.queries.iter().map(|r| r.id).collect();
     assert_eq!(ids.len(), m.queries.len(), "duplicate QueryRecord ids");
     for r in &m.queries {
         assert!(
@@ -354,7 +354,7 @@ proptest! {
             "lost or double-counted queries"
         );
         prop_assert!(m.availability.queries_retried <= m.availability.queries_failed);
-        let ids: HashSet<_> = m.queries.iter().map(|r| r.id).collect();
+        let ids: BTreeSet<_> = m.queries.iter().map(|r| r.id).collect();
         prop_assert_eq!(ids.len(), m.queries.len(), "duplicate QueryRecord ids");
 
         let again = run_fixed_under(&faults);
