@@ -76,15 +76,16 @@ impl ThresholdDistributor {
     }
 
     /// Sets the tracking/read block size in tuples (shared with the other
-    /// systems so latency reflects distribution policy, not granularity).
-    /// Resets frequency counts.
+    /// systems so latency reflects distribution policy, not granularity),
+    /// clamped to `[1, disk]`: a block larger than a node's disk has no
+    /// home. Resets frequency counts.
     pub fn with_block(mut self, block: u64) -> Self {
         self.set_block(block);
         self
     }
 
     fn set_block(&mut self, block: u64) {
-        let block = block.max(1);
+        let block = block.clamp(1, self.disk);
         self.blocks_of = self
             .db
             .tables
@@ -328,6 +329,15 @@ mod tests {
             let mut t = ThresholdDistributor::new(&database, n, 128_000, 50);
             assert_eq!(t.scheme().num_nodes(), n);
         }
+    }
+
+    #[test]
+    fn oversized_block_is_clamped_to_disk() {
+        let database = db();
+        let mut t = ThresholdDistributor::new(&database, 4, 64_000, 50).with_block(1_000_000);
+        let s = t.scheme();
+        assert!(s.covers(&database));
+        assert!(s.fragments().iter().all(|f| f.range.size() <= 64_000));
     }
 
     #[test]

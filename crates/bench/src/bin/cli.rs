@@ -8,14 +8,9 @@
 //! nashdb-cli --help
 //! ```
 
-use std::process::exit;
-
-use nashdb::{run_workload, Distributor, NashDbDistributor, ScanRouter};
-use nashdb_baselines::{
-    GreedySetCover, HypergraphDistributor, ShortestQueue, ThresholdDistributor,
-};
-use nashdb_bench::env::{ExpEnv, WINDOW};
-use nashdb_core::routing::{MaxOfMins, PowerOfTwoChoices};
+use nashdb_bench::env::{run_system, ExpEnv, Router, System};
+use nashdb_bench::scenarios::BudgetLevel;
+use nashdb_bench::{die, Args};
 use nashdb_sim::SimDuration;
 use nashdb_workload::bernoulli::{self, BernoulliConfig};
 use nashdb_workload::random::{self, RandomConfig};
@@ -38,7 +33,8 @@ GENERATOR OPTIONS:
 
 SYSTEM:
   --system NAME           nashdb (default) | hypergraph | threshold
-  --nodes N               partition/node count for the baselines (default 8)
+  --nodes N               partition/node count for the baselines (default:
+                          twice the nodes one copy of the database needs)
   --price-mult X          scale all query prices (NashDB's knob, default 1)
 
 ROUTER:
@@ -57,44 +53,8 @@ OUTPUT:
   -h, --help              this text
 ";
 
-struct Args(Vec<String>);
-
-impl Args {
-    fn flag(&mut self, name: &str) -> bool {
-        if let Some(i) = self.0.iter().position(|a| a == name) {
-            self.0.remove(i);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, name: &str) -> Option<String> {
-        let i = self.0.iter().position(|a| a == name)?;
-        if i + 1 >= self.0.len() {
-            die(&format!("{name} requires a value"));
-        }
-        let v = self.0.remove(i + 1);
-        self.0.remove(i);
-        Some(v)
-    }
-
-    fn parse<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
-        self.value(name).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                die(&format!("invalid value {v:?} for {name}"));
-            })
-        })
-    }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\nrun with --help for usage");
-    exit(2)
-}
-
 fn main() {
-    let mut args = Args(std::env::args().skip(1).collect());
+    let mut args = Args::from_env();
     if args.flag("--help") || args.flag("-h") {
         print!("{HELP}");
         return;
@@ -163,51 +123,35 @@ fn main() {
         env = env.warmed(n);
     }
 
-    // System.
+    // System and router.
     let price_mult: f64 = args.parse("--price-mult").unwrap_or(1.0);
-    let nodes: usize = args.parse("--nodes").unwrap_or(8);
-    let system = args.value("--system").unwrap_or_else(|| "nashdb".into());
-    let mut dist: Box<dyn Distributor> = match system.as_str() {
-        "nashdb" => Box::new(NashDbDistributor::new(&workload.db, env.nash)),
-        "hypergraph" => Box::new(
-            HypergraphDistributor::new(&workload.db, nodes, env.disk, WINDOW)
-                .with_block(env.block()),
-        ),
-        "threshold" => Box::new(
-            ThresholdDistributor::new(&workload.db, nodes, env.disk, WINDOW)
-                .with_block(env.block()),
-        ),
-        other => die(&format!("unknown system {other:?}")),
-    };
-
-    // Router.
-    let router_name = args
+    let nodes: usize = args
+        .parse("--nodes")
+        .unwrap_or_else(|| BudgetLevel::Ample.baseline_nodes(&workload, env.disk));
+    let system_flag = args.value("--system").unwrap_or_else(|| "nashdb".into());
+    let system = [
+        System::NashDb { price_mult },
+        System::Hypergraph { parts: nodes },
+        System::Threshold { nodes },
+    ]
+    .into_iter()
+    .find(|s| s.flag() == system_flag)
+    .unwrap_or_else(|| die(&format!("unknown system {system_flag:?}")));
+    let router_flag = args
         .value("--router")
         .unwrap_or_else(|| "max-of-mins".into());
-    let router: Box<dyn ScanRouter> = match router_name.as_str() {
-        "max-of-mins" => Box::new(MaxOfMins::new(env.phi_tuples())),
-        "shortest-queue" => Box::new(ShortestQueue),
-        "greedy-sc" => Box::new(GreedySetCover),
-        "power-of-two" => Box::new(PowerOfTwoChoices::new(env.phi_tuples(), seed)),
-        other => die(&format!("unknown router {other:?}")),
-    };
+    let router = Router::all(seed)
+        .into_iter()
+        .find(|r| r.flag() == router_flag)
+        .unwrap_or_else(|| die(&format!("unknown router {router_flag:?}")));
 
     let want_throughput = args.flag("--throughput");
-    if !args.0.is_empty() {
-        die(&format!("unrecognized arguments: {:?}", args.0));
-    }
+    args.finish();
 
-    // Apply the price multiplier by scaling the workload.
-    let workload = if (price_mult - 1.0).abs() > 1e-12 {
-        nashdb_bench::env::with_price_mult(&workload, price_mult)
-    } else {
-        workload
-    };
-
-    let metrics = run_workload(&workload, dist.as_mut(), router.as_ref(), &env.run);
+    let metrics = run_system(&workload, system, router, &env);
 
     println!();
-    println!("system            : {system} + {router_name}");
+    println!("system            : {system_flag} + {router_flag}");
     println!("completed queries : {}", metrics.queries.len());
     println!("mean latency      : {:.3} s", metrics.mean_latency_secs());
     for p in [50.0, 95.0, 99.0] {

@@ -18,6 +18,7 @@ use std::process::exit;
 use nashdb_bench::compare::compare_scenarios;
 use nashdb_bench::scenarios::{run_scenarios, ScenarioConfig};
 use nashdb_bench::smoke::{run_smoke, SmokeConfig};
+use nashdb_bench::{die, Args};
 use nashdb_obs::{ObsSnapshot, ScenarioArtifact};
 
 const HELP: &str = "\
@@ -65,42 +66,6 @@ SCENARIOS OPTIONS:
   -h, --help        this text
 ";
 
-struct Args(Vec<String>);
-
-impl Args {
-    fn flag(&mut self, name: &str) -> bool {
-        if let Some(i) = self.0.iter().position(|a| a == name) {
-            self.0.remove(i);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, name: &str) -> Option<String> {
-        let i = self.0.iter().position(|a| a == name)?;
-        if i + 1 >= self.0.len() {
-            die(&format!("{name} requires a value"));
-        }
-        let v = self.0.remove(i + 1);
-        self.0.remove(i);
-        Some(v)
-    }
-
-    fn parse<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
-        self.value(name).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                die(&format!("invalid value {v:?} for {name}"));
-            })
-        })
-    }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\nrun with --help for usage");
-    exit(2)
-}
-
 fn fail(msg: &str) -> ! {
     eprintln!("FAIL: {msg}");
     exit(1)
@@ -125,7 +90,7 @@ fn check_coverage(snap: &ObsSnapshot, context: &str) -> String {
 }
 
 fn main() {
-    let mut args = Args(std::env::args().skip(1).collect());
+    let mut args = Args::from_env();
     if args.flag("--help") || args.flag("-h") {
         print!("{HELP}");
         return;
@@ -151,9 +116,7 @@ fn scenarios(mut args: Args) {
         keep_timings: args.flag("--keep-timings"),
     };
     let out = args.value("--obs-out");
-    if !args.0.is_empty() {
-        die(&format!("unrecognized arguments: {:?}", args.0));
-    }
+    args.finish();
 
     let artifact = match run_scenarios(&cfg) {
         Ok(artifact) => artifact,
@@ -200,9 +163,7 @@ fn smoke(mut args: Args) {
         stable: args.flag("--stable"),
     };
     let out = args.value("--obs-out");
-    if !args.0.is_empty() {
-        die(&format!("unrecognized arguments: {:?}", args.0));
-    }
+    args.finish();
 
     let snap = run_smoke(&cfg);
     let summary = check_coverage(&snap, "");

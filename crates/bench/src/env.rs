@@ -13,7 +13,7 @@ use nashdb_baselines::{
 use nashdb_cluster::{ClusterConfig, Metrics};
 use nashdb_core::economics::NodeSpec;
 use nashdb_core::num::{saturating_u64, usize_from};
-use nashdb_core::routing::MaxOfMins;
+use nashdb_core::routing::{MaxOfMins, PowerOfTwoChoices};
 use nashdb_sim::fault::FaultSchedule;
 use nashdb_sim::SimDuration;
 use nashdb_workload::Workload;
@@ -182,6 +182,16 @@ impl System {
         }
     }
 
+    /// Stable machine-readable name: the `nashdb-cli --system` value and
+    /// the scenario artifact's system key.
+    pub fn flag(&self) -> &'static str {
+        match self {
+            System::NashDb { .. } => "nashdb",
+            System::Hypergraph { .. } => "hypergraph",
+            System::Threshold { .. } => "threshold",
+        }
+    }
+
     /// The tuning-knob value, for table rows.
     pub fn param(&self) -> f64 {
         match *self {
@@ -201,15 +211,41 @@ pub enum Router {
     ShortestQueue,
     /// Greedy set-cover span minimization.
     GreedySetCover,
+    /// The paper's footnote-3 Power-of-2 choices, seeded.
+    PowerOfTwo {
+        /// Seed of the router's candidate sampling.
+        seed: u64,
+    },
 }
 
 impl Router {
+    /// Every router, Power-of-2 seeded with `seed`.
+    pub fn all(seed: u64) -> [Router; 4] {
+        [
+            Router::MaxOfMins,
+            Router::ShortestQueue,
+            Router::GreedySetCover,
+            Router::PowerOfTwo { seed },
+        ]
+    }
+
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
             Router::MaxOfMins => "Max of mins",
             Router::ShortestQueue => "Shortest queue",
             Router::GreedySetCover => "Greedy SC",
+            Router::PowerOfTwo { .. } => "Power of 2",
+        }
+    }
+
+    /// The `nashdb-cli --router` value.
+    pub fn flag(&self) -> &'static str {
+        match self {
+            Router::MaxOfMins => "max-of-mins",
+            Router::ShortestQueue => "shortest-queue",
+            Router::GreedySetCover => "greedy-sc",
+            Router::PowerOfTwo { .. } => "power-of-two",
         }
     }
 }
@@ -242,6 +278,7 @@ pub fn run_system_with_faults(
         Router::MaxOfMins => Box::new(MaxOfMins::new(env.phi_tuples())),
         Router::ShortestQueue => Box::new(ShortestQueue),
         Router::GreedySetCover => Box::new(GreedySetCover),
+        Router::PowerOfTwo { seed } => Box::new(PowerOfTwoChoices::new(env.phi_tuples(), seed)),
     };
     match system {
         System::NashDb { price_mult } => {

@@ -16,7 +16,6 @@ use nashdb_core::fragment::{
 use nashdb_core::replication::hetero::{decide_replicas_hetero, pack_bffd_hetero, NodeClass};
 use nashdb_core::replication::market::{simulate_market, MarketConfig};
 use nashdb_core::replication::{decide_replicas, ReplicationPolicy};
-use nashdb_core::routing::PowerOfTwoChoices;
 use nashdb_core::value::{PricedScan, TupleValueEstimator};
 use nashdb_core::NodeSpec;
 use nashdb_sim::SimRng;
@@ -199,27 +198,15 @@ pub fn run_p2c() {
     table_header(&["workload", "router", "lat (s)", "avg span"]);
     for w in [super::random_dynamic(), super::real1_dynamic()] {
         let env = ExpEnv::for_workload(&w, 1.0 / 8.0);
-        let m = run_system(
-            &w,
-            System::NashDb { price_mult: 1.0 },
-            Router::MaxOfMins,
-            &env,
-        );
-        row(&[
-            w.name.clone(),
-            "Max of mins".into(),
-            fmt(m.mean_latency_secs()),
-            fmt(m.mean_span()),
-        ]);
-        let router = PowerOfTwoChoices::new(env.phi_tuples(), super::SEED);
-        let mut dist = nashdb::NashDbDistributor::new(&w.db, env.nash);
-        let m = nashdb::run_workload(&w, &mut dist, &router, &env.run);
-        row(&[
-            w.name.clone(),
-            "Power of 2".into(),
-            fmt(m.mean_latency_secs()),
-            fmt(m.mean_span()),
-        ]);
+        for router in [Router::MaxOfMins, Router::PowerOfTwo { seed: super::SEED }] {
+            let m = run_system(&w, System::NashDb { price_mult: 1.0 }, router, &env);
+            row(&[
+                w.name.clone(),
+                router.name().into(),
+                fmt(m.mean_latency_secs()),
+                fmt(m.mean_span()),
+            ]);
+        }
     }
     println!("  expectation: Power-of-2 stays within a small factor of Max-of-mins");
     println!("  while examining only two replicas per request.");

@@ -25,16 +25,17 @@ pub struct Point {
     pub cost: f64,
 }
 
+/// True when `p` is no worse than `q` on cost and latency and strictly
+/// better on one of them.
+pub fn dominates(p: &Point, q: &Point) -> bool {
+    (p.cost <= q.cost && p.latency < q.latency) || (p.cost < q.cost && p.latency <= q.latency)
+}
+
 /// Marks the Pareto-optimal members of a point set (min latency, min cost).
 pub fn pareto_front(points: &[Point]) -> Vec<bool> {
     points
         .iter()
-        .map(|p| {
-            !points.iter().any(|q| {
-                (q.cost <= p.cost && q.latency < p.latency)
-                    || (q.cost < p.cost && q.latency <= p.latency)
-            })
-        })
+        .map(|p| !points.iter().any(|q| dominates(q, p)))
         .collect()
 }
 

@@ -5,6 +5,8 @@
 
 use std::sync::OnceLock;
 
+use nashdb_sim::SimDuration;
+
 use super::{fmt, row, table_header};
 use crate::env::{run_system, ExpEnv, Router, System};
 use crate::header;
@@ -88,12 +90,15 @@ pub fn run_span() {
     header("Fig 9c (ablation) — Max-of-mins ϕ sensitivity (random workload)");
     table_header(&["phi (s)", "avg span", "lat (s)"]);
     let w = super::random_dynamic();
-    let env = crate::env::ExpEnv::for_workload(&w, 1.0 / 8.0);
+    let mut env = ExpEnv::for_workload(&w, 1.0 / 8.0);
     for phi_secs in [0.0f64, 0.35, 3.5, 35.0] {
-        let phi = nashdb_core::num::saturating_u64(phi_secs * env.run.cluster.throughput_tps);
-        let router = nashdb_core::routing::MaxOfMins::new(phi);
-        let mut dist = nashdb::NashDbDistributor::new(&w.db, env.nash);
-        let m = nashdb::run_workload(&w, &mut dist, &router, &env.run);
+        env.run.phi = SimDuration::from_secs_f64(phi_secs);
+        let m = run_system(
+            &w,
+            System::NashDb { price_mult: 1.0 },
+            Router::MaxOfMins,
+            &env,
+        );
         row(&[
             fmt(phi_secs),
             fmt(m.mean_span()),

@@ -22,13 +22,32 @@ pub mod experiments;
 pub mod scenarios;
 pub mod smoke;
 
-/// All experiment ids, in presentation order.
-pub const ALL_EXPERIMENTS: &[&str] = &[
-    "tab1", "fig6a", "fig6b", "fig6c", "fig9a", "fig7", "fig8a", "fig8b", "fig9b", "fig8c",
-    "fig9c", "fig10", "fig11", "overhead", "market", "merge2", "p2c", "hetero",
-];
+/// Every experiment, in presentation order: its id and its entry point.
+pub const EXPERIMENTS: &[(&str, fn())] = {
+    use experiments::*;
+    &[
+        ("tab1", tab1::run),
+        ("fig6a", fig6::run_static),
+        ("fig6b", fig6::run_dynamic),
+        ("fig6c", priority::run_uniform_price),
+        ("fig9a", priority::run_template_price),
+        ("fig7", pareto::run),
+        ("fig8a", fixed::run_fixed_latency),
+        ("fig8b", fixed::run_fixed_cost),
+        ("fig9b", fixed::run_transfer),
+        ("fig8c", routing::run_latency),
+        ("fig9c", routing::run_span),
+        ("fig10", fixed::run_tail_latency),
+        ("fig11", throughput::run),
+        ("overhead", overhead::run),
+        ("market", ablations::run_market),
+        ("merge2", ablations::run_merge2),
+        ("p2c", ablations::run_p2c),
+        ("hetero", ablations::run_hetero),
+    ]
+};
 
-/// An experiment id not listed in [`ALL_EXPERIMENTS`].
+/// An experiment id not listed in [`EXPERIMENTS`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownExperiment {
     /// The unrecognized id.
@@ -37,49 +56,84 @@ pub struct UnknownExperiment {
 
 impl std::fmt::Display for UnknownExperiment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
         write!(
             f,
             "unknown experiment id {:?} (known: {})",
             self.id,
-            ALL_EXPERIMENTS.join(", ")
+            known.join(", ")
         )
     }
 }
 
 impl std::error::Error for UnknownExperiment {}
 
-/// Runs one experiment by id, printing its table(s) to stdout.
+/// The entry point of the experiment `id`, which prints its table(s) to
+/// stdout.
 ///
 /// # Errors
-/// Returns [`UnknownExperiment`] for an id not in [`ALL_EXPERIMENTS`].
-pub fn run_experiment(id: &str) -> Result<(), UnknownExperiment> {
-    use experiments::*;
-    match id {
-        "tab1" => tab1::run(),
-        "fig6a" => fig6::run_static(),
-        "fig6b" => fig6::run_dynamic(),
-        "fig6c" => priority::run_uniform_price(),
-        "fig9a" => priority::run_template_price(),
-        "fig7" => pareto::run(),
-        "fig8a" => fixed::run_fixed_latency(),
-        "fig8b" => fixed::run_fixed_cost(),
-        "fig9b" => fixed::run_transfer(),
-        "fig8c" => routing::run_latency(),
-        "fig9c" => routing::run_span(),
-        "fig10" => fixed::run_tail_latency(),
-        "fig11" => throughput::run(),
-        "overhead" => overhead::run(),
-        "market" => ablations::run_market(),
-        "merge2" => ablations::run_merge2(),
-        "p2c" => ablations::run_p2c(),
-        "hetero" => ablations::run_hetero(),
-        other => {
-            return Err(UnknownExperiment {
-                id: other.to_owned(),
-            })
+/// Returns [`UnknownExperiment`] for an id not in [`EXPERIMENTS`].
+pub fn find_experiment(id: &str) -> Result<fn(), UnknownExperiment> {
+    EXPERIMENTS
+        .iter()
+        .find(|&&(known, _)| known == id)
+        .map(|&(_, run)| run)
+        .ok_or_else(|| UnknownExperiment { id: id.to_owned() })
+}
+
+/// Command-line arguments not yet consumed; each accessor removes what it
+/// reads, so whatever is left at the end is unrecognized.
+#[derive(Debug)]
+pub struct Args(pub Vec<String>);
+
+impl Args {
+    /// The process's arguments, program name skipped.
+    pub fn from_env() -> Args {
+        Args(std::env::args().skip(1).collect())
+    }
+
+    /// Consumes the switch `name`, reporting whether it was present.
+    pub fn flag(&mut self, name: &str) -> bool {
+        if let Some(i) = self.0.iter().position(|a| a == name) {
+            self.0.remove(i);
+            true
+        } else {
+            false
         }
     }
-    Ok(())
+
+    /// Consumes `name VALUE`, returning the value; dies if `name` is last.
+    pub fn value(&mut self, name: &str) -> Option<String> {
+        let i = self.0.iter().position(|a| a == name)?;
+        if i + 1 >= self.0.len() {
+            die(&format!("{name} requires a value"));
+        }
+        let v = self.0.remove(i + 1);
+        self.0.remove(i);
+        Some(v)
+    }
+
+    /// [`value`](Self::value), parsed; dies on a value that does not parse.
+    pub fn parse<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
+        self.value(name).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                die(&format!("invalid value {v:?} for {name}"));
+            })
+        })
+    }
+
+    /// Dies if any argument was left unconsumed.
+    pub fn finish(&self) {
+        if !self.0.is_empty() {
+            die(&format!("unrecognized arguments: {:?}", self.0));
+        }
+    }
+}
+
+/// Reports a usage error and exits with status 2.
+pub fn die(msg: &str) -> ! {
+    eprintln!("error: {msg}\n\nrun with --help for usage");
+    std::process::exit(2)
 }
 
 /// Prints a section header.

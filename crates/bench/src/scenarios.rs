@@ -21,10 +21,7 @@ use nashdb_workload::matrix::{
 use nashdb_workload::Workload;
 
 use crate::env::{min_nodes, run_system_with_faults, ExpEnv, Router, System};
-use crate::experiments::pareto::{pareto_front, Point};
-
-/// Stable system names, in the order each cell reports them.
-pub const SYSTEM_NAMES: [&str; 3] = ["nashdb", "hypergraph", "threshold"];
+use crate::experiments::pareto::{dominates, pareto_front, Point};
 
 /// The replication-budget axis of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +43,18 @@ impl BudgetLevel {
         match self {
             BudgetLevel::Tight => "tight",
             BudgetLevel::Ample => "ample",
+        }
+    }
+
+    /// The fixed cluster size a baseline gets on `disk`-tuple nodes.
+    /// Threshold's range-partitioned base layer needs slack above the raw
+    /// [`min_nodes`] floor when block sizes are skewed, so "tight" still
+    /// grants 25% headroom; "ample" doubles the floor.
+    pub fn baseline_nodes(self, w: &Workload, disk: u64) -> usize {
+        let floor = min_nodes(w, disk);
+        match self {
+            BudgetLevel::Tight => (floor * 5).div_ceil(4),
+            BudgetLevel::Ample => floor * 2,
         }
     }
 }
@@ -277,54 +286,19 @@ fn run_cell(cell: &ScenarioCell, cfg: &ScenarioConfig) -> Result<CellSnapshot, S
         });
     }
 
-    // Threshold's range-partitioned base layer needs slack above the raw
-    // feasibility floor when block sizes are skewed, so "tight" still grants
-    // 25% headroom; "ample" doubles the floor.
-    let floor = min_nodes(&w, env.disk);
-    let baseline_nodes = match cell.budget {
-        BudgetLevel::Tight => {
-            env.nash.max_replicas = 2;
-            (floor * 5).div_ceil(4)
-        }
-        BudgetLevel::Ample => floor * 2,
-    };
-
+    if cell.budget == BudgetLevel::Tight {
+        env.nash.max_replicas = 2;
+    }
+    let nodes = cell.budget.baseline_nodes(&w, env.disk);
     let runs = [
-        (
-            SYSTEM_NAMES[0],
-            run_system_with_faults(
-                &w,
-                System::NashDb { price_mult: 1.0 },
-                Router::MaxOfMins,
-                &env,
-                &faults,
-            ),
-        ),
-        (
-            SYSTEM_NAMES[1],
-            run_system_with_faults(
-                &w,
-                System::Hypergraph {
-                    parts: baseline_nodes,
-                },
-                Router::MaxOfMins,
-                &env,
-                &faults,
-            ),
-        ),
-        (
-            SYSTEM_NAMES[2],
-            run_system_with_faults(
-                &w,
-                System::Threshold {
-                    nodes: baseline_nodes,
-                },
-                Router::MaxOfMins,
-                &env,
-                &faults,
-            ),
-        ),
-    ];
+        System::NashDb { price_mult: 1.0 },
+        System::Hypergraph { parts: nodes },
+        System::Threshold { nodes },
+    ]
+    .map(|system| {
+        let m = run_system_with_faults(&w, system, Router::MaxOfMins, &env, &faults);
+        (system.flag(), m)
+    });
 
     let points: Vec<Point> = runs
         .iter()
@@ -339,9 +313,6 @@ fn run_cell(cell: &ScenarioCell, cfg: &ScenarioConfig) -> Result<CellSnapshot, S
         })
         .collect();
     let front = pareto_front(&points);
-    let dominates = |p: &Point, q: &Point| {
-        (p.cost <= q.cost && p.latency < q.latency) || (p.cost < q.cost && p.latency <= q.latency)
-    };
 
     let systems = runs
         .iter()
@@ -467,7 +438,7 @@ mod tests {
         let art = run_scenarios(&cfg).unwrap();
         assert_eq!(art.cells.len(), 5);
         for cell in &art.cells {
-            assert_eq!(cell.systems.len(), SYSTEM_NAMES.len());
+            assert_eq!(cell.systems.len(), 3);
             assert_eq!(cell.wall_ns, 0, "timings must be scrubbed by default");
             assert!(cell.systems.iter().any(|s| s.on_front));
         }
@@ -476,7 +447,7 @@ mod tests {
         let fault_cell = art
             .cell("bernoulli/steady/uniform/ample/crash")
             .expect("fault cell missing");
-        assert_eq!(fault_cell.systems.len(), SYSTEM_NAMES.len());
+        assert_eq!(fault_cell.systems.len(), 3);
         // Round-trips through the schema validator byte-identically.
         let text = art.to_json_string();
         let parsed = ScenarioArtifact::from_json_str(&text).unwrap();

@@ -17,6 +17,7 @@
 //! holder) is still profitable at the diluted income. Uniform classes
 //! recover Eq. 9 exactly.
 
+use super::{pack_bffd, ReplicationDecision};
 use crate::economics::NodeSpec;
 use crate::fragment::FragmentStats;
 use crate::ids::{FragmentId, NodeId};
@@ -242,7 +243,8 @@ pub struct HeteroNode {
 /// Why heterogeneous packing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HeteroPackError {
-    /// A class ran out of nodes for the replicas assigned to it.
+    /// A class cannot host the replicas assigned to it: it ran out of
+    /// nodes, or one of its fragments is larger than the class's disk.
     ClassExhausted {
         /// The exhausted class.
         class: usize,
@@ -270,62 +272,44 @@ impl std::fmt::Display for HeteroPackError {
 impl std::error::Error for HeteroPackError {}
 
 /// BFFD within each class: replicas were already assigned to classes by the
-/// economics; packing places each class's replicas onto the fewest nodes of
-/// that class (first-fit, highest replica counts first, hash-scattered ties
-/// as in [`pack_bffd`](super::pack_bffd)).
+/// economics, so each class's replicas are packed by [`pack_bffd`] onto
+/// that class's disks, then checked against the class's node cap.
 pub fn pack_bffd_hetero(
     stats: &[FragmentStats],
     decisions: &[HeteroDecision],
     classes: &[NodeClass],
 ) -> Result<Vec<HeteroNode>, HeteroPackError> {
-    let size_of = |id: FragmentId| {
-        stats
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.range.size())
-            .ok_or(HeteroPackError::UnknownFragment { fragment: id })
-    };
-    let scatter = |id: FragmentId| id.get().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-
     let mut nodes: Vec<HeteroNode> = Vec::new();
     for (c, class) in classes.iter().enumerate() {
-        // Fragments with replicas on this class, most replicas first.
-        let mut order: Vec<(&HeteroDecision, u64)> = decisions
-            .iter()
-            .filter_map(|d| (d.per_class[c] > 0).then_some((d, d.per_class[c])))
-            .collect();
-        order.sort_by_key(|(d, count)| (std::cmp::Reverse(*count), scatter(d.id)));
-
-        let mut class_nodes: Vec<(usize, u64)> = Vec::new(); // (index into nodes, free)
-        for (d, count) in order {
-            let size = size_of(d.id)?;
-            for _ in 0..count {
-                let slot = class_nodes
-                    .iter()
-                    .position(|&(n, free)| free >= size && !nodes[n].fragments.contains(&d.id));
-                match slot {
-                    Some(i) => {
-                        let (n, free) = class_nodes[i];
-                        nodes[n].fragments.push(d.id);
-                        class_nodes[i] = (n, free - size);
-                    }
-                    None => {
-                        if let Some(cap) = class.available {
-                            let used = u32::try_from(class_nodes.len()).unwrap_or(u32::MAX);
-                            if used >= cap {
-                                return Err(HeteroPackError::ClassExhausted { class: c });
-                            }
-                        }
-                        let n = nodes.len();
-                        nodes.push(HeteroNode {
-                            id: NodeId(n as u64),
-                            class: c,
-                            fragments: vec![d.id],
-                        });
-                        class_nodes.push((n, class.spec.disk - size));
-                    }
-                }
-            }
+        let mut on_class = Vec::new();
+        for d in decisions.iter().filter(|d| d.per_class[c] > 0) {
+            let s = stats
+                .iter()
+                .find(|s| s.id == d.id)
+                .ok_or(HeteroPackError::UnknownFragment { fragment: d.id })?;
+            on_class.push(ReplicationDecision {
+                id: d.id,
+                range: s.range,
+                value: s.value,
+                replicas: d.per_class[c],
+                forced: false,
+            });
+        }
+        let exhausted = HeteroPackError::ClassExhausted { class: c };
+        let packed = pack_bffd(&on_class, class.spec.disk).map_err(|_| exhausted.clone())?;
+        if class
+            .available
+            .is_some_and(|cap| packed.len() > cap as usize)
+        {
+            return Err(exhausted);
+        }
+        for fragments in packed {
+            let id = NodeId(nodes.len() as u64);
+            nodes.push(HeteroNode {
+                id,
+                class: c,
+                fragments,
+            });
         }
     }
     Ok(nodes)
@@ -465,6 +449,18 @@ mod tests {
         let err = pack_bffd_hetero(&st, &decisions, &classes).unwrap_err();
         assert_eq!(err, HeteroPackError::ClassExhausted { class: 0 });
         assert!(err.to_string().contains("no capacity"));
+    }
+
+    #[test]
+    fn fragment_larger_than_the_class_disk_exhausts_the_class() {
+        let classes = vec![NodeClass::unbounded(NodeSpec::new(100.0, 50))];
+        let st = vec![stats(0, 0, 100, 1.0)];
+        let decisions = vec![HeteroDecision {
+            id: FragmentId(0),
+            per_class: vec![1],
+        }];
+        let err = pack_bffd_hetero(&st, &decisions, &classes).unwrap_err();
+        assert_eq!(err, HeteroPackError::ClassExhausted { class: 0 });
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! drops below it, so the allowance can be ratcheted down. Counts rather
 //! than line numbers keep the baseline stable under unrelated edits.
 //!
-//! The JSON subset here is hand-rolled like `nashdb-obs`'s: this crate must
-//! stay dependency-free.
+//! JSON is read and quoted by `nashdb-obs`, so this crate has no external
+//! dependencies.
 
 use std::collections::BTreeMap;
+
+use nashdb_obs::{parse_json, write_json_string, JsonValue};
 
 use crate::rules::Finding;
 
@@ -118,11 +120,11 @@ impl Baseline {
                 s.push_str(",\n");
             }
             first = false;
-            s.push_str(&format!(
-                "    {{ \"rule\": {}, \"file\": {}, \"count\": {count} }}",
-                quote(rule),
-                quote(file)
-            ));
+            s.push_str("    { \"rule\": ");
+            write_json_string(&mut s, rule);
+            s.push_str(", \"file\": ");
+            write_json_string(&mut s, file);
+            s.push_str(&format!(", \"count\": {count} }}"));
         }
         if !first {
             s.push('\n');
@@ -131,212 +133,46 @@ impl Baseline {
         s
     }
 
-    /// Parses the committed JSON form.
+    /// Parses the committed JSON form. A `(rule, file)` pair listed twice
+    /// is an error, not a silent override.
     pub fn from_json_str(raw: &str) -> Result<Baseline, BaselineError> {
-        let mut p = Parser {
-            src: raw.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let top = p.object()?;
-        match top.get("version") {
-            Some(Value::Number(BASELINE_VERSION)) => {}
+        let top = parse_json(raw).map_err(|e| BaselineError {
+            at: e.offset,
+            message: e.message,
+        })?;
+        let invalid = |message: String| BaselineError { at: 0, message };
+        match top.get("version").and_then(JsonValue::as_u64) {
+            Some(BASELINE_VERSION) => {}
             other => {
-                return Err(BaselineError {
-                    at: 0,
-                    message: format!(
-                        "unsupported baseline version {other:?} (expected {BASELINE_VERSION})"
-                    ),
-                })
+                return Err(invalid(format!(
+                    "unsupported baseline version {other:?} (expected {BASELINE_VERSION})"
+                )))
             }
         }
+        let list = top
+            .get("entries")
+            .and_then(JsonValue::as_array)
+            .ok_or_else(|| invalid("missing \"entries\" array".to_owned()))?;
         let mut entries = BTreeMap::new();
-        let Some(Value::Array(list)) = top.get("entries") else {
-            return Err(BaselineError {
-                at: 0,
-                message: "missing \"entries\" array".to_owned(),
-            });
-        };
         for v in list {
-            let Value::Object(obj) = v else {
-                return Err(BaselineError {
-                    at: 0,
-                    message: "entries must be objects".to_owned(),
-                });
+            let field = |key: &str| v.get(key).and_then(JsonValue::as_str);
+            let (Some(rule), Some(file), Some(count)) = (
+                field("rule"),
+                field("file"),
+                v.get("count").and_then(JsonValue::as_u64),
+            ) else {
+                return Err(invalid(
+                    "entry needs string \"rule\", string \"file\", number \"count\"".to_owned(),
+                ));
             };
-            let (Some(Value::String(rule)), Some(Value::String(file)), Some(Value::Number(count))) =
-                (obj.get("rule"), obj.get("file"), obj.get("count"))
-            else {
-                return Err(BaselineError {
-                    at: 0,
-                    message: "entry needs string \"rule\", string \"file\", number \"count\""
-                        .to_owned(),
-                });
-            };
-            entries.insert((rule.clone(), file.clone()), *count);
+            if entries
+                .insert((rule.to_owned(), file.to_owned()), count)
+                .is_some()
+            {
+                return Err(invalid(format!("duplicate entry for {file} [{rule}]")));
+            }
         }
         Ok(Baseline { entries })
-    }
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// The JSON subset the baseline needs: objects, arrays, strings, unsigned
-/// integers.
-#[derive(Debug)]
-enum Value {
-    Object(BTreeMap<String, Value>),
-    Array(Vec<Value>),
-    String(String),
-    Number(u64),
-}
-
-struct Parser<'a> {
-    src: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, message: &str) -> BaselineError {
-        BaselineError {
-            at: self.pos,
-            message: message.to_owned(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .src
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), BaselineError> {
-        self.skip_ws();
-        if self.src.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.src.get(self.pos).copied()
-    }
-
-    fn value(&mut self) -> Result<Value, BaselineError> {
-        match self.peek() {
-            Some(b'{') => self.object().map(Value::Object),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Value::String),
-            Some(b) if b.is_ascii_digit() => self.number().map(Value::Number),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<BTreeMap<String, Value>, BaselineError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(map);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(map);
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, BaselineError> {
-        self.expect(b'[')?;
-        let mut list = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(list));
-        }
-        loop {
-            list.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(list));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, BaselineError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.src.get(self.pos).copied() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.src.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        other => {
-                            return Err(
-                                self.err(&format!("unsupported escape {other:?} in baseline"))
-                            )
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, BaselineError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.src.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.src[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("expected an unsigned integer"))
     }
 }
 
@@ -408,6 +244,32 @@ mod tests {
         assert!(b.is_empty());
         let out = b.check(&[finding("panic-in-lib", "x.rs", 1)]);
         assert_eq!(out.over.len(), 1);
+    }
+
+    #[test]
+    fn duplicated_entry_is_rejected() {
+        let raw = r#"{"version": 1, "entries": [
+            { "rule": "panic-in-lib", "file": "a.rs", "count": 1 },
+            { "rule": "panic-in-lib", "file": "a.rs", "count": 9 }
+        ]}"#;
+        let err = Baseline::from_json_str(raw).unwrap_err();
+        assert!(err.message.contains("duplicate"), "{err}");
+    }
+
+    #[test]
+    fn non_ascii_path_round_trips() {
+        let b = Baseline::from_findings(&[finding("panic-in-lib", "crates/é.rs", 1)]);
+        let json = b.to_json_string();
+        assert!(json.contains("\"crates/é.rs\""));
+        let parsed = Baseline::from_json_str(&json).unwrap();
+        assert_eq!(parsed, b);
+    }
+
+    #[test]
+    fn trailing_text_is_rejected() {
+        let json = Baseline::default().to_json_string();
+        assert!(Baseline::from_json_str(&json).is_ok());
+        assert!(Baseline::from_json_str(&format!("{json}garbage")).is_err());
     }
 
     #[test]

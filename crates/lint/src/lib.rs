@@ -8,7 +8,8 @@
 //! because clippy bans the hash containers. It is one half of the gate;
 //! what needs type resolution (wall-clock reads, raw threads, hash
 //! containers, dropped `Result`s) is held by the clippy entries in the root
-//! `clippy.toml` and `[workspace.lints.clippy]`.
+//! `clippy.toml` and `[workspace.lints.clippy]`. It has no external
+//! dependencies; JSON via `nashdb-obs`.
 //!
 //! Run it as CI does:
 //!

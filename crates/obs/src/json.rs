@@ -178,7 +178,9 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string, escaping quotes,
+/// backslashes and control characters.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -35,7 +35,7 @@ mod scenario;
 mod snapshot;
 
 pub use histogram::{bucket_index, Histogram, NUM_BUCKETS};
-pub use json::{parse as parse_json, JsonError, JsonValue};
+pub use json::{parse as parse_json, write_json_string, JsonError, JsonValue};
 pub use names::{Metric, Span, Stage};
 pub use scenario::{CellSnapshot, ScenarioArtifact, SystemPoint, SCENARIO_VERSION};
 pub use snapshot::{HistogramSnapshot, ObsSnapshot, SnapshotError, SpanSnapshot, SNAPSHOT_VERSION};
