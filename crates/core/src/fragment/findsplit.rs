@@ -150,15 +150,15 @@ mod tests {
     /// every interior point.
     #[test]
     fn matches_exhaustive_search() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        use nashdb_sim::SimRng;
+        let mut rng = SimRng::seed_from_u64(77);
         for _ in 0..25 {
-            let m = rng.gen_range(1..6usize);
+            let m = rng.uniform_usize(1, 6);
             let mut chunks = Vec::new();
             let mut pos = 0u64;
             for _ in 0..m {
-                let len = rng.gen_range(1..12u64);
-                chunks.push(chunk(pos, pos + len, rng.gen_range(0.0..5.0f64)));
+                let len = rng.uniform_u64(1, 12);
+                chunks.push(chunk(pos, pos + len, 5.0 * rng.uniform_f64()));
                 pos += len;
             }
             let prefix = ChunkPrefix::new(&chunks).unwrap();
@@ -189,15 +189,15 @@ mod tests {
     /// fragmenter searches).
     #[test]
     fn chunk_boundaries_suffice() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(78);
+        use nashdb_sim::SimRng;
+        let mut rng = SimRng::seed_from_u64(78);
         for _ in 0..25 {
-            let m = rng.gen_range(2..8usize);
+            let m = rng.uniform_usize(2, 8);
             let mut chunks = Vec::new();
             let mut pos = 0u64;
             for _ in 0..m {
-                let len = rng.gen_range(1..30u64);
-                chunks.push(chunk(pos, pos + len, rng.gen_range(0.0..5.0f64)));
+                let len = rng.uniform_u64(1, 30);
+                chunks.push(chunk(pos, pos + len, 5.0 * rng.uniform_f64()));
                 pos += len;
             }
             let prefix = ChunkPrefix::new(&chunks).unwrap();

@@ -553,18 +553,18 @@ mod tests {
 
     #[test]
     fn tracks_optimal_within_factor_on_random_values() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        use nashdb_sim::SimRng;
+        let mut rng = SimRng::seed_from_u64(3);
         for _ in 0..10 {
-            let m = rng.gen_range(6..24usize);
+            let m = rng.uniform_usize(6, 24);
             let mut chunks = Vec::new();
             let mut pos = 0u64;
             for _ in 0..m {
-                let len = rng.gen_range(1..30u64);
-                chunks.push(chunk(pos, pos + len, rng.gen_range(0.0..8.0f64)));
+                let len = rng.uniform_u64(1, 30);
+                chunks.push(chunk(pos, pos + len, 8.0 * rng.uniform_f64()));
                 pos += len;
             }
-            let k = rng.gen_range(2..=m.min(8));
+            let k = rng.uniform_usize(2, m.min(8) + 1);
             let prefix = ChunkPrefix::new(&chunks).unwrap();
             let opt = optimal_fragmentation(&chunks, k)
                 .unwrap()

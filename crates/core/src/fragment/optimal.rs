@@ -194,18 +194,18 @@ mod tests {
 
     #[test]
     fn matches_brute_force_on_random_instances() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        use nashdb_sim::SimRng;
+        let mut rng = SimRng::seed_from_u64(11);
         for trial in 0..30 {
-            let m = rng.gen_range(2..8usize);
+            let m = rng.uniform_usize(2, 8);
             let mut chunks = Vec::new();
             let mut pos = 0u64;
             for _ in 0..m {
-                let len = rng.gen_range(1..20u64);
-                chunks.push(chunk(pos, pos + len, rng.gen_range(0.0..10.0f64)));
+                let len = rng.uniform_u64(1, 20);
+                chunks.push(chunk(pos, pos + len, 10.0 * rng.uniform_f64()));
                 pos += len;
             }
-            let k = rng.gen_range(1..=m);
+            let k = rng.uniform_usize(1, m + 1);
             let f = optimal_fragmentation(&chunks, k).unwrap();
             let prefix = ChunkPrefix::new(&chunks).unwrap();
             let dp_err = f.total_error(&prefix);

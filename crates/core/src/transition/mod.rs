@@ -444,14 +444,14 @@ mod tests {
 
     #[test]
     fn plan_is_optimal_vs_brute_force() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        use nashdb_sim::SimRng;
+        let mut rng = SimRng::seed_from_u64(23);
         for _ in 0..20 {
-            let n_old = rng.gen_range(1..5usize);
-            let n_new = rng.gen_range(1..5usize);
-            let mk = |rng: &mut rand::rngs::StdRng| {
-                let a = rng.gen_range(0..100u64);
-                let b = a + rng.gen_range(1..100u64);
+            let n_old = rng.uniform_usize(1, 5);
+            let n_new = rng.uniform_usize(1, 5);
+            let mk = |rng: &mut SimRng| {
+                let a = rng.uniform_u64(0, 100);
+                let b = a + rng.uniform_u64(1, 100);
                 set(&[(a, b)])
             };
             let old: Vec<_> = (0..n_old).map(|_| mk(&mut rng)).collect();
@@ -470,18 +470,18 @@ mod tests {
     /// that touch end to end, and nodes that hold nothing.
     #[test]
     fn cost_matrix_matches_reference_entry_for_entry() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        use nashdb_sim::SimRng;
+        let mut rng = SimRng::seed_from_u64(41);
         for trial in 0..200 {
-            let bounds: Vec<u64> = (0..=rng.gen_range(1..12u64)).map(|b| b * 10).collect();
-            let side = |rng: &mut rand::rngs::StdRng| -> Vec<IntervalSet> {
-                (0..rng.gen_range(0..7usize))
+            let bounds: Vec<u64> = (0..=rng.uniform_u64(1, 12)).map(|b| b * 10).collect();
+            let side = |rng: &mut SimRng| -> Vec<IntervalSet> {
+                (0..rng.uniform_usize(0, 7))
                     .map(|_| {
-                        (0..rng.gen_range(0..5usize))
+                        (0..rng.uniform_usize(0, 5))
                             .map(|_| {
-                                let f = rng.gen_range(0..bounds.len() - 1);
+                                let f = rng.uniform_usize(0, bounds.len() - 1);
                                 // Mostly whole fragments, sometimes re-cut.
-                                let shift = rng.gen_range(0..4u64).saturating_sub(2);
+                                let shift = rng.uniform_u64(0, 4).saturating_sub(2);
                                 (bounds[f] + shift, bounds[f + 1])
                             })
                             .collect()

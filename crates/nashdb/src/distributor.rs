@@ -957,8 +957,6 @@ mod tests {
     /// deficit), and collapses demand (under-filled nodes are evacuated).
     #[test]
     fn place_matches_map_keyed_twin() {
-        use rand::{Rng, SeedableRng};
-
         let database = db();
         let cfg = NashDbConfig {
             spec: NodeSpec::new(100.0, 200_000),
@@ -972,7 +970,8 @@ mod tests {
             placement: Vec::new(),
             fired: Fired::default(),
         };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        use nashdb_sim::SimRng;
+        let mut rng = SimRng::seed_from_u64(19);
         for call in 0..260u64 {
             // Three sweeps of the hot spot; demand collapses for a stretch
             // of each, and the price steps every few calls in between.
@@ -983,9 +982,9 @@ mod tests {
                 [40.0, 52.0, 40.0, 31.0][usize_from((call / 3) % 4)]
             };
             let centre = (call % 87) * 10_000;
-            for _ in 0..rng.gen_range(4..20) {
-                let start = centre + rng.gen_range(0..40_000u64);
-                let dim = (call * 113 + rng.gen_range(0..2_000u64)) % 8_000;
+            for _ in 0..rng.uniform_u64(4, 20) {
+                let start = centre + rng.uniform_u64(0, 40_000);
+                let dim = (call * 113 + rng.uniform_u64(0, 2_000)) % 8_000;
                 let scans = [(0, start, start + 60_000), (1, dim, dim + 1_500)];
                 nash.observe(&query(price, &scans));
             }

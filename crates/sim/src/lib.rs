@@ -18,8 +18,8 @@
 //!   node crashes, crash-with-restart, and straggler windows,
 //! * [`net`] — a contended shared-bandwidth link ([`SharedLink`]) from which
 //!   the cluster's "one big switch" network model is assembled,
-//! * [`rng`] — seeded random samplers (zipf, geometric, uniform, …) built
-//!   on [`rand`] so that workload generation needs no extra dependencies,
+//! * [`rng`] — the workspace's one seeded random stream ([`SimRng`],
+//!   xoshiro256++) and its samplers (zipf, geometric, uniform, …),
 //! * [`stats`] — streaming statistics (exact percentiles, time-bucketed
 //!   series) used by the experiment harness.
 //!

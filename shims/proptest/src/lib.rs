@@ -4,8 +4,10 @@
 //! The build environment has no network access to crates.io, so the workspace
 //! vendors a minimal property-testing harness with the same surface syntax:
 //! the [`proptest!`] macro, [`prop_assert!`] / [`prop_assert_eq!`], the
-//! [`strategy::Strategy`] trait with `prop_map` / `prop_flat_map`, range and
-//! tuple strategies, and [`collection::vec`].
+//! [`strategy::Strategy`] trait with `prop_map` / `prop_flat_map`, range
+//! strategies over `u8`, `u32`, `u64`, `usize` and `f64`, tuple strategies,
+//! and [`collection::vec`]. Every case is drawn from
+//! [`nashdb_sim::SimRng`], the workspace's one seeded stream.
 //!
 //! Differences from real proptest, deliberately accepted:
 //! - **No shrinking.** A failing case reports the generated input; it is not
@@ -17,7 +19,7 @@
 pub mod strategy {
     //! The [`Strategy`] trait and its combinators.
 
-    use rand::rngs::StdRng;
+    use nashdb_sim::SimRng;
 
     /// A recipe for generating values of `Self::Value`.
     ///
@@ -28,7 +30,7 @@ pub mod strategy {
         type Value;
 
         /// Draws one value from `rng`.
-        fn sample(&self, rng: &mut StdRng) -> Self::Value;
+        fn sample(&self, rng: &mut SimRng) -> Self::Value;
 
         /// Maps generated values through `f`.
         fn prop_map<O, F>(self, f: F) -> Map<Self, F>
@@ -49,19 +51,6 @@ pub mod strategy {
         {
             FlatMap { inner: self, f }
         }
-
-        /// Regenerates until `f` accepts the value (bounded retries).
-        fn prop_filter<F>(self, whence: &'static str, f: F) -> Filter<Self, F>
-        where
-            Self: Sized,
-            F: Fn(&Self::Value) -> bool,
-        {
-            Filter {
-                inner: self,
-                whence,
-                f,
-            }
-        }
     }
 
     /// Strategy returned by [`Strategy::prop_map`].
@@ -78,7 +67,7 @@ pub mod strategy {
     {
         type Value = O;
 
-        fn sample(&self, rng: &mut StdRng) -> O {
+        fn sample(&self, rng: &mut SimRng) -> O {
             (self.f)(self.inner.sample(rng))
         }
     }
@@ -98,78 +87,49 @@ pub mod strategy {
     {
         type Value = S2::Value;
 
-        fn sample(&self, rng: &mut StdRng) -> Self::Value {
+        fn sample(&self, rng: &mut SimRng) -> Self::Value {
             (self.f)(self.inner.sample(rng)).sample(rng)
         }
     }
 
-    /// Strategy returned by [`Strategy::prop_filter`].
-    #[derive(Debug, Clone)]
-    pub struct Filter<S, F> {
-        pub(crate) inner: S,
-        pub(crate) whence: &'static str,
-        pub(crate) f: F,
-    }
-
-    impl<S, F> Strategy for Filter<S, F>
-    where
-        S: Strategy,
-        F: Fn(&S::Value) -> bool,
-    {
-        type Value = S::Value;
-
-        fn sample(&self, rng: &mut StdRng) -> Self::Value {
-            for _ in 0..1_000 {
-                let v = self.inner.sample(rng);
-                if (self.f)(&v) {
-                    return v;
-                }
-            }
-            // Test-failure machinery: a filter this selective is a bug in the
-            // test's strategy, and panicking is how proptest reports it.
-            #[allow(clippy::panic)]
-            {
-                panic!(
-                    "prop_filter({}) rejected 1000 samples in a row",
-                    self.whence
-                )
-            }
-        }
-    }
-
-    /// A strategy that always yields a clone of one value.
-    #[derive(Debug, Clone)]
-    pub struct Just<T>(pub T);
-
-    impl<T: Clone> Strategy for Just<T> {
-        type Value = T;
-
-        fn sample(&self, _rng: &mut StdRng) -> T {
-            self.0.clone()
-        }
-    }
-
-    macro_rules! impl_range_strategy {
+    macro_rules! impl_int_range_strategy {
         ($($t:ty),*) => {$(
             impl Strategy for core::ops::Range<$t> {
                 type Value = $t;
 
-                fn sample(&self, rng: &mut StdRng) -> $t {
-                    rand::Rng::gen_range(rng, self.clone())
+                #[allow(clippy::cast_possible_truncation)]
+                fn sample(&self, rng: &mut SimRng) -> $t {
+                    rng.uniform_u64(self.start as u64, self.end as u64) as $t
                 }
             }
 
             impl Strategy for core::ops::RangeInclusive<$t> {
                 type Value = $t;
 
-                fn sample(&self, rng: &mut StdRng) -> $t {
-                    rand::Rng::gen_range(rng, self.clone())
+                #[allow(clippy::cast_possible_truncation)]
+                fn sample(&self, rng: &mut SimRng) -> $t {
+                    rng.uniform_u64(*self.start() as u64, *self.end() as u64 + 1) as $t
                 }
             }
         )*};
     }
 
-    impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+    impl_int_range_strategy!(u8, u32, u64, usize);
+
+    impl Strategy for core::ops::Range<f64> {
+        type Value = f64;
+
+        fn sample(&self, rng: &mut SimRng) -> f64 {
+            // May round to `end` for extreme spans; falling back to `start`
+            // keeps the half-open contract.
+            let v = self.start + (self.end - self.start) * rng.uniform_f64();
+            if v >= self.end {
+                self.start
+            } else {
+                v
+            }
+        }
+    }
 
     macro_rules! impl_tuple_strategy {
         ($($name:ident),+) => {
@@ -177,7 +137,7 @@ pub mod strategy {
                 type Value = ($($name::Value,)+);
 
                 #[allow(non_snake_case)]
-                fn sample(&self, rng: &mut StdRng) -> Self::Value {
+                fn sample(&self, rng: &mut SimRng) -> Self::Value {
                     let ($($name,)+) = self;
                     ($($name.sample(rng),)+)
                 }
@@ -191,44 +151,29 @@ pub mod strategy {
     impl_tuple_strategy!(A, B, C, D);
     impl_tuple_strategy!(A, B, C, D, E);
     impl_tuple_strategy!(A, B, C, D, E, F);
-
-    impl<S: Strategy + ?Sized> Strategy for &S {
-        type Value = S::Value;
-
-        fn sample(&self, rng: &mut StdRng) -> Self::Value {
-            (**self).sample(rng)
-        }
-    }
 }
 
 pub mod collection {
     //! Strategies for collections.
 
     use super::strategy::Strategy;
-    use rand::rngs::StdRng;
-    use rand::Rng;
+    use nashdb_sim::SimRng;
 
-    /// A length specification: anything a `usize` can be drawn from.
+    /// A length specification: a `usize` range a length is drawn from.
     pub trait SizeRange {
         /// Draws a length from `rng`.
-        fn sample_len(&self, rng: &mut StdRng) -> usize;
+        fn sample_len(&self, rng: &mut SimRng) -> usize;
     }
 
     impl SizeRange for core::ops::Range<usize> {
-        fn sample_len(&self, rng: &mut StdRng) -> usize {
-            rng.gen_range(self.clone())
+        fn sample_len(&self, rng: &mut SimRng) -> usize {
+            rng.uniform_usize(self.start, self.end)
         }
     }
 
     impl SizeRange for core::ops::RangeInclusive<usize> {
-        fn sample_len(&self, rng: &mut StdRng) -> usize {
-            rng.gen_range(self.clone())
-        }
-    }
-
-    impl SizeRange for usize {
-        fn sample_len(&self, _rng: &mut StdRng) -> usize {
-            *self
+        fn sample_len(&self, rng: &mut SimRng) -> usize {
+            rng.uniform_usize(*self.start(), *self.end() + 1)
         }
     }
 
@@ -248,7 +193,7 @@ pub mod collection {
     impl<S: Strategy, L: SizeRange> Strategy for VecStrategy<S, L> {
         type Value = Vec<S::Value>;
 
-        fn sample(&self, rng: &mut StdRng) -> Self::Value {
+        fn sample(&self, rng: &mut SimRng) -> Self::Value {
             let n = self.len.sample_len(rng);
             (0..n).map(|_| self.element.sample(rng)).collect()
         }
@@ -259,38 +204,23 @@ pub mod test_runner {
     //! The case loop behind [`crate::proptest!`].
 
     use super::strategy::Strategy;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use nashdb_sim::SimRng;
 
-    /// Why a single test case did not pass.
+    /// Why a single test case failed: the assertion's message.
     #[derive(Debug, Clone)]
-    pub enum TestCaseError {
-        /// An assertion failed; the case is a genuine failure.
-        Fail(String),
-        /// The input was rejected (e.g. by `prop_assume!`); not a failure.
-        Reject(String),
-    }
+    pub struct TestCaseError(String);
 
     impl TestCaseError {
         /// Builds a failure with the given message.
         #[must_use]
         pub fn fail(msg: impl Into<String>) -> Self {
-            TestCaseError::Fail(msg.into())
-        }
-
-        /// Builds a rejection with the given message.
-        #[must_use]
-        pub fn reject(msg: impl Into<String>) -> Self {
-            TestCaseError::Reject(msg.into())
+            TestCaseError(msg.into())
         }
     }
 
     impl core::fmt::Display for TestCaseError {
         fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-            match self {
-                TestCaseError::Fail(m) => write!(f, "{m}"),
-                TestCaseError::Reject(m) => write!(f, "input rejected: {m}"),
-            }
+            f.write_str(&self.0)
         }
     }
 
@@ -318,7 +248,7 @@ pub mod test_runner {
     ///
     /// # Panics
     /// Panics (failing the enclosing `#[test]`) on the first case whose body
-    /// returns [`TestCaseError::Fail`] or itself panics.
+    /// returns a [`TestCaseError`] or itself panics.
     pub fn run_cases<S, F>(name: &str, strat: &S, body: F)
     where
         S: Strategy,
@@ -327,45 +257,28 @@ pub mod test_runner {
     {
         let cases = default_cases();
         let base = name_seed(name);
-        let mut rejected = 0u64;
         for case in 0..cases {
-            let mut rng = StdRng::seed_from_u64(base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut rng = SimRng::seed_from_u64(base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let value = strat.sample(&mut rng);
             let shown = format!("{value:?}");
-            match body(value) {
-                Ok(()) => {}
-                Err(TestCaseError::Reject(_)) => {
-                    rejected += 1;
-                    assert!(
-                        rejected <= 16 * cases,
-                        "{name}: too many rejected inputs ({rejected})"
-                    );
-                }
-                Err(TestCaseError::Fail(msg)) => {
-                    // Test-failure machinery: panicking is the contract by
-                    // which proptest reports a failing case to the harness.
-                    #[allow(clippy::panic)]
-                    {
-                        panic!("{name}: case {case}/{cases} failed: {msg}\n  input: {shown}")
-                    }
+            if let Err(msg) = body(value) {
+                // Test-failure machinery: panicking is the contract by which
+                // proptest reports a failing case to the harness.
+                #[allow(clippy::panic)]
+                {
+                    panic!("{name}: case {case}/{cases} failed: {msg}\n  input: {shown}")
                 }
             }
         }
     }
 }
 
-/// Everything a test module needs: the [`strategy::Strategy`] trait, the
-/// macros, and the `prop` alias for nested paths like `prop::collection`.
+/// Everything a test module needs: the [`strategy::Strategy`] trait,
+/// [`test_runner::TestCaseError`] and the macros.
 pub mod prelude {
-    pub use crate::strategy::{Just, Strategy};
-    pub use crate::test_runner::{TestCaseError, TestCaseResult};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
-
-    /// Alias mirroring `proptest::prelude::prop`.
-    pub mod prop {
-        pub use crate::collection;
-        pub use crate::strategy;
-    }
+    pub use crate::strategy::Strategy;
+    pub use crate::test_runner::TestCaseError;
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 }
 
 /// Declares property tests.
@@ -440,38 +353,15 @@ macro_rules! prop_assert_eq {
     }};
 }
 
-/// Fails the current case if the two expressions compare equal.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(l != r, "assertion failed: {:?} == {:?}", l, r);
-    }};
-}
-
-/// Rejects the current case (not a failure) unless the condition holds.
-#[macro_export]
-macro_rules! prop_assume {
-    ($cond:expr) => {
-        if !$cond {
-            return Err($crate::test_runner::TestCaseError::reject(stringify!(
-                $cond
-            )));
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-    use crate::strategy::Strategy;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use nashdb_sim::SimRng;
 
     #[test]
     fn vec_strategy_respects_len() {
         let strat = crate::collection::vec(0u64..10, 3..7usize);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SimRng::seed_from_u64(1);
         for _ in 0..200 {
             let v = strat.sample(&mut rng);
             assert!((3..7).contains(&v.len()));
@@ -481,13 +371,75 @@ mod tests {
 
     #[test]
     fn flat_map_threads_dependent_values() {
-        let strat = (2usize..8).prop_flat_map(|n| (Just(n), 0..n));
-        let mut rng = StdRng::seed_from_u64(3);
+        let strat = (2usize..8).prop_flat_map(|n| (0..n).prop_map(move |k| (n, k)));
+        let mut rng = SimRng::seed_from_u64(3);
         for _ in 0..200 {
             let (n, k) = strat.sample(&mut rng);
             assert!(k < n);
         }
     }
+
+    /// One seed gives one stream of sampled values, and one test name gives
+    /// the same cases on every run.
+    #[test]
+    fn deterministic_for_fixed_seed() {
+        let strat = (
+            0u64..u64::MAX,
+            -1.0f64..1.0,
+            crate::collection::vec(0u32..100, 0..6),
+        );
+        let mut a = SimRng::seed_from_u64(42);
+        let mut b = SimRng::seed_from_u64(42);
+        for _ in 0..100 {
+            let (x, y) = (strat.sample(&mut a), strat.sample(&mut b));
+            assert_eq!(format!("{x:?}"), format!("{y:?}"));
+        }
+
+        let run = || {
+            let seen = std::cell::RefCell::new(Vec::new());
+            crate::test_runner::run_cases("fixed", &strat, |v| {
+                seen.borrow_mut().push(format!("{v:?}"));
+                Ok(())
+            });
+            seen.into_inner()
+        };
+        let first = run();
+        assert!(!first.is_empty());
+        assert_eq!(first, run());
+    }
+
+    /// The values the first cases of one test name draw from a tuple of
+    /// every range type the workspace uses and a `vec`. A change to the case
+    /// seeding or to a strategy's sampler fails here before it silently
+    /// changes what every property test checks.
+    #[test]
+    fn case_values_are_pinned() {
+        let strat = (
+            0u8..10,
+            0u32..1000,
+            0u64..u64::MAX,
+            1usize..=9,
+            -2.0f64..3.5,
+            crate::collection::vec(0u64..5, 1..4),
+        );
+        let seen = std::cell::RefCell::new(Vec::new());
+        crate::test_runner::run_cases("pinned", &strat, |v| {
+            seen.borrow_mut().push(format!("{v:?}"));
+            Ok(())
+        });
+        let seen = seen.into_inner();
+        assert!(!seen.is_empty());
+        for (got, want) in seen.iter().zip(PINNED_CASES) {
+            assert_eq!(got, want);
+        }
+    }
+
+    const PINNED_CASES: [&str; 4] = [
+        "(7, 718, 17623489749994580543, 8, 3.3420864612888312, [4])",
+        "(5, 21, 2966884724877587722, 9, 1.9913924298211336, [0])",
+        "(6, 939, 12961966283101604636, 5, 1.426385068359048, [4, 0])",
+        "(3, 30, 4868751590624588375, 3, 0.5379964490052087, [0])",
+    ];
 
     proptest! {
         #[test]

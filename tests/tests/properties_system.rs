@@ -1,8 +1,6 @@
 //! Property tests over the routing and cluster layers.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use nashdb_baselines::{GreedySetCover, ShortestQueue};
 use nashdb_cluster::{ClusterConfig, ClusterSim, DriverEvent, QueryRequest, ScanRange};
@@ -12,7 +10,7 @@ use nashdb_core::routing::{
     ScanRouter, Scratch,
 };
 use nashdb_core::transition::{plan_transition, IntervalSet};
-use nashdb_sim::{SimDuration, SimTime};
+use nashdb_sim::{SimDuration, SimRng, SimTime};
 
 // ---------------------------------------------------------------------------
 // Routers
@@ -34,10 +32,10 @@ struct Problem {
 fn arb_request(nodes: usize) -> impl Strategy<Value = (u64, Vec<u64>)> {
     (0usize..4, 0usize..4, 1..=nodes, 0..u64::MAX).prop_map(move |(size, narrow, wide, seed)| {
         let len = if narrow < 3 { 1 } else { wide };
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SimRng::seed_from_u64(seed);
         let mut pool: Vec<u64> = (0..nodes as u64).collect();
         for i in 0..len {
-            pool.swap(i, rng.gen_range(i..nodes));
+            pool.swap(i, rng.uniform_usize(i, nodes));
         }
         pool.truncate(len);
         ([0, 1, 500, 100_000][size], pool)
@@ -106,7 +104,7 @@ fn one_seed_draws_one_problem() {
     // A failing case is reported by its seed and input; it replays only if
     // the seed fixes every candidate list, order included.
     for seed in 0..32 {
-        let draw = || arb_problem().sample(&mut StdRng::seed_from_u64(seed));
+        let draw = || arb_problem().sample(&mut SimRng::seed_from_u64(seed));
         let (first, second) = (format!("{:?}", draw()), format!("{:?}", draw()));
         assert_eq!(first, second, "seed {seed} drew two problems");
     }
