@@ -17,7 +17,7 @@ use nashdb_core::economics::NodeSpec;
 use nashdb_core::fragment::FragmentRange;
 use nashdb_core::ids::TableId;
 use nashdb_core::routing::MaxOfMins;
-use nashdb_obs::{ObsSession, ObsSnapshot};
+use nashdb_obs::{Metric, ObsSession, ObsSnapshot};
 use nashdb_sim::{FaultEvent, FaultKind, FaultSchedule, FaultScheduleConfig, SimDuration, SimTime};
 use nashdb_workload::bernoulli::{workload as bernoulli, BernoulliConfig};
 use nashdb_workload::{Database, TimedQuery, Workload};
@@ -267,6 +267,30 @@ fn nashdb_run_under_faults(seed: u64) -> (ObsSnapshot, usize, u64) {
     );
     assert_records_well_formed(&m);
     let mut snap = session.finish();
+    // Each availability counter moves with its `cluster.*` obs counter; a
+    // counter never bumped is absent from the snapshot.
+    let a = m.availability;
+    let pairs = [
+        (Metric::ClusterFaultsSkipped, a.faults_skipped),
+        (Metric::ClusterJobsLost, a.jobs_lost),
+        (Metric::ClusterNodeCrashes, a.node_crashes),
+        (Metric::ClusterNodeRestarts, a.node_restarts),
+        (Metric::ClusterQueriesAbandoned, a.queries_abandoned),
+        (Metric::ClusterQueriesFailed, a.queries_failed),
+        (Metric::ClusterQueriesRetried, a.queries_retried),
+        (Metric::ClusterReadsWasted, a.reads_wasted),
+        (Metric::ClusterTuplesLost, a.tuples_lost),
+    ];
+    for (metric, field) in pairs {
+        assert_eq!(
+            snap.counter(metric).unwrap_or(0),
+            field,
+            "{}",
+            metric.name()
+        );
+    }
+    let degraded_ms = a.degraded.as_millis() as f64;
+    assert_eq!(snap.gauge(Metric::ClusterDegradedMs), Some(degraded_ms));
     snap.scrub_timings();
     (snap, m.queries.len(), m.availability.queries_abandoned)
 }
