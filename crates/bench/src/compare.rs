@@ -1,10 +1,10 @@
 //! Scenario quality gate: [`compare_scenarios`] diffs two scenario
-//! artifacts (`nashdb-bench compare --scenarios`). The build fails if
+//! artifacts (`nashdb-bench compare CURRENT BASELINE`). The build fails if
 //! NashDB has *lost Pareto-frontier membership* in any matrix cell where
 //! the committed `SCENARIO_BASELINE.json` has it. Dominance-count drops are
 //! reported as warnings; frontier gains as ratchet candidates.
 
-use nashdb_obs::ScenarioArtifact;
+use nashdb_obs::{Artifact, ScenarioArtifact};
 
 /// The system the scenario gate tracks.
 pub const GATED_SYSTEM: &str = "nashdb";
@@ -46,6 +46,11 @@ impl ScenarioCompareReport {
 /// Why two scenario artifacts could not be compared at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioCompareError {
+    /// One side is a smoke snapshot, not a scenario artifact.
+    NotScenarios {
+        /// `"current"` or `"baseline"`.
+        which: &'static str,
+    },
     /// A baseline cell is absent from the current artifact — the matrix
     /// shrank, so the gate cannot certify the missing scenario.
     MissingCell {
@@ -64,6 +69,9 @@ pub enum ScenarioCompareError {
 impl std::fmt::Display for ScenarioCompareError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ScenarioCompareError::NotScenarios { which } => {
+                write!(f, "{which} is a smoke snapshot, not a scenario artifact")
+            }
             ScenarioCompareError::MissingCell { key } => {
                 write!(f, "current artifact has no cell {key:?}")
             }
@@ -75,6 +83,24 @@ impl std::fmt::Display for ScenarioCompareError {
 }
 
 impl std::error::Error for ScenarioCompareError {}
+
+/// [`compare_scenarios`] on two loaded artifacts of any kind.
+///
+/// # Errors
+/// [`ScenarioCompareError::NotScenarios`] when either is a smoke snapshot,
+/// else what [`compare_scenarios`] returns.
+pub fn compare_artifacts(
+    current: &Artifact,
+    baseline: &Artifact,
+) -> Result<ScenarioCompareReport, ScenarioCompareError> {
+    match (current, baseline) {
+        (Artifact::Scenarios(current), Artifact::Scenarios(baseline)) => {
+            compare_scenarios(current, baseline)
+        }
+        (Artifact::Snapshot(_), _) => Err(ScenarioCompareError::NotScenarios { which: "current" }),
+        (_, Artifact::Snapshot(_)) => Err(ScenarioCompareError::NotScenarios { which: "baseline" }),
+    }
+}
 
 /// Diffs NashDB's frontier membership per cell between two artifacts.
 ///
@@ -129,7 +155,7 @@ pub fn compare_scenarios(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nashdb_obs::{CellSnapshot, SystemPoint, SCENARIO_VERSION};
+    use nashdb_obs::{CellSnapshot, SystemPoint, SNAPSHOT_VERSION};
 
     fn scenario_point(system: &str, on_front: bool, dominates: u64) -> SystemPoint {
         SystemPoint {
@@ -159,7 +185,7 @@ mod tests {
 
     fn scenario_artifact(cells: Vec<CellSnapshot>) -> ScenarioArtifact {
         ScenarioArtifact {
-            version: SCENARIO_VERSION,
+            version: SNAPSHOT_VERSION,
             labels: Vec::new(),
             cells,
         }

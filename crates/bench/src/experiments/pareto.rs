@@ -25,17 +25,13 @@ pub struct Point {
     pub cost: f64,
 }
 
-/// True when `p` is no worse than `q` on cost and latency and strictly
-/// better on one of them.
-pub fn dominates(p: &Point, q: &Point) -> bool {
-    (p.cost <= q.cost && p.latency < q.latency) || (p.cost < q.cost && p.latency <= q.latency)
-}
-
-/// Marks the Pareto-optimal members of a point set (min latency, min cost).
+/// Marks the Pareto-optimal members of a point set (min latency, min cost)
+/// under the scenario gate's dominance rule, [`nashdb_obs::dominates`].
 pub fn pareto_front(points: &[Point]) -> Vec<bool> {
+    let at = |p: &Point| [p.cost, p.latency];
     points
         .iter()
-        .map(|p| !points.iter().any(|q| dominates(q, p)))
+        .map(|p| !points.iter().any(|q| nashdb_obs::dominates(at(q), at(p))))
         .collect()
 }
 

@@ -4,15 +4,16 @@
 //! node-class mix × replication budget — running every cell against NashDB
 //! and both baseline allocators (Threshold, Hypergraph) on the identical
 //! simulated substrate, and reduces each run to its cost-vs-latency point.
-//! Frontier membership per cell is computed with the same
-//! [`pareto_front`] the Fig. 7 experiment uses. The result is a
-//! [`ScenarioArtifact`]: versioned, schema-validated, and (after the
-//! default timing scrub) byte-identical across same-seed runs, which is
-//! what lets CI diff it against the committed `SCENARIO_BASELINE.json`.
+//! Frontier membership per cell is marked with the one dominance rule the
+//! Fig. 7 experiment also uses ([`nashdb_obs::dominates`]). The result is
+//! a [`ScenarioArtifact`]: versioned, schema-validated, and (once
+//! [`ScenarioArtifact::scrub_timings`] has zeroed the wall clock)
+//! byte-identical across same-seed runs, which is what lets CI diff it
+//! against the committed `SCENARIO_BASELINE.json`.
 
 use nashdb_cluster::NetConfig;
 use nashdb_core::replication::hetero::MixPreset;
-use nashdb_obs::{CellSnapshot, ScenarioArtifact, SystemPoint, SCENARIO_VERSION};
+use nashdb_obs::{CellSnapshot, ScenarioArtifact, SystemPoint, SNAPSHOT_VERSION};
 use nashdb_sim::fault::{FaultSchedule, FaultScheduleConfig};
 use nashdb_sim::SimDuration;
 use nashdb_workload::matrix::{
@@ -21,7 +22,6 @@ use nashdb_workload::matrix::{
 use nashdb_workload::Workload;
 
 use crate::env::{min_nodes, run_system_with_faults, ExpEnv, Router, System};
-use crate::experiments::pareto::{dominates, pareto_front, Point};
 
 /// The replication-budget axis of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,9 +92,6 @@ pub struct ScenarioConfig {
     /// Sweep only a 5-cell corner of the matrix, one cell with a crash
     /// schedule (debug-mode tests; CI runs the full matrix in release).
     pub quick: bool,
-    /// Keep host wall-clock timings instead of scrubbing them (scrubbing is
-    /// the default so same-seed artifacts are byte-identical).
-    pub keep_timings: bool,
 }
 
 impl Default for ScenarioConfig {
@@ -106,7 +103,6 @@ impl Default for ScenarioConfig {
             size_gb: 24,
             queries: 60,
             quick: false,
-            keep_timings: false,
         }
     }
 }
@@ -242,7 +238,7 @@ fn cell_faults(level: FaultLevel, w: &Workload, env: &ExpEnv, seed: u64) -> Faul
 /// Runs one cell: builds the workload, applies the mix and budget to the
 /// shared environment, runs all three systems, and marks the frontier.
 fn run_cell(cell: &ScenarioCell, cfg: &ScenarioConfig) -> Result<CellSnapshot, ScenarioError> {
-    // Feeds only `wall_ns`, scrubbed to 0 unless `keep_timings` is set.
+    // Feeds only `wall_ns`, which `scrub_timings` zeroes.
     #[allow(clippy::disallowed_methods)]
     let started = std::time::Instant::now();
     let spec = MatrixWorkloadSpec {
@@ -290,61 +286,40 @@ fn run_cell(cell: &ScenarioCell, cfg: &ScenarioConfig) -> Result<CellSnapshot, S
         env.nash.max_replicas = 2;
     }
     let nodes = cell.budget.baseline_nodes(&w, env.disk);
-    let runs = [
+    let systems = [
         System::NashDb { price_mult: 1.0 },
         System::Hypergraph { parts: nodes },
         System::Threshold { nodes },
     ]
     .map(|system| {
         let m = run_system_with_faults(&w, system, Router::MaxOfMins, &env, &faults);
-        (system.flag(), m)
+        let cl = m.cost_latency();
+        SystemPoint {
+            system: system.flag().to_owned(),
+            cost: cl.cost,
+            mean_latency_secs: cl.mean_latency_secs,
+            p99_latency_secs: cl.p99_latency_secs,
+            ..SystemPoint::default()
+        }
     });
-
-    let points: Vec<Point> = runs
-        .iter()
-        .map(|(name, m)| {
-            let cl = m.cost_latency();
-            Point {
-                system: name,
-                param: 0.0,
-                latency: cl.mean_latency_secs,
-                cost: cl.cost,
-            }
-        })
-        .collect();
-    let front = pareto_front(&points);
-
-    let systems = runs
-        .iter()
-        .zip(points.iter().zip(&front))
-        .map(|((name, m), (p, &on_front))| {
-            let cl = m.cost_latency();
-            SystemPoint {
-                system: (*name).to_owned(),
-                cost: cl.cost,
-                mean_latency_secs: cl.mean_latency_secs,
-                p99_latency_secs: cl.p99_latency_secs,
-                on_front,
-                dominates: points.iter().filter(|q| dominates(p, q)).count() as u64,
-            }
-        })
-        .collect();
-
-    Ok(CellSnapshot {
+    let mut snapshot = CellSnapshot {
         workload: cell.generator.name().to_owned(),
         drift: cell.drift.name().to_owned(),
         mix: cell.mix.name().to_owned(),
         budget: cell.budget.name().to_owned(),
         faults: cell.faults.name().to_owned(),
-        systems,
+        systems: systems.to_vec(),
         wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    })
+    };
+    snapshot.mark_frontier();
+    Ok(snapshot)
 }
 
 /// Runs the whole matrix and assembles the artifact.
 ///
-/// Deterministic: two runs with the same config produce equal artifacts
-/// (byte-identical once serialized), unless `keep_timings` is set.
+/// Deterministic up to the host wall clock: two runs with the same config
+/// produce artifacts that are byte-identical once
+/// [`ScenarioArtifact::scrub_timings`] has zeroed it.
 ///
 /// # Errors
 /// [`ScenarioError`] if any cell's workload fails to build.
@@ -354,8 +329,8 @@ pub fn run_scenarios(cfg: &ScenarioConfig) -> Result<ScenarioArtifact, ScenarioE
     for cell in &cells {
         snapshots.push(run_cell(cell, cfg)?);
     }
-    let mut artifact = ScenarioArtifact {
-        version: SCENARIO_VERSION,
+    Ok(ScenarioArtifact {
+        version: SNAPSHOT_VERSION,
         labels: vec![
             ("kind".to_owned(), "scenarios".to_owned()),
             ("seed".to_owned(), cfg.seed.to_string()),
@@ -367,11 +342,7 @@ pub fn run_scenarios(cfg: &ScenarioConfig) -> Result<ScenarioArtifact, ScenarioE
             ("queries".to_owned(), cfg.queries.to_string()),
         ],
         cells: snapshots,
-    };
-    if !cfg.keep_timings {
-        artifact.scrub_timings();
-    }
-    Ok(artifact)
+    })
 }
 
 #[cfg(test)]
@@ -439,7 +410,7 @@ mod tests {
         assert_eq!(art.cells.len(), 5);
         for cell in &art.cells {
             assert_eq!(cell.systems.len(), 3);
-            assert_eq!(cell.wall_ns, 0, "timings must be scrubbed by default");
+            assert!(cell.wall_ns > 0, "the runner keeps the wall clock");
             assert!(cell.systems.iter().any(|s| s.on_front));
         }
         // The fault cell is keyed with the fifth segment and every system
@@ -459,10 +430,11 @@ mod tests {
         let cfg = ScenarioConfig {
             quick: true,
             queries: 40,
-            keep_timings: true,
             ..ScenarioConfig::default()
         };
-        let art = run_scenarios(&cfg).unwrap();
+        let mut art = run_scenarios(&cfg).unwrap();
         assert!(art.cells.iter().any(|c| c.wall_ns > 0));
+        art.scrub_timings();
+        assert!(art.cells.iter().all(|c| c.wall_ns == 0));
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Runs a small fixed-seed Bernoulli workload through the full NashDB
 //! pipeline under an [`ObsSession`] and returns the captured
-//! [`ObsSnapshot`]. CI serializes the snapshot to `BENCH_PR.json`,
-//! validates it round-trips through the schema, and fails the build if any
-//! pipeline stage stopped emitting metrics
+//! [`ObsSnapshot`], wall clock included. CI serializes the snapshot to
+//! `BENCH_PR.json`, validates it round-trips through the schema, and fails
+//! the build if any pipeline stage stopped emitting metrics
 //! ([`ObsSnapshot::missing_stages`]).
 
 use nashdb::{run_workload, NashDbConfig, NashDbDistributor, RunConfig};
@@ -24,10 +24,6 @@ pub struct SmokeConfig {
     pub queries: usize,
     /// Database size in GB-equivalents (millions of tuples).
     pub size_gb: u64,
-    /// Scrub wall-clock timings from the snapshot
-    /// ([`ObsSnapshot::scrub_timings`]) so same-seed runs serialize
-    /// byte-identically.
-    pub stable: bool,
 }
 
 impl Default for SmokeConfig {
@@ -36,7 +32,6 @@ impl Default for SmokeConfig {
             seed: 42,
             queries: 150,
             size_gb: 4,
-            stable: false,
         }
     }
 }
@@ -45,8 +40,8 @@ impl Default for SmokeConfig {
 ///
 /// Everything that feeds the snapshot's counters, gauges, and non-timing
 /// histograms is simulation state, so two runs with the same config produce
-/// identical values; with [`SmokeConfig::stable`] set the wall-clock
-/// timings are scrubbed too and the whole snapshot is byte-reproducible.
+/// identical values; once [`ObsSnapshot::scrub_timings`] has zeroed the
+/// wall clock the whole snapshot is byte-reproducible.
 pub fn run_smoke(cfg: &SmokeConfig) -> ObsSnapshot {
     let w = bernoulli(&BernoulliConfig {
         size_gb: cfg.size_gb,
@@ -85,11 +80,7 @@ pub fn run_smoke(cfg: &SmokeConfig) -> ObsSnapshot {
     let metrics = run_workload(&w, &mut dist, &router, &run);
     session.label("completed", &metrics.queries.len().to_string());
 
-    let mut snap = session.finish();
-    if cfg.stable {
-        snap.scrub_timings();
-    }
-    snap
+    session.finish()
 }
 
 #[cfg(test)]
@@ -122,12 +113,13 @@ mod tests {
 
     #[test]
     fn stable_runs_serialize_byte_identically() {
-        let cfg = SmokeConfig {
-            stable: true,
-            ..quick()
+        let stable = || {
+            let mut snap = run_smoke(&quick());
+            snap.scrub_timings();
+            snap.to_json_string()
         };
-        let a = run_smoke(&cfg).to_json_string();
-        let b = run_smoke(&cfg).to_json_string();
+        let a = stable();
+        let b = stable();
         assert_eq!(a, b);
         // And the stable form still round-trips through the parser.
         let parsed = ObsSnapshot::from_json_str(&a).unwrap();

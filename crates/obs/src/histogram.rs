@@ -8,6 +8,8 @@
 //! scheme HdrHistogram-style recorders use for latency tracking, reduced to
 //! what the pipeline needs.
 
+use crate::HistogramSnapshot;
+
 /// Number of buckets: one for zero plus one per possible bit length.
 pub const NUM_BUCKETS: usize = 65;
 
@@ -99,6 +101,39 @@ impl Histogram {
             .enumerate()
             .filter(|&(_, &c)| c > 0)
             .map(|(i, &c)| (i, c))
+    }
+
+    /// The histogram with these populated `(bucket_index, count)` pairs, sum
+    /// and maximum, or `None` unless every index is in range, no count
+    /// overflows, and `max` lies in the highest populated bucket (bucket 0
+    /// when there is none).
+    pub(crate) fn from_parts(buckets: &[(u64, u64)], sum: u64, max: u64) -> Option<Histogram> {
+        let mut h = Histogram {
+            sum,
+            max,
+            ..Histogram::default()
+        };
+        for &(index, count) in buckets {
+            let slot = h.buckets.get_mut(usize::try_from(index).ok()?)?;
+            *slot = slot.checked_add(count)?;
+            h.count = h.count.checked_add(count)?;
+        }
+        let top = h.nonzero_buckets().last().map_or(0, |(i, _)| i);
+        (bucket_index(max) == top).then_some(h)
+    }
+
+    /// The histogram's serialized form, under the metric name `name`.
+    pub(crate) fn snapshot(&self, name: &str) -> HistogramSnapshot {
+        HistogramSnapshot {
+            name: name.to_owned(),
+            count: self.count,
+            sum: self.sum,
+            max: self.max,
+            p50: self.quantile(50.0).unwrap_or(0),
+            p95: self.quantile(95.0).unwrap_or(0),
+            p99: self.quantile(99.0).unwrap_or(0),
+            buckets: self.nonzero_buckets().map(|(i, c)| (i as u64, c)).collect(),
+        }
     }
 
     /// The `p`-th percentile (`0.0..=100.0`) by nearest rank over the bucket

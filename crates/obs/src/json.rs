@@ -427,20 +427,45 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// Consumes a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// RFC 8259's `[-] int [frac] [exp]`: the integer part is `0` or has no
+    /// leading zero, and `.` and an exponent each need a digit after them.
     fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.err("invalid number")),
+        }
         let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            is_float = true;
+            if self.digits() == 0 {
+                return Err(self.err("invalid number"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            is_float = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.err("invalid number"));
             }
         }
         // This slice is all ASCII so the conversion cannot fail.
@@ -525,7 +550,10 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "\"abc", "{\"a\":}", "01x", "1 2", "nul"] {
+        for bad in [
+            "", "{", "[1,", "\"abc", "{\"a\":}", "01x", "1 2", "nul", "01", "00", "-01", "1.",
+            "1.e5", "[01]", "-", "1e", "1e+",
+        ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
     }

@@ -27,6 +27,7 @@
 //! assert_eq!(snapshot.span(&[Span::Pipeline]).map(|s| s.count), Some(1));
 //! ```
 
+mod artifact;
 mod histogram;
 mod json;
 mod names;
@@ -34,11 +35,12 @@ mod registry;
 mod scenario;
 mod snapshot;
 
+pub use artifact::{Artifact, SnapshotError, SNAPSHOT_VERSION};
 pub use histogram::{bucket_index, Histogram, NUM_BUCKETS};
 pub use json::{parse as parse_json, write_json_string, JsonError, JsonValue};
 pub use names::{Metric, Span, Stage};
-pub use scenario::{CellSnapshot, ScenarioArtifact, SystemPoint, SCENARIO_VERSION};
-pub use snapshot::{HistogramSnapshot, ObsSnapshot, SnapshotError, SpanSnapshot, SNAPSHOT_VERSION};
+pub use scenario::{dominates, CellSnapshot, ScenarioArtifact, SystemPoint};
+pub use snapshot::{HistogramSnapshot, ObsSnapshot, SpanSnapshot};
 
 use registry::MetricsRegistry;
 

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use crate::histogram::Histogram;
 use crate::names::Metric;
 use crate::snapshot::SpanSnapshot;
+use crate::{ObsSnapshot, SNAPSHOT_VERSION};
 
 /// All metrics recorded during one session: counters, gauges and
 /// histograms in one slot per [`Metric`], and span statistics keyed by
@@ -76,6 +77,25 @@ impl MetricsRegistry {
         stat.count = stat.count.saturating_add(1);
         stat.total_ns = stat.total_ns.saturating_add(elapsed_ns);
         stat.child_ns = stat.child_ns.saturating_add(child_ns);
+    }
+}
+
+impl ObsSnapshot {
+    /// Captures a registry into snapshot form with the given labels.
+    pub(crate) fn capture(registry: MetricsRegistry, labels: Vec<(String, String)>) -> Self {
+        fn named<T: Copy>((m, &v): (Metric, &T)) -> (String, T) {
+            (m.name().to_owned(), v)
+        }
+        ObsSnapshot {
+            version: SNAPSHOT_VERSION,
+            labels,
+            counters: filled(&registry.counters).map(named).collect(),
+            gauges: filled(&registry.gauges).map(named).collect(),
+            histograms: filled(&registry.histograms)
+                .map(|(m, h)| h.snapshot(m.name()))
+                .collect(),
+            spans: registry.spans.into_values().collect(),
+        }
     }
 }
 

@@ -1,26 +1,22 @@
 //! Stable JSON artifact for a scenario-matrix sweep.
 //!
-//! `nashdb-bench scenarios` sweeps a (workload × drift × node mix ×
-//! replication budget) matrix, running each cell against NashDB and the
-//! baseline allocators, and emits one of these artifacts per run. Like
-//! [`ObsSnapshot`](crate::ObsSnapshot) it is the CI contract: versioned,
-//! schema-validated on load, deterministic to the byte for same-seed runs
-//! once [`ScenarioArtifact::scrub_timings`] has zeroed the wall clock. The
-//! `bench-scenarios` CI job diffs one against the committed baseline and
-//! fails the build if NashDB loses Pareto-frontier membership in any cell
-//! where the baseline had it.
+//! `nashdb-bench scenarios` runs NashDB and the baseline allocators in each
+//! cell of a (workload × drift × node mix × replication budget × faults)
+//! matrix and emits one of these records of the one artifact format
+//! ([`crate::artifact`]). Its reader re-derives each cell's frontier flags
+//! from its points, so the CI gate never trusts a contradicting flag.
 
-use crate::json::{self, JsonValue};
-use crate::snapshot::{
-    field_str, field_u64, object, parse_fields, parse_items, parse_version, schema_err,
-    SnapshotError,
-};
+use crate::artifact::{self, schema_err, Checked, Codec, Record, SnapshotError};
 
-/// Current scenario artifact schema version; bump on breaking changes.
-pub const SCENARIO_VERSION: u64 = 1;
+/// True when the point `p` = `[cost, latency]` is no worse than `q` on
+/// both axes and strictly better on one: the one dominance rule behind
+/// every Pareto frontier (Fig. 7 and the scenario gate).
+pub fn dominates(p: [f64; 2], q: [f64; 2]) -> bool {
+    (p[0] <= q[0] && p[1] < q[1]) || (p[0] < q[0] && p[1] <= q[1])
+}
 
 /// One system's cost-vs-latency point within a cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemPoint {
     /// System name (`nashdb`, `threshold`, `hypergraph`).
     pub system: String,
@@ -37,8 +33,23 @@ pub struct SystemPoint {
     pub dominates: u64,
 }
 
+impl Record for SystemPoint {
+    fn fields(&mut self, c: &mut Codec<'_>) -> Checked {
+        c.field("system", &mut self.system)?;
+        c.field("cost", &mut self.cost)?;
+        c.field("mean_latency_secs", &mut self.mean_latency_secs)?;
+        c.field("p99_latency_secs", &mut self.p99_latency_secs)?;
+        c.field("on_front", &mut self.on_front)?;
+        c.field("dominates", &mut self.dominates)
+    }
+
+    fn name(&self) -> String {
+        self.system.clone()
+    }
+}
+
 /// One cell of the matrix: a scenario plus every system's point in it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellSnapshot {
     /// Workload cell name (`<generator>` from the workload matrix).
     pub workload: String,
@@ -64,16 +75,14 @@ impl CellSnapshot {
     /// The cell's unique key within an artifact. Failure-free cells keep
     /// their historical four-part key; fault cells append `/<faults>`.
     pub fn key(&self) -> String {
+        let key = format!(
+            "{}/{}/{}/{}",
+            self.workload, self.drift, self.mix, self.budget
+        );
         if self.faults == "none" {
-            format!(
-                "{}/{}/{}/{}",
-                self.workload, self.drift, self.mix, self.budget
-            )
+            key
         } else {
-            format!(
-                "{}/{}/{}/{}/{}",
-                self.workload, self.drift, self.mix, self.budget, self.faults
-            )
+            format!("{key}/{}", self.faults)
         }
     }
 
@@ -81,17 +90,76 @@ impl CellSnapshot {
     pub fn system(&self, name: &str) -> Option<&SystemPoint> {
         self.systems.iter().find(|s| s.system == name)
     }
+
+    /// Sets every point's `on_front` and `dominates` from the cell's
+    /// `(cost, mean_latency_secs)` points under [`dominates`].
+    pub fn mark_frontier(&mut self) {
+        let at: Vec<[f64; 2]> = (self.systems.iter())
+            .map(|s| [s.cost, s.mean_latency_secs])
+            .collect();
+        for (s, &p) in self.systems.iter_mut().zip(&at) {
+            s.on_front = !at.iter().any(|&q| dominates(q, p));
+            s.dominates = at.iter().filter(|&&q| dominates(p, q)).count() as u64;
+        }
+    }
+}
+
+impl Record for CellSnapshot {
+    fn fields(&mut self, c: &mut Codec<'_>) -> Checked {
+        c.field("workload", &mut self.workload)?;
+        c.field("drift", &mut self.drift)?;
+        c.field("mix", &mut self.mix)?;
+        c.field("budget", &mut self.budget)?;
+        // Artifacts from before the fault axis have no `faults` field and
+        // mean the failure-free level.
+        c.optional("faults", &mut self.faults, "none")?;
+        c.list("systems", &mut self.systems, false)?;
+        c.field("wall_ns", &mut self.wall_ns)
+    }
+
+    fn name(&self) -> String {
+        self.key()
+    }
+
+    /// A cell has systems and no empty key part, and its frontier flags are
+    /// the ones its points give.
+    fn check(&self, at: &str) -> Checked {
+        let mut derived = self.clone();
+        derived.mark_frontier();
+        match (self.systems.iter().zip(&derived.systems)).position(|(s, d)| s != d) {
+            _ if self.systems.is_empty() => schema_err(&format!("{at}.systems"), "no systems"),
+            _ if self.key().split('/').any(str::is_empty) => schema_err(at, "empty key part"),
+            Some(j) => {
+                let d = &derived.systems[j];
+                let message = format!(
+                    "the points give on_front {}, dominates {}",
+                    d.on_front, d.dominates
+                );
+                schema_err(&format!("{at}.systems[{j}]"), message)
+            }
+            None => Ok(()),
+        }
+    }
 }
 
 /// A complete scenario-matrix artifact.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioArtifact {
-    /// Schema version (`SCENARIO_VERSION` when produced by this crate).
+    /// Schema version ([`SNAPSHOT_VERSION`](crate::SNAPSHOT_VERSION) when
+    /// produced by this crate).
     pub version: u64,
     /// Free-form run metadata (seed, scale, …) in insertion order.
     pub labels: Vec<(String, String)>,
     /// All cells, in the runner's sweep order.
     pub cells: Vec<CellSnapshot>,
+}
+
+impl Record for ScenarioArtifact {
+    fn fields(&mut self, c: &mut Codec<'_>) -> Checked {
+        c.envelope(&mut self.version, &mut self.labels)?;
+        // Cells keep sweep order; only their keys must be unique.
+        c.list("cells", &mut self.cells, false)
+    }
 }
 
 impl ScenarioArtifact {
@@ -111,158 +179,25 @@ impl ScenarioArtifact {
 
     /// Serializes to deterministic pretty-printed JSON.
     pub fn to_json_string(&self) -> String {
-        let labels = object(&self.labels, |v| JsonValue::Str(v.clone()));
-        let cells = JsonValue::Array(
-            self.cells
-                .iter()
-                .map(|c| {
-                    let systems = JsonValue::Array(
-                        c.systems
-                            .iter()
-                            .map(|s| {
-                                JsonValue::Object(vec![
-                                    ("system".to_owned(), JsonValue::Str(s.system.clone())),
-                                    ("cost".to_owned(), JsonValue::Float(s.cost)),
-                                    (
-                                        "mean_latency_secs".to_owned(),
-                                        JsonValue::Float(s.mean_latency_secs),
-                                    ),
-                                    (
-                                        "p99_latency_secs".to_owned(),
-                                        JsonValue::Float(s.p99_latency_secs),
-                                    ),
-                                    ("on_front".to_owned(), JsonValue::Bool(s.on_front)),
-                                    ("dominates".to_owned(), JsonValue::UInt(s.dominates)),
-                                ])
-                            })
-                            .collect(),
-                    );
-                    let mut fields = vec![
-                        ("workload".to_owned(), JsonValue::Str(c.workload.clone())),
-                        ("drift".to_owned(), JsonValue::Str(c.drift.clone())),
-                        ("mix".to_owned(), JsonValue::Str(c.mix.clone())),
-                        ("budget".to_owned(), JsonValue::Str(c.budget.clone())),
-                    ];
-                    if c.faults != "none" {
-                        fields.push(("faults".to_owned(), JsonValue::Str(c.faults.clone())));
-                    }
-                    fields.push(("systems".to_owned(), systems));
-                    fields.push(("wall_ns".to_owned(), JsonValue::UInt(c.wall_ns)));
-                    JsonValue::Object(fields)
-                })
-                .collect(),
-        );
-        JsonValue::Object(vec![
-            ("version".to_owned(), JsonValue::UInt(self.version)),
-            ("labels".to_owned(), labels),
-            ("cells".to_owned(), cells),
-        ])
-        .to_pretty_string()
+        artifact::encode(self).to_pretty_string()
     }
 
-    /// Parses and schema-validates an artifact produced by
-    /// [`ScenarioArtifact::to_json_string`].
+    /// Parses and validates an artifact produced by
+    /// [`ScenarioArtifact::to_json_string`] with the strict artifact reader.
     ///
     /// # Errors
     /// [`SnapshotError::Json`] on malformed JSON, [`SnapshotError::Schema`]
-    /// on any structural violation: wrong version, non-finite numbers, empty
-    /// names, duplicate cell keys, duplicate system names, or a cell with no
-    /// systems.
+    /// naming the first element that violates the schema, frontier flags
+    /// that contradict their cell's points included.
     pub fn from_json_str(input: &str) -> Result<Self, SnapshotError> {
-        let root = json::parse(input)?;
-        Ok(ScenarioArtifact {
-            version: parse_version(&root, SCENARIO_VERSION)?,
-            labels: parse_fields(&root, "labels", false, "label must be a string", |v| {
-                v.as_str().map(str::to_owned)
-            })?,
-            // Cells keep sweep order; only their keys must be unique.
-            cells: parse_items(&root, "cells", false, parse_cell, CellSnapshot::key)?,
-        })
+        artifact::decode(&crate::json::parse(input)?, "")
     }
-}
-
-fn field_finite_f64(item: &JsonValue, at: &str, key: &str) -> Result<f64, SnapshotError> {
-    match item.get(key).and_then(JsonValue::as_f64) {
-        Some(v) if v.is_finite() => Ok(v),
-        _ => schema_err(&format!("{at}.{key}"), "missing or not a finite number"),
-    }
-}
-
-fn parse_cell(item: &JsonValue, index: usize) -> Result<CellSnapshot, SnapshotError> {
-    let at = format!("cells[{index}]");
-    let workload = field_str(item, &at, "workload")?;
-    let drift = field_str(item, &at, "drift")?;
-    let mix = field_str(item, &at, "mix")?;
-    let budget = field_str(item, &at, "budget")?;
-    // Optional for backward compatibility: artifacts from before the fault
-    // axis have no `faults` field and mean the failure-free level.
-    let faults = match item.get("faults") {
-        None => "none".to_owned(),
-        Some(v) => match v.as_str() {
-            Some(s) if !s.is_empty() => s.to_owned(),
-            _ => return schema_err(&format!("{at}.faults"), "not a non-empty string"),
-        },
-    };
-    let wall_ns = field_u64(item, &at, "wall_ns")?;
-
-    let Some(raw_systems) = item.get("systems").and_then(JsonValue::as_array) else {
-        return schema_err(&format!("{at}.systems"), "missing or not an array");
-    };
-    if raw_systems.is_empty() {
-        return schema_err(&format!("{at}.systems"), "cell has no systems");
-    }
-    let mut systems: Vec<SystemPoint> = Vec::with_capacity(raw_systems.len());
-    for (j, s) in raw_systems.iter().enumerate() {
-        let sat = format!("{at}.systems[{j}]");
-        let system = field_str(s, &sat, "system")?;
-        if systems.iter().any(|p| p.system == system) {
-            return schema_err(&sat, format!("duplicate system {system}"));
-        }
-        let cost = field_finite_f64(s, &sat, "cost")?;
-        let mean_latency_secs = field_finite_f64(s, &sat, "mean_latency_secs")?;
-        let p99_latency_secs = field_finite_f64(s, &sat, "p99_latency_secs")?;
-        let Some(on_front) = s.get("on_front").and_then(JsonValue::as_bool) else {
-            return schema_err(&format!("{sat}.on_front"), "missing or not a boolean");
-        };
-        let dominates = field_u64(s, &sat, "dominates")?;
-        if dominates >= raw_systems.len() as u64 {
-            return schema_err(
-                &format!("{sat}.dominates"),
-                format!(
-                    "dominates {dominates} but the cell has only {} other points",
-                    raw_systems.len() - 1
-                ),
-            );
-        }
-        systems.push(SystemPoint {
-            system,
-            cost,
-            mean_latency_secs,
-            p99_latency_secs,
-            on_front,
-            dominates,
-        });
-    }
-    // A cell must have at least one frontier point: the frontier of a
-    // non-empty set is non-empty.
-    if !systems.iter().any(|s| s.on_front) {
-        return schema_err(&format!("{at}.systems"), "no system is on the frontier");
-    }
-
-    Ok(CellSnapshot {
-        workload,
-        drift,
-        mix,
-        budget,
-        faults,
-        systems,
-        wall_ns,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SNAPSHOT_VERSION;
 
     fn point(system: &str, cost: f64, lat: f64, on_front: bool, dominates: u64) -> SystemPoint {
         SystemPoint {
@@ -277,7 +212,7 @@ mod tests {
 
     fn sample() -> ScenarioArtifact {
         ScenarioArtifact {
-            version: SCENARIO_VERSION,
+            version: SNAPSHOT_VERSION,
             labels: vec![
                 ("seed".to_owned(), "42".to_owned()),
                 ("scale".to_owned(), "quick".to_owned()),
@@ -292,7 +227,7 @@ mod tests {
                     systems: vec![
                         point("nashdb", 10.0, 0.5, true, 2),
                         point("threshold", 12.0, 0.9, false, 0),
-                        point("hypergraph", 11.0, 0.7, false, 0),
+                        point("hypergraph", 11.0, 0.7, false, 1),
                     ],
                     wall_ns: 123_456,
                 },
@@ -303,7 +238,7 @@ mod tests {
                     budget: "ample".to_owned(),
                     faults: "crash".to_owned(),
                     systems: vec![
-                        point("nashdb", 5.0, 1.0, true, 0),
+                        point("nashdb", 5.0, 1.0, true, 1),
                         point("threshold", 4.0, 1.5, true, 0),
                         point("hypergraph", 6.0, 1.2, false, 0),
                     ],
@@ -396,6 +331,14 @@ mod tests {
                 good.replace("\"dominates\": 2", "\"dominates\": 3"),
                 "dominates out of range",
             ),
+            (
+                good.replace("\"system\": \"threshold\"", "\"system\": \"\""),
+                "empty system name",
+            ),
+            (
+                good.replace("\"workload\": \"tpch\"", "\"workload\": \"\""),
+                "empty workload",
+            ),
         ];
         for (text, why) in cases {
             if text == good {
@@ -420,5 +363,25 @@ mod tests {
         let err = ScenarioArtifact::from_json_str(&art.to_json_string()).unwrap_err();
         assert!(matches!(err, SnapshotError::Schema { .. }), "{err}");
         assert!(err.to_string().contains("duplicate name"), "{err}");
+    }
+
+    #[test]
+    fn frontier_flags_are_derived_from_the_points() {
+        // The fixture's flags are the ones its points give.
+        let mut art = sample();
+        for cell in &mut art.cells {
+            cell.mark_frontier();
+        }
+        assert_eq!(art, sample());
+        // "Everyone but nashdb" on the front contradicts cell 0's points.
+        for s in &mut art.cells[0].systems {
+            s.on_front = s.system != "nashdb";
+            s.dominates = 0;
+        }
+        let err = ScenarioArtifact::from_json_str(&art.to_json_string()).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Schema { at, .. } if at == "cells[0].systems[0]"),
+            "{err}"
+        );
     }
 }

@@ -2,20 +2,15 @@
 //!
 //! The snapshot is the CI artifact contract: `nashdb-bench smoke` emits it,
 //! the `bench-smoke` job re-parses and validates it, and perf PRs diff two
-//! of them. The format therefore versions itself (`version` field), sorts
-//! every collection, and round-trips floats exactly.
+//! of them. It is a record of the one artifact format ([`crate::artifact`]).
 
-use crate::histogram::{Histogram, NUM_BUCKETS};
-use crate::json::{self, JsonError, JsonValue};
+use crate::artifact::{self, schema_err, Checked, Codec, Record, SnapshotError};
+use crate::histogram::Histogram;
 use crate::names::{Metric, Span, Stage};
-use crate::registry::{filled, MetricsRegistry};
-
-/// Current snapshot schema version; bump on breaking layout changes.
-pub const SNAPSHOT_VERSION: u64 = 1;
 
 /// Serialized form of one histogram: summary statistics plus the populated
 /// log buckets as `(bucket_index, count)` pairs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Metric name (e.g. `cluster.query_latency_ns`).
     pub name: String,
@@ -35,17 +30,38 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
 }
 
-impl HistogramSnapshot {
-    fn from_histogram(metric: Metric, h: &Histogram) -> Self {
-        HistogramSnapshot {
-            name: metric.name().to_owned(),
-            count: h.count(),
-            sum: h.sum(),
-            max: h.max(),
-            p50: h.quantile(50.0).unwrap_or(0),
-            p95: h.quantile(95.0).unwrap_or(0),
-            p99: h.quantile(99.0).unwrap_or(0),
-            buckets: h.nonzero_buckets().map(|(i, c)| (i as u64, c)).collect(),
+impl Record for HistogramSnapshot {
+    fn fields(&mut self, c: &mut Codec<'_>) -> Checked {
+        c.field("name", &mut self.name)?;
+        c.field("count", &mut self.count)?;
+        c.field("sum", &mut self.sum)?;
+        c.field("max", &mut self.max)?;
+        c.field("p50", &mut self.p50)?;
+        c.field("p95", &mut self.p95)?;
+        c.field("p99", &mut self.p99)?;
+        c.field("buckets", &mut self.buckets)
+    }
+
+    fn name(&self) -> String {
+        self.name.clone()
+    }
+
+    /// The histogram is one [`Histogram`] could have recorded: the buckets
+    /// are in range, populated and ascending, they sum to `count`, `max` lies
+    /// in the highest, and the percentiles are what [`Histogram::quantile`]
+    /// derives from them.
+    fn check(&self, at: &str) -> Checked {
+        let derived = Histogram::from_parts(&self.buckets, self.sum, self.max);
+        match derived.map(|h| h.snapshot(&self.name)) {
+            Some(d) if d == *self => Ok(()),
+            Some(d) => schema_err(at, format!("disagrees with its buckets, which give {d:?}")),
+            None => schema_err(
+                &format!("{at}.max"),
+                format!(
+                    "{} is not in the highest bucket, or a bucket is out of range",
+                    self.max
+                ),
+            ),
         }
     }
 }
@@ -63,10 +79,35 @@ pub struct SpanSnapshot {
     pub child_ns: u64,
 }
 
+impl Record for SpanSnapshot {
+    fn fields(&mut self, c: &mut Codec<'_>) -> Checked {
+        c.field("path", &mut self.path)?;
+        c.field("count", &mut self.count)?;
+        c.field("total_ns", &mut self.total_ns)?;
+        c.field("child_ns", &mut self.child_ns)
+    }
+
+    fn name(&self) -> String {
+        self.path.clone()
+    }
+
+    fn check(&self, at: &str) -> Checked {
+        if self.count == 0 {
+            return schema_err(&format!("{at}.count"), "span count must be nonzero");
+        }
+        if self.child_ns > self.total_ns {
+            let message = format!("exceeds total_ns {}", self.total_ns);
+            return schema_err(&format!("{at}.child_ns"), message);
+        }
+        Ok(())
+    }
+}
+
 /// A complete, self-describing dump of one observability session.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsSnapshot {
-    /// Schema version (`SNAPSHOT_VERSION` when produced by this crate).
+    /// Schema version ([`SNAPSHOT_VERSION`](crate::SNAPSHOT_VERSION) when
+    /// produced by this crate).
     pub version: u64,
     /// Free-form run metadata (workload name, seed, …) in insertion order.
     pub labels: Vec<(String, String)>,
@@ -81,64 +122,17 @@ pub struct ObsSnapshot {
     pub spans: Vec<SpanSnapshot>,
 }
 
-/// Why a snapshot failed to load or validate.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SnapshotError {
-    /// The input was not well-formed JSON.
-    Json(JsonError),
-    /// The JSON parsed but violated the snapshot schema.
-    Schema {
-        /// Dotted path to the offending element (e.g. `histograms[2].buckets`).
-        at: String,
-        /// What was wrong.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Json(e) => write!(f, "snapshot is not valid JSON: {e}"),
-            SnapshotError::Schema { at, message } => {
-                write!(f, "snapshot schema violation at {at}: {message}")
-            }
-        }
+impl Record for ObsSnapshot {
+    fn fields(&mut self, c: &mut Codec<'_>) -> Checked {
+        c.envelope(&mut self.version, &mut self.labels)?;
+        c.map("counters", &mut self.counters, true)?;
+        c.map("gauges", &mut self.gauges, true)?;
+        c.list("histograms", &mut self.histograms, true)?;
+        c.list("spans", &mut self.spans, true)
     }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<JsonError> for SnapshotError {
-    fn from(e: JsonError) -> Self {
-        SnapshotError::Json(e)
-    }
-}
-
-pub(crate) fn schema_err<T>(at: &str, message: impl Into<String>) -> Result<T, SnapshotError> {
-    Err(SnapshotError::Schema {
-        at: at.to_owned(),
-        message: message.into(),
-    })
 }
 
 impl ObsSnapshot {
-    /// Captures a registry into snapshot form with the given labels.
-    pub(crate) fn capture(registry: MetricsRegistry, labels: Vec<(String, String)>) -> Self {
-        fn named<T: Copy>((m, &v): (Metric, &T)) -> (String, T) {
-            (m.name().to_owned(), v)
-        }
-        ObsSnapshot {
-            version: SNAPSHOT_VERSION,
-            labels,
-            counters: filled(&registry.counters).map(named).collect(),
-            gauges: filled(&registry.gauges).map(named).collect(),
-            histograms: filled(&registry.histograms)
-                .map(|(m, h)| HistogramSnapshot::from_histogram(m, h))
-                .collect(),
-            spans: registry.spans.into_values().collect(),
-        }
-    }
-
     /// Looks up a counter value.
     pub fn counter(&self, metric: Metric) -> Option<u64> {
         self.counters
@@ -198,292 +192,38 @@ impl ObsSnapshot {
             span.child_ns = 0;
         }
         for h in &mut self.histograms {
-            if Metric::from_name(&h.name).is_some_and(Metric::is_wall_clock) {
-                h.sum = 0;
-                h.max = 0;
-                h.p50 = 0;
-                h.p95 = 0;
-                h.p99 = 0;
-                h.buckets = if h.count > 0 {
-                    vec![(0, h.count)]
-                } else {
-                    Vec::new()
-                };
+            if !Metric::from_name(&h.name).is_some_and(Metric::is_wall_clock) {
+                continue;
+            }
+            // Scrubbed, the histogram reads as if every sample had been 0.
+            if let Some(zeroed) = Histogram::from_parts(&[(0, h.count)], 0, 0) {
+                *h = zeroed.snapshot(&h.name);
             }
         }
     }
 
     /// Serializes to deterministic pretty-printed JSON.
     pub fn to_json_string(&self) -> String {
-        let labels = object(&self.labels, |v| JsonValue::Str(v.clone()));
-        let counters = object(&self.counters, |&v| JsonValue::UInt(v));
-        let gauges = object(&self.gauges, |&v| JsonValue::Float(v));
-        let histograms = JsonValue::Array(
-            self.histograms
-                .iter()
-                .map(|h| {
-                    JsonValue::Object(vec![
-                        ("name".to_owned(), JsonValue::Str(h.name.clone())),
-                        ("count".to_owned(), JsonValue::UInt(h.count)),
-                        ("sum".to_owned(), JsonValue::UInt(h.sum)),
-                        ("max".to_owned(), JsonValue::UInt(h.max)),
-                        ("p50".to_owned(), JsonValue::UInt(h.p50)),
-                        ("p95".to_owned(), JsonValue::UInt(h.p95)),
-                        ("p99".to_owned(), JsonValue::UInt(h.p99)),
-                        (
-                            "buckets".to_owned(),
-                            JsonValue::Array(
-                                h.buckets
-                                    .iter()
-                                    .map(|&(i, c)| {
-                                        JsonValue::Array(vec![
-                                            JsonValue::UInt(i),
-                                            JsonValue::UInt(c),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let spans = JsonValue::Array(
-            self.spans
-                .iter()
-                .map(|s| {
-                    JsonValue::Object(vec![
-                        ("path".to_owned(), JsonValue::Str(s.path.clone())),
-                        ("count".to_owned(), JsonValue::UInt(s.count)),
-                        ("total_ns".to_owned(), JsonValue::UInt(s.total_ns)),
-                        ("child_ns".to_owned(), JsonValue::UInt(s.child_ns)),
-                    ])
-                })
-                .collect(),
-        );
-        JsonValue::Object(vec![
-            ("version".to_owned(), JsonValue::UInt(self.version)),
-            ("labels".to_owned(), labels),
-            ("counters".to_owned(), counters),
-            ("gauges".to_owned(), gauges),
-            ("histograms".to_owned(), histograms),
-            ("spans".to_owned(), spans),
-        ])
-        .to_pretty_string()
+        artifact::encode(self).to_pretty_string()
     }
 
-    /// Parses and schema-validates a snapshot produced by
-    /// [`ObsSnapshot::to_json_string`]: besides each field's type, names
-    /// must be unique, and in strictly ascending order everywhere but
-    /// `labels` (which keep insertion order).
+    /// Parses and validates a snapshot produced by
+    /// [`ObsSnapshot::to_json_string`] with the strict artifact reader: names
+    /// are unique, and strictly ascending everywhere but `labels` (which
+    /// keep insertion order).
+    ///
+    /// # Errors
+    /// [`SnapshotError::Json`] on malformed JSON, [`SnapshotError::Schema`]
+    /// naming the first element that violates the schema.
     pub fn from_json_str(input: &str) -> Result<Self, SnapshotError> {
-        let root = json::parse(input)?;
-        Ok(ObsSnapshot {
-            version: parse_version(&root, SNAPSHOT_VERSION)?,
-            labels: parse_fields(&root, "labels", false, "label must be a string", |v| {
-                v.as_str().map(str::to_owned)
-            })?,
-            counters: parse_fields(
-                &root,
-                "counters",
-                true,
-                "counter must be an unsigned integer",
-                JsonValue::as_u64,
-            )?,
-            gauges: parse_fields(
-                &root,
-                "gauges",
-                true,
-                "gauge must be a finite number",
-                |v| v.as_f64().filter(|g| g.is_finite()),
-            )?,
-            histograms: parse_items(&root, "histograms", true, parse_histogram, |h| {
-                h.name.clone()
-            })?,
-            spans: parse_items(&root, "spans", true, parse_span, |s| s.path.clone())?,
-        })
+        artifact::decode(&crate::json::parse(input)?, "")
     }
-}
-
-/// A name-keyed JSON object from `(name, value)` pairs.
-pub(crate) fn object<T>(pairs: &[(String, T)], value: impl Fn(&T) -> JsonValue) -> JsonValue {
-    JsonValue::Object(pairs.iter().map(|(k, v)| (k.clone(), value(v))).collect())
-}
-
-/// The document's `version`, which must equal `expected`.
-pub(crate) fn parse_version(root: &JsonValue, expected: u64) -> Result<u64, SnapshotError> {
-    match root.get("version").and_then(JsonValue::as_u64) {
-        Some(v) if v == expected => Ok(v),
-        Some(v) => schema_err(
-            "version",
-            format!("unsupported version {v}, expected {expected}"),
-        ),
-        None => schema_err("version", "missing or not an unsigned integer"),
-    }
-}
-
-/// Parses the name-keyed object `root.key`, converting each value with
-/// `convert` (`what` says what a value must be). Names must be unique, and
-/// strictly ascending when `sorted`.
-pub(crate) fn parse_fields<T>(
-    root: &JsonValue,
-    key: &str,
-    sorted: bool,
-    what: &str,
-    convert: impl Fn(&JsonValue) -> Option<T>,
-) -> Result<Vec<(String, T)>, SnapshotError> {
-    let Some(JsonValue::Object(fields)) = root.get(key) else {
-        return schema_err(key, "missing or not an object");
-    };
-    let mut out = Vec::with_capacity(fields.len());
-    for (k, v) in fields {
-        let Some(value) = convert(v) else {
-            return schema_err(&format!("{key}.{k}"), what);
-        };
-        out.push((k.clone(), value));
-    }
-    check_names(key, out.iter().map(|(k, _)| k.clone()).collect(), sorted)?;
-    Ok(out)
-}
-
-/// Parses the array `root.key` item by item. The names `name` picks must
-/// be unique, and strictly ascending when `sorted`.
-pub(crate) fn parse_items<T>(
-    root: &JsonValue,
-    key: &str,
-    sorted: bool,
-    parse: fn(&JsonValue, usize) -> Result<T, SnapshotError>,
-    name: fn(&T) -> String,
-) -> Result<Vec<T>, SnapshotError> {
-    let Some(items) = root.get(key).and_then(JsonValue::as_array) else {
-        return schema_err(key, "missing or not an array");
-    };
-    let out = items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| parse(item, i))
-        .collect::<Result<Vec<_>, _>>()?;
-    check_names(key, out.iter().map(name).collect(), sorted)?;
-    Ok(out)
-}
-
-/// Rejects a repeated name, or (when `sorted`) one below its predecessor.
-fn check_names(at: &str, mut names: Vec<String>, sorted: bool) -> Result<(), SnapshotError> {
-    if !sorted {
-        names.sort_unstable();
-    }
-    match names.windows(2).find(|w| w[0] >= w[1]) {
-        Some(w) if w[0] == w[1] => schema_err(&format!("{at}.{}", w[1]), "duplicate name"),
-        Some(w) => schema_err(
-            &format!("{at}.{}", w[1]),
-            format!("out of order after {:?}", w[0]),
-        ),
-        None => Ok(()),
-    }
-}
-
-pub(crate) fn field_str(item: &JsonValue, at: &str, key: &str) -> Result<String, SnapshotError> {
-    match item.get(key).and_then(JsonValue::as_str) {
-        Some(s) if !s.is_empty() => Ok(s.to_owned()),
-        _ => schema_err(&format!("{at}.{key}"), "missing or empty string"),
-    }
-}
-
-pub(crate) fn field_u64(item: &JsonValue, at: &str, key: &str) -> Result<u64, SnapshotError> {
-    match item.get(key).and_then(JsonValue::as_u64) {
-        Some(v) => Ok(v),
-        None => schema_err(&format!("{at}.{key}"), "missing or not an unsigned integer"),
-    }
-}
-
-fn parse_histogram(item: &JsonValue, index: usize) -> Result<HistogramSnapshot, SnapshotError> {
-    let at = format!("histograms[{index}]");
-    let name = field_str(item, &at, "name")?;
-    let count = field_u64(item, &at, "count")?;
-    let sum = field_u64(item, &at, "sum")?;
-    let max = field_u64(item, &at, "max")?;
-    let p50 = field_u64(item, &at, "p50")?;
-    let p95 = field_u64(item, &at, "p95")?;
-    let p99 = field_u64(item, &at, "p99")?;
-
-    let Some(raw_buckets) = item.get("buckets").and_then(JsonValue::as_array) else {
-        return schema_err(&format!("{at}.buckets"), "missing or not an array");
-    };
-    let mut buckets = Vec::with_capacity(raw_buckets.len());
-    let mut bucket_total = 0u64;
-    let mut prev_index: Option<u64> = None;
-    for (j, pair) in raw_buckets.iter().enumerate() {
-        let bat = format!("{at}.buckets[{j}]");
-        let pair = match pair.as_array() {
-            Some(p) if p.len() == 2 => p,
-            _ => return schema_err(&bat, "bucket must be a [index, count] pair"),
-        };
-        let (Some(bi), Some(bc)) = (pair[0].as_u64(), pair[1].as_u64()) else {
-            return schema_err(&bat, "bucket index/count must be unsigned integers");
-        };
-        if bi >= NUM_BUCKETS as u64 {
-            return schema_err(&bat, format!("bucket index {bi} out of range"));
-        }
-        if bc == 0 {
-            return schema_err(&bat, "empty buckets must be omitted");
-        }
-        if let Some(prev) = prev_index {
-            if bi <= prev {
-                return schema_err(&bat, "bucket indices must be strictly ascending");
-            }
-        }
-        prev_index = Some(bi);
-        bucket_total = bucket_total.saturating_add(bc);
-        buckets.push((bi, bc));
-    }
-    if bucket_total != count {
-        return schema_err(
-            &format!("{at}.buckets"),
-            format!("bucket counts sum to {bucket_total} but count is {count}"),
-        );
-    }
-    if max > 0 && count == 0 {
-        return schema_err(&format!("{at}.max"), "max is nonzero but count is zero");
-    }
-
-    Ok(HistogramSnapshot {
-        name,
-        count,
-        sum,
-        max,
-        p50,
-        p95,
-        p99,
-        buckets,
-    })
-}
-
-fn parse_span(item: &JsonValue, index: usize) -> Result<SpanSnapshot, SnapshotError> {
-    let at = format!("spans[{index}]");
-    let path = field_str(item, &at, "path")?;
-    let count = field_u64(item, &at, "count")?;
-    let total_ns = field_u64(item, &at, "total_ns")?;
-    let child_ns = field_u64(item, &at, "child_ns")?;
-    if count == 0 {
-        return schema_err(&format!("{at}.count"), "span count must be nonzero");
-    }
-    if child_ns > total_ns {
-        return schema_err(
-            &format!("{at}.child_ns"),
-            format!("child time {child_ns}ns exceeds total {total_ns}ns"),
-        );
-    }
-    Ok(SpanSnapshot {
-        path,
-        count,
-        total_ns,
-        child_ns,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricsRegistry;
 
     fn sample_snapshot() -> ObsSnapshot {
         let mut r = MetricsRegistry::default();
@@ -618,6 +358,17 @@ mod tests {
             (
                 mutated(|s| s.spans.push(s.spans[0].clone())),
                 "duplicate span",
+            ),
+            (
+                mutated(|s| {
+                    let h = &mut s.histograms[0];
+                    (h.max, h.sum, h.p50, h.p95, h.p99) = (5, 0, 900, 900, 900);
+                }),
+                "max outside its bucket, percentiles above max",
+            ),
+            (
+                mutated(|s| s.histograms[0].p50 += 1),
+                "percentile the buckets do not give",
             ),
         ];
         for (text, why) in cases {
