@@ -283,7 +283,7 @@ impl Distributor for HypergraphDistributor {
             }
         }
 
-        DistScheme::new(fragments, nodes)
+        DistScheme::new(fragments, &nodes)
     }
 
     fn name(&self) -> &'static str {

@@ -235,7 +235,7 @@ impl Distributor for ThresholdDistributor {
             }
         }
 
-        DistScheme::new(blocks.into_iter().map(|b| b.frag).collect(), node_frags)
+        DistScheme::new(blocks.into_iter().map(|b| b.frag).collect(), &node_frags)
     }
 
     fn name(&self) -> &'static str {

@@ -9,14 +9,14 @@
 //! square, and a minimum-weight perfect matching ([`hungarian`]) is the
 //! optimal transition strategy (Eq. 10).
 //!
-//! The matrix is one flat row-major `Vec<u64>`. `|Data(m′) − Data(m)|` is
-//! `|Data(m′)| − |Data(m) ∩ Data(m′)|`, and the intersection is nonzero only
-//! for node pairs that share a stretch of tuples, so [`plan_transition`]
-//! derives every pairwise intersection from one pass over the stretches the
-//! old side's run boundaries cut the tuple line into — its cost follows the
-//! replicas and the overlapping pairs, not `nodes²` merge walks. The
-//! per-pair [`IntervalSet::difference_len`] formulation it replaced is kept
-//! in [`mod@reference`] as the executable specification the pass is
+//! The matrix is one flat row-major `Vec<u64>`, and `|Data(m′) − Data(m)|`
+//! is `|Data(m′)| − |Data(m) ∩ Data(m′)|`. Each side is a [`Side`]: sorted,
+//! disjoint stretches of the tuple line, each listing its holders, which a
+//! fragment table (`nashdb::DistScheme`) yields directly and
+//! [`Side::from_sets`] derives from interval sets. [`plan_sides`] takes every
+//! pairwise intersection from one linear merge of the two stretch lists. The
+//! per-pair [`IntervalSet::difference_len`] matrix is kept in
+//! [`mod@reference`] as the executable specification the merge is
 //! property-tested against, entry for entry.
 
 mod hungarian;
@@ -29,6 +29,7 @@ pub use interval_set::IntervalSet;
 use nashdb_obs::Metric;
 
 use crate::ids::NodeId;
+use crate::routing::run_of;
 
 /// One node's fate in a transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,11 +104,104 @@ impl TransitionPlan {
     }
 }
 
+/// One side of a transition: sorted, disjoint stretches of the tuple line,
+/// stretch `k` spanning `spans[k]` and held by run `k` of `holders` (ending at
+/// `ends[k]`: CSR), and the node count, since a node may hold nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Side {
+    nodes: usize,
+    spans: Vec<(u64, u64)>,
+    ends: Vec<usize>,
+    holders: Vec<usize>,
+}
+
+impl Side {
+    /// A side of `nodes` nodes holding nothing, with room for `stretches`
+    /// stretches and `holders` holders.
+    pub fn with_capacity(nodes: usize, stretches: usize, holders: usize) -> Side {
+        Side {
+            nodes,
+            spans: Vec::with_capacity(stretches),
+            ends: Vec::with_capacity(stretches),
+            holders: Vec::with_capacity(holders),
+        }
+    }
+
+    /// Appends the stretch `start..end`, held by each of `holders` once; it
+    /// may not start before the last one ends. A reversed stretch is empty,
+    /// and a holder past the node count raises the count.
+    pub fn push(&mut self, start: u64, end: u64, holders: impl IntoIterator<Item = usize>) {
+        let last = self.spans.last().map_or(0, |s| s.1);
+        debug_assert!(last <= start, "stretch {start}..{end} is out of order");
+        self.spans.push((start, end));
+        for h in holders {
+            self.nodes = self.nodes.max(h.saturating_add(1));
+            self.holders.push(h);
+        }
+        self.ends.push(self.holders.len());
+    }
+
+    /// The side whose node `i` holds `sets[i]`, cut at every run end of every
+    /// set; each stretch's holders are counted, then placed.
+    pub fn from_sets(sets: &[IntervalSet]) -> Side {
+        let mut cuts: Vec<u64> = sets
+            .iter()
+            .flat_map(|set| set.runs().iter().flat_map(|&(s, e)| [s, e]))
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        // Where stretch `k`'s holders start, with a spare slot for the last cut.
+        let mut starts = vec![0usize; cuts.len() + 1];
+        for set in sets {
+            for_each_stretch(&cuts, set, |k| starts[k + 1] += 1);
+        }
+        for k in 1..starts.len() {
+            starts[k] = starts[k].saturating_add(starts[k - 1]);
+        }
+        let mut holders = vec![0usize; starts[cuts.len()]];
+        let mut ends = starts; // Each placement moves a stretch's cursor on.
+        for (i, set) in sets.iter().enumerate() {
+            for_each_stretch(&cuts, set, |k| {
+                holders[ends[k]] = i;
+                ends[k] += 1;
+            });
+        }
+        let spans: Vec<(u64, u64)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
+        ends.truncate(spans.len());
+        Side {
+            nodes: sets.len(),
+            spans,
+            ends,
+            holders,
+        }
+    }
+}
+
+/// Visits, in order, the index `k` of every stretch `cuts[k]..cuts[k + 1]`
+/// that `set` holds. Every run of `set` must start and end on a cut; the runs
+/// are sorted, so one cursor finds them all moving forward only.
+fn for_each_stretch(cuts: &[u64], set: &IntervalSet, mut visit: impl FnMut(usize)) {
+    let mut k = 0;
+    for &(s, e) in set.runs() {
+        k += cuts[k..].partition_point(|&c| c < s);
+        while cuts[k] < e {
+            visit(k);
+            k += 1;
+        }
+    }
+}
+
 /// Plans the minimum-transfer transition from the nodes of `old` to the
 /// nodes of `new`, each given as the interval set of tuples it stores.
 pub fn plan_transition(old: &[IntervalSet], new: &[IntervalSet]) -> TransitionPlan {
+    plan_sides(&Side::from_sets(old), &Side::from_sets(new))
+}
+
+/// Plans the minimum-transfer transition from the nodes of `old` to the
+/// nodes of `new`.
+pub fn plan_sides(old: &Side, new: &Side) -> TransitionPlan {
     let watch = nashdb_obs::stopwatch();
-    let n = old.len().max(new.len());
+    let n = old.nodes.max(new.nodes);
     if n == 0 {
         nashdb_obs::counter_add(Metric::TransitionPlans, 1);
         watch.record(Metric::TransitionPlanNs);
@@ -117,7 +211,7 @@ pub fn plan_transition(old: &[IntervalSet], new: &[IntervalSet]) -> TransitionPl
         };
     }
 
-    let plan = plan_from_costs(&cost_matrix(old, new), old.len(), new.len());
+    let plan = plan_from_costs(&cost_matrix(old, new), old.nodes, new.nodes);
     nashdb_obs::counter_add(Metric::TransitionPlans, 1);
     nashdb_obs::counter_add(Metric::TransitionTuplesMoved, plan.total_transfer);
     nashdb_obs::counter_add(Metric::TransitionProvisioned, plan.provisioned() as u64);
@@ -131,108 +225,44 @@ pub fn plan_transition(old: &[IntervalSet], new: &[IntervalSet]) -> TransitionPl
 }
 
 /// The square cost matrix of dimension `n = max(|old|, |new|) ≥ 1`, flat
-/// and row-major — entry for entry [`reference::cost_matrix`].
-fn cost_matrix(old: &[IntervalSet], new: &[IntervalSet]) -> Vec<u64> {
-    let n = old.len().max(new.len());
-    let inter = intersection_lens(old, new);
-    let new_lens: Vec<u64> = new.iter().map(IntervalSet::len).collect();
-    // Rows: old nodes then dummies. Columns: new nodes then dummies. With
-    // `n = max(|old|, |new|)`, dummies only ever pad the smaller side, so a
-    // dummy row never meets a dummy column. Dummy columns (decommissioning,
-    // free) keep the zero the matrix starts with.
-    let m = new.len();
+/// and row-major — entry for entry [`reference::cost_matrix`]. Rows are old
+/// nodes then dummies, columns new nodes then dummies. Every row starts as a
+/// provision (`|new_j|`, and 0 to decommission); old row `i` then loses
+/// `|old_i ∩ new_j|`. The merge steps past whichever stretch ends first, so
+/// each overlapping pair of stretches meets once and takes its shared length
+/// off each (old holder, new holder) cell: once per shared tuple and `(i, j)`,
+/// as a node holds a stretch at most once and a side's stretches are disjoint.
+fn cost_matrix(old: &Side, new: &Side) -> Vec<u64> {
+    let (n, m) = (old.nodes.max(new.nodes), new.nodes);
     let mut cost = vec![0u64; n * n];
-    for (i, row) in cost.chunks_exact_mut(n).enumerate() {
-        let row = &mut row[..m];
-        if i < old.len() {
-            // Turning an old node into a new one: copy what's missing.
-            let shared = &inter[i * m..(i + 1) * m];
-            for ((c, len), shared) in row.iter_mut().zip(&new_lens).zip(shared) {
-                *c = len - shared;
+    for (k, &(s, e)) in new.spans.iter().enumerate() {
+        for &j in run_of(&new.holders, &new.ends, k) {
+            cost[j] = cost[j].saturating_add(e.saturating_sub(s));
+        }
+    }
+    let (first, rest) = cost.split_at_mut(n);
+    for row in rest.chunks_exact_mut(n) {
+        row[..m].copy_from_slice(&first[..m]);
+    }
+    let (mut a, mut b) = (0, 0);
+    while a < old.spans.len() && b < new.spans.len() {
+        let ((os, oe), (ns, ne)) = (old.spans[a], new.spans[b]);
+        let shared = oe.min(ne).saturating_sub(os.max(ns));
+        if shared > 0 {
+            for &i in run_of(&old.holders, &old.ends, a) {
+                let row = &mut cost[i * n..i * n + m];
+                for &j in run_of(&new.holders, &new.ends, b) {
+                    row[j] = row[j].saturating_sub(shared);
+                }
             }
+        }
+        if oe <= ne {
+            a += 1;
         } else {
-            // Provisioning a fresh node: copy everything.
-            row.copy_from_slice(&new_lens);
+            b += 1;
         }
     }
     cost
-}
-
-/// `|old[i] ∩ new[j]|` for every pair, flat and row-major
-/// (`[i * new.len() + j]`), from one pass over shared stretches.
-///
-/// The distinct run boundaries of the *old* side cut the tuple line into
-/// stretches; between two consecutive cuts the set of old nodes holding the
-/// stretch is fixed. Those holders are listed once per stretch (CSR:
-/// `holders[starts[k]..starts[k + 1]]` for the stretch from `cuts[k]` to
-/// `cuts[k + 1]`), and every run of every new node adds its overlap with
-/// each stretch it crosses to that stretch's holders. One set's runs are
-/// disjoint, so a tuple held by both `old[i]` and `new[j]` lies in exactly
-/// one stretch held by `i` and one run of `j`: it is counted once per pair,
-/// which is [`IntervalSet::intersection_len`].
-fn intersection_lens(old: &[IntervalSet], new: &[IntervalSet]) -> Vec<u64> {
-    let mut inter = vec![0u64; old.len() * new.len()];
-    if inter.is_empty() {
-        return inter;
-    }
-    let mut cuts: Vec<u64> = old
-        .iter()
-        .flat_map(|set| set.runs().iter().flat_map(|&(s, e)| [s, e]))
-        .collect();
-    cuts.sort_unstable();
-    cuts.dedup();
-
-    // Two passes over the old side: count each stretch's holders, then
-    // place them. The last cut starts no stretch; giving it a (holderless)
-    // slot all the same keeps a side of empty sets, with no cut at all, in
-    // bounds.
-    let mut starts = vec![0usize; cuts.len() + 1];
-    for set in old {
-        for_each_stretch(&cuts, set, |k| starts[k + 1] += 1);
-    }
-    for k in 1..starts.len() {
-        starts[k] = starts[k].saturating_add(starts[k - 1]);
-    }
-    let mut holders = vec![0usize; starts[cuts.len()]];
-    let mut filled = starts.clone();
-    for (i, set) in old.iter().enumerate() {
-        for_each_stretch(&cuts, set, |k| {
-            holders[filled[k]] = i;
-            filled[k] += 1;
-        });
-    }
-
-    for (j, set) in new.iter().enumerate() {
-        for &(s, e) in set.runs() {
-            // The stretch holding `s`, or the first one if `s` precedes
-            // every cut; a run past the last cut finds none.
-            let mut k = cuts.partition_point(|&c| c <= s).saturating_sub(1);
-            while k + 1 < cuts.len() && cuts[k] < e {
-                let shared = cuts[k + 1].min(e) - cuts[k].max(s);
-                for &i in &holders[starts[k]..starts[k + 1]] {
-                    let cell = &mut inter[i * new.len() + j];
-                    *cell = cell.saturating_add(shared);
-                }
-                k += 1;
-            }
-        }
-    }
-    inter
-}
-
-/// Visits, in order, the index of every stretch `set` holds: stretch `k`
-/// runs from `cuts[k]` to `cuts[k + 1]`. Every run of `set` must start and
-/// end on a cut; the runs are sorted, so one cursor finds them all moving
-/// forward only.
-fn for_each_stretch(cuts: &[u64], set: &IntervalSet, mut visit: impl FnMut(usize)) {
-    let mut k = 0;
-    for &(s, e) in set.runs() {
-        k += cuts[k..].partition_point(|&c| c < s);
-        while cuts[k] < e {
-            visit(k);
-            k += 1;
-        }
-    }
 }
 
 /// Solves a flat square cost matrix whose first `old` rows and first `new`
@@ -464,7 +494,70 @@ mod tests {
         }
     }
 
-    /// The shared-stretch pass fills the matrix the per-pair walks fill,
+    /// `side`'s matrix against the per-pair one over `sets`, and the plan
+    /// against the reference plan, move for move.
+    fn assert_matches_reference(old: (&Side, &[IntervalSet]), new: (&Side, &[IntervalSet])) {
+        assert_eq!(
+            cost_matrix(old.0, new.0),
+            reference::cost_matrix(old.1, new.1)
+        );
+        assert_eq!(plan_sides(old.0, new.0), reference::plan(old.1, new.1));
+    }
+
+    #[test]
+    fn merge_counts_touching_stretches_once() {
+        // Old stretches touch at 10 and 20 (nodes 0, 1, then both); the new
+        // side cuts at 15 and 20. Every stretch boundary meets another.
+        let mut old = Side::default();
+        old.push(0, 10, [0]);
+        old.push(10, 20, [1]);
+        old.push(20, 30, [0, 1]);
+        let mut new = Side::default();
+        new.push(5, 15, [1, 0]);
+        new.push(15, 20, [0]);
+        new.push(20, 30, [1]);
+        let old_sets = [set(&[(0, 10), (20, 30)]), set(&[(10, 30)])];
+        let new_sets = [set(&[(5, 20)]), set(&[(5, 15), (20, 30)])];
+        assert_matches_reference((&old, &old_sets), (&new, &new_sets));
+        // Node 1 holds all of new node 1 but 5..10: 5 tuples to copy.
+        assert_eq!(cost_matrix(&old, &new)[3], 5);
+    }
+
+    #[test]
+    fn holderless_gap_adds_nothing() {
+        // A stretch nobody holds, and a node (2) that holds nothing, on the
+        // old side; the new side spans the gap.
+        let mut old = Side::with_capacity(3, 3, 2);
+        old.push(0, 10, [0]);
+        old.push(10, 20, []);
+        old.push(20, 30, [1]);
+        let mut new = Side::default();
+        new.push(0, 30, [0]);
+        let old_sets = [set(&[(0, 10)]), set(&[(20, 30)]), IntervalSet::new()];
+        let new_sets = [set(&[(0, 30)])];
+        assert_eq!(old.nodes, 3);
+        assert_matches_reference((&old, &old_sets), (&new, &new_sets));
+        let from_sets = Side::from_sets(&old_sets);
+        assert_matches_reference((&from_sets, &old_sets), (&new, &new_sets));
+    }
+
+    #[test]
+    fn sides_ending_at_u64_max() {
+        let top = u64::MAX;
+        let mut old = Side::default();
+        old.push(top - 20, top - 10, [1]);
+        old.push(top - 10, top, [0, 1]);
+        let mut new = Side::default();
+        new.push(top - 15, top, [0]);
+        let old_sets = [set(&[(top - 10, top)]), set(&[(top - 20, top)])];
+        let new_sets = [set(&[(top - 15, top)])];
+        assert_matches_reference((&old, &old_sets), (&new, &new_sets));
+        let (old_cut, new_cut) = (Side::from_sets(&old_sets), Side::from_sets(&new_sets));
+        assert_matches_reference((&old_cut, &old_sets), (&new_cut, &new_sets));
+        assert_eq!(plan_sides(&old, &new).total_transfer, 0);
+    }
+
+    /// The stretch merge fills the matrix the per-pair walks fill,
     /// entry for entry, on clusters shaped like real ones: a few fragment
     /// boundaries, every fragment replicated on several nodes, fragments
     /// that touch end to end, and nodes that hold nothing.
@@ -493,7 +586,7 @@ mod tests {
                 continue;
             }
             assert_eq!(
-                cost_matrix(&old, &new),
+                cost_matrix(&Side::from_sets(&old), &Side::from_sets(&new)),
                 reference::cost_matrix(&old, &new),
                 "trial {trial}: {old:?} -> {new:?}"
             );

@@ -2,7 +2,7 @@
 //! executable specification [`plan_transition`](super::plan_transition) is
 //! property-tested against. Not for production paths: it merge-walks the
 //! run lists of every (old, new) pair, almost all of which share nothing —
-//! the `nodes²` formulation the shared-stretch pass replaced.
+//! the `nodes²` formulation the stretch merge replaced.
 
 use super::{plan_from_costs, IntervalSet, TransitionPlan};
 

@@ -565,7 +565,7 @@ impl Distributor for NashDbDistributor {
                 "packing audit"
             );
         }
-        DistScheme::new(globals, nodes)
+        DistScheme::new(globals, &nodes)
     }
 
     fn name(&self) -> &'static str {

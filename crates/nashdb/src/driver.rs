@@ -2,13 +2,14 @@
 //! with any distribution system and any scan router.
 
 use nashdb_cluster::{ClusterConfig, ClusterSim, DriverEvent, Metrics, QueryRequest};
+use nashdb_core::audit::audit_transition;
 use nashdb_core::ids::{NodeId, QueryId};
 use nashdb_core::routing::{run_of, Assignment, QueueView, ScanRouter, Scratch};
-use nashdb_core::transition::plan_transition;
+use nashdb_core::transition::{plan_sides, Side};
 use nashdb_obs::{Metric, Span};
 use nashdb_sim::fault::FaultSchedule;
 use nashdb_sim::{SimDuration, SimTime};
-use nashdb_workload::Workload;
+use nashdb_workload::{Database, Workload};
 
 use crate::scheme::{DistScheme, Distributor, RequestBuf};
 
@@ -226,23 +227,16 @@ pub fn run_workload_with_faults(
     }
 
     // Optional warmup, then provision the initial scheme.
-    let (mut scheme, mut intervals) = {
+    let (mut scheme, mut side) = {
         let _provision = nashdb_obs::span(Span::Provision);
         for tq in workload.queries.iter().take(cfg.warmup_queries) {
             distributor.observe(&tq.query);
         }
         let scheme = distributor.scheme();
-        let intervals = scheme.node_intervals(&workload.db);
-        let initial_plan = plan_transition(&[], &intervals);
-        debug_assert_eq!(
-            nashdb_core::audit::audit_transition(&[], &intervals, &initial_plan),
-            Ok(()),
-            "initial provision audit"
-        );
-        if sim.reconfigure(&initial_plan).is_err() {
-            nashdb_obs::counter_add(Metric::ClusterPlansRejected, 1);
-        }
-        (scheme, intervals)
+        let none = (&DistScheme::new(Vec::new(), &[]), &Side::default());
+        let side = transition(&mut sim, &workload.db, none, &scheme)
+            .unwrap_or_else(|| scheme.transition_side(&workload.db));
+        (scheme, side)
     };
 
     let mut serving = Serving::default();
@@ -307,27 +301,40 @@ pub fn run_workload_with_faults(
             DriverEvent::Wakeup { .. } => {
                 let _reconfigure = nashdb_obs::span(Span::Reconfigure);
                 let new_scheme = distributor.scheme();
-                let new_intervals = new_scheme.node_intervals(&workload.db);
-                let plan = plan_transition(&intervals, &new_intervals);
-                debug_assert_eq!(
-                    nashdb_core::audit::audit_transition(&intervals, &new_intervals, &plan),
-                    Ok(()),
-                    "transition audit"
-                );
-                if sim.reconfigure(&plan).is_err() {
-                    // A Hungarian plan against the current interval sets is
-                    // always well-formed; count (rather than crash on) any
-                    // drift so a long scenario sweep still finishes.
-                    nashdb_obs::counter_add(Metric::ClusterPlansRejected, 1);
-                } else {
+                let old = (&scheme, &side);
+                if let Some(new_side) = transition(&mut sim, &workload.db, old, &new_scheme) {
                     scheme = new_scheme;
-                    intervals = new_intervals;
+                    side = new_side;
                 }
             }
             DriverEvent::Finished => break,
         }
     }
     sim.finish()
+}
+
+/// Plans and applies the transition from `old` (a scheme and its side) to
+/// `new`: `new`'s side, or `None` if the sim rejected the plan.
+fn transition(
+    sim: &mut ClusterSim,
+    db: &Database,
+    old: (&DistScheme, &Side),
+    new: &DistScheme,
+) -> Option<Side> {
+    let side = new.transition_side(db);
+    let plan = plan_sides(old.1, &side);
+    debug_assert_eq!(
+        audit_transition(&old.0.node_intervals(db), &new.node_intervals(db), &plan),
+        Ok(()),
+        "transition audit"
+    );
+    // The plan is well-formed by construction; count (rather than crash on)
+    // any drift, so a long scenario sweep still finishes.
+    let applied = sim.reconfigure(&plan).is_ok();
+    if !applied {
+        nashdb_obs::counter_add(Metric::ClusterPlansRejected, 1);
+    }
+    applied.then_some(side)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use nashdb_core::fragment::FragmentRange;
 use nashdb_core::ids::{FragmentId, NodeId, TableId};
 use nashdb_core::num::usize_from;
 use nashdb_core::routing::{run_of, FragmentRequest};
-use nashdb_core::transition::IntervalSet;
+use nashdb_core::transition::{IntervalSet, Side};
 use nashdb_workload::Database;
 
 /// A fragment identified across all tables of the database: its table plus
@@ -169,10 +169,11 @@ impl RequestBuf {
 #[derive(Debug, Clone)]
 pub struct DistScheme {
     fragments: Vec<GlobalFragment>,
-    /// Per node, indices into `fragments`.
-    nodes: Vec<Vec<usize>>,
-    /// Per fragment, its hosting nodes.
-    hosts: Vec<Vec<NodeId>>,
+    nodes: usize,
+    /// Fragment `f` is hosted by `hosts[host_starts[f]..host_starts[f + 1]]`,
+    /// in ascending node order (CSR).
+    host_starts: Vec<usize>,
+    hosts: Vec<NodeId>,
     /// Fragment indices sorted by `(table, range start)`: a table's
     /// fragments are one run of it, in tuple order (for scan lookup).
     by_start: Vec<usize>,
@@ -184,23 +185,35 @@ impl DistScheme {
     /// # Panics
     /// Panics if a fragment is hosted nowhere, a node hosts the same
     /// fragment twice, or a table's fragments overlap.
-    pub fn new(fragments: Vec<GlobalFragment>, nodes: Vec<Vec<usize>>) -> Self {
-        let mut hosts: Vec<Vec<NodeId>> = vec![Vec::new(); fragments.len()];
+    pub fn new(fragments: Vec<GlobalFragment>, nodes: &[Vec<usize>]) -> Self {
+        // Count each fragment's hosts, then place them in node order.
+        let mut host_starts = vec![0usize; fragments.len() + 1];
+        for (n, frags) in nodes.iter().enumerate() {
+            for &f in frags {
+                assert!(f < fragments.len(), "node {n} hosts unknown fragment {f}");
+                host_starts[f + 1] += 1;
+            }
+        }
+        for f in 1..host_starts.len() {
+            host_starts[f] = host_starts[f].saturating_add(host_starts[f - 1]);
+        }
+        let mut hosts = vec![NodeId(0); host_starts[fragments.len()]];
+        let mut filled = host_starts.clone();
         for (n, frags) in nodes.iter().enumerate() {
             let node = NodeId(n as u64);
             for &f in frags {
-                assert!(f < fragments.len(), "node {n} hosts unknown fragment {f}");
                 // Nodes are visited in order, so if this node already hosts
-                // `f` it is the last host listed.
+                // `f` it is the last host placed.
                 assert!(
-                    hosts[f].last() != Some(&node),
+                    filled[f] == host_starts[f] || hosts[filled[f] - 1] != node,
                     "node {n} hosts fragment {f} twice"
                 );
-                hosts[f].push(node);
+                hosts[filled[f]] = node;
+                filled[f] += 1;
             }
         }
-        for (f, h) in hosts.iter().enumerate() {
-            assert!(!h.is_empty(), "fragment {f} has no replicas");
+        for (f, h) in host_starts.windows(2).enumerate() {
+            assert!(h[0] < h[1], "fragment {f} has no replicas");
         }
         let mut by_start: Vec<usize> = (0..fragments.len()).collect();
         by_start.sort_by_key(|&i| (fragments[i].table, fragments[i].range.start));
@@ -214,7 +227,8 @@ impl DistScheme {
         }
         DistScheme {
             fragments,
-            nodes,
+            nodes: nodes.len(),
+            host_starts,
             hosts,
             by_start,
         }
@@ -222,7 +236,7 @@ impl DistScheme {
 
     /// Number of nodes the scheme provisions.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.nodes
     }
 
     /// All fragments, by dense index.
@@ -232,12 +246,12 @@ impl DistScheme {
 
     /// Total replicas across the scheme.
     pub fn total_replicas(&self) -> usize {
-        self.nodes.iter().map(Vec::len).sum()
+        self.hosts.len()
     }
 
     /// The nodes hosting fragment index `f`.
     pub fn hosts(&self, f: usize) -> &[NodeId] {
-        &self.hosts[f]
+        &self.hosts[self.host_starts[f]..self.host_starts[f + 1]]
     }
 
     /// All fragment requests for a query: one request per overlapped
@@ -318,7 +332,7 @@ impl DistScheme {
             }
             covered = range.end;
             let size = range.overlap(scan.start, scan.end);
-            if !buf.read(i, size, range.size(), &self.hosts[i], &alive) {
+            if !buf.read(i, size, range.size(), self.hosts(i), &alive) {
                 return Ok(false);
             }
         }
@@ -331,23 +345,32 @@ impl DistScheme {
         Ok(true)
     }
 
-    /// Per-node tuple interval sets in *global* coordinates (tables laid out
-    /// end to end), the representation transition planning consumes.
+    /// The scheme as one side of a transition: its fragments in *global*
+    /// coordinates (tables laid out end to end, each fragment inside its
+    /// table), in `(table, start)` order, held by their hosts.
+    pub fn transition_side(&self, db: &Database) -> Side {
+        let offsets = table_offsets(db);
+        let mut side = Side::with_capacity(self.nodes, self.by_start.len(), self.hosts.len());
+        for &f in &self.by_start {
+            let GlobalFragment { table, range } = self.fragments[f];
+            let off = offsets[usize_from(table.get())];
+            let hosts = self.hosts(f).iter().map(|n| n.index());
+            side.push(off + range.start, off + range.end, hosts);
+        }
+        side
+    }
+
+    /// The data of [`transition_side`](Self::transition_side) as per-node sets.
     pub fn node_intervals(&self, db: &Database) -> Vec<IntervalSet> {
         let offsets = table_offsets(db);
-        self.nodes
-            .iter()
-            .map(|frags| {
-                frags
-                    .iter()
-                    .map(|&f| {
-                        let gf = &self.fragments[f];
-                        let off = offsets[usize_from(gf.table.get())];
-                        (off + gf.range.start, off + gf.range.end)
-                    })
-                    .collect()
-            })
-            .collect()
+        let mut runs = vec![Vec::new(); self.nodes];
+        for (f, &GlobalFragment { table, range }) in self.fragments.iter().enumerate() {
+            let off = offsets[usize_from(table.get())];
+            for n in self.hosts(f) {
+                runs[n.index()].push((off + range.start, off + range.end));
+            }
+        }
+        runs.into_iter().map(IntervalSet::from_intervals).collect()
     }
 
     /// Checks that every tuple of every table is covered by some fragment.
@@ -423,7 +446,7 @@ mod tests {
         // Table a: [0,60) f0, [60,100) f1. Table b: [0,50) f2.
         DistScheme::new(
             vec![gf(0, 0, 60), gf(0, 60, 100), gf(1, 0, 50)],
-            vec![vec![0, 2], vec![1, 0]],
+            &[vec![0, 2], vec![1, 0]],
         )
     }
 
@@ -434,6 +457,36 @@ mod tests {
         assert_eq!(s.hosts(1), &[NodeId(1)]);
         assert_eq!(s.num_nodes(), 2);
         assert_eq!(s.total_replicas(), 4);
+    }
+
+    #[test]
+    fn hosts_are_ascending_whatever_order_nodes_list_them_in() {
+        // Node 3 hosts nothing; nodes list their fragments in any order.
+        let s = DistScheme::new(
+            vec![gf(0, 0, 10), gf(0, 10, 20), gf(0, 20, 30)],
+            &[vec![2, 0], vec![1], vec![0, 2, 1], vec![], vec![1]],
+        );
+        let ids = |ns: &[u64]| ns.iter().map(|&n| NodeId(n)).collect::<Vec<_>>();
+        assert_eq!(s.hosts(0), ids(&[0, 2]));
+        assert_eq!(s.hosts(1), ids(&[1, 2, 4]));
+        assert_eq!(s.hosts(2), ids(&[0, 2]));
+        assert_eq!(s.total_replicas(), 7);
+    }
+
+    #[test]
+    fn transition_side_plans_like_node_intervals() {
+        use nashdb_core::transition::{plan_sides, plan_transition};
+        let db = two_table_db();
+        // Fragments given out of `(table, start)` order, one node empty.
+        let other = DistScheme::new(
+            vec![gf(1, 0, 50), gf(0, 30, 100), gf(0, 0, 30)],
+            &[vec![1, 2], vec![], vec![0, 2], vec![0]],
+        );
+        for (old, new) in [(scheme(), other.clone()), (other, scheme())] {
+            let sides = plan_sides(&old.transition_side(&db), &new.transition_side(&db));
+            let sets = plan_transition(&old.node_intervals(&db), &new.node_intervals(&db));
+            assert_eq!(sides, sets);
+        }
     }
 
     #[test]
@@ -496,32 +549,45 @@ mod tests {
     fn coverage_check() {
         let db = two_table_db();
         assert!(scheme().covers(&db));
-        let partial = DistScheme::new(vec![gf(0, 0, 60), gf(1, 0, 50)], vec![vec![0, 1]]);
+        let partial = DistScheme::new(vec![gf(0, 0, 60), gf(1, 0, 50)], &[vec![0, 1]]);
         assert!(!partial.covers(&db));
     }
 
     #[test]
     #[should_panic(expected = "no replicas")]
     fn unhosted_fragment_rejected() {
-        let _ = DistScheme::new(vec![gf(0, 0, 10)], vec![vec![]]);
+        let _ = DistScheme::new(vec![gf(0, 0, 10)], &[vec![]]);
     }
 
     #[test]
     #[should_panic(expected = "twice")]
     fn duplicate_replica_rejected() {
-        let _ = DistScheme::new(vec![gf(0, 0, 10)], vec![vec![0, 0]]);
+        let _ = DistScheme::new(vec![gf(0, 0, 10)], &[vec![0, 0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 hosts fragment 0 twice")]
+    fn replica_listed_twice_apart_rejected() {
+        let _ = DistScheme::new(vec![gf(0, 0, 10), gf(0, 10, 20)], &[vec![0, 1, 0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fragment 1 has no replicas")]
+    fn unhosted_middle_fragment_rejected() {
+        let frags = vec![gf(0, 0, 10), gf(0, 10, 20), gf(0, 20, 30)];
+        let _ = DistScheme::new(frags, &[vec![0], vec![2, 0]]);
     }
 
     #[test]
     #[should_panic(expected = "overlap")]
     fn overlapping_fragments_rejected() {
-        let _ = DistScheme::new(vec![gf(0, 0, 10), gf(0, 5, 15)], vec![vec![0, 1]]);
+        let _ = DistScheme::new(vec![gf(0, 0, 10), gf(0, 5, 15)], &[vec![0, 1]]);
     }
 
     #[test]
     #[should_panic(expected = "gap")]
     fn scan_over_gap_panics() {
-        let s = DistScheme::new(vec![gf(0, 0, 10), gf(0, 20, 30)], vec![vec![0, 1]]);
+        let s = DistScheme::new(vec![gf(0, 0, 10), gf(0, 20, 30)], &[vec![0, 1]]);
         let _ = s.requests_for_query(&one_scan(0, 5, 25));
     }
 }

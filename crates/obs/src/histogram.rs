@@ -105,21 +105,28 @@ impl Histogram {
 
     /// The histogram with these populated `(bucket_index, count)` pairs, sum
     /// and maximum, or `None` unless every index is in range, no count
-    /// overflows, and `max` lies in the highest populated bucket (bucket 0
-    /// when there is none).
+    /// overflows, `max` lies in the highest populated bucket (bucket 0 when
+    /// there is none), and `sum` lies between the least and the most the
+    /// buckets' samples can add up to (both saturating, as
+    /// [`record`](Self::record) does).
     pub(crate) fn from_parts(buckets: &[(u64, u64)], sum: u64, max: u64) -> Option<Histogram> {
         let mut h = Histogram {
             sum,
             max,
             ..Histogram::default()
         };
+        let (mut least, mut most) = (0u64, 0u64);
         for &(index, count) in buckets {
-            let slot = h.buckets.get_mut(usize::try_from(index).ok()?)?;
+            let index = usize::try_from(index).ok()?;
+            let slot = h.buckets.get_mut(index)?;
             *slot = slot.checked_add(count)?;
             h.count = h.count.checked_add(count)?;
+            let (low, high) = bucket_bounds(index);
+            least = least.saturating_add(count.saturating_mul(low));
+            most = most.saturating_add(count.saturating_mul(high));
         }
         let top = h.nonzero_buckets().last().map_or(0, |(i, _)| i);
-        (bucket_index(max) == top).then_some(h)
+        (bucket_index(max) == top && (least..=most).contains(&sum)).then_some(h)
     }
 
     /// The histogram's serialized form, under the metric name `name`.

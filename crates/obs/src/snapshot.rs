@@ -48,18 +48,19 @@ impl Record for HistogramSnapshot {
 
     /// The histogram is one [`Histogram`] could have recorded: the buckets
     /// are in range, populated and ascending, they sum to `count`, `max` lies
-    /// in the highest, and the percentiles are what [`Histogram::quantile`]
-    /// derives from them.
+    /// in the highest, `sum` is one their samples can add up to, and the
+    /// percentiles are what [`Histogram::quantile`] derives from them.
     fn check(&self, at: &str) -> Checked {
         let derived = Histogram::from_parts(&self.buckets, self.sum, self.max);
         match derived.map(|h| h.snapshot(&self.name)) {
             Some(d) if d == *self => Ok(()),
             Some(d) => schema_err(at, format!("disagrees with its buckets, which give {d:?}")),
             None => schema_err(
-                &format!("{at}.max"),
+                at,
                 format!(
-                    "{} is not in the highest bucket, or a bucket is out of range",
-                    self.max
+                    "a bucket is out of range, max {} is not in the highest, or sum {} \
+                     is not one the buckets can add up to",
+                    self.max, self.sum
                 ),
             ),
         }
@@ -369,6 +370,14 @@ mod tests {
             (
                 mutated(|s| s.histograms[0].p50 += 1),
                 "percentile the buckets do not give",
+            ),
+            (
+                mutated(|s| s.histograms[0].sum = 0),
+                "sum below its buckets",
+            ),
+            (
+                mutated(|s| s.histograms[0].sum = u64::MAX),
+                "sum above its buckets",
             ),
         ];
         for (text, why) in cases {

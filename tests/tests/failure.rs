@@ -53,7 +53,7 @@ fn replicated_scheme(db: &Database) -> DistScheme {
         })
         .collect();
     // Hosts: frag0 {0,1}, frag1 {1,2}, frag2 {2,0}, frag3 {0,1}.
-    DistScheme::new(fragments, vec![vec![0, 2, 3], vec![0, 1, 3], vec![1, 2]])
+    DistScheme::new(fragments, &[vec![0, 2, 3], vec![0, 1, 3], vec![1, 2]])
 }
 
 fn run_config(network: Option<NetConfig>) -> RunConfig {
@@ -167,7 +167,7 @@ fn losing_the_last_replica_abandons_cleanly() {
             range: FragmentRange::new(500_000, 1_000_000),
         },
     ];
-    let scheme = DistScheme::new(fragments, vec![vec![0], vec![1]]);
+    let scheme = DistScheme::new(fragments, &[vec![0], vec![1]]);
     let queries: Vec<TimedQuery> = (0..50)
         .map(|i| TimedQuery {
             at: SimTime::from_secs(i),

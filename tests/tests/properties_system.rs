@@ -2,15 +2,18 @@
 
 use proptest::prelude::*;
 
+use nashdb::{DistScheme, GlobalFragment};
 use nashdb_baselines::{GreedySetCover, ShortestQueue};
 use nashdb_cluster::{ClusterConfig, ClusterSim, DriverEvent, QueryRequest, ScanRange};
+use nashdb_core::fragment::FragmentRange;
 use nashdb_core::ids::{FragmentId, NodeId, TableId};
 use nashdb_core::routing::{
     reference, Assignment, FragmentRequest, MaxOfMins, PowerOfTwoChoices, QueueView, RouteError,
     ScanRouter, Scratch,
 };
-use nashdb_core::transition::{plan_transition, IntervalSet};
+use nashdb_core::transition::{self, plan_sides, plan_transition, IntervalSet};
 use nashdb_sim::{SimDuration, SimRng, SimTime};
+use nashdb_workload::Database;
 
 // ---------------------------------------------------------------------------
 // Routers
@@ -388,6 +391,82 @@ proptest! {
         prop_assert!((metrics.read_throughput.total() - dispatched as f64).abs() < 0.5);
         prop_assert!(metrics.total_cost > 0.0);
         prop_assert_eq!(metrics.peak_nodes, plan.nodes);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Transition plans from schemes
+// ---------------------------------------------------------------------------
+
+/// A random scheme of `nodes` nodes over `db`. Fragments sit on a grid of
+/// ten tuples, so two schemes share many boundaries, and each is replicated
+/// on one to all nodes. The fragments are handed to [`DistScheme::new`] in a
+/// seeded shuffled order, each node lists its fragments in another, and with
+/// `idle` one extra node hosts nothing.
+fn random_scheme(rng: &mut SimRng, db: &Database, nodes: usize, idle: bool) -> DistScheme {
+    fn shuffle(items: &mut [usize], rng: &mut SimRng) {
+        for i in 0..items.len() {
+            let j = rng.uniform_usize(i, items.len());
+            items.swap(i, j);
+        }
+    }
+    let mut fragments = Vec::new();
+    for t in &db.tables {
+        let mut start = 0;
+        while start < t.tuples {
+            let end = (start + 10 * rng.uniform_u64(1, 8)).min(t.tuples);
+            fragments.push(GlobalFragment {
+                table: t.id,
+                range: FragmentRange::new(start, end),
+            });
+            start = end;
+        }
+    }
+    let mut order: Vec<usize> = (0..fragments.len()).collect();
+    shuffle(&mut order, rng);
+    let mut lists = vec![Vec::new(); nodes];
+    for at in 0..order.len() {
+        let mut pool: Vec<usize> = (0..nodes).collect();
+        shuffle(&mut pool, rng);
+        for &n in &pool[..rng.uniform_usize(1, nodes + 1)] {
+            lists[n].push(at);
+        }
+    }
+    for list in &mut lists {
+        shuffle(list, rng);
+    }
+    if idle {
+        lists.insert(rng.uniform_usize(0, nodes + 1), Vec::new());
+    }
+    DistScheme::new(order.iter().map(|&f| fragments[f]).collect(), &lists)
+}
+
+proptest! {
+    /// A plan from two schemes' sides, built from their fragment tables, is
+    /// the plan from their per-node interval sets and the per-pair reference
+    /// plan, move for move: over one to three tables, scale-up and
+    /// scale-down, idle nodes and an empty old scheme.
+    #[test]
+    fn scheme_sides_plan_like_interval_sets(
+        tables in 1usize..=3,
+        old_nodes in 1usize..8,
+        new_nodes in 1usize..8,
+        shape in 0u8..8,
+        seed in 0..u64::MAX,
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let sizes: Vec<u64> = (0..tables).map(|_| 10 * rng.uniform_u64(1, 30)).collect();
+        let db = Database::new(["a", "b", "c"].into_iter().zip(sizes));
+        let old = if shape == 0 {
+            DistScheme::new(Vec::new(), &[])
+        } else {
+            random_scheme(&mut rng, &db, old_nodes, shape % 3 == 1)
+        };
+        let new = random_scheme(&mut rng, &db, new_nodes, shape % 3 == 2);
+        let by_sides = plan_sides(&old.transition_side(&db), &new.transition_side(&db));
+        let (old_sets, new_sets) = (old.node_intervals(&db), new.node_intervals(&db));
+        prop_assert_eq!(&by_sides, &plan_transition(&old_sets, &new_sets));
+        prop_assert_eq!(&by_sides, &transition::reference::plan(&old_sets, &new_sets));
     }
 }
 
