@@ -10,12 +10,12 @@
 
 use nashdb_bench::env::{run_system, ExpEnv, Router, System};
 use nashdb_bench::scenarios::BudgetLevel;
-use nashdb_bench::{die, Args};
+use nashdb_bench::{check_generator_flags, die, Args};
 use nashdb_sim::SimDuration;
 use nashdb_workload::bernoulli::{self, BernoulliConfig};
 use nashdb_workload::random::{self, RandomConfig};
 use nashdb_workload::tpch::{self, TpchConfig};
-use nashdb_workload::{realistic, trace, Workload, TUPLES_PER_GB};
+use nashdb_workload::{realistic, trace, Workload};
 
 const HELP: &str = "\
 nashdb-cli — run a NashDB (or baseline) simulation on a workload
@@ -52,23 +52,6 @@ OUTPUT:
   --throughput            also print the throughput-over-time series
   -h, --help              this text
 ";
-
-/// Rejects generator flags a generator cannot take: a zero size or query
-/// count and a negative or non-finite price panic inside it, and a size
-/// whose tuple count overflows `u64` would silently wrap.
-fn check_generator_flags(size_gb: u64, queries: usize, price: f64) -> Result<(), String> {
-    let max_gb = u64::MAX / TUPLES_PER_GB;
-    if !(1..=max_gb).contains(&size_gb) {
-        return Err(format!("--size-gb must be in 1..={max_gb}, got {size_gb}"));
-    }
-    if queries == 0 {
-        return Err("--queries must be at least 1".into());
-    }
-    if !(price.is_finite() && price >= 0.0) {
-        return Err(format!("--price must be finite and >= 0, got {price}"));
-    }
-    Ok(())
-}
 
 fn main() {
     let mut args = Args::from_env();
@@ -195,33 +178,6 @@ fn main() {
             if v > 0.0 {
                 println!("  {:>10.1} min  {:>10.2}", t.as_secs_f64() / 60.0, v / 1e6);
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn generator_flags_are_checked() {
-        assert_eq!(check_generator_flags(8, 200, 1.0), Ok(()));
-        assert_eq!(
-            check_generator_flags(u64::MAX / TUPLES_PER_GB, 1, 0.0),
-            Ok(())
-        );
-        for (size_gb, queries, price) in [
-            (0, 200, 1.0),
-            (20_000_000_000_000, 200, 1.0),
-            (8, 0, 1.0),
-            (8, 200, f64::NAN),
-            (8, 200, -3.0),
-            (8, 200, f64::INFINITY),
-        ] {
-            assert!(
-                check_generator_flags(size_gb, queries, price).is_err(),
-                "accepted --size-gb {size_gb} --queries {queries} --price {price}"
-            );
         }
     }
 }

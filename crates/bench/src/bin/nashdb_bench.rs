@@ -17,7 +17,7 @@ use std::process::exit;
 use nashdb_bench::compare::compare_artifacts;
 use nashdb_bench::scenarios::{run_scenarios, ScenarioConfig};
 use nashdb_bench::smoke::{run_smoke, SmokeConfig};
-use nashdb_bench::{die, Args};
+use nashdb_bench::{check_generator_flags, die, Args};
 use nashdb_obs::Artifact;
 
 const HELP: &str = "\
@@ -75,6 +75,7 @@ fn main() {
                 queries: args.parse("--queries").unwrap_or(150),
                 size_gb: args.parse("--size-gb").unwrap_or(4),
             };
+            check_sizing(cfg.size_gb, cfg.queries);
             publish(args, cfg.seed, || Artifact::Snapshot(run_smoke(&cfg)));
         }
         "scenarios" => {
@@ -84,6 +85,7 @@ fn main() {
                 size_gb: args.parse("--size-gb").unwrap_or(24),
                 quick: args.flag("--quick"),
             };
+            check_sizing(cfg.size_gb, cfg.queries);
             publish(args, cfg.seed, || match run_scenarios(&cfg) {
                 Ok(artifact) => Artifact::Scenarios(artifact),
                 Err(e) => fail(&format!("scenario sweep failed: {e}")),
@@ -97,6 +99,12 @@ fn main() {
         "compare" => compare(args),
         other => die(&format!("unknown subcommand {other:?}")),
     }
+}
+
+/// Dies with a usage error on a `--size-gb` or `--queries` no generator
+/// takes. The runs price their own queries, so any valid price stands in.
+fn check_sizing(size_gb: u64, queries: usize) {
+    check_generator_flags(size_gb, queries, 1.0).unwrap_or_else(|e| die(&e));
 }
 
 /// The `N` file arguments left once every flag is consumed; a usage error

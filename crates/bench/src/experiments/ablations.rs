@@ -5,15 +5,12 @@
 //! * `merge2` — three-into-two merging vs. the pairwise strawman of paper
 //!   Fig. 4, on the dynamic workloads.
 //! * `p2c` — the footnote-3 "Power of 2" router vs. Max-of-mins.
-//! * `hetero` — the §6 heterogeneous-node extension carried out: replicas
-//!   flow to the cheapest storage first and spill upward.
 
 use std::time::Instant;
 
 use nashdb_core::fragment::{
     fragment_stats, split_oversized, ChunkPrefix, Fragmentation, GreedyFragmenter, MergePolicy,
 };
-use nashdb_core::replication::hetero::{decide_replicas_hetero, pack_bffd_hetero, NodeClass};
 use nashdb_core::replication::market::{simulate_market, MarketConfig};
 use nashdb_core::replication::{decide_replicas, ReplicationPolicy};
 use nashdb_core::value::{PricedScan, TupleValueEstimator};
@@ -146,50 +143,6 @@ pub fn run_merge2() {
     }
     println!("  expectation: pairwise merging adapts worse (ratio > 1) — the Fig. 4");
     println!("  argument for merging triples, quantified.");
-}
-
-/// `hetero`: equilibrium replica placement across mixed node classes.
-pub fn run_hetero() {
-    header("Ablation — heterogeneous node classes (paper §6's deferred extension)");
-    println!("  classes: cheap-HDD density 0.05/tuple (8 nodes) vs NVMe density 0.25");
-    table_header(&["fragment value", "total replicas", "on cheap", "on NVMe"]);
-    let classes = vec![
-        NodeClass {
-            spec: NodeSpec::new(250.0, 1_000),
-            available: None, // NVMe: pricey but elastic
-        },
-        NodeClass {
-            spec: NodeSpec::new(50.0, 1_000),
-            available: Some(8), // HDD: cheap but only 8 boxes exist
-        },
-    ];
-    let mut rows = Vec::new();
-    for &value in &[0.1f64, 0.5, 1.0, 2.0, 5.0, 20.0] {
-        let stats = [nashdb_core::fragment::FragmentStats {
-            id: nashdb_core::FragmentId(0),
-            range: nashdb_core::fragment::FragmentRange::new(0, 100),
-            value,
-            error: 0.0,
-        }];
-        let d = &decide_replicas_hetero(&stats, WINDOW, &classes)[0];
-        let packed = pack_bffd_hetero(&stats, std::slice::from_ref(d), &classes);
-        assert!(packed.is_ok(), "hetero packing failed: {packed:?}");
-        let nodes = packed.unwrap_or_default();
-        assert_eq!(nodes.len() as u64, d.total(), "one node per replica here");
-        rows.push((value, d.total(), d.per_class[1], d.per_class[0]));
-        row(&[
-            fmt(value),
-            format!("{}", d.total()),
-            format!("{}", d.per_class[1]),
-            format!("{}", d.per_class[0]),
-        ]);
-    }
-    // The cheap tier fills before the pricey tier hosts anything.
-    assert!(rows
-        .iter()
-        .all(|&(_, _, cheap, nvme)| nvme == 0 || cheap == 8));
-    println!("  replicas occupy the cheap class first and spill to NVMe only once");
-    println!("  all 8 HDD boxes hold a copy — the market's answer to tiering.");
 }
 
 /// `p2c`: the footnote-3 constant-time router against Max-of-mins.

@@ -43,7 +43,6 @@ pub const EXPERIMENTS: &[(&str, fn())] = {
         ("market", ablations::run_market),
         ("merge2", ablations::run_merge2),
         ("p2c", ablations::run_p2c),
-        ("hetero", ablations::run_hetero),
     ]
 };
 
@@ -130,6 +129,24 @@ impl Args {
     }
 }
 
+/// Rejects generator flags a generator cannot take: a zero size or query
+/// count and a negative or non-finite price panic inside it, and a size
+/// whose tuple count overflows `u64` would silently wrap. Both binaries
+/// call it before any generator runs, and [`die`] on its error.
+pub fn check_generator_flags(size_gb: u64, queries: usize, price: f64) -> Result<(), String> {
+    let max_gb = u64::MAX / nashdb_workload::TUPLES_PER_GB;
+    if !(1..=max_gb).contains(&size_gb) {
+        return Err(format!("--size-gb must be in 1..={max_gb}, got {size_gb}"));
+    }
+    if queries == 0 {
+        return Err("--queries must be at least 1".into());
+    }
+    if !(price.is_finite() && price >= 0.0) {
+        return Err(format!("--price must be finite and >= 0, got {price}"));
+    }
+    Ok(())
+}
+
 /// Reports a usage error and exits with status 2.
 pub fn die(msg: &str) -> ! {
     eprintln!("error: {msg}\n\nrun with --help for usage");
@@ -140,4 +157,32 @@ pub fn die(msg: &str) -> ! {
 pub fn header(title: &str) {
     println!();
     println!("==== {title} ====");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nashdb_workload::TUPLES_PER_GB;
+
+    #[test]
+    fn generator_flags_are_checked() {
+        assert_eq!(check_generator_flags(8, 200, 1.0), Ok(()));
+        assert_eq!(
+            check_generator_flags(u64::MAX / TUPLES_PER_GB, 1, 0.0),
+            Ok(())
+        );
+        for (size_gb, queries, price) in [
+            (0, 200, 1.0),
+            (20_000_000_000_000, 200, 1.0),
+            (8, 0, 1.0),
+            (8, 200, f64::NAN),
+            (8, 200, -3.0),
+            (8, 200, f64::INFINITY),
+        ] {
+            assert!(
+                check_generator_flags(size_gb, queries, price).is_err(),
+                "accepted --size-gb {size_gb} --queries {queries} --price {price}"
+            );
+        }
+    }
 }

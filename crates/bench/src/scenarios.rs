@@ -12,7 +12,7 @@
 //! against the committed `SCENARIO_BASELINE.json`.
 
 use nashdb_cluster::NetConfig;
-use nashdb_core::replication::hetero::MixPreset;
+use nashdb_core::NodeSpec;
 use nashdb_obs::{CellSnapshot, ScenarioArtifact, SystemPoint, SNAPSHOT_VERSION};
 use nashdb_sim::fault::{FaultSchedule, FaultScheduleConfig};
 use nashdb_sim::SimDuration;
@@ -59,9 +59,39 @@ impl BudgetLevel {
     }
 }
 
-/// The node-class mixes the default matrix sweeps (a subset of
-/// [`MixPreset::ALL`] to keep the cell count × runtime in budget).
-pub const MATRIX_MIXES: [MixPreset; 2] = [MixPreset::Uniform, MixPreset::BudgetHdd];
+/// The node-class-mix axis of the matrix: which hardware the elastic
+/// cluster rents, relative to the spec autotuned for the workload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeMix {
+    /// The reference spec itself (the paper's §6 uniform nodes).
+    Uniform,
+    /// Budget boxes: half the rent, double the disk.
+    BudgetHdd,
+}
+
+impl NodeMix {
+    /// Both mixes, in sweep order.
+    pub const ALL: [NodeMix; 2] = [NodeMix::Uniform, NodeMix::BudgetHdd];
+
+    /// Stable machine-readable name.
+    pub fn name(self) -> &'static str {
+        match self {
+            NodeMix::Uniform => "uniform",
+            NodeMix::BudgetHdd => "budget-hdd",
+        }
+    }
+
+    /// The node spec the mix rents, scaled from `reference`.
+    pub fn spec(self, reference: &NodeSpec) -> NodeSpec {
+        match self {
+            NodeMix::Uniform => *reference,
+            NodeMix::BudgetHdd => NodeSpec::new(
+                reference.cost * 0.5,
+                nashdb_core::num::saturating_u64(reference.disk as f64 * 2.0).max(1),
+            ),
+        }
+    }
+}
 
 /// One cell of the scenario matrix, before it is run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,8 +100,8 @@ pub struct ScenarioCell {
     pub generator: GeneratorKind,
     /// Drift level.
     pub drift: DriftLevel,
-    /// Node-class mix preset.
-    pub mix: MixPreset,
+    /// Node-class mix.
+    pub mix: NodeMix,
     /// Replication budget.
     pub budget: BudgetLevel,
     /// Fault-schedule level ([`FaultLevel::None`] for the legacy
@@ -139,15 +169,14 @@ impl std::error::Error for ScenarioError {
 
 /// Enumerates the matrix the config asks for, in sweep order.
 pub fn matrix_cells(cfg: &ScenarioConfig) -> Vec<ScenarioCell> {
-    let (generators, drifts, mixes): (&[GeneratorKind], &[DriftLevel], &[MixPreset]) = if cfg.quick
-    {
+    let (generators, drifts, mixes): (&[GeneratorKind], &[DriftLevel], &[NodeMix]) = if cfg.quick {
         (
             &[GeneratorKind::Bernoulli, GeneratorKind::Random],
             &[DriftLevel::Steady],
-            &[MixPreset::Uniform],
+            &[NodeMix::Uniform],
         )
     } else {
-        (&GeneratorKind::ALL, &DriftLevel::ALL, &MATRIX_MIXES)
+        (&GeneratorKind::ALL, &DriftLevel::ALL, &NodeMix::ALL)
     };
     let mut cells = Vec::new();
     for &generator in generators {
@@ -186,7 +215,7 @@ pub fn matrix_cells(cfg: &ScenarioConfig) -> Vec<ScenarioCell> {
             cells.push(ScenarioCell {
                 generator,
                 drift: DriftLevel::Steady,
-                mix: MixPreset::Uniform,
+                mix: NodeMix::Uniform,
                 budget: BudgetLevel::Ample,
                 faults,
             });
@@ -258,9 +287,8 @@ fn run_cell(cell: &ScenarioCell, cfg: &ScenarioConfig) -> Result<CellSnapshot, S
         env = env.warmed(w.queries.len() / 2);
     }
 
-    // The mix rescales the hardware market: the homogeneous cluster sim
-    // runs at the preset's marginal (cheapest unbounded) class.
-    let effective = cell.mix.effective_spec(&env.nash.spec);
+    // The mix rescales the hardware market the whole cluster rents.
+    let effective = cell.mix.spec(&env.nash.spec);
     env.nash.spec = effective;
     env.disk = effective.disk;
     env.run.cluster.node_cost_per_hour = effective.cost;
@@ -381,6 +409,16 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), cells.len());
+    }
+
+    #[test]
+    fn uniform_mix_is_the_reference_spec() {
+        let reference = NodeSpec::new(3.0, 1_000);
+        assert_eq!(NodeMix::Uniform.spec(&reference), reference);
+        assert_eq!(
+            NodeMix::BudgetHdd.spec(&reference),
+            NodeSpec::new(1.5, 2_000)
+        );
     }
 
     #[test]

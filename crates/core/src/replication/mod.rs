@@ -18,7 +18,6 @@
 //! Fit Decreasing (approximation factor 2). The number of bins BFFD opens
 //! *is* the provisioning decision.
 
-pub mod hetero;
 pub mod market;
 
 use nashdb_obs::Metric;

@@ -1,9 +1,9 @@
 //! Property tests over `nashdb-core` invariants not covered by the
 //! workspace-level suite: AVL structural health under churn, error-function
 //! agreement with direct computation, FindSplit ≡ the chunk-restricted
-//! search, cached greedy rounds ≡ the full-rescan oracle, heterogeneous ≡
-//! homogeneous replication on uniform classes, market dynamics ≡ the closed
-//! form, and the shared-stretch transition plan ≡ the per-pair one.
+//! search, cached greedy rounds ≡ the full-rescan oracle, market dynamics ≡
+//! the closed form, and the shared-stretch transition plan ≡ the per-pair
+//! one.
 
 use proptest::prelude::*;
 
@@ -14,7 +14,6 @@ use nashdb_core::fragment::{
     MergePolicy, StepOutcome,
 };
 use nashdb_core::ids::FragmentId;
-use nashdb_core::replication::hetero::{ideal_replicas_hetero, NodeClass};
 use nashdb_core::replication::market::{simulate_market, MarketConfig};
 use nashdb_core::replication::{ideal_replicas, ReplicationPolicy};
 use nashdb_core::transition::{self, plan_transition, IntervalSet};
@@ -228,23 +227,6 @@ proptest! {
             // Single chunk: any interior point splits a constant run.
             prop_assert!(literal.error < 1e-9);
         }
-    }
-
-    /// One uniform node class makes the heterogeneous sweep collapse to
-    /// Eq. 9 for any inputs.
-    #[test]
-    fn hetero_collapses_to_eq9(
-        value in 0.0f64..20.0,
-        size in 1u64..5_000,
-        cost in 0.1f64..500.0,
-        disk_mult in 1u64..20,
-    ) {
-        let disk = size * disk_mult;
-        let spec = NodeSpec::new(cost, disk);
-        let total: u64 = ideal_replicas_hetero(50, value, size, &[NodeClass::unbounded(spec)])
-            .iter()
-            .sum();
-        prop_assert_eq!(total, ideal_replicas(50, value, size, &spec));
     }
 
     /// Best-response dynamics always converge to the closed form.

@@ -55,7 +55,7 @@ pub struct CellSnapshot {
     pub workload: String,
     /// Drift level name (`steady` / `drifting`).
     pub drift: String,
-    /// Node-class mix preset name (`uniform`, `budget-hdd`, …).
+    /// Node-class mix name (`uniform` or `budget-hdd`).
     pub mix: String,
     /// Replication-budget level name (`tight` / `ample`).
     pub budget: String,
