@@ -86,7 +86,7 @@ pub fn run_smoke(cfg: &SmokeConfig) -> ObsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nashdb_obs::Span::{self, Pipeline, Provision, Query, Reconfigure, Scheme};
+    use nashdb_obs::Span::{self, Distributor, Pipeline, Provision, Query, Reconfigure, Scheme};
 
     fn quick() -> SmokeConfig {
         SmokeConfig {
@@ -101,14 +101,18 @@ mod tests {
         let snap = run_smoke(&quick());
         let missing = snap.missing_stages();
         assert!(missing.is_empty(), "stages without metrics: {missing:?}");
-        // The driver's span hierarchy is present and nested.
+        // The serving loop's span hierarchy is present and nested.
         assert!(snap.span(&[Pipeline]).is_some());
         assert!(snap.span(&[Pipeline, Query]).is_some());
-        assert!(snap
-            .span(&[Pipeline, Provision, Scheme, Span::Fragment])
-            .is_some());
-        // The run is long enough to exercise periodic reconfiguration.
-        assert!(snap.span(&[Pipeline, Reconfigure, Scheme]).is_some());
+        assert!(snap.span(&[Pipeline, Provision]).is_some());
+        // So is the distributor's, under its own root.
+        assert!(snap.span(&[Distributor, Scheme, Span::Fragment]).is_some());
+        // The run is long enough to exercise periodic reconfiguration: one
+        // scheme per wake-up beside the provisioning one.
+        let reconfigure = snap.span(&[Pipeline, Reconfigure]).map(|s| s.count);
+        let schemes = snap.span(&[Distributor, Scheme]).map(|s| s.count);
+        assert!(reconfigure.is_some_and(|n| n > 0));
+        assert_eq!(schemes, reconfigure.map(|n| n + 1));
     }
 
     #[test]

@@ -255,6 +255,16 @@ impl ClusterSim {
             .is_some_and(|&p| self.disks[p].is_up())
     }
 
+    /// Makes room for `additional` more queries — their states, arrival
+    /// events and completion records — so scheduling a workload of known
+    /// length allocates each table once, at its final size, instead of
+    /// growing it by doubling.
+    pub fn reserve_queries(&mut self, additional: usize) {
+        self.queries.reserve(additional);
+        self.events.reserve(Lane::default(), additional);
+        self.metrics.queries.reserve(additional);
+    }
+
     /// Schedules a query to arrive at `at`. Returns its id.
     pub fn schedule_query(&mut self, at: SimTime, query: QueryRequest) -> QueryId {
         let id = self.queries.schedule(query);

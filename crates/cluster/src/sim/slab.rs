@@ -78,6 +78,10 @@ enum QueryState {
 pub(super) struct QuerySlab(Vec<QueryState>);
 
 impl QuerySlab {
+    pub(super) fn reserve(&mut self, additional: usize) {
+        self.0.reserve(additional);
+    }
+
     pub(super) fn schedule(&mut self, query: QueryRequest) -> QueryId {
         let id = QueryId(self.0.len() as u64);
         self.0.push(QueryState::Scheduled(query));

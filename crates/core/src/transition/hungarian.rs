@@ -19,6 +19,18 @@ pub enum HungarianError {
         /// The matrix's row count (the required length).
         n: usize,
     },
+    /// An entry exceeds [`max_cost`] for the matrix's size, so the solver's
+    /// `i64` potentials could not hold the sums it forms.
+    CostTooLarge {
+        /// Row of the offending entry.
+        row: usize,
+        /// Its column.
+        col: usize,
+        /// The entry.
+        cost: u64,
+        /// The largest entry the matrix may hold.
+        max: u64,
+    },
 }
 
 impl std::fmt::Display for HungarianError {
@@ -31,23 +43,47 @@ impl std::fmt::Display for HungarianError {
                     "cost matrix is not square: row {row} has {len} entries, expected {n}"
                 )
             }
+            HungarianError::CostTooLarge {
+                row,
+                col,
+                cost,
+                max,
+            } => write!(
+                f,
+                "cost {cost} at row {row}, column {col} exceeds the solver's bound {max}"
+            ),
         }
     }
 }
 
 impl std::error::Error for HungarianError {}
 
+/// The largest entry an `n × n` matrix may hold: `n` of them sum to at
+/// most `i64::MAX / 2`.
+///
+/// The solver keeps dual potentials `u` (rows) and `v` (columns) with
+/// `0 ≤ u ≤ C` and `−C ≤ v ≤ 0` for the largest entry `C`, except the
+/// virtual column's, which reaches `−n·C`; a reduced cost `c − u − v` lies
+/// in `[0, 2C]`. With `n·C ≤ i64::MAX / 2` each of these, and the total of
+/// the `n` matched entries, fits, and every reduced cost stays below the
+/// solver's `i64::MAX` "unreached" mark.
+pub fn max_cost(n: usize) -> u64 {
+    (i64::MAX / 2).unsigned_abs() / (n.max(1) as u64)
+}
+
 /// Solves the assignment problem for a square `n × n` cost matrix.
 ///
 /// Returns `(assignment, total_cost)` where `assignment[row] = col`.
 ///
 /// # Errors
-/// [`HungarianError`] if the matrix is empty or not square.
+/// [`HungarianError`] if the matrix is empty or not square, or an entry
+/// exceeds [`max_cost`]`(n)`.
 pub fn hungarian(cost: &[Vec<u64>]) -> Result<(Vec<usize>, u64), HungarianError> {
     let n = cost.len();
     if n == 0 {
         return Err(HungarianError::Empty);
     }
+    let max = max_cost(n);
     for (row, r) in cost.iter().enumerate() {
         if r.len() != n {
             return Err(HungarianError::NotSquare {
@@ -56,21 +92,34 @@ pub fn hungarian(cost: &[Vec<u64>]) -> Result<(Vec<usize>, u64), HungarianError>
                 n,
             });
         }
+        if let Some((col, &cost)) = r.iter().enumerate().find(|&(_, &c)| c > max) {
+            return Err(HungarianError::CostTooLarge {
+                row,
+                col,
+                cost,
+                max,
+            });
+        }
     }
     let flat: Vec<u64> = cost.iter().flatten().copied().collect();
     Ok(solve_square(&flat, n))
 }
 
 /// The solver proper. `cost` is a square matrix with `n ≥ 1`, flat and
-/// row-major: the cost of giving row `r` column `c` is `cost[r * n + c]`.
-/// [`hungarian`] validates and flattens public inputs; `plan_transition`
-/// and its `reference` twin build their matrices flat and square by design
-/// and call in directly.
+/// row-major: the cost of giving row `r` column `c` is `cost[r * n + c]`,
+/// and no entry exceeds [`max_cost`]`(n)`. [`hungarian`] validates and
+/// flattens public inputs; `plan_transition` and its `reference` twin build
+/// their matrices flat and square by design and call in directly.
 pub(super) fn solve_square(cost: &[u64], n: usize) -> (Vec<usize>, u64) {
     let watch = nashdb_obs::stopwatch();
     debug_assert_eq!(cost.len(), n * n, "flat cost matrix is not n × n");
+    debug_assert!(
+        cost.iter().all(|&c| c <= max_cost(n)),
+        "cost matrix entry above the solver's bound"
+    );
 
-    const INF: i64 = i64::MAX / 4;
+    // Above every reduced cost (see `max_cost`): a column not yet reached.
+    const INF: i64 = i64::MAX;
 
     // 1-indexed arrays, the classic formulation: p[j] = row matched to
     // column j (p[0] is the row currently being inserted).
@@ -97,6 +146,7 @@ pub(super) fn solve_square(cost: &[u64], n: usize) -> (Vec<usize>, u64) {
                 if used[j] {
                     continue;
                 }
+                // No wrap: entries are at most `max_cost(n)`.
                 let cur = row[j - 1] as i64 - u[i0] - v[j];
                 if cur < minv[j] {
                     minv[j] = cur;
@@ -239,6 +289,54 @@ mod tests {
                 n: 2
             })
         );
+    }
+
+    #[test]
+    fn rejects_entries_the_potentials_cannot_hold() {
+        // An entry of 2^63 or more used to wrap negative in the `i64` cast:
+        // the solver returned [0, 1], the worst matching, and the total's
+        // sum overflowed (a panic in debug, a wrapped total in release).
+        let near_max = u64::MAX - 1;
+        assert_eq!(
+            hungarian(&[vec![near_max, 0], vec![0, near_max]]),
+            Err(HungarianError::CostTooLarge {
+                row: 0,
+                col: 0,
+                cost: near_max,
+                max: max_cost(2),
+            })
+        );
+        // The bound itself is accepted and solved exactly.
+        let max = max_cost(2);
+        let (a, t) = hungarian(&[vec![max, 0], vec![0, max]]).unwrap();
+        assert_eq!((a, t), (vec![1, 0], 0));
+        let (a, t) = hungarian(&[vec![0, max], vec![max, max]]).unwrap();
+        assert_eq!((a, t), (vec![0, 1], max));
+        assert_eq!(
+            hungarian(&[vec![0, 0], vec![0, max + 1]]),
+            Err(HungarianError::CostTooLarge {
+                row: 1,
+                col: 1,
+                cost: max + 1,
+                max,
+            })
+        );
+    }
+
+    #[test]
+    fn matches_brute_force_near_the_bound() {
+        use nashdb_sim::SimRng;
+        let mut rng = SimRng::seed_from_u64(29);
+        for trial in 0..30 {
+            let n = rng.uniform_usize(1, 6);
+            let max = max_cost(n);
+            let cost: Vec<Vec<u64>> = (0..n)
+                .map(|_| (0..n).map(|_| max - rng.uniform_u64(0, 3)).collect())
+                .collect();
+            let (a, t) = hungarian(&cost).unwrap();
+            assert_valid_assignment(&cost, &a, t);
+            assert_eq!(t, brute_force(&cost), "trial {trial}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ mod hungarian;
 mod interval_set;
 pub mod reference;
 
-pub use hungarian::{hungarian, HungarianError};
+pub use hungarian::{hungarian, max_cost, HungarianError};
 pub use interval_set::IntervalSet;
 
 use nashdb_obs::Metric;
@@ -199,6 +199,12 @@ pub fn plan_transition(old: &[IntervalSet], new: &[IntervalSet]) -> TransitionPl
 
 /// Plans the minimum-transfer transition from the nodes of `old` to the
 /// nodes of `new`.
+///
+/// The matrix goes to the solver unchecked, so it relies on the solver's
+/// bound ([`max_cost`]): every entry is at most the tuples one
+/// new node holds, and `max(|old|, |new|)` times the largest new node must
+/// stay within `i64::MAX / 2` ≈ 4.6 · 10¹⁸ tuples. A node holds at most its
+/// disk, so a cluster of a million nodes of 10¹² tuples each is inside it.
 pub fn plan_sides(old: &Side, new: &Side) -> TransitionPlan {
     let watch = nashdb_obs::stopwatch();
     let n = old.nodes.max(new.nodes);

@@ -9,7 +9,9 @@ use nashdb_core::transition::{plan_sides, Side};
 use nashdb_obs::{Metric, Span};
 use nashdb_sim::fault::FaultSchedule;
 use nashdb_sim::{SimDuration, SimTime};
-use nashdb_workload::{Database, Workload};
+use nashdb_workload::{Database, TimedQuery, Workload};
+use std::borrow::Cow;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 
 use crate::scheme::{DistScheme, Distributor, RequestBuf};
 
@@ -182,6 +184,10 @@ impl Serving {
 /// cost are borne by the simulation, as in the paper's measurements).
 ///
 /// Returns the run's [`Metrics`].
+///
+/// # Panics
+/// Re-raises a panic of the distributor, once the serving loop has stopped
+/// at the scheme it can no longer get.
 pub fn run_workload(
     workload: &Workload,
     distributor: &mut dyn Distributor,
@@ -191,12 +197,26 @@ pub fn run_workload(
     run_workload_with_faults(workload, distributor, router, cfg, &FaultSchedule::none())
 }
 
+/// How many schemes the distributor may finish ahead of the wake-up that
+/// applies them, beyond the one it is computing: enough to ride out one
+/// slow `scheme()` call, and few enough that the schemes in flight stay a
+/// small share of the run's memory.
+const SCHEMES_AHEAD: usize = 1;
+
 /// [`run_workload`] with a fault schedule injected. When a node crashes, the
 /// driver re-routes failed queries to surviving replicas (dropping dead
 /// candidates before routing); a query whose fragment has no live replica —
 /// or that has failed `MAX_ATTEMPTS` times — is abandoned and counted in
 /// [`Metrics::availability`]. With an empty schedule this is exactly
 /// [`run_workload`].
+///
+/// The distributor runs on a second thread. It reads only the query stream
+/// and the serving loop only reads the schemes it produces, so it observes
+/// every arrival and computes every scheme ahead of the wake-up that applies
+/// it, and each decision is the one an inline call would have made.
+///
+/// # Panics
+/// Re-raises a panic of the distributor, as [`run_workload`] does.
 pub fn run_workload_with_faults(
     workload: &Workload,
     distributor: &mut dyn Distributor,
@@ -204,12 +224,102 @@ pub fn run_workload_with_faults(
     cfg: &RunConfig,
     faults: &FaultSchedule,
 ) -> Metrics {
+    let obs = nashdb_obs::fork();
+    // The pipeline's one thread (DESIGN.md §11.1): the distributor's inputs
+    // are fixed by the workload, so the run is still a function of the seed.
+    #[allow(clippy::disallowed_methods)]
+    let (metrics, distributed) = std::thread::scope(|s| {
+        let (schemes, handed_over) = mpsc::sync_channel(SCHEMES_AHEAD);
+        let worker = s.spawn(move || {
+            obs.run(Span::Distributor, || {
+                distribute(workload, distributor, cfg, &schemes);
+            })
+        });
+        let metrics = serve(workload, router, cfg, faults, &handed_over);
+        // Hang up first, so a worker blocked on a scheme nobody will take
+        // returns instead of deadlocking the join.
+        drop(handed_over);
+        (metrics, worker.join())
+    });
+    match distributed {
+        Ok(((), recording)) => {
+            recording.absorb();
+            metrics
+        }
+        Err(panic) => std::panic::resume_unwind(panic),
+    }
+}
+
+/// The reconfiguration instants: every interval from one interval in,
+/// through the stream's last arrival.
+fn wakeups(workload: &Workload, interval: SimDuration) -> impl Iterator<Item = SimTime> {
+    let last = workload.queries.last().map(|q| q.at);
+    std::iter::successors(Some(SimTime::ZERO + interval), move |&t| Some(t + interval))
+        .take_while(move |&t| last.is_some_and(|last| t <= last))
+}
+
+/// The distributor's side of a run. It observes the warm-up prefix and
+/// sends the provisioning scheme, then observes the arrivals in the order
+/// the simulator delivers them — stable by `at`, an arrival at a wake-up's
+/// instant before that wake-up — and sends one scheme per wake-up. It stops
+/// early once the serving side has hung up.
+fn distribute(
+    workload: &Workload,
+    distributor: &mut dyn Distributor,
+    cfg: &RunConfig,
+    schemes: &SyncSender<DistScheme>,
+) {
+    for tq in workload.queries.iter().take(cfg.warmup_queries) {
+        distributor.observe(&tq.query);
+    }
+    if schemes.send(distributor.scheme()).is_err() {
+        return;
+    }
+    let arrivals = arrival_order(&workload.queries);
+    let mut arrivals = arrivals.iter().peekable();
+    for t in wakeups(workload, cfg.reconfig_interval) {
+        while let Some(tq) = arrivals.next_if(|tq| tq.at <= t) {
+            distributor.observe(&tq.query);
+        }
+        if schemes.send(distributor.scheme()).is_err() {
+            return;
+        }
+    }
+    for tq in arrivals {
+        distributor.observe(&tq.query);
+    }
+}
+
+/// `queries` stably sorted by arrival time: the simulator breaks ties in
+/// scheduling order. Borrowed when already sorted, as every generator's
+/// (`Workload::validated`) stream is.
+fn arrival_order(queries: &[TimedQuery]) -> Cow<'_, [TimedQuery]> {
+    if queries.windows(2).all(|w| w[0].at <= w[1].at) {
+        return Cow::Borrowed(queries);
+    }
+    let mut sorted = queries.to_vec();
+    sorted.sort_by_key(|tq| tq.at);
+    Cow::Owned(sorted)
+}
+
+/// The serving side of a run: schedules the workload, then drives the
+/// simulator, routing arrivals and retries against the scheme in force and
+/// applying the next scheme from `schemes` at each wake-up. Stops serving
+/// if `schemes` closes early, which only a panicked distributor does.
+fn serve(
+    workload: &Workload,
+    router: &dyn ScanRouter,
+    cfg: &RunConfig,
+    faults: &FaultSchedule,
+    schemes: &Receiver<DistScheme>,
+) -> Metrics {
     // Everything below runs under one root span; provisioning, per-query
     // routing, periodic reconfiguration, and crash retries each get a nested
     // child so an active `ObsSession` sees where driver wall-clock goes.
     let _pipeline = nashdb_obs::span(Span::Pipeline);
     let faults_active = !faults.is_empty();
     let mut sim = ClusterSim::new(cfg.cluster);
+    sim.reserve_queries(workload.queries.len());
     for (i, tq) in workload.queries.iter().enumerate() {
         let id = sim.schedule_query(tq.at, tq.query.clone());
         // Ids are dense in scheduling order, so a failed query is re-routed
@@ -217,26 +327,22 @@ pub fn run_workload_with_faults(
         debug_assert_eq!(usize::try_from(id.get()), Ok(i), "query ids are dense");
     }
     sim.schedule_faults(faults);
-    // Reconfiguration timers through the last arrival.
-    if let Some(last) = workload.queries.last().map(|q| q.at) {
-        let mut t = SimTime::ZERO + cfg.reconfig_interval;
-        while t <= last {
-            sim.schedule_wakeup(t, 0);
-            t += cfg.reconfig_interval;
-        }
+    for t in wakeups(workload, cfg.reconfig_interval) {
+        sim.schedule_wakeup(t, 0);
     }
 
-    // Optional warmup, then provision the initial scheme.
-    let (mut scheme, mut side) = {
+    // Provision the initial scheme.
+    let provisioned = {
         let _provision = nashdb_obs::span(Span::Provision);
-        for tq in workload.queries.iter().take(cfg.warmup_queries) {
-            distributor.observe(&tq.query);
-        }
-        let scheme = distributor.scheme();
-        let none = (&DistScheme::new(Vec::new(), &[]), &Side::default());
-        let side = transition(&mut sim, &workload.db, none, &scheme)
-            .unwrap_or_else(|| scheme.transition_side(&workload.db));
-        (scheme, side)
+        schemes.recv().ok().map(|scheme| {
+            let none = (&DistScheme::new(Vec::new(), &[]), &Side::default());
+            let side = transition(&mut sim, &workload.db, none, &scheme)
+                .unwrap_or_else(|| scheme.transition_side(&workload.db));
+            (scheme, side)
+        })
+    };
+    let Some((mut scheme, mut side)) = provisioned else {
+        return sim.finish();
     };
 
     let mut serving = Serving::default();
@@ -252,9 +358,6 @@ pub fn run_workload_with_faults(
                 batch.push((id, query));
                 sim.take_coincident_arrivals_into(&mut batch);
                 let _query = nashdb_obs::span(Span::Query);
-                for (_, q) in &batch {
-                    distributor.observe(q);
-                }
                 let queries = batch.iter().map(|(_, q)| q);
                 serving.plan(&scheme, queries, router, &sim, faults_active);
                 for (qi, (qid, _)) in batch.drain(..).enumerate() {
@@ -300,7 +403,9 @@ pub fn run_workload_with_faults(
             }
             DriverEvent::Wakeup { .. } => {
                 let _reconfigure = nashdb_obs::span(Span::Reconfigure);
-                let new_scheme = distributor.scheme();
+                let Ok(new_scheme) = schemes.recv() else {
+                    break;
+                };
                 let old = (&scheme, &side);
                 if let Some(new_side) = transition(&mut sim, &workload.db, old, &new_scheme) {
                     scheme = new_scheme;
@@ -345,6 +450,8 @@ mod tests {
     use nashdb_core::routing::MaxOfMins;
     use nashdb_workload::bernoulli::{workload as bernoulli, BernoulliConfig};
     use nashdb_workload::random::{workload as random, RandomConfig};
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn fast_cluster() -> ClusterConfig {
         ClusterConfig {
@@ -363,7 +470,129 @@ mod tests {
         }
     }
 
+    /// A run small enough for Miri, which checks the worker thread and the
+    /// scheme channel for data races: 24 arrivals 50 s apart and a wake-up
+    /// every 300 s (three of them), on a tiny distributor.
+    fn miri_sized() -> (Workload, RunConfig, NashDbConfig) {
+        let w = bernoulli(&BernoulliConfig {
+            size_gb: 1,
+            queries: 24,
+            spacing: SimDuration::from_secs(50),
+            ..BernoulliConfig::default()
+        });
+        let run = RunConfig {
+            cluster: fast_cluster(),
+            reconfig_interval: SimDuration::from_secs(300),
+            ..RunConfig::default()
+        };
+        let nash = NashDbConfig {
+            window: 8,
+            spec: NodeSpec::new(100.0, 400_000),
+            max_frags_per_table: 4,
+            greedy_rounds: 4,
+            ..NashDbConfig::default()
+        };
+        (w, run, nash)
+    }
+
     #[test]
+    fn miri_sized_run_applies_one_scheme_per_wakeup() {
+        let (w, run, nash) = miri_sized();
+        let go = || {
+            let mut dist = NashDbDistributor::new(&w.db, nash);
+            run_workload(&w, &mut dist, &MaxOfMins::new(run.phi_tuples()), &run)
+        };
+        let (a, b) = (go(), go());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(a.queries.len(), 24);
+        // The provisioning plan and one per wake-up, all applied.
+        assert_eq!(a.reconfigurations, 4);
+    }
+
+    /// NashDB, until its `scheme()` call `schemes` or its `observe()` call
+    /// `observes` (both counted from 0), which panics.
+    struct Failing {
+        inner: NashDbDistributor,
+        schemes: usize,
+        observes: usize,
+    }
+
+    impl Distributor for Failing {
+        fn observe(&mut self, query: &QueryRequest) {
+            assert!(self.observes > 0, "observe failed");
+            self.observes -= 1;
+            self.inner.observe(query);
+        }
+
+        fn scheme(&mut self) -> DistScheme {
+            assert!(self.schemes > 0, "scheme failed");
+            self.schemes -= 1;
+            self.inner.scheme()
+        }
+
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+    }
+
+    /// Max-of-mins, counting the scans it routes.
+    struct Counting {
+        inner: MaxOfMins,
+        scans: Cell<usize>,
+    }
+
+    impl ScanRouter for Counting {
+        fn route_into(
+            &self,
+            requests: &[nashdb_core::routing::FragmentRequest],
+            queues: &mut QueueView,
+            scratch: &mut Scratch,
+            out: &mut Vec<Assignment>,
+        ) -> Result<(), nashdb_core::routing::RouteError> {
+            self.scans.set(self.scans.get() + 1);
+            self.inner.route_into(requests, queues, scratch, out)
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    /// Runs the Miri-sized stream against a distributor failing at
+    /// `(schemes, observes)`: the run must panic with the distributor's
+    /// message, not hang on the channel, and the serving loop must stop at
+    /// the first wake-up, having routed only the 7 arrivals up to it.
+    fn assert_run_fails_at_first_wakeup(schemes: usize, observes: usize, message: &str) {
+        let (w, run, nash) = miri_sized();
+        let mut dist = Failing {
+            inner: NashDbDistributor::new(&w.db, nash),
+            schemes,
+            observes,
+        };
+        let router = Counting {
+            inner: MaxOfMins::new(run.phi_tuples()),
+            scans: Cell::new(0),
+        };
+        let failed = catch_unwind(AssertUnwindSafe(|| {
+            run_workload(&w, &mut dist, &router, &run)
+        }));
+        let payload = failed.expect_err("a distributor panic must end the run");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&message));
+        assert_eq!(router.scans.get(), 7, "arrivals served after the failure");
+    }
+
+    #[test]
+    fn a_panic_in_scheme_ends_the_run_at_its_wakeup() {
+        assert_run_fails_at_first_wakeup(1, usize::MAX, "scheme failed");
+    }
+
+    #[test]
+    fn a_panic_in_observe_ends_the_run_at_the_next_wakeup() {
+        assert_run_fails_at_first_wakeup(usize::MAX, 3, "observe failed");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
     fn bernoulli_end_to_end_completes_every_query() {
         let w = bernoulli(&BernoulliConfig {
             size_gb: 4,
@@ -382,6 +611,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn dynamic_run_reconfigures_on_interval() {
         let w = random(&RandomConfig {
             size_gb: 4,
@@ -406,6 +636,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn runs_are_deterministic() {
         let w = bernoulli(&BernoulliConfig {
             size_gb: 2,
@@ -427,6 +658,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn higher_price_lowers_latency_at_higher_cost() {
         // The paper's Fig. 6c mechanism: raising every query's price adds
         // replicas and nodes, trading money for latency.
@@ -490,6 +722,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn scan_past_its_table_abandons_one_query_not_the_run() {
         // `Workload`'s fields are public and `validated()` is opt-in: a
         // hand-built stream can hold a scan that runs past its table. The
@@ -502,6 +735,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn scan_of_unknown_table_abandons_one_query_not_the_run() {
         // The same stream can name a table the database does not have. The
         // distributor used to index its per-table state with it while
@@ -513,6 +747,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn unusable_prices_do_not_end_the_run() {
         // A price is outside input too. NaN, negative and infinite ones
         // used to reach `PricedScan::new`'s assert while the arrival was
@@ -536,6 +771,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn fault_free_schedule_matches_plain_run() {
         let w = bernoulli(&BernoulliConfig {
             size_gb: 2,

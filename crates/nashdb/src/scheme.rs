@@ -407,8 +407,9 @@ pub(crate) fn table_offsets(db: &Database) -> Vec<u64> {
 }
 
 /// A system under evaluation: it watches the query stream and produces a
-/// distribution scheme on demand.
-pub trait Distributor {
+/// distribution scheme on demand. `Send`, because the driver runs it on a
+/// thread of its own beside the serving loop.
+pub trait Distributor: Send {
     /// Folds one arrived query into the system's statistics.
     fn observe(&mut self, query: &QueryRequest);
 

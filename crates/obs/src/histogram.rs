@@ -78,6 +78,18 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Adds every sample of `other`, as if each had been recorded here.
+    /// Counts and the sum saturate, as [`record`](Self::record)'s do, so
+    /// the result does not depend on the order histograms are merged in.
+    pub(crate) fn merge(&mut self, other: &Histogram) {
+        for (slot, &c) in self.buckets.iter_mut().zip(&other.buckets) {
+            *slot = slot.saturating_add(c);
+        }
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -233,6 +245,26 @@ mod tests {
         for p in [0.0, 50.0, 99.0, 100.0] {
             assert_eq!(h.quantile(p), Some(777));
         }
+    }
+
+    #[test]
+    fn merging_equals_recording_every_sample_in_one() {
+        let (a, b) = ([0u64, 3, 900], [3u64, 70_000, u64::MAX]);
+        let mut one = Histogram::new();
+        let (mut left, mut right) = (Histogram::new(), Histogram::new());
+        for v in a {
+            one.record(v);
+            left.record(v);
+        }
+        for v in b {
+            one.record(v);
+            right.record(v);
+        }
+        let mut merged = left.clone();
+        merged.merge(&right);
+        assert_eq!(merged, one);
+        right.merge(&left);
+        assert_eq!(right, one, "the merge order does not matter");
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! and a branch — so library code can instrument unconditionally without
 //! imposing overhead on callers that never asked for metrics. Every name
 //! is a variant of the closed [`Metric`] / [`Span`] / [`Stage`] tables.
+//! Work handed to another thread records through a [`fork`]: the worker
+//! collects under a root span of its own, and [`Recording::absorb`] folds
+//! what it collected into the session it was forked from.
 //!
 //! A finished session exports an [`ObsSnapshot`]: a versioned, schema-
 //! validated, byte-deterministic JSON document that `nashdb-bench smoke`
@@ -116,6 +119,13 @@ impl ObsSession {
     /// [`start`](ObsSession::start). Spans still open at this point are
     /// not included — close (drop) their guards first.
     pub fn finish(mut self) -> ObsSnapshot {
+        let registry = self.stop();
+        ObsSnapshot::capture(registry, std::mem::take(&mut self.labels))
+    }
+
+    /// Stops collecting, restores the shelved session and returns the
+    /// registry collected since [`start`](ObsSession::start).
+    fn stop(&mut self) -> MetricsRegistry {
         self.finished = true;
         let collected = ACTIVE.with(|cell| {
             let mut slot = cell.borrow_mut();
@@ -123,8 +133,65 @@ impl ObsSession {
             *slot = self.previous.take();
             collected
         });
-        let registry = collected.map(|a| a.registry).unwrap_or_default();
-        ObsSnapshot::capture(registry, std::mem::take(&mut self.labels))
+        collected.map(|a| a.registry).unwrap_or_default()
+    }
+}
+
+/// Whether the calling thread records, as a token a worker thread can
+/// carry: take it with [`fork`] where work is handed off, execute the work
+/// through [`Fork::run`] on the worker, and [`Recording::absorb`] what it
+/// recorded back on the thread whose session should hold it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fork {
+    armed: bool,
+}
+
+/// Forks the calling thread's recording state for a worker thread.
+pub fn fork() -> Fork {
+    Fork { armed: is_active() }
+}
+
+impl Fork {
+    /// Runs `f` on the calling (worker) thread. If a session was live where
+    /// the fork was taken, `f` records into a session of this thread under
+    /// a root span `root` of its own, so the worker's spans partition its
+    /// wall time as the forking thread's partition theirs.
+    pub fn run<T>(self, root: Span, f: impl FnOnce() -> T) -> (T, Recording) {
+        if !self.armed {
+            return (f(), Recording { registry: None });
+        }
+        let mut session = ObsSession::start();
+        let out = {
+            let _root = span(root);
+            f()
+        };
+        let registry = session.stop();
+        (
+            out,
+            Recording {
+                registry: Some(registry),
+            },
+        )
+    }
+}
+
+/// What a [`Fork::run`] recorded, on its way back to a session.
+#[must_use = "a recording that is not absorbed is lost"]
+#[derive(Debug)]
+pub struct Recording {
+    /// `None` iff the fork was not armed.
+    registry: Option<MetricsRegistry>,
+}
+
+impl Recording {
+    /// Folds the recording into the session live on the calling thread:
+    /// counters add, histograms merge, span statistics add path by path,
+    /// and a gauge the worker set replaces this thread's. No-op without a
+    /// live session.
+    pub fn absorb(self) {
+        if let Some(other) = self.registry {
+            with_active((), |a| a.registry.absorb(other));
+        }
     }
 }
 
@@ -173,7 +240,7 @@ pub fn is_active() -> bool {
 
 /// Opens a nested wall-clock span. The span closes when the returned guard
 /// drops, accumulating its elapsed time under a slash-joined path of every
-/// open span (`pipeline/reconfigure/scheme`). Returns an inert guard when
+/// open span (`distributor/scheme/fragment`). Returns an inert guard when
 /// no session is active.
 // Timing is this crate's job; durations are scrubbed from `--stable` output.
 #[allow(clippy::disallowed_methods)]
@@ -356,6 +423,46 @@ mod tests {
         assert_eq!(snap.counter(Metric::TransitionPlans), Some(1));
         assert_eq!(snap.counter(Metric::TransitionDecommissioned), None);
         assert!(!is_active());
+    }
+
+    #[test]
+    fn a_forked_worker_records_under_its_own_root_and_is_absorbed() {
+        let session = ObsSession::start();
+        // Run here rather than on a second thread: the worker's session
+        // shelves this one while it runs, as a thread-local one would
+        // stand beside it.
+        let (out, recording) = fork().run(Span::Distributor, || {
+            let _scheme = span(Span::Scheme);
+            counter_add(Metric::ValueTreeInserts, 2);
+            gauge_set(Metric::DistributorNodes, 4.0);
+            7
+        });
+        assert_eq!(out, 7);
+        {
+            let _pipeline = span(Span::Pipeline);
+            counter_add(Metric::ValueTreeInserts, 1);
+        }
+        recording.absorb();
+        let snap = session.finish();
+        assert_eq!(snap.counter(Metric::ValueTreeInserts), Some(3));
+        assert_eq!(snap.gauge(Metric::DistributorNodes), Some(4.0));
+        let root = snap.span(&[Span::Distributor]).unwrap();
+        let scheme = snap.span(&[Span::Distributor, Span::Scheme]).unwrap();
+        assert_eq!((root.count, scheme.count), (1, 1));
+        assert_eq!(root.child_ns, scheme.total_ns);
+        assert!(snap.span(&[Span::Pipeline]).is_some());
+    }
+
+    #[test]
+    fn an_unarmed_fork_records_nothing() {
+        let ((), recording) = fork().run(Span::Distributor, || {
+            counter_add(Metric::ValueTreeInserts, 1);
+        });
+        let session = ObsSession::start();
+        recording.absorb();
+        let snap = session.finish();
+        assert_eq!(snap.counters.len(), 0);
+        assert_eq!(snap.spans.len(), 0);
     }
 
     #[test]

@@ -90,7 +90,7 @@ named_enum! {
 
 named_enum! {
     /// The span segments [`crate::span`] nests into slash-joined paths
-    /// such as `pipeline/reconfigure/scheme`.
+    /// such as `distributor/scheme/fragment`.
     Span::name {
         Pipeline => "pipeline",
         Provision => "provision",
@@ -104,6 +104,7 @@ named_enum! {
         Place => "place",
         Transition => "transition",
         Retry => "retry",
+        Distributor => "distributor",
     }
 }
 

@@ -78,6 +78,41 @@ impl MetricsRegistry {
         stat.total_ns = stat.total_ns.saturating_add(elapsed_ns);
         stat.child_ns = stat.child_ns.saturating_add(child_ns);
     }
+
+    /// Folds in what another thread's session recorded: counters add,
+    /// histograms merge and span statistics add path by path, all
+    /// saturating, so the order registries are folded in does not matter.
+    /// A gauge `other` set replaces this one's, which is order-free only
+    /// while each gauge is set on one thread.
+    pub fn absorb(&mut self, other: MetricsRegistry) {
+        for (slot, delta) in self.counters.iter_mut().zip(other.counters) {
+            if let Some(delta) = delta {
+                let total = slot.get_or_insert(0);
+                *total = total.saturating_add(delta);
+            }
+        }
+        for (slot, value) in self.gauges.iter_mut().zip(other.gauges) {
+            if value.is_some() {
+                *slot = value;
+            }
+        }
+        for (slot, h) in self.histograms.iter_mut().zip(other.histograms) {
+            match (slot.as_mut(), h) {
+                (Some(mine), Some(h)) => mine.merge(&h),
+                (None, h) => *slot = h,
+                (Some(_), None) => {}
+            }
+        }
+        for (path, s) in other.spans {
+            let stat = self.spans.entry(path).or_insert_with(|| SpanSnapshot {
+                path: s.path.clone(),
+                ..SpanSnapshot::default()
+            });
+            stat.count = stat.count.saturating_add(s.count);
+            stat.total_ns = stat.total_ns.saturating_add(s.total_ns);
+            stat.child_ns = stat.child_ns.saturating_add(s.child_ns);
+        }
+    }
 }
 
 impl ObsSnapshot {
@@ -151,6 +186,33 @@ mod tests {
         assert_eq!(s.count, 2);
         assert_eq!(s.total_ns, 150);
         assert_eq!(s.child_ns, 40);
+    }
+
+    #[test]
+    fn absorbing_equals_recording_in_one_registry() {
+        let worker = |r: &mut MetricsRegistry| {
+            r.counter_add(Metric::ValueTreeInserts, 5);
+            r.counter_add(Metric::RoutingRequests, 1);
+            r.gauge_set(Metric::DistributorNodes, 7.0);
+            r.record(Metric::PackingNodeFillTuples, 900);
+            r.span_add("distributor", 50, 30);
+            r.span_add("distributor/scheme", 30, 0);
+        };
+        let serving = |r: &mut MetricsRegistry| {
+            r.counter_add(Metric::RoutingRequests, 2);
+            r.gauge_set(Metric::ClusterNodes, 3.0);
+            r.record(Metric::PackingNodeFillTuples, 4);
+            r.span_add("pipeline", 80, 0);
+        };
+        let mut one = MetricsRegistry::default();
+        worker(&mut one);
+        serving(&mut one);
+        let (mut main, mut other) = (MetricsRegistry::default(), MetricsRegistry::default());
+        serving(&mut main);
+        worker(&mut other);
+        main.absorb(other);
+        let capture = |r| ObsSnapshot::capture(r, Vec::new()).to_json_string();
+        assert_eq!(capture(main), capture(one));
     }
 
     #[test]

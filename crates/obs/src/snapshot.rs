@@ -70,7 +70,7 @@ impl Record for HistogramSnapshot {
 /// Serialized form of one span path's accumulated wall-clock statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanSnapshot {
-    /// Slash-separated span path (e.g. `pipeline/reconfigure/scheme`).
+    /// Slash-separated span path (e.g. `distributor/scheme/fragment`).
     pub path: String,
     /// Times the span closed.
     pub count: u64,

@@ -1,7 +1,8 @@
 //! What is left of the retired worker pool: the two read-only functions the
-//! frozen `benchmark/` package still links. The pipeline is single-threaded
-//! (DESIGN.md §10.3) and nothing in the workspace depends on this crate; it
-//! is deleted by ROADMAP item A's benchmark PR.
+//! frozen `benchmark/` package still links. The pipeline has no pool — its
+//! one extra thread is the driver's distributor worker (DESIGN.md §10.3) —
+//! and nothing in the workspace depends on this crate; it is deleted by
+//! ROADMAP item A's benchmark PR.
 
 /// The machine's available parallelism, floored at 1.
 pub fn max_threads() -> usize {

@@ -319,6 +319,15 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
+    /// Makes room in `lane` for `additional` more events without growing
+    /// it, for a caller about to load a stream of known length. A lane
+    /// this queue did not issue has nothing to reserve.
+    pub fn reserve(&mut self, lane: Lane, additional: usize) {
+        if let Some(run) = self.lanes.get_mut(lane.0) {
+            run.reserve(additional);
+        }
+    }
+
     /// Adds a FIFO lane for a stream the caller schedules in time order.
     /// Only lanes this queue issued are lanes of it; an event scheduled into
     /// any other goes to the fallback heap, still in order.

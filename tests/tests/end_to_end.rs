@@ -439,6 +439,95 @@ fn driver_matches_allocating_reference_loop() {
     }
 }
 
+/// The edges of the distributor's hand-off to the serving loop. The
+/// distributor runs on a thread of its own and replays the arrivals in the
+/// simulator's order, so each case must leave metrics `Debug`-identical to
+/// the single-threaded reference loop's, from fresh distributors.
+#[test]
+fn driver_matches_reference_loop_at_the_hand_off_edges() {
+    let base = bernoulli(&BernoulliConfig {
+        size_gb: 2,
+        queries: 40,
+        spacing: SimDuration::from_secs(20),
+        price: 8.0,
+        ..BernoulliConfig::default()
+    });
+    let run = RunConfig {
+        cluster: cluster(),
+        reconfig_interval: SimDuration::from_secs(100),
+        warmup_queries: 5,
+        ..RunConfig::default()
+    };
+    let nash = NashDbConfig {
+        window: 20,
+        ..nash_cfg(1_000_000)
+    };
+    let at = |secs: u64| SimTime::ZERO + SimDuration::from_secs(secs);
+    let wakeup = |t: SimTime| t > SimTime::ZERO && t.as_nanos().is_multiple_of(at(100).as_nanos());
+
+    // Every fifth arrival lands exactly on a wake-up.
+    assert!(base.queries.iter().filter(|tq| wakeup(tq.at)).count() >= 5);
+    // Two arrivals, one per table, at every wake-up instant.
+    let coincident = lockstep_workload(30);
+    let on_wakeups = coincident.queries.windows(2);
+    assert!(
+        on_wakeups
+            .filter(|w| w[0].at == w[1].at && wakeup(w[0].at))
+            .count()
+            >= 5
+    );
+    // Arrivals out of order, as a stream that skipped `validated()` can
+    // hold them: a stream of random scans with every block of five
+    // reversed, so each block's latest arrival comes first.
+    let mut unsorted = random(&RandomConfig {
+        size_gb: 2,
+        queries: 40,
+        duration: SimDuration::from_secs(800),
+        price: 8.0,
+        ..RandomConfig::default()
+    });
+    for block in unsorted.queries.chunks_mut(5) {
+        block.reverse();
+    }
+    assert!(unsorted.queries.windows(2).any(|w| w[0].at > w[1].at));
+
+    type Make<'a> = &'a dyn Fn(&Database) -> Box<dyn Distributor>;
+    let nashdb: Make = &|db| Box::new(NashDbDistributor::new(db, nash));
+    let threshold: Make =
+        &|db| Box::new(ThresholdDistributor::new(db, 6, 1_000_000, 20).with_block(250_000));
+    let cases = [
+        ("an arrival on a wake-up", &base, run, nashdb),
+        ("coincident arrivals on a wake-up", &coincident, run, nashdb),
+        ("unsorted arrivals", &unsorted, run, nashdb),
+        (
+            "a warm-up longer than the stream",
+            &base,
+            RunConfig {
+                warmup_queries: 1_000,
+                ..run
+            },
+            nashdb,
+        ),
+        (
+            "a stream shorter than one interval",
+            &base,
+            RunConfig {
+                reconfig_interval: SimDuration::from_secs(3_600),
+                ..run
+            },
+            nashdb,
+        ),
+        ("a baseline as the distributor", &base, run, threshold),
+    ];
+    for (what, w, run, make) in cases {
+        let router = MaxOfMins::new(run.phi_tuples());
+        let driven = run_workload(w, &mut *make(&w.db), &router, &run);
+        let (naive, _) = naive_run(w, &mut *make(&w.db), &router, &run, &FaultSchedule::none());
+        assert_eq!(format!("{driven:?}"), format!("{naive:?}"), "{what}");
+        assert_eq!(driven.queries.len(), w.queries.len(), "{what}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The production router against the specification, through the driver
 // ---------------------------------------------------------------------------

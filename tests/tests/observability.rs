@@ -6,7 +6,9 @@ use nashdb::{run_workload, NashDbConfig, NashDbDistributor, RunConfig};
 use nashdb_cluster::ClusterConfig;
 use nashdb_core::economics::NodeSpec;
 use nashdb_core::routing::MaxOfMins;
-use nashdb_obs::Span::{Pipeline, Provision, Query, Reconfigure, Route, Scheme, ValueChunks};
+use nashdb_obs::Span::{
+    Distributor, Pipeline, Provision, Query, Reconfigure, Route, Scheme, ValueChunks,
+};
 use nashdb_obs::{Metric, ObsSession, ObsSnapshot, Span};
 use nashdb_sim::SimDuration;
 use nashdb_workload::bernoulli::{workload as bernoulli, BernoulliConfig};
@@ -138,7 +140,7 @@ fn multi_table_spans_account_for_every_child() {
         rounds: 2,
         ..TpchConfig::default()
     }));
-    let fragment = [Pipeline, Provision, Scheme, Span::Fragment];
+    let fragment = [Distributor, Scheme, Span::Fragment];
     let chunks = snap
         .span(&[&fragment[..], &[ValueChunks]].concat())
         .expect("value_chunks span");
