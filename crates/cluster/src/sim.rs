@@ -581,7 +581,7 @@ impl ClusterSim {
         };
         self.metrics.queries.push(record);
         // Latency is simulated time, so this histogram is deterministic per
-        // seed (unlike the wall-clock `*_ns` stage timings).
+        // seed; host wall-clock is recorded only by spans.
         nashdb_obs::counter_add(Metric::ClusterQueriesCompleted, 1);
         nashdb_obs::record(Metric::ClusterQueryLatencyNs, record.latency().as_nanos());
         nashdb_obs::record(Metric::ClusterQuerySpan, u64::from(record.span));

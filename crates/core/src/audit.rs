@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::fragment::{unrecorded_optimal, ChunkPrefix, Fragmentation};
+use crate::fragment::{optimal_fragmentation, ChunkPrefix, Fragmentation};
 use crate::ids::{FragmentId, NodeId};
 use crate::replication::ReplicationDecision;
 use crate::transition::{self, IntervalSet, NodeMove, TransitionPlan};
@@ -289,7 +289,7 @@ pub fn audit_fragmentation(
     if !chunks.is_empty() && chunks.len() <= OPTIMALITY_CHUNK_LIMIT {
         let prefix = ChunkPrefix::new(chunks).map_err(AuditError::InvalidChunks)?;
         let actual = frag.total_error(&prefix);
-        let best = unrecorded_optimal(chunks, frag.len()).map_err(AuditError::InvalidChunks)?;
+        let best = optimal_fragmentation(chunks, frag.len()).map_err(AuditError::InvalidChunks)?;
         let optimal = best.total_error(&prefix);
         // Relative tolerance: errors scale with value² × tuples.
         let tol = AUDIT_EPSILON * (1.0 + optimal.abs());
@@ -482,7 +482,7 @@ fn brute_force_transfer(old: &[IntervalSet], new: &[IntervalSet], n: usize) -> u
 mod tests {
     use super::*;
     use crate::economics::{check_equilibrium, EconomicConfig, EquilibriumViolation, NodeSpec};
-    use crate::fragment::{fragment_stats, optimal_fragmentation};
+    use crate::fragment::fragment_stats;
     use crate::replication::{decide_replicas, economic_config, pack_bffd, ReplicationPolicy};
     use crate::transition::plan_transition;
 

@@ -18,7 +18,7 @@
 //! function: the optimal split of a piecewise-constant function always falls
 //! on a value change (the paper's Appendix C optimization).
 
-use nashdb_obs::Metric;
+use nashdb_obs::{Metric, Span};
 
 use super::prefix::{ChunkPrefix, Point};
 use super::Fragmentation;
@@ -167,7 +167,7 @@ impl GreedyFragmenter {
     /// Runs up to `rounds` steps, stopping early once stable. Returns the
     /// number of rounds that changed the fragmentation.
     pub fn run(&mut self, chunks: &[Chunk], rounds: usize) -> usize {
-        let watch = nashdb_obs::stopwatch();
+        let _greedy = nashdb_obs::span(Span::Greedy);
         let mut changed = 0;
         if rounds > 0 {
             if let Some(mut run) = self.start(chunks) {
@@ -176,7 +176,6 @@ impl GreedyFragmenter {
                 }
             }
         }
-        watch.record(Metric::FragmentGreedyNs);
         nashdb_obs::counter_add(Metric::FragmentGreedyRuns, 1);
         nashdb_obs::counter_add(Metric::FragmentGreedyChanges, changed as u64);
         changed

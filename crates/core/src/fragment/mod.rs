@@ -25,7 +25,6 @@ pub mod reference;
 pub use findsplit::{find_split, SplitPoint};
 pub use greedy::{GreedyFragmenter, MergePolicy, StepOutcome};
 pub use optimal::optimal_fragmentation;
-pub(crate) use optimal::unrecorded_optimal;
 pub use prefix::ChunkPrefix;
 
 use crate::ids::FragmentId;

@@ -8,8 +8,6 @@
 //! value chunks rather than the `n` tuples — `O(maxFrags · m²)` time and
 //! `O(maxFrags · m)` space, with `m ≤ 2|W| + 1`.
 
-use nashdb_obs::Metric;
-
 use super::prefix::ChunkPrefix;
 use super::{FragmentError, Fragmentation};
 use crate::value::Chunk;
@@ -25,28 +23,8 @@ use crate::value::Chunk;
 /// # Errors
 /// Returns [`FragmentError::ZeroMaxFrags`] if `max_frags` is zero and a
 /// chunk-validation error if `chunks` is empty/malformed.
-pub fn optimal_fragmentation(
-    chunks: &[Chunk],
-    max_frags: usize,
-) -> Result<Fragmentation, FragmentError> {
-    if max_frags == 0 {
-        return Err(FragmentError::ZeroMaxFrags);
-    }
-    let watch = nashdb_obs::stopwatch();
-    nashdb_obs::counter_add(Metric::FragmentOptimalRuns, 1);
-    nashdb_obs::record(Metric::FragmentOptimalChunks, chunks.len() as u64);
-    let frag = unrecorded_optimal(chunks, max_frags)?;
-    watch.record(Metric::FragmentOptimalNs);
-    Ok(frag)
-}
-
-/// [`optimal_fragmentation`] without its metrics: the DP an audit re-solves
-/// with, so an audited run's snapshot carries only what the pipeline did.
-///
-/// # Errors
-/// As [`optimal_fragmentation`].
 #[allow(clippy::needless_range_loop)] // index arithmetic *is* the DP
-pub(crate) fn unrecorded_optimal(
+pub fn optimal_fragmentation(
     chunks: &[Chunk],
     max_frags: usize,
 ) -> Result<Fragmentation, FragmentError> {

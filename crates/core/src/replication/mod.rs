@@ -217,7 +217,6 @@ pub fn pack_bffd(
     decisions: &[ReplicationDecision],
     disk: u64,
 ) -> Result<Vec<Vec<FragmentId>>, PackError> {
-    let watch = nashdb_obs::stopwatch();
     let mut order: Vec<&ReplicationDecision> = decisions.iter().collect();
     // Decreasing replica count, then a deterministic hash of the fragment's
     // *position*. The hash order matters twice over: (1) physically
@@ -267,15 +266,6 @@ pub fn pack_bffd(
                 }
             }
         }
-    }
-    watch.record(Metric::PackingBffdNs);
-    nashdb_obs::counter_add(
-        Metric::PackingPlacements,
-        nodes.iter().map(|f| f.len() as u64).sum(),
-    );
-    nashdb_obs::gauge_set(Metric::PackingNodes, nodes.len() as f64);
-    for used in free.iter().map(|f| disk - f) {
-        nashdb_obs::record(Metric::PackingNodeFillTuples, used);
     }
     Ok(nodes)
 }

@@ -111,7 +111,7 @@ pub fn hungarian(cost: &[Vec<u64>]) -> Result<(Vec<usize>, u64), HungarianError>
 /// flattens public inputs; `plan_transition` and its `reference` twin build
 /// their matrices flat and square by design and call in directly.
 pub(super) fn solve_square(cost: &[u64], n: usize) -> (Vec<usize>, u64) {
-    let watch = nashdb_obs::stopwatch();
+    let _hungarian = nashdb_obs::span(nashdb_obs::Span::Hungarian);
     debug_assert_eq!(cost.len(), n * n, "flat cost matrix is not n × n");
     debug_assert!(
         cost.iter().all(|&c| c <= max_cost(n)),
@@ -191,7 +191,6 @@ pub(super) fn solve_square(cost: &[u64], n: usize) -> (Vec<usize>, u64) {
         .enumerate()
         .map(|(r, &c)| cost[r * n + c])
         .sum();
-    watch.record(nashdb_obs::Metric::TransitionHungarianNs);
     (assignment, total)
 }
 

@@ -26,7 +26,7 @@ pub mod reference;
 pub use hungarian::{hungarian, max_cost, HungarianError};
 pub use interval_set::IntervalSet;
 
-use nashdb_obs::Metric;
+use nashdb_obs::{Metric, Span};
 
 use crate::ids::NodeId;
 use crate::routing::run_of;
@@ -206,11 +206,10 @@ pub fn plan_transition(old: &[IntervalSet], new: &[IntervalSet]) -> TransitionPl
 /// stay within `i64::MAX / 2` ≈ 4.6 · 10¹⁸ tuples. A node holds at most its
 /// disk, so a cluster of a million nodes of 10¹² tuples each is inside it.
 pub fn plan_sides(old: &Side, new: &Side) -> TransitionPlan {
-    let watch = nashdb_obs::stopwatch();
+    let _transition = nashdb_obs::span(Span::Transition);
+    nashdb_obs::counter_add(Metric::TransitionPlans, 1);
     let n = old.nodes.max(new.nodes);
     if n == 0 {
-        nashdb_obs::counter_add(Metric::TransitionPlans, 1);
-        watch.record(Metric::TransitionPlanNs);
         return TransitionPlan {
             moves: Vec::new(),
             total_transfer: 0,
@@ -218,7 +217,6 @@ pub fn plan_sides(old: &Side, new: &Side) -> TransitionPlan {
     }
 
     let plan = plan_from_costs(&cost_matrix(old, new), old.nodes, new.nodes);
-    nashdb_obs::counter_add(Metric::TransitionPlans, 1);
     nashdb_obs::counter_add(Metric::TransitionTuplesMoved, plan.total_transfer);
     nashdb_obs::counter_add(Metric::TransitionProvisioned, plan.provisioned() as u64);
     nashdb_obs::counter_add(
@@ -226,7 +224,6 @@ pub fn plan_sides(old: &Side, new: &Side) -> TransitionPlan {
         plan.decommissioned() as u64,
     );
     nashdb_obs::record(Metric::TransitionMatrixDim, n as u64);
-    watch.record(Metric::TransitionPlanNs);
     plan
 }
 

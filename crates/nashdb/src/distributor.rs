@@ -481,8 +481,8 @@ impl NashDbDistributor {
 
         // 6. Drop empty nodes and persist the scheme for the next call.
         nodes.retain(|node| !node.is_empty());
-        // The incremental packer stands in for `pack_bffd` here, so it
-        // reports the same packing metrics the from-scratch packer would.
+        // The incremental packer is the only source of the `packing.*`
+        // metrics: the from-scratch `pack_bffd` records none.
         nashdb_obs::gauge_set(Metric::PackingNodes, nodes.len() as f64);
         nashdb_obs::counter_add(
             Metric::PackingPlacements,

@@ -251,11 +251,16 @@ pub fn run_workload_with_faults(
 }
 
 /// The reconfiguration instants: every interval from one interval in,
-/// through the stream's last arrival.
+/// through the stream's last arrival. The sequence ends where it stops
+/// advancing, so a zero interval schedules none (provisioning only) and a
+/// sum that saturates at `SimTime::MAX` is scheduled once.
 fn wakeups(workload: &Workload, interval: SimDuration) -> impl Iterator<Item = SimTime> {
     let last = workload.queries.last().map(|q| q.at);
-    std::iter::successors(Some(SimTime::ZERO + interval), move |&t| Some(t + interval))
-        .take_while(move |&t| last.is_some_and(|last| t <= last))
+    std::iter::successors(Some(SimTime::ZERO), move |&t| {
+        Some(t + interval).filter(|&next| next > t)
+    })
+    .skip(1)
+    .take_while(move |&t| last.is_some_and(|last| t <= last))
 }
 
 /// The distributor's side of a run. It observes the warm-up prefix and
@@ -507,6 +512,29 @@ mod tests {
         assert_eq!(a.queries.len(), 24);
         // The provisioning plan and one per wake-up, all applied.
         assert_eq!(a.reconfigurations, 4);
+    }
+
+    #[test]
+    fn a_zero_interval_provisions_only() {
+        let (w, mut run, nash) = miri_sized();
+        run.reconfig_interval = SimDuration::ZERO;
+        let mut dist = NashDbDistributor::new(&w.db, nash);
+        let m = run_workload(&w, &mut dist, &MaxOfMins::new(run.phi_tuples()), &run);
+        assert_eq!(m.queries.len(), 24);
+        assert_eq!(m.reconfigurations, 1);
+    }
+
+    #[test]
+    fn wakeups_end_where_the_instants_stop_advancing() {
+        let (mut w, _, _) = miri_sized();
+        assert_eq!(wakeups(&w, SimDuration::ZERO).count(), 0);
+        let every_300s: Vec<_> = wakeups(&w, SimDuration::from_secs(300)).collect();
+        assert_eq!(every_300s, [300, 600, 900].map(SimTime::from_secs));
+        // A sum past `u64::MAX` saturates at `SimTime::MAX` and stops there.
+        w.queries.last_mut().unwrap().at = SimTime::MAX;
+        let half = SimDuration::from_nanos(u64::MAX / 2 + 1);
+        let at: Vec<_> = wakeups(&w, half).collect();
+        assert_eq!(at, [SimTime::ZERO + half, SimTime::MAX]);
     }
 
     /// NashDB, until its `scheme()` call `schemes` or its `observe()` call

@@ -48,30 +48,42 @@ pub use snapshot::{HistogramSnapshot, ObsSnapshot, SpanSnapshot};
 use registry::MetricsRegistry;
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// One open span on the stack: its full path and how much time its direct
-/// children have consumed so far.
+/// One open span on a session's stack: its full path, how much time its
+/// direct children have consumed so far, and the id its guard closes it by.
 #[derive(Debug)]
 struct Frame {
     path: String,
     child_ns: u64,
+    id: u64,
 }
 
-/// The thread's live collection state while a session is active.
+/// One session's collection state on its thread.
 #[derive(Debug)]
 struct ActiveSession {
+    id: u64,
     registry: MetricsRegistry,
     stack: Vec<Frame>,
 }
 
 thread_local! {
-    static ACTIVE: RefCell<Option<ActiveSession>> = const { RefCell::new(None) };
+    /// The thread's sessions, oldest first. The last one is live; the
+    /// others are shelved until the sessions started after them end.
+    static SESSIONS: RefCell<Vec<ActiveSession>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A fresh id for a session or a span frame, unique across threads, so a
+/// guard or a session can only ever find what it opened.
+fn next_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Runs `f` against the live session, or returns `default` when inactive.
 fn with_active<T>(default: T, f: impl FnOnce(&mut ActiveSession) -> T) -> T {
-    ACTIVE.with(|cell| match cell.borrow_mut().as_mut() {
+    SESSIONS.with(|cell| match cell.borrow_mut().last_mut() {
         Some(active) => f(active),
         None => default,
     })
@@ -88,24 +100,24 @@ fn with_active<T>(default: T, f: impl FnOnce(&mut ActiveSession) -> T) -> T {
 #[must_use = "dropping an unfinished session discards its metrics"]
 #[derive(Debug)]
 pub struct ObsSession {
-    previous: Option<ActiveSession>,
+    id: u64,
     labels: Vec<(String, String)>,
-    finished: bool,
 }
 
 impl ObsSession {
     /// Begins collecting on the current thread.
     pub fn start() -> Self {
-        let previous = ACTIVE.with(|cell| {
-            cell.borrow_mut().replace(ActiveSession {
+        let id = next_id();
+        SESSIONS.with(|cell| {
+            cell.borrow_mut().push(ActiveSession {
+                id,
                 registry: MetricsRegistry::default(),
                 stack: Vec::new(),
-            })
+            });
         });
         ObsSession {
-            previous,
+            id,
             labels: Vec::new(),
-            finished: false,
         }
     }
 
@@ -123,17 +135,22 @@ impl ObsSession {
         ObsSnapshot::capture(registry, std::mem::take(&mut self.labels))
     }
 
-    /// Stops collecting, restores the shelved session and returns the
-    /// registry collected since [`start`](ObsSession::start).
+    /// Stops collecting and returns the registry collected since
+    /// [`start`](ObsSession::start); empty once stopped.
     fn stop(&mut self) -> MetricsRegistry {
-        self.finished = true;
-        let collected = ACTIVE.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            let collected = slot.take();
-            *slot = self.previous.take();
-            collected
-        });
-        collected.map(|a| a.registry).unwrap_or_default()
+        SESSIONS
+            .with(|cell| {
+                let mut sessions = cell.borrow_mut();
+                let at = sessions.iter().rposition(|s| s.id == self.id)?;
+                Some(sessions.remove(at).registry)
+            })
+            .unwrap_or_default()
+    }
+}
+
+impl Drop for ObsSession {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -195,18 +212,6 @@ impl Recording {
     }
 }
 
-impl Drop for ObsSession {
-    fn drop(&mut self) {
-        if !self.finished {
-            ACTIVE.with(|cell| {
-                let mut slot = cell.borrow_mut();
-                slot.take();
-                *slot = self.previous.take();
-            });
-        }
-    }
-}
-
 /// Adds `delta` to a counter. No-op without an active session.
 pub fn counter_add(metric: Metric, delta: u64) {
     with_active((), |a| a.registry.counter_add(metric, delta));
@@ -223,39 +228,35 @@ pub fn record(metric: Metric, value: u64) {
     with_active((), |a| a.registry.record(metric, value));
 }
 
-/// Records a [`std::time::Duration`] in nanoseconds (saturating at
-/// `u64::MAX`). No-op without an active session.
-pub fn record_duration(metric: Metric, elapsed: std::time::Duration) {
-    record(
-        metric,
-        u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-    );
-}
-
 /// True iff an observability session is live on this thread. Lets callers
 /// skip expensive metric *computation* (not just recording).
 pub fn is_active() -> bool {
-    ACTIVE.with(|cell| cell.borrow().is_some())
+    SESSIONS.with(|cell| !cell.borrow().is_empty())
 }
 
-/// Opens a nested wall-clock span. The span closes when the returned guard
-/// drops, accumulating its elapsed time under a slash-joined path of every
-/// open span (`distributor/scheme/fragment`). Returns an inert guard when
-/// no session is active.
+/// Opens a nested wall-clock span, the crate's one clock. The span closes
+/// when the returned guard drops, accumulating its elapsed time under a
+/// slash-joined path of every open span (`distributor/scheme/fragment`).
+/// Returns an inert guard when no session is active.
 // Timing is this crate's job; durations are scrubbed from `--stable` output.
 #[allow(clippy::disallowed_methods)]
 pub fn span(segment: Span) -> SpanGuard {
-    let armed = with_active(false, |a| {
+    let frame = with_active(None, |a| {
         let name = segment.name();
         let path = match a.stack.last() {
             Some(parent) => format!("{}/{name}", parent.path),
             None => name.to_owned(),
         };
-        a.stack.push(Frame { path, child_ns: 0 });
-        true
+        let id = next_id();
+        a.stack.push(Frame {
+            path,
+            child_ns: 0,
+            id,
+        });
+        Some(id)
     });
     SpanGuard {
-        started: armed.then(Instant::now),
+        open: frame.map(|id| (id, Instant::now())),
     }
 }
 
@@ -264,55 +265,35 @@ pub fn span(segment: Span) -> SpanGuard {
 #[must_use = "a span measures the scope of its guard; dropping it immediately records nothing"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    /// `Some` iff a session was active when the span opened.
-    started: Option<Instant>,
+    /// The id of the frame it opened and when, iff a session was active.
+    open: Option<(u64, Instant)>,
 }
 
 impl Drop for SpanGuard {
+    /// Closes the guard's own frame in whichever of the thread's sessions
+    /// holds it, live or shelved. The frame records only if it is on top of
+    /// its stack: one whose session ended, or that outlived a span opened
+    /// inside it, records nothing.
     fn drop(&mut self) {
-        let Some(started) = self.started else {
+        let Some((id, started)) = self.open else {
             return;
         };
         let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        with_active((), |a| {
-            let Some(frame) = a.stack.pop() else {
-                // A fresh session started inside the span; nothing to record.
+        SESSIONS.with(|cell| {
+            for a in cell.borrow_mut().iter_mut().rev() {
+                let Some(at) = a.stack.iter().rposition(|f| f.id == id) else {
+                    continue;
+                };
+                let frame = a.stack.remove(at);
+                if at == a.stack.len() {
+                    a.registry.span_add(&frame.path, elapsed_ns, frame.child_ns);
+                    if let Some(parent) = a.stack.last_mut() {
+                        parent.child_ns = parent.child_ns.saturating_add(elapsed_ns);
+                    }
+                }
                 return;
-            };
-            a.registry.span_add(&frame.path, elapsed_ns, frame.child_ns);
-            if let Some(parent) = a.stack.last_mut() {
-                parent.child_ns = parent.child_ns.saturating_add(elapsed_ns);
             }
         });
-    }
-}
-
-/// Starts a wall-clock stopwatch for one-shot duration histograms. Unlike
-/// [`span`], a stopwatch does not participate in the span hierarchy — it
-/// records into a wall-clock histogram via
-/// [`record`](Stopwatch::record).
-// Timing is this crate's job; durations are scrubbed from `--stable` output.
-#[allow(clippy::disallowed_methods)]
-pub fn stopwatch() -> Stopwatch {
-    Stopwatch {
-        started: is_active().then(Instant::now),
-    }
-}
-
-/// A running [`stopwatch`]; consume it with [`record`](Stopwatch::record).
-#[must_use = "a stopwatch records nothing until `record` is called"]
-#[derive(Debug)]
-pub struct Stopwatch {
-    started: Option<Instant>,
-}
-
-impl Stopwatch {
-    /// Records the elapsed nanoseconds into the histogram. No-op if no
-    /// session was active when the stopwatch started.
-    pub fn record(self, metric: Metric) {
-        if let Some(started) = self.started {
-            record_duration(metric, started.elapsed());
-        }
     }
 }
 
@@ -327,7 +308,6 @@ mod tests {
         gauge_set(Metric::ClusterNodes, 1.0);
         record(Metric::RoutingQuerySpan, 1);
         let _span = span(Span::Query);
-        stopwatch().record(Metric::FragmentGreedyNs);
         assert!(!is_active());
         // A session started afterwards sees none of it.
         let snap = ObsSession::start().finish();
@@ -466,25 +446,57 @@ mod tests {
     }
 
     #[test]
-    fn stopwatch_records_into_histogram() {
-        let session = ObsSession::start();
-        let sw = stopwatch();
-        std::thread::sleep(Duration::from_millis(1));
-        sw.record(Metric::FragmentGreedyNs);
-        let snap = session.finish();
-        let h = snap.histogram(Metric::FragmentGreedyNs).unwrap();
-        assert_eq!(h.count, 1);
-        assert!(h.max >= 1_000_000, "slept ≥1ms, got {}ns", h.max);
+    fn a_guard_outliving_its_session_records_nothing_in_the_next() {
+        let a = ObsSession::start();
+        let pipeline = span(Span::Pipeline);
+        assert_eq!(a.finish().spans.len(), 0);
+        let b = ObsSession::start();
+        let query = span(Span::Query);
+        drop(pipeline);
+        {
+            // `query` is still open, so this nests under it.
+            let _route = span(Span::Route);
+        }
+        drop(query);
+        let snap = b.finish();
+        let paths: Vec<_> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, ["query", "query/route"]);
+        let query = snap.span(&[Span::Query]).unwrap();
+        let route = snap.span(&[Span::Query, Span::Route]).unwrap();
+        assert_eq!(query.child_ns, route.total_ns);
     }
 
     #[test]
-    fn record_duration_saturates() {
+    fn a_guard_closes_its_frame_in_a_shelved_session() {
+        let a = ObsSession::start();
+        let pipeline = span(Span::Pipeline);
+        let b = ObsSession::start();
+        let query = span(Span::Query);
+        drop(pipeline);
+        drop(query);
+        let inner = b.finish();
+        assert!(inner.span(&[Span::Query]).is_some());
+        assert!(inner.span(&[Span::Pipeline]).is_none());
+        {
+            let _route = span(Span::Route);
+        }
+        let outer = a.finish();
+        let paths: Vec<_> = outer.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, ["pipeline", "route"]);
+    }
+
+    #[test]
+    fn a_guard_dropped_before_a_span_opened_inside_it_records_nothing() {
         let session = ObsSession::start();
-        record_duration(Metric::TransitionPlanNs, Duration::from_secs(u64::MAX));
+        let outer = span(Span::Pipeline);
+        let inner = span(Span::Scheme);
+        drop(outer);
+        drop(inner);
+        {
+            let _route = span(Span::Route);
+        }
         let snap = session.finish();
-        assert_eq!(
-            snap.histogram(Metric::TransitionPlanNs).map(|h| h.max),
-            Some(u64::MAX)
-        );
+        let paths: Vec<_> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, ["pipeline/scheme", "route"]);
     }
 }

@@ -33,20 +33,9 @@ macro_rules! named_enum {
     };
 }
 
-/// A `Metric` row's optional marker, as a flag: only `wall_clock` parses.
-macro_rules! wall_clock {
-    () => {
-        false
-    };
-    (wall_clock) => {
-        true
-    };
-}
-
-/// Declares [`Metric`] from rows of `Variant => "name", Stage`, each
-/// optionally marked `wall_clock`.
+/// Declares [`Metric`] from rows of `Variant => "name", Stage`.
 macro_rules! metrics {
-    ($($variant:ident => $name:literal, $stage:ident $($wall:ident)?;)*) => {
+    ($($variant:ident => $name:literal, $stage:ident;)*) => {
         named_enum! {
             /// Every counter, gauge and histogram the pipeline records,
             /// declared in name order.
@@ -58,15 +47,6 @@ macro_rules! metrics {
             pub const fn stage(self) -> Stage {
                 match self {
                     $(Metric::$variant => Stage::$stage,)*
-                }
-            }
-
-            /// True iff the samples are host wall-clock nanoseconds, which
-            /// [`crate::ObsSnapshot::scrub_timings`] erases. Simulated time
-            /// (`cluster.query_latency_ns`) is deterministic per seed.
-            pub const fn is_wall_clock(self) -> bool {
-                match self {
-                    $(Metric::$variant => wall_clock!($($wall)?),)*
                 }
             }
         }
@@ -98,11 +78,13 @@ named_enum! {
         Query => "query",
         Scheme => "scheme",
         Fragment => "fragment",
+        Greedy => "greedy",
         Replication => "replication",
         ValueChunks => "value_chunks",
         Route => "route",
         Place => "place",
         Transition => "transition",
+        Hungarian => "hungarian",
         Retry => "retry",
         Distributor => "distributor",
     }
@@ -133,12 +115,7 @@ metrics! {
     DistributorFragments => "distributor.fragments", Distributor;
     DistributorNodes => "distributor.nodes", Distributor;
     FragmentGreedyChanges => "fragment.greedy_changes", Fragment;
-    FragmentGreedyNs => "fragment.greedy_ns", Fragment wall_clock;
     FragmentGreedyRuns => "fragment.greedy_runs", Fragment;
-    FragmentOptimalChunks => "fragment.optimal_chunks", Fragment;
-    FragmentOptimalNs => "fragment.optimal_ns", Fragment wall_clock;
-    FragmentOptimalRuns => "fragment.optimal_runs", Fragment;
-    PackingBffdNs => "packing.bffd_ns", Packing wall_clock;
     PackingNodeFillTuples => "packing.node_fill_tuples", Packing;
     PackingNodes => "packing.nodes", Packing;
     PackingPlacements => "packing.placements", Packing;
@@ -155,9 +132,7 @@ metrics! {
     RoutingScansRouted => "routing.scans_routed", Routing;
     RoutingUnroutableScans => "routing.unroutable_scans", Routing;
     TransitionDecommissioned => "transition.decommissioned", Transition;
-    TransitionHungarianNs => "transition.hungarian_ns", Transition wall_clock;
     TransitionMatrixDim => "transition.matrix_dim", Transition;
-    TransitionPlanNs => "transition.plan_ns", Transition wall_clock;
     TransitionPlans => "transition.plans", Transition;
     TransitionProvisioned => "transition.provisioned", Transition;
     TransitionTuplesMoved => "transition.tuples_moved", Transition;
@@ -218,12 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_flags_only_host_timings_and_names_invert() {
+    fn only_simulated_time_is_a_metric_in_nanoseconds_and_names_invert() {
+        // Host wall-clock is a span's job; the one `_ns` metric is the
+        // simulator's own, deterministic clock.
         for &m in Metric::ALL {
-            // The flag reproduces the naming convention it replaced, so
-            // `scrub_timings` erases exactly what it used to.
-            let by_name = m.name().ends_with("_ns") && m.stage() != Stage::Cluster;
-            assert_eq!(m.is_wall_clock(), by_name, "{m:?}");
+            let ns = m.name().ends_with("_ns");
+            assert_eq!(ns, m == Metric::ClusterQueryLatencyNs, "{m:?}");
             assert_eq!(Metric::from_name(m.name()), Some(m));
         }
         assert_eq!(Metric::from_name("cluster.querys_completed"), None);

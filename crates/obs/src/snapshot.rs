@@ -179,11 +179,9 @@ impl ObsSnapshot {
     }
 
     /// Zeroes every wall-clock measurement while keeping structure and
-    /// counts: span `total_ns`/`child_ns` become 0 and histograms of a
-    /// [`Metric::is_wall_clock`] metric lose their samples (count is
-    /// preserved, the buckets collapse into bucket 0). Sim-time histograms
-    /// such as `cluster.query_latency_ns`, whose nanoseconds come from the
-    /// deterministic simulation clock rather than the host, are untouched.
+    /// counts: span `total_ns`/`child_ns` become 0. Spans are the only host
+    /// clock; every counter, gauge and histogram (`cluster.query_latency_ns`
+    /// counts simulated nanoseconds) is already a function of the seed.
     ///
     /// Two same-seed runs scrubbed this way are byte-identical, which is
     /// what lets CI diff artifacts across machines of different speeds.
@@ -191,15 +189,6 @@ impl ObsSnapshot {
         for span in &mut self.spans {
             span.total_ns = 0;
             span.child_ns = 0;
-        }
-        for h in &mut self.histograms {
-            if !Metric::from_name(&h.name).is_some_and(Metric::is_wall_clock) {
-                continue;
-            }
-            // Scrubbed, the histogram reads as if every sample had been 0.
-            if let Some(zeroed) = Histogram::from_parts(&[(0, h.count)], 0, 0) {
-                *h = zeroed.snapshot(&h.name);
-            }
         }
     }
 
@@ -230,11 +219,12 @@ mod tests {
         let mut r = MetricsRegistry::default();
         r.counter_add(Metric::ValueTreeInserts, 120);
         r.counter_add(Metric::RoutingScansRouted, 7);
+        r.counter_add(Metric::FragmentGreedyRuns, 1);
         r.gauge_set(Metric::ReplicationNashSurplus, 0.1 + 0.2);
         r.gauge_set(Metric::ClusterTotalCost, -1e-12);
         r.record(Metric::ClusterQueryLatencyNs, 1_500);
         r.record(Metric::ClusterQueryLatencyNs, 3_000);
-        r.record(Metric::FragmentGreedyNs, 900);
+        r.record(Metric::ReplicationReplicasPerFragment, 900);
         r.span_add("pipeline", 10_000, 6_000);
         r.span_add("pipeline/provision", 6_000, 0);
         ObsSnapshot::capture(
@@ -310,12 +300,8 @@ mod tests {
             assert_eq!(s.child_ns, 0);
             assert!(s.count > 0);
         }
-        // Wall-clock histogram collapsed, count preserved.
-        let g = snap.histogram(Metric::FragmentGreedyNs).unwrap();
-        assert_eq!(g.count, 1);
-        assert_eq!(g.max, 0);
-        assert_eq!(g.buckets, vec![(0, 1)]);
-        // Sim-time latency histogram untouched.
+        // Histograms, sim-time latency included, are untouched.
+        assert_eq!(snap.histograms, sample_snapshot().histograms);
         let lat = snap.histogram(Metric::ClusterQueryLatencyNs).unwrap();
         assert_eq!(lat.sum, 4_500);
         // Scrubbed snapshots still pass validation and stay deterministic.

@@ -16,11 +16,8 @@ use nashdb_workload::tpch::{workload as tpch, TpchConfig};
 use nashdb_workload::Workload;
 
 /// The metrics a fault-free, fully routable run never records: crash and
-/// retry bookkeeping, unroutable scans, the exact fragmentation DP (only
-/// experiments call it; the debug-build fragmentation audit re-solves it
-/// without recording) and the from-scratch packer's timer (the distributor
-/// packs incrementally). Every other [`Metric`] must appear, in debug and
-/// release builds alike.
+/// retry bookkeeping and unroutable scans. Every other [`Metric`] must
+/// appear, in debug and release builds alike.
 const QUIET: &[Metric] = &[
     Metric::ClusterDispatchRejected,
     Metric::ClusterFaultsSkipped,
@@ -33,10 +30,6 @@ const QUIET: &[Metric] = &[
     Metric::ClusterQueriesRetried,
     Metric::ClusterReadsWasted,
     Metric::ClusterTuplesLost,
-    Metric::FragmentOptimalChunks,
-    Metric::FragmentOptimalNs,
-    Metric::FragmentOptimalRuns,
-    Metric::PackingBffdNs,
     Metric::RoutingUnroutableScans,
 ];
 
@@ -147,6 +140,48 @@ fn multi_table_spans_account_for_every_child() {
     let tables = 8 * snap.span(&fragment).expect("fragment span").count;
     assert_eq!(chunks.count, tables);
     assert_child_time_is_the_direct_childrens_total(&snap);
+}
+
+/// How often `segment` closed, wherever it sits in the tree.
+fn closed(snap: &ObsSnapshot, segment: Span) -> u64 {
+    let tail = format!("/{}", segment.name());
+    snap.spans
+        .iter()
+        .filter(|s| s.path == segment.name() || s.path.ends_with(&tail))
+        .map(|s| s.count)
+        .sum()
+}
+
+/// Each timed stage opens its span exactly once per call its counter
+/// counts: one `transition` per plan, one `greedy` per fragmenter run.
+#[test]
+fn stage_spans_close_once_per_counted_call() {
+    let snap = run_under_session();
+    let plans = snap.counter(Metric::TransitionPlans).expect("plans");
+    assert!(plans > 1, "provisioning and at least one reconfiguration");
+    assert_eq!(closed(&snap, Span::Transition), plans);
+    assert_eq!(closed(&snap, Span::Hungarian), plans);
+    let runs = snap
+        .counter(Metric::FragmentGreedyRuns)
+        .expect("greedy runs");
+    assert_eq!(closed(&snap, Span::Greedy), runs);
+}
+
+/// Spans are the only host clock: scrubbing a run's snapshot zeroes their
+/// times and leaves every counter, gauge and histogram as recorded.
+#[test]
+fn scrubbing_changes_only_span_times() {
+    let snap = run_under_session();
+    let mut scrubbed = snap.clone();
+    scrubbed.scrub_timings();
+    assert_eq!(scrubbed.counters, snap.counters);
+    assert_eq!(scrubbed.gauges, snap.gauges);
+    assert_eq!(scrubbed.histograms, snap.histograms);
+    assert_eq!(scrubbed.spans.len(), snap.spans.len());
+    for (after, before) in scrubbed.spans.iter().zip(&snap.spans) {
+        assert_eq!((&after.path, after.count), (&before.path, before.count));
+        assert_eq!((after.total_ns, after.child_ns), (0, 0));
+    }
 }
 
 /// Two same-seed driver runs must leave byte-identical scrubbed snapshots:
