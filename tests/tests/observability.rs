@@ -15,8 +15,9 @@ use nashdb_workload::bernoulli::{workload as bernoulli, BernoulliConfig};
 use nashdb_workload::tpch::{workload as tpch, TpchConfig};
 use nashdb_workload::Workload;
 
-/// The metrics a fault-free, fully routable run never records: crash and
-/// retry bookkeeping and unroutable scans. Every other [`Metric`] must
+/// The metrics a fault-free, fully routable run of valid queries never
+/// records: crash and retry bookkeeping, rejected queries and unroutable
+/// scans. Every other [`Metric`] must
 /// appear, in debug and release builds alike.
 const QUIET: &[Metric] = &[
     Metric::ClusterDispatchRejected,
@@ -27,6 +28,7 @@ const QUIET: &[Metric] = &[
     Metric::ClusterPlansRejected,
     Metric::ClusterQueriesAbandoned,
     Metric::ClusterQueriesFailed,
+    Metric::ClusterQueriesRejected,
     Metric::ClusterQueriesRetried,
     Metric::ClusterReadsWasted,
     Metric::ClusterTuplesLost,
