@@ -14,6 +14,7 @@ use nashdb_cluster::{ClusterConfig, Metrics};
 use nashdb_core::economics::NodeSpec;
 use nashdb_core::num::{saturating_u64, usize_from};
 use nashdb_core::routing::{MaxOfMins, PowerOfTwoChoices};
+use nashdb_core::value::{scan_income, PricedScan};
 use nashdb_sim::fault::FaultSchedule;
 use nashdb_sim::SimDuration;
 use nashdb_workload::Workload;
@@ -61,20 +62,18 @@ impl ExpEnv {
         let mut pool: Vec<(u64, f64)> = Vec::new(); // (tuples, value) samples
         let sample_every = (w.queries.len() / 40).max(1);
         let steady = w.queries.len() / 2;
-        // Matches the distributor's block-floored income (see
-        // NashDbDistributor::observe) so calibration sees the same V.
+        // The distributor's block-floored income, through the one Eq. 1
+        // split, so calibration sees the same V. Like the driver, it skips
+        // the queries that fail the check.
         let replay_block = saturating_u64(200_000.0 * 10.0);
         for (i, tq) in w.queries.iter().enumerate() {
-            let total: u64 = tq.query.scans.iter().map(|s| s.size()).sum();
-            for s in &tq.query.scans {
-                let t = usize_from(s.table.get());
-                let end = s.end.min(w.db.tables[t].tuples);
-                if s.start < end && total > 0 {
-                    let size = end - s.start;
-                    let effective = size.max(replay_block.min(w.db.tables[t].tuples));
-                    let price = tq.query.price * s.size() as f64 / total as f64
-                        * (size as f64 / effective as f64);
-                    estimators[t].observe(nashdb_core::value::PricedScan::new(s.start, end, price));
+            if w.db.check_query(&tq.query).is_ok() {
+                let total: u64 = tq.query.scans.iter().map(|s| s.size()).sum();
+                for s in &tq.query.scans {
+                    let t = usize_from(s.table.get());
+                    let floor = replay_block.min(w.db.tables[t].tuples);
+                    let price = scan_income(tq.query.price, s.size(), total, floor);
+                    estimators[t].observe(PricedScan::new(s.start, s.end, price));
                 }
             }
             if i >= steady && (i % sample_every == 0 || i + 1 == w.queries.len()) {

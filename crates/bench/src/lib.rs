@@ -130,9 +130,11 @@ impl Args {
 }
 
 /// Rejects generator flags a generator cannot take: a zero size or query
-/// count and a negative or non-finite price panic inside it, and a size
-/// whose tuple count overflows `u64` would silently wrap. Both binaries
-/// call it before any generator runs, and [`die`] on its error.
+/// count and a negative or non-finite price panic inside it, a size whose
+/// tuple count overflows `u64` would silently wrap, and a price whose
+/// product with the database's tuples is infinite would fail
+/// `Database::check_query` on the larger scans. Both binaries call it
+/// before any generator runs, and [`die`] on its error.
 pub fn check_generator_flags(size_gb: u64, queries: usize, price: f64) -> Result<(), String> {
     let max_gb = u64::MAX / nashdb_workload::TUPLES_PER_GB;
     if !(1..=max_gb).contains(&size_gb) {
@@ -141,7 +143,15 @@ pub fn check_generator_flags(size_gb: u64, queries: usize, price: f64) -> Result
     if queries == 0 {
         return Err("--queries must be at least 1".into());
     }
-    check_price("--price", price)
+    check_price("--price", price)?;
+    let tuples = size_gb * nashdb_workload::TUPLES_PER_GB;
+    if (price * tuples as f64).is_finite() {
+        Ok(())
+    } else {
+        Err(format!(
+            "--price {price:e} times the database's {tuples} tuples must be finite"
+        ))
+    }
 }
 
 /// Rejects a negative or non-finite `--price` or `--price-mult`: every
@@ -178,6 +188,7 @@ mod tests {
             check_generator_flags(u64::MAX / TUPLES_PER_GB, 1, 0.0),
             Ok(())
         );
+        assert_eq!(check_generator_flags(1, 40, 1e300), Ok(()));
         for (size_gb, queries, price) in [
             (0, 200, 1.0),
             (20_000_000_000_000, 200, 1.0),
@@ -185,6 +196,7 @@ mod tests {
             (8, 200, f64::NAN),
             (8, 200, -3.0),
             (8, 200, f64::INFINITY),
+            (1, 40, 1e308),
         ] {
             assert!(
                 check_generator_flags(size_gb, queries, price).is_err(),

@@ -255,6 +255,16 @@ impl ClusterSim {
             .is_some_and(|&p| self.disks[p].is_up())
     }
 
+    /// Whether the logical node is mapped and has nothing queued, and, if
+    /// `alive`, is not crashed: whether a router would see it exactly as an
+    /// all-idle queue view shows it.
+    pub fn idle(&self, node: NodeId, alive: bool) -> bool {
+        self.logical.get(node.index()).is_some_and(|&p| {
+            let disk = &self.disks[p];
+            disk.backlog() == 0 && (!alive || disk.is_up())
+        })
+    }
+
     /// Makes room for `additional` more queries — their states, arrival
     /// events and completion records — so scheduling a workload of known
     /// length allocates each table once, at its final size, instead of

@@ -329,13 +329,21 @@ fn crash_fails_inflight_query_and_retry_completes() {
     loop {
         match sim.next_event() {
             DriverEvent::QueryArrived { id, .. } => {
+                assert!(sim.idle(NodeId(1), true));
                 sim.dispatch(id, &[(NodeId(1), 1000)]).unwrap();
+                // Queued work makes a node busy; an unmapped one is never idle.
+                assert!(!sim.idle(NodeId(1), false));
+                assert!(sim.idle(NodeId(0), true));
+                assert!(!sim.idle(NodeId(2), false));
             }
             DriverEvent::NodeFailed { node } => {
                 assert_eq!(node, NodeId(1));
                 saw_node_failed = true;
                 assert!(!sim.node_alive(NodeId(1)));
                 assert!(sim.node_alive(NodeId(0)));
+                // A crashed node is idle only to a caller that ignores liveness.
+                assert!(!sim.idle(NodeId(1), true));
+                assert!(sim.idle(NodeId(1), false));
             }
             DriverEvent::QueryFailed { id, attempts } => {
                 assert_eq!(attempts, 1);

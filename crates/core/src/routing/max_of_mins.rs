@@ -26,7 +26,7 @@
 
 use std::cmp::Reverse;
 
-use super::{record_scan_metrics, Assignment, FragmentRequest, QueueView, RouteError, ScanRouter};
+use super::{Assignment, FragmentRequest, QueueView, RouteError, ScanRouter};
 use crate::ids::{FragmentId, NodeId};
 
 /// The paper's Max-of-mins router (Eq. 11), incremental formulation.
@@ -386,10 +386,6 @@ impl ScanRouter for MaxOfMins {
     ) -> Result<(), RouteError> {
         s.reset_for_scan(queues.len(), requests.len());
         self.group(requests, queues, s)?;
-        // One session check per scan instead of a thread-local round-trip
-        // per placement.
-        let observed = nashdb_obs::is_active();
-        let first = out.len();
         while let Some(&(_, n)) = s.heap.first() {
             let rank = s.nodes[n].head;
             let Reverse(i) = s.ranked[rank].2;
@@ -398,12 +394,6 @@ impl ScanRouter for MaxOfMins {
             s.mark(n);
             let req = &requests[i];
             let node = NodeId(n as u64);
-            if observed {
-                nashdb_obs::record(
-                    nashdb_obs::Metric::RoutingQueueWaitTuples,
-                    queues.wait(node),
-                );
-            }
             queues.enqueue(node, req.size);
             out.push(Assignment {
                 fragment: req.fragment,
@@ -447,7 +437,6 @@ impl ScanRouter for MaxOfMins {
             }
             s.rekey_dirty();
         }
-        record_scan_metrics(&out[first..]);
         Ok(())
     }
 

@@ -193,7 +193,20 @@ impl QueueView {
 }
 
 /// A scan-routing strategy.
-pub trait ScanRouter {
+///
+/// A router is a pure function of its arguments: what
+/// [`route_into`](Self::route_into) places, and in what order, depends only
+/// on the requests, the queue view and `&self`'s fixed fields, and it
+/// records nothing. Two consequences hold every caller up:
+/// - a router reads a node only through the wait of a candidate it lists,
+///   so two views that agree on every listed candidate route a scan alike;
+/// - a router is `Sync`, so a scan may be routed on any thread, ahead of its
+///   use.
+///
+/// What is committed is recorded once, by [`route_scans`](Self::route_scans)
+/// and [`route_batch`](Self::route_batch), or by a caller that routed
+/// elsewhere through [`record_scan`] and [`record_batch`].
+pub trait ScanRouter: Sync {
     /// Routes every request of one scan, appending one [`Assignment`] per
     /// request to `out` and updating `queues` with the work it places — the
     /// one method a router implements. Implementations must assign each
@@ -229,7 +242,8 @@ pub trait ScanRouter {
     /// sees the queues exactly as scan `i` left them, as if [`Self::route`]
     /// had been called once per scan in order — that sequential semantics
     /// *is* the batch contract. Every scan is validated before anything is
-    /// placed, so a doomed batch leaves `queues` untouched.
+    /// placed, so a doomed batch leaves `queues` untouched. A routed batch
+    /// is recorded as [`route_scans`](Self::route_scans) records one.
     fn route_batch(
         &self,
         scans: Vec<Vec<FragmentRequest>>,
@@ -238,6 +252,7 @@ pub trait ScanRouter {
         for scan in &scans {
             validate_requests(scan, queues)?;
         }
+        let mut before = nashdb_obs::is_active().then(|| queues.clone());
         let mut scratch = Scratch::default();
         let routed = scans.iter().map(|scan| {
             let mut out = Vec::with_capacity(scan.len());
@@ -245,7 +260,12 @@ pub trait ScanRouter {
             Ok(out)
         });
         let out = routed.collect::<Result<Vec<_>, _>>()?;
-        record_batch_metrics(out.len());
+        if let Some(before) = &mut before {
+            for (scan, assigned) in scans.iter().zip(&out) {
+                record_routed(scan, assigned, before);
+            }
+            record_batch(out.len());
+        }
         Ok(out)
     }
 
@@ -257,6 +277,11 @@ pub trait ScanRouter {
     /// as `route_batch` — sequential semantics, every scan validated before
     /// anything is placed — and, with buffers that have grown to the
     /// batch's size, no allocation here.
+    ///
+    /// A routed batch is committed, so it is recorded here: per scan
+    /// [`record_scan`], with each placement sized from its own request and
+    /// replayed over the view the batch started from, then [`record_batch`].
+    /// A batch that fails records nothing.
     fn route_scans(
         &self,
         requests: &[FragmentRequest],
@@ -276,11 +301,18 @@ pub trait ScanRouter {
                 validate_requests(scan, queues)?;
             }
         }
-        for scan in scans {
+        // Only a live session pays for the copy the replay starts from.
+        let mut before = nashdb_obs::is_active().then(|| queues.clone());
+        for scan in scans.clone() {
             self.route_into(scan, queues, scratch, out)?;
             out_ends.push(out.len());
         }
-        record_batch_metrics(scan_ends.len());
+        if let Some(before) = &mut before {
+            for (i, scan) in scans.enumerate() {
+                record_routed(scan, run_of(out, out_ends, i), before);
+            }
+            record_batch(scan_ends.len());
+        }
         Ok(())
     }
 
@@ -311,20 +343,52 @@ pub fn span(assignments: &[Assignment]) -> usize {
         .len()
 }
 
-/// Shared per-scan instrumentation for every router implementation.
-fn record_scan_metrics(assignments: &[Assignment]) {
-    nashdb_obs::counter_add(Metric::RoutingScansRouted, 1);
-    nashdb_obs::counter_add(Metric::RoutingRequests, assignments.len() as u64);
-    // The span is a set pass; skip computing it with no session live.
-    if nashdb_obs::is_active() {
-        nashdb_obs::record(Metric::RoutingQuerySpan, span(assignments) as u64);
+/// Records one committed scan: that it was routed, its requests, its span,
+/// and per placement the wait on its node just before it. `placements` are
+/// the scan's reads in the order they were placed, each `(node, tuples)`;
+/// `before` holds the waits the scan was routed against, and the replay
+/// advances it placement by placement, as the router advanced its own view.
+/// No-op without a live session.
+pub fn record_scan(
+    placements: impl Iterator<Item = (NodeId, u64)> + Clone,
+    before: &mut QueueView,
+) {
+    if !nashdb_obs::is_active() {
+        return;
     }
+    let nodes: BTreeSet<NodeId> = placements.clone().map(|(node, _)| node).collect();
+    let mut requests = 0;
+    for (node, tuples) in placements {
+        nashdb_obs::record(Metric::RoutingQueueWaitTuples, before.wait(node));
+        before.enqueue(node, tuples);
+        requests += 1;
+    }
+    nashdb_obs::counter_add(Metric::RoutingScansRouted, 1);
+    nashdb_obs::counter_add(Metric::RoutingRequests, requests);
+    nashdb_obs::record(Metric::RoutingQuerySpan, nodes.len() as u64);
 }
 
-/// Shared per-batch instrumentation for every router implementation.
-fn record_batch_metrics(scans: usize) {
+/// Records one committed batch of `scans` scans.
+pub fn record_batch(scans: usize) {
     nashdb_obs::counter_add(Metric::RoutingBatchesRouted, 1);
     nashdb_obs::record(Metric::RoutingBatchScans, scans as u64);
+}
+
+/// [`record_scan`] of one scan a router assigned, each placement sized from
+/// the request of its fragment. A scan's fragment ids are distinct
+/// (`DistScheme` makes them so); were one repeated, its placements would
+/// all take one of its requests' sizes.
+fn record_routed(requests: &[FragmentRequest], assigned: &[Assignment], before: &mut QueueView) {
+    let mut sizes: Vec<(FragmentId, u64)> = requests.iter().map(|r| (r.fragment, r.size)).collect();
+    sizes.sort_unstable();
+    let size_of = |fragment: FragmentId| {
+        let at = sizes.partition_point(|&(f, _)| f < fragment);
+        sizes.get(at).map_or(0, |&(_, size)| size)
+    };
+    record_scan(
+        assigned.iter().map(|a| (a.node, size_of(a.fragment))),
+        before,
+    );
 }
 
 /// The "Power of 2" variant the paper sketches in footnote 3 for workloads
@@ -333,32 +397,36 @@ fn record_batch_metrics(scans: usize) {
 /// better under the Eq. 11 objective. O(R) per scan instead of O(R²·C),
 /// trading a little routing quality for constant-time decisions.
 ///
-/// Randomness is a deterministic splitmix64 stream seeded at construction,
-/// so simulations stay reproducible.
+/// Each request's pair is drawn from a splitmix64 hash of the seed, its
+/// fragment and its position in the scan, so a scan routes alike wherever
+/// and however often it is routed, and simulations stay reproducible.
 #[derive(Debug)]
 pub struct PowerOfTwoChoices {
     /// Span penalty ϕ in tuple units (as in [`MaxOfMins`]).
     pub phi: u64,
-    state: std::cell::Cell<u64>,
+    seed: u64,
 }
 
 impl PowerOfTwoChoices {
     /// Creates the router with span penalty `phi` and an RNG seed.
     pub fn new(phi: u64, seed: u64) -> Self {
-        PowerOfTwoChoices {
-            phi,
-            state: std::cell::Cell::new(seed ^ 0x9E37_79B9_7F4A_7C15),
-        }
+        PowerOfTwoChoices { phi, seed }
     }
 
-    fn next(&self) -> u64 {
-        let s = self.state.get().wrapping_add(0x9E37_79B9_7F4A_7C15);
-        self.state.set(s);
-        let mut z = s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+    /// The two draws for the request at `index` of a scan, reading
+    /// `fragment`.
+    fn draws(&self, fragment: FragmentId, index: usize) -> (u64, u64) {
+        let first = splitmix64(splitmix64(self.seed ^ fragment.get()) ^ index as u64);
+        (first, splitmix64(first))
     }
+}
+
+/// One splitmix64 step: the golden-ratio increment, then the finalizer.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl ScanRouter for PowerOfTwoChoices {
@@ -370,14 +438,14 @@ impl ScanRouter for PowerOfTwoChoices {
         out: &mut Vec<Assignment>,
     ) -> Result<(), RouteError> {
         validate_requests(requests, queues)?;
-        let first = out.len();
         let mut chosen: BTreeSet<NodeId> = BTreeSet::new();
-        for req in requests {
+        for (index, req) in requests.iter().enumerate() {
             let pair: [NodeId; 2] = if req.candidates.len() <= 2 {
                 [req.candidates[0], req.candidates[req.candidates.len() - 1]]
             } else {
-                let a = crate::num::usize_from(self.next()) % req.candidates.len();
-                let mut b = crate::num::usize_from(self.next()) % (req.candidates.len() - 1);
+                let (x, y) = self.draws(req.fragment, index);
+                let a = crate::num::usize_from(x) % req.candidates.len();
+                let mut b = crate::num::usize_from(y) % (req.candidates.len() - 1);
                 if b >= a {
                     b += 1;
                 }
@@ -395,7 +463,6 @@ impl ScanRouter for PowerOfTwoChoices {
             } else {
                 pair[0]
             };
-            nashdb_obs::record(Metric::RoutingQueueWaitTuples, queues.wait(node));
             queues.enqueue(node, req.size);
             chosen.insert(node);
             out.push(Assignment {
@@ -403,7 +470,6 @@ impl ScanRouter for PowerOfTwoChoices {
                 node,
             });
         }
-        record_scan_metrics(&out[first..]);
         Ok(())
     }
 
@@ -1222,6 +1288,73 @@ mod tests {
         assert_eq!(out.len(), 6);
         let total: u64 = (0..3).map(|n| q.wait(NodeId(n))).sum();
         assert_eq!(total, 6 * 50);
+    }
+
+    #[test]
+    fn only_committed_routes_are_recorded() {
+        // `route_into` records nothing, whatever the router; `route_scans`
+        // and `route_batch` record each scan of a routed batch once, with
+        // the wait on each placement's node just before it.
+        use nashdb_obs::ObsSession;
+        let first = vec![req(0, 10, &[0, 1]), req(1, 20, &[0, 1]), req(2, 5, &[1])];
+        let second = vec![req(3, 8, &[0, 1, 2]), req(4, 4, &[2])];
+        let scans = [first.clone(), second.clone()];
+        let flat: Vec<FragmentRequest> = scans.concat();
+        let waits = vec![3, 0, 9];
+        let routers: [&dyn ScanRouter; 2] = [&MaxOfMins::new(7), &PowerOfTwoChoices::new(7, 3)];
+        for router in routers {
+            let session = ObsSession::start();
+            let mut q = QueueView::from_waits(waits.clone());
+            let (mut scratch, mut out) = (Scratch::default(), Vec::new());
+            for scan in &scans {
+                router
+                    .route_into(scan, &mut q, &mut scratch, &mut out)
+                    .unwrap();
+            }
+            let snap = session.finish();
+            assert!(snap.counters.is_empty() && snap.histograms.is_empty());
+
+            // The waits each placement saw, replayed by hand.
+            let mut replay = waits.clone();
+            let seen: Vec<u64> = out
+                .iter()
+                .map(|a| {
+                    let size = flat.iter().find(|r| r.fragment == a.fragment).unwrap().size;
+                    let slot = &mut replay[a.node.index()];
+                    std::mem::replace(slot, *slot + size)
+                })
+                .collect();
+            let session = ObsSession::start();
+            let mut q = QueueView::from_waits(waits.clone());
+            let mut out_ends = Vec::new();
+            router
+                .route_scans(
+                    &flat,
+                    &[3, 5],
+                    &mut q,
+                    &mut scratch,
+                    &mut out,
+                    &mut out_ends,
+                )
+                .unwrap();
+            let mut q = QueueView::from_waits(waits.clone());
+            router.route_batch(scans.to_vec(), &mut q).unwrap();
+            let snap = session.finish();
+            let counted = [
+                Metric::RoutingBatchesRouted,
+                Metric::RoutingScansRouted,
+                Metric::RoutingRequests,
+            ]
+            .map(|m| snap.counter(m));
+            assert_eq!(counted, [Some(2), Some(4), Some(10)], "{}", router.name());
+            let queue_waits = snap.histogram(Metric::RoutingQueueWaitTuples).unwrap();
+            assert_eq!(queue_waits.count, 10);
+            assert_eq!(queue_waits.sum, 2 * seen.iter().sum::<u64>());
+            assert_eq!(queue_waits.max, seen.iter().copied().max().unwrap());
+            let spans = snap.histogram(Metric::RoutingQuerySpan).unwrap();
+            let span_sum = span(&out[..3]) + span(&out[3..]);
+            assert_eq!((spans.count, spans.sum), (4, 2 * span_sum as u64));
+        }
     }
 
     #[test]

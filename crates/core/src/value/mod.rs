@@ -51,6 +51,19 @@ impl std::fmt::Display for ValueTreeError {
 
 impl std::error::Error for ValueTreeError {}
 
+/// Eq. 1 with a block floor: the income one scan of a query pays, its
+/// `size`-proportional share of the query's `price` over the query's
+/// `total` scanned tuples, scaled by `size / max(size, floor)`. The floor is
+/// the read block: a scan much smaller than a block still costs a block
+/// read (§2), and without it one tiny scan would pay an astronomical rate
+/// per tuple. A price that passes `Database::check_query` keeps the result
+/// finite. Every Eq. 1 split in the workspace is this expression, in this
+/// order, so two callers that replay one workload agree bit for bit.
+pub fn scan_income(price: f64, size: u64, total: u64, floor: u64) -> f64 {
+    let effective = size.max(floor);
+    price * size as f64 / total as f64 * (size as f64 / effective as f64)
+}
+
 /// A range scan annotated with the share of its query's price it carries
 /// (paper Eq. 1).
 ///

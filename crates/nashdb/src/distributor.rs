@@ -7,7 +7,7 @@ use nashdb_core::fragment::{fragment_stats, split_oversized, FragmentStats, Gree
 use nashdb_core::ids::FragmentId;
 use nashdb_core::num::{saturating_u64, usize_from};
 use nashdb_core::replication::{decide_replicas, ReplicationDecision, ReplicationPolicy};
-use nashdb_core::value::{PricedScan, TupleValueEstimator};
+use nashdb_core::value::{scan_income, PricedScan, TupleValueEstimator};
 use nashdb_obs::{Metric, Span};
 use nashdb_workload::Database;
 
@@ -511,21 +511,15 @@ impl NashDbDistributor {
 impl Distributor for NashDbDistributor {
     fn observe(&mut self, query: &QueryRequest) {
         // Eq. 1: split the query's price across its scans proportionally to
-        // scan size, then feed each scan to its table's estimator.
-        //
-        // The per-tuple income a scan pays is Price(s)/Size(s); a scan much
-        // smaller than a read block would pay an astronomically high rate
-        // per tuple even though serving it still costs a block read (§2:
-        // scans fetch whole blocks). Flooring the denominator at the block
-        // size keeps one tiny scan in the window from spiking V(x) by
+        // scan size, with the per-tuple rate floored at the read block
+        // (`scan_income`), then feed each scan to its table's estimator.
+        // The floor keeps one tiny scan in the window from spiking V(x) by
         // orders of magnitude and yo-yoing the cluster size.
         let block = self.cfg.max_fragment_tuples.min(self.cfg.spec.disk).max(1);
         let total: u64 = query.scans.iter().map(|s| s.size()).sum();
         for s in &query.scans {
             let table = &mut self.tables[usize_from(s.table.get())];
-            let size = s.size();
-            let effective = size.max(block.min(table.tuples));
-            let price = query.price * size as f64 / total as f64 * (size as f64 / effective as f64);
+            let price = scan_income(query.price, s.size(), total, block.min(table.tuples));
             table
                 .estimator
                 .observe(PricedScan::new(s.start, s.end, price));

@@ -4,13 +4,19 @@
 use nashdb_cluster::{ClusterConfig, ClusterSim, DriverEvent, Metrics, QueryRequest};
 use nashdb_core::audit::audit_transition;
 use nashdb_core::ids::{NodeId, QueryId};
-use nashdb_core::routing::{run_of, Assignment, QueueView, ScanRouter, Scratch};
+use nashdb_core::routing::{
+    record_batch, record_scan, run_of, Assignment, QueueView, ScanRouter, Scratch,
+};
 use nashdb_core::transition::{plan_sides, Side};
 use nashdb_obs::{Metric, Span};
 use nashdb_sim::fault::FaultSchedule;
 use nashdb_sim::{SimDuration, SimTime};
 use nashdb_workload::{Database, TimedQuery, Workload};
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::Arc;
+use std::time::Duration;
 
 use crate::scheme::{DistScheme, Distributor, RequestBuf};
 
@@ -174,6 +180,33 @@ impl Serving {
         );
         Some(&self.reads)
     }
+
+    /// Records a plan the worker routed as the committed route of its
+    /// arrival: what [`ScanRouter::route_scans`] records for a batch of one
+    /// scan, its waits replayed over the queues the sim shows now.
+    fn record_plan(&mut self, plan: &Plan, sim: &ClusterSim) {
+        if nashdb_obs::is_active() {
+            self.queues.refill(sim.node_waits());
+            record_scan(plan.reads.iter().copied(), &mut self.queues);
+            record_batch(1);
+        }
+    }
+}
+
+/// Dispatches `reads` for query `id`, or abandons the query if it has no
+/// reads or the sim rejects them.
+fn dispatch(sim: &mut ClusterSim, id: QueryId, reads: Option<&[(NodeId, u64)]>) {
+    let Some(reads) = reads else {
+        sim.abandon_query(id);
+        return;
+    };
+    if sim.dispatch(id, reads).is_err() {
+        // Dispatch rejects only plans referencing nodes the sim does not
+        // know — driver/sim drift. Count it and abandon the query instead
+        // of crashing the run.
+        nashdb_obs::counter_add(Metric::ClusterDispatchRejected, 1);
+        sim.abandon_query(id);
+    }
 }
 
 /// Runs `workload` end to end: the distributor computes an initial scheme at
@@ -202,6 +235,24 @@ pub fn run_workload(
 /// small share of the run's memory.
 const SCHEMES_AHEAD: usize = 1;
 
+/// How many arrivals past the one the serving thread is handling the worker
+/// starts routing ahead: a plan for a nearer arrival is mostly sent after
+/// its arrival was served, and is thrown away. Chosen with
+/// [`PLANS_IN_FLIGHT`] on `steady-route` (DESIGN.md §10.3): leads of 1, 3,
+/// 8, 16 and 32 were measured, and 16 with 64 plans was fastest.
+const PLAN_LEAD: usize = 16;
+
+/// How many plans are in flight between the threads: the buffers the
+/// worker fills and the serving thread hands back. It bounds how far ahead
+/// of the serving thread the worker routes. Chosen with [`PLAN_LEAD`]:
+/// 2, 8, 16, 32 and 64 were measured, and fewer than 8 starved the worker.
+const PLANS_IN_FLIGHT: usize = 64;
+
+/// How long the worker waits for a plan buffer to come back before it
+/// offers its pending scheme again. A stale plan can sit unread while the
+/// serving thread waits for that scheme, so the wait must end on its own.
+const BUFFER_POLL: Duration = Duration::from_millis(1);
+
 /// [`run_workload`] with a fault schedule injected. When a node crashes, the
 /// driver re-routes failed queries to surviving replicas (dropping dead
 /// candidates before routing); a query whose fragment has no live replica —
@@ -217,7 +268,10 @@ const SCHEMES_AHEAD: usize = 1;
 /// stream and the serving loop only reads the schemes it produces, so it
 /// observes every arrival and computes every scheme ahead of the wake-up
 /// that applies it, and each decision is the one an inline call would have
-/// made.
+/// made. While a finished scheme waits for its wake-up, the same thread
+/// routes lone arrivals ahead against all-idle queues (DESIGN.md §10.3); the
+/// serving loop applies such a plan only where it is the route it would
+/// compute itself, so every output is a function of the seed.
 ///
 /// # Panics
 /// Re-raises a panic of the distributor, as [`run_workload`] does.
@@ -229,18 +283,36 @@ pub fn run_workload_with_faults(
     faults: &FaultSchedule,
 ) -> Metrics {
     let arrivals = &Arrivals::check(workload);
+    let serving_at = &AtomicUsize::new(0);
     let obs = nashdb_obs::fork();
     // The pipeline's one thread (DESIGN.md §11.1): the distributor's inputs
     // are fixed by the workload, so the run is still a function of the seed.
     #[allow(clippy::disallowed_methods)]
     let (metrics, distributed) = std::thread::scope(|s| {
         let (schemes, handed_over) = mpsc::sync_channel(SCHEMES_AHEAD);
+        let (plans, planned) = mpsc::sync_channel(PLANS_IN_FLIGHT);
+        let (spent, returned) = mpsc::sync_channel(PLANS_IN_FLIGHT);
         let worker = s.spawn(move || {
             obs.run(Span::Distributor, || {
-                distribute(arrivals, distributor, cfg, &schemes);
+                let mut planner = Planner::new(arrivals, cfg, router, serving_at, plans, returned);
+                distribute(arrivals, distributor, cfg, &schemes, &mut planner);
             })
         });
-        let metrics = serve(workload, arrivals, router, cfg, faults, &handed_over);
+        let reader = PlanReader {
+            plans: planned,
+            spent,
+            held: None,
+            serving_at,
+        };
+        let metrics = serve(
+            workload,
+            arrivals,
+            router,
+            cfg,
+            faults,
+            &handed_over,
+            reader,
+        );
         // Hang up first, so a worker blocked on a scheme nobody will take
         // returns instead of deadlocking the join.
         drop(handed_over);
@@ -303,6 +375,13 @@ impl<'w> Arrivals<'w> {
         self.listed.iter().chain(self.reordered.iter().copied())
     }
 
+    /// Valid arrival `i`, in arrival order. One of the two lists is empty.
+    fn get(&self, i: usize) -> Option<&'w TimedQuery> {
+        self.listed
+            .get(i)
+            .or_else(|| self.reordered.get(i).copied())
+    }
+
     /// The latest arrival of a valid query, in O(1): `last` on a chain of
     /// slice iterators reads each slice's end.
     fn last(&self) -> Option<SimTime> {
@@ -325,17 +404,20 @@ fn wakeups(last: Option<SimTime>, interval: SimDuration) -> impl Iterator<Item =
 /// The distributor's side of a run. It observes the warm-up prefix of the
 /// arrivals and sends the provisioning scheme, then observes the arrivals —
 /// an arrival at a wake-up's instant before that wake-up — and sends one
-/// scheme per wake-up. It stops early once the serving side has hung up.
+/// scheme per wake-up. While a scheme waits for its slot, and once the last
+/// is sent, `planner` routes lone arrivals ahead. It stops early once the
+/// serving side has hung up.
 fn distribute(
     arrivals: &Arrivals<'_>,
     distributor: &mut dyn Distributor,
     cfg: &RunConfig,
-    schemes: &SyncSender<DistScheme>,
+    schemes: &SyncSender<Arc<DistScheme>>,
+    planner: &mut Planner<'_, '_>,
 ) {
     for tq in arrivals.iter().take(cfg.warmup_queries) {
         distributor.observe(&tq.query);
     }
-    if schemes.send(distributor.scheme()).is_err() {
+    if !planner.hand_over(distributor.scheme(), schemes) {
         return;
     }
     let mut pending = arrivals.iter().peekable();
@@ -343,26 +425,348 @@ fn distribute(
         while let Some(tq) = pending.next_if(|tq| tq.at <= t) {
             distributor.observe(&tq.query);
         }
-        if schemes.send(distributor.scheme()).is_err() {
+        if !planner.hand_over(distributor.scheme(), schemes) {
             return;
         }
     }
     for tq in pending {
         distributor.observe(&tq.query);
     }
+    while planner.advance() != Advance::Idle {}
+}
+
+/// A lone arrival — no other valid arrival shares its instant — routed on
+/// the worker ahead of its arrival, against an all-idle queue view under
+/// the scheme that will be in force when it comes. A plan is a buffer: the
+/// worker fills it and the serving thread hands it back, so its tables stay
+/// in the worker's allocations.
+#[derive(Debug, Default)]
+struct Plan {
+    /// The arrival's position in arrival order.
+    arrival: usize,
+    /// The scheme it was routed under: 0 for the provisioning scheme, `k`
+    /// for wake-up `k`'s.
+    epoch: usize,
+    /// Every node its requests list as a candidate, once each.
+    touched: Vec<NodeId>,
+    /// One `(node, tuples)` read per request, in placement order, each
+    /// sized from its own request.
+    reads: Vec<(NodeId, u64)>,
+}
+
+impl Plan {
+    /// Whether the plan is the route the serving loop would compute for its
+    /// arrival now, with scheme `epoch` in force: it was routed under that
+    /// scheme, and every node it lists is mapped, idle and, if `alive_only`,
+    /// up. A router reads a node only through the wait of a candidate it
+    /// lists, so on these nodes the live queues and the all-idle view the
+    /// plan was routed against route the scan alike; and with all of them
+    /// up the liveness filter drops no candidate.
+    fn holds(&self, epoch: usize, sim: &ClusterSim, alive_only: bool) -> bool {
+        self.epoch == epoch && self.touched.iter().all(|&n| sim.idle(n, alive_only))
+    }
+}
+
+/// What one [`Planner::advance`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Advance {
+    /// Sent a plan.
+    Planned,
+    /// Waited [`BUFFER_POLL`] for a buffer that did not come back.
+    Waited,
+    /// Nothing to plan until another scheme is sent: the next arrival falls
+    /// under an unsent scheme, there is none, or the serving side hung up.
+    Idle,
+}
+
+/// The worker's side of routing ahead. Its cursor walks the arrivals once,
+/// in order, jumping over those the serving thread will reach within
+/// [`PLAN_LEAD`] arrivals and stepping over those that are not lone; it
+/// routes the others under the scheme sent for their interval. It records
+/// nothing and opens no span.
+struct Planner<'a, 'w> {
+    arrivals: &'a Arrivals<'w>,
+    /// The reconfiguration instants: arrival `i` falls under scheme
+    /// `wakeups.partition_point(|&t| t < at)`.
+    wakeups: Vec<SimTime>,
+    router: &'a dyn ScanRouter,
+    /// The arrival the serving thread is handling, as it last published it.
+    serving_at: &'a AtomicUsize,
+    plans: SyncSender<Plan>,
+    spent: Receiver<Plan>,
+    /// Buffers never sent yet, all [`PLANS_IN_FLIGHT`] at first, and any
+    /// a failed route handed back.
+    free: Vec<Plan>,
+    /// The next arrival the cursor looks at.
+    next: usize,
+    /// The schemes sent and not yet passed by the cursor: `sent[0]` is
+    /// scheme `first`, and `first + sent.len()` schemes have been sent.
+    sent: VecDeque<Arc<DistScheme>>,
+    first: usize,
+    /// The serving side hung up.
+    done: bool,
+    requests: RequestBuf,
+    queues: QueueView,
+    scratch: Scratch,
+    assignments: Vec<Assignment>,
+    sizes: Vec<u64>,
+    /// Per node, whether the plan being built lists it yet; all false
+    /// between plans.
+    listed: Vec<bool>,
+}
+
+impl<'a, 'w> Planner<'a, 'w> {
+    fn new(
+        arrivals: &'a Arrivals<'w>,
+        cfg: &RunConfig,
+        router: &'a dyn ScanRouter,
+        serving_at: &'a AtomicUsize,
+        plans: SyncSender<Plan>,
+        spent: Receiver<Plan>,
+    ) -> Self {
+        Planner {
+            arrivals,
+            wakeups: wakeups(arrivals.last(), cfg.reconfig_interval).collect(),
+            router,
+            serving_at,
+            plans,
+            spent,
+            free: std::iter::repeat_with(Plan::default)
+                .take(PLANS_IN_FLIGHT)
+                .collect(),
+            next: 0,
+            sent: VecDeque::new(),
+            first: 0,
+            done: false,
+            requests: RequestBuf::default(),
+            queues: QueueView::default(),
+            scratch: Scratch::default(),
+            assignments: Vec::new(),
+            sizes: Vec::new(),
+            listed: Vec::new(),
+        }
+    }
+
+    /// Sends `scheme` to the serving thread, planning while its slot is
+    /// full and blocking on the slot only when there is nothing to plan.
+    /// False once the serving side has hung up.
+    fn hand_over(&mut self, scheme: DistScheme, schemes: &SyncSender<Arc<DistScheme>>) -> bool {
+        // Drops the schemes of the intervals the serving thread has passed,
+        // whether or not anything is planned before the slot frees.
+        let _ = self.seek();
+        let scheme = Arc::new(scheme);
+        let mut pending = Arc::clone(&scheme);
+        loop {
+            match schemes.try_send(pending) {
+                Ok(()) => break,
+                Err(TrySendError::Disconnected(_)) => return false,
+                Err(TrySendError::Full(back)) => pending = back,
+            }
+            if self.advance() == Advance::Idle {
+                if schemes.send(pending).is_err() {
+                    return false;
+                }
+                break;
+            }
+        }
+        self.sent.push_back(scheme);
+        true
+    }
+
+    /// Moves the cursor to the next lone arrival at least [`PLAN_LEAD`]
+    /// past the one the serving thread is handling, dropping the schemes of
+    /// the intervals it passes. Returns the arrival's position, its scheme's
+    /// epoch and the arrival, or `None` if it falls under a scheme not sent
+    /// yet or there is none.
+    fn seek(&mut self) -> Option<(usize, usize, &'w TimedQuery)> {
+        loop {
+            let lead = self
+                .serving_at
+                .load(Ordering::Relaxed)
+                .saturating_add(PLAN_LEAD);
+            self.next = self.next.max(lead);
+            let tq = self.arrivals.get(self.next)?;
+            let epoch = self.wakeups.partition_point(|&t| t < tq.at);
+            while self.first < epoch && !self.sent.is_empty() {
+                self.sent.pop_front();
+                self.first += 1;
+            }
+            if self.first != epoch || self.sent.is_empty() {
+                return None;
+            }
+            let shares_its_instant = |j: Option<usize>| {
+                j.and_then(|j| self.arrivals.get(j))
+                    .is_some_and(|other| other.at == tq.at)
+            };
+            let i = self.next;
+            if !shares_its_instant(i.checked_sub(1)) && !shares_its_instant(Some(i + 1)) {
+                return Some((i, epoch, tq));
+            }
+            self.next += 1;
+        }
+    }
+
+    /// Plans the next arrival [`seek`](Self::seek) finds, once a buffer is
+    /// on hand. A returned buffer is reused before a fresh one, so a run
+    /// that plans only a few arrivals ahead fills only a few buffers.
+    fn advance(&mut self) -> Advance {
+        while !self.done {
+            let Some((i, epoch, tq)) = self.seek() else {
+                break;
+            };
+            let plan = match self.spent.try_recv().ok().or_else(|| self.free.pop()) {
+                Some(plan) => plan,
+                None => match self.spent.recv_timeout(BUFFER_POLL) {
+                    Ok(plan) => plan,
+                    Err(RecvTimeoutError::Timeout) => return Advance::Waited,
+                    Err(RecvTimeoutError::Disconnected) => {
+                        self.done = true;
+                        break;
+                    }
+                },
+            };
+            self.next += 1;
+            let scheme = Arc::clone(&self.sent[0]);
+            match self.route(i, epoch, &scheme, &tq.query, plan) {
+                Ok(plan) => {
+                    // Only `PLANS_IN_FLIGHT` buffers exist, so the
+                    // channel has room for this one.
+                    if self.plans.send(plan).is_err() {
+                        self.done = true;
+                        break;
+                    }
+                    return Advance::Planned;
+                }
+                Err(plan) => self.free.push(plan),
+            }
+        }
+        Advance::Idle
+    }
+
+    /// Routes arrival `arrival` into `plan` under scheme `epoch`, or hands
+    /// the buffer back if the scheme does not cover the query or the router
+    /// rejects it: the serving loop then meets the same outcome inline.
+    fn route(
+        &mut self,
+        arrival: usize,
+        epoch: usize,
+        scheme: &DistScheme,
+        query: &QueryRequest,
+        mut plan: Plan,
+    ) -> Result<Plan, Plan> {
+        self.requests.start_batch();
+        if scheme.append_query(query, |_| true, &mut self.requests) != Ok(true) {
+            return Err(plan);
+        }
+        let requests = self.requests.query(0);
+        self.queues
+            .refill(std::iter::repeat_n(0, scheme.num_nodes()));
+        self.assignments.clear();
+        let routed = self.router.route_into(
+            requests,
+            &mut self.queues,
+            &mut self.scratch,
+            &mut self.assignments,
+        );
+        if routed.is_err() || self.assignments.len() != requests.len() {
+            return Err(plan);
+        }
+        if self.sizes.len() != scheme.fragments().len() {
+            self.sizes.resize(scheme.fragments().len(), 0);
+        }
+        for r in requests {
+            self.sizes[r.fragment.index()] = r.size;
+        }
+        plan.arrival = arrival;
+        plan.epoch = epoch;
+        plan.touched.clear();
+        self.listed.resize(scheme.num_nodes(), false);
+        for &node in requests.iter().flat_map(|r| &r.candidates) {
+            if !std::mem::replace(&mut self.listed[node.index()], true) {
+                plan.touched.push(node);
+            }
+        }
+        for node in &plan.touched {
+            self.listed[node.index()] = false;
+        }
+        plan.reads.clear();
+        plan.reads.extend(
+            self.assignments
+                .iter()
+                .map(|a| (a.node, self.sizes[a.fragment.index()])),
+        );
+        Ok(plan)
+    }
+}
+
+/// The serving thread's end of the plan channels. It never blocks: it
+/// takes what the worker has sent, hands stale plans back, and holds a plan
+/// that is ahead of it.
+struct PlanReader<'a> {
+    plans: Receiver<Plan>,
+    spent: SyncSender<Plan>,
+    /// The first plan at or past the arrival last reached.
+    held: Option<Plan>,
+    /// Where the serving thread publishes the arrival it is handling, for
+    /// the worker to plan past. A hint only: it decides no output.
+    serving_at: &'a AtomicUsize,
+}
+
+impl PlanReader<'_> {
+    /// Publishes `arrival` as the arrival being handled, hands back every
+    /// plan for an arrival before it, and holds the first plan at or past
+    /// it.
+    fn reach(&mut self, arrival: usize) {
+        self.serving_at.store(arrival, Ordering::Relaxed);
+        loop {
+            let Some(plan) = self.held.take().or_else(|| self.plans.try_recv().ok()) else {
+                return;
+            };
+            if plan.arrival >= arrival {
+                self.held = Some(plan);
+                return;
+            }
+            self.recycle(plan);
+        }
+    }
+
+    /// [`reach`](Self::reach)es `arrival`, the first of a batch of `batch`
+    /// queries, and takes its plan if it has one. Only a batch of one may
+    /// use a plan: a query of a larger batch is routed after the others in
+    /// it, against the queues they leave.
+    fn take(&mut self, arrival: usize, batch: usize) -> Option<Plan> {
+        self.reach(arrival);
+        if batch != 1 {
+            return None;
+        }
+        self.held.take_if(|plan| plan.arrival == arrival)
+    }
+
+    /// Hands a buffer back to the worker. Once the worker is gone, the
+    /// buffer is freed here.
+    fn recycle(&self, plan: Plan) {
+        if let Err(TrySendError::Full(plan) | TrySendError::Disconnected(plan)) =
+            self.spent.try_send(plan)
+        {
+            drop(plan);
+        }
+    }
 }
 
 /// The serving side of a run: schedules the workload, then drives the
 /// simulator, routing arrivals and retries against the scheme in force and
-/// applying the next scheme from `schemes` at each wake-up. Stops serving
-/// if `schemes` closes early, which only a panicked distributor does.
+/// applying the next scheme from `schemes` at each wake-up. A lone arrival
+/// takes its plan from `plans` when the plan holds, and is routed inline
+/// otherwise. Stops serving if `schemes` closes early, which only a
+/// panicked distributor does.
 fn serve(
     workload: &Workload,
     arrivals: &Arrivals<'_>,
     router: &dyn ScanRouter,
     cfg: &RunConfig,
     faults: &FaultSchedule,
-    schemes: &Receiver<DistScheme>,
+    schemes: &Receiver<Arc<DistScheme>>,
+    mut plans: PlanReader<'_>,
 ) -> Metrics {
     // Everything below runs under one root span; provisioning, per-query
     // routing, periodic reconfiguration, and crash retries each get a nested
@@ -385,7 +789,11 @@ fn serve(
     // Provision the initial scheme.
     let provisioned = {
         let _provision = nashdb_obs::span(Span::Provision);
-        schemes.recv().ok().map(|scheme| {
+        let received = {
+            let _wait = nashdb_obs::span(Span::Wait);
+            schemes.recv()
+        };
+        received.ok().map(|scheme| {
             let none = (&DistScheme::new(Vec::new(), &[]), &Side::default());
             let side = transition(&mut sim, &workload.db, none, &scheme)
                 .unwrap_or_else(|| scheme.transition_side(&workload.db));
@@ -398,6 +806,12 @@ fn serve(
 
     let mut serving = Serving::default();
     let mut batch: Vec<(QueryId, QueryRequest)> = Vec::new();
+    // Valid arrivals served so far, which is the next one's position in
+    // arrival order: the sim delivers them in the order `arrivals` lists.
+    let mut arrived = 0;
+    // The scheme in force: 0 for the provisioning one, `k` for wake-up
+    // `k`'s, kept if the sim rejected a later one.
+    let (mut epoch, mut wakeup) = (0, 0);
     loop {
         match sim.next_event() {
             DriverEvent::QueryArrived { id, query } => {
@@ -420,20 +834,28 @@ fn serve(
                     continue;
                 }
                 let _query = nashdb_obs::span(Span::Query);
+                let first = arrived;
+                arrived += batch.len();
+                if let Some(plan) = plans.take(first, batch.len()) {
+                    let holds = plan.holds(epoch, &sim, faults_active);
+                    if holds {
+                        {
+                            let _route = nashdb_obs::span(Span::Route);
+                            serving.record_plan(&plan, &sim);
+                        }
+                        for (qid, _) in batch.drain(..) {
+                            dispatch(&mut sim, qid, Some(&plan.reads));
+                        }
+                    }
+                    plans.recycle(plan);
+                    if holds {
+                        continue;
+                    }
+                }
                 let queries = batch.iter().map(|(_, q)| q);
                 serving.plan(&scheme, queries, router, &sim, faults_active);
                 for (qi, (qid, _)) in batch.drain(..).enumerate() {
-                    let Some(reads) = serving.reads(qi) else {
-                        sim.abandon_query(qid);
-                        continue;
-                    };
-                    if sim.dispatch(qid, reads).is_err() {
-                        // Dispatch rejects only plans referencing nodes the
-                        // sim does not know — driver/sim drift. Count it
-                        // and abandon the query instead of crashing the run.
-                        nashdb_obs::counter_add(Metric::ClusterDispatchRejected, 1);
-                        sim.abandon_query(qid);
-                    }
+                    dispatch(&mut sim, qid, serving.reads(qi));
                 }
             }
             DriverEvent::QueryFailed { id, attempts } => {
@@ -462,13 +884,23 @@ fn serve(
             }
             DriverEvent::Wakeup { .. } => {
                 let _reconfigure = nashdb_obs::span(Span::Reconfigure);
-                let Ok(new_scheme) = schemes.recv() else {
+                // Every plan sent so far is for an arrival already served:
+                // hand them back, so none is left unread while this thread
+                // waits on the worker.
+                plans.reach(arrived);
+                let received = {
+                    let _wait = nashdb_obs::span(Span::Wait);
+                    schemes.recv()
+                };
+                let Ok(new_scheme) = received else {
                     break;
                 };
-                let old = (&scheme, &side);
+                wakeup += 1;
+                let old = (&*scheme, &side);
                 if let Some(new_side) = transition(&mut sim, &workload.db, old, &new_scheme) {
                     scheme = new_scheme;
                     side = new_side;
+                    epoch = wakeup;
                 }
             }
             DriverEvent::Finished => break,
@@ -509,7 +941,6 @@ mod tests {
     use nashdb_core::routing::MaxOfMins;
     use nashdb_workload::bernoulli::{workload as bernoulli, BernoulliConfig};
     use nashdb_workload::random::{workload as random, RandomConfig};
-    use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn fast_cluster() -> ClusterConfig {
@@ -622,33 +1053,12 @@ mod tests {
         }
     }
 
-    /// Max-of-mins, counting the scans it routes.
-    struct Counting {
-        inner: MaxOfMins,
-        scans: Cell<usize>,
-    }
-
-    impl ScanRouter for Counting {
-        fn route_into(
-            &self,
-            requests: &[nashdb_core::routing::FragmentRequest],
-            queues: &mut QueueView,
-            scratch: &mut Scratch,
-            out: &mut Vec<Assignment>,
-        ) -> Result<(), nashdb_core::routing::RouteError> {
-            self.scans.set(self.scans.get() + 1);
-            self.inner.route_into(requests, queues, scratch, out)
-        }
-
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-    }
-
     /// Runs the Miri-sized stream against a distributor failing at
     /// `(schemes, observes)`: the run must panic with the distributor's
     /// message, not hang on the channel, and the serving loop must stop at
-    /// the first wake-up, having routed only the 7 arrivals up to it.
+    /// the first wake-up, having routed only the 7 arrivals up to it. The
+    /// scans committed are counted under `routing.scans_routed`, whichever
+    /// thread routed them.
     fn assert_run_fails_at_first_wakeup(schemes: usize, observes: usize, message: &str) {
         let (w, run, nash) = miri_sized();
         let mut dist = Failing {
@@ -656,16 +1066,16 @@ mod tests {
             schemes,
             observes,
         };
-        let router = Counting {
-            inner: MaxOfMins::new(run.phi_tuples()),
-            scans: Cell::new(0),
-        };
+        let router = MaxOfMins::new(run.phi_tuples());
+        let session = nashdb_obs::ObsSession::start();
         let failed = catch_unwind(AssertUnwindSafe(|| {
             run_workload(&w, &mut dist, &router, &run)
         }));
+        let snap = session.finish();
         let payload = failed.expect_err("a distributor panic must end the run");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&message));
-        assert_eq!(router.scans.get(), 7, "arrivals served after the failure");
+        let scans = snap.counter(Metric::RoutingScansRouted);
+        assert_eq!(scans, Some(7), "arrivals served after the failure");
     }
 
     #[test]
@@ -676,6 +1086,119 @@ mod tests {
     #[test]
     fn a_panic_in_observe_ends_the_run_at_the_next_wakeup() {
         assert_run_fails_at_first_wakeup(usize::MAX, 3, "observe failed");
+    }
+
+    #[test]
+    fn the_plan_reader_takes_its_plan_and_hands_back_the_rest() {
+        // A worker sends plans for arrivals 1, 2, 4, 6 and 9, in order, and
+        // hangs up; the reader meets a stale plan (1), a matching one (2), a
+        // missing one (3), a plan for a batch of two (4), one ahead (6,
+        // held at 5) and one past a wake-up (9). Every buffer comes back
+        // to the worker exactly once.
+        let serving_at = AtomicUsize::new(0);
+        let (plans, planned) = mpsc::sync_channel(PLANS_IN_FLIGHT);
+        let (spent, returned) = mpsc::sync_channel(PLANS_IN_FLIGHT);
+        let (sent, all_sent) = mpsc::sync_channel(0);
+        // A worker thread, as in a run.
+        #[allow(clippy::disallowed_methods)]
+        std::thread::scope(|s| {
+            let worker = s.spawn(move || {
+                for arrival in [1, 2, 4, 6, 9] {
+                    let plan = Plan {
+                        arrival,
+                        ..Plan::default()
+                    };
+                    plans.send(plan).unwrap();
+                }
+                drop(plans);
+                sent.send(()).unwrap();
+                let mut back: Vec<usize> = returned.iter().map(|p: Plan| p.arrival).collect();
+                back.sort_unstable();
+                back
+            });
+            all_sent.recv().unwrap();
+            let mut reader = PlanReader {
+                plans: planned,
+                spent,
+                held: None,
+                serving_at: &serving_at,
+            };
+            let mut take = |arrival, batch| {
+                let plan = reader.take(arrival, batch);
+                assert_eq!(serving_at.load(Ordering::Relaxed), arrival);
+                let taken = plan.as_ref().map(|p| p.arrival);
+                if let Some(plan) = plan {
+                    reader.recycle(plan);
+                }
+                taken
+            };
+            assert_eq!(take(2, 1), Some(2), "stale 1 passed over");
+            assert_eq!(take(3, 1), None, "3 has no plan");
+            assert_eq!(take(4, 2), None, "a batch of two routes inline");
+            assert_eq!(take(5, 1), None, "6 is ahead");
+            assert_eq!(take(6, 1), Some(6));
+            reader.reach(8);
+            assert_eq!(reader.take(9, 1).map(|p| p.arrival), Some(9));
+            assert!(reader.take(10, 1).is_none(), "the worker hung up");
+            drop(reader);
+            assert_eq!(worker.join().unwrap(), [1, 2, 4, 6]);
+        });
+    }
+
+    /// A three-node scheme over one 1,000-tuple table: fragment 0 on node
+    /// 0, fragment 1 on nodes 0 and 1, fragment 2 on node 2.
+    fn three_nodes() -> (Database, DistScheme) {
+        let db = Database::new(vec![("t", 1_000)]);
+        let fragments = [(0, 300), (300, 600), (600, 1_000)].map(|(start, end)| {
+            crate::scheme::GlobalFragment {
+                table: nashdb_core::ids::TableId(0),
+                range: nashdb_core::fragment::FragmentRange::new(start, end),
+            }
+        });
+        let scheme = DistScheme::new(fragments.to_vec(), &[vec![0, 1], vec![1], vec![2]]);
+        (db, scheme)
+    }
+
+    #[test]
+    fn a_plan_holds_only_under_its_scheme_on_idle_live_nodes() {
+        let (db, scheme) = three_nodes();
+        let mut sim = ClusterSim::new(fast_cluster());
+        let none = (&DistScheme::new(Vec::new(), &[]), &Side::default());
+        assert!(transition(&mut sim, &db, none, &scheme).is_some());
+        let scan = nashdb_cluster::ScanRange::new(nashdb_core::ids::TableId(0), 0, 1_000);
+        let query = QueryRequest {
+            price: 1.0,
+            scans: vec![scan],
+            tag: 0,
+        };
+        // The provisioning transfers are long done by the time it arrives.
+        sim.schedule_query(SimTime::from_secs(10), query);
+        let crash = nashdb_sim::fault::FaultEvent {
+            at: SimTime::from_secs(15),
+            node: 2,
+            kind: nashdb_sim::fault::FaultKind::Crash,
+        };
+        sim.schedule_faults(&FaultSchedule::from_events(vec![crash]));
+        let on = |nodes: &[u64]| Plan {
+            touched: nodes.iter().map(|&n| NodeId(n)).collect(),
+            ..Plan::default()
+        };
+        let id = loop {
+            if let DriverEvent::QueryArrived { id, .. } = sim.next_event() {
+                break id;
+            }
+        };
+        assert!(on(&[0, 1, 2]).holds(0, &sim, true));
+        assert!(!on(&[0, 1, 2]).holds(1, &sim, true), "another scheme");
+        assert!(!on(&[0, 3]).holds(0, &sim, false), "node 3 is not mapped");
+        // Work queued on node 1 makes it busy, and only it, for 10 s.
+        sim.dispatch(id, &[(NodeId(1), 10_000_000)]).unwrap();
+        assert!(!on(&[0, 1]).holds(0, &sim, false), "node 1 is busy");
+        assert!(on(&[0, 2]).holds(0, &sim, true));
+        // Node 2 crashes: down, it still holds where liveness is not asked.
+        while !matches!(sim.next_event(), DriverEvent::NodeFailed { .. }) {}
+        assert!(!on(&[0, 2]).holds(0, &sim, true), "node 2 is down");
+        assert!(on(&[0, 2]).holds(0, &sim, false));
     }
 
     #[test]

@@ -87,6 +87,7 @@ named_enum! {
         Hungarian => "hungarian",
         Retry => "retry",
         Distributor => "distributor",
+        Wait => "wait",
     }
 }
 

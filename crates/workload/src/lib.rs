@@ -92,7 +92,9 @@ impl Database {
 
     /// The one definition of a valid query: at least one scan, each of a
     /// table of this database with `start < end <= tuples`, and a finite,
-    /// nonnegative price. The driver checks every query with it.
+    /// nonnegative price whose product with the query's scanned tuples is
+    /// finite, so that Eq. 1 can split it across the scans. The driver
+    /// checks every query with it.
     ///
     /// # Errors
     /// The first rule `query` breaks, in that order.
@@ -109,8 +111,14 @@ impl Database {
                 return Err(QueryError::OutOfRange(scan));
             }
         }
-        if !(query.price.is_finite() && query.price >= 0.0) {
-            return Err(QueryError::Price(query.price));
+        let scanned = query
+            .scans
+            .iter()
+            .map(|s| s.size())
+            .fold(0, u64::saturating_add);
+        let price = query.price;
+        if !(price.is_finite() && price >= 0.0 && (price * scanned as f64).is_finite()) {
+            return Err(QueryError::Price(price));
         }
         Ok(())
     }
@@ -125,7 +133,8 @@ pub enum QueryError {
     UnknownTable(TableId),
     /// A scan is empty or runs past the end of its table.
     OutOfRange(ScanRange),
-    /// The price is NaN, infinite or negative.
+    /// The price is NaN, infinite or negative, or so large that its product
+    /// with the query's scanned tuples is infinite.
     Price(f64),
 }
 
@@ -139,7 +148,10 @@ impl std::fmt::Display for QueryError {
                 "scan {}..{} out of range: empty or beyond table {}",
                 s.start, s.end, s.table
             ),
-            QueryError::Price(price) => write!(f, "price {price} must be finite and nonnegative"),
+            QueryError::Price(price) => write!(
+                f,
+                "price {price} must be finite and nonnegative, and finite times the tuples scanned"
+            ),
         }
     }
 }
@@ -280,6 +292,28 @@ mod tests {
         let mut w = tiny_workload();
         w.queries[0].query.scans[0] = ScanRange::new(TableId(0), 0, 2000);
         let _ = w.validated();
+    }
+
+    #[test]
+    fn a_price_must_survive_its_split_across_the_scans() {
+        let w = tiny_workload();
+        let mut query = w.queries[1].query.clone();
+        assert_eq!(w.db.check_query(&query), Ok(()));
+        // 900 tuples: `f64::MAX / 1000` times them is finite, `f64::MAX /
+        // 100` times them is not, and neither is `1e308`.
+        for (price, ok) in [
+            (f64::MAX / 1000.0, true),
+            (f64::MAX / 100.0, false),
+            (1e308, false),
+        ] {
+            query.price = price;
+            let want = if ok {
+                Ok(())
+            } else {
+                Err(QueryError::Price(price))
+            };
+            assert_eq!(w.db.check_query(&query), want, "price {price}");
+        }
     }
 
     #[test]

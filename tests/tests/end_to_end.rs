@@ -444,6 +444,56 @@ fn driver_matches_allocating_reference_loop() {
     }
 }
 
+/// Routes planned ahead on the worker change no output. On a stream of
+/// lone arrivals whose reads often overlap, some plans find their nodes
+/// idle and are applied, others find one busy (or, under crash-restarts,
+/// down) and are routed inline; which ones depends on how the two threads
+/// interleave. Each system, with and without faults, runs eight times, and
+/// every run must leave metrics `Debug`-identical to the reference loop's.
+#[test]
+fn plans_leave_every_run_equal_to_the_reference_loop() {
+    let w = random(&RandomConfig {
+        size_gb: 3,
+        queries: 120,
+        duration: SimDuration::from_secs(2_400),
+        price: 8.0,
+        ..RandomConfig::default()
+    });
+    let run = RunConfig {
+        cluster: cluster(),
+        reconfig_interval: SimDuration::from_secs(400),
+        warmup_queries: 20,
+        ..RunConfig::default()
+    };
+    let nash = NashDbConfig {
+        window: 20,
+        ..nash_cfg(1_000_000)
+    };
+    type Make<'a> = &'a dyn Fn(&Database) -> Box<dyn Distributor>;
+    let systems: [(&str, Make); 3] = [
+        ("nashdb", &|db| Box::new(NashDbDistributor::new(db, nash))),
+        ("threshold", &|db| {
+            Box::new(ThresholdDistributor::new(db, 6, 1_000_000, 20).with_block(250_000))
+        }),
+        ("hypergraph", &|db| {
+            Box::new(HypergraphDistributor::new(db, 6, 1_000_000, 20).with_block(250_000))
+        }),
+    ];
+    let router = MaxOfMins::new(run.phi_tuples());
+    for (name, make) in systems {
+        for faults in [FaultSchedule::none(), crash_restarts()] {
+            let (naive, _) = naive_run(&w, &mut *make(&w.db), &router, &run, &faults);
+            let naive = format!("{naive:?}");
+            for i in 0..8 {
+                let driven =
+                    run_workload_with_faults(&w, &mut *make(&w.db), &router, &run, &faults);
+                let what = format!("{name}, {} faults, run {i}", faults.events().len());
+                assert_eq!(format!("{driven:?}"), naive, "{what}");
+            }
+        }
+    }
+}
+
 /// The edges of the distributor's hand-off to the serving loop. The
 /// distributor runs on a thread of its own and replays the arrivals in the
 /// simulator's order, so each case must leave metrics `Debug`-identical to
