@@ -467,13 +467,12 @@ impl ClusterSim {
     /// simulated time, in event order — the batch companion to a
     /// [`DriverEvent::QueryArrived`] just returned by
     /// [`next_event`](Self::next_event), so the driver can route coincident
-    /// arrivals in one [`ScanRouter::route_scans`] call. Popping stops at the
-    /// first event that is not an arrival now, and never while an internal
-    /// driver event is queued (those must reach the driver in order). Each
-    /// query goes through the same transition as in `next_event`, so driving
-    /// with or without batching is event-for-event identical.
-    ///
-    /// [`ScanRouter::route_scans`]: nashdb_core::routing::ScanRouter::route_scans
+    /// arrivals as one batch against one view of the queues. Popping stops
+    /// at the first event that is not an arrival now, and never while an
+    /// internal driver event is queued (those must reach the driver in
+    /// order). Each query goes through the same transition as in
+    /// `next_event`, so driving with or without batching is event-for-event
+    /// identical.
     pub fn take_coincident_arrivals(&mut self) -> Vec<(QueryId, QueryRequest)> {
         let mut batch = Vec::new();
         self.take_coincident_arrivals_into(&mut batch);

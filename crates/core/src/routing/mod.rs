@@ -26,11 +26,10 @@
 //! A router implements one method, [`ScanRouter::route_into`]: one scan,
 //! routed into the caller's output buffer with the caller's [`Scratch`] as
 //! working memory. Everything else is provided over it. Scans also route in
-//! **batches** ([`ScanRouter::route_scans`], and [`ScanRouter::route_batch`]
-//! for callers that own their scans): one call routes many scans in order
-//! against one evolving queue view, validating every scan before placing
-//! anything. A caller that keeps its `Scratch`, its output buffers and its
-//! [`QueueView`] between calls routes without allocating.
+//! **batches** ([`ScanRouter::route_batch`]): one call routes many scans in
+//! order against one evolving queue view, validating every scan before
+//! placing anything. A caller that keeps its `Scratch`, its output buffer and
+//! its [`QueueView`] between calls routes without allocating.
 
 mod max_of_mins;
 pub mod reference;
@@ -203,9 +202,9 @@ impl QueueView {
 /// - a router is `Sync`, so a scan may be routed on any thread, ahead of its
 ///   use.
 ///
-/// What is committed is recorded once, by [`route_scans`](Self::route_scans)
-/// and [`route_batch`](Self::route_batch), or by a caller that routed
-/// elsewhere through [`record_scan`] and [`record_batch`].
+/// What is committed is recorded once: by [`route_batch`](Self::route_batch),
+/// or by a caller that commits `route_into`'s output through [`record_scan`]
+/// and [`record_batch`].
 pub trait ScanRouter: Sync {
     /// Routes every request of one scan, appending one [`Assignment`] per
     /// request to `out` and updating `queues` with the work it places — the
@@ -242,8 +241,12 @@ pub trait ScanRouter: Sync {
     /// sees the queues exactly as scan `i` left them, as if [`Self::route`]
     /// had been called once per scan in order — that sequential semantics
     /// *is* the batch contract. Every scan is validated before anything is
-    /// placed, so a doomed batch leaves `queues` untouched. A routed batch
-    /// is recorded as [`route_scans`](Self::route_scans) records one.
+    /// placed, so a doomed batch leaves `queues` untouched.
+    ///
+    /// A routed batch is committed, so it is recorded here: per scan
+    /// [`record_scan`], with each placement sized from its own request and
+    /// replayed over the view the batch started from, then [`record_batch`].
+    /// A batch that fails records nothing.
     fn route_batch(
         &self,
         scans: Vec<Vec<FragmentRequest>>,
@@ -269,59 +272,12 @@ pub trait ScanRouter: Sync {
         Ok(out)
     }
 
-    /// [`route_batch`](Self::route_batch) over buffers the caller keeps:
-    /// the scans lie back to back in `requests`, scan `i` ending at
-    /// `scan_ends[i]` (see [`run_of`]), and their assignments are written
-    /// back to back into `out` the same way, scan `i`'s ending at
-    /// `out_ends[i]`. Both output buffers are cleared first. Same contract
-    /// as `route_batch` — sequential semantics, every scan validated before
-    /// anything is placed — and, with buffers that have grown to the
-    /// batch's size, no allocation here.
-    ///
-    /// A routed batch is committed, so it is recorded here: per scan
-    /// [`record_scan`], with each placement sized from its own request and
-    /// replayed over the view the batch started from, then [`record_batch`].
-    /// A batch that fails records nothing.
-    fn route_scans(
-        &self,
-        requests: &[FragmentRequest],
-        scan_ends: &[usize],
-        queues: &mut QueueView,
-        scratch: &mut Scratch,
-        out: &mut Vec<Assignment>,
-        out_ends: &mut Vec<usize>,
-    ) -> Result<(), RouteError> {
-        out.clear();
-        out_ends.clear();
-        // A lone scan needs no pass of its own: `route_into` rejects it
-        // before placing anything, and nothing was placed before it.
-        let scans = (0..scan_ends.len()).map(|i| run_of(requests, scan_ends, i));
-        if scan_ends.len() > 1 {
-            for scan in scans.clone() {
-                validate_requests(scan, queues)?;
-            }
-        }
-        // Only a live session pays for the copy the replay starts from.
-        let mut before = nashdb_obs::is_active().then(|| queues.clone());
-        for scan in scans.clone() {
-            self.route_into(scan, queues, scratch, out)?;
-            out_ends.push(out.len());
-        }
-        if let Some(before) = &mut before {
-            for (i, scan) in scans.enumerate() {
-                record_routed(scan, run_of(out, out_ends, i), before);
-            }
-            record_batch(scan_ends.len());
-        }
-        Ok(())
-    }
-
     /// Human-readable name for experiment output.
     fn name(&self) -> &'static str;
 }
 
 /// Run `i` of `items` laid out back to back, run `i` ending at `ends[i]` —
-/// how [`ScanRouter::route_scans`] takes a batch's requests and returns its
+/// how a caller that keeps its buffers lays out a batch's requests and its
 /// assignments. Empty if `ends` does not describe such a run (`i` past the
 /// last, ends that run backwards or past `items`), so no layout indexes out
 /// of bounds.
@@ -1184,72 +1140,21 @@ mod tests {
     }
 
     #[test]
-    fn route_scans_is_route_batch_over_kept_buffers() {
-        // The flat layout against the owning one, with the buffers reused
-        // across batches; then a layout whose ends run backwards and past
-        // the requests, whose impossible scans are read as empty instead of
-        // indexing out of bounds.
-        let mut batch = zoned_batch(2, 5, 4);
-        batch.insert(3, Vec::new());
-        let flat: Vec<FragmentRequest> = batch.iter().flatten().cloned().collect();
-        let ends_of = |scans: &[Vec<_>]| -> Vec<usize> {
-            let ends = scans.iter().scan(0, |end, scan: &Vec<_>| {
-                *end += scan.len();
-                Some(*end)
-            });
-            ends.collect()
+    fn run_of_reads_an_impossible_layout_as_empty() {
+        // Runs laid out back to back, then ends that run backwards and past
+        // the items: their impossible runs are read as empty instead of
+        // indexing out of bounds, and so is a run past the last end.
+        let items = [10, 11, 12, 13, 14, 15];
+        let runs = |ends: &[usize]| -> Vec<Vec<u32>> {
+            (0..=ends.len())
+                .map(|i| run_of(&items, ends, i).to_vec())
+                .collect()
         };
-        let ends = ends_of(&batch);
-        let router = MaxOfMins::new(35);
-        let (mut scratch, mut out, mut out_ends) = (Scratch::default(), Vec::new(), Vec::new());
-        for waits in [vec![0; 8], vec![3, 0, 0, 40, 0, 7, 0, 0, 0]] {
-            let mut q_flat = QueueView::from_waits(waits);
-            let mut q_owned = q_flat.clone();
-            router
-                .route_scans(
-                    &flat,
-                    &ends,
-                    &mut q_flat,
-                    &mut scratch,
-                    &mut out,
-                    &mut out_ends,
-                )
-                .unwrap();
-            let owned = router.route_batch(batch.clone(), &mut q_owned).unwrap();
-            assert_eq!(out, owned.concat());
-            assert_eq!(out_ends, ends);
-            for n in 0..8 {
-                assert_eq!(q_flat.wait(NodeId(n)), q_owned.wait(NodeId(n)));
-            }
-        }
-        let mut q = QueueView::new(8);
-        MaxOfMins::new(0)
-            .route_scans(
-                &flat,
-                &[4, 2, 1_000],
-                &mut q,
-                &mut scratch,
-                &mut out,
-                &mut out_ends,
-            )
-            .unwrap();
-        assert_eq!(out_ends, vec![4, 4, 4]);
-        // A doomed batch is rejected before anything is placed.
-        let mut doomed = flat.clone();
-        doomed[flat.len() - 1].candidates.clear();
-        let mut q = QueueView::new(8);
-        let err = MaxOfMins::new(0)
-            .route_scans(
-                &doomed,
-                &ends,
-                &mut q,
-                &mut scratch,
-                &mut out,
-                &mut out_ends,
-            )
-            .unwrap_err();
-        assert!(matches!(err, RouteError::NoReplicas { .. }));
-        assert_eq!((0..8).map(|n| q.wait(NodeId(n))).sum::<u64>(), 0);
+        assert_eq!(
+            runs(&[2, 2, 6]),
+            [&[10, 11][..], &[], &[12, 13, 14, 15], &[]]
+        );
+        assert_eq!(runs(&[4, 2, 1_000]), [&[10, 11, 12, 13][..], &[], &[], &[]]);
     }
 
     #[test]
@@ -1292,9 +1197,9 @@ mod tests {
 
     #[test]
     fn only_committed_routes_are_recorded() {
-        // `route_into` records nothing, whatever the router; `route_scans`
-        // and `route_batch` record each scan of a routed batch once, with
-        // the wait on each placement's node just before it.
+        // `route_into` records nothing, whatever the router; `route_batch`
+        // records each scan of a routed batch once, with the wait on each
+        // placement's node just before it.
         use nashdb_obs::ObsSession;
         let first = vec![req(0, 10, &[0, 1]), req(1, 20, &[0, 1]), req(2, 5, &[1])];
         let second = vec![req(3, 8, &[0, 1, 2]), req(4, 4, &[2])];
@@ -1326,34 +1231,23 @@ mod tests {
                 .collect();
             let session = ObsSession::start();
             let mut q = QueueView::from_waits(waits.clone());
-            let mut out_ends = Vec::new();
-            router
-                .route_scans(
-                    &flat,
-                    &[3, 5],
-                    &mut q,
-                    &mut scratch,
-                    &mut out,
-                    &mut out_ends,
-                )
-                .unwrap();
-            let mut q = QueueView::from_waits(waits.clone());
-            router.route_batch(scans.to_vec(), &mut q).unwrap();
+            let batch = router.route_batch(scans.to_vec(), &mut q).unwrap();
             let snap = session.finish();
+            assert_eq!(batch.concat(), out, "{}", router.name());
             let counted = [
                 Metric::RoutingBatchesRouted,
                 Metric::RoutingScansRouted,
                 Metric::RoutingRequests,
             ]
             .map(|m| snap.counter(m));
-            assert_eq!(counted, [Some(2), Some(4), Some(10)], "{}", router.name());
+            assert_eq!(counted, [Some(1), Some(2), Some(5)], "{}", router.name());
             let queue_waits = snap.histogram(Metric::RoutingQueueWaitTuples).unwrap();
-            assert_eq!(queue_waits.count, 10);
-            assert_eq!(queue_waits.sum, 2 * seen.iter().sum::<u64>());
+            assert_eq!(queue_waits.count, 5);
+            assert_eq!(queue_waits.sum, seen.iter().sum::<u64>());
             assert_eq!(queue_waits.max, seen.iter().copied().max().unwrap());
             let spans = snap.histogram(Metric::RoutingQuerySpan).unwrap();
             let span_sum = span(&out[..3]) + span(&out[3..]);
-            assert_eq!((spans.count, spans.sum), (4, 2 * span_sum as u64));
+            assert_eq!((spans.count, spans.sum), (2, span_sum as u64));
         }
     }
 

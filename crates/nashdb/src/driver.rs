@@ -62,52 +62,118 @@ impl RunConfig {
 /// runs retry at most once or twice).
 const MAX_ATTEMPTS: u32 = 5;
 
-/// What the serving loop (arrival → requests → route → reads → dispatch)
-/// reuses from one arrival to the next, so that in steady state an arrival
-/// allocates nothing of its own. Everything here lives for the run; only
-/// the two fragment-indexed tables (`sizes`, and the dedup table inside
-/// `requests`) are re-sized, when an applied plan changes the fragment
-/// count, and the node-indexed ones (`queues`, `scratch`) when it changes
-/// the node count. Liveness is *not* kept here: it is read through
-/// [`ClusterSim::node_alive`] (two indexed loads) as each candidate is
-/// copied, so there is no crash epoch to invalidate a cache against.
+/// What routing a batch (requests → route → reads) reuses from one batch to
+/// the next, so that in steady state a batch allocates nothing of its own.
+/// The serving thread keeps one for the run, and so does the worker's
+/// [`Planner`]. Only the fragment-indexed tables (`sizes`, and the dedup
+/// table inside `requests`) are re-sized, when the scheme's fragment count
+/// changes, and the node-indexed ones (`queues`, `scratch`) when the view's
+/// node count does. Liveness is not kept here: the caller's filter reads it
+/// as each candidate is copied.
 #[derive(Default)]
 struct Serving {
     /// The batch's fragment requests, one scan per query.
     requests: RequestBuf,
     /// Per query of the batch, whether it has a plan at all: every fragment
-    /// it reads is covered and has a live replica, and the router did not
-    /// reject the batch.
+    /// it reads is covered and has a live replica, and the router placed
+    /// each of its requests.
     routable: Vec<bool>,
     /// Tuples to read per fragment, as the batch's requests sized them.
     sizes: Vec<u64>,
-    /// The router's view of the queues, refreshed from the sim per batch.
+    /// The router's view of the queues.
     queues: QueueView,
     scratch: Scratch,
-    /// The batch's assignments, query `i`'s ending at `assignment_ends[i]`.
+    /// The batch's assignments, query `i`'s ending at `ends[i]`.
     assignments: Vec<Assignment>,
-    assignment_ends: Vec<usize>,
+    /// The same placements as `(node, tuples)` reads, each sized from its
+    /// own request: what [`record`] records.
+    placed: Vec<(NodeId, u64)>,
+    ends: Vec<usize>,
     /// The reads of the query being dispatched.
     reads: Vec<(NodeId, u64)>,
 }
 
 impl Serving {
-    /// Routes a batch of coincident queries with one router call against
-    /// one observation of the queues. The router threads its queue view
-    /// through the batch sequentially, so each query's assignment is
-    /// identical to routing it alone at its arrival instant. `alive_only`
-    /// drops replica candidates on crashed nodes — the
-    /// routing-around-failures path; a query left with a fragment nobody
-    /// live hosts is undispatchable until a node restarts or the scheme
-    /// changes. [`reads`](Self::reads) then yields each query's plan.
+    /// Routes a batch of coincident queries in order against one view of
+    /// the queues, `waits`, listing only the candidates `alive` accepts.
+    /// Each scan sees the queues as the scans before it left them, so each
+    /// query is placed exactly as if routed alone at its arrival instant.
+    /// [`reads`](Self::reads) then yields each query's reads. It records
+    /// nothing, so the worker routes through it as the serving thread does.
     ///
-    /// Every query here passed [`Database::check_query`], and scheme
-    /// construction guarantees every fragment has a replica, so a scan
-    /// outside the scheme's fragments or a router error is driver/scheme
-    /// drift. Neither takes the run down: the affected queries are
-    /// abandoned and counted under `routing.unroutable_scans`, so a long
-    /// scenario sweep still finishes.
-    fn plan<'q>(
+    /// Returns how many queries driver/scheme drift left without a plan: a
+    /// scan outside the scheme's fragments, or a router that dropped or
+    /// invented requests. It is `Err` if the router rejected the batch: then
+    /// no query has a plan, and the count is the batch's length plus its
+    /// uncovered queries. A query whose fragment has no live replica has no
+    /// plan either, but that is a fault, not drift.
+    fn route<'q>(
+        &mut self,
+        scheme: &DistScheme,
+        queries: impl Iterator<Item = &'q QueryRequest>,
+        router: &dyn ScanRouter,
+        waits: impl IntoIterator<Item = u64>,
+        alive: impl Fn(NodeId) -> bool,
+    ) -> Result<u64, u64> {
+        // Fragment ids are dense scheme indices: a flat table, and no
+        // refill — a fragment's size is read only for an assignment of this
+        // batch, whose request wrote it.
+        if self.sizes.len() != scheme.fragments().len() {
+            self.sizes.resize(scheme.fragments().len(), 0);
+        }
+        self.requests.start_batch();
+        self.routable.clear();
+        let mut uncovered = 0;
+        for query in queries {
+            // A query without a plan is an empty scan of the batch.
+            let live = scheme.append_query(query, &alive, &mut self.requests);
+            uncovered += u64::from(live.is_err());
+            self.routable.push(live == Ok(true));
+        }
+        self.queues.refill(waits);
+        self.assignments.clear();
+        self.placed.clear();
+        self.ends.clear();
+        // `route_into` validates each scan before placing any of it, and the
+        // view is refilled per batch, so a batch it rejects halfway leaves
+        // nothing behind: one validation per scan is enough.
+        let mut drift = uncovered;
+        for qi in 0..self.routable.len() {
+            let scan = self.requests.query(qi);
+            // One table per batch, not per query: after the loop a fragment
+            // two queries share is sized by the later one for both. A known
+            // defect, kept bit for bit until the frozen mirror can change
+            // with it (ROADMAP A(2)).
+            for r in scan {
+                self.sizes[r.fragment.index()] = r.size;
+            }
+            let first = self.assignments.len();
+            let out = &mut self.assignments;
+            if router
+                .route_into(scan, &mut self.queues, &mut self.scratch, out)
+                .is_err()
+            {
+                self.routable.fill(false);
+                return Err(uncovered + self.routable.len() as u64);
+            }
+            let assigned = &self.assignments[first..];
+            if self.routable[qi] && assigned.len() != scan.len() {
+                self.routable[qi] = false;
+                drift += 1;
+            }
+            let sizes = &self.sizes;
+            self.placed
+                .extend(assigned.iter().map(|a| (a.node, sizes[a.fragment.index()])));
+            self.ends.push(self.assignments.len());
+        }
+        Ok(drift)
+    }
+
+    /// [`route`](Self::route) on the serving thread: against the queues the
+    /// sim shows and, if `alive_only`, its live nodes only. It counts the
+    /// queries drift left without a plan under `routing.unroutable_scans`,
+    /// and records a routed batch as committed.
+    fn route_inline<'q>(
         &mut self,
         scheme: &DistScheme,
         queries: impl Iterator<Item = &'q QueryRequest>,
@@ -115,81 +181,49 @@ impl Serving {
         sim: &ClusterSim,
         alive_only: bool,
     ) {
-        // Fragment ids are dense scheme indices: a flat table, and no
-        // refill — a fragment's size is read only for an assignment of this
-        // batch, whose request wrote it below.
-        if self.sizes.len() != scheme.fragments().len() {
-            self.sizes.resize(scheme.fragments().len(), 0);
+        let _route = nashdb_obs::span(Span::Route);
+        let alive = |n| !alive_only || sim.node_alive(n);
+        let routed = self.route(scheme, queries, router, sim.node_waits(), alive);
+        let (Ok(drift) | Err(drift)) = routed;
+        if drift > 0 {
+            nashdb_obs::counter_add(Metric::RoutingUnroutableScans, drift);
         }
-        self.requests.start_batch();
-        self.routable.clear();
-        for (qi, query) in queries.enumerate() {
-            let alive = |n| !alive_only || sim.node_alive(n);
-            let live = match scheme.append_query(query, alive, &mut self.requests) {
-                Ok(live) => live,
-                Err(_uncovered) => {
-                    nashdb_obs::counter_add(Metric::RoutingUnroutableScans, 1);
-                    false
-                }
-            };
-            // A query without a plan contributes an empty scan (routes to
-            // an empty assignment list, touching no queues).
-            self.routable.push(live);
-            // One table per batch, not per query — a known defect kept bit
-            // for bit until the frozen mirror can change with it (ROADMAP).
-            for r in self.requests.query(qi) {
-                self.sizes[r.fragment.index()] = r.size;
-            }
-        }
-        self.queues.refill(sim.node_waits());
-        let routed = {
-            let _route = nashdb_obs::span(Span::Route);
-            router.route_scans(
-                self.requests.requests(),
-                self.requests.ends(),
-                &mut self.queues,
-                &mut self.scratch,
-                &mut self.assignments,
-                &mut self.assignment_ends,
-            )
-        };
-        if routed.is_err() {
-            nashdb_obs::counter_add(Metric::RoutingUnroutableScans, self.routable.len() as u64);
-            self.routable.fill(false);
+        if routed.is_ok() {
+            record(sim, &mut self.queues, &self.placed, &self.ends);
         }
     }
 
     /// One `(node, tuples)` read per fragment request of query `qi` of the
-    /// batch just planned, or `None` if the query has no plan.
+    /// batch just routed, or `None` if the query has no plan.
     fn reads(&mut self, qi: usize) -> Option<&[(NodeId, u64)]> {
         if !self.routable.get(qi).copied().unwrap_or(false) {
             return None;
         }
-        let assignments = run_of(&self.assignments, &self.assignment_ends, qi);
-        if assignments.len() != self.requests.query(qi).len() {
-            // A router that drops or invents requests produced an
-            // unusable plan; abandon the query rather than the run.
-            nashdb_obs::counter_add(Metric::RoutingUnroutableScans, 1);
-            return None;
-        }
+        let assignments = run_of(&self.assignments, &self.ends, qi);
+        let sizes = &self.sizes;
         self.reads.clear();
         self.reads.extend(
             assignments
                 .iter()
-                .map(|a| (a.node, self.sizes[a.fragment.index()])),
+                .map(|a| (a.node, sizes[a.fragment.index()])),
         );
         Some(&self.reads)
     }
+}
 
-    /// Records a plan the worker routed as the committed route of its
-    /// arrival: what [`ScanRouter::route_scans`] records for a batch of one
-    /// scan, its waits replayed over the queues the sim shows now.
-    fn record_plan(&mut self, plan: &Plan, sim: &ClusterSim) {
-        if nashdb_obs::is_active() {
-            self.queues.refill(sim.node_waits());
-            record_scan(plan.reads.iter().copied(), &mut self.queues);
-            record_batch(1);
+/// Records a batch the serving thread commits, inline or from a plan: scan
+/// `i` placed `run_of(placed, ends, i)`, in placement order, each read sized
+/// from its own request. The waits each placement saw are replayed over the
+/// queues the sim shows before the batch is dispatched, in `queues`. The one
+/// recording site of `routing.*` in the driver: the worker records nothing,
+/// so no count depends on which thread routed what.
+fn record(sim: &ClusterSim, queues: &mut QueueView, placed: &[(NodeId, u64)], ends: &[usize]) {
+    if nashdb_obs::is_active() {
+        queues.refill(sim.node_waits());
+        for i in 0..ends.len() {
+            record_scan(run_of(placed, ends, i).iter().copied(), queues);
         }
+        record_batch(ends.len());
     }
 }
 
@@ -432,7 +466,7 @@ fn distribute(
     for tq in pending {
         distributor.observe(&tq.query);
     }
-    while planner.advance() != Advance::Idle {}
+    while planner.advance() {}
 }
 
 /// A lone arrival — no other valid arrival shares its instant — routed on
@@ -467,23 +501,12 @@ impl Plan {
     }
 }
 
-/// What one [`Planner::advance`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Advance {
-    /// Sent a plan.
-    Planned,
-    /// Waited [`BUFFER_POLL`] for a buffer that did not come back.
-    Waited,
-    /// Nothing to plan until another scheme is sent: the next arrival falls
-    /// under an unsent scheme, there is none, or the serving side hung up.
-    Idle,
-}
-
 /// The worker's side of routing ahead. Its cursor walks the arrivals once,
 /// in order, jumping over those the serving thread will reach within
 /// [`PLAN_LEAD`] arrivals and stepping over those that are not lone; it
-/// routes the others under the scheme sent for their interval. It records
-/// nothing and opens no span.
+/// routes the others under the scheme sent for their interval, through
+/// [`Serving::route`] as a batch of one. It records nothing and opens no
+/// span.
 struct Planner<'a, 'w> {
     arrivals: &'a Arrivals<'w>,
     /// The reconfiguration instants: arrival `i` falls under scheme
@@ -505,11 +528,7 @@ struct Planner<'a, 'w> {
     first: usize,
     /// The serving side hung up.
     done: bool,
-    requests: RequestBuf,
-    queues: QueueView,
-    scratch: Scratch,
-    assignments: Vec<Assignment>,
-    sizes: Vec<u64>,
+    serving: Serving,
     /// Per node, whether the plan being built lists it yet; all false
     /// between plans.
     listed: Vec<bool>,
@@ -538,11 +557,7 @@ impl<'a, 'w> Planner<'a, 'w> {
             sent: VecDeque::new(),
             first: 0,
             done: false,
-            requests: RequestBuf::default(),
-            queues: QueueView::default(),
-            scratch: Scratch::default(),
-            assignments: Vec::new(),
-            sizes: Vec::new(),
+            serving: Serving::default(),
             listed: Vec::new(),
         }
     }
@@ -562,7 +577,7 @@ impl<'a, 'w> Planner<'a, 'w> {
                 Err(TrySendError::Disconnected(_)) => return false,
                 Err(TrySendError::Full(back)) => pending = back,
             }
-            if self.advance() == Advance::Idle {
+            if !self.advance() {
                 if schemes.send(pending).is_err() {
                     return false;
                 }
@@ -608,8 +623,12 @@ impl<'a, 'w> Planner<'a, 'w> {
 
     /// Plans the next arrival [`seek`](Self::seek) finds, once a buffer is
     /// on hand. A returned buffer is reused before a fresh one, so a run
-    /// that plans only a few arrivals ahead fills only a few buffers.
-    fn advance(&mut self) -> Advance {
+    /// that plans only a few arrivals ahead fills only a few buffers. True
+    /// if it sent a plan or waited [`BUFFER_POLL`] for a buffer; false if
+    /// there is nothing to plan until another scheme is sent: the next
+    /// arrival falls under an unsent scheme, there is none, or the serving
+    /// side hung up.
+    fn advance(&mut self) -> bool {
         while !self.done {
             let Some((i, epoch, tq)) = self.seek() else {
                 break;
@@ -618,7 +637,7 @@ impl<'a, 'w> Planner<'a, 'w> {
                 Some(plan) => plan,
                 None => match self.spent.recv_timeout(BUFFER_POLL) {
                     Ok(plan) => plan,
-                    Err(RecvTimeoutError::Timeout) => return Advance::Waited,
+                    Err(RecvTimeoutError::Timeout) => return true,
                     Err(RecvTimeoutError::Disconnected) => {
                         self.done = true;
                         break;
@@ -635,17 +654,18 @@ impl<'a, 'w> Planner<'a, 'w> {
                         self.done = true;
                         break;
                     }
-                    return Advance::Planned;
+                    return true;
                 }
                 Err(plan) => self.free.push(plan),
             }
         }
-        Advance::Idle
+        false
     }
 
-    /// Routes arrival `arrival` into `plan` under scheme `epoch`, or hands
-    /// the buffer back if the scheme does not cover the query or the router
-    /// rejects it: the serving loop then meets the same outcome inline.
+    /// Routes arrival `arrival` into `plan` under scheme `epoch`, against
+    /// all-idle queues and every node alive, or hands the buffer back if the
+    /// query has no plan: the serving loop then meets the same outcome
+    /// inline.
     fn route(
         &mut self,
         arrival: usize,
@@ -654,33 +674,20 @@ impl<'a, 'w> Planner<'a, 'w> {
         query: &QueryRequest,
         mut plan: Plan,
     ) -> Result<Plan, Plan> {
-        self.requests.start_batch();
-        if scheme.append_query(query, |_| true, &mut self.requests) != Ok(true) {
+        let idle = std::iter::repeat_n(0, scheme.num_nodes());
+        let routed = self
+            .serving
+            .route(scheme, std::iter::once(query), self.router, idle, |_| true);
+        if routed.is_err() || self.serving.routable != [true] {
             return Err(plan);
         }
-        let requests = self.requests.query(0);
-        self.queues
-            .refill(std::iter::repeat_n(0, scheme.num_nodes()));
-        self.assignments.clear();
-        let routed = self.router.route_into(
-            requests,
-            &mut self.queues,
-            &mut self.scratch,
-            &mut self.assignments,
-        );
-        if routed.is_err() || self.assignments.len() != requests.len() {
-            return Err(plan);
-        }
-        if self.sizes.len() != scheme.fragments().len() {
-            self.sizes.resize(scheme.fragments().len(), 0);
-        }
-        for r in requests {
-            self.sizes[r.fragment.index()] = r.size;
-        }
+        // A batch of one: `placed` is the query's reads.
+        std::mem::swap(&mut plan.reads, &mut self.serving.placed);
         plan.arrival = arrival;
         plan.epoch = epoch;
         plan.touched.clear();
         self.listed.resize(scheme.num_nodes(), false);
+        let requests = self.serving.requests.query(0);
         for &node in requests.iter().flat_map(|r| &r.candidates) {
             if !std::mem::replace(&mut self.listed[node.index()], true) {
                 plan.touched.push(node);
@@ -689,12 +696,6 @@ impl<'a, 'w> Planner<'a, 'w> {
         for node in &plan.touched {
             self.listed[node.index()] = false;
         }
-        plan.reads.clear();
-        plan.reads.extend(
-            self.assignments
-                .iter()
-                .map(|a| (a.node, self.sizes[a.fragment.index()])),
-        );
         Ok(plan)
     }
 }
@@ -841,7 +842,8 @@ fn serve(
                     if holds {
                         {
                             let _route = nashdb_obs::span(Span::Route);
-                            serving.record_plan(&plan, &sim);
+                            let ends = [plan.reads.len()];
+                            record(&sim, &mut serving.queues, &plan.reads, &ends);
                         }
                         for (qid, _) in batch.drain(..) {
                             dispatch(&mut sim, qid, Some(&plan.reads));
@@ -853,7 +855,7 @@ fn serve(
                     }
                 }
                 let queries = batch.iter().map(|(_, q)| q);
-                serving.plan(&scheme, queries, router, &sim, faults_active);
+                serving.route_inline(&scheme, queries, router, &sim, faults_active);
                 for (qi, (qid, _)) in batch.drain(..).enumerate() {
                     dispatch(&mut sim, qid, serving.reads(qi));
                 }
@@ -867,7 +869,8 @@ fn serve(
                 // of a panic.
                 let dispatched = match workload.queries.get(id.index()) {
                     Some(tq) if attempts < MAX_ATTEMPTS => {
-                        serving.plan(&scheme, std::iter::once(&tq.query), router, &sim, true);
+                        let query = std::iter::once(&tq.query);
+                        serving.route_inline(&scheme, query, router, &sim, true);
                         matches!(serving.reads(0), Some(reads) if sim.dispatch(id, reads).is_ok())
                     }
                     _ => false,
@@ -1003,6 +1006,21 @@ mod tests {
         assert_eq!(a.queries.len(), 24);
         // The provisioning plan and one per wake-up, all applied.
         assert_eq!(a.reconfigurations, 4);
+    }
+
+    #[test]
+    fn each_committed_scan_is_recorded_once_whichever_thread_routed_it() {
+        // Every arrival is a lone one, so each is routed on the worker or
+        // inline, depending on how the threads interleave; either way the
+        // serving thread records it, once, as a batch of one.
+        let (w, run, nash) = miri_sized();
+        let mut dist = NashDbDistributor::new(&w.db, nash);
+        let session = nashdb_obs::ObsSession::start();
+        run_workload(&w, &mut dist, &MaxOfMins::new(run.phi_tuples()), &run);
+        let snap = session.finish();
+        for counted in [Metric::RoutingScansRouted, Metric::RoutingBatchesRouted] {
+            assert_eq!(snap.counter(counted), Some(24), "{counted:?}");
+        }
     }
 
     #[test]
@@ -1157,6 +1175,55 @@ mod tests {
         });
         let scheme = DistScheme::new(fragments.to_vec(), &[vec![0, 1], vec![1], vec![2]]);
         (db, scheme)
+    }
+
+    #[test]
+    fn serving_routes_a_batch_as_route_batch_does() {
+        // One routine call against the batch as `route_batch` routes the
+        // scans the allocating adapter builds, with the buffers reused
+        // across batches; the placements it records are each sized from
+        // their own request, where a fragment two queries share is read at
+        // the later query's size by both.
+        let (_, scheme) = three_nodes();
+        let queries = [(0, 1_000), (250, 700), (650, 1_000), (100, 200)].map(|(start, end)| {
+            let scan = nashdb_cluster::ScanRange::new(nashdb_core::ids::TableId(0), start, end);
+            QueryRequest {
+                price: 1.0,
+                scans: vec![scan],
+                tag: 0,
+            }
+        });
+        let scans: Vec<_> = queries
+            .iter()
+            .map(|q| scheme.requests_for_query(q))
+            .collect();
+        let router = MaxOfMins::new(50);
+        let mut serving = Serving::default();
+        for waits in [vec![0; 3], vec![400, 0, 90]] {
+            let routed = serving.route(&scheme, queries.iter(), &router, waits.clone(), |_| true);
+            assert_eq!(routed, Ok(0));
+            let owned = router
+                .route_batch(scans.clone(), &mut QueueView::from_waits(waits))
+                .unwrap();
+            assert_eq!(serving.assignments, owned.concat());
+            assert_eq!(serving.ends, [3, 6, 7, 8]);
+            for (i, (scan, assigned)) in scans.iter().zip(&owned).enumerate() {
+                let size =
+                    |a: &Assignment| scan.iter().find(|r| r.fragment == a.fragment).unwrap().size;
+                let own: Vec<_> = assigned.iter().map(|a| (a.node, size(a))).collect();
+                assert_eq!(run_of(&serving.placed, &serving.ends, i), own);
+            }
+            // The second query reads 50 + 300 + 100 tuples of its own, but
+            // is dispatched at the last sizes the batch wrote for fragments
+            // 0 and 2: the fourth query's 100 and the third's 350.
+            let reads = serving.reads(1).unwrap().iter().map(|&(_, t)| t);
+            assert_eq!(reads.sum::<u64>(), 100 + 300 + 350);
+        }
+        // A candidate outside the view: the router rejects the batch, and
+        // no query has a plan.
+        let routed = serving.route(&scheme, queries.iter(), &router, [0, 0], |_| true);
+        assert_eq!(routed, Err(4));
+        assert!((0..4).all(|i| serving.reads(i).is_none()));
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl std::fmt::Display for UncoveredScan {
 /// [`DistScheme::append_query`] and reused from batch to batch: the pooled
 /// requests keep their candidate lists' capacity and the dedup table is
 /// stamped, not refilled, so a warm buffer takes a query without allocating.
-/// Query `i` of the batch owns `requests()[ends()[i - 1]..ends()[i]]`.
+/// Query `i` of the batch owns [`query(i)`](Self::query).
 #[derive(Debug, Default)]
 pub(crate) struct RequestBuf {
     /// The batch's requests are the first `used`; the rest are spares kept
@@ -83,16 +83,6 @@ impl RequestBuf {
     pub(crate) fn start_batch(&mut self) {
         self.used = 0;
         self.ends.clear();
-    }
-
-    /// Every request of the batch, query after query.
-    pub(crate) fn requests(&self) -> &[FragmentRequest] {
-        &self.pool[..self.used]
-    }
-
-    /// Where each query's requests end in [`requests`](Self::requests).
-    pub(crate) fn ends(&self) -> &[usize] {
-        &self.ends
     }
 
     /// The requests of query `i` of the batch (empty for a query that has
